@@ -18,21 +18,15 @@ import math
 
 import numpy as np
 
-from .fields import (CellFlags, ScalarField, VelocityField,
+from .fields import (CellFlags, ScalarField, VelocityField, _along,
                      cell_to_face_average, face_valid_mask)
 
 
-def _shifted(ndim: int, axis: int, t: int):
-    """(dst, src) slice tuples such that dst = src + t along axis."""
-    dst = [slice(None)] * ndim
-    src = [slice(None)] * ndim
+def _shifted(axis: int, t: int):
+    """(dst, src) index tuples such that dst = src + t along axis (t != 0)."""
     if t > 0:
-        dst[axis] = slice(t, None)
-        src[axis] = slice(None, -t)
-    elif t < 0:
-        dst[axis] = slice(None, t)
-        src[axis] = slice(-t, None)
-    return tuple(dst), tuple(src)
+        return _along(axis, slice(t, None)), _along(axis, slice(None, -t))
+    return _along(axis, slice(None, t)), _along(axis, slice(-t, None))
 
 
 def _sweep(vals: np.ndarray, rad: np.ndarray, valid: np.ndarray, axis: int,
@@ -52,7 +46,7 @@ def _sweep(vals: np.ndarray, rad: np.ndarray, valid: np.ndarray, axis: int,
     for t in range(1, tmax + 1):
         wt = weight(t)
         for s in (t, -t):
-            dst, src = _shifted(vals.ndim, axis, -s)  # gather: out[f] reads f+s
+            dst, src = _shifted(axis, -s)  # gather: out[f] reads f+s
             den[dst] += wt[dst] * vf[src]
 
     if not transpose:
@@ -60,7 +54,7 @@ def _sweep(vals: np.ndarray, rad: np.ndarray, valid: np.ndarray, axis: int,
         for t in range(1, tmax + 1):
             wt = weight(t)
             for s in (t, -t):
-                dst, src = _shifted(vals.ndim, axis, -s)
+                dst, src = _shifted(axis, -s)
                 num[dst] += wt[dst] * (vals * vf)[src]
         out = np.where(valid, num / np.where(den > 0, den, 1.0), vals)
         return out
@@ -71,7 +65,7 @@ def _sweep(vals: np.ndarray, rad: np.ndarray, valid: np.ndarray, axis: int,
     for t in range(1, tmax + 1):
         wt = weight(t)
         for s in (t, -t):
-            dst, src = _shifted(vals.ndim, axis, s)  # scatter: f -> f+s
+            dst, src = _shifted(axis, s)  # scatter: f -> f+s
             out[dst] += (wt * coef)[src] * vf[dst]
     return out
 

@@ -8,7 +8,8 @@ Subcommands:
     dam              run the liquid scene with a selectable wall treatment
 
 Each takes an optional JSON config plus flag overrides.  Exit codes: 0 on
-success, 2 for configuration errors, 3 when a solver fails to converge.
+success, 2 for configuration errors, 3 when a solver fails to converge or
+meets non-finite values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, thread_cap
+from .config import ConfigError, RunConfig
 from .fileio import read_grid, render_pgm, write_convergence_csv, write_grid
 from .guiding import default_guiding_params
 from .optim import AdmmParams, PdParams
@@ -95,6 +96,13 @@ def _frame_outputs(cfg: RunConfig, state, tag: str):
                                            f"conv_{tag}_{state.frame:04d}.csv"))
 
 
+def _check_converged(state, what: str):
+    log = state.last_log
+    if not log.converged:
+        raise SolverFailure(f"{what} did not converge at frame {state.frame} "
+                            f"(residual {log.final_residual:.3e})")
+
+
 def _write_summary(path, rows, header):
     lines = [header] + [",".join(str(v) for v in r) for r in rows]
     with open(path, "w") as f:
@@ -110,9 +118,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg)
         else:
             smoke_step(state, None, cg=cfg.cg)
+        _check_converged(state, state.last_log.method)
         log = state.last_log
-        rows.append((state.frame, len(log) if log else 0,
-                     log.total_cg_iters if log else 0))
+        rows.append((state.frame, len(log), log.total_cg_iters))
         _frame_outputs(cfg, state, cfg.scene.name)
     _write_summary(os.path.join(cfg.out_dir, "summary.csv"), rows,
                    "frame,iterations,cg_iters")
@@ -133,10 +141,9 @@ def cmd_guide(cfg: RunConfig, target_override=None) -> int:
         guide_cfg = guide_cfg.with_current(state.vel)
         smoke_step(state, guide_cfg, method=cfg.method, pd_params=pd,
                    admm_params=admm, cg=cfg.cg, exact_prox=cfg.exact_prox)
+        if cfg.method in ("pd", "admm"):
+            _check_converged(state, cfg.method)
         log = state.last_log
-        if not log.converged and cfg.method in ("pd", "admm"):
-            raise SolverFailure(f"{cfg.method} did not converge at frame "
-                                f"{state.frame} (residual {log.final_residual:.3e})")
         rows.append((state.frame, len(log), log.total_cg_iters))
         _frame_outputs(cfg, state, cfg.scene.name)
     _write_summary(os.path.join(cfg.out_dir, "summary.csv"), rows,
@@ -199,10 +206,10 @@ def cmd_dam(cfg: RunConfig) -> int:
     rows = []
     for _ in range(cfg.frames):
         liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg)
+        _check_converged(state, cfg.bc_mode)
         log = state.last_log
         rows.append((state.frame, ceiling_contact_cells(state.flags),
-                     len(log) if log else 0,
-                     log.total_cg_iters if log else 0))
+                     len(log), log.total_cg_iters))
         if cfg.save_pgm:
             render_pgm(state.flags, os.path.join(
                 cfg.out_dir, f"flags_{state.frame:04d}.pgm"))
@@ -270,7 +277,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         cfg = _build_config(args)
         handler = {"simulate": cmd_simulate, "guide": cmd_guide,
                    "upres": cmd_upres, "compare-methods": cmd_compare,

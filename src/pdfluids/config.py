@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 
 from .pressure import CgConfig
@@ -125,17 +124,3 @@ class RunConfig:
                 return cls.from_json(f.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def thread_cap() -> int:
-    """Value of PDFLUIDS_THREADS (0 = auto).  All sweeps currently run on one
-    thread, which trivially respects any cap; the variable is validated here
-    so configs relying on it fail fast."""
-    raw = os.environ.get("PDFLUIDS_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"PDFLUIDS_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ConfigError("PDFLUIDS_THREADS must be >= 0")
-    return n

@@ -66,6 +66,14 @@ def _check_dims(a, b):
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
 
 
+def _along(axis: int, s) -> tuple:
+    """Index tuple taking `s` (an index or slice) along `axis` and every
+    entry along the other two axes."""
+    idx = [slice(None)] * 3
+    idx[axis] = s
+    return tuple(idx)
+
+
 class CellFlags:
     """Per-cell FLUID/SOLID/EMPTY tags."""
 
@@ -252,23 +260,10 @@ def cell_to_face_average(scalar: ScalarField, axis: int) -> np.ndarray:
     """
     c = scalar.values
     out = np.empty(scalar.dims.face_shape(axis))
-    inner = [slice(None)] * 3
-    lo = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    inner[axis] = slice(1, -1)
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    out[tuple(inner)] = 0.5 * (c[tuple(lo)] + c[tuple(hi)])
-    first = [slice(None)] * 3
-    last = [slice(None)] * 3
-    first[axis] = 0
-    last[axis] = -1
-    cfirst = [slice(None)] * 3
-    clast = [slice(None)] * 3
-    cfirst[axis] = 0
-    clast[axis] = -1
-    out[tuple(first)] = c[tuple(cfirst)]
-    out[tuple(last)] = c[tuple(clast)]
+    out[_along(axis, slice(1, -1))] = 0.5 * (c[_along(axis, slice(None, -1))]
+                                             + c[_along(axis, slice(1, None))])
+    for side in (0, -1):
+        out[_along(axis, side)] = c[_along(axis, side)]
     return out
 
 
@@ -276,23 +271,10 @@ def face_valid_mask(flags: CellFlags, axis: int) -> np.ndarray:
     """Faces not adjacent to any SOLID cell (boundary faces use their one cell)."""
     ns = flags.values != CellType.SOLID
     out = np.empty(flags.dims.face_shape(axis), dtype=bool)
-    inner = [slice(None)] * 3
-    lo = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    inner[axis] = slice(1, -1)
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    out[tuple(inner)] = ns[tuple(lo)] & ns[tuple(hi)]
-    first = [slice(None)] * 3
-    last = [slice(None)] * 3
-    first[axis] = 0
-    last[axis] = -1
-    cfirst = [slice(None)] * 3
-    clast = [slice(None)] * 3
-    cfirst[axis] = 0
-    clast[axis] = -1
-    out[tuple(first)] = ns[tuple(cfirst)]
-    out[tuple(last)] = ns[tuple(clast)]
+    out[_along(axis, slice(1, -1))] = (ns[_along(axis, slice(None, -1))]
+                                       & ns[_along(axis, slice(1, None))])
+    for side in (0, -1):
+        out[_along(axis, side)] = ns[_along(axis, side)]
     return out
 
 
@@ -300,12 +282,8 @@ def fluid_adjacent_face_mask(flags: CellFlags, axis: int) -> np.ndarray:
     """Faces with at least one FLUID neighbour."""
     fl = flags.fluid
     out = np.zeros(flags.dims.face_shape(axis), dtype=bool)
-    lo = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    out[tuple(lo)] |= fl
-    out[tuple(hi)] |= fl
+    out[_along(axis, slice(None, -1))] |= fl
+    out[_along(axis, slice(1, None))] |= fl
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blur import blur_obstacle_aware
-from .fields import (CellFlags, ScalarField, VelocityField,
+from .fields import (CellFlags, ScalarField, VelocityField, _along,
                      cell_to_face_average, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
                     admm_solve, iop_solve, pd_solve)
@@ -42,7 +42,6 @@ class GuidingConfig:
     u_target: VelocityField
     u_current: VelocityField
     blend_ratio: float = 0.5      # naive linear blend only
-    use_b_squared: bool = False   # approximate B^T B by B B
 
     def __post_init__(self):
         if (self.weights.values <= 0).any():
@@ -112,8 +111,6 @@ class GuidingQuadratic:
         return blur_obstacle_aware(vel, self.cfg.radius, self.cfg.flags)
 
     def apply_Bt(self, vel: VelocityField) -> VelocityField:
-        if self.cfg.use_b_squared:
-            return self.apply_B(vel)
         return blur_obstacle_aware(vel, self.cfg.radius, self.cfg.flags,
                                    transpose=True)
 
@@ -350,12 +347,8 @@ def direct_least_squares(cfg: GuidingConfig, flags: CellFlags, tol: float = 1e-8
         src = np.where(fluid, cellvals, 0.0) / d.h
         for axis in d.axes:
             arr = out.component(axis)
-            lo = [slice(None)] * 3
-            hi = [slice(None)] * 3
-            lo[axis] = slice(None, -1)
-            hi[axis] = slice(1, None)
-            arr[tuple(hi)] += src
-            arr[tuple(lo)] -= src
+            arr[_along(axis, slice(1, None))] += src
+            arr[_along(axis, slice(None, -1))] -= src
         return quad.mask(out)
 
     def normal_op(vel: VelocityField) -> VelocityField:

@@ -94,18 +94,15 @@ class ConvergenceLog:
     epsilons: list[float] = field(default_factory=list)
     eps_cg: list[float] = field(default_factory=list)
     cg_iters: list[int] = field(default_factory=list)
-    objectives: list[float] = field(default_factory=list)
     converged: bool = False
 
     def record(self, iteration: int, residual: float, epsilon: float,
-               eps_cg: float, cg_iters: int, objective: float | None = None):
+               eps_cg: float, cg_iters: int):
         self.iterations.append(iteration)
         self.residuals.append(residual)
         self.epsilons.append(epsilon)
         self.eps_cg.append(eps_cg)
         self.cg_iters.append(cg_iters)
-        if objective is not None:
-            self.objectives.append(objective)
 
     def __len__(self):
         return len(self.iterations)
@@ -139,13 +136,11 @@ def moreau_transform(prox_f: ProxOperator, sigma: float, v: VelocityField) -> Ve
     return v - sigma * prox_f(sigma, v * (1.0 / sigma))
 
 
-def adaptive_pd_update(tau: float, sigma: float, theta_prev: float,
+def adaptive_pd_update(tau: float, sigma: float,
                        gamma_accel: float) -> tuple[float, float, float]:
     """Accelerated step-size schedule.
 
-    theta' = 1/sqrt(1 + 2*tau*gamma), tau' = tau*theta', sigma' = sigma/theta';
-    theta_prev is accepted for signature symmetry but the update is closed
-    form and does not use it.
+    theta' = 1/sqrt(1 + 2*tau*gamma), tau' = tau*theta', sigma' = sigma/theta'.
     """
     theta = 1.0 / math.sqrt(1.0 + 2.0 * tau * gamma_accel)
     return tau * theta, sigma / theta, theta
@@ -176,6 +171,23 @@ def _guard_extensions(prox_f: ProxOperator, params: PdParams):
                          "supported for orthogonal-projection prox operators")
 
 
+def _loop_tail(z: VelocityField, z_old: VelocityField, eps_cg: float,
+               cg_iters: int, projector: DivergenceProjector, eps_abs: float,
+               eps_rel: float, log: ConvergenceLog, iterate_callback=None) -> bool:
+    """End of one outer iteration, shared by every solver: stop check, CG
+    accuracy adaptation, log row (numbered on from the log's length so a
+    log carried across solves counts cumulatively), callback.  Returns and
+    records on the log whether the solve has converged: the iterate change
+    is below the threshold and the projection ran at its final accuracy."""
+    stop, residual, eps = stop_check(z, z_old, eps_abs, eps_rel)
+    projector.adapt(residual, eps)
+    log.record(len(log) + 1, residual, eps, eps_cg, cg_iters)
+    if iterate_callback is not None:
+        iterate_callback(z)
+    log.converged = stop and eps_cg <= projector.final_accuracy
+    return log.converged
+
+
 def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdParams,
              z0: VelocityField, log: ConvergenceLog, on_z_update=None,
              krylov_error=None, iterate_callback=None) -> VelocityField:
@@ -187,42 +199,38 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
       y <- z + theta*(z - z_old)
     and stop once ||z - z_old|| falls below the stop threshold with the CG
     tolerance already at its final accuracy.  Starts from x = 0, y = z0.
-    Returns the last z; non-convergence is flagged on the log.
+    on_z_update sees each projection output before the Krylov correction.
+    Returns the last projection output, so the result is divergence-free to
+    the last CG accuracy even when the Krylov correction moved the iterate;
+    non-convergence is flagged on the log.
     """
     _guard_extensions(prox_f, params)
     log.method = log.method or "pd"
-    z = z0.copy()
+    z = z_proj = z0.copy()
     x = VelocityField.zeros(z.dims)
     y = z0.copy()
     tau, sigma, theta = params.tau, params.sigma, params.theta
-    use_krylov = params.krylov
-    if use_krylov and krylov_error is None:
+    if params.krylov and krylov_error is None:
         krylov_error = lambda f: (f - prox_f(1.0, f)).norm()
     z_km1 = None
     eps_km1 = None
-    for k in range(1, params.max_iters + 1):
+    for _ in range(params.max_iters):
         x = x + sigma * y - sigma * prox_f(sigma, x * (1.0 / sigma) + y)
         z_old = z
-        z, cg_iters, eps_cg = projector.project(z_old - tau * x)
+        z_proj, cg_iters, eps_cg = projector.project(z_old - tau * x)
         if on_z_update is not None:
-            on_z_update(z)
-        if use_krylov:
-            z, eps_km1 = krylov_accelerate(z, z_km1, krylov_error, eps_km1)
+            on_z_update(z_proj)
+        z = z_proj
+        if params.krylov:
+            z, eps_km1 = krylov_accelerate(z_proj, z_km1, krylov_error, eps_km1)
             z_km1 = z
         if params.adaptive:
-            tau, sigma, theta = adaptive_pd_update(tau, sigma, theta,
-                                                   params.gamma_accel)
+            tau, sigma, theta = adaptive_pd_update(tau, sigma, params.gamma_accel)
         y = z + theta * (z - z_old)
-        stop, residual, eps = stop_check(z, z_old, params.eps_abs, params.eps_rel)
-        projector.adapt(residual, eps)
-        log.record(k, residual, eps, eps_cg, cg_iters)
-        if iterate_callback is not None:
-            iterate_callback(z)
-        # the returned iterate must come from a final-accuracy projection
-        if stop and eps_cg <= projector.final_accuracy:
-            log.converged = True
+        if _loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
+                      params.eps_rel, log, iterate_callback):
             break
-    return z
+    return z_proj
 
 
 def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
@@ -235,21 +243,15 @@ def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
     log.method = log.method or "admm"
     z = z0.copy()
     y = VelocityField.zeros(z.dims)
-    for k in range(1, params.max_iters + 1):
+    for _ in range(params.max_iters):
         x = prox_f(params.rho, z - y)
         z_old = z
         z, cg_iters, eps_cg = projector.project(x + y)
         if on_z_update is not None:
             on_z_update(z)
         y = y + x - z
-        stop, residual, eps = stop_check(z, z_old, params.eps_abs, params.eps_rel)
-        projector.adapt(residual, eps)
-        log.record(k, residual, eps, eps_cg, cg_iters)
-        if iterate_callback is not None:
-            iterate_callback(z)
-        # the returned iterate must come from a final-accuracy projection
-        if stop and eps_cg <= projector.final_accuracy:
-            log.converged = True
+        if _loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
+                      params.eps_rel, log, iterate_callback):
             break
     return z
 
@@ -261,28 +263,25 @@ def iop_solve(prox_f: ProxOperator, projector: DivergenceProjector,
     """Iterated orthogonal projection: alternate prox_f and the projection.
 
     Valid only when prox_f is an orthogonal projection; optionally applies
-    the Krylov correction each iteration.
+    the Krylov correction each iteration.  Returns the last projection
+    output, as pd_solve does.
     """
     if not prox_f.is_orthogonal_projection:
         raise ValueError("iop_solve requires an orthogonal-projection prox operator")
     log.method = log.method or "iop"
-    z = z0.copy()
+    z = z_proj = z0.copy()
     if krylov and krylov_error is None:
         krylov_error = lambda f: (f - prox_f(1.0, f)).norm()
     z_km1 = None
     eps_km1 = None
-    for k in range(1, max_iters + 1):
+    for _ in range(max_iters):
         x = prox_f(1.0, z)
         z_old = z
-        z, cg_iters, eps_cg = projector.project(x)
+        z_proj, cg_iters, eps_cg = projector.project(x)
+        z = z_proj
         if krylov:
-            z, eps_km1 = krylov_accelerate(z, z_km1, krylov_error, eps_km1)
+            z, eps_km1 = krylov_accelerate(z_proj, z_km1, krylov_error, eps_km1)
             z_km1 = z
-        stop, residual, eps = stop_check(z, z_old, eps_abs, eps_rel)
-        projector.adapt(residual, eps)
-        log.record(k, residual, eps, eps_cg, cg_iters)
-        # the returned iterate must come from a final-accuracy projection
-        if stop and eps_cg <= projector.final_accuracy:
-            log.converged = True
+        if _loop_tail(z, z_old, eps_cg, cg_iters, projector, eps_abs, eps_rel, log):
             break
-    return z
+    return z_proj

@@ -10,13 +10,14 @@ for compatibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _check_dims, divergence)
+                     _along, _check_dims, divergence, fluid_adjacent_face_mask)
 
 
 class FaceTag(IntEnum):
@@ -26,10 +27,13 @@ class FaceTag(IntEnum):
 
 
 class PoissonConvergenceError(RuntimeError):
-    """CG ran out of iterations; carries the last relative residual."""
+    """CG ran out of iterations, broke down or met a non-finite residual;
+    carries the iterations reached and the last relative residual."""
 
     def __init__(self, iterations: int, residual: float):
-        super().__init__(f"pressure CG did not converge in {iterations} "
+        what = ("did not converge" if math.isfinite(residual)
+                else "met a non-finite value")
+        super().__init__(f"pressure CG {what} in {iterations} "
                          f"iterations (last relative residual {residual:.3e})")
         self.iterations = iterations
         self.residual = residual
@@ -55,15 +59,9 @@ class BcTable:
         tags = []
         for axis in range(3):
             t = np.full(d.face_shape(axis), FaceTag.NEUMANN, dtype=np.uint8)
-            lo = [slice(None)] * 3
-            hi = [slice(None)] * 3
-            lo[axis] = slice(None, -1)
-            hi[axis] = slice(1, None)
-            inner = [slice(None)] * 3
-            inner[axis] = slice(1, -1)
-            a = v[tuple(lo)]
-            b = v[tuple(hi)]
-            it = t[tuple(inner)]
+            a = v[_along(axis, slice(None, -1))]
+            b = v[_along(axis, slice(1, None))]
+            it = t[_along(axis, slice(1, -1))]
             both_fluid = (a == CellType.FLUID) & (b == CellType.FLUID)
             fl_solid = ((a == CellType.FLUID) & (b == CellType.SOLID)) | \
                        ((a == CellType.SOLID) & (b == CellType.FLUID))
@@ -72,18 +70,10 @@ class BcTable:
             it[both_fluid] = FaceTag.INTERIOR
             it[fl_solid] = solid_faces
             it[fl_empty] = FaceTag.DIRICHLET
-            first = [slice(None)] * 3
-            last = [slice(None)] * 3
-            first[axis] = 0
-            last[axis] = -1
-            cfirst = [slice(None)] * 3
-            clast = [slice(None)] * 3
-            cfirst[axis] = 0
-            clast[axis] = -1
-            t[tuple(first)] = np.where(v[tuple(cfirst)] == CellType.FLUID,
-                                       np.uint8(wall_faces), np.uint8(FaceTag.NEUMANN))
-            t[tuple(last)] = np.where(v[tuple(clast)] == CellType.FLUID,
-                                      np.uint8(wall_faces), np.uint8(FaceTag.NEUMANN))
+            for side in (0, -1):
+                t[_along(axis, side)] = np.where(
+                    v[_along(axis, side)] == CellType.FLUID,
+                    np.uint8(wall_faces), np.uint8(FaceTag.NEUMANN))
             tags.append(t)
         return cls(d, tuple(tags))
 
@@ -156,18 +146,13 @@ class PoissonSystem:
         has_dirichlet = False
         for axis in d.axes:
             t = bc.tags[axis]
-            lo = [slice(None)] * 3
-            hi = [slice(None)] * 3
-            lo[axis] = slice(None, -1)
-            hi[axis] = slice(1, None)
             # count non-Neumann faces into each fluid cell's diagonal
-            diag += (t[tuple(lo)] != FaceTag.NEUMANN).astype(np.float64)
-            diag += (t[tuple(hi)] != FaceTag.NEUMANN).astype(np.float64)
-            inner = [slice(None)] * 3
-            inner[axis] = slice(1, -1)
-            conn = (t[tuple(inner)] == FaceTag.INTERIOR).astype(np.float64) * inv_h2
+            for cells in (slice(None, -1), slice(1, None)):
+                diag += (t[_along(axis, cells)] != FaceTag.NEUMANN).astype(np.float64)
+            inner = t[_along(axis, slice(1, -1))]
+            conn = (inner == FaceTag.INTERIOR).astype(np.float64) * inv_h2
             self.conn.append((axis, conn))
-            if (t[self.fluid_face_mask(axis, lo, hi)] == FaceTag.DIRICHLET).any():
+            if (t[fluid_adjacent_face_mask(flags, axis)] == FaceTag.DIRICHLET).any():
                 has_dirichlet = True
         diag *= inv_h2
         diag[~self.fluid] = 0.0
@@ -178,21 +163,12 @@ class PoissonSystem:
             inv = np.where(self.active, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
         self.inv_diag = inv
 
-    def fluid_face_mask(self, axis, lo, hi):
-        m = np.zeros(self.dims.face_shape(axis), dtype=bool)
-        m[tuple(lo)] |= self.fluid
-        m[tuple(hi)] |= self.fluid
-        return m
-
     def apply(self, p: np.ndarray) -> np.ndarray:
         out = self.diag * p
         for axis, conn in self.conn:
-            lo = [slice(None)] * 3
-            hi = [slice(None)] * 3
-            lo[axis] = slice(None, -1)
-            hi[axis] = slice(1, None)
-            out[tuple(lo)] -= conn * p[tuple(hi)]
-            out[tuple(hi)] -= conn * p[tuple(lo)]
+            lo, hi = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
+            out[lo] -= conn * p[hi]
+            out[hi] -= conn * p[lo]
         out[~self.active] = 0.0
         return out
 
@@ -210,10 +186,14 @@ class PoissonSystem:
         """Jacobi-preconditioned CG on A x = b.
 
         Stops when ||r||_2 <= eps * max(||b||_2, 1) and, if inf_tol is given,
-        additionally max|r_i| <= inf_tol.  Returns (x, iterations).
+        additionally max|r_i| <= inf_tol.  Returns (x, iterations).  Raises
+        PoissonConvergenceError on a non-finite rhs or residual, on a
+        breakdown and when max_iters is used up.
         """
         x = np.zeros_like(b)
         bnorm = float(np.linalg.norm(b))
+        if not math.isfinite(bnorm):
+            raise PoissonConvergenceError(0, bnorm)
         if bnorm == 0.0:
             return x, 0
         target = eps * max(bnorm, 1.0)
@@ -221,12 +201,15 @@ class PoissonSystem:
 
         def done():
             rn = float(np.linalg.norm(r))
+            if not math.isfinite(rn):
+                raise PoissonConvergenceError(it, rn)
             if rn > target:
                 return False, rn
             if inf_tol is not None and float(np.abs(r).max()) > inf_tol:
                 return False, rn
             return True, rn
 
+        it = 0
         ok, rnorm = done()
         if ok:
             return x, 0
@@ -248,11 +231,11 @@ class PoissonSystem:
             rz_new = float(np.vdot(r, z))
             d = z + (rz_new / rz) * d
             rz = rz_new
-        raise PoissonConvergenceError(max_iters, rnorm / max(bnorm, 1.0))
+        raise PoissonConvergenceError(it, rnorm / max(bnorm, 1.0))
 
 
 def solve_poisson(rhs: ScalarField, flags: CellFlags, bc: BcTable, eps_cg: float,
-                  max_cg_iters: int = 10000, system: PoissonSystem | None = None,
+                  max_cg_iters: int = 10000,
                   inf_tol: float | None = None) -> ScalarField:
     """Pressure p with ||lap(p) - rhs|| <= eps_cg * max(||rhs||, 1).
 
@@ -261,9 +244,9 @@ def solve_poisson(rhs: ScalarField, flags: CellFlags, bc: BcTable, eps_cg: float
     """
     _check_dims(rhs, flags)
     rhs.validate_finite()
-    sys_ = system if system is not None else PoissonSystem(flags, bc)
-    b = sys_.prepare_rhs(-rhs.values)
-    p, _ = sys_.cg(b, eps_cg, max_cg_iters, inf_tol=inf_tol)
+    system = PoissonSystem(flags, bc)
+    b = system.prepare_rhs(-rhs.values)
+    p, _ = system.cg(b, eps_cg, max_cg_iters, inf_tol=inf_tol)
     return ScalarField(rhs.dims, p)
 
 
@@ -285,49 +268,38 @@ def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
     for axis in d.axes:
         t = bc.tags[axis]
         arr = out.component(axis)
-        inner = [slice(None)] * 3
-        inner[axis] = slice(1, -1)
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        it = t[tuple(inner)]
+        inner = _along(axis, slice(1, -1))
+        lo, hi = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
+        it = t[inner]
         grad = np.zeros_like(it, dtype=np.float64)
         interior = it == FaceTag.INTERIOR
-        grad[interior] = (pv[tuple(hi)] - pv[tuple(lo)])[interior] * inv_h
+        grad[interior] = (pv[hi] - pv[lo])[interior] * inv_h
         diri = it == FaceTag.DIRICHLET
-        diri_lo = diri & fl[tuple(lo)] & ~fl[tuple(hi)]   # ghost on the high side
-        diri_hi = diri & fl[tuple(hi)] & ~fl[tuple(lo)]   # ghost on the low side
-        grad[diri_lo] = (0.0 - pv[tuple(lo)][diri_lo]) * inv_h
-        grad[diri_hi] = (pv[tuple(hi)][diri_hi] - 0.0) * inv_h
-        arr[tuple(inner)] -= grad
+        diri_lo = diri & fl[lo] & ~fl[hi]   # ghost on the high side
+        diri_hi = diri & fl[hi] & ~fl[lo]   # ghost on the low side
+        grad[diri_lo] = (0.0 - pv[lo][diri_lo]) * inv_h
+        grad[diri_hi] = (pv[hi][diri_hi] - 0.0) * inv_h
+        arr[inner] -= grad
         # domain wall faces: only a Dirichlet ghost can drive an update
         for side in (0, -1):
-            fsel = [slice(None)] * 3
-            fsel[axis] = side
-            cs = [slice(None)] * 3
-            cs[axis] = side
-            m = (t[tuple(fsel)] == FaceTag.DIRICHLET) & fl[tuple(cs)]
+            wall = _along(axis, side)
+            m = (t[wall] == FaceTag.DIRICHLET) & fl[wall]
             # low wall: grad = (p_cell - 0)/h; high wall: grad = (0 - p_cell)/h
             sign = 1.0 if side == 0 else -1.0
-            arr[tuple(fsel)][m] -= sign * pv[tuple(cs)][m] * inv_h
+            arr[wall][m] -= sign * pv[wall][m] * inv_h
     return out
 
 
 def project(vel: VelocityField, flags: CellFlags, bc: BcTable, eps_cg: float,
-            max_cg_iters: int = 10000,
-            system: PoissonSystem | None = None) -> VelocityField:
+            max_cg_iters: int = 10000) -> VelocityField:
     """Divergence-free (Euclidean) projection via a pressure solve.
 
     Faces tagged NEUMANN keep their input velocity; only the velocity field
     is touched.  The CG residual is additionally driven below 10*eps_cg in
     max norm so the per-cell divergence bound holds at any rhs scale.
     """
-    div = divergence(vel, flags)
-    sys_ = system if system is not None else PoissonSystem(flags, bc)
-    b = sys_.prepare_rhs(-div.values)
-    p, _ = sys_.cg(b, eps_cg, max_cg_iters, inf_tol=10.0 * eps_cg)
-    return subtract_gradient(vel, ScalarField(vel.dims, p), flags, bc)
+    projector = DivergenceProjector(flags, bc, CgConfig(eps_cg, eps_cg, max_cg_iters))
+    return projector.project(vel)[0]
 
 
 class DivergenceProjector:
@@ -335,21 +307,21 @@ class DivergenceProjector:
 
     Owns the Poisson system for a fixed flag/boundary configuration plus the
     adaptive CG tolerance controller, and reports the CG effort of each
-    projection so convergence logs can attribute cost.
+    projection so convergence logs can attribute cost.  A fixed accuracy
+    eps is CgConfig(eps, eps, max_cg_iters).
     """
 
-    def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None,
-                 adaptive: bool = True):
+    def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None):
         self.flags = flags
         self.bc = bc
         self.cg = cg if cg is not None else CgConfig()
-        if adaptive:
-            self.controller = AdaptiveCgController.from_config(self.cg)
-        else:
-            self.controller = AdaptiveCgController(self.cg.eps_final, self.cg.eps_final)
+        self.controller = AdaptiveCgController.from_config(self.cg)
         self.system = PoissonSystem(flags, bc)
 
     def project(self, vel: VelocityField) -> tuple[VelocityField, int, float]:
+        """The one projection routine: divergence, pressure solve at the
+        current accuracy (max-norm residual below 10x it), gradient update.
+        Returns (projected velocity, CG iterations, CG accuracy)."""
         eps = self.controller.current
         div = divergence(vel, self.flags)
         b = self.system.prepare_rhs(-div.values)

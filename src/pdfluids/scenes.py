@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _interp_component, advect_semi_lagrangian,
-                     cell_to_face_average, divergence, face_valid_mask,
+                     _along, _interp_component, advect_semi_lagrangian,
+                     cell_to_face_average, face_valid_mask,
                      fluid_adjacent_face_mask)
 from .guiding import GuidingConfig, guide_step, split_scalar_field
 from .optim import AdmmParams, ConvergenceLog, PdParams
-from .pressure import BcTable, CgConfig, project
+from .pressure import BcTable, CgConfig, DivergenceProjector
 from .separating import (BcState, solve_separating_accelerated,
                          solve_separating_standard)
 
@@ -283,6 +283,19 @@ def add_buoyancy(state: SceneState):
     state.vel.v[m] += state.dt * beta * dens_face[m]
 
 
+def _fixed_projection(vel: VelocityField, flags: CellFlags, cg: CgConfig,
+                      log: ConvergenceLog, method: str) -> VelocityField:
+    """Plain projection at the final CG accuracy with default walls, logged
+    as one converged row carrying its CG iterations."""
+    fixed = CgConfig(cg.eps_final, cg.eps_final, cg.max_cg_iters)
+    projector = DivergenceProjector(flags, BcTable.from_flags(flags), fixed)
+    out, iters, _ = projector.project(vel)
+    log.method = method
+    log.record(1, 0.0, 0.0, cg.eps_final, iters)
+    log.converged = True
+    return out
+
+
 def smoke_step(state: SceneState, cfg: GuidingConfig | None = None,
                method: str = "pd", pd_params: PdParams | None = None,
                admm_params: AdmmParams | None = None,
@@ -304,9 +317,8 @@ def smoke_step(state: SceneState, cfg: GuidingConfig | None = None,
     u_c = vel_adv
     log = ConvergenceLog()
     if cfg is None:
-        bc = BcTable.from_flags(state.flags)
-        eps = cg.eps_final if cg is not None else 1e-5
-        state.vel = project(u_c, state.flags, bc, eps)
+        cg = cg if cg is not None else CgConfig()
+        state.vel = _fixed_projection(u_c, state.flags, cg, log, "projection")
     else:
         state.vel = guide_step(u_c, cfg, method=method, pd_params=pd_params,
                                admm_params=admm_params, cg=cg, log=log,
@@ -405,16 +417,9 @@ def extrapolate_velocity(vel: VelocityField, flags: CellFlags,
             acc = np.zeros(arr.shape)
             cnt = np.zeros(arr.shape)
             for a in vel.dims.axes:
-                for s in (1, -1):
-                    dst = [slice(None)] * 3
-                    src = [slice(None)] * 3
-                    if s > 0:
-                        dst[a] = slice(1, None)
-                        src[a] = slice(None, -1)
-                    else:
-                        dst[a] = slice(None, -1)
-                        src[a] = slice(1, None)
-                    dst, src = tuple(dst), tuple(src)
+                for dst, src in ((slice(1, None), slice(None, -1)),
+                                 (slice(None, -1), slice(1, None))):
+                    dst, src = _along(a, dst), _along(a, src)
                     acc[dst] += np.where(known[src], arr[src], 0.0)
                     cnt[dst] += known[src]
             grow = (~known) & (cnt > 0) & ~frozen
@@ -479,24 +484,13 @@ def liquid_pressure_solve(vel: VelocityField, flags: CellFlags, mode: str,
     if mode == "regular":
         out = vel.copy()
         _zero_solid_faces(out, flags)
-        bc = BcTable.from_flags(flags)
-        from .pressure import PoissonSystem
-        system = PoissonSystem(flags, bc)
-        div = divergence(out, flags)
-        b = system.prepare_rhs(-div.values)
-        p, iters = system.cg(b, cg.eps_final, cg.max_cg_iters,
-                             inf_tol=10.0 * cg.eps_final)
-        from .pressure import subtract_gradient
-        out = subtract_gradient(out, ScalarField(flags.dims, p), flags, bc)
-        log.method = "regular"
-        log.record(1, 0.0, 0.0, cg.eps_final, iters)
-        log.converged = True
-        return out
+        return _fixed_projection(out, flags, cg, log, "regular")
     if mode == "separating-standard":
         return solve_separating_standard(vel, flags, params=bc_params,
                                          state=state, cg=cg, log=log)
     return solve_separating_accelerated(vel, flags, eps_cg=cg.eps_final,
-                                        state=state, log=log)
+                                        state=state, log=log,
+                                        max_cg_iters=cg.max_cg_iters)
 
 
 def liquid_finish_step(state: SceneState, vel_new: VelocityField,

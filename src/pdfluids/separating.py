@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CellFlags, CellType, ScalarField, VelocityField, divergence
+from .fields import CellFlags, CellType, VelocityField, _along
 from .optim import (AdaptiveParams, ConvergenceLog, PdParams, ProxOperator,
-                    adaptive_pd_update, krylov_accelerate, stop_check)
-from .pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
-                       PoissonSystem, subtract_gradient)
+                    pd_solve, stop_check)
+from .pressure import BcTable, CgConfig, DivergenceProjector, FaceTag
+# re-exported: bench/test_bench.py checks that the tracer rebinds it here
+from .pressure import subtract_gradient  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,8 @@ class BoundaryFaces:
         v = flags.values
         axes, ii, jj, kk, sign = [], [], [], [], []
         for axis in flags.dims.axes:
-            lo = [slice(None)] * 3
-            hi = [slice(None)] * 3
-            lo[axis] = slice(None, -1)
-            hi[axis] = slice(1, None)
-            a = v[tuple(lo)]
-            b = v[tuple(hi)]
+            a = v[_along(axis, slice(None, -1))]
+            b = v[_along(axis, slice(1, None))]
             # solid below the face: normal points along +axis
             plus = (a == CellType.SOLID) & (b == CellType.FLUID)
             minus = (a == CellType.FLUID) & (b == CellType.SOLID)
@@ -167,15 +164,13 @@ class SeparatingProx(ProxOperator):
 
     is_orthogonal_projection = True
 
-    def __init__(self, state: BcState, classify_on_call: bool = False,
-                 use_memory: bool = True):
+    def __init__(self, state: BcState, classify_on_call: bool = False):
         self.state = state
         self.classify_on_call = classify_on_call
-        self.use_memory = use_memory
 
     def __call__(self, sigma, v):
         if self.classify_on_call:
-            classify(v, self.state, self.use_memory)
+            classify(v, self.state)
         return prox_f_bc(v, self.state)
 
 
@@ -246,46 +241,17 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
     projector = DivergenceProjector(flags, free_surface_walls_table(flags), cg)
     bc_state.eps = projector.controller.current
     if not lock_set:
-        classify(u, bc_state, use_memory=True)
-    prox = SeparatingProx(bc_state, classify_on_call=False)
-    err = violation_norm(bc_state)
+        classify(u, bc_state)
+    prox = SeparatingProx(bc_state)
 
-    def pd_pass(z0):
-        """Generic primal-dual pass with the classification after every
-        projection.  Reports whether the non-separating set changed."""
-        z = z0.copy()
-        x = VelocityField.zeros(z.dims)
-        y = z.copy()
-        tau, sigma, theta = params.tau, params.sigma, params.theta
-        z_km1 = None
-        eps_km1 = None
-        changed = False
-        converged = False
-        for _ in range(params.max_iters):
-            x = x + sigma * y - sigma * prox(sigma, x * (1.0 / sigma) + y)
-            z_old = z
-            z, cg_iters, eps_cg = projector.project(z_old - tau * x)
-            if not lock_set:
-                bc_state.eps = projector.controller.current
-                before = bc_state.nsep.copy()
-                classify(z, bc_state, use_memory=True)
-                if not np.array_equal(before, bc_state.nsep):
-                    changed = True
-            if params.krylov:
-                z, eps_km1 = krylov_accelerate(z, z_km1, err, eps_km1)
-                z_km1 = z
-            if params.adaptive:
-                tau, sigma, theta = adaptive_pd_update(tau, sigma, theta,
-                                                       params.gamma_accel)
-            y = z + theta * (z - z_old)
-            stop, residual, eps = stop_check(z, z_old, params.eps_abs,
-                                             params.eps_rel)
-            projector.adapt(residual, eps)
-            log.record(len(log) + 1, residual, eps, eps_cg, cg_iters)
-            if stop and eps_cg <= projector.final_accuracy:
-                converged = True
-                break
-        return z, changed, converged
+    def reclassify(z):
+        """Classification of each projection output, the threshold synced to
+        the current CG accuracy; notes whether the set moved."""
+        nonlocal changed
+        bc_state.eps = projector.controller.current
+        before = bc_state.nsep.copy()
+        classify(z, bc_state)
+        changed = changed or not np.array_equal(before, bc_state.nsep)
 
     # While the classification is still moving, the accumulated duals steer
     # the iteration to a feasible point that can sit far from the
@@ -294,11 +260,12 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
     # with the stabilized set and memory carried over; a pass without any
     # set change is a clean fixed-set solve whose limit is the projection of
     # the input.  The hysteresis guarantees the set stabilizes, normally by
-    # the second pass.
-    z = u
+    # the second pass.  The log runs on across passes.
     for _ in range(4):
-        z, changed, converged = pd_pass(u)
-        log.converged = converged
+        changed = False
+        z = pd_solve(prox, projector, params, u, log,
+                     on_z_update=None if lock_set else reclassify,
+                     krylov_error=violation_norm(bc_state))
         if not changed:
             break
     return z
@@ -330,15 +297,12 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
         state.eps = eps_cg
     classify(u, state, use_memory=False)
     z = u.copy()
+    cg = CgConfig(eps_cg, eps_cg, max_cg_iters)
     for sweep in range(1, max_sweeps + 1):
         z_old = z
         z = prox_f_bc(z, state)
-        bc = classified_walls_table(flags, state)
-        system = PoissonSystem(flags, bc)
-        div = divergence(z, flags)
-        b = system.prepare_rhs(-div.values)
-        p, cg_iters = system.cg(b, eps_cg, max_cg_iters, inf_tol=10.0 * eps_cg)
-        z = subtract_gradient(z, ScalarField(flags.dims, p), flags, bc)
+        projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
+        z, cg_iters, _ = projector.project(z)
         before = state.nsep.copy()
         classify(z, state, use_memory=False)
         _, residual, eps = stop_check(z, z_old, 0.0, 0.0)

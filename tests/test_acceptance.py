@@ -53,7 +53,7 @@ def dam_runs():
 
     state, _ = build_scene(spec)
     sep_contact = []
-    cg_acc, cg_std, field_diffs = [], [], []
+    cg_acc, cg_std, field_diffs, div_std = [], [], [], []
     saved_intermediate = None
     for frame in range(DAM_FRAMES):
         vel, vel_old = liquid_begin_step(state)
@@ -67,10 +67,12 @@ def dam_runs():
         cg_acc.append(log_a.total_cg_iters)
         cg_std.append(log_s.total_cg_iters)
         field_diffs.append((out_a - out_s).norm() / max(out_s.norm(), 1e-12))
+        div_std.append(float(np.abs(divergence(out_s, state.flags).values).max()))
         liquid_finish_step(state, out_a, vel_old)
         sep_contact.append(ceiling_contact_cells(state.flags))
     return {"regular_contact": regular_contact, "sep_contact": sep_contact,
             "cg_acc": cg_acc, "cg_std": cg_std, "field_diffs": field_diffs,
+            "div_std": div_std,
             "intermediate": saved_intermediate}
 
 
@@ -280,11 +282,15 @@ class TestCriterion09AcceleratedVsStandard:
         cg_std = np.array(dam_runs["cg_std"])
         frac = float(np.mean(cg_acc <= cg_std))
         mean_diff = float(np.mean(dam_runs["field_diffs"]))
+        # every standard solve returns a final-accuracy projection output
+        div_std = max(dam_runs["div_std"])
         assert frac >= 0.90
         assert mean_diff <= 0.05
+        assert div_std <= 1e-4
         report(9, f"accelerated <= standard CG iterations on {100 * frac:.0f}% "
                   f"of frames (means {cg_acc.mean():.0f} vs {cg_std.mean():.0f}); "
-                  f"mean field difference {100 * mean_diff:.1f}% <= 5%")
+                  f"mean field difference {100 * mean_diff:.1f}% <= 5%; "
+                  f"standard max|div| {div_std:.2e} <= 1e-4")
 
 
 class TestCriterion10NonSeparatingValidation:

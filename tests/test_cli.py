@@ -103,3 +103,19 @@ class TestCli:
         p = tmp_path / "nc.json"
         p.write_text(json.dumps(cfg))
         assert run(["guide", "--config", p]) == 3
+
+    @pytest.mark.parametrize("args, step", [
+        (["simulate", "--scene", "plume"], "smoke_step"),
+        (["dam", "--scene", "dam", "--bc", "regular"], "liquid_step")])
+    def test_unconverged_step_exits_3(self, tmp_path, monkeypatch, args, step):
+        import pdfluids.cli as cli
+        real = getattr(cli, step)
+
+        def unconverged(state, *a, **kw):
+            real(state, *a, **kw)
+            state.last_log.converged = False
+            return state
+
+        monkeypatch.setattr(cli, step, unconverged)
+        assert run(args + ["--nx", "16", "--ny", "16", "--frames", "1",
+                           "--out", tmp_path / "nc"]) == 3

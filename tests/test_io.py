@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from pdfluids.config import ConfigError, RunConfig, thread_cap
+from pdfluids.config import ConfigError, RunConfig
 from pdfluids.fields import CellFlags, CellType, GridDims, ScalarField, VelocityField
 from pdfluids.fileio import (GridFileError, read_grid, render_pgm,
                              write_convergence_csv, write_grid)
@@ -197,10 +197,3 @@ class TestRunConfig:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             RunConfig.from_json("{nope")
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("PDFLUIDS_THREADS", "4")
-        assert thread_cap() == 4
-        monkeypatch.setenv("PDFLUIDS_THREADS", "banana")
-        with pytest.raises(ConfigError):
-            thread_cap()

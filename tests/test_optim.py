@@ -40,7 +40,7 @@ def guiding_instance(n=8, rng=None, w=1.0, r=1.0):
 def make_projector(flags, eps=1e-8, adaptive=False):
     bc = BcTable.from_flags(flags)
     cg = CgConfig(eps_start=eps if not adaptive else 1e-2, eps_final=eps)
-    return DivergenceProjector(flags, bc, cg, adaptive=adaptive)
+    return DivergenceProjector(flags, bc, cg)
 
 
 class TestStopCheck:
@@ -75,21 +75,21 @@ class TestStopCheck:
 
 class TestAdaptiveUpdate:
     def test_reference_values(self):
-        tau, sigma, theta = adaptive_pd_update(150.0, 1.0 / 150.0, 1.0, 200.0)
+        tau, sigma, theta = adaptive_pd_update(150.0, 1.0 / 150.0, 200.0)
         assert theta == pytest.approx(1.0 / math.sqrt(60001.0), rel=1e-12)
         assert theta == pytest.approx(0.0040824, rel=1e-4)
         assert tau == pytest.approx(0.61236, rel=1e-4)
         assert sigma == pytest.approx((1.0 / 150.0) / theta, rel=1e-12)
 
     def test_gamma_zero_no_adaptation(self):
-        tau, sigma, theta = adaptive_pd_update(0.7, 2.0, 0.3, 0.0)
+        tau, sigma, theta = adaptive_pd_update(0.7, 2.0, 0.0)
         assert (tau, sigma, theta) == (0.7, 2.0, 1.0)
 
     def test_tau_sigma_product_invariant(self):
         tau, sigma = 150.0, 1.0 / 150.0
         prod = tau * sigma
         for _ in range(2):
-            tau, sigma, theta = adaptive_pd_update(tau, sigma, 1.0, 200.0)
+            tau, sigma, theta = adaptive_pd_update(tau, sigma, 200.0)
         assert tau * sigma == pytest.approx(prod, rel=1e-12)
 
 

@@ -3,10 +3,14 @@ import pytest
 
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, cell_centers, divergence)
-from pdfluids.pressure import (AdaptiveCgController, BcTable, CgConfig, FaceTag,
+from pdfluids.guiding import guide_step
+from pdfluids.pressure import (AdaptiveCgController, BcTable, CgConfig,
+                               DivergenceProjector, FaceTag,
                                PoissonConvergenceError, PoissonSystem,
                                adapt_cg_tolerance, project, solve_poisson,
                                subtract_gradient)
+from pdfluids.scenes import (SceneSpec, build_scene, liquid_begin_step,
+                             liquid_pressure_solve)
 
 from conftest import random_velocity
 
@@ -191,3 +195,41 @@ class TestAdaptiveController:
     def test_validation(self):
         with pytest.raises(ValueError):
             CgConfig(eps_start=1e-6, eps_final=1e-2)
+
+
+class TestNonFiniteInput:
+    """A NaN or inf face feeding a FLUID cell must raise on every projection
+    path, never come out in a plausible-looking field."""
+
+    @pytest.fixture(params=[np.nan, np.inf])
+    def bad(self, request):
+        return request.param
+
+    def test_project_and_projector(self, rng, bad):
+        d = GridDims(16, 16)
+        flags = CellFlags.closed_box(d)
+        bc = BcTable.from_flags(flags)
+        vel = random_velocity(d, rng, zero_wall_normals=True)
+        vel.u[8, 8, 0] = bad
+        with pytest.raises(PoissonConvergenceError):
+            project(vel, flags, bc, 1e-5)
+        with pytest.raises(PoissonConvergenceError):
+            DivergenceProjector(flags, bc).project(vel)
+
+    @pytest.mark.parametrize("mode", ["regular", "separating-standard",
+                                      "separating-accelerated"])
+    def test_liquid_pressure_solve(self, bad, mode):
+        state, _ = build_scene(SceneSpec("dam", nx=16, ny=16))
+        vel, _ = liquid_begin_step(state)
+        fl = state.flags.fluid
+        i, j, k = np.argwhere(fl[1:] & fl[:-1])[0]   # x-face between two FLUID cells
+        vel.u[i + 1, j, k] = bad
+        with pytest.raises(PoissonConvergenceError):
+            liquid_pressure_solve(vel, state.flags, mode)
+
+    def test_guide_step(self, bad):
+        state, cfg = build_scene(SceneSpec("circular", nx=16, ny=16))
+        u = state.vel.copy()
+        u.u[8, 8, 0] = bad
+        with pytest.raises(PoissonConvergenceError):
+            guide_step(u, cfg)
