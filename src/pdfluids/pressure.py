@@ -27,8 +27,9 @@ class FaceTag(IntEnum):
 
 
 class PoissonConvergenceError(RuntimeError):
-    """CG ran out of iterations, broke down or met a non-finite residual;
-    carries the iterations reached and the last relative residual."""
+    """CG ran out of iterations, broke down or met a non-finite value (in
+    the velocity, the rhs or the residual); carries the iterations reached
+    and the last relative residual."""
 
     def __init__(self, iterations: int, residual: float):
         what = ("did not converge" if math.isfinite(residual)
@@ -142,7 +143,7 @@ class PoissonSystem:
         self.fluid = flags.fluid
         inv_h2 = 1.0 / (d.h * d.h)
         diag = np.zeros(d.shape)
-        self.conn = []
+        self._stencil = []   # (lo, hi, conn): cells coupled through a face
         has_dirichlet = False
         for axis in d.axes:
             t = bc.tags[axis]
@@ -151,7 +152,8 @@ class PoissonSystem:
                 diag += (t[_along(axis, cells)] != FaceTag.NEUMANN).astype(np.float64)
             inner = t[_along(axis, slice(1, -1))]
             conn = (inner == FaceTag.INTERIOR).astype(np.float64) * inv_h2
-            self.conn.append((axis, conn))
+            self._stencil.append((_along(axis, slice(None, -1)),
+                                  _along(axis, slice(1, None)), conn))
             if (t[fluid_adjacent_face_mask(flags, axis)] == FaceTag.DIRICHLET).any():
                 has_dirichlet = True
         diag *= inv_h2
@@ -159,17 +161,21 @@ class PoissonSystem:
         self.diag = diag
         self.has_dirichlet = has_dirichlet
         self.active = self.fluid & (diag > 0)
+        self._inactive = ~self.active
         with np.errstate(divide="ignore"):
             inv = np.where(self.active, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
         self.inv_diag = inv
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        out = self.diag * p
-        for axis, conn in self.conn:
-            lo, hi = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
+    def apply(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A p, written into `out` when given."""
+        if out is None:
+            out = self.diag * p
+        else:
+            np.multiply(self.diag, p, out=out)
+        for lo, hi, conn in self._stencil:
             out[lo] -= conn * p[hi]
             out[hi] -= conn * p[lo]
-        out[~self.active] = 0.0
+        out[self._inactive] = 0.0
         return out
 
     def prepare_rhs(self, rhs: np.ndarray) -> np.ndarray:
@@ -198,9 +204,13 @@ class PoissonSystem:
             return x, 0
         target = eps * max(bnorm, 1.0)
         r = b.copy()
+        r_flat = r.reshape(-1)
+        z = np.empty_like(b)
+        ad = np.empty_like(b)
+        tmp = np.empty_like(b)
 
         def done():
-            rn = float(np.linalg.norm(r))
+            rn = math.sqrt(float(r_flat.dot(r_flat)))
             if not math.isfinite(rn):
                 raise PoissonConvergenceError(it, rn)
             if rn > target:
@@ -213,23 +223,24 @@ class PoissonSystem:
         ok, rnorm = done()
         if ok:
             return x, 0
-        z = r * self.inv_diag
+        np.multiply(r, self.inv_diag, out=z)
         d = z.copy()
         rz = float(np.vdot(r, z))
         for it in range(1, max_iters + 1):
-            ad = self.apply(d)
+            self.apply(d, ad)
             dad = float(np.vdot(d, ad))
             if dad <= 0.0:
                 break
             alpha = rz / dad
-            x += alpha * d
-            r -= alpha * ad
+            x += np.multiply(alpha, d, out=tmp)
+            r -= np.multiply(alpha, ad, out=tmp)
             ok, rnorm = done()
             if ok:
                 return x, it
-            z = r * self.inv_diag
+            np.multiply(r, self.inv_diag, out=z)
             rz_new = float(np.vdot(r, z))
-            d = z + (rz_new / rz) * d
+            d *= rz_new / rz
+            d += z
             rz = rz_new
         raise PoissonConvergenceError(it, rnorm / max(bnorm, 1.0))
 
@@ -321,7 +332,11 @@ class DivergenceProjector:
     def project(self, vel: VelocityField) -> tuple[VelocityField, int, float]:
         """The one projection routine: divergence, pressure solve at the
         current accuracy (max-norm residual below 10x it), gradient update.
-        Returns (projected velocity, CG iterations, CG accuracy)."""
+        Returns (projected velocity, CG iterations, CG accuracy).  A
+        non-finite face raises before the solve, also one the divergence
+        never reads (no FLUID neighbour)."""
+        if not all(np.isfinite(arr).all() for _, arr in vel.components()):
+            raise PoissonConvergenceError(0, math.nan)
         eps = self.controller.current
         div = divergence(vel, self.flags)
         b = self.system.prepare_rhs(-div.values)

@@ -150,3 +150,127 @@ class TestBlur:
         flags = CellFlags.closed_box(d)
         with pytest.raises(ValueError):
             blur_obstacle_aware(VelocityField.zeros(d), ScalarField.full(d, 1.0), flags)
+
+
+# -- the uncached blur, kept as a bitwise reference ---------------------------
+
+def _shifted(axis, t):
+    lo = [slice(None)] * 3
+    hi = [slice(None)] * 3
+    if t > 0:
+        lo[axis], hi[axis] = slice(t, None), slice(None, -t)
+    else:
+        lo[axis], hi[axis] = slice(None, t), slice(-t, None)
+    return tuple(lo), tuple(hi)
+
+
+def _reference_sweep(vals, rad, valid, axis, transpose):
+    """One 1D pass exactly as the blur computed it before the taps and
+    normalizers were cached: every tap weight rebuilt on each call."""
+    vf = valid.astype(np.float64)
+    tmax = int(math.ceil(3.0 * rad.max())) if rad.size else 0
+    ncut = np.ceil(3.0 * rad)
+
+    def weight(t):
+        with np.errstate(divide="ignore"):
+            w = np.exp(-(t * t) / (2.0 * np.square(rad)))
+        return np.where((rad > 0) & (t <= ncut), w, 0.0)
+
+    den = vf.copy()
+    for t in range(1, tmax + 1):
+        wt = weight(t)
+        for s in (t, -t):
+            dst, src = _shifted(axis, -s)
+            den[dst] += wt[dst] * vf[src]
+
+    if not transpose:
+        num = vals * vf
+        for t in range(1, tmax + 1):
+            wt = weight(t)
+            for s in (t, -t):
+                dst, src = _shifted(axis, -s)
+                num[dst] += wt[dst] * (vals * vf)[src]
+        return np.where(valid, num / np.where(den > 0, den, 1.0), vals)
+
+    coef = np.where(valid, vals / np.where(den > 0, den, 1.0), 0.0)
+    out = np.where(valid, coef, vals)
+    for t in range(1, tmax + 1):
+        wt = weight(t)
+        for s in (t, -t):
+            dst, src = _shifted(axis, s)
+            out[dst] += (wt * coef)[src] * vf[dst]
+    return out
+
+
+def reference_blur(field, radius, flags, transpose=False):
+    out = field.copy()
+    axes = field.dims.axes
+    for comp, arr in out.components():
+        rad = cell_to_face_average(radius, comp)
+        valid = face_valid_mask(flags, comp)
+        cur = arr
+        for axis in (axes if not transpose else tuple(reversed(axes))):
+            cur = _reference_sweep(cur, rad, valid, axis, transpose)
+        arr[...] = cur
+    return out
+
+
+def field_bytes(vel):
+    return b"".join(arr.tobytes() for _, arr in vel.components())
+
+
+def obstacle_scene(dims, rng, rmax=2.5):
+    """Closed box with an inner obstacle and a spatially varying radius."""
+    flags = CellFlags.closed_box(dims)
+    k = slice(None) if dims.is_2d else slice(1, 3)
+    flags.values[4:6, 3:5, k] = CellType.SOLID
+    rvals = rng.random(dims.shape) * rmax
+    rvals[flags.solid] = 0.0
+    return flags, ScalarField(dims, rvals)
+
+
+class TestCachedKernelBitwise:
+    @pytest.mark.parametrize("dims", [GridDims(13, 11), GridDims(9, 8, 6)],
+                             ids=["2d", "3d"])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "adj"])
+    def test_matches_reference(self, rng, dims, transpose):
+        flags, radius = obstacle_scene(dims, rng)
+        for _ in range(3):   # the first call builds the kernel, the rest reuse it
+            vel = random_velocity(dims, rng)
+            got = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
+            want = reference_blur(vel, radius, flags, transpose=transpose)
+            assert field_bytes(got) == field_bytes(want)
+
+    def test_radius_changed_in_place_misses(self, rng):
+        d = GridDims(12, 10)
+        flags, radius = obstacle_scene(d, rng)
+        vel = random_velocity(d, rng)
+        first = blur_obstacle_aware(vel, radius, flags)
+        radius.values[6:9, 5:8, 0] *= 0.5
+        second = blur_obstacle_aware(vel, radius, flags)
+        assert field_bytes(second) != field_bytes(first)
+        assert field_bytes(second) == field_bytes(reference_blur(vel, radius, flags))
+
+    def test_alternating_pairs_keep_their_own_result(self, rng):
+        d = GridDims(12, 10)
+        pairs = [obstacle_scene(d, rng), (CellFlags.open_box(d), ScalarField.full(d, 1.3))]
+        vel = random_velocity(d, rng)
+        want = [reference_blur(vel, r, f, transpose=True) for f, r in pairs]
+        for _ in range(2):
+            for (f, r), w in zip(pairs, want):
+                got = blur_obstacle_aware(vel, r, f, transpose=True)
+                assert field_bytes(got) == field_bytes(w)
+
+    def test_invalid_radius_raises_after_a_cached_call(self, rng):
+        d = GridDims(10, 10)
+        flags, radius = obstacle_scene(d, rng)
+        vel = random_velocity(d, rng)
+        blur_obstacle_aware(vel, radius, flags)
+        radius.values[5, 5, 0] = -0.1
+        with pytest.raises(ValueError, match="non-negative"):
+            blur_obstacle_aware(vel, radius, flags)
+        radius.values[5, 5, 0] = 1.0
+        blur_obstacle_aware(vel, radius, flags)
+        radius.values[4, 3, 0] = 1.0   # inside the obstacle
+        with pytest.raises(ValueError, match="SOLID"):
+            blur_obstacle_aware(vel, radius, flags)

@@ -227,9 +227,168 @@ class TestNonFiniteInput:
         with pytest.raises(PoissonConvergenceError):
             liquid_pressure_solve(vel, state.flags, mode)
 
+    def test_face_without_fluid_neighbour(self, bad):
+        # a wall face of the closed box: the divergence never reads it
+        d = GridDims(16, 16)
+        flags = CellFlags.closed_box(d)
+        bc = BcTable.from_flags(flags)
+        vel = VelocityField.zeros(d)
+        vel.u[0, 5, 0] = bad
+        with pytest.raises(PoissonConvergenceError):
+            project(vel, flags, bc, 1e-5)
+        with pytest.raises(PoissonConvergenceError):
+            DivergenceProjector(flags, bc).project(vel)
+
+    @pytest.mark.parametrize("mode", ["regular", "separating-standard",
+                                      "separating-accelerated"])
+    def test_liquid_empty_empty_face(self, bad, mode):
+        state, _ = build_scene(SceneSpec("dam", nx=16, ny=16))
+        vel, _ = liquid_begin_step(state)
+        em = state.flags.values == CellType.EMPTY
+        i, j, k = np.argwhere(em[1:] & em[:-1])[0]   # x-face between two EMPTY cells
+        vel.u[i + 1, j, k] = bad
+        with pytest.raises(PoissonConvergenceError):
+            liquid_pressure_solve(vel, state.flags, mode)
+
     def test_guide_step(self, bad):
         state, cfg = build_scene(SceneSpec("circular", nx=16, ny=16))
         u = state.vel.copy()
         u.u[8, 8, 0] = bad
         with pytest.raises(PoissonConvergenceError):
             guide_step(u, cfg)
+
+
+# -- the allocating Jacobi-PCG loop, kept as a bitwise reference ---------------
+
+def reference_apply(flags, bc, system, p):
+    """A p as the stencil computed it before the slices were precomputed."""
+    inv_h2 = 1.0 / (flags.dims.h * flags.dims.h)
+    out = system.diag * p
+    for axis in flags.dims.axes:
+        lo = [slice(None)] * 3
+        hi = [slice(None)] * 3
+        inner = [slice(None)] * 3
+        lo[axis], hi[axis], inner[axis] = slice(None, -1), slice(1, None), slice(1, -1)
+        conn = (bc.tags[axis][tuple(inner)] == FaceTag.INTERIOR).astype(np.float64) * inv_h2
+        out[tuple(lo)] -= conn * p[tuple(hi)]
+        out[tuple(hi)] -= conn * p[tuple(lo)]
+    out[~system.active] = 0.0
+    return out
+
+
+def reference_cg(flags, bc, system, b, eps, max_iters, inf_tol=None):
+    """The CG loop with fresh arrays on every iteration; returns (x, iters)
+    or raises PoissonConvergenceError like PoissonSystem.cg."""
+    x = np.zeros_like(b)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x, 0
+    target = eps * max(bnorm, 1.0)
+    r = b.copy()
+
+    def done():
+        rn = float(np.linalg.norm(r))
+        if rn > target:
+            return False, rn
+        if inf_tol is not None and float(np.abs(r).max()) > inf_tol:
+            return False, rn
+        return True, rn
+
+    it = 0
+    ok, rnorm = done()
+    if ok:
+        return x, 0
+    z = r * system.inv_diag
+    d = z.copy()
+    rz = float(np.vdot(r, z))
+    for it in range(1, max_iters + 1):
+        ad = reference_apply(flags, bc, system, d)
+        dad = float(np.vdot(d, ad))
+        if dad <= 0.0:
+            break
+        alpha = rz / dad
+        x += alpha * d
+        r -= alpha * ad
+        ok, rnorm = done()
+        if ok:
+            return x, it
+        z = r * system.inv_diag
+        rz_new = float(np.vdot(r, z))
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+    raise PoissonConvergenceError(it, rnorm / max(bnorm, 1.0))
+
+
+def closed_box_case(rng):
+    d = GridDims(20, 14)
+    flags = CellFlags.closed_box(d)
+    flags.values[6:9, 4:7, 0] = CellType.SOLID
+    return flags, BcTable.from_flags(flags), rng.standard_normal(d.shape)
+
+
+def dam_case(rng):
+    flags = build_scene(SceneSpec("dam", nx=24, ny=18))[0].flags
+    return flags, BcTable.from_flags(flags), rng.standard_normal(flags.dims.shape)
+
+
+def box_3d_case(rng):
+    d = GridDims(7, 6, 5)
+    flags = CellFlags.closed_box(d)
+    return flags, BcTable.from_flags(flags), rng.standard_normal(d.shape)
+
+
+class TestCgBitwise:
+    @pytest.mark.parametrize("case", [closed_box_case, dam_case, box_3d_case],
+                             ids=["closed-box", "dam", "box-3d"])
+    @pytest.mark.parametrize("inf_tol", [None, 1e-4])
+    def test_matches_reference(self, rng, case, inf_tol):
+        flags, bc, rhs = case(rng)
+        system = PoissonSystem(flags, bc)
+        b = system.prepare_rhs(rhs)
+        assert system.has_dirichlet == (case is dam_case)
+        x, iters = system.cg(b, 1e-5, 10000, inf_tol=inf_tol)
+        x_ref, iters_ref = reference_cg(flags, bc, system, b, 1e-5, 10000,
+                                        inf_tol=inf_tol)
+        assert iters == iters_ref > 0
+        assert x.tobytes() == x_ref.tobytes()
+
+    def test_cap_raises_at_the_reference_iteration(self, rng):
+        flags, bc, rhs = closed_box_case(rng)
+        system = PoissonSystem(flags, bc)
+        b = system.prepare_rhs(rhs)
+        with pytest.raises(PoissonConvergenceError) as got:
+            system.cg(b, 1e-12, 7)
+        with pytest.raises(PoissonConvergenceError) as want:
+            reference_cg(flags, bc, system, b, 1e-12, 7)
+        assert got.value.iterations == want.value.iterations == 7
+        assert got.value.residual == want.value.residual
+
+    @pytest.mark.parametrize("case", [closed_box_case, dam_case, box_3d_case],
+                             ids=["closed-box", "dam", "box-3d"])
+    def test_apply_into_out(self, rng, case):
+        flags, bc, _ = case(rng)
+        system = PoissonSystem(flags, bc)
+        p = rng.standard_normal(flags.dims.shape)
+        keep = p.copy()
+        fresh = system.apply(p)
+        assert fresh is not p and not np.shares_memory(fresh, p)
+        assert np.array_equal(p, keep)
+        assert fresh.tobytes() == reference_apply(flags, bc, system, p).tobytes()
+        out = np.full_like(p, np.nan)
+        assert system.apply(p, out) is out
+        assert out.tobytes() == fresh.tobytes()
+        assert not np.shares_memory(system.apply(p), fresh)
+
+    def test_one_apply_per_iteration(self, rng, monkeypatch):
+        flags, bc, rhs = closed_box_case(rng)
+        system = PoissonSystem(flags, bc)
+        calls = []
+        original = PoissonSystem.apply
+
+        def counted(self, p, out=None):
+            calls.append(1)
+            return original(self, p, out)
+
+        monkeypatch.setattr(PoissonSystem, "apply", counted)
+        _, iters = system.cg(system.prepare_rhs(rhs), 1e-5, 10000)
+        assert iters > 0 and len(calls) == iters
