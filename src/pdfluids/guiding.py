@@ -29,7 +29,7 @@ from .fields import (CellFlags, ScalarField, VelocityField, _along,
                      cell_to_face_average, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
                     admm_solve, iop_solve, pd_solve)
-from .pressure import BcTable, CgConfig, DivergenceProjector
+from .pressure import BcTable, CgConfig, DivergenceProjector, _require_finite
 
 
 @dataclass
@@ -379,8 +379,10 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
 
     method "pd" (default) or "admm" for production, "iop" only to
     demonstrate how alternating projections mishandle guiding, "direct" for
-    the stacked least-squares baseline.
+    the stacked least-squares baseline.  A non-finite u_current raises
+    PoissonConvergenceError before any blur or prox runs.
     """
+    _require_finite(u_current)
     cfg = cfg.with_current(u_current)
     flags = flags if flags is not None else cfg.flags
     log = log if log is not None else ConvergenceLog()

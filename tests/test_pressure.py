@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pdfluids.pressure import (AdaptiveCgController, BcTable, CgConfig,
                                subtract_gradient)
 from pdfluids.scenes import (SceneSpec, build_scene, liquid_begin_step,
                              liquid_pressure_solve)
+from pdfluids.separating import BcState, classified_walls_table
 
 from conftest import random_velocity
 
@@ -251,14 +254,17 @@ class TestNonFiniteInput:
             liquid_pressure_solve(vel, state.flags, mode)
 
     def test_guide_step(self, bad):
+        # rejected at entry, before the blur and the prox see the value
         state, cfg = build_scene(SceneSpec("circular", nx=16, ny=16))
         u = state.vel.copy()
         u.u[8, 8, 0] = bad
-        with pytest.raises(PoissonConvergenceError):
-            guide_step(u, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoissonConvergenceError):
+                guide_step(u, cfg)
 
 
-# -- the allocating Jacobi-PCG loop, kept as a bitwise reference ---------------
+# -- the allocating Jacobi-PCG loop, kept as a reference ------------------------
 
 def reference_apply(flags, bc, system, p):
     """A p as the stencil computed it before the slices were precomputed."""
@@ -277,8 +283,9 @@ def reference_apply(flags, bc, system, p):
 
 
 def reference_cg(flags, bc, system, b, eps, max_iters, inf_tol=None):
-    """The CG loop with fresh arrays on every iteration; returns (x, iters)
-    or raises PoissonConvergenceError like PoissonSystem.cg."""
+    """Jacobi-preconditioned CG with fresh arrays on every iteration; returns
+    (x, iters) or raises PoissonConvergenceError like PoissonSystem.cg."""
+    inv_diag = np.where(system.active, 1.0 / np.where(system.active, system.diag, 1.0), 0.0)
     x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -298,7 +305,7 @@ def reference_cg(flags, bc, system, b, eps, max_iters, inf_tol=None):
     ok, rnorm = done()
     if ok:
         return x, 0
-    z = r * system.inv_diag
+    z = r * inv_diag
     d = z.copy()
     rz = float(np.vdot(r, z))
     for it in range(1, max_iters + 1):
@@ -312,7 +319,7 @@ def reference_cg(flags, bc, system, b, eps, max_iters, inf_tol=None):
         ok, rnorm = done()
         if ok:
             return x, it
-        z = r * system.inv_diag
+        z = r * inv_diag
         rz_new = float(np.vdot(r, z))
         d = z + (rz_new / rz) * d
         rz = rz_new
@@ -337,7 +344,18 @@ def box_3d_case(rng):
     return flags, BcTable.from_flags(flags), rng.standard_normal(d.shape)
 
 
+def box_rhs(n, seed=0):
+    d = GridDims(n, n)
+    flags = CellFlags.closed_box(d)
+    system = PoissonSystem(flags, BcTable.from_flags(flags))
+    return flags, system, system.prepare_rhs(np.random.default_rng(seed).standard_normal(d.shape))
+
+
 class TestCgBitwise:
+    """The multigrid-preconditioned CG against the Jacobi reference: the same
+    stopping rule, far fewer iterations, the same cap; and the matvec bit
+    for bit."""
+
     @pytest.mark.parametrize("case", [closed_box_case, dam_case, box_3d_case],
                              ids=["closed-box", "dam", "box-3d"])
     @pytest.mark.parametrize("inf_tol", [None, 1e-4])
@@ -347,10 +365,21 @@ class TestCgBitwise:
         b = system.prepare_rhs(rhs)
         assert system.has_dirichlet == (case is dam_case)
         x, iters = system.cg(b, 1e-5, 10000, inf_tol=inf_tol)
-        x_ref, iters_ref = reference_cg(flags, bc, system, b, 1e-5, 10000,
-                                        inf_tol=inf_tol)
-        assert iters == iters_ref > 0
-        assert x.tobytes() == x_ref.tobytes()
+        _, iters_ref = reference_cg(flags, bc, system, b, 1e-5, 10000, inf_tol=inf_tol)
+        assert 0 < iters <= iters_ref
+        # the unchanged stopping rule, on the reference matvec
+        r = b - reference_apply(flags, bc, system, x)
+        assert np.linalg.norm(r) <= 1e-5 * max(np.linalg.norm(b), 1.0)
+        if inf_tol is not None:
+            assert np.abs(r).max() <= inf_tol
+        assert not x[~system.active].any()
+
+    def test_fewer_iterations_than_jacobi(self):
+        flags, system, b = box_rhs(64)
+        bc = BcTable.from_flags(flags)
+        _, iters = system.cg(b, 1e-5, 10000)
+        _, iters_ref = reference_cg(flags, bc, system, b, 1e-5, 10000)
+        assert 5 * iters <= iters_ref
 
     def test_cap_raises_at_the_reference_iteration(self, rng):
         flags, bc, rhs = closed_box_case(rng)
@@ -361,7 +390,7 @@ class TestCgBitwise:
         with pytest.raises(PoissonConvergenceError) as want:
             reference_cg(flags, bc, system, b, 1e-12, 7)
         assert got.value.iterations == want.value.iterations == 7
-        assert got.value.residual == want.value.residual
+        assert 1e-12 < got.value.residual < np.inf
 
     @pytest.mark.parametrize("case", [closed_box_case, dam_case, box_3d_case],
                              ids=["closed-box", "dam", "box-3d"])
@@ -392,3 +421,87 @@ class TestCgBitwise:
         monkeypatch.setattr(PoissonSystem, "apply", counted)
         _, iters = system.cg(system.prepare_rhs(rhs), 1e-5, 10000)
         assert iters > 0 and len(calls) == iters
+
+
+# -- the multigrid preconditioner ------------------------------------------------
+
+def split_box_case(rng):
+    # two all-Neumann halves split by a solid wall, plus a closed two-cell
+    # pocket that one coarse aggregate swallows whole
+    d = GridDims(24, 16)
+    flags = CellFlags.closed_box(d)
+    flags.values[11, :, 0] = CellType.SOLID
+    flags.values[3:7, 2:5, 0] = CellType.SOLID
+    flags.values[4:6, 3, 0] = CellType.FLUID
+    return flags, BcTable.from_flags(flags)
+
+
+def classified_dam_case(rng):
+    flags = build_scene(SceneSpec("dam", nx=24, ny=18))[0].flags
+    state = BcState.initial(flags)
+    state.nsep[:] = rng.random(len(state.nsep)) < 0.5
+    assert state.nsep.any()
+    return flags, classified_walls_table(flags, state)
+
+
+def odd_box_case(nx, ny):
+    def case(rng):
+        flags = CellFlags.closed_box(GridDims(nx, ny))
+        flags.values[nx // 3, ny // 3:, 0] = CellType.SOLID
+        return flags, BcTable.from_flags(flags)
+    return case
+
+
+def closed_table(d):
+    flags = CellFlags.closed_box(d)
+    return flags, BcTable.from_flags(flags)
+
+
+PRECONDITIONER_CASES = {
+    "closed-box": lambda rng: closed_table(GridDims(32, 32)),
+    "box-obstacle": lambda rng: closed_box_case(rng)[:2],
+    "split-neumann": split_box_case,
+    "dam": lambda rng: dam_case(rng)[:2],
+    "dam-classified": classified_dam_case,
+    "odd-50x35": odd_box_case(50, 35),
+    "odd-13x9": odd_box_case(13, 9),
+    "box-3d": lambda rng: closed_table(GridDims(12, 18, 12)),
+}
+
+
+class TestMultigridPreconditioner:
+    @pytest.mark.parametrize("name", list(PRECONDITIONER_CASES))
+    def test_symmetric_positive_and_zero_off_active(self, rng, name):
+        flags, bc = PRECONDITIONER_CASES[name](rng)
+        system = PoissonSystem(flags, bc)
+        assert system._multigrid.levels   # at least one coarse grid
+        act = system.active
+        for _ in range(5):
+            a = np.where(act, rng.standard_normal(act.shape), 0.0)
+            b = np.where(act, rng.standard_normal(act.shape), 0.0)
+            ma = system._precondition(a, np.empty_like(a))
+            mb = system._precondition(b, np.empty_like(b))
+            scale = np.linalg.norm(ma) * np.linalg.norm(b)
+            assert abs(np.vdot(ma, b) - np.vdot(a, mb)) <= 1e-13 * scale
+            assert np.vdot(ma, a) > 0.0
+            assert not ma[~act].any()
+
+    def test_dam_solution_matches_sparse_direct_solve(self, rng):
+        sparse = pytest.importorskip("scipy.sparse")
+        spla = pytest.importorskip("scipy.sparse.linalg")
+        flags, bc, rhs = dam_case(rng)
+        mat, system = dense_laplacian(flags, bc)
+        b = system.prepare_rhs(rhs)
+        x, _ = system.cg(b, 1e-10, 10000)
+        act = system.active.ravel()
+        expect = np.zeros(flags.dims.cell_count)
+        expect[act] = spla.spsolve(sparse.csr_matrix(mat[np.ix_(act, act)]), b.ravel()[act])
+        assert np.linalg.norm(x.ravel() - expect) <= 1e-8 * np.linalg.norm(expect)
+
+    def test_iterations_flat_in_grid_size(self):
+        iters = {}
+        for n in (64, 128, 256):
+            _, system, b = box_rhs(n)
+            iters[n] = system.cg(b, 1e-5, 10000)[1]
+        assert max(iters.values()) <= 20
+        assert iters[256] <= 1.5 * iters[64]
