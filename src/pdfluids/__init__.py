@@ -6,14 +6,12 @@ from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
                      advect_semi_lagrangian, divergence, sample_velocity,
                      upsample)
 from .blur import blur_obstacle_aware
-from .pressure import (AdaptiveCgController, BcTable, CgConfig,
-                       DivergenceProjector, FaceTag, PoissonConvergenceError,
-                       adapt_cg_tolerance, project, solve_poisson,
+from .pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
+                       PoissonConvergenceError, project, solve_poisson,
                        subtract_gradient)
-from .optim import (AdaptiveParams, AdmmParams, ConvergenceLog, IdentityProx,
-                    PdParams, ProxOperator, adaptive_pd_update, admm_solve,
-                    iop_solve, krylov_accelerate, moreau_transform, pd_solve,
-                    stop_check)
+from .optim import (AdmmParams, ConvergenceLog, IdentityProx, PdParams,
+                    ProxOperator, adaptive_pd_update, admm_solve, iop_solve,
+                    krylov_accelerate, moreau_transform, pd_solve, stop_check)
 from .guiding import (GuidingConfig, GuidingQuadratic, blend_detail_preserving,
                       blend_linear, default_guiding_params,
                       direct_least_squares, guide_step, guiding_objective,

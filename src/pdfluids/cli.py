@@ -21,14 +21,13 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_json
 from .fileio import read_grid, render_pgm, write_convergence_csv, write_grid
 from .guiding import default_guiding_params
 from .optim import AdmmParams, PdParams
 from .pressure import PoissonConvergenceError
-from .scenes import (SCENE_NAMES, SceneSpec, build_scene,
-                     ceiling_contact_cells, liquid_step, smoke_step,
-                     upsampled_target)
+from .scenes import (SCENE_NAMES, build_scene, ceiling_contact_cells,
+                     liquid_step, smoke_step, upsampled_target)
 
 
 class SolverFailure(RuntimeError):
@@ -36,14 +35,17 @@ class SolverFailure(RuntimeError):
 
 
 def _build_config(args) -> RunConfig:
+    """The config file's raw values (or just the scene name) with the flags
+    written over them, so the scene defaults (h = 1/nx, dt by scene) resolve
+    after the flags; an explicit h or dt in the file is kept."""
     if args.config:
-        cfg = RunConfig.load(args.config)
+        data = read_json(args.config)
+    elif args.scene:
+        data = {"scene": {"name": args.scene}}
     else:
-        if not args.scene:
-            raise ConfigError("either --config or --scene is required")
-        cfg = RunConfig(scene=SceneSpec(args.scene))
+        raise ConfigError("either --config or --scene is required")
     overrides = {
-        "frames": args.frames, "out_dir": args.out, "seed": args.seed,
+        "frames": args.frames, "out_dir": args.out,
         "method": getattr(args, "method", None),
         "bc_mode": getattr(args, "bc", None),
         "save_velocity": True if getattr(args, "save_velocity", False) else None,
@@ -60,13 +62,10 @@ def _build_config(args) -> RunConfig:
         "radius_right": getattr(args, "radius_right", None),
         "seed": args.seed,
     }
-    data = cfg.to_dict()
-    for k, v in overrides.items():
-        if v is not None:
-            data[k] = v
-    for k, v in scene_overrides.items():
-        if v is not None:
-            data["scene"][k] = v
+    data.update((k, v) for k, v in overrides.items() if v is not None)
+    if isinstance(data.get("scene"), dict):
+        data["scene"].update((k, v) for k, v in scene_overrides.items()
+                             if v is not None)
     return RunConfig.from_dict(data)
 
 
@@ -83,17 +82,25 @@ def _solver_params(cfg: RunConfig, w_bar: float) -> tuple[PdParams, AdmmParams]:
     return pd, admm
 
 
-def _frame_outputs(cfg: RunConfig, state, tag: str):
-    if cfg.save_pgm and state.density is not None:
-        render_pgm(state.density, os.path.join(cfg.out_dir,
-                                               f"{tag}_{state.frame:04d}.pgm"))
+def _frame_outputs(cfg: RunConfig, state):
+    """The per-frame files the save flags ask for, in cfg.out_dir: the
+    density image (the flags image when the scene carries no density), the
+    velocity grid and the convergence log."""
+    if not (cfg.save_pgm or cfg.save_velocity or cfg.save_logs):
+        return
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    frame = f"{state.frame:04d}"
+    if cfg.save_pgm:
+        if state.density is not None:
+            render_pgm(state.density,
+                       os.path.join(cfg.out_dir, f"{cfg.scene.name}_{frame}.pgm"))
+        else:
+            render_pgm(state.flags, os.path.join(cfg.out_dir, f"flags_{frame}.pgm"))
     if cfg.save_velocity:
-        write_grid(os.path.join(cfg.out_dir, f"vel_{state.frame:04d}.grid"),
-                   state.vel)
+        write_grid(os.path.join(cfg.out_dir, f"vel_{frame}.grid"), state.vel)
     if cfg.save_logs and state.last_log is not None and len(state.last_log):
-        write_convergence_csv(state.last_log,
-                              os.path.join(cfg.out_dir,
-                                           f"conv_{tag}_{state.frame:04d}.csv"))
+        write_convergence_csv(state.last_log, os.path.join(
+            cfg.out_dir, f"conv_{cfg.scene.name}_{frame}.csv"))
 
 
 def _check_converged(state, what: str):
@@ -121,7 +128,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         _check_converged(state, state.last_log.method)
         log = state.last_log
         rows.append((state.frame, len(log), log.total_cg_iters))
-        _frame_outputs(cfg, state, cfg.scene.name)
+        _frame_outputs(cfg, state)
     _write_summary(os.path.join(cfg.out_dir, "summary.csv"), rows,
                    "frame,iterations,cg_iters")
     return 0
@@ -145,7 +152,7 @@ def cmd_guide(cfg: RunConfig, target_override=None) -> int:
             _check_converged(state, cfg.method)
         log = state.last_log
         rows.append((state.frame, len(log), log.total_cg_iters))
-        _frame_outputs(cfg, state, cfg.scene.name)
+        _frame_outputs(cfg, state)
     _write_summary(os.path.join(cfg.out_dir, "summary.csv"), rows,
                    "frame,iterations,cg_iters")
     return 0
@@ -179,13 +186,16 @@ def cmd_compare(cfg: RunConfig) -> int:
         if guide_cfg is None:
             raise ConfigError(f"scene {cfg.scene.name!r} defines no guiding target")
         pd, admm = _solver_params(cfg, guide_cfg.w_bar)
+        method_cfg = dataclasses.replace(cfg, out_dir=os.path.join(cfg.out_dir, method))
         rows = []
         for _ in range(cfg.frames):
             guide_cfg = guide_cfg.with_current(state.vel)
             smoke_step(state, guide_cfg, method=method, pd_params=pd,
-                       admm_params=admm, cg=cfg.cg)
+                       admm_params=admm, cg=cfg.cg, exact_prox=cfg.exact_prox)
+            _check_converged(state, method)
             log = state.last_log
             rows.append((state.frame, len(log), log.total_cg_iters))
+            _frame_outputs(method_cfg, state)
         _write_summary(os.path.join(cfg.out_dir, f"compare_{method}.csv"),
                        rows, "frame,iterations,cg_iters")
         mean_iters = float(np.mean([r[1] for r in rows]))
@@ -210,12 +220,7 @@ def cmd_dam(cfg: RunConfig) -> int:
         log = state.last_log
         rows.append((state.frame, ceiling_contact_cells(state.flags),
                      len(log), log.total_cg_iters))
-        if cfg.save_pgm:
-            render_pgm(state.flags, os.path.join(
-                cfg.out_dir, f"flags_{state.frame:04d}.pgm"))
-        if cfg.save_velocity:
-            write_grid(os.path.join(cfg.out_dir,
-                                    f"vel_{state.frame:04d}.grid"), state.vel)
+        _frame_outputs(cfg, state)
     _write_summary(os.path.join(cfg.out_dir, "ceiling_contact.csv"), rows,
                    "frame,ceiling_cells,iterations,cg_iters")
     return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pressure import CgConfig
 from .scenes import BC_MODES, SceneSpec
@@ -28,7 +28,6 @@ class RunConfig:
     bc_mode: str = "regular"
     frames: int = 50
     out_dir: str = "out"
-    seed: int = 0
     # solver overrides; None means the guiding-weight defaults
     tau: float | None = None
     sigma: float | None = None
@@ -109,18 +108,28 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(_parse_json(text))
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        try:
-            with open(path) as f:
-                return cls.from_json(f.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_dict(read_json(path))
+
+
+def _parse_json(text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    return data
+
+
+def read_json(path) -> dict:
+    """The raw JSON object of a config file, before any default resolves."""
+    try:
+        with open(path) as f:
+            text = f.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _parse_json(text)

@@ -26,10 +26,11 @@ import numpy as np
 
 from .blur import blur_obstacle_aware
 from .fields import (CellFlags, ScalarField, VelocityField, _along,
-                     cell_to_face_average, face_valid_mask)
+                     cell_to_face_average, divergence, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
                     admm_solve, iop_solve, pd_solve)
-from .pressure import BcTable, CgConfig, DivergenceProjector, _require_finite
+from .pressure import (BcTable, CgConfig, DivergenceProjector,
+                       PoissonConvergenceError, _require_finite)
 
 
 @dataclass
@@ -41,7 +42,6 @@ class GuidingConfig:
     radius: ScalarField           # blur radii, >= 0 and 0 at SOLID
     u_target: VelocityField
     u_current: VelocityField
-    blend_ratio: float = 0.5      # naive linear blend only
 
     def __post_init__(self):
         if (self.weights.values <= 0).any():
@@ -50,8 +50,6 @@ class GuidingConfig:
             raise ValueError("blur radius must be non-negative")
         if (self.radius.values[self.flags.solid] != 0).any():
             raise ValueError("blur radius must be zero at SOLID cells")
-        if not (0.0 <= self.blend_ratio <= 1.0):
-            raise ValueError("blend_ratio must lie in [0, 1]")
 
     @property
     def w_bar(self) -> float:
@@ -97,6 +95,13 @@ class GuidingQuadratic:
         out = vel.copy()
         for a, arr in out.components():
             arr[~self.valid[a]] = 0.0
+        return out
+
+    def keep_fixed(self, out: VelocityField, v: VelocityField) -> VelocityField:
+        """Give the faces outside the objective v's values, in place."""
+        for a, arr in out.components():
+            inv = ~self.valid[a]
+            arr[inv] = v.component(a)[inv]
         return out
 
     def _wsq(self, vel: VelocityField) -> VelocityField:
@@ -179,10 +184,7 @@ def prox_f_guiding(sigma: float, v: VelocityField, cfg: GuidingConfig,
     for a, arr in g2.components():
         arr *= np.square(pre.gamma[a])
     out = quad.mask(cfg.u_current) + g1 - 2.0 * quad.apply_BtB(g2)
-    for a, arr in out.components():
-        inv = ~quad.valid[a]
-        arr[inv] = v.component(a)[inv]
-    return out
+    return quad.keep_fixed(out, v)
 
 
 def prox_f_guiding_exact(sigma: float, v: VelocityField, cfg: GuidingConfig,
@@ -195,22 +197,24 @@ def prox_f_guiding_exact(sigma: float, v: VelocityField, cfg: GuidingConfig,
     quad = quad if quad is not None else GuidingQuadratic(cfg)
     rhs = sigma * quad.mask(v) - quad.b()
     x = _cg_velocity(lambda f: quad.apply_M(sigma, f), rhs, tol, max_iters)
-    for a, arr in x.components():
-        inv = ~quad.valid[a]
-        arr[inv] = v.component(a)[inv]
-    return x
+    return quad.keep_fixed(x, v)
 
 
 def _cg_velocity(apply_op, rhs: VelocityField, tol: float, max_iters: int,
                  counter: list | None = None) -> VelocityField:
-    """Plain CG over velocity fields for SPD operators."""
+    """Plain CG over velocity fields for SPD operators.  Raises
+    PoissonConvergenceError on a non-finite rhs or residual (at once), on a
+    breakdown and when max_iters is used up."""
     x = VelocityField.zeros(rhs.dims)
     r = rhs.copy()
     bnorm = rhs.norm()
+    if not math.isfinite(bnorm):
+        raise PoissonConvergenceError(0, bnorm, "guiding")
     if bnorm == 0.0:
         return x
     d = r.copy()
     rr = r.dot(r)
+    it = 0
     for it in range(1, max_iters + 1):
         ad = apply_op(d)
         dad = d.dot(ad)
@@ -220,14 +224,15 @@ def _cg_velocity(apply_op, rhs: VelocityField, tol: float, max_iters: int,
         x = x + alpha * d
         r = r - alpha * ad
         rr_new = r.dot(r)
+        if not math.isfinite(rr_new):
+            raise PoissonConvergenceError(it, rr_new, "guiding")
         if counter is not None:
             counter.append(1)
         if math.sqrt(rr_new) <= tol * bnorm:
             return x
         d = r + (rr_new / rr) * d
         rr = rr_new
-    raise RuntimeError(f"guiding CG did not converge in {max_iters} iterations "
-                       f"(relative residual {math.sqrt(rr) / bnorm:.3e})")
+    raise PoissonConvergenceError(it, math.sqrt(rr) / bnorm, "guiding")
 
 
 def guiding_objective(x: VelocityField, cfg: GuidingConfig,
@@ -290,11 +295,7 @@ class GuidingMinimizerProjection(ProxOperator):
         self._minimizer = _cg_velocity(self.quad.apply_A, rhs, tol, 4000)
 
     def __call__(self, sigma, v):
-        out = self._minimizer.copy()
-        for a, arr in out.components():
-            inv = ~self.quad.valid[a]
-            arr[inv] = v.component(a)[inv]
-        return out
+        return self.quad.keep_fixed(self._minimizer.copy(), v)
 
 
 def default_guiding_params(w_bar: float) -> tuple[PdParams, AdmmParams]:
@@ -324,7 +325,7 @@ def blend_detail_preserving(u_current: VelocityField, u_target: VelocityField,
     return u_current - blur_obstacle_aware(u_current, radius, flags) + u_target
 
 
-def direct_least_squares(cfg: GuidingConfig, flags: CellFlags, tol: float = 1e-8,
+def direct_least_squares(cfg: GuidingConfig, tol: float = 1e-8,
                          max_iters: int = 200000,
                          log: ConvergenceLog | None = None) -> VelocityField:
     """Comparison baseline: solve the stacked system [A; D] x = [-b; 0] in the
@@ -334,8 +335,8 @@ def direct_least_squares(cfg: GuidingConfig, flags: CellFlags, tol: float = 1e-8
     faces contribute nothing).  Divergence of the result is only as small as
     the least-squares balance allows.
     """
-    from .fields import divergence
     quad = GuidingQuadratic(cfg)
+    flags = cfg.flags
     d = flags.dims
     fluid = flags.fluid
 
@@ -361,14 +362,10 @@ def direct_least_squares(cfg: GuidingConfig, flags: CellFlags, tol: float = 1e-8
         log.method = "direct-lsq"
         log.record(1, 0.0, tol, tol, len(counter))
         log.converged = True
-    for a, arr in x.components():
-        inv = ~quad.valid[a]
-        arr[inv] = cfg.u_current.component(a)[inv]
-    return x
+    return quad.keep_fixed(x, cfg.u_current)
 
 
 def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
-               flags: CellFlags | None = None,
                pd_params: PdParams | None = None,
                admm_params: AdmmParams | None = None,
                cg: CgConfig | None = None,
@@ -384,12 +381,11 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     """
     _require_finite(u_current)
     cfg = cfg.with_current(u_current)
-    flags = flags if flags is not None else cfg.flags
     log = log if log is not None else ConvergenceLog()
     if method == "direct":
-        return direct_least_squares(cfg, flags, log=log)
-    bc = BcTable.from_flags(flags)
-    projector = DivergenceProjector(flags, bc, cg)
+        return direct_least_squares(cfg, log=log)
+    bc = BcTable.from_flags(cfg.flags)
+    projector = DivergenceProjector(cfg.flags, bc, cg)
     pd_default, admm_default = default_guiding_params(cfg.w_bar)
     if method == "pd":
         params = pd_params if pd_params is not None else pd_default

@@ -57,22 +57,6 @@ class PdParams:
 
 
 @dataclass
-class AdaptiveParams:
-    """Defaults of the accelerated parameter schedule."""
-
-    gamma_accel: float = 200.0
-    tau0: float = 150.0
-
-    @property
-    def sigma0(self) -> float:
-        return 1.0 / self.tau0
-
-    def to_pd_params(self, **kwargs) -> PdParams:
-        return PdParams(tau=self.tau0, sigma=self.sigma0, theta=1.0,
-                        adaptive=True, gamma_accel=self.gamma_accel, **kwargs)
-
-
-@dataclass
 class AdmmParams:
     rho: float
     max_iters: int = 2000
@@ -184,7 +168,7 @@ def _loop_tail(z: VelocityField, z_old: VelocityField, eps_cg: float,
     log.record(len(log) + 1, residual, eps, eps_cg, cg_iters)
     if iterate_callback is not None:
         iterate_callback(z)
-    log.converged = stop and eps_cg <= projector.final_accuracy
+    log.converged = stop and eps_cg <= projector.cg.eps_final
     return log.converged
 
 
@@ -235,7 +219,7 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
 
 def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
                params: AdmmParams, z0: VelocityField, log: ConvergenceLog,
-               on_z_update=None, iterate_callback=None) -> VelocityField:
+               iterate_callback=None) -> VelocityField:
     """Alternating direction method of multipliers with scaled dual y0 = 0.
 
       x <- prox_f(rho, z - y);  z <- project(x + y);  y <- y + x - z
@@ -247,8 +231,6 @@ def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
         x = prox_f(params.rho, z - y)
         z_old = z
         z, cg_iters, eps_cg = projector.project(x + y)
-        if on_z_update is not None:
-            on_z_update(z)
         y = y + x - z
         if _loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
                       params.eps_rel, log, iterate_callback):

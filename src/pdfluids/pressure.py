@@ -22,7 +22,7 @@ is nothing left for a caller to tune.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -40,12 +40,13 @@ class FaceTag(IntEnum):
 class PoissonConvergenceError(RuntimeError):
     """CG ran out of iterations, broke down or met a non-finite value (in
     the velocity, the rhs or the residual); carries the iterations reached
-    and the last relative residual."""
+    and the last relative residual.  The one CG-failure type: the pressure
+    solve and the velocity-space CG of the guiding paths both raise it."""
 
-    def __init__(self, iterations: int, residual: float):
+    def __init__(self, iterations: int, residual: float, solver: str = "pressure"):
         what = ("did not converge" if math.isfinite(residual)
                 else "met a non-finite value")
-        super().__init__(f"pressure CG {what} in {iterations} "
+        super().__init__(f"{solver} CG {what} in {iterations} "
                          f"iterations (last relative residual {residual:.3e})")
         self.iterations = iterations
         self.residual = residual
@@ -89,9 +90,6 @@ class BcTable:
             tags.append(t)
         return cls(d, tuple(tags))
 
-    def copy(self) -> "BcTable":
-        return BcTable(self.dims, tuple(t.copy() for t in self.tags))
-
     def set_face(self, axis: int, index: tuple[int, int, int], tag: FaceTag):
         self.tags[axis][index] = np.uint8(tag)
 
@@ -107,40 +105,6 @@ class CgConfig:
     def __post_init__(self):
         if not (0 < self.eps_final <= self.eps_start):
             raise ValueError("need 0 < eps_final <= eps_start")
-
-
-@dataclass
-class AdaptiveCgController:
-    """Decade-stepped CG accuracy schedule over an optimizer solve."""
-
-    eps_start: float
-    eps_final: float
-    current: float = field(init=False)
-
-    def __post_init__(self):
-        if not (0 < self.eps_final <= self.eps_start):
-            raise ValueError("need 0 < eps_final <= eps_start")
-        self.current = self.eps_start
-
-    @classmethod
-    def from_config(cls, cfg: CgConfig) -> "AdaptiveCgController":
-        return cls(cfg.eps_start, cfg.eps_final)
-
-    @property
-    def at_final(self) -> bool:
-        return self.current <= self.eps_final
-
-    def reset(self):
-        self.current = self.eps_start
-
-
-def adapt_cg_tolerance(controller: AdaptiveCgController, residual_z: float,
-                       eps_stop: float) -> float:
-    """Drop the CG tolerance a decade once the iterate change nears the
-    stopping threshold (within one decade), clamped at the final accuracy."""
-    if residual_z <= 10.0 * eps_stop:
-        controller.current = max(controller.current / 10.0, controller.eps_final)
-    return controller.current
 
 
 class PoissonSystem:
@@ -172,6 +136,9 @@ class PoissonSystem:
         self.has_dirichlet = has_dirichlet
         self.active = self.fluid & (count > 0)
         self._inactive = ~self.active
+        # without a Dirichlet face the rhs is made compatible per component
+        self._components = None if has_dirichlet else _components(
+            self.active, self._stencil)
         self._multigrid = _Multigrid(self, count, interior, inv_h2)
 
     def apply(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -181,12 +148,17 @@ class PoissonSystem:
         return _stencil_apply(self.diag, self._stencil, self._inactive, p, out)
 
     def prepare_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """Mask to active cells; mean-subtract when no Dirichlet face exists."""
+        """Mask to active cells; when no Dirichlet face exists, subtract the
+        mean of each connected component of the active cells."""
         b = np.where(self.active, rhs, 0.0)
-        if not self.has_dirichlet:
-            n = int(self.active.sum())
-            if n:
-                b = np.where(self.active, b - b[self.active].mean(), 0.0)
+        if not self._components:
+            return b
+        if len(self._components) == 1:
+            return np.where(self.active, b - b[self.active].mean(), 0.0)
+        flat = b.reshape(-1)
+        for cells in self._components:
+            v = flat[cells]
+            flat[cells] = v - v.mean()
         return b
 
     def _precondition(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -250,6 +222,36 @@ class PoissonSystem:
             d += z
             rz = rz_new
         raise PoissonConvergenceError(it, rnorm / max(bnorm, 1.0))
+
+
+def _components(active, stencil) -> list[np.ndarray]:
+    """Flat indices (ascending) of each set of active cells that the
+    stencil's INTERIOR faces connect: min-label hooking with pointer
+    jumping, which settles in a few rounds on grid graphs."""
+    idx = np.arange(active.size).reshape(active.shape)
+    i, j = [], []
+    for lo, hi, conn in stencil:
+        m = (conn > 0) & active[lo] & active[hi]
+        i.append(idx[lo][m])
+        j.append(idx[hi][m])
+    i, j = np.concatenate(i), np.concatenate(j)
+    parent = np.arange(active.size)
+    while True:
+        a, b = parent[i], parent[j]
+        split = a != b
+        if not split.any():
+            break
+        np.minimum.at(parent, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while True:   # point every cell at its root; parent[x] <= x, so no cycles
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    cells = np.flatnonzero(active)
+    roots = parent[cells]
+    order = np.argsort(roots, kind="stable")
+    bounds = np.flatnonzero(np.diff(roots[order])) + 1
+    return np.split(cells[order], bounds) if cells.size else []
 
 
 # -- the aggregation multigrid preconditioner ----------------------------------
@@ -467,17 +469,17 @@ def project(vel: VelocityField, flags: CellFlags, bc: BcTable, eps_cg: float,
 class DivergenceProjector:
     """Projection bundle used inside the optimizer loops.
 
-    Owns the Poisson system for a fixed flag/boundary configuration plus the
-    adaptive CG tolerance controller, and reports the CG effort of each
-    projection so convergence logs can attribute cost.  A fixed accuracy
-    eps is CgConfig(eps, eps, max_cg_iters).
+    Owns the Poisson system for a fixed flag/boundary configuration and the
+    adaptive CG accuracy `eps` (from cg.eps_start down to cg.eps_final), and
+    reports the CG effort of each projection so convergence logs can
+    attribute cost.  A fixed accuracy eps is CgConfig(eps, eps, max_cg_iters).
     """
 
     def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None):
         self.flags = flags
         self.bc = bc
         self.cg = cg if cg is not None else CgConfig()
-        self.controller = AdaptiveCgController.from_config(self.cg)
+        self.eps = self.cg.eps_start
         self.system = PoissonSystem(flags, bc)
 
     def project(self, vel: VelocityField) -> tuple[VelocityField, int, float]:
@@ -487,7 +489,7 @@ class DivergenceProjector:
         non-finite face raises before the solve, also one the divergence
         never reads (no FLUID neighbour)."""
         _require_finite(vel)
-        eps = self.controller.current
+        eps = self.eps
         div = divergence(vel, self.flags)
         b = self.system.prepare_rhs(-div.values)
         p, iters = self.system.cg(b, eps, self.cg.max_cg_iters, inf_tol=10.0 * eps)
@@ -495,8 +497,8 @@ class DivergenceProjector:
         return out, iters, eps
 
     def adapt(self, residual: float, eps_stop: float) -> float:
-        return adapt_cg_tolerance(self.controller, residual, eps_stop)
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.controller.eps_final
+        """Drop the CG accuracy a decade once the iterate change nears the
+        stopping threshold (within one decade), clamped at cg.eps_final."""
+        if residual <= 10.0 * eps_stop:
+            self.eps = max(self.eps / 10.0, self.cg.eps_final)
+        return self.eps

@@ -48,7 +48,6 @@ class SceneSpec:
     w_right: float = 1.0
     radius_left: float = 1.0
     radius_right: float = 1.0
-    blend_ratio: float = 0.5
     # scene-specific shape parameters
     omega: float = 1.0              # target angular speed
     star_lobes: int = 5
@@ -100,21 +99,24 @@ class SceneState:
     def dt(self) -> float:
         return self.spec.dt
 
-    def copy(self) -> "SceneState":
-        return SceneState(
-            spec=self.spec, flags=self.flags.copy(),
-            solid_mask=self.solid_mask.copy(), vel=self.vel.copy(),
-            density=self.density.copy() if self.density is not None else None,
-            particles_pos=None if self.particles_pos is None else self.particles_pos.copy(),
-            particles_vel=None if self.particles_vel is None else self.particles_vel.copy(),
-            frame=self.frame)
-
 
 def _fractional_box(dims: GridDims, box) -> tuple[slice, slice, slice]:
     x0, y0, x1, y1 = box
     return (slice(int(x0 * dims.nx), max(int(x1 * dims.nx), int(x0 * dims.nx) + 1)),
             slice(int(y0 * dims.ny), max(int(y1 * dims.ny), int(y0 * dims.ny) + 1)),
             slice(None))
+
+
+def _guiding_config(spec: SceneSpec, flags: CellFlags, u_target: VelocityField,
+                    u_current: VelocityField) -> GuidingConfig:
+    """The scene's split-domain guiding weights and blur radii around a
+    target velocity."""
+    d = flags.dims
+    weights = split_scalar_field(d, flags, spec.w_left, spec.w_right)
+    radius = split_scalar_field(d, flags, spec.radius_left, spec.radius_right,
+                                zero_at_solid=True)
+    return GuidingConfig(flags=flags, weights=weights, radius=radius,
+                         u_target=u_target, u_current=u_current.copy())
 
 
 def _zero_solid_faces(vel: VelocityField, flags: CellFlags):
@@ -235,9 +237,6 @@ def build_scene(spec: SceneSpec):
         blob = (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
         state.density.values[blob & ~solid_mask] = 1.0
 
-    weights = split_scalar_field(d, flags, spec.w_left, spec.w_right)
-    radius = split_scalar_field(d, flags, spec.radius_left, spec.radius_right,
-                                zero_at_solid=True)
     if spec.name == "circular":
         u_t = _circular_target(d, flags, spec.omega)
     elif spec.name == "star":
@@ -258,9 +257,7 @@ def build_scene(spec: SceneSpec):
         raise ValueError(spec.name)
 
     if u_t is not None:
-        cfg = GuidingConfig(flags=flags, weights=weights, radius=radius,
-                            u_target=u_t, u_current=state.vel.copy(),
-                            blend_ratio=spec.blend_ratio)
+        cfg = _guiding_config(spec, flags, u_t, state.vel)
     return state, cfg
 
 
@@ -346,6 +343,7 @@ def angular_momentum(state: SceneState) -> float:
 # liquid stepping (PIC/FLIP)
 
 FLIP_BLEND = 0.95
+EXTRAPOLATION_LAYERS = 2   # cells of velocity spread into the empty region
 
 
 def flags_from_particles(state: SceneState) -> CellFlags:
@@ -404,16 +402,15 @@ def sample_at_particles(vel: VelocityField, pos: np.ndarray) -> np.ndarray:
     return out
 
 
-def extrapolate_velocity(vel: VelocityField, flags: CellFlags,
-                         layers: int = 2) -> VelocityField:
+def extrapolate_velocity(vel: VelocityField, flags: CellFlags) -> VelocityField:
     """Spread face values into the empty region by averaging valid
-    neighbours, `layers` cells deep; wall faces are left alone."""
+    neighbours, EXTRAPOLATION_LAYERS cells deep; wall faces are left alone."""
     out = vel.copy()
     for axis, arr in out.components():
         known = fluid_adjacent_face_mask(flags, axis)
         frozen = ~face_valid_mask(flags, axis)
         known = known | frozen
-        for _ in range(layers):
+        for _ in range(EXTRAPOLATION_LAYERS):
             acc = np.zeros(arr.shape)
             cnt = np.zeros(arr.shape)
             for a in vel.dims.axes:
@@ -548,10 +545,4 @@ def upsampled_target(coarse_vel: VelocityField, factor: int, fine_spec: SceneSpe
         raise ValueError(f"upsampled target {u_t.dims.shape} does not match "
                          f"the fine grid {state.flags.dims.shape}")
     _zero_solid_faces(u_t, state.flags)
-    d = state.flags.dims
-    weights = split_scalar_field(d, state.flags, fine_spec.w_left, fine_spec.w_right)
-    radius = split_scalar_field(d, state.flags, fine_spec.radius_left,
-                                fine_spec.radius_right, zero_at_solid=True)
-    return GuidingConfig(flags=state.flags, weights=weights, radius=radius,
-                         u_target=u_t, u_current=state.vel.copy(),
-                         blend_ratio=fine_spec.blend_ratio)
+    return _guiding_config(fine_spec, state.flags, u_t, state.vel)

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CellFlags, CellType, VelocityField, _along
-from .optim import (AdaptiveParams, ConvergenceLog, PdParams, ProxOperator,
-                    pd_solve, stop_check)
+from .optim import ConvergenceLog, PdParams, ProxOperator, pd_solve, stop_check
 from .pressure import BcTable, CgConfig, DivergenceProjector, FaceTag
 # re-exported: bench/test_bench.py checks that the tracer rebinds it here
 from .pressure import subtract_gradient  # noqa: F401
+
+MAX_SWEEPS = 50   # cap of the accelerated solver's classify-and-project sweeps
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,6 @@ class BoundaryFaces:
                             (int(self.i[n]), int(self.j[n]), int(self.k[n])),
                             float(self.sign[n]))
 
-    def keys(self):
-        return list(zip(self.axis.tolist(), self.i.tolist(), self.j.tolist(),
-                        self.k.tolist()))
-
     def normal_velocity(self, vel: VelocityField) -> np.ndarray:
         """u . n per face (positive = moving away from the wall)."""
         out = np.empty(self.count)
@@ -117,15 +114,13 @@ class BcState:
         return cls(faces, np.zeros(len(faces), dtype=bool),
                    np.zeros(len(faces)), eps)
 
-    def reset(self):
-        self.nsep[...] = False
-        self.memory[...] = 0.0
-
-    def carry_memory_from(self, prev: "BcState"):
-        """Copy memory of faces that persist across a flag change."""
-        prev_m = dict(zip(prev.faces.keys(), prev.memory.tolist()))
-        for n, key in enumerate(self.faces.keys()):
-            self.memory[n] = prev_m.get(key, 0.0)
+    def reset(self, flags: CellFlags, eps: float):
+        """Empty classification of the faces of `flags` at threshold eps, in
+        place, so a caller holding this state sees the solver's final sets."""
+        self.faces = BoundaryFaces(flags)
+        self.nsep = np.zeros(len(self.faces), dtype=bool)
+        self.memory = np.zeros(len(self.faces))
+        self.eps = eps
 
 
 def classify(u: VelocityField, state: BcState, use_memory: bool = True) -> BcState:
@@ -206,52 +201,43 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
                               state: BcState | None = None,
                               cg: CgConfig | None = None,
                               log: ConvergenceLog | None = None,
-                              persist_memory: bool = False,
                               lock_set: bool = False) -> VelocityField:
     """Primal-dual solve with separating walls.
 
     The pressure solver sees every wall as a free surface; the prox zeroes
     non-separating normals and the classification runs on z after each
     projection with the threshold synced to the current CG accuracy.  The
-    memory field is zeroed at the start of the solve unless persist_memory
-    carries it over from the caller's previous state.  With lock_set the
-    caller's classification is frozen (no reclassification at all), the
-    validation mode against plain no-penetration projections.
+    caller's state is reset at the start of the solve (memory zeroed).
+    With lock_set the caller's classification is frozen (no
+    reclassification at all), the validation mode against plain
+    no-penetration projections.
     """
     log = log if log is not None else ConvergenceLog()
     log.method = log.method or "pd-separating"
     cg = cg if cg is not None else CgConfig()
-    if lock_set:
-        if state is None:
-            raise ValueError("lock_set requires a pre-classified state")
-        bc_state = state
-    else:
-        fresh = BcState.initial(flags, eps=cg.eps_final)
-        if state is not None and persist_memory:
-            fresh.carry_memory_from(state)
-        bc_state = fresh
-        if state is not None:
-            # adopt the caller's container so it can observe the final sets
-            state.faces = fresh.faces
-            state.nsep = fresh.nsep
-            state.memory = fresh.memory
-            bc_state = state
-    params = params if params is not None else AdaptiveParams().to_pd_params(
-        max_iters=200, eps_abs=1e-3, eps_rel=1e-3, krylov=True)
+    if lock_set and state is None:
+        raise ValueError("lock_set requires a pre-classified state")
+    if state is None:
+        state = BcState.initial(flags, eps=cg.eps_final)
+    elif not lock_set:
+        state.reset(flags, cg.eps_final)
+    params = params if params is not None else PdParams(
+        tau=150.0, sigma=1.0 / 150.0, theta=1.0, adaptive=True, gamma_accel=200.0,
+        krylov=True, max_iters=200, eps_abs=1e-3, eps_rel=1e-3)
     projector = DivergenceProjector(flags, free_surface_walls_table(flags), cg)
-    bc_state.eps = projector.controller.current
+    state.eps = projector.eps
     if not lock_set:
-        classify(u, bc_state)
-    prox = SeparatingProx(bc_state)
+        classify(u, state)
+    prox = SeparatingProx(state)
 
     def reclassify(z):
         """Classification of each projection output, the threshold synced to
         the current CG accuracy; notes whether the set moved."""
         nonlocal changed
-        bc_state.eps = projector.controller.current
-        before = bc_state.nsep.copy()
-        classify(z, bc_state)
-        changed = changed or not np.array_equal(before, bc_state.nsep)
+        state.eps = projector.eps
+        before = state.nsep.copy()
+        classify(z, state)
+        changed = changed or not np.array_equal(before, state.nsep)
 
     # While the classification is still moving, the accumulated duals steer
     # the iteration to a feasible point that can sit far from the
@@ -265,7 +251,7 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
         changed = False
         z = pd_solve(prox, projector, params, u, log,
                      on_z_update=None if lock_set else reclassify,
-                     krylov_error=violation_norm(bc_state))
+                     krylov_error=violation_norm(state))
         if not changed:
             break
     return z
@@ -275,7 +261,6 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
                                  eps_cg: float = 1e-5,
                                  state: BcState | None = None,
                                  log: ConvergenceLog | None = None,
-                                 max_sweeps: int = 50,
                                  max_cg_iters: int = 10000) -> VelocityField:
     """Mixed-boundary sweep solver.
 
@@ -291,14 +276,11 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     if state is None:
         state = BcState.initial(flags, eps=eps_cg)
     else:
-        state.faces = BoundaryFaces(flags)
-        state.nsep = np.zeros(len(state.faces), dtype=bool)
-        state.memory = np.zeros(len(state.faces))
-        state.eps = eps_cg
+        state.reset(flags, eps_cg)
     classify(u, state, use_memory=False)
     z = u.copy()
     cg = CgConfig(eps_cg, eps_cg, max_cg_iters)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         z_old = z
         z = prox_f_bc(z, state)
         projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)

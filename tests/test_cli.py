@@ -119,3 +119,101 @@ class TestCli:
         monkeypatch.setattr(cli, step, unconverged)
         assert run(args + ["--nx", "16", "--ny", "16", "--frames", "1",
                            "--out", tmp_path / "nc"]) == 3
+
+    def test_compare_methods_nonconvergence_exits_3(self, tmp_path):
+        cfg = {"scene": {"name": "circular", "nx": 16, "ny": 16}, "frames": 2,
+               "max_iters": 1, "out_dir": str(tmp_path / "cmp")}
+        p = tmp_path / "cmp.json"
+        p.write_text(json.dumps(cfg))
+        assert run(["compare-methods", "--config", p]) == 3
+
+    def test_compare_methods_exact_prox_and_frame_files(self, tmp_path, monkeypatch):
+        import pdfluids.cli as cli
+        real, seen = cli.smoke_step, []
+
+        def recording(state, *a, **kw):
+            seen.append(kw.get("exact_prox"))
+            return real(state, *a, **kw)
+
+        monkeypatch.setattr(cli, "smoke_step", recording)
+        cfg = {"scene": {"name": "circular", "nx": 12, "ny": 12}, "frames": 1,
+               "exact_prox": True, "out_dir": str(tmp_path / "cmp")}
+        p = tmp_path / "cmp.json"
+        p.write_text(json.dumps(cfg))
+        assert run(["compare-methods", "--config", p, "--save-logs"]) == 0
+        assert seen == [True, True]
+        # per-frame files of each method go below the output directory
+        for method in ("pd", "admm"):
+            assert (tmp_path / "cmp" / method / "conv_circular_0001.csv").exists()
+
+    def test_dam_save_logs_writes_convergence_csv(self, tmp_path):
+        out = tmp_path / "dam"
+        rc = run(["dam", "--scene", "dam", "--nx", "16", "--ny", "12",
+                  "--frames", "1", "--bc", "separating-accelerated",
+                  "--out", out, "--save-logs", "--save-pgm"])
+        assert rc == 0
+        rows = (out / "conv_dam_0001.csv").read_text().strip().split("\n")
+        assert rows[0] == "iter,residual,epsilon,eps_cg,cg_iters"
+        assert len(rows) >= 2
+        assert (out / "flags_0001.pgm").exists()
+
+    def test_simulate_liquid_save_pgm_renders_flags(self, tmp_path):
+        out = tmp_path / "liquid"
+        rc = run(["simulate", "--scene", "dam", "--nx", "16", "--ny", "12",
+                  "--frames", "2", "--out", out, "--save-pgm"])
+        assert rc == 0
+        assert (out / "flags_0001.pgm").exists()
+        assert (out / "flags_0002.pgm").exists()
+
+    def test_guiding_cg_failure_exits_3(self, tmp_path, monkeypatch):
+        import pdfluids.guiding as guiding
+        real = guiding._cg_velocity
+
+        def capped(apply_op, rhs, tol, max_iters, counter=None):
+            return real(apply_op, rhs, tol, 1, counter)
+
+        monkeypatch.setattr(guiding, "_cg_velocity", capped)
+        assert run(["guide", "--scene", "circular", "--nx", "12", "--ny", "12",
+                    "--frames", "1", "--method", "direct",
+                    "--out", tmp_path / "g"]) == 3
+
+
+class TestBuildConfig:
+    """Flags are written over the raw config before the scene defaults
+    (h = 1/nx, dt by scene) resolve."""
+
+    @staticmethod
+    def build(argv):
+        from pdfluids.cli import _build_config, build_parser
+        return _build_config(build_parser().parse_args([str(a) for a in argv]))
+
+    @staticmethod
+    def config(tmp_path, data):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(data))
+        return p
+
+    def test_scene_flag_with_nx_sets_h(self):
+        cfg = self.build(["simulate", "--scene", "plume", "--nx", "16"])
+        assert cfg.scene.nx == 16 and cfg.scene.h == 1.0 / 16
+
+    def test_nx_flag_over_config_without_h(self, tmp_path):
+        p = self.config(tmp_path, {"scene": {"name": "circular", "nx": 16}})
+        cfg = self.build(["simulate", "--config", p, "--nx", "32"])
+        assert cfg.scene.nx == 32 and cfg.scene.h == 1.0 / 32
+
+    def test_scene_flag_over_smoke_config_takes_liquid_dt(self, tmp_path):
+        p = self.config(tmp_path, {"scene": {"name": "circular", "nx": 16}})
+        cfg = self.build(["dam", "--config", p, "--scene", "dam"])
+        assert cfg.scene.name == "dam" and cfg.scene.dt == 0.01
+
+    def test_explicit_h_and_dt_kept(self, tmp_path):
+        p = self.config(tmp_path, {"scene": {"name": "circular", "nx": 16,
+                                             "h": 0.05, "dt": 0.02}})
+        cfg = self.build(["dam", "--config", p, "--scene", "dam", "--nx", "32"])
+        assert cfg.scene.nx == 32
+        assert cfg.scene.h == 0.05 and cfg.scene.dt == 0.02
+
+    def test_seed_flag_sets_scene_seed(self):
+        cfg = self.build(["simulate", "--scene", "plume", "--seed", "7"])
+        assert cfg.scene.seed == 7

@@ -12,6 +12,7 @@ from pdfluids.guiding import (GuidingConfig, GuidingPrecompute, GuidingProx,
                               guide_step, guiding_objective, prox_f_guiding,
                               prox_f_guiding_exact, split_scalar_field)
 from pdfluids.optim import ConvergenceLog, PdParams
+from pdfluids.pressure import PoissonConvergenceError
 
 from conftest import random_velocity, zero_solid_adjacent
 from test_optim import SmallGuidingOracle, guiding_instance
@@ -302,7 +303,7 @@ class TestDirectLeastSquares:
         u_star = project(cfg.u_target, flags, bc, 1e-12)
         cfg = GuidingConfig(flags=flags, weights=cfg.weights, radius=cfg.radius,
                             u_target=u_star, u_current=u_star)
-        x = direct_least_squares(cfg, flags, tol=1e-10)
+        x = direct_least_squares(cfg, tol=1e-10)
         quad = GuidingQuadratic(cfg)
         rel = (quad.mask(x) - quad.mask(u_star)).norm() / quad.mask(u_star).norm()
         assert rel < 1e-6
@@ -316,9 +317,42 @@ class TestDirectLeastSquares:
                                              eps_abs=1e-8, eps_rel=1e-8),
                           log=log)
         assert log.converged
-        x = direct_least_squares(cfg, flags, tol=1e-10)
+        x = direct_least_squares(cfg, tol=1e-10)
         rel = (x - z_pd).norm() / z_pd.norm()
         assert rel < 5e-2
+
+
+class TestGuidingCgFailure:
+    """The velocity-space CG of the exact prox, the direct baseline and the
+    IOP minimizer raises the one CG-failure type."""
+
+    def test_cap_raises(self, rng):
+        d, flags, cfg = guiding_instance(8, rng)
+        with pytest.raises(PoissonConvergenceError, match="did not converge") as exc:
+            direct_least_squares(cfg, tol=1e-12, max_iters=3)
+        assert exc.value.iterations == 3
+
+    def test_non_finite_rhs_raises_at_once(self):
+        from pdfluids.guiding import _cg_velocity
+        rhs = VelocityField.zeros(GridDims(6, 6))
+        rhs.u[2, 2, 0] = np.nan
+        calls = []
+        with pytest.raises(PoissonConvergenceError, match="non-finite") as exc:
+            _cg_velocity(lambda f: calls.append(1) or f, rhs, 1e-10, 50)
+        assert exc.value.iterations == 0 and not calls
+
+    def test_non_finite_residual_raises_at_once(self, rng):
+        from pdfluids.guiding import _cg_velocity
+        rhs = random_velocity(GridDims(6, 6), rng)
+
+        def poisoned(f):
+            out = 2.0 * f
+            out.v[1, 1, 0] = np.nan
+            return out
+
+        with pytest.raises(PoissonConvergenceError, match="non-finite") as exc:
+            _cg_velocity(poisoned, rhs, 1e-10, 50)
+        assert exc.value.iterations == 1
 
 
 class TestGuideStep:
@@ -340,7 +374,7 @@ class TestGuideStep:
         z = guide_step(cfg.u_current, cfg, log=log)
         assert np.abs(divergence(z, flags).values).max() <= 1e-4
         f_ours = guiding_objective(z, cfg)
-        lin = project(blend_linear(cfg.u_current, cfg.u_target, cfg.blend_ratio),
+        lin = project(blend_linear(cfg.u_current, cfg.u_target, 0.5),
                       flags, bc, 1e-5)
         det = project(blend_detail_preserving(cfg.u_current, cfg.u_target,
                                               cfg.radius, flags), flags, bc, 1e-5)

@@ -5,7 +5,7 @@ import pytest
 
 from pdfluids.fields import CellFlags, GridDims, ScalarField, VelocityField
 from pdfluids.guiding import GuidingConfig, GuidingProxExact
-from pdfluids.optim import (AdaptiveParams, AdmmParams, ConvergenceLog,
+from pdfluids.optim import (AdmmParams, ConvergenceLog,
                             IdentityProx, PdParams, ProxOperator,
                             adaptive_pd_update, admm_solve, iop_solve,
                             krylov_accelerate, moreau_transform, pd_solve,
@@ -336,13 +336,3 @@ class TestSolvers:
         z = pd_solve(GuidingProxExact(cfg), projector, params, cfg.u_current, log)
         assert log.converged
         assert np.abs(divergence(z, flags).values).max() <= 10 * 1e-6
-
-
-class TestAdaptiveParamsType:
-    def test_defaults(self):
-        ap = AdaptiveParams()
-        assert ap.gamma_accel == 200.0
-        assert ap.tau0 == 150.0
-        assert ap.sigma0 == pytest.approx(1.0 / 150.0)
-        p = ap.to_pd_params(max_iters=77)
-        assert p.adaptive and p.max_iters == 77

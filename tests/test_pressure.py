@@ -6,11 +6,9 @@ import pytest
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, cell_centers, divergence)
 from pdfluids.guiding import guide_step
-from pdfluids.pressure import (AdaptiveCgController, BcTable, CgConfig,
-                               DivergenceProjector, FaceTag,
-                               PoissonConvergenceError, PoissonSystem,
-                               adapt_cg_tolerance, project, solve_poisson,
-                               subtract_gradient)
+from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
+                               PoissonConvergenceError, PoissonSystem, project,
+                               solve_poisson, subtract_gradient)
 from pdfluids.scenes import (SceneSpec, build_scene, liquid_begin_step,
                              liquid_pressure_solve)
 from pdfluids.separating import BcState, classified_walls_table
@@ -177,27 +175,89 @@ class TestProject:
         assert err < 1e-6
 
 
+def adaptive_projector(eps_start=1e-2, eps_final=1e-5):
+    d = GridDims(4, 4, 1, 0.25)
+    flags = CellFlags.closed_box(d)
+    return DivergenceProjector(flags, BcTable.from_flags(flags),
+                               CgConfig(eps_start, eps_final))
+
+
 class TestAdaptiveController:
     def test_far_above_threshold_unchanged(self):
-        c = AdaptiveCgController(1e-2, 1e-5)
-        out = adapt_cg_tolerance(c, residual_z=1.0, eps_stop=1e-3)
+        c = adaptive_projector(1e-2, 1e-5)
+        out = c.adapt(1.0, 1e-3)
         assert out == 1e-2
 
     def test_trigger_drops_one_decade(self):
-        c = AdaptiveCgController(1e-2, 1e-5)
-        out = adapt_cg_tolerance(c, residual_z=9e-3, eps_stop=1e-3)
+        c = adaptive_projector(1e-2, 1e-5)
+        out = c.adapt(9e-3, 1e-3)
         assert out == pytest.approx(1e-3)
 
     def test_repeated_triggers_clamp_at_final(self):
-        c = AdaptiveCgController(1e-2, 1e-5)
+        c = adaptive_projector(1e-2, 1e-5)
         for _ in range(10):
-            out = adapt_cg_tolerance(c, residual_z=0.0, eps_stop=1.0)
+            out = c.adapt(0.0, 1.0)
         assert out == pytest.approx(1e-5)
-        assert c.at_final
+        assert c.eps <= c.cg.eps_final
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CgConfig(eps_start=1e-6, eps_final=1e-2)
+
+
+def split_halves():
+    """24x16 closed box split by a solid column at x = 11: two all-Neumann
+    components, and the FLUID mask of each."""
+    d = GridDims(24, 16, 1, 1.0 / 24)
+    flags = CellFlags.closed_box(d)
+    flags.values[11, :, :] = CellType.SOLID
+    x = np.arange(d.nx)[:, None, None]
+    return d, flags, (flags.fluid & (x < 11), flags.fluid & (x > 11))
+
+
+class TestSplitDomain:
+    """No Dirichlet face: the rhs is made compatible on each connected
+    component, not with one global mean."""
+
+    def test_solve_poisson_per_half(self, rng):
+        d, flags, halves = split_halves()
+        bc = BcTable.from_flags(flags)
+        rhs = ScalarField(d, rng.standard_normal(d.shape))
+        eps = 1e-8
+        p = solve_poisson(rhs, flags, bc, eps)
+        system = PoissonSystem(flags, bc)
+        b = system.prepare_rhs(-rhs.values)
+        r = b - system.apply(p.values)
+        for half in halves:
+            assert abs(b[half].sum()) < 1e-10 * np.abs(b[half]).sum()
+            # the solve meets the subtracted rhs on each half
+            assert np.linalg.norm(r[half]) <= eps * max(np.linalg.norm(b), 1.0)
+            np.testing.assert_allclose(b[half], -(rhs.values[half]
+                                                  - rhs.values[half].mean()),
+                                       rtol=0, atol=1e-12)
+
+    def test_project_per_half(self, rng):
+        d, flags, halves = split_halves()
+        bc = BcTable.from_flags(flags)
+        vel = random_velocity(d, rng)   # wall flux: each half keeps its own
+        eps = 1e-6
+        out = project(vel, flags, bc, eps)
+        div_in = divergence(vel, flags).values
+        div = divergence(out, flags).values
+        for half in halves:
+            # what is left is each half's mean divergence, set by its flux
+            assert div[half].mean() == pytest.approx(div_in[half].mean(), rel=1e-6)
+            assert np.abs(div[half] - div[half].mean()).max() <= 2 * 10 * eps
+
+    def test_one_component_keeps_the_global_mean(self, rng):
+        d = GridDims(24, 16, 1, 1.0 / 24)
+        flags = CellFlags.closed_box(d)
+        flags.values[8:12, 5:9, :] = CellType.SOLID
+        system = PoissonSystem(flags, BcTable.from_flags(flags))
+        rhs = rng.standard_normal(d.shape)
+        b = np.where(system.active, rhs, 0.0)
+        expect = np.where(system.active, b - b[system.active].mean(), 0.0)
+        assert system.prepare_rhs(rhs).tobytes() == expect.tobytes()
 
 
 class TestNonFiniteInput:
