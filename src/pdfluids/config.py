@@ -110,10 +110,6 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(_parse_json(text))
 
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        return cls.from_dict(read_json(path))
-
 
 def _parse_json(text: str) -> dict:
     try:

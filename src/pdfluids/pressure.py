@@ -151,12 +151,8 @@ class PoissonSystem:
         """Mask to active cells; when no Dirichlet face exists, subtract the
         mean of each connected component of the active cells."""
         b = np.where(self.active, rhs, 0.0)
-        if not self._components:
-            return b
-        if len(self._components) == 1:
-            return np.where(self.active, b - b[self.active].mean(), 0.0)
         flat = b.reshape(-1)
-        for cells in self._components:
+        for cells in self._components or ():
             v = flat[cells]
             flat[cells] = v - v.mean()
         return b

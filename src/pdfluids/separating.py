@@ -117,10 +117,9 @@ class BcState:
     def reset(self, flags: CellFlags, eps: float):
         """Empty classification of the faces of `flags` at threshold eps, in
         place, so a caller holding this state sees the solver's final sets."""
-        self.faces = BoundaryFaces(flags)
-        self.nsep = np.zeros(len(self.faces), dtype=bool)
-        self.memory = np.zeros(len(self.faces))
-        self.eps = eps
+        fresh = BcState.initial(flags, eps)
+        self.faces, self.nsep, self.memory, self.eps = (
+            fresh.faces, fresh.nsep, fresh.memory, fresh.eps)
 
 
 def classify(u: VelocityField, state: BcState, use_memory: bool = True) -> BcState:
