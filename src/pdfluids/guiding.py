@@ -203,8 +203,8 @@ def prox_f_guiding_exact(sigma: float, v: VelocityField, cfg: GuidingConfig,
 def _cg_velocity(apply_op, rhs: VelocityField, tol: float, max_iters: int,
                  counter: list | None = None) -> VelocityField:
     """Plain CG over velocity fields for SPD operators.  Raises
-    PoissonConvergenceError on a non-finite rhs or residual (at once), on a
-    breakdown and when max_iters is used up."""
+    PoissonConvergenceError on a non-finite rhs, d.A d or residual (at
+    once), on a breakdown and when max_iters is used up."""
     x = VelocityField.zeros(rhs.dims)
     r = rhs.copy()
     bnorm = rhs.norm()
@@ -218,6 +218,8 @@ def _cg_velocity(apply_op, rhs: VelocityField, tol: float, max_iters: int,
     for it in range(1, max_iters + 1):
         ad = apply_op(d)
         dad = d.dot(ad)
+        if not math.isfinite(dad):
+            raise PoissonConvergenceError(it, math.nan, "guiding")
         if dad <= 0:
             break
         alpha = rr / dad

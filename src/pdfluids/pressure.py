@@ -6,6 +6,14 @@ stencil (the face velocity is kept), Dirichlet faces use a ghost pressure of
 zero (free surface).  Conjugate gradients solve the SPD form; all-Neumann
 systems get their right-hand side mean-subtracted for compatibility.
 
+Every grid, the system's own and each multigrid level, stores its stencil
+flat: the diagonal and, per axis a, one coefficient array over the
+flattened cells that couples cell c to cell c + stride_a, zero where that
+neighbour wraps to the next row.  Each half of a matvec update is then one
+contiguous multiply and subtract into preallocated scratch, and one routine
+serves every grid.  DivergenceProjector reuses one cached PoissonSystem
+while the flags and the boundary table stay equal by content.
+
 The preconditioner is one symmetric V-cycle of an aggregation multigrid
 (MGPCG, McAdams, Sifakis & Teran, SCA 2010; the unsmoothed-aggregation
 coarse operator of Notay, ETNA 2010), built once per PoissonSystem from its
@@ -21,6 +29,7 @@ is nothing left for a caller to tune.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -118,34 +127,45 @@ class PoissonSystem:
         self.fluid = flags.fluid
         inv_h2 = 1.0 / (d.h * d.h)
         count = np.zeros(d.shape)   # non-Neumann faces of each cell
-        interior = []               # 1.0 where a face couples two cells
         has_dirichlet = False
         for axis in d.axes:
             t = bc.tags[axis]
             for cells in (slice(None, -1), slice(1, None)):
                 count += (t[_along(axis, cells)] != FaceTag.NEUMANN).astype(np.float64)
-            interior.append((t[_along(axis, slice(1, -1))] == FaceTag.INTERIOR)
-                            .astype(np.float64))
             if (t[fluid_adjacent_face_mask(flags, axis)] == FaceTag.DIRICHLET).any():
                 has_dirichlet = True
         count[~self.fluid] = 0.0
         self.diag = count * inv_h2
-        # (lo, hi, conn): cells coupled through a face
-        self._stencil = [(_along(axis, slice(None, -1)), _along(axis, slice(1, None)),
-                          c * inv_h2) for axis, c in zip(d.axes, interior)]
         self.has_dirichlet = has_dirichlet
         self.active = self.fluid & (count > 0)
         self._inactive = ~self.active
+        # 1.0 where an INTERIOR face couples a cell to its high neighbour,
+        # both active (cell-shaped, 0 in the last slab along the axis)
+        interior = []
+        for axis in d.axes:
+            c = bc.tags[axis][_along(axis, slice(1, None))] == FaceTag.INTERIOR
+            c &= self.active
+            c[_along(axis, slice(None, -1))] &= self.active[_along(axis, slice(1, None))]
+            c[_along(axis, -1)] = False
+            interior.append(c.astype(np.float64))
+        self._stencil = _flat_stencil(interior, d.axes, inv_h2)
+        self._tmp = np.empty(d.cell_count)
         # without a Dirichlet face the rhs is made compatible per component
         self._components = None if has_dirichlet else _components(
             self.active, self._stencil)
         self._multigrid = _Multigrid(self, count, interior, inv_h2)
 
     def apply(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A p, written into `out` when given."""
+        """A p, written into `out` (C-contiguous) when given; rows of
+        inactive cells are 0."""
         if out is None:
             out = np.empty_like(self.diag)
-        return _stencil_apply(self.diag, self._stencil, self._inactive, p, out)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        _stencil_apply(self.diag.reshape(-1), self._stencil, p.reshape(-1),
+                       out.reshape(-1), self._tmp)
+        np.copyto(out, 0.0, where=self._inactive)
+        return out
 
     def prepare_rhs(self, rhs: np.ndarray) -> np.ndarray:
         """Mask to active cells; when no Dirichlet face exists, subtract the
@@ -168,7 +188,7 @@ class PoissonSystem:
 
         Stops when ||r||_2 <= eps * max(||b||_2, 1) and, if inf_tol is given,
         additionally max|r_i| <= inf_tol.  Returns (x, iterations).  Raises
-        PoissonConvergenceError on a non-finite rhs or residual, on a
+        PoissonConvergenceError on a non-finite rhs, residual or d.A d, on a
         breakdown and when max_iters is used up.
         """
         x = np.zeros_like(b)
@@ -204,6 +224,8 @@ class PoissonSystem:
         for it in range(1, max_iters + 1):
             self.apply(d, ad)
             dad = float(np.vdot(d, ad))
+            if not math.isfinite(dad):
+                raise PoissonConvergenceError(it, math.nan)
             if dad <= 0.0:
                 break
             alpha = rz / dad
@@ -222,15 +244,11 @@ class PoissonSystem:
 
 def _components(active, stencil) -> list[np.ndarray]:
     """Flat indices (ascending) of each set of active cells that the
-    stencil's INTERIOR faces connect: min-label hooking with pointer
-    jumping, which settles in a few rounds on grid graphs."""
-    idx = np.arange(active.size).reshape(active.shape)
-    i, j = [], []
-    for lo, hi, conn in stencil:
-        m = (conn > 0) & active[lo] & active[hi]
-        i.append(idx[lo][m])
-        j.append(idx[hi][m])
-    i, j = np.concatenate(i), np.concatenate(j)
+    stencil's couplings connect: min-label hooking with pointer jumping,
+    which settles in a few rounds on grid graphs."""
+    i = [np.flatnonzero(conn > 0) for _, conn in stencil]
+    j = np.concatenate([c + s for (s, _), c in zip(stencil, i)])
+    i = np.concatenate(i)
     parent = np.arange(active.size)
     while True:
         a, b = parent[i], parent[j]
@@ -261,23 +279,47 @@ _COARSE_SCALE = 1.6    # over-correction that offsets the piecewise-constant P
 _DENSE_CELLS = 64      # coarsen until at most this many active cells remain
 
 
-def _stencil_apply(diag, stencil, inactive, p, out):
-    """out = A p for the Laplacian (diag, stencil); rows of inactive cells 0."""
+def _flat_stencil(conns, axes, inv_h2):
+    """[(stride, conn)] of the flattened grid: axis a couples flat cells c
+    and c + stride_a with conn[c], read from the cell-shaped face counts
+    `conns` (0 in the last slab along a, so also where c + stride_a wraps
+    to the next row)."""
+    stencil = []
+    for a, c in zip(axes, conns):
+        s = math.prod(c.shape[a + 1:])
+        f = (c * inv_h2).reshape(-1)
+        stencil.append((s, f[:f.size - s]))
+    return stencil
+
+
+def _stencil_apply(diag, stencil, p, out, tmp):
+    """out = A p for the Laplacian (diag, stencil) on flat arrays; tmp is
+    scratch of the same size.  Rows of inactive cells are whatever the
+    zero coefficients make of p, so 0 where p is 0 off the active cells."""
     np.multiply(diag, p, out=out)
-    for lo, hi, conn in stencil:
-        out[lo] -= conn * p[hi]
-        out[hi] -= conn * p[lo]
-    out[inactive] = 0.0
+    for s, conn in stencil:
+        n = conn.size
+        t = tmp[:n]
+        out[:n] -= np.multiply(conn, p[s:], out=t)
+        out[s:] -= np.multiply(conn, p[:n], out=t)
     return out
+
+
+@functools.cache
+def _pair_slices(axis: int, n: int):
+    """Index tuples along `axis` (length n) of the first and of the second
+    cell of each pair (2i, 2i+1), and of the n // 2 full pairs."""
+    return (_along(axis, slice(0, None, 2)), _along(axis, slice(1, None, 2)),
+            _along(axis, slice(0, n // 2)))
 
 
 def _pair_sum(a, axes):
     """Sum of each cell pair (2i, 2i+1) along every axis in `axes`; an odd
     last cell forms a pair on its own."""
     for ax in axes:
-        n = a.shape[ax]
-        s = a[_along(ax, slice(0, None, 2))].copy()
-        s[_along(ax, slice(0, n // 2))] += a[_along(ax, slice(1, None, 2))]
+        first, second, full = _pair_slices(ax, a.shape[ax])
+        s = a[first].copy()
+        s[full] += a[second]
         a = s
     return a
 
@@ -286,7 +328,8 @@ def _galerkin(count, conns, axes, agg):
     """Coarse P^T A P of the piecewise-constant P over the pair aggregates
     along `agg`, in face counts: coarse conn = the couplings that cross
     between two aggregates, coarse diag = the children's diags minus twice
-    the couplings inside the aggregate."""
+    the couplings inside the aggregate.  Each conn is cell-shaped (the
+    coupling to the high neighbour, 0 in the last slab), at both grids."""
     diag = _pair_sum(count, agg)
     coarse = []
     for axis, conn in zip(axes, conns):
@@ -294,23 +337,32 @@ def _galerkin(count, conns, axes, agg):
             coarse.append(_pair_sum(conn, agg))
             continue
         rest = tuple(a for a in agg if a != axis)
-        inside = conn[_along(axis, slice(0, None, 2))]   # none in an odd last pair
-        diag[_along(axis, slice(0, inside.shape[axis]))] -= 2.0 * _pair_sum(inside, rest)
-        coarse.append(_pair_sum(conn[_along(axis, slice(1, None, 2))], rest))
+        # pairs (2i, 2i+1) lie inside an aggregate (the zero last slab in
+        # an odd last pair), pairs (2i+1, 2i+2) cross to the next one
+        diag -= 2.0 * _pair_sum(conn[_along(axis, slice(0, None, 2))], rest)
+        cross = _pair_sum(conn[_along(axis, slice(1, None, 2))], rest)
+        if cross.shape[axis] < diag.shape[axis]:   # odd length: the last slab
+            cross = np.concatenate((cross, np.zeros_like(cross[_along(axis, slice(0, 1))])),
+                                   axis)
+        coarse.append(cross)
     return diag, coarse
 
 
 class _Level:
-    """One smoothed grid of the V-cycle and its link to the next coarser one."""
+    """One smoothed grid of the V-cycle and its link to the next coarser one;
+    diag, stencil and the scratch are flat, the masks cell-shaped."""
 
     def __init__(self, diag, stencil, inactive, agg, coarse_inactive):
+        self.shape = inactive.shape
         self.diag = diag
         self.stencil = stencil
         self.inactive = inactive
         with np.errstate(divide="ignore"):
-            self.wdinv = np.where(inactive, 0.0, _OMEGA / diag)
+            self.wdinv = np.where(inactive.reshape(-1), 0.0, _OMEGA / diag)
         self.agg = agg                           # the axes paired into the next grid
-        self.t = np.empty_like(diag)             # residual scratch
+        self.cut = [_along(a, slice(0, self.shape[a])) for a in agg]   # drops an odd pad
+        self.t = np.empty_like(diag)             # residual
+        self.tmp = np.empty_like(diag)           # matvec scratch
         self.coarse_inactive = coarse_inactive   # the next grid's inactive cells
         self.coarse_x = np.empty(coarse_inactive.shape)   # the next grid's correction
 
@@ -329,15 +381,15 @@ class _Multigrid:
     than two) applies the dense pseudo-inverse, which also covers the
     singular all-Neumann case.  Restriction and prolongation skip inactive
     cells, so M is symmetric and positive definite on the active cells and
-    its output is zero elsewhere.
+    its output is zero elsewhere.  Every level couples active cells only,
+    so the smoother's matvecs keep zero rows off the active cells without
+    masking.
     """
 
-    def __init__(self, system: PoissonSystem, count, interior, inv_h2):
+    def __init__(self, system: PoissonSystem, count, conns, inv_h2):
         axes = system.dims.axes
         active = system.active
-        conns = [c * active[lo] * active[hi]
-                 for (lo, hi, _), c in zip(system._stencil, interior)]
-        diag, stencil, inactive = system.diag, system._stencil, system._inactive
+        diag, stencil, inactive = system.diag.reshape(-1), system._stencil, system._inactive
         self.levels = []
         while int(active.sum()) > _DENSE_CELLS:
             agg = tuple(a for a in axes if count.shape[a] > 2)
@@ -347,44 +399,57 @@ class _Multigrid:
             active = count > 0
             level = _Level(diag, stencil, inactive, agg, ~active)
             self.levels.append(level)
-            diag, inactive = count * inv_h2, level.coarse_inactive
-            stencil = [(_along(a, slice(None, -1)), _along(a, slice(1, None)), c * inv_h2)
-                       for a, c in zip(axes, conns)]
+            diag, inactive = (count * inv_h2).reshape(-1), level.coarse_inactive
+            stencil = _flat_stencil(conns, axes, inv_h2)
         # the coarsest grid: dense matrix over its active cells, from the stencil
         self.cells = np.flatnonzero(active)
-        index = np.full(count.shape, -1)
-        index.reshape(-1)[self.cells] = np.arange(self.cells.size)
+        index = np.full(count.size, -1)
+        index[self.cells] = np.arange(self.cells.size)
         mat = np.diag(count.reshape(-1)[self.cells])
-        for a, c in zip(axes, conns):
+        for s, c in _flat_stencil(conns, axes, 1.0):
             m = c > 0
-            i = index[_along(a, slice(None, -1))][m]
-            j = index[_along(a, slice(1, None))][m]
+            i = index[:c.size][m]
+            j = index[s:][m]
             mat[i, j] -= c[m]
             mat[j, i] -= c[m]
         self.dense = np.linalg.pinv(mat * inv_h2, hermitian=True)
 
     def cycle(self, k: int, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """x = M_k r on level k; r and x are zero on the level's inactive cells."""
+        """x = M_k r on level k; r and x are C-contiguous and zero on the
+        level's inactive cells."""
         if k == len(self.levels):
             x.fill(0.0)
             x.reshape(-1)[self.cells] = self.dense @ r.reshape(-1)[self.cells]
             return x
         lv = self.levels[k]
-        t = lv.t
-        np.multiply(lv.wdinv, r, out=x)
-        np.subtract(r, _stencil_apply(lv.diag, lv.stencil, lv.inactive, x, t), out=t)
-        rc = _pair_sum(t, lv.agg)
+        rf, xf, t = r.reshape(-1), x.reshape(-1), lv.t
+        np.multiply(lv.wdinv, rf, out=xf)
+        np.subtract(rf, _stencil_apply(lv.diag, lv.stencil, xf, t, lv.tmp), out=t)
+        rc = _pair_sum(t.reshape(lv.shape), lv.agg)
         rc[lv.coarse_inactive] = 0.0
         ec = self.cycle(k + 1, rc, lv.coarse_x)
         ec *= _COARSE_SCALE
-        for ax in lv.agg:
-            ec = np.repeat(ec, 2, axis=ax)[_along(ax, slice(0, x.shape[ax]))]
+        for ax, cut in zip(lv.agg, lv.cut):
+            ec = np.repeat(ec, 2, axis=ax)[cut]
         ec[lv.inactive] = 0.0
         x += ec
-        np.subtract(r, _stencil_apply(lv.diag, lv.stencil, lv.inactive, x, t), out=t)
+        np.subtract(rf, _stencil_apply(lv.diag, lv.stencil, xf, t, lv.tmp), out=t)
         t *= lv.wdinv
-        x += t
+        xf += t
         return x
+
+
+# the one system kept, keyed on the content of (flags, bc): a table rebuilt
+# with equal tags hits, one changed in place misses
+_cached: tuple | None = None
+
+
+def _system_for(flags: CellFlags, bc: BcTable) -> PoissonSystem:
+    global _cached
+    key = (flags.dims, bc.dims, flags.values.tobytes(), *(t.tobytes() for t in bc.tags))
+    if _cached is None or _cached[0] != key:
+        _cached = (key, PoissonSystem(flags, bc))
+    return _cached[1]
 
 
 def _require_finite(vel: VelocityField):
@@ -465,7 +530,8 @@ def project(vel: VelocityField, flags: CellFlags, bc: BcTable, eps_cg: float,
 class DivergenceProjector:
     """Projection bundle used inside the optimizer loops.
 
-    Owns the Poisson system for a fixed flag/boundary configuration and the
+    Holds the Poisson system for a fixed flag/boundary configuration (the
+    one cached system while the flags and tags stay equal) and owns the
     adaptive CG accuracy `eps` (from cg.eps_start down to cg.eps_final), and
     reports the CG effort of each projection so convergence logs can
     attribute cost.  A fixed accuracy eps is CgConfig(eps, eps, max_cg_iters).
@@ -476,7 +542,7 @@ class DivergenceProjector:
         self.bc = bc
         self.cg = cg if cg is not None else CgConfig()
         self.eps = self.cg.eps_start
-        self.system = PoissonSystem(flags, bc)
+        self.system = _system_for(flags, bc)
 
     def project(self, vel: VelocityField) -> tuple[VelocityField, int, float]:
         """The one projection routine: divergence, pressure solve at the

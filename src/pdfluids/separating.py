@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import CellFlags, CellType, VelocityField, _along
 from .optim import ConvergenceLog, PdParams, ProxOperator, pd_solve, stop_check
-from .pressure import BcTable, CgConfig, DivergenceProjector, FaceTag
+from .pressure import BcTable, CgConfig, DivergenceProjector, FaceTag, _require_finite
 # re-exported: bench/test_bench.py checks that the tracer rebinds it here
 from .pressure import subtract_gradient  # noqa: F401
 
@@ -209,8 +209,10 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
     caller's state is reset at the start of the solve (memory zeroed).
     With lock_set the caller's classification is frozen (no
     reclassification at all), the validation mode against plain
-    no-penetration projections.
+    no-penetration projections.  A non-finite u raises
+    PoissonConvergenceError before the classification or the prox runs.
     """
+    _require_finite(u)
     log = log if log is not None else ConvergenceLog()
     log.method = log.method or "pd-separating"
     cg = cg if cg is not None else CgConfig()
@@ -268,8 +270,10 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     non-separating and Dirichlet at separating walls; reclassify} until the
     set stops changing.  Classification ignores the memory here; the Neumann
     faces hold the zeroed normals exactly, so a face that enters the set
-    never leaves (lock-in) and the loop terminates quickly.
+    never leaves (lock-in) and the loop terminates quickly.  A non-finite u
+    raises PoissonConvergenceError before the classification runs.
     """
+    _require_finite(u)
     log = log if log is not None else ConvergenceLog()
     log.method = log.method or "accelerated-separating"
     if state is None:

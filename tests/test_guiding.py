@@ -354,6 +354,22 @@ class TestGuidingCgFailure:
             _cg_velocity(poisoned, rhs, 1e-10, 50)
         assert exc.value.iterations == 1
 
+    def test_non_finite_dad_is_not_a_breakdown(self, rng):
+        # +inf where d is negative makes d.A d = -inf, which must not end
+        # the loop as a breakdown ("did not converge")
+        from pdfluids.guiding import _cg_velocity
+        rhs = random_velocity(GridDims(6, 6), rng)
+
+        def poisoned(f):
+            out = 2.0 * f
+            assert f.u.min() < 0.0
+            out.u[np.unravel_index(np.argmin(f.u), f.u.shape)] = np.inf
+            return out
+
+        with pytest.raises(PoissonConvergenceError, match="met a non-finite value") as exc:
+            _cg_velocity(poisoned, rhs, 1e-10, 50)
+        assert exc.value.iterations == 1
+
 
 class TestGuideStep:
     def test_huge_weights_return_plain_projection(self, rng):

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from pdfluids import pressure
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
-                             VelocityField, cell_centers, divergence)
+                             VelocityField, _along, cell_centers, divergence)
 from pdfluids.guiding import guide_step
 from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                                PoissonConvergenceError, PoissonSystem, project,
@@ -287,8 +288,10 @@ class TestNonFiniteInput:
         fl = state.flags.fluid
         i, j, k = np.argwhere(fl[1:] & fl[:-1])[0]   # x-face between two FLUID cells
         vel.u[i + 1, j, k] = bad
-        with pytest.raises(PoissonConvergenceError):
-            liquid_pressure_solve(vel, state.flags, mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # rejected before numpy meets the value
+            with pytest.raises(PoissonConvergenceError):
+                liquid_pressure_solve(vel, state.flags, mode)
 
     def test_face_without_fluid_neighbour(self, bad):
         # a wall face of the closed box: the divergence never reads it
@@ -310,8 +313,10 @@ class TestNonFiniteInput:
         em = state.flags.values == CellType.EMPTY
         i, j, k = np.argwhere(em[1:] & em[:-1])[0]   # x-face between two EMPTY cells
         vel.u[i + 1, j, k] = bad
-        with pytest.raises(PoissonConvergenceError):
-            liquid_pressure_solve(vel, state.flags, mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # rejected before numpy meets the value
+            with pytest.raises(PoissonConvergenceError):
+                liquid_pressure_solve(vel, state.flags, mode)
 
     def test_guide_step(self, bad):
         # rejected at entry, before the blur and the prox see the value
@@ -482,6 +487,24 @@ class TestCgBitwise:
         _, iters = system.cg(system.prepare_rhs(rhs), 1e-5, 10000)
         assert iters > 0 and len(calls) == iters
 
+    def test_non_finite_dad_is_not_a_breakdown(self, rng, monkeypatch):
+        # +inf where d is negative makes d.A d = -inf, which must not end
+        # the loop as a breakdown ("did not converge")
+        flags, bc, rhs = closed_box_case(rng)
+        system = PoissonSystem(flags, bc)
+        original = PoissonSystem.apply
+
+        def poisoned(self, p, out=None):
+            out = original(self, p, out)
+            assert p.min() < 0.0
+            out.reshape(-1)[np.argmin(p)] = np.inf
+            return out
+
+        monkeypatch.setattr(PoissonSystem, "apply", poisoned)
+        with pytest.raises(PoissonConvergenceError, match="met a non-finite value") as exc:
+            system.cg(system.prepare_rhs(rhs), 1e-5, 10000)
+        assert exc.value.iterations == 1
+
 
 # -- the multigrid preconditioner ------------------------------------------------
 
@@ -565,3 +588,204 @@ class TestMultigridPreconditioner:
             iters[n] = system.cg(b, 1e-5, 10000)[1]
         assert max(iters.values()) <= 20
         assert iters[256] <= 1.5 * iters[64]
+
+
+# -- the 3-D-slice stencil and V-cycle, kept as a bitwise reference --------------
+
+def reference_stencil_apply(diag, stencil, inactive, p, out):
+    """out = A p over 3-D slices (lo, hi, conn) with face-shaped conn, as
+    the stencil was stored before it was flattened; inactive rows 0."""
+    np.multiply(diag, p, out=out)
+    for lo, hi, conn in stencil:
+        out[lo] -= conn * p[hi]
+        out[hi] -= conn * p[lo]
+    out[inactive] = 0.0
+    return out
+
+
+def reference_pair_sum(a, axes):
+    for ax in axes:
+        n = a.shape[ax]
+        s = a[_along(ax, slice(0, None, 2))].copy()
+        s[_along(ax, slice(0, n // 2))] += a[_along(ax, slice(1, None, 2))]
+        a = s
+    return a
+
+
+def reference_galerkin(count, conns, axes, agg):
+    diag = reference_pair_sum(count, agg)
+    coarse = []
+    for axis, conn in zip(axes, conns):
+        if axis not in agg:
+            coarse.append(reference_pair_sum(conn, agg))
+            continue
+        rest = tuple(a for a in agg if a != axis)
+        inside = conn[_along(axis, slice(0, None, 2))]
+        diag[_along(axis, slice(0, inside.shape[axis]))] -= 2.0 * reference_pair_sum(inside, rest)
+        coarse.append(reference_pair_sum(conn[_along(axis, slice(1, None, 2))], rest))
+    return diag, coarse
+
+
+class ReferenceMultigrid:
+    """The matvec and V-cycle of PoissonSystem over 3-D slices, built from
+    the flags and table with face-shaped couplings; every matvec zeroes its
+    inactive rows."""
+
+    def __init__(self, flags, bc):
+        d = flags.dims
+        axes = d.axes
+        inv_h2 = 1.0 / (d.h * d.h)
+        count = np.zeros(d.shape)
+        interior = []
+        for axis in axes:
+            t = bc.tags[axis]
+            for cells in (slice(None, -1), slice(1, None)):
+                count += (t[_along(axis, cells)] != FaceTag.NEUMANN).astype(np.float64)
+            interior.append((t[_along(axis, slice(1, -1))] == FaceTag.INTERIOR)
+                            .astype(np.float64))
+        count[~flags.fluid] = 0.0
+        active = flags.fluid & (count > 0)
+        slices = [(_along(a, slice(None, -1)), _along(a, slice(1, None))) for a in axes]
+        grid = (count * inv_h2, [(lo, hi, c * inv_h2) for (lo, hi), c in zip(slices, interior)],
+                ~active)
+        self.diag, self.stencil, self.inactive = grid
+        conns = [c * active[lo] * active[hi] for (lo, hi), c in zip(slices, interior)]
+        self.levels = []
+        while int(active.sum()) > pressure._DENSE_CELLS:
+            agg = tuple(a for a in axes if count.shape[a] > 2)
+            if not agg:
+                break
+            count, conns = reference_galerkin(count, conns, axes, agg)
+            active = count > 0
+            diag, stencil, inactive = grid
+            with np.errstate(divide="ignore"):
+                wdinv = np.where(inactive, 0.0, pressure._OMEGA / diag)
+            self.levels.append((diag, stencil, inactive, wdinv, agg, ~active))
+            grid = (count * inv_h2, [(lo, hi, c * inv_h2) for (lo, hi), c in zip(slices, conns)],
+                    ~active)
+        self.cells = np.flatnonzero(active)
+        index = np.full(count.shape, -1)
+        index.reshape(-1)[self.cells] = np.arange(self.cells.size)
+        mat = np.diag(count.reshape(-1)[self.cells])
+        for (lo, hi), c in zip(slices, conns):
+            m = c > 0
+            i, j = index[lo][m], index[hi][m]
+            mat[i, j] -= c[m]
+            mat[j, i] -= c[m]
+        self.dense = np.linalg.pinv(mat * inv_h2, hermitian=True)
+
+    def apply(self, p, out=None):
+        out = np.empty_like(self.diag) if out is None else out
+        return reference_stencil_apply(self.diag, self.stencil, self.inactive, p, out)
+
+    def cycle(self, k, r, x):
+        if k == len(self.levels):
+            x.fill(0.0)
+            x.reshape(-1)[self.cells] = self.dense @ r.reshape(-1)[self.cells]
+            return x
+        diag, stencil, inactive, wdinv, agg, coarse_inactive = self.levels[k]
+        t = np.empty_like(diag)
+        np.multiply(wdinv, r, out=x)
+        np.subtract(r, reference_stencil_apply(diag, stencil, inactive, x, t), out=t)
+        rc = reference_pair_sum(t, agg)
+        rc[coarse_inactive] = 0.0
+        ec = self.cycle(k + 1, rc, np.empty(rc.shape))
+        ec *= pressure._COARSE_SCALE
+        for ax in agg:
+            ec = np.repeat(ec, 2, axis=ax)[_along(ax, slice(0, x.shape[ax]))]
+        ec[inactive] = 0.0
+        x += ec
+        np.subtract(r, reference_stencil_apply(diag, stencil, inactive, x, t), out=t)
+        t *= wdinv
+        x += t
+        return x
+
+
+def reference_system(flags, bc):
+    """A PoissonSystem whose CG runs on the reference matvec and V-cycle."""
+    system = PoissonSystem(flags, bc)
+    ref = ReferenceMultigrid(flags, bc)
+    system.apply = ref.apply
+    system._precondition = lambda r, out: ref.cycle(0, r, out)
+    return system
+
+
+class TestFlatStencilBitwise:
+    """The flat stencil against the 3-D-slice reference, bit for bit: the
+    matvec, one V-cycle and whole CG solves (x and iterations)."""
+
+    @pytest.mark.parametrize("name", list(PRECONDITIONER_CASES))
+    def test_apply_and_precondition(self, rng, name):
+        flags, bc = PRECONDITIONER_CASES[name](rng)
+        system = PoissonSystem(flags, bc)
+        ref = ReferenceMultigrid(flags, bc)
+        assert len(system._multigrid.levels) == len(ref.levels) > 0
+        for _ in range(3):
+            p = rng.standard_normal(flags.dims.shape)
+            assert system.apply(p).tobytes() == ref.apply(p).tobytes()
+            r = np.where(system.active, p, 0.0)
+            got = system._precondition(r, np.empty_like(r))
+            assert got.tobytes() == ref.cycle(0, r, np.empty_like(r)).tobytes()
+
+    def test_wall_face_tagged_interior_couples_nothing(self, rng):
+        # across a high wall the flat neighbour is the next row's first cell
+        flags = CellFlags.open_box(GridDims(6, 5))
+        bc = BcTable.from_flags(flags)
+        bc.set_face(1, (2, 5, 0), FaceTag.INTERIOR)
+        system = PoissonSystem(flags, bc)
+        p = rng.standard_normal(flags.dims.shape)
+        assert system.apply(p).tobytes() == ReferenceMultigrid(flags, bc).apply(p).tobytes()
+
+    @pytest.mark.parametrize("name", list(PRECONDITIONER_CASES))
+    @pytest.mark.parametrize("inf_tol", [None, 1e-4])
+    def test_cg(self, rng, name, inf_tol):
+        flags, bc = PRECONDITIONER_CASES[name](rng)
+        system = PoissonSystem(flags, bc)
+        b = system.prepare_rhs(rng.standard_normal(flags.dims.shape))
+        x, iters = system.cg(b, 1e-5, 10000, inf_tol=inf_tol)
+        x_ref, iters_ref = reference_system(flags, bc).cg(b, 1e-5, 10000, inf_tol=inf_tol)
+        assert iters == iters_ref > 0
+        assert x.tobytes() == x_ref.tobytes()
+
+
+class TestSystemCache:
+    """DivergenceProjector takes the one cached PoissonSystem, keyed on the
+    content of the flags and the table."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(pressure, "_cached", None)
+
+    def test_equal_content_hits(self):
+        d = GridDims(12, 10)
+        flags = CellFlags.closed_box(d)
+        first = DivergenceProjector(flags, BcTable.from_flags(flags)).system
+        again = CellFlags(d, flags.values.copy())
+        assert DivergenceProjector(again, BcTable.from_flags(again)).system is first
+
+    def test_changed_in_place_misses(self):
+        d = GridDims(12, 10)
+        flags = CellFlags.closed_box(d)
+        bc = BcTable.from_flags(flags)
+        first = DivergenceProjector(flags, bc).system
+        bc.set_face(0, (4, 4, 0), FaceTag.DIRICHLET)
+        second = DivergenceProjector(flags, bc).system
+        assert second is not first and second.has_dirichlet
+        flags.values[5, 5, 0] = CellType.SOLID
+        third = DivergenceProjector(flags, bc).system
+        assert third is not second and not third.active[5, 5, 0]
+
+    def test_guided_frames_build_once(self, monkeypatch):
+        state, cfg = build_scene(SceneSpec("circular", nx=16, ny=16))
+        builds = []
+        original = PoissonSystem.__init__
+
+        def counted(self, flags, bc):
+            builds.append(1)
+            original(self, flags, bc)
+
+        monkeypatch.setattr(PoissonSystem, "__init__", counted)
+        u = state.vel
+        for _ in range(2):
+            u = guide_step(u, cfg)
+        assert len(builds) == 1
