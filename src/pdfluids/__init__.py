@@ -12,12 +12,12 @@ from .pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
 from .optim import (AdmmParams, ConvergenceLog, IdentityProx, PdParams,
                     ProxOperator, adaptive_pd_update, admm_solve, iop_solve,
                     krylov_accelerate, moreau_transform, pd_solve, stop_check)
-from .guiding import (GuidingConfig, GuidingQuadratic, blend_detail_preserving,
-                      blend_linear, default_guiding_params,
-                      direct_least_squares, guide_step, guiding_objective,
-                      prox_f_guiding, prox_f_guiding_exact)
-from .separating import (BcState, BoundaryFace, BoundaryFaces, classify,
-                         prox_f_bc, solve_separating_accelerated,
+from .guiding import (GuidingConfig, GuidingProx, GuidingProxExact,
+                      GuidingQuadratic, blend_detail_preserving, blend_linear,
+                      default_guiding_params, direct_least_squares, guide_step,
+                      guiding_objective)
+from .separating import (BcState, BoundaryFace, BoundaryFaces, SeparatingProx,
+                         classify, solve_separating_accelerated,
                          solve_separating_standard)
 from .scenes import (SceneSpec, SceneState, build_scene, liquid_step,
                      smoke_step)

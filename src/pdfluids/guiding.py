@@ -29,8 +29,9 @@ from .fields import (CellFlags, ScalarField, VelocityField, _along,
                      cell_to_face_average, divergence, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
                     admm_solve, iop_solve, pd_solve)
-from .pressure import (BcTable, CgConfig, DivergenceProjector,
-                       PoissonConvergenceError, _require_finite)
+from .pressure import BcTable, CgConfig, DivergenceProjector, _pcg, _require_finite
+
+MAX_CG_ITERS = 4000   # cap of the exact prox's and the IOP minimizer's CG
 
 
 @dataclass
@@ -162,79 +163,22 @@ class GuidingPrecompute:
         return cls(sigma, quad.q(sigma), quad.gamma_diag(sigma))
 
 
-def prox_f_guiding(sigma: float, v: VelocityField, cfg: GuidingConfig,
-                   precomputed: GuidingPrecompute | None = None,
-                   quad: GuidingQuadratic | None = None) -> VelocityField:
-    """Approximate guiding prox via the SMW inverse of M = A + sigma*I.
+def _cg_velocity(apply_op, rhs: VelocityField, tol: float,
+                 max_iters: int) -> tuple[VelocityField, int]:
+    """Plain CG over velocity fields for SPD operators: the one CG loop of
+    `pressure` on the flattened field, stopping at ||r|| <= tol * ||rhs||.
+    Returns (x, iterations); raises PoissonConvergenceError ("guiding") on a
+    non-finite rhs, d.A d or residual (at once), on a breakdown and when
+    max_iters is used up."""
+    field = VelocityField.zeros(rhs.dims)
 
-        x = u_current + gamma (sigma v + q) - 2 B^T B gamma^2 (sigma v + q)
+    def apply(d, out):
+        field.set_flat(d)
+        out[:] = apply_op(field).as_flat()
 
-    with gamma = (2 W^2 + sigma I)^-1 diagonal.  Faces outside the objective
-    pass v through.
-    """
-    quad = quad if quad is not None else GuidingQuadratic(cfg)
-    pre = precomputed if precomputed is not None else GuidingPrecompute.build(quad, sigma)
-    if not math.isclose(pre.sigma, sigma):
-        pre = GuidingPrecompute.build(quad, sigma)
-    s = sigma * quad.mask(v) + pre.q
-    g1 = s.copy()
-    g2 = s.copy()
-    for a, arr in g1.components():
-        arr *= pre.gamma[a]
-    for a, arr in g2.components():
-        arr *= np.square(pre.gamma[a])
-    out = quad.mask(cfg.u_current) + g1 - 2.0 * quad.apply_BtB(g2)
-    return quad.keep_fixed(out, v)
-
-
-def prox_f_guiding_exact(sigma: float, v: VelocityField, cfg: GuidingConfig,
-                         tol: float = 1e-10, max_iters: int = 4000,
-                         quad: GuidingQuadratic | None = None) -> VelocityField:
-    """Exact guiding prox: solve (A + sigma I) x = sigma v - b by CG.
-
-    Reference path for the SMW approximation and for oracle comparisons.
-    """
-    quad = quad if quad is not None else GuidingQuadratic(cfg)
-    rhs = sigma * quad.mask(v) - quad.b()
-    x = _cg_velocity(lambda f: quad.apply_M(sigma, f), rhs, tol, max_iters)
-    return quad.keep_fixed(x, v)
-
-
-def _cg_velocity(apply_op, rhs: VelocityField, tol: float, max_iters: int,
-                 counter: list | None = None) -> VelocityField:
-    """Plain CG over velocity fields for SPD operators.  Raises
-    PoissonConvergenceError on a non-finite rhs, d.A d or residual (at
-    once), on a breakdown and when max_iters is used up."""
-    x = VelocityField.zeros(rhs.dims)
-    r = rhs.copy()
-    bnorm = rhs.norm()
-    if not math.isfinite(bnorm):
-        raise PoissonConvergenceError(0, bnorm, "guiding")
-    if bnorm == 0.0:
-        return x
-    d = r.copy()
-    rr = r.dot(r)
-    it = 0
-    for it in range(1, max_iters + 1):
-        ad = apply_op(d)
-        dad = d.dot(ad)
-        if not math.isfinite(dad):
-            raise PoissonConvergenceError(it, math.nan, "guiding")
-        if dad <= 0:
-            break
-        alpha = rr / dad
-        x = x + alpha * d
-        r = r - alpha * ad
-        rr_new = r.dot(r)
-        if not math.isfinite(rr_new):
-            raise PoissonConvergenceError(it, rr_new, "guiding")
-        if counter is not None:
-            counter.append(1)
-        if math.sqrt(rr_new) <= tol * bnorm:
-            return x
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    raise PoissonConvergenceError(it, math.sqrt(rr) / bnorm, "guiding")
+    x, iters = _pcg(apply, rhs.as_flat(), tol, 0.0, max_iters, solver="guiding")
+    field.set_flat(x)
+    return field, iters
 
 
 def guiding_objective(x: VelocityField, cfg: GuidingConfig,
@@ -254,7 +198,13 @@ def guiding_objective(x: VelocityField, cfg: GuidingConfig,
 
 
 class GuidingProx(ProxOperator):
-    """SMW-approximate prox with the per-step precompute cached."""
+    """Approximate guiding prox via the SMW inverse of M = A + sigma*I.
+
+        x = u_current + gamma (sigma v + q) - 2 B^T B gamma^2 (sigma v + q)
+
+    with gamma = (2 W^2 + sigma I)^-1 diagonal; q and gamma are cached until
+    sigma changes.  Faces outside the objective pass v through.
+    """
 
     def __init__(self, cfg: GuidingConfig, sigma: float | None = None):
         self.cfg = cfg
@@ -264,11 +214,23 @@ class GuidingProx(ProxOperator):
     def __call__(self, sigma, v):
         if self._pre is None or not math.isclose(self._pre.sigma, sigma):
             self._pre = GuidingPrecompute.build(self.quad, sigma)
-        return prox_f_guiding(sigma, v, self.cfg, self._pre, self.quad)
+        quad, pre = self.quad, self._pre
+        s = sigma * quad.mask(v) + pre.q
+        g1 = s.copy()
+        g2 = s.copy()
+        for a, arr in g1.components():
+            arr *= pre.gamma[a]
+        for a, arr in g2.components():
+            arr *= np.square(pre.gamma[a])
+        out = quad.mask(self.cfg.u_current) + g1 - 2.0 * quad.apply_BtB(g2)
+        return quad.keep_fixed(out, v)
 
 
 class GuidingProxExact(ProxOperator):
-    """CG-exact prox, used for oracle-grade solves."""
+    """Exact guiding prox: solve (A + sigma I) x = sigma v - b by CG.
+
+    Reference path for the SMW approximation and for oracle comparisons.
+    """
 
     def __init__(self, cfg: GuidingConfig, tol: float = 1e-10):
         self.cfg = cfg
@@ -276,7 +238,11 @@ class GuidingProxExact(ProxOperator):
         self.tol = tol
 
     def __call__(self, sigma, v):
-        return prox_f_guiding_exact(sigma, v, self.cfg, tol=self.tol, quad=self.quad)
+        quad = self.quad
+        rhs = sigma * quad.mask(v) - quad.b()
+        x, _ = _cg_velocity(lambda f: quad.apply_M(sigma, f), rhs, self.tol,
+                            MAX_CG_ITERS)
+        return quad.keep_fixed(x, v)
 
 
 class GuidingMinimizerProjection(ProxOperator):
@@ -294,7 +260,7 @@ class GuidingMinimizerProjection(ProxOperator):
         self.cfg = cfg
         self.quad = GuidingQuadratic(cfg)
         rhs = -1.0 * self.quad.b()
-        self._minimizer = _cg_velocity(self.quad.apply_A, rhs, tol, 4000)
+        self._minimizer, _ = _cg_velocity(self.quad.apply_A, rhs, tol, MAX_CG_ITERS)
 
     def __call__(self, sigma, v):
         return self.quad.keep_fixed(self._minimizer.copy(), v)
@@ -358,11 +324,10 @@ def direct_least_squares(cfg: GuidingConfig, tol: float = 1e-8,
         return quad.apply_A(quad.apply_A(vel)) + apply_Dt(apply_D(vel))
 
     rhs = quad.apply_A(-1.0 * quad.b())
-    counter: list = []
-    x = _cg_velocity(normal_op, rhs, tol, max_iters, counter=counter)
+    x, iters = _cg_velocity(normal_op, rhs, tol, max_iters)
     if log is not None:
         log.method = "direct-lsq"
-        log.record(1, 0.0, tol, tol, len(counter))
+        log.record(1, 0.0, tol, tol, iters)
         log.converged = True
     return quad.keep_fixed(x, cfg.u_current)
 

@@ -4,7 +4,9 @@ The linear system is the 5/7-point Laplacian assembled matrix-free from the
 cell flags and a per-face boundary table: Neumann faces drop out of the
 stencil (the face velocity is kept), Dirichlet faces use a ghost pressure of
 zero (free surface).  Conjugate gradients solve the SPD form; all-Neumann
-systems get their right-hand side mean-subtracted for compatibility.
+systems get their right-hand side mean-subtracted for compatibility.  One
+private loop, _pcg, is every CG of the package: this solve and the
+velocity-space CG of the guiding paths.
 
 Every grid, the system's own and each multigrid level, stores its stencil
 flat: the diagonal and, per axis a, one coefficient array over the
@@ -184,62 +186,82 @@ class PoissonSystem:
 
     def cg(self, b: np.ndarray, eps: float, max_iters: int,
            inf_tol: float | None = None):
-        """Multigrid-preconditioned CG on A x = b.
-
-        Stops when ||r||_2 <= eps * max(||b||_2, 1) and, if inf_tol is given,
-        additionally max|r_i| <= inf_tol.  Returns (x, iterations).  Raises
-        PoissonConvergenceError on a non-finite rhs, residual or d.A d, on a
-        breakdown and when max_iters is used up.
+        """Multigrid-preconditioned CG on A x = b, run by _pcg: stops when
+        ||r||_2 <= eps * max(||b||_2, 1) and, if inf_tol is given,
+        additionally max|r_i| <= inf_tol.  Returns (x, iterations); raises
+        PoissonConvergenceError as _pcg does.  apply and _precondition are
+        looked up per call, so a wrapper installed on them sees every one.
         """
-        x = np.zeros_like(b)
-        bnorm = float(np.linalg.norm(b))
-        if not math.isfinite(bnorm):
-            raise PoissonConvergenceError(0, bnorm)
-        if bnorm == 0.0:
-            return x, 0
-        target = eps * max(bnorm, 1.0)
-        r = b.copy()
-        r_flat = r.reshape(-1)
-        z = np.empty_like(b)
-        ad = np.empty_like(b)
-        tmp = np.empty_like(b)
+        return _pcg(self.apply, b, eps, 1.0, max_iters, self._precondition,
+                    inf_tol=inf_tol)
 
-        def done():
-            rn = math.sqrt(float(r_flat.dot(r_flat)))
-            if not math.isfinite(rn):
-                raise PoissonConvergenceError(it, rn)
-            if rn > target:
-                return False, rn
-            if inf_tol is not None and float(np.abs(r).max()) > inf_tol:
-                return False, rn
-            return True, rn
 
-        it = 0
+def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
+         precondition=None, inf_tol: float | None = None,
+         solver: str = "pressure"):
+    """The one CG loop: preconditioned CG on A x = b for an SPD `apply(d,
+    out)`, with the optional preconditioner `precondition(r, out)` (z is r
+    without one).  b is a C-contiguous array of any shape; x, r, z, d and
+    A d keep its shape and are updated in place.
+
+    Stops when ||r||_2 <= tol * max(||b||_2, floor) and, if inf_tol is
+    given, additionally max|r_i| <= inf_tol.  Returns (x, iterations).
+    Raises PoissonConvergenceError, labelled `solver`, on a non-finite rhs,
+    residual or d.A d, on a breakdown and when max_iters is used up; the
+    reported residual is ||r||_2 / max(||b||_2, floor).
+    """
+    x = np.zeros_like(b)
+    bnorm = float(np.linalg.norm(b))
+    if not math.isfinite(bnorm):
+        raise PoissonConvergenceError(0, bnorm, solver)
+    if bnorm == 0.0:
+        return x, 0
+    scale = max(bnorm, floor)
+    target = tol * scale
+    r = b.copy()
+    r_flat = r.reshape(-1)
+    z = np.empty_like(b) if precondition is not None else r
+    ad = np.empty_like(b)
+    tmp = np.empty_like(b)
+
+    def done():
+        rn = math.sqrt(float(r_flat.dot(r_flat)))
+        if not math.isfinite(rn):
+            raise PoissonConvergenceError(it, rn, solver)
+        if rn > target:
+            return False, rn
+        if inf_tol is not None and float(np.abs(r).max()) > inf_tol:
+            return False, rn
+        return True, rn
+
+    it = 0
+    ok, rnorm = done()
+    if ok:
+        return x, 0
+    if precondition is not None:
+        precondition(r, z)
+    d = z.copy()
+    rz = float(np.vdot(r, z))
+    for it in range(1, max_iters + 1):
+        apply(d, ad)
+        dad = float(np.vdot(d, ad))
+        if not math.isfinite(dad):
+            raise PoissonConvergenceError(it, math.nan, solver)
+        if dad <= 0.0:
+            break
+        alpha = rz / dad
+        x += np.multiply(alpha, d, out=tmp)
+        r -= np.multiply(alpha, ad, out=tmp)
         ok, rnorm = done()
         if ok:
-            return x, 0
-        self._precondition(r, z)
-        d = z.copy()
-        rz = float(np.vdot(r, z))
-        for it in range(1, max_iters + 1):
-            self.apply(d, ad)
-            dad = float(np.vdot(d, ad))
-            if not math.isfinite(dad):
-                raise PoissonConvergenceError(it, math.nan)
-            if dad <= 0.0:
-                break
-            alpha = rz / dad
-            x += np.multiply(alpha, d, out=tmp)
-            r -= np.multiply(alpha, ad, out=tmp)
-            ok, rnorm = done()
-            if ok:
-                return x, it
-            self._precondition(r, z)
-            rz_new = float(np.vdot(r, z))
-            d *= rz_new / rz
-            d += z
-            rz = rz_new
-        raise PoissonConvergenceError(it, rnorm / max(bnorm, 1.0))
+            return x, it
+        if precondition is not None:
+            precondition(r, z)
+        rz_new = float(np.vdot(r, z))
+        d *= rz_new / rz
+        d += z
+        rz = rz_new
+    raise PoissonConvergenceError(it, rnorm / scale, solver)
 
 
 def _components(active, stencil) -> list[np.ndarray]:

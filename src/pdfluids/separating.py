@@ -142,30 +142,19 @@ def classify(u: VelocityField, state: BcState, use_memory: bool = True) -> BcSta
     return state
 
 
-def prox_f_bc(v: VelocityField, state: BcState) -> VelocityField:
-    """Zero the wall-normal component on non-separating faces.
-
-    An orthogonal projection: idempotent, touches nothing else.
-    """
-    out = v.copy()
-    state.faces.zero_normal(out, state.nsep)
-    return out
-
-
 class SeparatingProx(ProxOperator):
-    """Prox operator wrapping the face projection, optionally classifying its
-    argument first (the ADMM/IOP style where no z-hook exists)."""
+    """Zero the wall-normal component on the non-separating faces of the
+    state.  An orthogonal projection: idempotent, touches nothing else."""
 
     is_orthogonal_projection = True
 
-    def __init__(self, state: BcState, classify_on_call: bool = False):
+    def __init__(self, state: BcState):
         self.state = state
-        self.classify_on_call = classify_on_call
 
     def __call__(self, sigma, v):
-        if self.classify_on_call:
-            classify(v, self.state)
-        return prox_f_bc(v, self.state)
+        out = v.copy()
+        self.state.faces.zero_normal(out, self.state.nsep)
+        return out
 
 
 def violation_norm(state: BcState):
@@ -283,9 +272,10 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     classify(u, state, use_memory=False)
     z = u.copy()
     cg = CgConfig(eps_cg, eps_cg, max_cg_iters)
+    prox = SeparatingProx(state)
     for sweep in range(1, MAX_SWEEPS + 1):
         z_old = z
-        z = prox_f_bc(z, state)
+        z = prox(0.0, z)
         projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
         z, cg_iters, _ = projector.project(z)
         before = state.nsep.copy()

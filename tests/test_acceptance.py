@@ -11,10 +11,9 @@ import pytest
 
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, divergence)
-from pdfluids.guiding import (GuidingConfig, GuidingProxExact, GuidingQuadratic,
-                              default_guiding_params, guide_step,
-                              guiding_objective, prox_f_guiding,
-                              prox_f_guiding_exact, split_scalar_field)
+from pdfluids.guiding import (GuidingConfig, GuidingProx, GuidingProxExact,
+                              GuidingQuadratic, default_guiding_params,
+                              guide_step, guiding_objective, split_scalar_field)
 from pdfluids.optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
                             admm_solve, moreau_transform, pd_solve)
 from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector, project
@@ -159,14 +158,14 @@ class TestCriterion04Smw:
         d, flags, cfg = guiding_instance(8, rng)
         sigma0 = default_guiding_params(cfg.w_bar)[0].sigma
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
-        approx = prox_f_guiding(sigma0, v, cfg)
-        exact = prox_f_guiding_exact(sigma0, v, cfg)
+        approx = GuidingProx(cfg)(sigma0, v)
+        exact = GuidingProxExact(cfg)(sigma0, v)
         rel = (approx - exact).norm() / exact.norm()
         assert rel < 0.10
         errs = []
         for sigma in (1.0, 4.0, 16.0, 64.0):
-            a = prox_f_guiding(sigma, v, cfg)
-            e = prox_f_guiding_exact(sigma, v, cfg)
+            a = GuidingProx(cfg)(sigma, v)
+            e = GuidingProxExact(cfg)(sigma, v)
             errs.append((a - e).norm() / e.norm())
         assert all(b < a for a, b in zip(errs, errs[1:]))
         report(4, f"SMW prox error {rel:.3f} < 0.10 at sigma={sigma0:.2f}; "
@@ -340,7 +339,7 @@ class TestCriterion11PropertySuites:
         quad = GuidingQuadratic(cfg)
         sigma = 4.2069
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
-        x = prox_f_guiding_exact(sigma, v, cfg, quad=quad)
+        x = GuidingProxExact(cfg)(sigma, v)
         resid = quad.apply_A(x) + quad.b() + sigma * (quad.mask(x) - quad.mask(v))
         rel = resid.norm() / max((sigma * quad.mask(v) - quad.b()).norm(), 1.0)
         assert rel <= 1e-8

@@ -169,8 +169,8 @@ class TestCli:
         import pdfluids.guiding as guiding
         real = guiding._cg_velocity
 
-        def capped(apply_op, rhs, tol, max_iters, counter=None):
-            return real(apply_op, rhs, tol, 1, counter)
+        def capped(apply_op, rhs, tol, max_iters):
+            return real(apply_op, rhs, tol, 1)
 
         monkeypatch.setattr(guiding, "_cg_velocity", capped)
         assert run(["guide", "--scene", "circular", "--nx", "12", "--ny", "12",

@@ -8,8 +8,8 @@ from pdfluids.guiding import (GuidingConfig, GuidingProxExact, GuidingQuadratic,
                               direct_least_squares, guide_step,
                               split_scalar_field)
 from pdfluids.optim import (AdmmParams, ConvergenceLog, IdentityProx, PdParams,
-                            admm_solve, iop_solve, pd_solve)
-from pdfluids.pressure import BcTable, CgConfig, project
+                            ProxOperator, admm_solve, iop_solve, pd_solve)
+from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector, project
 from pdfluids.scenes import (SceneSpec, build_scene, liquid_step, smoke_step)
 from pdfluids.separating import (BcState, SeparatingProx, classify,
                                  free_surface_walls_table,
@@ -17,6 +17,21 @@ from pdfluids.separating import (BcState, SeparatingProx, classify,
 
 from conftest import random_velocity, zero_solid_adjacent
 from test_optim import guiding_instance, make_projector
+
+
+class ClassifyingProx(ProxOperator):
+    """Classify the argument, then zero the non-separating normals: the
+    separating projection for IOP, which has no z-update hook."""
+
+    is_orthogonal_projection = True
+
+    def __init__(self, state):
+        self.state = state
+        self.project = SeparatingProx(state)
+
+    def __call__(self, sigma, v):
+        classify(v, self.state)
+        return self.project(sigma, v)
 
 
 class TestAdmmBasics:
@@ -76,10 +91,7 @@ class TestIopOnBoundaryProblem:
                                            log=log_pd)
         st = BcState.initial(flags, eps=1e-5)
         classify(vel, st, use_memory=True)
-        prox = SeparatingProx(st, classify_on_call=True)
-        projector = make_projector(flags, 1e-8)
-        projector.bc = free_surface_walls_table(flags)
-        from pdfluids.pressure import DivergenceProjector
+        prox = ClassifyingProx(st)
         projector = DivergenceProjector(flags, free_surface_walls_table(flags),
                                         CgConfig(1e-8, 1e-8))
         log_iop = ConvergenceLog()

@@ -5,12 +5,13 @@ import pytest
 
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, divergence, face_centers)
-from pdfluids.guiding import (GuidingConfig, GuidingPrecompute, GuidingProx,
+from pdfluids import guiding
+from pdfluids.guiding import (GuidingConfig, GuidingMinimizerProjection,
+                              GuidingPrecompute, GuidingProx,
                               GuidingProxExact, GuidingQuadratic,
                               blend_detail_preserving, blend_linear,
                               default_guiding_params, direct_least_squares,
-                              guide_step, guiding_objective, prox_f_guiding,
-                              prox_f_guiding_exact, split_scalar_field)
+                              guide_step, guiding_objective, split_scalar_field)
 from pdfluids.optim import ConvergenceLog, PdParams
 from pdfluids.pressure import PoissonConvergenceError
 
@@ -104,7 +105,7 @@ class TestExactProx:
         quad = GuidingQuadratic(cfg)
         sigma = 4.2069
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
-        x = prox_f_guiding_exact(sigma, v, cfg, quad=quad)
+        x = GuidingProxExact(cfg)(sigma, v)
         # A x* + b + sigma (x* - v) = 0 on the objective faces
         resid = quad.apply_A(x) + quad.b() + sigma * (quad.mask(x) - quad.mask(v))
         scale = max((sigma * quad.mask(v) - quad.b()).norm(), 1.0)
@@ -113,7 +114,7 @@ class TestExactProx:
     def test_strong_weights_pin_to_current(self, rng):
         d, flags, cfg = guiding_instance(8, rng, w=1e4)
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
-        x = prox_f_guiding_exact(1.0, v, cfg)
+        x = GuidingProxExact(cfg)(1.0, v)
         quad = GuidingQuadratic(cfg)
         rel = (quad.mask(x) - quad.mask(cfg.u_current)).norm() / \
             max(quad.mask(cfg.u_current).norm(), 1.0)
@@ -122,7 +123,7 @@ class TestExactProx:
     def test_huge_sigma_contracts_to_identity(self, rng):
         d, flags, cfg = guiding_instance(8, rng)
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
-        x = prox_f_guiding_exact(1e8, v, cfg)
+        x = GuidingProxExact(cfg)(1e8, v)
         assert (x - v).norm() / max(v.norm(), 1.0) < 1e-4
 
     def test_scalar_closed_form_with_identity_blur(self, rng):
@@ -133,7 +134,7 @@ class TestExactProx:
         d, flags, cfg = guiding_instance(8, rng, w=w, r=0.0)
         quad = GuidingQuadratic(cfg)
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
-        x = prox_f_guiding_exact(sigma, v, cfg, quad=quad)
+        x = GuidingProxExact(cfg)(sigma, v)
         denom = 2.0 + 2.0 * w * w + sigma
         for a, arr in x.components():
             m = quad.valid[a]
@@ -145,7 +146,7 @@ class TestExactProx:
         d, flags, cfg = guiding_instance(8, rng)
         quad = GuidingQuadratic(cfg)
         v = random_velocity(d, rng)
-        x = prox_f_guiding_exact(1.0, v, cfg, quad=quad)
+        x = GuidingProxExact(cfg)(1.0, v)
         for a, arr in x.components():
             inv = ~quad.valid[a]
             assert np.array_equal(arr[inv], v.component(a)[inv])
@@ -157,7 +158,7 @@ class TestSmwProx:
         cfg = cfg.with_current(cfg.u_target.copy())
         quad = GuidingQuadratic(cfg)
         v = cfg.u_current.copy()
-        out = prox_f_guiding(3.0, v, cfg, quad=quad)
+        out = GuidingProx(cfg)(3.0, v)
         assert (quad.mask(out) - quad.mask(cfg.u_current)).norm() <= \
             1e-10 * max(cfg.u_current.norm(), 1.0)
 
@@ -165,8 +166,8 @@ class TestSmwProx:
         d, flags, cfg = guiding_instance(8, rng)
         sigma = default_guiding_params(cfg.w_bar)[0].sigma
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
-        approx = prox_f_guiding(sigma, v, cfg)
-        exact = prox_f_guiding_exact(sigma, v, cfg)
+        approx = GuidingProx(cfg)(sigma, v)
+        exact = GuidingProxExact(cfg)(sigma, v)
         rel = (approx - exact).norm() / exact.norm()
         assert rel < 0.10
 
@@ -175,8 +176,8 @@ class TestSmwProx:
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
         errs = []
         for sigma in (1.0, 4.0, 16.0, 64.0):
-            approx = prox_f_guiding(sigma, v, cfg)
-            exact = prox_f_guiding_exact(sigma, v, cfg)
+            approx = GuidingProx(cfg)(sigma, v)
+            exact = GuidingProxExact(cfg)(sigma, v)
             errs.append((approx - exact).norm() / exact.norm())
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:])), errs
 
@@ -369,6 +370,90 @@ class TestGuidingCgFailure:
         with pytest.raises(PoissonConvergenceError, match="met a non-finite value") as exc:
             _cg_velocity(poisoned, rhs, 1e-10, 50)
         assert exc.value.iterations == 1
+
+
+# -- the velocity-space CG loop before the shared core, kept as a reference -----
+
+def reference_cg_velocity(apply_op, rhs, tol, max_iters):
+    """guiding._cg_velocity as it ran on VelocityField arithmetic, with
+    per-component dot sums; returns (x, iterations)."""
+    x = VelocityField.zeros(rhs.dims)
+    r = rhs.copy()
+    bnorm = rhs.norm()
+    if not math.isfinite(bnorm):
+        raise PoissonConvergenceError(0, bnorm, "guiding")
+    if bnorm == 0.0:
+        return x, 0
+    d = r.copy()
+    rr = r.dot(r)
+    it = 0
+    for it in range(1, max_iters + 1):
+        ad = apply_op(d)
+        dad = d.dot(ad)
+        if not math.isfinite(dad):
+            raise PoissonConvergenceError(it, math.nan, "guiding")
+        if dad <= 0:
+            break
+        alpha = rr / dad
+        x = x + alpha * d
+        r = r - alpha * ad
+        rr_new = r.dot(r)
+        if not math.isfinite(rr_new):
+            raise PoissonConvergenceError(it, rr_new, "guiding")
+        if math.sqrt(rr_new) <= tol * bnorm:
+            return x, it
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+    raise PoissonConvergenceError(it, math.sqrt(rr) / bnorm, "guiding")
+
+
+class TestSharedCgCore:
+    """The velocity-space CG on the shared flat loop against the loop it
+    replaced, on every solve of the exact prox, the direct baseline and the
+    IOP minimizer.  One flat dot product reorders the per-component sums,
+    so the iterations may differ by one and x agrees to 1e-10 relative."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        seen = []
+        core = guiding._cg_velocity
+
+        def both(apply_op, rhs, tol, max_iters):
+            calls = []
+            x, iters = core(lambda f: calls.append(1) or apply_op(f), rhs, tol, max_iters)
+            assert iters == len(calls)   # one operator application per iteration
+            seen.append((x, iters, *reference_cg_velocity(apply_op, rhs, tol, max_iters)))
+            return x, iters
+
+        monkeypatch.setattr(guiding, "_cg_velocity", both)
+        return seen
+
+    @staticmethod
+    def check(solves):
+        assert solves
+        for x, iters, x_ref, iters_ref in solves:
+            assert iters > 0 and abs(iters - iters_ref) <= 1
+            assert (x - x_ref).norm() <= 1e-10 * x_ref.norm()
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("sigma", [1.0, 150.0])
+    def test_exact_prox(self, rng, solves, n, sigma):
+        d, flags, cfg = guiding_instance(n, rng)
+        v = zero_solid_adjacent(random_velocity(d, rng), flags)
+        GuidingProxExact(cfg)(sigma, v)
+        self.check(solves)
+
+    def test_direct_least_squares(self, rng, solves):
+        d, flags, cfg = guiding_instance(8, rng)
+        log = ConvergenceLog()
+        direct_least_squares(cfg, log=log)
+        self.check(solves)
+        assert log.cg_iters == [solves[0][1]]
+
+    def test_iop_minimizer(self, rng, solves):
+        d, flags, cfg = guiding_instance(8, rng)
+        GuidingMinimizerProjection(cfg)
+        self.check(solves)
 
 
 class TestGuideStep:

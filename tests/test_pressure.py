@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -746,6 +747,90 @@ class TestFlatStencilBitwise:
         x_ref, iters_ref = reference_system(flags, bc).cg(b, 1e-5, 10000, inf_tol=inf_tol)
         assert iters == iters_ref > 0
         assert x.tobytes() == x_ref.tobytes()
+
+
+# -- PoissonSystem.cg before it ran on the shared core, kept as a reference -----
+
+def frozen_cg(system, b, eps, max_iters, inf_tol=None):
+    """The pressure CG loop as PoissonSystem.cg ran it on its own; returns
+    (x, iterations) or raises PoissonConvergenceError."""
+    x = np.zeros_like(b)
+    bnorm = float(np.linalg.norm(b))
+    if not math.isfinite(bnorm):
+        raise PoissonConvergenceError(0, bnorm)
+    if bnorm == 0.0:
+        return x, 0
+    target = eps * max(bnorm, 1.0)
+    r = b.copy()
+    r_flat = r.reshape(-1)
+    z = np.empty_like(b)
+    ad = np.empty_like(b)
+    tmp = np.empty_like(b)
+
+    def done():
+        rn = math.sqrt(float(r_flat.dot(r_flat)))
+        if not math.isfinite(rn):
+            raise PoissonConvergenceError(it, rn)
+        if rn > target:
+            return False, rn
+        if inf_tol is not None and float(np.abs(r).max()) > inf_tol:
+            return False, rn
+        return True, rn
+
+    it = 0
+    ok, rnorm = done()
+    if ok:
+        return x, 0
+    system._precondition(r, z)
+    d = z.copy()
+    rz = float(np.vdot(r, z))
+    for it in range(1, max_iters + 1):
+        system.apply(d, ad)
+        dad = float(np.vdot(d, ad))
+        if not math.isfinite(dad):
+            raise PoissonConvergenceError(it, math.nan)
+        if dad <= 0.0:
+            break
+        alpha = rz / dad
+        x += np.multiply(alpha, d, out=tmp)
+        r -= np.multiply(alpha, ad, out=tmp)
+        ok, rnorm = done()
+        if ok:
+            return x, it
+        system._precondition(r, z)
+        rz_new = float(np.vdot(r, z))
+        d *= rz_new / rz
+        d += z
+        rz = rz_new
+    raise PoissonConvergenceError(it, rnorm / max(bnorm, 1.0))
+
+
+class TestSharedCgCore:
+    """PoissonSystem.cg on pressure._pcg against the loop it replaced, bit
+    for bit: x, iterations and, on the cap raise, the residual."""
+
+    @pytest.mark.parametrize("name", list(PRECONDITIONER_CASES))
+    @pytest.mark.parametrize("inf_tol", [None, 1e-4])
+    def test_cg(self, rng, name, inf_tol):
+        flags, bc = PRECONDITIONER_CASES[name](rng)
+        system = PoissonSystem(flags, bc)
+        b = system.prepare_rhs(rng.standard_normal(flags.dims.shape))
+        x, iters = system.cg(b, 1e-5, 10000, inf_tol=inf_tol)
+        x_ref, iters_ref = frozen_cg(system, b, 1e-5, 10000, inf_tol)
+        assert iters == iters_ref > 0
+        assert x.tobytes() == x_ref.tobytes()
+
+    @pytest.mark.parametrize("name", list(PRECONDITIONER_CASES))
+    def test_cap_raise(self, rng, name):
+        flags, bc = PRECONDITIONER_CASES[name](rng)
+        system = PoissonSystem(flags, bc)
+        b = system.prepare_rhs(rng.standard_normal(flags.dims.shape))
+        with pytest.raises(PoissonConvergenceError) as got:
+            system.cg(b, 1e-12, 3)
+        with pytest.raises(PoissonConvergenceError) as want:
+            frozen_cg(system, b, 1e-12, 3)
+        assert got.value.iterations == want.value.iterations == 3
+        assert got.value.residual == want.value.residual
 
 
 class TestSystemCache:

@@ -6,7 +6,7 @@ from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
 from pdfluids.optim import ConvergenceLog
 from pdfluids.pressure import BcTable, CgConfig, FaceTag, project
 from pdfluids.separating import (BcState, BoundaryFaces, SeparatingProx,
-                                 classified_walls_table, classify, prox_f_bc,
+                                 classified_walls_table, classify,
                                  solve_separating_accelerated,
                                  solve_separating_standard)
 
@@ -144,7 +144,7 @@ class TestProxBc:
         state.nsep[0] = True
         f = state.faces[0]
         vel = random_velocity(d, rng)
-        out = prox_f_bc(vel, state)
+        out = SeparatingProx(state)(0.0, vel)
         assert out.component(f.axis)[f.index] == 0.0
         # everything else bit-identical
         changed = 0
@@ -156,15 +156,15 @@ class TestProxBc:
         d, flags = tank(8)
         state = BcState.initial(flags)
         vel = random_velocity(d, rng)
-        assert (prox_f_bc(vel, state) - vel).norm() == 0.0
+        assert (SeparatingProx(state)(0.0, vel) - vel).norm() == 0.0
 
     def test_idempotent_bitwise(self, rng):
         d, flags = tank(8)
         state = BcState.initial(flags)
         state.nsep[:] = True
         vel = random_velocity(d, rng)
-        once = prox_f_bc(vel, state)
-        twice = prox_f_bc(once, state)
+        once = SeparatingProx(state)(0.0, vel)
+        twice = SeparatingProx(state)(0.0, once)
         for a, arr in twice.components():
             assert np.array_equal(arr, once.component(a))
 
@@ -173,7 +173,7 @@ class TestProxBc:
         state = BcState.initial(flags)
         state.nsep[:] = rng.random(len(state.faces)) > 0.4
         vel = random_velocity(d, rng)
-        out = prox_f_bc(vel, state)
+        out = SeparatingProx(state)(0.0, vel)
         assert out.dot(vel - out) == 0.0
         assert SeparatingProx(state).is_orthogonal_projection
 
@@ -297,13 +297,12 @@ class TestAcceleratedSolver:
         state = BcState.initial(flags)
 
         # reproduce the sweep loop with instrumentation
-        from pdfluids.separating import classified_walls_table, prox_f_bc
         from pdfluids.pressure import PoissonSystem, subtract_gradient
         from pdfluids.fields import divergence, ScalarField
         classify(vel, state, use_memory=False)
         z = vel.copy()
         for _ in range(6):
-            z = prox_f_bc(z, state)
+            z = SeparatingProx(state)(0.0, z)
             bc = classified_walls_table(flags, state)
             system = PoissonSystem(flags, bc)
             b = system.prepare_rhs(-divergence(z, flags).values)
