@@ -304,33 +304,53 @@ def divergence(vel: VelocityField, flags: CellFlags) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# interpolation and sampling
+# the point-to-grid stencil and the transfers built on it
+
+def _face_offsets(axis: int) -> tuple[float, ...]:
+    """Sample offsets (in cells) of one face array: 0 along its axis, 0.5
+    across it."""
+    return tuple(0.0 if a == axis else 0.5 for a in range(3))
+
+
+def _coords(shape, offsets, h: float, points):
+    """Multilinear stencil of physical points on an array whose sample
+    (i, j, k) sits at ((i, j, k) + offsets) * h.  Per axis: the lower index,
+    the upper index and the fraction, with the sample coordinate clamped to
+    [0, n-1].  Zero offsets give the cell holding each point as the lower
+    index."""
+    out = []
+    for n, off, p in zip(shape, offsets, points):
+        g = np.clip(np.asarray(p, dtype=np.float64) / h - off, 0.0, n - 1.0)
+        i0 = np.floor(g).astype(np.intp)
+        out.append((i0, np.minimum(i0 + 1, n - 1), g - i0))
+    return out
+
+
+def _corners(coords, is_2d: bool):
+    """(index tuple, weight) of each stencil corner, x outermost: 4 corners
+    at z index 0 in 2D, 8 in 3D."""
+    (x0, x1, fx), (y0, y1, fy), (z0, z1, fz) = coords
+    xs = ((x0, 1 - fx), (x1, fx))
+    ys = ((y0, 1 - fy), (y1, fy))
+    if is_2d:
+        return [((ix, iy, z0), wx * wy) for ix, wx in xs for iy, wy in ys]
+    zs = ((z0, 1 - fz), (z1, fz))
+    return [((ix, iy, iz), wx * wy * wz)
+            for ix, wx in xs for iy, wy in ys for iz, wz in zs]
+
 
 def _interp_component(arr: np.ndarray, axis: int, dims: GridDims, px, py, pz):
     """Clamped multilinear interpolation of one face array at physical points."""
-    h = dims.h
-    gs = []
-    for a, p in enumerate((px, py, pz)):
-        off = 0.0 if a == axis else 0.5
-        g = np.asarray(p, dtype=np.float64) / h - off
-        g = np.clip(g, 0.0, arr.shape[a] - 1.0)
-        gs.append(g)
-    i0 = [np.floor(g).astype(np.intp) for g in gs]
-    fr = [g - i for g, i in zip(gs, i0)]
-    i1 = [np.minimum(i + 1, arr.shape[a] - 1) for a, i in enumerate(i0)]
+    coords = _coords(arr.shape, _face_offsets(axis), dims.h, (px, py, pz))
+    corners = _corners(coords, dims.is_2d)
     if dims.is_2d:
-        k = np.zeros_like(i0[0])
-        c00 = arr[i0[0], i0[1], k]
-        c10 = arr[i1[0], i0[1], k]
-        c01 = arr[i0[0], i1[1], k]
-        c11 = arr[i1[0], i1[1], k]
-        return ((c00 * (1 - fr[0]) + c10 * fr[0]) * (1 - fr[1])
-                + (c01 * (1 - fr[0]) + c11 * fr[0]) * fr[1])
+        c00, c01, c10, c11 = (arr[idx] for idx, _ in corners)
+        fx, fy = coords[0][2], coords[1][2]
+        return ((c00 * (1 - fx) + c10 * fx) * (1 - fy)
+                + (c01 * (1 - fx) + c11 * fx) * fy)
     out = 0.0
-    for dx, wx in ((i0[0], 1 - fr[0]), (i1[0], fr[0])):
-        for dy, wy in ((i0[1], 1 - fr[1]), (i1[1], fr[1])):
-            for dz, wz in ((i0[2], 1 - fr[2]), (i1[2], fr[2])):
-                out = out + arr[dx, dy, dz] * (wx * wy * wz)
+    for idx, w in corners:
+        out = out + arr[idx] * w
     return out
 
 
@@ -344,26 +364,21 @@ def sample_velocity(vel: VelocityField, point) -> np.ndarray:
     return out
 
 
-def _sample_component_at(vel: VelocityField, axis: int, px, py, pz):
-    return _interp_component(vel.component(axis), axis, vel.dims, px, py, pz)
-
-
 def _backtrace_rk2(vel: VelocityField, px, py, pz, dt: float):
     """Midpoint backtrace through vel; end points clamped into the domain box."""
     d = vel.dims
     lim = (d.nx * d.h, d.ny * d.h, d.nz * d.h)
 
-    def clamp(x, y, z):
-        return (np.clip(x, 0.0, lim[0]), np.clip(y, 0.0, lim[1]), np.clip(z, 0.0, lim[2]))
+    def step(scale, sx, sy, sz):
+        """(px, py, pz) - scale * vel(sx, sy, sz), clamped into the box; the
+        inactive z axis moves by 0.0."""
+        k = [0.0, 0.0, 0.0]
+        for a in d.axes:
+            k[a] = _interp_component(vel.component(a), a, d, sx, sy, sz)
+        return tuple(np.clip(p - scale * v, 0.0, top)
+                     for p, v, top in zip((px, py, pz), k, lim))
 
-    k1 = [_sample_component_at(vel, a, px, py, pz) for a in range(3)] \
-        if not d.is_2d else [_sample_component_at(vel, 0, px, py, pz),
-                             _sample_component_at(vel, 1, px, py, pz), 0.0]
-    mx, my, mz = clamp(px - 0.5 * dt * k1[0], py - 0.5 * dt * k1[1], pz - 0.5 * dt * k1[2])
-    k2 = [_sample_component_at(vel, a, mx, my, mz) for a in range(3)] \
-        if not d.is_2d else [_sample_component_at(vel, 0, mx, my, mz),
-                             _sample_component_at(vel, 1, mx, my, mz), 0.0]
-    return clamp(px - dt * k2[0], py - dt * k2[1], pz - dt * k2[2])
+    return step(dt, *step(0.5 * dt, px, py, pz))
 
 
 def _gather_scalar_masked(scalar: ScalarField, flags: CellFlags, px, py, pz):
@@ -371,27 +386,15 @@ def _gather_scalar_masked(scalar: ScalarField, flags: CellFlags, px, py, pz):
     remaining weights renormalized.  Weight sum 0 reports NaN (caller keeps
     the original value there)."""
     d = scalar.dims
-    h = d.h
     vals = scalar.values
     notsolid = (flags.values != CellType.SOLID).astype(np.float64)
-    gs = []
-    for a, p in enumerate((px, py, pz)):
-        g = np.asarray(p, dtype=np.float64) / h - 0.5
-        g = np.clip(g, 0.0, d.shape[a] - 1.0)
-        gs.append(g)
-    i0 = [np.floor(g).astype(np.intp) for g in gs]
-    fr = [g - i for g, i in zip(gs, i0)]
-    i1 = [np.minimum(i + 1, d.shape[a] - 1) for a, i in enumerate(i0)]
     num = 0.0
     den = 0.0
-    zaxis = ((i0[2], 1 - fr[2]), (i1[2], fr[2])) if not d.is_2d else \
-        ((np.zeros_like(i0[0]), 1.0),)
-    for dx, wx in ((i0[0], 1 - fr[0]), (i1[0], fr[0])):
-        for dy, wy in ((i0[1], 1 - fr[1]), (i1[1], fr[1])):
-            for dz, wz in zaxis:
-                w = wx * wy * wz * notsolid[dx, dy, dz]
-                num = num + vals[dx, dy, dz] * w
-                den = den + w
+    coords = _coords(d.shape, (0.5, 0.5, 0.5), d.h, (px, py, pz))
+    for idx, w in _corners(coords, d.is_2d):
+        w = w * notsolid[idx]
+        num = num + vals[idx] * w
+        den = den + w
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
 

@@ -206,10 +206,10 @@ class GuidingProx(ProxOperator):
     sigma changes.  Faces outside the objective pass v through.
     """
 
-    def __init__(self, cfg: GuidingConfig, sigma: float | None = None):
+    def __init__(self, cfg: GuidingConfig):
         self.cfg = cfg
         self.quad = GuidingQuadratic(cfg)
-        self._pre = GuidingPrecompute.build(self.quad, sigma) if sigma else None
+        self._pre = None
 
     def __call__(self, sigma, v):
         if self._pre is None or not math.isclose(self._pre.sigma, sigma):
@@ -356,11 +356,11 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     pd_default, admm_default = default_guiding_params(cfg.w_bar)
     if method == "pd":
         params = pd_params if pd_params is not None else pd_default
-        prox = GuidingProxExact(cfg) if exact_prox else GuidingProx(cfg, params.sigma)
+        prox = GuidingProxExact(cfg) if exact_prox else GuidingProx(cfg)
         return pd_solve(prox, projector, params, u_current, log)
     if method == "admm":
         params = admm_params if admm_params is not None else admm_default
-        prox = GuidingProxExact(cfg) if exact_prox else GuidingProx(cfg, params.rho)
+        prox = GuidingProxExact(cfg) if exact_prox else GuidingProx(cfg)
         return admm_solve(prox, projector, params, u_current, log)
     if method == "iop":
         proj_f = GuidingMinimizerProjection(cfg)

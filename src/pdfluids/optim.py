@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 from .fields import VelocityField
 from .pressure import DivergenceProjector
 
+# acceleration constant of the adaptive primal-dual step-size schedule
+GAMMA_ACCEL = 200.0
+
 
 class ProxOperator:
     """Callable prox contract: (sigma, v) -> argmin_x f(x) + sigma/2 ||x-v||^2."""
@@ -46,7 +49,6 @@ class PdParams:
     eps_abs: float = 1e-3
     eps_rel: float = 1e-3
     adaptive: bool = False
-    gamma_accel: float = 200.0
     krylov: bool = False
 
     def __post_init__(self):
@@ -209,7 +211,7 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
             z, eps_km1 = krylov_accelerate(z_proj, z_km1, krylov_error, eps_km1)
             z_km1 = z
         if params.adaptive:
-            tau, sigma, theta = adaptive_pd_update(tau, sigma, params.gamma_accel)
+            tau, sigma, theta = adaptive_pd_update(tau, sigma, GAMMA_ACCEL)
         y = z + theta * (z - z_old)
         if _loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
                       params.eps_rel, log, iterate_callback):

@@ -67,8 +67,8 @@ class BcTable:
     """Per-face boundary tags derived from the cell flags.
 
     Faces between two FLUID cells are INTERIOR.  Fluid-solid faces default
-    to NEUMANN, fluid-empty faces to DIRICHLET (free surface), and domain
-    wall faces of fluid cells to NEUMANN; all defaults can be overridden.
+    to NEUMANN (overridable), fluid-empty faces are DIRICHLET (free
+    surface), and every other face, domain walls included, is NEUMANN.
     """
 
     def __init__(self, dims: GridDims, tags: tuple[np.ndarray, np.ndarray, np.ndarray]):
@@ -76,8 +76,8 @@ class BcTable:
         self.tags = tags
 
     @classmethod
-    def from_flags(cls, flags: CellFlags, solid_faces: FaceTag = FaceTag.NEUMANN,
-                   wall_faces: FaceTag = FaceTag.NEUMANN) -> "BcTable":
+    def from_flags(cls, flags: CellFlags,
+                   solid_faces: FaceTag = FaceTag.NEUMANN) -> "BcTable":
         d = flags.dims
         v = flags.values
         tags = []
@@ -94,10 +94,6 @@ class BcTable:
             it[both_fluid] = FaceTag.INTERIOR
             it[fl_solid] = solid_faces
             it[fl_empty] = FaceTag.DIRICHLET
-            for side in (0, -1):
-                t[_along(axis, side)] = np.where(
-                    v[_along(axis, side)] == CellType.FLUID,
-                    np.uint8(wall_faces), np.uint8(FaceTag.NEUMANN))
             tags.append(t)
         return cls(d, tuple(tags))
 

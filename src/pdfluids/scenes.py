@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _along, _interp_component, advect_semi_lagrangian,
+                     _along, _coords, _corners, _face_offsets,
+                     _interp_component, advect_semi_lagrangian,
                      cell_to_face_average, face_valid_mask,
                      fluid_adjacent_face_mask)
 from .guiding import GuidingConfig, guide_step, split_scalar_field
@@ -346,49 +347,37 @@ FLIP_BLEND = 0.95
 EXTRAPOLATION_LAYERS = 2   # cells of velocity spread into the empty region
 
 
+def _particle_cells(dims: GridDims, pos: np.ndarray) -> tuple:
+    """Index tuple of the cell holding each particle, clamped to the grid."""
+    return tuple(i0 for i0, _, _ in _coords(dims.shape, (0.0, 0.0, 0.0), dims.h, pos.T))
+
+
 def flags_from_particles(state: SceneState) -> CellFlags:
     d = state.spec.dims
     vals = np.full(d.shape, CellType.EMPTY, dtype=np.uint8)
     vals[state.solid_mask] = CellType.SOLID
-    idx = np.floor(state.particles_pos / d.h).astype(np.intp)
-    for a in range(3):
-        np.clip(idx[:, a], 0, d.shape[a] - 1, out=idx[:, a])
     occupied = np.zeros(d.shape, dtype=bool)
-    occupied[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    occupied[_particle_cells(d, state.particles_pos)] = True
     vals[occupied & ~state.solid_mask] = CellType.FLUID
     return CellFlags(d, vals)
 
 
-def _component_grid_coords(pos: np.ndarray, axis: int, dims: GridDims):
-    g = []
-    for a in range(3):
-        off = 0.0 if a == axis else 0.5
-        g.append(pos[:, a] / dims.h - off)
-    return g
-
-
 def particles_to_grid(state: SceneState) -> VelocityField:
-    """Bilinear scatter of particle velocities onto the staggered grid."""
+    """Multilinear scatter of particle velocities onto the staggered grid:
+    each face takes the weighted mean of the particles in its stencil."""
     d = state.spec.dims
+    pos = state.particles_pos.T
     vel = VelocityField.zeros(d)
     for axis, arr in vel.components():
-        gx, gy, gz = _component_grid_coords(state.particles_pos, axis, d)
-        acc = np.zeros(arr.shape)
-        wsum = np.zeros(arr.shape)
-        gs = [np.clip(g, 0.0, arr.shape[a] - 1.0)
-              for a, g in enumerate((gx, gy, gz))]
-        i0 = [np.floor(g).astype(np.intp) for g in gs]
-        fr = [g - i for g, i in zip(gs, i0)]
-        i1 = [np.minimum(i + 1, arr.shape[a] - 1) for a, i in enumerate(i0)]
+        corners = _corners(_coords(arr.shape, _face_offsets(axis), d.h, pos), d.is_2d)
         pv = state.particles_vel[:, axis]
-        taps_z = ((i0[2], 1 - fr[2]), (i1[2], fr[2])) if not d.is_2d else \
-            ((np.zeros_like(i0[0]), 1.0),)
-        for ax_, wx in ((i0[0], 1 - fr[0]), (i1[0], fr[0])):
-            for ay_, wy in ((i0[1], 1 - fr[1]), (i1[1], fr[1])):
-                for az_, wz in taps_z:
-                    w = wx * wy * wz
-                    np.add.at(acc, (ax_, ay_, az_), w * pv)
-                    np.add.at(wsum, (ax_, ay_, az_), w)
+        # terms concatenated corner by corner: bincount adds the terms of
+        # each face in that order, the order of one scatter per corner
+        flat = np.concatenate([np.ravel_multi_index(idx, arr.shape) for idx, _ in corners])
+        acc = np.bincount(flat, np.concatenate([w * pv for _, w in corners]),
+                          arr.size).reshape(arr.shape)
+        wsum = np.bincount(flat, np.concatenate([w for _, w in corners]),
+                           arr.size).reshape(arr.shape)
         nz = wsum > 0
         arr[nz] = acc[nz] / wsum[nz]
     return vel
@@ -444,10 +433,7 @@ def _clamp_particles(state: SceneState, pos: np.ndarray,
             vel[hit_lo, a] = np.maximum(vel[hit_lo, a], 0.0)
             vel[hit_hi, a] = np.minimum(vel[hit_hi, a], 0.0)
         np.clip(pos[:, a], lo[a], hi[a], out=pos[:, a])
-    idx = np.floor(pos / h).astype(np.intp)
-    for a in range(3):
-        np.clip(idx[:, a], 0, d.shape[a] - 1, out=idx[:, a])
-    stuck = state.solid_mask[idx[:, 0], idx[:, 1], idx[:, 2]]
+    stuck = state.solid_mask[_particle_cells(d, pos)]
     if stuck.any():
         pos[stuck] = state.particles_pos[stuck]
     return pos
@@ -503,8 +489,7 @@ def liquid_finish_step(state: SceneState, vel_new: VelocityField,
     flip = state.particles_vel + delta
     state.particles_vel = FLIP_BLEND * flip + (1.0 - FLIP_BLEND) * pic
     dt = _cfl_dt(vel_ext, state.dt, d.h)
-    mid = state.particles_pos + 0.5 * dt * sample_at_particles(vel_ext, state.particles_pos)
-    mid = _clamp_particles(state, mid.copy())
+    mid = _clamp_particles(state, state.particles_pos + 0.5 * dt * pic)
     pos = state.particles_pos + dt * sample_at_particles(vel_ext, mid)
     state.particles_pos = _clamp_particles(state, pos, state.particles_vel)
     state.vel = vel_new

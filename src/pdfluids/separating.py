@@ -212,7 +212,7 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
     elif not lock_set:
         state.reset(flags, cg.eps_final)
     params = params if params is not None else PdParams(
-        tau=150.0, sigma=1.0 / 150.0, theta=1.0, adaptive=True, gamma_accel=200.0,
+        tau=150.0, sigma=1.0 / 150.0, theta=1.0, adaptive=True,
         krylov=True, max_iters=200, eps_abs=1e-3, eps_rel=1e-3)
     projector = DivergenceProjector(flags, free_surface_walls_table(flags), cg)
     state.eps = projector.eps

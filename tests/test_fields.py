@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
-                             VelocityField, advect_semi_lagrangian, divergence,
-                             face_centers, sample_velocity, upsample)
+                             VelocityField, _gather_scalar_masked,
+                             _interp_component, advect_semi_lagrangian,
+                             cell_centers, divergence, face_centers,
+                             face_valid_mask, sample_velocity, upsample)
 from pdfluids.pressure import BcTable, FaceTag, subtract_gradient
 
 from conftest import dense_divergence_matrix, random_velocity
@@ -263,3 +265,177 @@ class TestUpsample:
     def test_factor_zero_rejected(self):
         with pytest.raises(ValueError):
             upsample(VelocityField.zeros(open_dims()), 0)
+
+
+# ---------------------------------------------------------------------------
+# the one stencil against the per-transfer copies it replaced
+
+def _ref_interp_component(arr, axis, dims, px, py, pz):
+    """Multilinear face interpolation as written before the shared stencil."""
+    h = dims.h
+    gs = []
+    for a, p in enumerate((px, py, pz)):
+        off = 0.0 if a == axis else 0.5
+        g = np.asarray(p, dtype=np.float64) / h - off
+        g = np.clip(g, 0.0, arr.shape[a] - 1.0)
+        gs.append(g)
+    i0 = [np.floor(g).astype(np.intp) for g in gs]
+    fr = [g - i for g, i in zip(gs, i0)]
+    i1 = [np.minimum(i + 1, arr.shape[a] - 1) for a, i in enumerate(i0)]
+    if dims.is_2d:
+        k = np.zeros_like(i0[0])
+        c00 = arr[i0[0], i0[1], k]
+        c10 = arr[i1[0], i0[1], k]
+        c01 = arr[i0[0], i1[1], k]
+        c11 = arr[i1[0], i1[1], k]
+        return ((c00 * (1 - fr[0]) + c10 * fr[0]) * (1 - fr[1])
+                + (c01 * (1 - fr[0]) + c11 * fr[0]) * fr[1])
+    out = 0.0
+    for dx, wx in ((i0[0], 1 - fr[0]), (i1[0], fr[0])):
+        for dy, wy in ((i0[1], 1 - fr[1]), (i1[1], fr[1])):
+            for dz, wz in ((i0[2], 1 - fr[2]), (i1[2], fr[2])):
+                out = out + arr[dx, dy, dz] * (wx * wy * wz)
+    return out
+
+
+def _ref_gather_scalar_masked(scalar, flags, px, py, pz):
+    """SOLID-masked cell gather as written before the shared stencil."""
+    d = scalar.dims
+    h = d.h
+    vals = scalar.values
+    notsolid = (flags.values != CellType.SOLID).astype(np.float64)
+    gs = []
+    for a, p in enumerate((px, py, pz)):
+        g = np.asarray(p, dtype=np.float64) / h - 0.5
+        g = np.clip(g, 0.0, d.shape[a] - 1.0)
+        gs.append(g)
+    i0 = [np.floor(g).astype(np.intp) for g in gs]
+    fr = [g - i for g, i in zip(gs, i0)]
+    i1 = [np.minimum(i + 1, d.shape[a] - 1) for a, i in enumerate(i0)]
+    num = 0.0
+    den = 0.0
+    zaxis = ((i0[2], 1 - fr[2]), (i1[2], fr[2])) if not d.is_2d else \
+        ((np.zeros_like(i0[0]), 1.0),)
+    for dx, wx in ((i0[0], 1 - fr[0]), (i1[0], fr[0])):
+        for dy, wy in ((i0[1], 1 - fr[1]), (i1[1], fr[1])):
+            for dz, wz in zaxis:
+                w = wx * wy * wz * notsolid[dx, dy, dz]
+                num = num + vals[dx, dy, dz] * w
+                den = den + w
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
+
+
+def _ref_backtrace_rk2(vel, px, py, pz, dt):
+    d = vel.dims
+    lim = (d.nx * d.h, d.ny * d.h, d.nz * d.h)
+
+    def clamp(x, y, z):
+        return (np.clip(x, 0.0, lim[0]), np.clip(y, 0.0, lim[1]), np.clip(z, 0.0, lim[2]))
+
+    def sample(a, x, y, z):
+        return _ref_interp_component(vel.component(a), a, d, x, y, z)
+
+    k1 = [sample(a, px, py, pz) for a in range(3)] if not d.is_2d else \
+        [sample(0, px, py, pz), sample(1, px, py, pz), 0.0]
+    mx, my, mz = clamp(px - 0.5 * dt * k1[0], py - 0.5 * dt * k1[1], pz - 0.5 * dt * k1[2])
+    k2 = [sample(a, mx, my, mz) for a in range(3)] if not d.is_2d else \
+        [sample(0, mx, my, mz), sample(1, mx, my, mz), 0.0]
+    return clamp(px - dt * k2[0], py - dt * k2[1], pz - dt * k2[2])
+
+
+def _ref_advect(field, vel, dt, flags):
+    if isinstance(field, ScalarField):
+        X, Y, Z = cell_centers(field.dims)
+        bx, by, bz = _ref_backtrace_rk2(vel, X, Y, Z, dt)
+        gathered = _ref_gather_scalar_masked(field, flags, bx, by, bz)
+        out = field.values.copy()
+        ok = (flags.values != CellType.SOLID) & np.isfinite(gathered)
+        out[ok] = gathered[ok]
+        return ScalarField(field.dims, out)
+    res = field.copy()
+    for axis, arr in field.components():
+        X, Y, Z = face_centers(field.dims, axis)
+        bx, by, bz = _ref_backtrace_rk2(vel, X, Y, Z, dt)
+        sampled = _ref_interp_component(arr, axis, field.dims, bx, by, bz)
+        valid = face_valid_mask(flags, axis)
+        res.component(axis)[valid] = sampled[valid]
+    return res
+
+
+STENCIL_DIMS = {"2d": GridDims(13, 9, 1, 0.1), "3d": GridDims(13, 9, 7, 0.1)}
+
+
+def _stencil_points(d, rng, n=300):
+    """Seeded points (N, 3): inside the domain, outside it, exactly on its
+    walls, on interior face planes and at cell centres."""
+    ext = np.array(d.shape) * d.h
+    inside = rng.uniform(0.0, 1.0, (n, 3)) * ext
+    outside = rng.uniform(-0.5, 1.5, (n, 3)) * ext
+    walls = rng.uniform(0.0, 1.0, (n, 3)) * ext
+    for row, axis in enumerate(rng.integers(0, 3, n)):
+        walls[row, axis] = ext[axis] * rng.integers(0, 2)
+    planes = rng.uniform(0.0, 1.0, (n, 3)) * ext
+    for row, axis in enumerate(rng.integers(0, 3, n)):
+        planes[row, axis] = rng.integers(0, d.shape[axis] + 1) * d.h
+    centres = (rng.integers(0, d.shape, (n, 3)) + 0.5) * d.h
+    return np.concatenate([inside, outside, walls, planes, centres])
+
+
+def _obstacle_flags(d):
+    flags = CellFlags.closed_box(d)
+    flags.values[5:8, 3:6, :] = CellType.SOLID
+    return flags
+
+
+class TestStencilBitwise:
+    @pytest.mark.parametrize("case", STENCIL_DIMS)
+    def test_interp_matches_reference(self, case, rng):
+        d = STENCIL_DIMS[case]
+        vel = random_velocity(d, rng)
+        px, py, pz = _stencil_points(d, rng).T
+        for axis, arr in vel.components():
+            got = _interp_component(arr, axis, d, px, py, pz)
+            want = _ref_interp_component(arr, axis, d, px, py, pz)
+            assert got.tobytes() == want.tobytes()
+            for pts in (face_centers(d, axis), cell_centers(d)):
+                got = _interp_component(arr, axis, d, *pts)
+                assert got.tobytes() == _ref_interp_component(arr, axis, d, *pts).tobytes()
+
+    @pytest.mark.parametrize("case", STENCIL_DIMS)
+    def test_sample_velocity_and_upsample_match_reference(self, case, rng):
+        d = STENCIL_DIMS[case]
+        vel = random_velocity(d, rng)
+        for p in _stencil_points(d, rng, n=5):
+            want = np.zeros(3)
+            for axis, arr in vel.components():
+                want[axis] = _ref_interp_component(arr, axis, d, p[0], p[1], p[2])
+            assert sample_velocity(vel, p).tobytes() == want.tobytes()
+        fine = upsample(vel, 2)
+        for axis, arr in vel.components():
+            want = _ref_interp_component(arr, axis, d, *face_centers(fine.dims, axis))
+            assert fine.component(axis).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", STENCIL_DIMS)
+    def test_masked_gather_matches_reference(self, case, rng):
+        d = STENCIL_DIMS[case]
+        flags = _obstacle_flags(d)
+        scalar = ScalarField(d, rng.standard_normal(d.shape))
+        for pts in (_stencil_points(d, rng).T, cell_centers(d)):
+            got = _gather_scalar_masked(scalar, flags, *pts)
+            assert got.tobytes() == _ref_gather_scalar_masked(scalar, flags, *pts).tobytes()
+
+    @pytest.mark.parametrize("case", STENCIL_DIMS)
+    def test_advection_around_obstacle_matches_reference(self, case, rng):
+        d = STENCIL_DIMS[case]
+        flags = _obstacle_flags(d)
+        vel = random_velocity(d, rng, scale=2.0)
+        dens = ScalarField(d, rng.random(d.shape))
+        for field in (vel, dens):
+            got = advect_semi_lagrangian(field, vel, 0.07, flags)
+            want = _ref_advect(field, vel, 0.07, flags)
+            if isinstance(field, ScalarField):
+                assert got.values.tobytes() == want.values.tobytes()
+            else:
+                for a in range(3):
+                    assert got.component(a).tobytes() == want.component(a).tobytes()

@@ -41,7 +41,10 @@ class TestSolvePoisson:
     def test_point_source_matches_dense_direct_solve(self):
         d = GridDims(8, 8)
         flags = CellFlags.open_box(d)
-        bc = BcTable.from_flags(flags, wall_faces=FaceTag.DIRICHLET)
+        bc = BcTable.from_flags(flags)
+        for axis in range(3):
+            for side in (0, -1):
+                bc.tags[axis][_along(axis, side)] = FaceTag.DIRICHLET
         rhs = ScalarField.zeros(d)
         rhs.values[4, 3, 0] = 1.0
         p = solve_poisson(rhs, flags, bc, 1e-10)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from pdfluids.fields import CellType, divergence
+from pdfluids.fields import CellType, VelocityField, divergence
 from pdfluids.pressure import CgConfig
 from pdfluids.scenes import (SceneSpec, angular_momentum, build_scene,
                              ceiling_contact_cells, flags_from_particles,
-                             liquid_step, smoke_step)
+                             liquid_step, particles_to_grid, smoke_step)
 
 
 class TestBuildScene:
@@ -197,3 +197,79 @@ class TestLiquid:
         assert ceiling_contact_cells(state.flags) == 0
         state.flags.values[4, -2, 0] = CellType.FLUID
         assert ceiling_contact_cells(state.flags) == 1
+
+
+# ---------------------------------------------------------------------------
+# particle transfers against the per-transfer copies the shared stencil replaced
+
+def _ref_particles_to_grid(state):
+    """The np.add.at scatter as written before the shared stencil."""
+    d = state.spec.dims
+    vel = VelocityField.zeros(d)
+    for axis, arr in vel.components():
+        gs = [np.clip(state.particles_pos[:, a] / d.h - (0.0 if a == axis else 0.5),
+                      0.0, arr.shape[a] - 1.0) for a in range(3)]
+        i0 = [np.floor(g).astype(np.intp) for g in gs]
+        fr = [g - i for g, i in zip(gs, i0)]
+        i1 = [np.minimum(i + 1, arr.shape[a] - 1) for a, i in enumerate(i0)]
+        acc = np.zeros(arr.shape)
+        wsum = np.zeros(arr.shape)
+        pv = state.particles_vel[:, axis]
+        taps_z = ((i0[2], 1 - fr[2]), (i1[2], fr[2])) if not d.is_2d else \
+            ((np.zeros_like(i0[0]), 1.0),)
+        for ax_, wx in ((i0[0], 1 - fr[0]), (i1[0], fr[0])):
+            for ay_, wy in ((i0[1], 1 - fr[1]), (i1[1], fr[1])):
+                for az_, wz in taps_z:
+                    w = wx * wy * wz
+                    np.add.at(acc, (ax_, ay_, az_), w * pv)
+                    np.add.at(wsum, (ax_, ay_, az_), w)
+        nz = wsum > 0
+        arr[nz] = acc[nz] / wsum[nz]
+    return vel
+
+
+def _ref_flags_from_particles(state):
+    """Cell of each particle by floor, then clip, as written before."""
+    d = state.spec.dims
+    vals = np.full(d.shape, CellType.EMPTY, dtype=np.uint8)
+    vals[state.solid_mask] = CellType.SOLID
+    idx = np.floor(state.particles_pos / d.h).astype(np.intp)
+    for a in range(3):
+        np.clip(idx[:, a], 0, d.shape[a] - 1, out=idx[:, a])
+    occupied = np.zeros(d.shape, dtype=bool)
+    occupied[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    vals[occupied & ~state.solid_mask] = CellType.FLUID
+    return vals
+
+
+def _transfer_state(nz, rng):
+    """A seeded dam with an obstacle, plus 50 particles piled into one cell,
+    particles exactly on the domain walls and particles outside it."""
+    spec = SceneSpec("dam", nx=13, ny=9, nz=nz, seed=1, obstacle=(0.5, 0.3, 0.7, 0.6))
+    state, _ = build_scene(spec)
+    d = spec.dims
+    ext = np.array(d.shape) * d.h
+    pile = (np.array([10.0, 6.0, nz // 2]) + rng.uniform(0.2, 0.8, (50, 3))) * d.h
+    walls = rng.uniform(0.0, 1.0, (60, 3)) * ext
+    for row, axis in enumerate(rng.integers(0, 3, len(walls))):
+        walls[row, axis] = ext[axis] * rng.integers(0, 2)
+    outside = rng.uniform(-0.5, 1.5, (40, 3)) * ext
+    state.particles_pos = np.concatenate([state.particles_pos, pile, walls, outside])
+    state.particles_vel = rng.standard_normal(state.particles_pos.shape)
+    return state
+
+
+class TestTransferBitwise:
+    @pytest.mark.parametrize("nz", [1, 7], ids=["2d", "3d"])
+    def test_p2g_matches_add_at_reference(self, nz, rng):
+        state = _transfer_state(nz, rng)
+        got = particles_to_grid(state)
+        want = _ref_particles_to_grid(state)
+        for a in range(3):
+            assert got.component(a).tobytes() == want.component(a).tobytes()
+
+    @pytest.mark.parametrize("nz", [1, 7], ids=["2d", "3d"])
+    def test_particle_cells_match_reference(self, nz, rng):
+        state = _transfer_state(nz, rng)
+        assert flags_from_particles(state).values.tobytes() == \
+            _ref_flags_from_particles(state).tobytes()
