@@ -16,7 +16,7 @@ from .guiding import (GuidingConfig, GuidingProx, GuidingProxExact,
                       GuidingQuadratic, blend_detail_preserving, blend_linear,
                       default_guiding_params, direct_least_squares, guide_step,
                       guiding_objective)
-from .separating import (BcState, BoundaryFace, BoundaryFaces, SeparatingProx,
+from .separating import (BcState, BoundaryFaces, SeparatingProx,
                          classify, solve_separating_accelerated,
                          solve_separating_standard)
 from .scenes import (SceneSpec, SceneState, build_scene, liquid_step,

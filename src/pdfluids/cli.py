@@ -166,8 +166,11 @@ def cmd_upres(cfg: RunConfig) -> int:
         path = os.path.join(cfg.coarse_dir, f"vel_{frame + 1:04d}.grid")
         if not os.path.exists(path):
             raise ConfigError(f"missing coarse velocity frame {path}")
-        coarse = read_grid(path)
-        return upsampled_target(coarse, cfg.upres_factor, cfg.scene, state)
+        try:
+            return upsampled_target(read_grid(path), cfg.upres_factor,
+                                    cfg.scene, state)
+        except ValueError as exc:   # a bad or mismatched coarse grid
+            raise ConfigError(f"coarse frame {path}: {exc}") from exc
 
     f = cfg.upres_factor
     fine_scene = dataclasses.replace(

@@ -62,6 +62,8 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ConfigError(f"{name} must be positive when given")
+        if self.theta is not None and self.theta > 1:
+            raise ConfigError("theta must be in (0, 1]")
         if self.max_iters < 1 or self.max_cg_iters < 1:
             raise ConfigError("iteration caps must be >= 1")
         if self.eps_abs < 0 or self.eps_rel < 0:

@@ -252,39 +252,30 @@ def face_centers(dims: GridDims, axis: int):
     return np.meshgrid(*coords, indexing="ij")
 
 
-def cell_to_face_average(scalar: ScalarField, axis: int) -> np.ndarray:
-    """Sample a cell-centered field onto the faces of one axis.
+def _to_faces(c: np.ndarray, axis: int, pair) -> np.ndarray:
+    """Face array of one axis from a cell array: an inner face combines its
+    two cells with pair(lower, upper), a domain-wall face copies its one
+    cell."""
+    return np.concatenate((c[_along(axis, slice(None, 1))],
+                           pair(c[_along(axis, slice(None, -1))],
+                                c[_along(axis, slice(1, None))]),
+                           c[_along(axis, slice(-1, None))]), axis=axis)
 
-    Interior faces average the two adjacent cells; faces on the domain
-    boundary copy the single neighbouring cell.
-    """
-    c = scalar.values
-    out = np.empty(scalar.dims.face_shape(axis))
-    out[_along(axis, slice(1, -1))] = 0.5 * (c[_along(axis, slice(None, -1))]
-                                             + c[_along(axis, slice(1, None))])
-    for side in (0, -1):
-        out[_along(axis, side)] = c[_along(axis, side)]
-    return out
+
+def cell_to_face_average(scalar: ScalarField, axis: int) -> np.ndarray:
+    """Sample a cell-centered field onto the faces of one axis: inner faces
+    average their two cells."""
+    return _to_faces(scalar.values, axis, lambda a, b: 0.5 * (a + b))
 
 
 def face_valid_mask(flags: CellFlags, axis: int) -> np.ndarray:
-    """Faces not adjacent to any SOLID cell (boundary faces use their one cell)."""
-    ns = flags.values != CellType.SOLID
-    out = np.empty(flags.dims.face_shape(axis), dtype=bool)
-    out[_along(axis, slice(1, -1))] = (ns[_along(axis, slice(None, -1))]
-                                       & ns[_along(axis, slice(1, None))])
-    for side in (0, -1):
-        out[_along(axis, side)] = ns[_along(axis, side)]
-    return out
+    """Faces not adjacent to any SOLID cell."""
+    return _to_faces(flags.values != CellType.SOLID, axis, np.logical_and)
 
 
 def fluid_adjacent_face_mask(flags: CellFlags, axis: int) -> np.ndarray:
     """Faces with at least one FLUID neighbour."""
-    fl = flags.fluid
-    out = np.zeros(flags.dims.face_shape(axis), dtype=bool)
-    out[_along(axis, slice(None, -1))] |= fl
-    out[_along(axis, slice(1, None))] |= fl
-    return out
+    return _to_faces(flags.fluid, axis, np.logical_or)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import numpy as np
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
                      _along, _coords, _corners, _face_offsets,
                      _interp_component, advect_semi_lagrangian,
-                     cell_to_face_average, face_valid_mask,
-                     fluid_adjacent_face_mask)
+                     cell_to_face_average, face_centers, face_valid_mask,
+                     fluid_adjacent_face_mask, upsample)
 from .guiding import GuidingConfig, guide_step, split_scalar_field
 from .optim import AdmmParams, ConvergenceLog, PdParams
 from .pressure import BcTable, CgConfig, DivergenceProjector
@@ -67,11 +67,21 @@ class SceneSpec:
             raise ValueError(f"unknown scene {self.name!r}; "
                              f"expected one of {SCENE_NAMES}")
         if self.h is None:
-            self.h = 1.0 / self.nx
+            self.h = 1.0 / max(self.nx, 1)   # nx < 4 is rejected by GridDims
         if self.dt is None:
             self.dt = 0.05 if self.name not in ("dam", "hydrostatic") else 0.01
         if self.particles_per_cell is None:
             self.particles_per_cell = 4 if self.nz == 1 else 8
+        self.dims   # built once so GridDims checks nx, ny, nz and h
+        if not self.dt > 0:
+            raise ValueError(f"time step dt must be positive, got {self.dt}")
+        if not (self.w_left > 0 and self.w_right > 0):
+            raise ValueError("guiding weights w_left, w_right must be positive")
+        if not (self.radius_left >= 0 and self.radius_right >= 0):
+            raise ValueError("blur radii radius_left, radius_right must be >= 0")
+        for box in (self.obstacle, self.emitter):
+            if box is not None and np.shape(np.asarray(box, dtype=float)) != (4,):
+                raise ValueError(f"box {box!r} needs four fractions x0, y0, x1, y1")
 
     @property
     def dims(self) -> GridDims:
@@ -125,55 +135,22 @@ def _zero_solid_faces(vel: VelocityField, flags: CellFlags):
         arr[~face_valid_mask(flags, axis)] = 0.0
 
 
-def _circular_target(dims: GridDims, flags: CellFlags, omega: float,
-                     modulation=None) -> VelocityField:
-    """Counterclockwise rotation about the domain center, zero on faces next
-    to solids; optionally scaled by an angular modulation function."""
-    from .fields import face_centers
-    cx = 0.5 * dims.nx * dims.h
-    cy = 0.5 * dims.ny * dims.h
+def _target(dims: GridDims, flags: CellFlags, *fns) -> VelocityField:
+    """Target velocity whose component a is fns[a](x, y, z) at the face
+    centers, measured from the domain center, on the active axes only.  A
+    component without a function, and every face next to a solid, is zero."""
+    center = [0.5 * n * dims.h for n in dims.shape]
     u_t = VelocityField.zeros(dims)
-    X, Y, _ = face_centers(dims, 0)
-    u_t.u[...] = -omega * (Y - cy)
-    if modulation is not None:
-        u_t.u *= modulation(X - cx, Y - cy)
-    X, Y, _ = face_centers(dims, 1)
-    u_t.v[...] = omega * (X - cx)
-    if modulation is not None:
-        u_t.v *= modulation(X - cx, Y - cy)
+    for axis, fn in zip(dims.axes, fns):
+        X, Y, Z = face_centers(dims, axis)
+        u_t.component(axis)[...] = fn(X - center[0], Y - center[1], Z - center[2])
     _zero_solid_faces(u_t, flags)
     return u_t
 
 
 def _radial_target(dims: GridDims, flags: CellFlags, rate: float) -> VelocityField:
     """Purely divergent outflow from the center (guiding stress test)."""
-    from .fields import face_centers
-    cx = 0.5 * dims.nx * dims.h
-    cy = 0.5 * dims.ny * dims.h
-    u_t = VelocityField.zeros(dims)
-    X, Y, _ = face_centers(dims, 0)
-    u_t.u[...] = rate * (X - cx)
-    X, Y, _ = face_centers(dims, 1)
-    u_t.v[...] = rate * (Y - cy)
-    _zero_solid_faces(u_t, flags)
-    return u_t
-
-
-def _tornado_target(dims: GridDims, flags: CellFlags, omega: float,
-                    updraft: float) -> VelocityField:
-    """Swirl around the vertical (y) axis with a small upward component."""
-    from .fields import face_centers
-    cx = 0.5 * dims.nx * dims.h
-    cz = 0.5 * dims.nz * dims.h
-    u_t = VelocityField.zeros(dims)
-    X, _, Z = face_centers(dims, 0)
-    u_t.u[...] = -omega * (Z - cz)
-    X, _, Z = face_centers(dims, 1)
-    u_t.v[...] = updraft
-    X, _, Z = face_centers(dims, 2)
-    u_t.w[...] = omega * (X - cx)
-    _zero_solid_faces(u_t, flags)
-    return u_t
+    return _target(dims, flags, lambda x, y, z: rate * x, lambda x, y, z: rate * y)
 
 
 def _seed_particles(flags: CellFlags, fluid_mask: np.ndarray, per_cell: int,
@@ -238,20 +215,23 @@ def build_scene(spec: SceneSpec):
         blob = (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
         state.density.values[blob & ~solid_mask] = 1.0
 
+    omega, k, a = spec.omega, spec.star_lobes, spec.star_amp
     if spec.name == "circular":
-        u_t = _circular_target(d, flags, spec.omega)
+        u_t = _target(d, flags, lambda x, y, z: -omega * y,
+                      lambda x, y, z: omega * x)
     elif spec.name == "star":
-        k, a = spec.star_lobes, spec.star_amp
 
-        def modulation(dx, dy):
-            theta = np.arctan2(dy, dx)
-            return 1.0 + a * np.cos(k * theta)
+        def lobes(x, y):
+            return 1.0 + a * np.cos(k * np.arctan2(y, x))
 
-        u_t = _circular_target(d, flags, spec.omega, modulation)
+        u_t = _target(d, flags, lambda x, y, z: -omega * y * lobes(x, y),
+                      lambda x, y, z: omega * x * lobes(x, y))
     elif spec.name == "tornado":
-        u_t = _tornado_target(d, flags, spec.omega, spec.updraft)
+        # swirl around the vertical (y) axis with a small upward component
+        u_t = _target(d, flags, lambda x, y, z: -omega * z,
+                      lambda x, y, z: spec.updraft, lambda x, y, z: omega * x)
     elif spec.name == "divergent":
-        u_t = _radial_target(d, flags, spec.omega)
+        u_t = _radial_target(d, flags, omega)
     elif spec.name in ("plume", "obstacle-box"):
         u_t = None
     else:  # pragma: no cover
@@ -524,7 +504,6 @@ def upsampled_target(coarse_vel: VelocityField, factor: int, fine_spec: SceneSpe
     The workflow behind resimulation: run a coarse scene saving velocities,
     then guide a fine run toward the upsampled frames.
     """
-    from .fields import upsample
     u_t = upsample(coarse_vel, factor)
     if u_t.dims.shape != state.flags.dims.shape:
         raise ValueError(f"upsampled target {u_t.dims.shape} does not match "

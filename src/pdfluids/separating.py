@@ -31,72 +31,51 @@ from .pressure import subtract_gradient  # noqa: F401
 MAX_SWEEPS = 50   # cap of the accelerated solver's classify-and-project sweeps
 
 
-@dataclass(frozen=True)
-class BoundaryFace:
-    """One fluid-solid face; the normal points out of the solid along `axis`
-    with the given sign."""
-
-    axis: int
-    index: tuple[int, int, int]
-    sign: float
-
-
 class BoundaryFaces:
-    """All fluid-solid faces of a flag field, in deterministic scan order."""
+    """All fluid-solid faces of a flag field in (axis, i, j, k) order, with
+    `blocks` holding one (axis, slice) per active axis: the run of that
+    axis's faces.  The normal points out of the solid along `axis` with the
+    face's sign."""
 
     def __init__(self, flags: CellFlags):
-        self.dims = flags.dims
         v = flags.values
-        axes, ii, jj, kk, sign = [], [], [], [], []
+        runs, self.blocks, start = [], [], 0
         for axis in flags.dims.axes:
             a = v[_along(axis, slice(None, -1))]
             b = v[_along(axis, slice(1, None))]
+            sign = np.zeros(flags.dims.face_shape(axis))
+            inner = sign[_along(axis, slice(1, -1))]
             # solid below the face: normal points along +axis
-            plus = (a == CellType.SOLID) & (b == CellType.FLUID)
-            minus = (a == CellType.FLUID) & (b == CellType.SOLID)
-            for mask, s in ((plus, 1.0), (minus, -1.0)):
-                ci, cj, ck = np.nonzero(mask)
-                fi = ci + (1 if axis == 0 else 0)
-                fj = cj + (1 if axis == 1 else 0)
-                fk = ck + (1 if axis == 2 else 0)
-                axes.append(np.full(ci.size, axis))
-                ii.append(fi)
-                jj.append(fj)
-                kk.append(fk)
-                sign.append(np.full(ci.size, s))
-        self.axis = np.concatenate(axes) if axes else np.zeros(0, dtype=int)
-        self.i = np.concatenate(ii) if ii else np.zeros(0, dtype=int)
-        self.j = np.concatenate(jj) if jj else np.zeros(0, dtype=int)
-        self.k = np.concatenate(kk) if kk else np.zeros(0, dtype=int)
-        self.sign = np.concatenate(sign) if sign else np.zeros(0)
-        order = np.lexsort((self.k, self.j, self.i, self.axis))
-        for name in ("axis", "i", "j", "k", "sign"):
-            setattr(self, name, getattr(self, name)[order])
-        self.count = self.axis.size
+            inner[(a == CellType.SOLID) & (b == CellType.FLUID)] = 1.0
+            inner[(a == CellType.FLUID) & (b == CellType.SOLID)] = -1.0
+            index = np.nonzero(sign)
+            n = index[0].size
+            runs.append((np.full(n, axis), *index, sign[index]))
+            self.blocks.append((axis, slice(start, start + n)))
+            start += n
+        self.axis, self.i, self.j, self.k, self.sign = (
+            np.concatenate(c) for c in zip(*runs))
+        self.count = start
 
     def __len__(self):
         return self.count
 
-    def __getitem__(self, n) -> BoundaryFace:
-        return BoundaryFace(int(self.axis[n]),
-                            (int(self.i[n]), int(self.j[n]), int(self.k[n])),
-                            float(self.sign[n]))
-
     def normal_velocity(self, vel: VelocityField) -> np.ndarray:
         """u . n per face (positive = moving away from the wall)."""
         out = np.empty(self.count)
-        for axis in range(3):
-            m = self.axis == axis
-            if m.any():
-                out[m] = vel.component(axis)[self.i[m], self.j[m], self.k[m]] \
-                    * self.sign[m]
+        for axis, s in self.blocks:
+            out[s] = vel.component(axis)[self.i[s], self.j[s], self.k[s]] \
+                * self.sign[s]
         return out
 
     def zero_normal(self, vel: VelocityField, mask: np.ndarray):
-        for axis in range(3):
-            m = (self.axis == axis) & mask
-            if m.any():
-                vel.component(axis)[self.i[m], self.j[m], self.k[m]] = 0.0
+        self._write((vel.u, vel.v, vel.w), mask, 0.0)
+
+    def _write(self, arrays, mask: np.ndarray, value):
+        """Set the masked faces of the per-axis face arrays to value."""
+        for axis, s in self.blocks:
+            m = mask[s]
+            arrays[axis][self.i[s][m], self.j[s][m], self.k[s][m]] = value
 
 
 @dataclass
@@ -175,12 +154,7 @@ def free_surface_walls_table(flags: CellFlags) -> BcTable:
 def classified_walls_table(flags: CellFlags, state: BcState) -> BcTable:
     """Neumann at non-separating faces, Dirichlet at separating ones."""
     bc = free_surface_walls_table(flags)
-    m = state.nsep
-    f = state.faces
-    for axis in range(3):
-        am = (f.axis == axis) & m
-        if am.any():
-            bc.tags[axis][f.i[am], f.j[am], f.k[am]] = np.uint8(FaceTag.NEUMANN)
+    state.faces._write(bc.tags, state.nsep, np.uint8(FaceTag.NEUMANN))
     return bc
 
 

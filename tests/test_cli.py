@@ -93,6 +93,38 @@ class TestCli:
         bad.write_text('{"scene": {"name": "dam"}, "frames": 0}')
         assert run(["simulate", "--config", bad]) == 2
 
+    @pytest.mark.parametrize("command, run_keys, scene_keys", [
+        ("guide", {"theta": 2.0}, {}),
+        ("simulate", {}, {"nx": 3}),
+        ("simulate", {}, {"h": -1}),
+        ("simulate", {}, {"dt": -0.1}),
+        ("guide", {}, {"w_left": 0}),
+        ("guide", {}, {"radius_left": -1}),
+        ("simulate", {}, {"obstacle": [0.4, 0.4]}),
+        ("upres", {"coarse_dir": "mismatched"}, {}),
+        ("upres", {"coarse_dir": "truncated"}, {}),
+    ], ids=["theta", "nx", "h", "dt", "w_left", "radius_left", "obstacle",
+            "coarse-mismatched", "coarse-truncated"])
+    def test_bad_input_exits_2(self, tmp_path, command, run_keys, scene_keys):
+        from pdfluids.fields import GridDims, VelocityField
+        from pdfluids.fileio import write_grid
+        coarse = tmp_path / "coarse"
+        coarse.mkdir()
+        # 10x10 upsamples to 20x20, not the 24x24 fine grid of a 12x12 scene
+        path = coarse / "vel_0001.grid"
+        n = 10 if run_keys.get("coarse_dir") == "mismatched" else 12
+        write_grid(path, VelocityField.zeros(GridDims(n, n, 1, 1.0 / n)))
+        if run_keys.get("coarse_dir") == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        cfg = {"scene": {"name": "circular", "nx": 12, "ny": 12, **scene_keys},
+               "frames": 1, "out_dir": str(tmp_path / "out"), "upres_factor": 2,
+               **run_keys}
+        if "coarse_dir" in run_keys:
+            cfg["coarse_dir"] = str(coarse)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        assert run([command, "--config", p]) == 2
+
     def test_missing_scene_exits_2(self, tmp_path):
         assert run(["simulate", "--out", tmp_path]) == 2
 

@@ -3,9 +3,10 @@ import pytest
 
 from pdfluids.fields import CellType, VelocityField, divergence
 from pdfluids.pressure import CgConfig
-from pdfluids.scenes import (SceneSpec, angular_momentum, build_scene,
-                             ceiling_contact_cells, flags_from_particles,
-                             liquid_step, particles_to_grid, smoke_step)
+from pdfluids.scenes import (SCENE_NAMES, SceneSpec, angular_momentum,
+                             build_scene, ceiling_contact_cells,
+                             flags_from_particles, liquid_step,
+                             particles_to_grid, smoke_step)
 
 
 class TestBuildScene:
@@ -273,3 +274,78 @@ class TestTransferBitwise:
         state = _transfer_state(nz, rng)
         assert flags_from_particles(state).values.tobytes() == \
             _ref_flags_from_particles(state).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# guiding targets against the earlier per-scene builders
+
+def _ref_centered(dims, axis):
+    from pdfluids.fields import face_centers
+    X, Y, Z = face_centers(dims, axis)
+    return (X - 0.5 * dims.nx * dims.h, Y - 0.5 * dims.ny * dims.h,
+            Z - 0.5 * dims.nz * dims.h)
+
+
+def _ref_target(spec, flags):
+    """Target of a guided scene as the separate circular, radial and tornado
+    builders wrote it, the tornado's z block included in 2D."""
+    from conftest import zero_solid_adjacent
+    d, om = spec.dims, spec.omega
+    u_t = VelocityField.zeros(d)
+    x0, y0, z0 = _ref_centered(d, 0)
+    x1, y1, z1 = _ref_centered(d, 1)
+    if spec.name in ("circular", "star"):
+        u_t.u[...] = -om * y0
+        u_t.v[...] = om * x1
+        if spec.name == "star":
+            k, a = spec.star_lobes, spec.star_amp
+            u_t.u *= 1.0 + a * np.cos(k * np.arctan2(y0, x0))
+            u_t.v *= 1.0 + a * np.cos(k * np.arctan2(y1, x1))
+    elif spec.name == "divergent":
+        u_t.u[...] = om * x0
+        u_t.v[...] = om * y1
+    else:  # tornado
+        u_t.u[...] = -om * z0
+        u_t.v[...] = spec.updraft
+        u_t.w[...] = om * _ref_centered(d, 2)[0]
+    return zero_solid_adjacent(u_t, flags)
+
+
+TARGET_SPECS = {
+    "circular-2d": dict(name="circular", nx=20, ny=16),
+    "star-2d": dict(name="star", nx=20, ny=16, omega=1.3),
+    "divergent-2d": dict(name="divergent", nx=16, ny=20),
+    "tornado-2d": dict(name="tornado", nx=16, ny=16),
+    "star-obstacle-2d": dict(name="star", nx=24, ny=20,
+                             obstacle=(0.2, 0.6, 0.5, 0.8)),
+    "circular-3d": dict(name="circular", nx=10, ny=8, nz=6),
+    "star-3d": dict(name="star", nx=10, ny=8, nz=6),
+    "divergent-3d": dict(name="divergent", nx=8, ny=10, nz=6),
+    "tornado-3d": dict(name="tornado", nx=10, ny=8, nz=6, updraft=0.3),
+    "tornado-obstacle-3d": dict(name="tornado", nx=12, ny=10, nz=8,
+                                obstacle=(0.3, 0.3, 0.6, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TARGET_SPECS))
+def test_target_active_components_match_reference(case):
+    spec = SceneSpec(**TARGET_SPECS[case])
+    _, cfg = build_scene(spec)
+    want = _ref_target(spec, cfg.flags)
+    for a, arr in cfg.u_target.components():
+        assert arr.tobytes() == want.component(a).tobytes()
+    if spec.dims.is_2d:
+        assert not cfg.u_target.w.any()
+
+
+@pytest.mark.parametrize("name", SCENE_NAMES)
+def test_2d_scene_keeps_inactive_z_block_zero(name):
+    """The w array of a 2D scene holds no degree of freedom: no step may
+    write into it, whatever the scene's target."""
+    state, cfg = build_scene(SceneSpec(name, nx=16, ny=16))
+    for _ in range(2):
+        if state.spec.is_liquid:
+            liquid_step(state, mode="regular")
+        else:
+            smoke_step(state, cfg if cfg is None else cfg.with_current(state.vel))
+        assert not state.vel.w.any()

@@ -31,11 +31,10 @@ class TestBoundaryFaces:
         expect = 6 + 2 * 3
         assert len(faces) == expect
         for n in range(len(faces)):
-            f = faces[n]
-            idx = np.array(f.index)
+            idx = np.array((faces.i[n], faces.j[n], faces.k[n]))
             cell_hi = tuple(idx)
             lo = idx.copy()
-            lo[f.axis] -= 1
+            lo[faces.axis[n]] -= 1
             a = flags.values[tuple(lo)]
             b = flags.values[cell_hi]
             assert {int(a), int(b)} == {int(CellType.FLUID), int(CellType.SOLID)}
@@ -65,9 +64,8 @@ class TestClassify:
         return d, flags, BcState.initial(flags, eps=1e-5)
 
     def face_where(self, state, axis, pred):
-        idx = [n for n in range(len(state.faces))
-               if state.faces.axis[n] == axis and pred(state.faces[n])]
-        assert idx
+        idx = np.flatnonzero((state.faces.axis == axis) & pred(state.faces))
+        assert idx.size
         return idx[0]
 
     def test_wallward_motion_marks_nonseparating(self):
@@ -83,7 +81,7 @@ class TestClassify:
 
     def test_outward_motion_frees_face_when_beating_memory(self):
         d, flags, state = self.setup_state()
-        n = self.face_where(state, 1, lambda f: f.index[1] == 1)
+        n = self.face_where(state, 1, lambda f: f.j == 1)
         state.nsep[n] = True
         state.memory[n] = -0.1
         vel = VelocityField.zeros(d)
@@ -94,7 +92,7 @@ class TestClassify:
 
     def test_outward_motion_below_memory_stays(self):
         d, flags, state = self.setup_state()
-        n = self.face_where(state, 1, lambda f: f.index[1] == 1)
+        n = self.face_where(state, 1, lambda f: f.j == 1)
         state.nsep[n] = True
         state.memory[n] = -0.5
         vel = VelocityField.zeros(d)
@@ -116,7 +114,7 @@ class TestClassify:
 
     def test_accelerated_mode_ignores_memory(self):
         d, flags, state = self.setup_state()
-        n = self.face_where(state, 1, lambda f: f.index[1] == 1)
+        n = self.face_where(state, 1, lambda f: f.j == 1)
         state.nsep[n] = True
         state.memory[n] = -100.0
         vel = VelocityField.zeros(d)
@@ -126,7 +124,7 @@ class TestClassify:
 
     def test_memory_running_sum_property(self, rng):
         d, flags, state = self.setup_state()
-        n = self.face_where(state, 1, lambda f: f.index[1] == 1)
+        n = self.face_where(state, 1, lambda f: f.j == 1)
         values = -rng.random(6)  # wall-ward sequence
         vel = VelocityField.zeros(d)
         total = 0.0
@@ -142,15 +140,16 @@ class TestProxBc:
         d, flags = tank(8)
         state = BcState.initial(flags)
         state.nsep[0] = True
-        f = state.faces[0]
+        f = state.faces
+        axis, index = f.axis[0], (f.i[0], f.j[0], f.k[0])
         vel = random_velocity(d, rng)
         out = SeparatingProx(state)(0.0, vel)
-        assert out.component(f.axis)[f.index] == 0.0
+        assert out.component(axis)[index] == 0.0
         # everything else bit-identical
         changed = 0
         for a, arr in out.components():
             changed += int(np.sum(arr != vel.component(a)))
-        assert changed == (1 if vel.component(f.axis)[f.index] != 0 else 0)
+        assert changed == (1 if vel.component(axis)[index] != 0 else 0)
 
     def test_empty_set_is_identity(self, rng):
         d, flags = tank(8)
@@ -272,8 +271,8 @@ class TestAcceleratedSolver:
         faces = BoundaryFaces(flags)
         vel = VelocityField.zeros(d)
         for n in range(len(faces)):
-            f = faces[n]
-            vel.component(f.axis)[f.index] = 0.5 * f.sign
+            vel.component(faces.axis[n])[faces.i[n], faces.j[n], faces.k[n]] = \
+                0.5 * faces.sign[n]
         state = BcState.initial(flags)
         log = ConvergenceLog()
         solve_separating_accelerated(vel, flags, state=state, log=log)
@@ -325,3 +324,131 @@ class TestAcceleratedSolver:
         out_std = solve_separating_standard(vel, flags)
         scale = max(vel.norm(), 1.0)
         assert (out_acc - out_std).norm() / scale < 5e-2
+
+
+# ---------------------------------------------------------------------------
+# the block index against the earlier per-face builder and per-axis masks
+
+def reference_faces(flags):
+    """Face arrays as two nonzero passes per axis and a lexsort built them."""
+    v = flags.values
+    axes, ii, jj, kk, sign = [], [], [], [], []
+    for axis in flags.dims.axes:
+        lo = [slice(None)] * 3
+        hi = [slice(None)] * 3
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        a, b = v[tuple(lo)], v[tuple(hi)]
+        plus = (a == CellType.SOLID) & (b == CellType.FLUID)
+        minus = (a == CellType.FLUID) & (b == CellType.SOLID)
+        for mask, s in ((plus, 1.0), (minus, -1.0)):
+            ci, cj, ck = np.nonzero(mask)
+            axes.append(np.full(ci.size, axis))
+            ii.append(ci + (1 if axis == 0 else 0))
+            jj.append(cj + (1 if axis == 1 else 0))
+            kk.append(ck + (1 if axis == 2 else 0))
+            sign.append(np.full(ci.size, s))
+    ref = {"axis": np.concatenate(axes), "i": np.concatenate(ii),
+           "j": np.concatenate(jj), "k": np.concatenate(kk),
+           "sign": np.concatenate(sign)}
+    order = np.lexsort((ref["k"], ref["j"], ref["i"], ref["axis"]))
+    return {name: arr[order] for name, arr in ref.items()}
+
+
+def reference_normal_velocity(ref, vel):
+    out = np.empty(ref["axis"].size)
+    for axis in range(3):
+        m = ref["axis"] == axis
+        if m.any():
+            out[m] = vel.component(axis)[ref["i"][m], ref["j"][m], ref["k"][m]] \
+                * ref["sign"][m]
+    return out
+
+
+def reference_zero_normal(ref, vel, mask):
+    for axis in range(3):
+        m = (ref["axis"] == axis) & mask
+        if m.any():
+            vel.component(axis)[ref["i"][m], ref["j"][m], ref["k"][m]] = 0.0
+
+
+def reference_walls_table(flags, ref, nsep):
+    bc = BcTable.from_flags(flags, solid_faces=FaceTag.DIRICHLET)
+    for axis in range(3):
+        m = (ref["axis"] == axis) & nsep
+        if m.any():
+            bc.tags[axis][ref["i"][m], ref["j"][m], ref["k"][m]] = \
+                np.uint8(FaceTag.NEUMANN)
+    return bc
+
+
+def random_flags(shape, seed):
+    """Closed box with a random FLUID/EMPTY/SOLID interior: faces of both
+    signs on every active axis."""
+    d = GridDims(*shape, 1.0 / shape[0])
+    flags = CellFlags.closed_box(d)
+    rng = np.random.default_rng(seed)
+    inner = flags.values[1:-1, 1:-1, 1:-1] if not d.is_2d else flags.values[1:-1, 1:-1]
+    inner[...] = rng.choice([CellType.FLUID, CellType.EMPTY, CellType.SOLID],
+                            size=inner.shape, p=[0.5, 0.3, 0.2])
+    return flags
+
+
+def obstacle_tank_3d():
+    d = GridDims(9, 8, 7, 0.125)
+    flags = CellFlags.closed_box(d)
+    flags.values[1:-1, 4:-1, 1:-1] = CellType.EMPTY
+    flags.values[3:5, 1:3, 2:4] = CellType.SOLID
+    return flags
+
+
+def floating_blob():
+    d = GridDims(12, 12)
+    flags = CellFlags.closed_box(d)
+    flags.values[1:-1, 1:-1, 0] = CellType.EMPTY
+    flags.values[5:8, 5:8, 0] = CellType.FLUID
+    return flags
+
+
+FLAG_CASES = {
+    "tank-2d": lambda: tank(12, fill=0.5)[1],
+    "random-2d": lambda: random_flags((14, 11, 1), 3),
+    "obstacle-3d": obstacle_tank_3d,
+    "random-3d": lambda: random_flags((8, 7, 6), 5),
+    "empty": floating_blob,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CASES))
+class TestBlockIndexMatchesReference:
+    def test_face_arrays_byte_equal(self, case):
+        flags = FLAG_CASES[case]()
+        faces, ref = BoundaryFaces(flags), reference_faces(flags)
+        assert len(faces) == ref["axis"].size
+        assert (len(faces) == 0) == (case == "empty")
+        for name, arr in ref.items():
+            got = getattr(faces, name)
+            assert got.dtype == arr.dtype
+            assert got.tobytes() == arr.tobytes()
+        if case.startswith("random"):
+            assert {(int(a), float(s)) for a, s in zip(ref["axis"], ref["sign"])} \
+                == {(a, s) for a in flags.dims.axes for s in (1.0, -1.0)}
+
+    def test_velocities_and_tags_byte_equal(self, case):
+        flags = FLAG_CASES[case]()
+        faces, ref = BoundaryFaces(flags), reference_faces(flags)
+        rng = np.random.default_rng(len(case))
+        for trial in range(3):
+            vel = random_velocity(flags.dims, rng)
+            got = faces.normal_velocity(vel)
+            assert got.tobytes() == reference_normal_velocity(ref, vel).tobytes()
+            nsep = rng.random(len(faces)) < (0.5, 0.0, 1.0)[trial]
+            a, b = vel.copy(), vel.copy()
+            faces.zero_normal(a, nsep)
+            reference_zero_normal(ref, b, nsep)
+            for axis in range(3):
+                assert a.component(axis).tobytes() == b.component(axis).tobytes()
+            state = BcState(faces, nsep, np.zeros(len(faces)))
+            tags = classified_walls_table(flags, state).tags
+            expect = reference_walls_table(flags, ref, nsep).tags
+            for axis in range(3):
+                assert tags[axis].tobytes() == expect[axis].tobytes()
