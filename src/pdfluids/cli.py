@@ -139,13 +139,12 @@ def cmd_guide(cfg: RunConfig, target_override=None) -> int:
     if guide_cfg is None and target_override is None:
         raise ConfigError(f"scene {cfg.scene.name!r} defines no guiding target")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    pd, admm = _solver_params(
-        cfg, guide_cfg.w_bar if guide_cfg is not None else 1.0)
     rows = []
     for frame in range(cfg.frames):
         if target_override is not None:
             guide_cfg = target_override(frame, state)
         guide_cfg = guide_cfg.with_current(state.vel)
+        pd, admm = _solver_params(cfg, guide_cfg.w_bar)
         smoke_step(state, guide_cfg, method=cfg.method, pd_params=pd,
                    admm_params=admm, cg=cfg.cg, exact_prox=cfg.exact_prox)
         if cfg.method in ("pd", "admm"):

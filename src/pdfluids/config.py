@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 
 from .pressure import CgConfig
@@ -95,10 +96,11 @@ class RunConfig:
         unknown = set(data) - run_fields
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "obstacle" in scene_data and scene_data["obstacle"] is not None:
-            scene_data["obstacle"] = tuple(scene_data["obstacle"])
-        if "emitter" in scene_data and scene_data["emitter"] is not None:
-            scene_data["emitter"] = tuple(scene_data["emitter"])
+        _check_types(SceneSpec, scene_data, "scene value ")
+        _check_types(cls, data, "")
+        for box in ("obstacle", "emitter"):
+            if scene_data.get(box) is not None:
+                scene_data[box] = tuple(scene_data[box])
         try:
             scene = SceneSpec(**scene_data)
             return cls(scene=scene, **data)
@@ -111,6 +113,35 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(_parse_json(text))
+
+
+_TYPE_NAMES = {type(None): "null", tuple: "four numbers"}
+
+
+def _takes(kind, value) -> bool:
+    """Whether a field annotated `kind` takes `value`: an int field an int,
+    a float field an int or a float, a bool field a bool (and no number
+    field a bool), a box four numbers, any other field its own type."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == 4
+                and all(_takes(float, x) for x in value))
+    return isinstance(value, kind)
+
+
+def _check_types(cls, values: dict, where: str):
+    """Raise ConfigError on the first value its dataclass field of `cls`
+    does not take; None only where the field allows it."""
+    hints = typing.get_type_hints(cls)
+    for name, value in values.items():
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        if not any(value is None if k is type(None) else _takes(k, value)
+                   for k in kinds):
+            wanted = " or ".join(_TYPE_NAMES.get(k, k.__name__) for k in kinds)
+            raise ConfigError(f"{where}{name} must be {wanted}, got {value!r}")
 
 
 def _parse_json(text: str) -> dict:

@@ -252,19 +252,22 @@ def face_centers(dims: GridDims, axis: int):
     return np.meshgrid(*coords, indexing="ij")
 
 
-def _to_faces(c: np.ndarray, axis: int, pair) -> np.ndarray:
-    """Face array of one axis from a cell array: an inner face combines its
-    two cells with pair(lower, upper), a domain-wall face copies its one
-    cell."""
-    return np.concatenate((c[_along(axis, slice(None, 1))],
-                           pair(c[_along(axis, slice(None, -1))],
-                                c[_along(axis, slice(1, None))]),
-                           c[_along(axis, slice(-1, None))]), axis=axis)
+def _to_faces(c: np.ndarray, axis: int, pair, ghost=None) -> np.ndarray:
+    """Face array of one axis from a cell array: the cells get one ghost
+    cell beyond each domain wall, and every face is pair(lower, upper) of
+    the two cells it separates.  The ghost is `ghost` when given, else the
+    wall cell itself, so a wall face is pair(c, c) of its one cell."""
+    lo, hi = c[_along(axis, slice(None, 1))], c[_along(axis, slice(-1, None))]
+    if ghost is not None:
+        lo = hi = np.full_like(lo, ghost)
+    padded = np.concatenate((lo, c, hi), axis=axis)
+    return pair(padded[_along(axis, slice(None, -1))],
+                padded[_along(axis, slice(1, None))])
 
 
 def cell_to_face_average(scalar: ScalarField, axis: int) -> np.ndarray:
-    """Sample a cell-centered field onto the faces of one axis: inner faces
-    average their two cells."""
+    """Sample a cell-centered field onto the faces of one axis: a face
+    averages its two cells, a domain-wall face copies its one cell."""
     return _to_faces(scalar.values, axis, lambda a, b: 0.5 * (a + b))
 
 

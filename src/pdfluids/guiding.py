@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blur import blur_obstacle_aware
-from .fields import (CellFlags, ScalarField, VelocityField, _along,
+from .fields import (CellFlags, ScalarField, VelocityField, _to_faces,
                      cell_to_face_average, divergence, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
                     admm_solve, iop_solve, pd_solve)
@@ -312,12 +312,11 @@ def direct_least_squares(cfg: GuidingConfig, tol: float = 1e-8,
         return divergence(quad.mask(vel), flags).values
 
     def apply_Dt(cellvals: np.ndarray) -> VelocityField:
+        # the negated difference of the cell values, zero beyond the walls
         out = VelocityField.zeros(d)
         src = np.where(fluid, cellvals, 0.0) / d.h
-        for axis in d.axes:
-            arr = out.component(axis)
-            arr[_along(axis, slice(1, None))] += src
-            arr[_along(axis, slice(None, -1))] -= src
+        for axis, arr in out.components():
+            arr[...] = _to_faces(src, axis, np.subtract, ghost=0.0)
         return quad.mask(out)
 
     def normal_op(vel: VelocityField) -> VelocityField:

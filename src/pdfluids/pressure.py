@@ -39,7 +39,8 @@ from enum import IntEnum
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _along, _check_dims, divergence, fluid_adjacent_face_mask)
+                     _along, _check_dims, _to_faces, divergence,
+                     fluid_adjacent_face_mask)
 
 
 class FaceTag(IntEnum):
@@ -78,24 +79,17 @@ class BcTable:
     @classmethod
     def from_flags(cls, flags: CellFlags,
                    solid_faces: FaceTag = FaceTag.NEUMANN) -> "BcTable":
-        d = flags.dims
-        v = flags.values
-        tags = []
-        for axis in range(3):
-            t = np.full(d.face_shape(axis), FaceTag.NEUMANN, dtype=np.uint8)
-            a = v[_along(axis, slice(None, -1))]
-            b = v[_along(axis, slice(1, None))]
-            it = t[_along(axis, slice(1, -1))]
-            both_fluid = (a == CellType.FLUID) & (b == CellType.FLUID)
-            fl_solid = ((a == CellType.FLUID) & (b == CellType.SOLID)) | \
-                       ((a == CellType.SOLID) & (b == CellType.FLUID))
-            fl_empty = ((a == CellType.FLUID) & (b == CellType.EMPTY)) | \
-                       ((a == CellType.EMPTY) & (b == CellType.FLUID))
-            it[both_fluid] = FaceTag.INTERIOR
-            it[fl_solid] = solid_faces
-            it[fl_empty] = FaceTag.DIRICHLET
-            tags.append(t)
-        return cls(d, tuple(tags))
+        # tag[lower, upper]: a face's tag by the types of its two cells,
+        # read by flat index; the ghost type 3 beyond the domain walls tags
+        # every wall face NEUMANN
+        fluid, solid, empty = CellType.FLUID, CellType.SOLID, CellType.EMPTY
+        tag = np.full((4, 4), FaceTag.NEUMANN, dtype=np.uint8)
+        tag[fluid, fluid] = FaceTag.INTERIOR
+        tag[[fluid, solid], [solid, fluid]] = solid_faces
+        tag[[fluid, empty], [empty, fluid]] = FaceTag.DIRICHLET
+        return cls(flags.dims, tuple(
+            _to_faces(flags.values, axis, lambda a, b: tag.take(4 * a + b), ghost=3)
+            for axis in range(3)))
 
     def set_face(self, axis: int, index: tuple[int, int, int], tag: FaceTag):
         self.tags[axis][index] = np.uint8(tag)
@@ -497,39 +491,20 @@ def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
                       bc: BcTable) -> VelocityField:
     """Velocity update u <- u - grad(p) with the table's ghost treatment.
 
-    Interior fluid-fluid faces use the two-sided difference, Dirichlet faces
-    a ghost pressure of zero on the non-fluid side, Neumann faces are left
-    unchanged.
+    The gradient reads p at FLUID cells and a ghost pressure of zero at
+    every other cell and beyond the domain walls, and every face not tagged
+    NEUMANN takes it: interior fluid-fluid faces the two-sided difference,
+    Dirichlet faces the difference to the zero ghost.  Neumann faces are
+    left unchanged.
     """
     _check_dims(vel, p)
     _check_dims(vel, flags)
-    d = vel.dims
-    inv_h = 1.0 / d.h
-    fl = flags.fluid
+    inv_h = 1.0 / vel.dims.h
+    pv = np.where(flags.fluid, p.values, 0.0)
     out = vel.copy()
-    pv = p.values
-    for axis in d.axes:
-        t = bc.tags[axis]
-        arr = out.component(axis)
-        inner = _along(axis, slice(1, -1))
-        lo, hi = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
-        it = t[inner]
-        grad = np.zeros_like(it, dtype=np.float64)
-        interior = it == FaceTag.INTERIOR
-        grad[interior] = (pv[hi] - pv[lo])[interior] * inv_h
-        diri = it == FaceTag.DIRICHLET
-        diri_lo = diri & fl[lo] & ~fl[hi]   # ghost on the high side
-        diri_hi = diri & fl[hi] & ~fl[lo]   # ghost on the low side
-        grad[diri_lo] = (0.0 - pv[lo][diri_lo]) * inv_h
-        grad[diri_hi] = (pv[hi][diri_hi] - 0.0) * inv_h
-        arr[inner] -= grad
-        # domain wall faces: only a Dirichlet ghost can drive an update
-        for side in (0, -1):
-            wall = _along(axis, side)
-            m = (t[wall] == FaceTag.DIRICHLET) & fl[wall]
-            # low wall: grad = (p_cell - 0)/h; high wall: grad = (0 - p_cell)/h
-            sign = 1.0 if side == 0 else -1.0
-            arr[wall][m] -= sign * pv[wall][m] * inv_h
+    for axis, arr in out.components():
+        grad = _to_faces(pv, axis, lambda lo, hi: (hi - lo) * inv_h, ghost=0.0)
+        np.subtract(arr, grad, out=arr, where=bc.tags[axis] != FaceTag.NEUMANN)
     return out
 
 

@@ -22,13 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CellFlags, CellType, VelocityField, _along
+from .fields import CellFlags, CellType, VelocityField, _to_faces
 from .optim import ConvergenceLog, PdParams, ProxOperator, pd_solve, stop_check
 from .pressure import BcTable, CgConfig, DivergenceProjector, FaceTag, _require_finite
 # re-exported: bench/test_bench.py checks that the tracer rebinds it here
 from .pressure import subtract_gradient  # noqa: F401
 
 MAX_SWEEPS = 50   # cap of the accelerated solver's classify-and-project sweeps
+
+
+# _NORMAL[lower, upper]: the face sign of the wall normal by the types of the
+# two cells (read by flat index), +1 with SOLID below FLUID, -1 with FLUID
+# below SOLID
+_NORMAL = np.zeros((3, 3))
+_NORMAL[CellType.SOLID, CellType.FLUID] = 1.0
+_NORMAL[CellType.FLUID, CellType.SOLID] = -1.0
 
 
 class BoundaryFaces:
@@ -38,16 +46,9 @@ class BoundaryFaces:
     face's sign."""
 
     def __init__(self, flags: CellFlags):
-        v = flags.values
         runs, self.blocks, start = [], [], 0
         for axis in flags.dims.axes:
-            a = v[_along(axis, slice(None, -1))]
-            b = v[_along(axis, slice(1, None))]
-            sign = np.zeros(flags.dims.face_shape(axis))
-            inner = sign[_along(axis, slice(1, -1))]
-            # solid below the face: normal points along +axis
-            inner[(a == CellType.SOLID) & (b == CellType.FLUID)] = 1.0
-            inner[(a == CellType.FLUID) & (b == CellType.SOLID)] = -1.0
+            sign = _to_faces(flags.values, axis, lambda a, b: _NORMAL.take(3 * a + b))
             index = np.nonzero(sign)
             n = index[0].size
             runs.append((np.full(n, axis), *index, sign[index]))

@@ -88,6 +88,30 @@ class TestCli:
         vel = read_grid(fine / "vel_0002.grid")
         assert vel.dims.nx == 24
 
+    def test_upres_step_sizes_follow_the_guiding_weights(self, tmp_path, monkeypatch):
+        # plume has no target of its own: the weights come with each frame's
+        # upsampled target, and so must tau and sigma
+        import pdfluids.cli as cli
+        from pdfluids.guiding import default_guiding_params
+        coarse = tmp_path / "coarse"
+        assert run(["simulate", "--scene", "plume", "--nx", "12", "--ny", "12",
+                    "--frames", "1", "--out", coarse, "--save-velocity"]) == 0
+        seen = []
+        real = cli.smoke_step
+
+        def spy(state, guide_cfg, **kw):
+            seen.append((guide_cfg.w_bar, kw["pd_params"], kw["admm_params"]))
+            return real(state, guide_cfg, **kw)
+
+        monkeypatch.setattr(cli, "smoke_step", spy)
+        assert run(["upres", "--scene", "plume", "--nx", "12", "--ny", "12",
+                    "--frames", "1", "--out", tmp_path / "fine", "--factor", "2",
+                    "--coarse-dir", coarse, "--w-left", "4", "--w-right", "1"]) == 0
+        (w_bar, pd, admm), = seen
+        assert w_bar > 2.0
+        pd_ref, admm_ref = default_guiding_params(w_bar)
+        assert (pd.tau, pd.sigma, admm.rho) == (pd_ref.tau, pd_ref.sigma, admm_ref.rho)
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"scene": {"name": "dam"}, "frames": 0}')
@@ -103,8 +127,18 @@ class TestCli:
         ("simulate", {}, {"obstacle": [0.4, 0.4]}),
         ("upres", {"coarse_dir": "mismatched"}, {}),
         ("upres", {"coarse_dir": "truncated"}, {}),
+        ("guide", {}, {"omega": "fast"}),
+        ("simulate", {}, {"nx": 12.5}),
+        ("simulate", {}, {"nx": True}),
+        ("simulate", {}, {"seed": 1.5}),
+        ("simulate", {"frames": 1.5}, {}),
+        ("simulate", {"max_cg_iters": 2.5}, {}),
+        ("guide", {"exact_prox": "no"}, {}),
+        ("simulate", {}, {"obstacle": [0.4, 0.4, "0.6", 0.6]}),
     ], ids=["theta", "nx", "h", "dt", "w_left", "radius_left", "obstacle",
-            "coarse-mismatched", "coarse-truncated"])
+            "coarse-mismatched", "coarse-truncated", "omega-str", "nx-float",
+            "nx-bool", "seed-float", "frames-float", "max_cg_iters-float",
+            "exact_prox-str", "obstacle-str"])
     def test_bad_input_exits_2(self, tmp_path, command, run_keys, scene_keys):
         from pdfluids.fields import GridDims, VelocityField
         from pdfluids.fileio import write_grid
