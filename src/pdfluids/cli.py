@@ -166,9 +166,10 @@ def cmd_upres(cfg: RunConfig) -> int:
         if not os.path.exists(path):
             raise ConfigError(f"missing coarse velocity frame {path}")
         try:
-            return upsampled_target(read_grid(path), cfg.upres_factor,
-                                    cfg.scene, state)
-        except ValueError as exc:   # a bad or mismatched coarse grid
+            coarse = read_grid(path)
+            coarse.validate_finite()
+            return upsampled_target(coarse, cfg.upres_factor, cfg.scene, state)
+        except ValueError as exc:   # a bad, non-finite or mismatched coarse grid
             raise ConfigError(f"coarse frame {path}: {exc}") from exc
 
     f = cfg.upres_factor

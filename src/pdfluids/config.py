@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -115,17 +116,19 @@ class RunConfig:
         return cls.from_dict(_parse_json(text))
 
 
-_TYPE_NAMES = {type(None): "null", tuple: "four numbers"}
+_TYPE_NAMES = {type(None): "null", float: "a finite number",
+               tuple: "four finite numbers"}
 
 
 def _takes(kind, value) -> bool:
     """Whether a field annotated `kind` takes `value`: an int field an int,
-    a float field an int or a float, a bool field a bool (and no number
-    field a bool), a box four numbers, any other field its own type."""
+    a float field a finite int or float (JSON's NaN and Infinity and
+    argparse's nan and inf are not), a bool field a bool (and no number
+    field a bool), a box four such numbers, any other field its own type."""
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
     if kind is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if kind is tuple:
         return (isinstance(value, (list, tuple)) and len(value) == 4
                 and all(_takes(float, x) for x in value))

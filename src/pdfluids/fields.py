@@ -8,6 +8,7 @@ z direction inactive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -59,6 +60,13 @@ class GridDims:
         s = list(self.shape)
         s[axis] += 1
         return tuple(s)
+
+    @functools.cached_property
+    def _face_blocks(self) -> tuple:
+        """(start, end, shape) of the u, v and w blocks of a velocity buffer."""
+        shapes = [self.face_shape(a) for a in range(3)]
+        ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+        return tuple(zip(ends, ends[1:], shapes))
 
 
 def _check_dims(a, b):
@@ -151,29 +159,39 @@ class ScalarField:
 
 
 class VelocityField:
-    """Face-centered velocity: u on x-faces, v on y-faces, w on z-faces.
-
-    The z-face array is always allocated (length nx*ny*(nz+1)); with nz=1 it
-    is inactive and stays zero.
+    """Face-centered velocity: u on x-faces, v on y-faces, w on z-faces,
+    writable views of one contiguous float64 buffer holding them in that
+    order.  The z block is there also with nz=1, inactive and past the
+    active prefix that `as_flat` views.  The constructor copies its arrays.
     """
 
     def __init__(self, dims: GridDims, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-        self.dims = dims
-        self.u = np.asarray(u, dtype=np.float64)
-        self.v = np.asarray(v, dtype=np.float64)
-        self.w = np.asarray(w, dtype=np.float64)
-        for axis, arr in enumerate((self.u, self.v, self.w)):
+        arrays = [np.asarray(a, dtype=np.float64) for a in (u, v, w)]
+        for axis, arr in enumerate(arrays):
             if arr.shape != dims.face_shape(axis):
                 raise ValueError(f"face array {axis} has shape {arr.shape}, "
                                  f"expected {dims.face_shape(axis)}")
+        self._attach(dims, np.concatenate([arr.ravel() for arr in arrays]))
+
+    def _attach(self, dims: GridDims, buf: np.ndarray | None) -> "VelocityField":
+        """Lay the u, v and w views over buf, a zero buffer when None."""
+        blocks = dims._face_blocks
+        self.dims, self._n_active = dims, blocks[len(dims.axes) - 1][1]
+        self._buf = buf if buf is not None else np.zeros(blocks[2][1])
+        self.u, self.v, self.w = [self._buf[a:b].reshape(s) for a, b, s in blocks]
+        return self
+
+    @classmethod
+    def _of(cls, dims: GridDims, buf: np.ndarray | None = None) -> "VelocityField":
+        """A field on buf itself, not a copy (zeros when None)."""
+        return cls.__new__(cls)._attach(dims, buf)
 
     @classmethod
     def zeros(cls, dims: GridDims) -> "VelocityField":
-        return cls(dims, np.zeros(dims.face_shape(0)), np.zeros(dims.face_shape(1)),
-                   np.zeros(dims.face_shape(2)))
+        return cls._of(dims)
 
     def copy(self) -> "VelocityField":
-        return VelocityField(self.dims, self.u.copy(), self.v.copy(), self.w.copy())
+        return VelocityField._of(self.dims, self._buf.copy())
 
     def component(self, axis: int) -> np.ndarray:
         return (self.u, self.v, self.w)[axis]
@@ -185,24 +203,20 @@ class VelocityField:
     @property
     def n_dof(self) -> int:
         """Total velocity degrees of freedom (active-axis face samples)."""
-        return sum(arr.size for _, arr in self.components())
+        return self._n_active
 
     def validate_finite(self):
-        for _, arr in self.components():
-            if not np.isfinite(arr).all():
-                raise ValueError("velocity field contains non-finite values")
+        if not np.isfinite(self.as_flat()).all():
+            raise ValueError("velocity field contains non-finite values")
 
     def as_flat(self) -> np.ndarray:
-        """Active components concatenated into one vector (x block first)."""
-        return np.concatenate([arr.ravel() for _, arr in self.components()])
+        """The active prefix of the buffer (x block first), a writable view."""
+        return self._buf[:self._n_active]
 
     def set_flat(self, vec: np.ndarray):
-        off = 0
-        for _, arr in self.components():
-            arr.ravel()[:] = vec[off:off + arr.size]
-            off += arr.size
-        if off != vec.size:
+        if np.size(vec) != self._n_active:
             raise ValueError("flat vector length does not match field")
+        self._buf[:self._n_active] = vec
 
     def dot(self, other: "VelocityField") -> float:
         _check_dims(self, other)
@@ -212,19 +226,18 @@ class VelocityField:
         return math.sqrt(max(self.dot(self), 0.0))
 
     def max_abs(self) -> float:
-        return max(float(np.abs(arr).max()) for _, arr in self.components())
+        return float(np.abs(self.as_flat()).max())
 
     def __add__(self, other):
         _check_dims(self, other)
-        return VelocityField(self.dims, self.u + other.u, self.v + other.v, self.w + other.w)
+        return VelocityField._of(self.dims, self._buf + other._buf)
 
     def __sub__(self, other):
         _check_dims(self, other)
-        return VelocityField(self.dims, self.u - other.u, self.v - other.v, self.w - other.w)
+        return VelocityField._of(self.dims, self._buf - other._buf)
 
     def __mul__(self, s):
-        s = float(s)
-        return VelocityField(self.dims, self.u * s, self.v * s, self.w * s)
+        return VelocityField._of(self.dims, self._buf * float(s))
 
     __rmul__ = __mul__
 
@@ -279,6 +292,11 @@ def face_valid_mask(flags: CellFlags, axis: int) -> np.ndarray:
 def fluid_adjacent_face_mask(flags: CellFlags, axis: int) -> np.ndarray:
     """Faces with at least one FLUID neighbour."""
     return _to_faces(flags.fluid, axis, np.logical_or)
+
+
+def _flat_faces(dims: GridDims, per_axis) -> np.ndarray:
+    """per_axis(axis) of the active axes, laid out as in `VelocityField.as_flat`."""
+    return np.concatenate([np.ravel(per_axis(a)) for a in dims.axes])
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +462,6 @@ def upsample(vel: VelocityField, factor: int) -> VelocityField:
     nz = d.nz if d.is_2d else d.nz * factor
     fine = GridDims(d.nx * factor, d.ny * factor, nz, d.h / factor)
     out = VelocityField.zeros(fine)
-    for axis in fine.axes:
-        X, Y, Z = face_centers(fine, axis)
-        out.component(axis)[...] = _interp_component(
-            vel.component(axis), axis, d, X, Y, Z)
+    out.as_flat()[:] = _flat_faces(fine, lambda a: _interp_component(
+        vel.component(a), a, d, *face_centers(fine, a)))
     return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blur import blur_obstacle_aware
-from .fields import (CellFlags, ScalarField, VelocityField, _to_faces,
+from .fields import (CellFlags, ScalarField, VelocityField, _flat_faces, _to_faces,
                      cell_to_face_average, divergence, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
                     admm_solve, iop_solve, pd_solve)
@@ -81,35 +81,30 @@ class GuidingQuadratic:
 
     Provides A, b, c, the shifted system M = A + sigma*I, the precomputable
     q and diagonal-inverse factors, and the stacked least-squares operator.
+    `valid` and `w2` are flat over the active faces, ordered as `as_flat`.
     """
 
     def __init__(self, cfg: GuidingConfig):
         self.cfg = cfg
-        d = cfg.flags.dims
-        self.dims = d
-        self.valid = {a: face_valid_mask(cfg.flags, a) for a in d.axes}
-        self.w2 = {a: np.square(cell_to_face_average(cfg.weights, a))
-                   for a in d.axes}
+        d = self.dims = cfg.flags.dims
+        self.valid = _flat_faces(d, lambda a: face_valid_mask(cfg.flags, a))
+        self.w2 = np.square(_flat_faces(d, lambda a: cell_to_face_average(cfg.weights, a)))
 
     # -- masking helpers ----------------------------------------------------
     def mask(self, vel: VelocityField) -> VelocityField:
         out = vel.copy()
-        for a, arr in out.components():
-            arr[~self.valid[a]] = 0.0
+        out.as_flat()[~self.valid] = 0.0
         return out
 
     def keep_fixed(self, out: VelocityField, v: VelocityField) -> VelocityField:
         """Give the faces outside the objective v's values, in place."""
-        for a, arr in out.components():
-            inv = ~self.valid[a]
-            arr[inv] = v.component(a)[inv]
+        np.copyto(out.as_flat(), v.as_flat(), where=~self.valid)
         return out
 
     def _wsq(self, vel: VelocityField) -> VelocityField:
         out = vel.copy()
-        for a, arr in out.components():
-            arr *= self.w2[a]
-            arr[~self.valid[a]] = 0.0
+        np.multiply(vel.as_flat(), self.w2, out=out.as_flat())
+        out.as_flat()[~self.valid] = 0.0
         return out
 
     # -- operators ----------------------------------------------------------
@@ -143,9 +138,9 @@ class GuidingQuadratic:
         return 2.0 * self.apply_BtB(self.cfg.u_target - self.cfg.u_current) \
             - sigma * self.mask(self.cfg.u_current)
 
-    def gamma_diag(self, sigma: float) -> dict[int, np.ndarray]:
-        """Per-face entries of (2 W^2 + sigma I)^-1."""
-        return {a: 1.0 / (2.0 * self.w2[a] + sigma) for a in self.dims.axes}
+    def gamma_diag(self, sigma: float) -> np.ndarray:
+        """Per-face entries of (2 W^2 + sigma I)^-1, flat like `w2`."""
+        return 1.0 / (2.0 * self.w2 + sigma)
 
 
 @dataclass
@@ -154,7 +149,7 @@ class GuidingPrecompute:
 
     sigma: float
     q: VelocityField
-    gamma: dict[int, np.ndarray]
+    gamma: np.ndarray
 
     @classmethod
     def build(cls, quad: GuidingQuadratic, sigma: float) -> "GuidingPrecompute":
@@ -186,15 +181,9 @@ def guiding_objective(x: VelocityField, cfg: GuidingConfig,
     """Value of ||B(x - u_target)||^2 + ||W(x - u_current)||^2 over the
     faces that carry objective terms (those not adjacent to SOLID)."""
     quad = quad if quad is not None else GuidingQuadratic(cfg)
-    bt = quad.apply_B(quad.mask(x - cfg.u_target))
-    total = 0.0
-    for a, arr in bt.components():
-        total += float(np.sum(np.square(arr[quad.valid[a]])))
-    diff = x - cfg.u_current
-    for a, arr in diff.components():
-        total += float(np.sum(quad.w2[a][quad.valid[a]]
-                              * np.square(arr[quad.valid[a]])))
-    return total
+    bt = quad.apply_B(quad.mask(x - cfg.u_target)).as_flat()
+    wd = quad.w2 * np.square((x - cfg.u_current).as_flat())
+    return float(np.sum(np.square(bt[quad.valid]))) + float(np.sum(wd[quad.valid]))
 
 
 class GuidingProx(ProxOperator):
@@ -216,12 +205,9 @@ class GuidingProx(ProxOperator):
             self._pre = GuidingPrecompute.build(self.quad, sigma)
         quad, pre = self.quad, self._pre
         s = sigma * quad.mask(v) + pre.q
-        g1 = s.copy()
-        g2 = s.copy()
-        for a, arr in g1.components():
-            arr *= pre.gamma[a]
-        for a, arr in g2.components():
-            arr *= np.square(pre.gamma[a])
+        g1, g2 = s.copy(), s.copy()
+        np.multiply(s.as_flat(), pre.gamma, out=g1.as_flat())
+        np.multiply(s.as_flat(), np.square(pre.gamma), out=g2.as_flat())
         out = quad.mask(self.cfg.u_current) + g1 - 2.0 * quad.apply_BtB(g2)
         return quad.keep_fixed(out, v)
 
@@ -315,8 +301,7 @@ def direct_least_squares(cfg: GuidingConfig, tol: float = 1e-8,
         # the negated difference of the cell values, zero beyond the walls
         out = VelocityField.zeros(d)
         src = np.where(fluid, cellvals, 0.0) / d.h
-        for axis, arr in out.components():
-            arr[...] = _to_faces(src, axis, np.subtract, ghost=0.0)
+        out.as_flat()[:] = _flat_faces(d, lambda a: _to_faces(src, a, np.subtract, ghost=0.0))
         return quad.mask(out)
 
     def normal_op(vel: VelocityField) -> VelocityField:

@@ -467,7 +467,7 @@ def _system_for(flags: CellFlags, bc: BcTable) -> PoissonSystem:
 def _require_finite(vel: VelocityField):
     """Raise PoissonConvergenceError (0 iterations, residual NaN) on any
     non-finite face value."""
-    if not all(np.isfinite(arr).all() for _, arr in vel.components()):
+    if not np.isfinite(vel.as_flat()).all():
         raise PoissonConvergenceError(0, math.nan)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _along, _coords, _corners, _face_offsets,
+                     _along, _coords, _corners, _face_offsets, _flat_faces,
                      _interp_component, advect_semi_lagrangian,
                      cell_to_face_average, face_centers, face_valid_mask,
                      fluid_adjacent_face_mask, upsample)
@@ -131,8 +131,7 @@ def _guiding_config(spec: SceneSpec, flags: CellFlags, u_target: VelocityField,
 
 
 def _zero_solid_faces(vel: VelocityField, flags: CellFlags):
-    for axis, arr in vel.components():
-        arr[~face_valid_mask(flags, axis)] = 0.0
+    vel.as_flat()[~_flat_faces(flags.dims, lambda a: face_valid_mask(flags, a))] = 0.0
 
 
 def _target(dims: GridDims, flags: CellFlags, *fns) -> VelocityField:
@@ -426,8 +425,8 @@ def liquid_begin_step(state: SceneState):
     vel = particles_to_grid(state)
     # transfer taps can spill momentum onto faces with no fluid neighbour
     # (inside walls, into the air); those DOFs carry no meaning and stay zero
-    for axis, arr in vel.components():
-        arr[~fluid_adjacent_face_mask(state.flags, axis)] = 0.0
+    spill = ~_flat_faces(vel.dims, lambda a: fluid_adjacent_face_mask(state.flags, a))
+    vel.as_flat()[spill] = 0.0
     vel_old = vel.copy()
     m = fluid_adjacent_face_mask(state.flags, 1)
     vel.v[m] -= state.spec.gravity * state.dt

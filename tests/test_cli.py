@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -135,10 +136,20 @@ class TestCli:
         ("simulate", {"max_cg_iters": 2.5}, {}),
         ("guide", {"exact_prox": "no"}, {}),
         ("simulate", {}, {"obstacle": [0.4, 0.4, "0.6", 0.6]}),
+        ("simulate", {}, {"h": math.inf}),
+        ("simulate", {}, {"buoyancy": math.nan}),
+        ("guide", {}, {"w_left": math.inf}),
+        ("guide", {}, {"radius_left": math.inf}),
+        ("guide", {"tau": math.nan}, {}),
+        ("guide", {}, {"omega": math.nan}),
+        ("guide", {"eps_abs": math.inf}, {}),
+        ("simulate", {}, {"obstacle": [0.4, 0.4, math.inf, 0.6]}),
     ], ids=["theta", "nx", "h", "dt", "w_left", "radius_left", "obstacle",
             "coarse-mismatched", "coarse-truncated", "omega-str", "nx-float",
             "nx-bool", "seed-float", "frames-float", "max_cg_iters-float",
-            "exact_prox-str", "obstacle-str"])
+            "exact_prox-str", "obstacle-str", "h-inf", "buoyancy-nan",
+            "w_left-inf", "radius_left-inf", "tau-nan", "omega-nan",
+            "eps_abs-inf", "obstacle-inf"])
     def test_bad_input_exits_2(self, tmp_path, command, run_keys, scene_keys):
         from pdfluids.fields import GridDims, VelocityField
         from pdfluids.fileio import write_grid
@@ -158,6 +169,26 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cfg))
         assert run([command, "--config", p]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--w-left", "inf"), ("--radius-left", "inf"), ("--w-right", "nan")])
+    def test_non_finite_flag_exits_2(self, tmp_path, flag, value):
+        assert run(["guide", "--scene", "circular", "--nx", "12", "--ny", "12",
+                    "--frames", "1", "--out", tmp_path, flag, value]) == 2
+
+    def test_upres_non_finite_coarse_grid_exits_2(self, tmp_path, capsys):
+        from pdfluids.fields import GridDims, VelocityField
+        from pdfluids.fileio import write_grid
+        coarse = tmp_path / "coarse"
+        coarse.mkdir()
+        vel = VelocityField.zeros(GridDims(12, 12, 1, 1.0 / 12))
+        vel.v[5, 6, 0] = math.nan
+        write_grid(coarse / "vel_0001.grid", vel)
+        assert run(["upres", "--scene", "circular", "--nx", "12", "--ny", "12",
+                    "--frames", "1", "--out", tmp_path / "fine", "--factor", "2",
+                    "--coarse-dir", coarse]) == 2
+        err = capsys.readouterr().err
+        assert "vel_0001.grid" in err and "non-finite" in err
 
     def test_missing_scene_exits_2(self, tmp_path):
         assert run(["simulate", "--out", tmp_path]) == 2

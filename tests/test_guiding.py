@@ -15,7 +15,7 @@ from pdfluids.guiding import (GuidingConfig, GuidingMinimizerProjection,
 from pdfluids.optim import ConvergenceLog, PdParams
 from pdfluids.pressure import PoissonConvergenceError
 
-from conftest import random_velocity, zero_solid_adjacent
+from conftest import per_axis, random_velocity, zero_solid_adjacent
 from test_optim import SmallGuidingOracle, guiding_instance
 
 
@@ -43,8 +43,9 @@ class TestObjective:
         x = cfg.u_current
         quad = GuidingQuadratic(cfg)
         expect = 0.0
+        valid = per_axis(quad.valid, d)
         for a, arr in (x - cfg.u_target).components():
-            expect += float(np.sum(np.square(arr[quad.valid[a]])))
+            expect += float(np.sum(np.square(arr[valid[a]])))
         assert guiding_objective(x, cfg) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_dense_quadratic_expansion(self, rng):
@@ -136,8 +137,9 @@ class TestExactProx:
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
         x = GuidingProxExact(cfg)(sigma, v)
         denom = 2.0 + 2.0 * w * w + sigma
+        valid = per_axis(quad.valid, d)
         for a, arr in x.components():
-            m = quad.valid[a]
+            m = valid[a]
             expect = (sigma * v.component(a) + 2.0 * cfg.u_target.component(a)
                       + 2.0 * w * w * cfg.u_current.component(a)) / denom
             assert np.allclose(arr[m], expect[m], atol=1e-9)
@@ -147,8 +149,9 @@ class TestExactProx:
         quad = GuidingQuadratic(cfg)
         v = random_velocity(d, rng)
         x = GuidingProxExact(cfg)(1.0, v)
+        valid = per_axis(quad.valid, d)
         for a, arr in x.components():
-            inv = ~quad.valid[a]
+            inv = ~valid[a]
             assert np.array_equal(arr[inv], v.component(a)[inv])
 
 
@@ -185,21 +188,22 @@ class TestSmwProx:
         # relative operator-norm error of the approximate M^-1 vs dense M^-1
         d, flags, cfg = guiding_instance(8, rng)
         quad = GuidingQuadratic(cfg)
-        fv = np.concatenate([quad.valid[a].ravel() for a in d.axes])
+        fv = quad.valid
         errs = []
         for sigma in (1.0, 4.0, 16.0, 64.0):
             m_mat = dense_operator(quad, lambda f: quad.apply_M(sigma, f))
             m_sub = m_mat[np.ix_(fv, fv)]
             m_inv = np.linalg.inv(m_sub)
             pre = GuidingPrecompute.build(quad, sigma)
+            gamma = per_axis(pre.gamma, d)
 
             def approx_inv(f):
                 g1 = f.copy()
                 g2 = f.copy()
                 for a, arr in g1.components():
-                    arr *= pre.gamma[a]
+                    arr *= gamma[a]
                 for a, arr in g2.components():
-                    arr *= np.square(pre.gamma[a])
+                    arr *= np.square(gamma[a])
                 return quad.mask(g1) - 2.0 * quad.apply_BtB(g2)
 
             inv_approx = dense_operator(quad, approx_inv)[np.ix_(fv, fv)]
@@ -226,7 +230,7 @@ class TestSmwProx:
         d, flags, cfg = guiding_instance(8, rng)
         quad = GuidingQuadratic(cfg)
         sigma = 2.1
-        fv = np.concatenate([quad.valid[a].ravel() for a in d.axes])
+        fv = quad.valid
         a_mat = dense_operator(quad, quad.apply_A)[np.ix_(fv, fv)]
         m_mat = dense_operator(quad, lambda f: quad.apply_M(sigma, f))[np.ix_(fv, fv)]
         assert np.allclose(m_mat, a_mat + sigma * np.eye(fv.sum()), atol=1e-12)
@@ -497,9 +501,10 @@ class TestGuideStep:
         dev = z - cfg.u_target
         left = []
         right = []
+        valid = per_axis(quad.valid, d)
         for a, arr in dev.components():
             X = face_centers(d, a)[0]
-            m = quad.valid[a]
+            m = valid[a]
             left.append(np.abs(arr[m & (X < 0.5)]))
             right.append(np.abs(arr[m & (X >= 0.5)]))
         mean_left = np.concatenate(left).mean()

@@ -204,8 +204,7 @@ class SmallGuidingOracle:
         d = flags.dims
         probe = VelocityField.zeros(d)
         nf = probe.as_flat().size
-        self.valid_flat = np.concatenate(
-            [quad.valid[a].ravel() for a in d.axes])
+        self.valid_flat = quad.valid
         a_mat = np.zeros((nf, nf))
         for col in range(nf):
             e = np.zeros(nf)

@@ -82,12 +82,14 @@ class TestSmoke:
         # weight 16 left / 1 right: time-averaged distance to the target is
         # larger where guiding is weak (large weights anchor to the current
         # field instead)
+        from conftest import per_axis
         from pdfluids.fields import face_centers
         from pdfluids.guiding import GuidingQuadratic
         spec = SceneSpec("circular", nx=64, ny=64, omega=1.0,
                          w_left=16.0, w_right=1.0)
         state, cfg = build_scene(spec)
         quad = GuidingQuadratic(cfg)
+        valid = per_axis(quad.valid, spec.dims)
         left_dev, right_dev = [], []
         for _ in range(20):
             cfg = cfg.with_current(state.vel)
@@ -96,7 +98,7 @@ class TestSmoke:
             l, r = [], []
             for a, arr in dev.components():
                 X = face_centers(spec.dims, a)[0]
-                m = quad.valid[a]
+                m = valid[a]
                 half = 0.5 * spec.nx * spec.h
                 l.append(np.abs(arr[m & (X < half)]))
                 r.append(np.abs(arr[m & (X >= half)]))
