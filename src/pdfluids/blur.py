@@ -85,16 +85,21 @@ def _sweep(vals: np.ndarray, valid: np.ndarray, vf: np.ndarray,
     return out
 
 
+def _check_radius(radius: ScalarField, flags: CellFlags):
+    """Raise ValueError unless the radius is finite, >= 0 and 0 at SOLID."""
+    if not (radius.values >= 0).all() or not np.isfinite(radius.values).all():
+        raise ValueError("blur radius must be finite and non-negative")
+    if (radius.values[flags.solid] != 0).any():
+        raise ValueError("blur radius must be zero at SOLID cells")
+
+
 class _BlurKernel:
     """The parts of the blur that depend only on (radius, flags): for each
     active component the valid mask (bool and float), the taps and, per
     sweep axis, the normalizer.  Building it validates the radius."""
 
     def __init__(self, radius: ScalarField, flags: CellFlags):
-        if (radius.values < 0).any():
-            raise ValueError("blur radius must be non-negative")
-        if (radius.values[flags.solid] != 0).any():
-            raise ValueError("blur radius must be zero at SOLID cells")
+        _check_radius(radius, flags)
         axes = radius.dims.axes
         self.parts = {}
         for comp in axes:

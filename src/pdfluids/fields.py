@@ -36,8 +36,8 @@ class GridDims:
             raise ValueError(f"grid needs nx, ny >= 4, got {self.nx}x{self.ny}")
         if self.nz < 1:
             raise ValueError("nz must be >= 1")
-        if not self.h > 0:
-            raise ValueError("cell width h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"cell width h must be positive and finite, got {self.h}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -178,7 +178,7 @@ class VelocityField:
         blocks = dims._face_blocks
         self.dims, self._n_active = dims, blocks[len(dims.axes) - 1][1]
         self._buf = buf if buf is not None else np.zeros(blocks[2][1])
-        self.u, self.v, self.w = [self._buf[a:b].reshape(s) for a, b, s in blocks]
+        self.u, self.v, self.w = _face_views(dims, self._buf)
         return self
 
     @classmethod
@@ -297,6 +297,17 @@ def fluid_adjacent_face_mask(flags: CellFlags, axis: int) -> np.ndarray:
 def _flat_faces(dims: GridDims, per_axis) -> np.ndarray:
     """per_axis(axis) of the active axes, laid out as in `VelocityField.as_flat`."""
     return np.concatenate([np.ravel(per_axis(a)) for a in dims.axes])
+
+
+def _face_views(dims: GridDims, flat: np.ndarray) -> tuple:
+    """Writable per-axis face views of an array laid out as in
+    `VelocityField.as_flat`, the inverse of `_flat_faces`: one per active
+    axis, or all three when flat also holds the inactive z block of a 2D
+    velocity buffer."""
+    blocks = dims._face_blocks
+    if flat.shape not in ((blocks[len(dims.axes) - 1][1],), (blocks[2][1],)):
+        raise ValueError(f"flat face array of shape {flat.shape} does not match {dims}")
+    return tuple(flat[a:b].reshape(s) for a, b, s in blocks if b <= flat.size)
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +442,12 @@ def advect_semi_lagrangian(field, vel: VelocityField, dt: float, flags: CellFlag
         out[ok] = gathered[ok]
         return ScalarField(field.dims, out)
     if isinstance(field, VelocityField):
+        d = field.dims
+        sampled = _flat_faces(d, lambda a: _interp_component(
+            field.component(a), a, d, *_backtrace_rk2(vel, *face_centers(d, a), dt)))
         res = field.copy()
-        for axis, arr in field.components():
-            X, Y, Z = face_centers(field.dims, axis)
-            bx, by, bz = _backtrace_rk2(vel, X, Y, Z, dt)
-            sampled = _interp_component(arr, axis, field.dims, bx, by, bz)
-            valid = face_valid_mask(flags, axis)
-            dst = res.component(axis)
-            dst[valid] = sampled[valid]
+        np.copyto(res.as_flat(), sampled,
+                  where=_flat_faces(d, lambda a: face_valid_mask(flags, a)))
         return res
     raise TypeError(f"cannot advect {type(field).__name__}")
 

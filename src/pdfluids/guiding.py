@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blur import blur_obstacle_aware
+from .blur import _check_radius, blur_obstacle_aware
 from .fields import (CellFlags, ScalarField, VelocityField, _flat_faces, _to_faces,
                      cell_to_face_average, divergence, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
@@ -39,18 +39,16 @@ class GuidingConfig:
     """Everything the guiding objective needs for one time step."""
 
     flags: CellFlags
-    weights: ScalarField          # W, > 0 everywhere
-    radius: ScalarField           # blur radii, >= 0 and 0 at SOLID
+    weights: ScalarField          # W, finite and > 0 everywhere
+    radius: ScalarField           # blur radii, finite, >= 0 and 0 at SOLID
     u_target: VelocityField
     u_current: VelocityField
 
     def __post_init__(self):
-        if (self.weights.values <= 0).any():
-            raise ValueError("guiding weights must be positive everywhere")
-        if (self.radius.values < 0).any():
-            raise ValueError("blur radius must be non-negative")
-        if (self.radius.values[self.flags.solid] != 0).any():
-            raise ValueError("blur radius must be zero at SOLID cells")
+        w = self.weights.values
+        if not (w > 0).all() or not np.isfinite(w).all():
+            raise ValueError("guiding weights must be finite and positive")
+        _check_radius(self.radius, self.flags)
 
     @property
     def w_bar(self) -> float:

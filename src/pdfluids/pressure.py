@@ -39,8 +39,8 @@ from enum import IntEnum
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _along, _check_dims, _to_faces, divergence,
-                     fluid_adjacent_face_mask)
+                     _along, _check_dims, _face_views, _flat_faces, _to_faces,
+                     divergence, fluid_adjacent_face_mask)
 
 
 class FaceTag(IntEnum):
@@ -65,14 +65,15 @@ class PoissonConvergenceError(RuntimeError):
 
 
 class BcTable:
-    """Per-face boundary tags derived from the cell flags.
+    """Per-face boundary tags derived from the cell flags: one uint8 array
+    over the active faces, laid out as in `VelocityField.as_flat`.
 
     Faces between two FLUID cells are INTERIOR.  Fluid-solid faces default
     to NEUMANN (overridable), fluid-empty faces are DIRICHLET (free
     surface), and every other face, domain walls included, is NEUMANN.
     """
 
-    def __init__(self, dims: GridDims, tags: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    def __init__(self, dims: GridDims, tags: np.ndarray):
         self.dims = dims
         self.tags = tags
 
@@ -87,12 +88,8 @@ class BcTable:
         tag[fluid, fluid] = FaceTag.INTERIOR
         tag[[fluid, solid], [solid, fluid]] = solid_faces
         tag[[fluid, empty], [empty, fluid]] = FaceTag.DIRICHLET
-        return cls(flags.dims, tuple(
-            _to_faces(flags.values, axis, lambda a, b: tag.take(4 * a + b), ghost=3)
-            for axis in range(3)))
-
-    def set_face(self, axis: int, index: tuple[int, int, int], tag: FaceTag):
-        self.tags[axis][index] = np.uint8(tag)
+        return cls(flags.dims, _flat_faces(flags.dims, lambda axis: _to_faces(
+            flags.values, axis, lambda a, b: tag.take(4 * a + b), ghost=3)))
 
 
 @dataclass
@@ -118,14 +115,13 @@ class PoissonSystem:
         self.dims = d
         self.fluid = flags.fluid
         inv_h2 = 1.0 / (d.h * d.h)
+        tags = _face_views(d, bc.tags)
         count = np.zeros(d.shape)   # non-Neumann faces of each cell
-        has_dirichlet = False
         for axis in d.axes:
-            t = bc.tags[axis]
             for cells in (slice(None, -1), slice(1, None)):
-                count += (t[_along(axis, cells)] != FaceTag.NEUMANN).astype(np.float64)
-            if (t[fluid_adjacent_face_mask(flags, axis)] == FaceTag.DIRICHLET).any():
-                has_dirichlet = True
+                count += tags[axis][_along(axis, cells)] != FaceTag.NEUMANN
+        adjacent = _flat_faces(d, lambda a: fluid_adjacent_face_mask(flags, a))
+        has_dirichlet = bool((bc.tags[adjacent] == FaceTag.DIRICHLET).any())
         count[~self.fluid] = 0.0
         self.diag = count * inv_h2
         self.has_dirichlet = has_dirichlet
@@ -135,7 +131,7 @@ class PoissonSystem:
         # both active (cell-shaped, 0 in the last slab along the axis)
         interior = []
         for axis in d.axes:
-            c = bc.tags[axis][_along(axis, slice(1, None))] == FaceTag.INTERIOR
+            c = tags[axis][_along(axis, slice(1, None))] == FaceTag.INTERIOR
             c &= self.active
             c[_along(axis, slice(None, -1))] &= self.active[_along(axis, slice(1, None))]
             c[_along(axis, -1)] = False
@@ -458,7 +454,7 @@ _cached: tuple | None = None
 
 def _system_for(flags: CellFlags, bc: BcTable) -> PoissonSystem:
     global _cached
-    key = (flags.dims, bc.dims, flags.values.tobytes(), *(t.tobytes() for t in bc.tags))
+    key = (flags.dims, bc.dims, flags.values.tobytes(), bc.tags.tobytes())
     if _cached is None or _cached[0] != key:
         _cached = (key, PoissonSystem(flags, bc))
     return _cached[1]
@@ -501,10 +497,11 @@ def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
     _check_dims(vel, flags)
     inv_h = 1.0 / vel.dims.h
     pv = np.where(flags.fluid, p.values, 0.0)
+    grad = _flat_faces(vel.dims, lambda axis: _to_faces(
+        pv, axis, lambda lo, hi: (hi - lo) * inv_h, ghost=0.0))
     out = vel.copy()
-    for axis, arr in out.components():
-        grad = _to_faces(pv, axis, lambda lo, hi: (hi - lo) * inv_h, ghost=0.0)
-        np.subtract(arr, grad, out=arr, where=bc.tags[axis] != FaceTag.NEUMANN)
+    flat = out.as_flat()
+    np.subtract(flat, grad, out=flat, where=bc.tags != FaceTag.NEUMANN)
     return out
 
 

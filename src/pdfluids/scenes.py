@@ -504,8 +504,8 @@ def upsampled_target(coarse_vel: VelocityField, factor: int, fine_spec: SceneSpe
     then guide a fine run toward the upsampled frames.
     """
     u_t = upsample(coarse_vel, factor)
-    if u_t.dims.shape != state.flags.dims.shape:
-        raise ValueError(f"upsampled target {u_t.dims.shape} does not match "
-                         f"the fine grid {state.flags.dims.shape}")
+    if u_t.dims != state.flags.dims:
+        raise ValueError(f"upsampled target {u_t.dims} does not match "
+                         f"the fine grid {state.flags.dims}")
     _zero_solid_faces(u_t, state.flags)
     return _guiding_config(fine_spec, state.flags, u_t, state.vel)

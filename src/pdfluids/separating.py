@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CellFlags, CellType, VelocityField, _to_faces
+from .fields import CellFlags, CellType, VelocityField, _flat_faces, _to_faces
 from .optim import ConvergenceLog, PdParams, ProxOperator, pd_solve, stop_check
 from .pressure import BcTable, CgConfig, DivergenceProjector, FaceTag, _require_finite
 # re-exported: bench/test_bench.py checks that the tracer rebinds it here
@@ -40,43 +40,26 @@ _NORMAL[CellType.FLUID, CellType.SOLID] = -1.0
 
 
 class BoundaryFaces:
-    """All fluid-solid faces of a flag field in (axis, i, j, k) order, with
-    `blocks` holding one (axis, slice) per active axis: the run of that
-    axis's faces.  The normal points out of the solid along `axis` with the
-    face's sign."""
+    """All fluid-solid faces of a flag field: `index` holds their ascending
+    indices into `VelocityField.as_flat` (so (axis, i, j, k) order) and
+    `sign` the sign of the wall normal, which points out of the solid
+    along the face's axis."""
 
     def __init__(self, flags: CellFlags):
-        runs, self.blocks, start = [], [], 0
-        for axis in flags.dims.axes:
-            sign = _to_faces(flags.values, axis, lambda a, b: _NORMAL.take(3 * a + b))
-            index = np.nonzero(sign)
-            n = index[0].size
-            runs.append((np.full(n, axis), *index, sign[index]))
-            self.blocks.append((axis, slice(start, start + n)))
-            start += n
-        self.axis, self.i, self.j, self.k, self.sign = (
-            np.concatenate(c) for c in zip(*runs))
-        self.count = start
+        sign = _flat_faces(flags.dims, lambda axis: _to_faces(
+            flags.values, axis, lambda a, b: _NORMAL.take(3 * a + b)))
+        self.index = np.flatnonzero(sign)
+        self.sign = sign[self.index]
 
     def __len__(self):
-        return self.count
+        return self.index.size
 
     def normal_velocity(self, vel: VelocityField) -> np.ndarray:
         """u . n per face (positive = moving away from the wall)."""
-        out = np.empty(self.count)
-        for axis, s in self.blocks:
-            out[s] = vel.component(axis)[self.i[s], self.j[s], self.k[s]] \
-                * self.sign[s]
-        return out
+        return vel.as_flat()[self.index] * self.sign
 
     def zero_normal(self, vel: VelocityField, mask: np.ndarray):
-        self._write((vel.u, vel.v, vel.w), mask, 0.0)
-
-    def _write(self, arrays, mask: np.ndarray, value):
-        """Set the masked faces of the per-axis face arrays to value."""
-        for axis, s in self.blocks:
-            m = mask[s]
-            arrays[axis][self.i[s][m], self.j[s][m], self.k[s][m]] = value
+        vel.as_flat()[self.index[mask]] = 0.0
 
 
 @dataclass
@@ -155,7 +138,7 @@ def free_surface_walls_table(flags: CellFlags) -> BcTable:
 def classified_walls_table(flags: CellFlags, state: BcState) -> BcTable:
     """Neumann at non-separating faces, Dirichlet at separating ones."""
     bc = free_surface_walls_table(flags)
-    state.faces._write(bc.tags, state.nsep, np.uint8(FaceTag.NEUMANN))
+    bc.tags[state.faces.index[state.nsep]] = FaceTag.NEUMANN
     return bc
 
 

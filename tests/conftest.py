@@ -21,18 +21,6 @@ def random_velocity(dims, rng, scale=1.0, zero_wall_normals=False):
     return vel
 
 
-def per_axis(flat, dims):
-    """{axis: face array} views of a vector laid out like
-    VelocityField.as_flat() (x block first, active axes only)."""
-    out, off = {}, 0
-    for a in dims.axes:
-        shape = dims.face_shape(a)
-        n = int(np.prod(shape))
-        out[a] = flat[off:off + n].reshape(shape)
-        off += n
-    return out
-
-
 def zero_solid_adjacent(vel, flags):
     """Zero every face value adjacent to a SOLID cell."""
     from pdfluids.fields import face_valid_mask

@@ -145,6 +145,14 @@ class TestBlur:
             blur_obstacle_aware(VelocityField.zeros(d), ScalarField.full(d, -0.1),
                                 CellFlags.open_box(d))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_radius_rejected(self, bad):
+        d = GridDims(8, 8)
+        radius = ScalarField.full(d, 1.0)
+        radius.values[3, 4, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            blur_obstacle_aware(VelocityField.zeros(d), radius, CellFlags.open_box(d))
+
     def test_nonzero_radius_at_solid_rejected(self):
         d = GridDims(8, 8)
         flags = CellFlags.closed_box(d)

@@ -190,6 +190,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "vel_0001.grid" in err and "non-finite" in err
 
+    @pytest.mark.parametrize("h", [0.5, math.inf], ids=["wrong-h", "inf-h"])
+    def test_upres_coarse_grid_with_a_bad_h_exits_2(self, tmp_path, capsys, h):
+        # a 16x16 coarse grid refines to the 32x32 fine grid of the scene
+        # only with the scene's h = 1/16
+        from pdfluids.fields import GridDims, VelocityField
+        from pdfluids.fileio import _HEADER, write_grid
+        coarse = tmp_path / "coarse"
+        coarse.mkdir()
+        path = coarse / "vel_0001.grid"
+        write_grid(path, VelocityField.zeros(GridDims(16, 16, 1, 1.0 / 16)))
+        raw = path.read_bytes()
+        header = _HEADER.unpack_from(raw)[:-1] + (h,)
+        path.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size:])
+        assert run(["upres", "--scene", "circular", "--nx", "16", "--ny", "16",
+                    "--frames", "1", "--out", tmp_path / "fine", "--factor", "2",
+                    "--coarse-dir", coarse]) == 2
+        err = capsys.readouterr().err
+        assert "vel_0001.grid" in err
+        if h == 0.5:   # the message names both grids
+            assert "h=0.25" in err and f"h={1.0 / 32}" in err
+
     def test_missing_scene_exits_2(self, tmp_path):
         assert run(["simulate", "--out", tmp_path]) == 2
 

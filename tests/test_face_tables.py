@@ -1,0 +1,247 @@
+"""Every face table in the velocity buffer's layout, against the per-axis
+bodies it replaced: the boundary tags, the fluid-solid face index, the
+gradient update, the Poisson system's face reads and the velocity branch of
+advection must agree bit for bit in 2D and 3D."""
+
+import numpy as np
+import pytest
+
+from conftest import random_velocity
+from pdfluids import pressure
+from pdfluids.fields import (CellType, GridDims, ScalarField, VelocityField,
+                             _along, _backtrace_rk2, _face_views, _flat_faces,
+                             _interp_component, _to_faces, advect_semi_lagrangian,
+                             face_centers, face_valid_mask, fluid_adjacent_face_mask)
+from pdfluids.pressure import (BcTable, DivergenceProjector, FaceTag, PoissonSystem,
+                               subtract_gradient)
+from pdfluids.separating import (_NORMAL, BcState, BoundaryFaces,
+                                 classified_walls_table)
+from test_faces import CASES, SHAPES, _dims, closed
+
+# -- the per-axis bodies, kept as test-time references -------------------------
+
+def reference_tags(flags, solid_faces=FaceTag.NEUMANN):
+    """BcTable.from_flags as a 3-tuple of face-shaped arrays, the z block
+    included in 2D."""
+    fluid, solid, empty = CellType.FLUID, CellType.SOLID, CellType.EMPTY
+    tag = np.full((4, 4), FaceTag.NEUMANN, dtype=np.uint8)
+    tag[fluid, fluid] = FaceTag.INTERIOR
+    tag[[fluid, solid], [solid, fluid]] = solid_faces
+    tag[[fluid, empty], [empty, fluid]] = FaceTag.DIRICHLET
+    return tuple(_to_faces(flags.values, axis, lambda a, b: tag.take(4 * a + b), ghost=3)
+                 for axis in range(3))
+
+
+def reference_subtract_gradient(vel, p, flags, tags):
+    inv_h = 1.0 / vel.dims.h
+    pv = np.where(flags.fluid, p.values, 0.0)
+    out = vel.copy()
+    for axis, arr in out.components():
+        grad = _to_faces(pv, axis, lambda lo, hi: (hi - lo) * inv_h, ghost=0.0)
+        np.subtract(arr, grad, out=arr, where=tags[axis] != FaceTag.NEUMANN)
+    return out
+
+
+class ReferenceBoundaryFaces:
+    """The per-axis block index: (axis, i, j, k) and sign per face, with one
+    (axis, slice) block per active axis."""
+
+    def __init__(self, flags):
+        runs, self.blocks, start = [], [], 0
+        for axis in flags.dims.axes:
+            sign = _to_faces(flags.values, axis, lambda a, b: _NORMAL.take(3 * a + b))
+            index = np.nonzero(sign)
+            n = index[0].size
+            runs.append((np.full(n, axis), *index, sign[index]))
+            self.blocks.append((axis, slice(start, start + n)))
+            start += n
+        self.axis, self.i, self.j, self.k, self.sign = (
+            np.concatenate(c) for c in zip(*runs))
+        self.count = start
+
+    def normal_velocity(self, vel):
+        out = np.empty(self.count)
+        for axis, s in self.blocks:
+            out[s] = vel.component(axis)[self.i[s], self.j[s], self.k[s]] * self.sign[s]
+        return out
+
+    def write(self, arrays, mask, value):
+        for axis, s in self.blocks:
+            m = mask[s]
+            arrays[axis][self.i[s][m], self.j[s][m], self.k[s][m]] = value
+
+
+def reference_system_faces(flags, tags):
+    """The face counts, Dirichlet test and INTERIOR couplings that
+    PoissonSystem read from a per-axis table."""
+    d = flags.dims
+    count = np.zeros(d.shape)
+    has_dirichlet = False
+    for axis in d.axes:
+        t = tags[axis]
+        for cells in (slice(None, -1), slice(1, None)):
+            count += (t[_along(axis, cells)] != FaceTag.NEUMANN).astype(np.float64)
+        if (t[fluid_adjacent_face_mask(flags, axis)] == FaceTag.DIRICHLET).any():
+            has_dirichlet = True
+    count[~flags.fluid] = 0.0
+    interior = [tags[axis][_along(axis, slice(1, None))] == FaceTag.INTERIOR
+                for axis in d.axes]
+    return count, has_dirichlet, interior
+
+
+def reference_advect_velocity(field, vel, dt, flags):
+    res = field.copy()
+    for axis, arr in field.components():
+        X, Y, Z = face_centers(field.dims, axis)
+        bx, by, bz = _backtrace_rk2(vel, X, Y, Z, dt)
+        sampled = _interp_component(arr, axis, field.dims, bx, by, bz)
+        valid = face_valid_mask(flags, axis)
+        dst = res.component(axis)
+        dst[valid] = sampled[valid]
+    return res
+
+
+def flat(dims, per_axis):
+    return _flat_faces(dims, lambda a: per_axis[a])
+
+
+def random_tags(dims, rng):
+    return tuple(rng.integers(0, 3, size=dims.face_shape(a)).astype(np.uint8)
+                 for a in range(3))
+
+
+def assert_same_velocity(got, ref):
+    assert got._buf.tobytes() == ref._buf.tobytes()
+
+
+# -- the views ------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+class TestFaceViews:
+    def test_inverse_of_flat_faces(self, shape):
+        d = _dims(shape)
+        arrays = [np.random.default_rng(a).standard_normal(d.face_shape(a))
+                  for a in range(3)]
+        packed = _flat_faces(d, lambda a: arrays[a])
+        views = _face_views(d, packed)
+        assert len(views) == len(d.axes)
+        for a, view in enumerate(views):
+            assert view.base is packed and view.tobytes() == arrays[a].tobytes()
+        views[-1][(-1, -1, -1)] = 7.0   # writable, into the array
+        assert packed[-1] == 7.0
+
+    def test_velocity_buffer(self, shape):
+        d = _dims(shape)
+        vel = random_velocity(d, np.random.default_rng(1))
+        full, active = _face_views(d, vel._buf), _face_views(d, vel.as_flat())
+        assert len(full) == 3 and len(active) == len(d.axes)
+        for a in range(3):
+            assert np.shares_memory(full[a], vel.component(a))
+            assert full[a].tobytes() == vel.component(a).tobytes()
+        for a in d.axes:
+            assert active[a].tobytes() == vel.component(a).tobytes()
+
+    def test_wrong_length_raises(self, shape):
+        d = _dims(shape)
+        n = VelocityField.zeros(d).n_dof
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1))):
+            with pytest.raises(ValueError, match="does not match"):
+                _face_views(d, bad)
+
+
+# -- the tables -----------------------------------------------------------------
+
+@pytest.mark.parametrize("make, shape", CASES)
+class TestFlatTables:
+    @pytest.mark.parametrize("solid_faces", [FaceTag.NEUMANN, FaceTag.DIRICHLET])
+    def test_from_flags(self, make, shape, solid_faces):
+        flags = make(shape)
+        got = BcTable.from_flags(flags, solid_faces).tags
+        ref = flat(flags.dims, reference_tags(flags, solid_faces))
+        assert got.dtype == np.uint8 and got.shape == (VelocityField.zeros(flags.dims).n_dof,)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("table", ["neumann", "dirichlet", "random"])
+    def test_subtract_gradient(self, make, shape, table):
+        flags = make(shape)
+        rng = np.random.default_rng(11)
+        tags = (random_tags(flags.dims, rng) if table == "random"
+                else reference_tags(flags, FaceTag[table.upper()]))
+        bc = BcTable(flags.dims, flat(flags.dims, tags))
+        vel = random_velocity(flags.dims, rng)
+        vel.w[...] = rng.standard_normal(vel.w.shape)   # a live 2D z block stays
+        p = ScalarField(flags.dims, rng.standard_normal(flags.dims.shape))
+        got = subtract_gradient(vel, p, flags, bc)
+        assert_same_velocity(got, reference_subtract_gradient(vel, p, flags, tags))
+
+    def test_poisson_system_reads(self, make, shape):
+        flags = make(shape)
+        rng = np.random.default_rng(12)
+        for tags in (reference_tags(flags), reference_tags(flags, FaceTag.DIRICHLET),
+                     random_tags(flags.dims, rng)):
+            system = PoissonSystem(flags, BcTable(flags.dims, flat(flags.dims, tags)))
+            count, has_dirichlet, interior = reference_system_faces(flags, tags)
+            inv_h2 = 1.0 / (flags.dims.h * flags.dims.h)
+            assert system.diag.tobytes() == (count * inv_h2).tobytes()
+            assert system.has_dirichlet == has_dirichlet
+            for (_, conn), c in zip(system._stencil, interior):
+                # the coupling is zero wherever the reference face is not
+                # INTERIOR (activity masks the rest)
+                assert not conn[~c.reshape(-1)[:conn.size]].any()
+
+    def test_boundary_faces(self, make, shape):
+        flags = make(shape)
+        faces, ref = BoundaryFaces(flags), ReferenceBoundaryFaces(flags)
+        d = flags.dims
+        offset = {a: d._face_blocks[a][0] for a in d.axes}
+        expect = np.array([offset[a] + np.ravel_multi_index((i, j, k), d.face_shape(a))
+                           for a, i, j, k in zip(ref.axis, ref.i, ref.j, ref.k)],
+                          dtype=np.intp)
+        assert faces.index.tobytes() == expect.tobytes()
+        assert faces.sign.dtype == ref.sign.dtype
+        assert faces.sign.tobytes() == ref.sign.tobytes()
+        assert len(faces) == ref.count
+
+    @pytest.mark.parametrize("share", [0.5, 0.0, 1.0])
+    def test_wall_reads_and_writes(self, make, shape, share):
+        flags = make(shape)
+        faces, ref = BoundaryFaces(flags), ReferenceBoundaryFaces(flags)
+        rng = np.random.default_rng(13)
+        vel = random_velocity(flags.dims, rng)
+        assert faces.normal_velocity(vel).tobytes() == ref.normal_velocity(vel).tobytes()
+        nsep = rng.random(len(faces)) < share
+        got, want = vel.copy(), vel.copy()
+        faces.zero_normal(got, nsep)
+        ref.write((want.u, want.v, want.w), nsep, 0.0)
+        assert_same_velocity(got, want)
+        tags = reference_tags(flags, FaceTag.DIRICHLET)
+        ref.write(tags, nsep, np.uint8(FaceTag.NEUMANN))
+        table = classified_walls_table(flags, BcState(faces, nsep, np.zeros(len(faces))))
+        assert table.tags.tobytes() == flat(flags.dims, tags).tobytes()
+
+    def test_advect_velocity(self, make, shape):
+        flags = make(shape)
+        rng = np.random.default_rng(14)
+        field = random_velocity(flags.dims, rng)
+        vel = random_velocity(flags.dims, rng, scale=2.0)
+        got = advect_semi_lagrangian(field, vel, 0.1, flags)
+        assert_same_velocity(got, reference_advect_velocity(field, vel, 0.1, flags))
+
+
+def test_cache_key_reads_every_tag():
+    # one tag changed in place, on the last face of each block in turn
+    flags = closed(SHAPES["3d"])
+    bc = BcTable.from_flags(flags)
+    system = DivergenceProjector(flags, bc).system
+    for view in _face_views(flags.dims, bc.tags):
+        view[(-1, -1, -1)] = FaceTag.DIRICHLET
+        again = DivergenceProjector(flags, bc).system
+        assert again is not system
+        system = again
+    assert pressure._system_for(flags, BcTable(flags.dims, bc.tags.copy())) is system
+
+
+def test_dims_h_must_be_finite():
+    for h in (np.inf, -np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="cell width h"):
+            GridDims(8, 8, 1, h)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
-                             VelocityField, divergence, face_centers)
+                             VelocityField, _face_views, divergence, face_centers)
 from pdfluids import guiding
 from pdfluids.guiding import (GuidingConfig, GuidingMinimizerProjection,
                               GuidingPrecompute, GuidingProx,
@@ -15,7 +15,7 @@ from pdfluids.guiding import (GuidingConfig, GuidingMinimizerProjection,
 from pdfluids.optim import ConvergenceLog, PdParams
 from pdfluids.pressure import PoissonConvergenceError
 
-from conftest import per_axis, random_velocity, zero_solid_adjacent
+from conftest import random_velocity, zero_solid_adjacent
 from test_optim import SmallGuidingOracle, guiding_instance
 
 
@@ -43,7 +43,7 @@ class TestObjective:
         x = cfg.u_current
         quad = GuidingQuadratic(cfg)
         expect = 0.0
-        valid = per_axis(quad.valid, d)
+        valid = _face_views(d, quad.valid)
         for a, arr in (x - cfg.u_target).components():
             expect += float(np.sum(np.square(arr[valid[a]])))
         assert guiding_objective(x, cfg) == pytest.approx(expect, rel=1e-12)
@@ -100,6 +100,19 @@ class TestObjective:
                           u_current=VelocityField.zeros(d))
 
 
+    @pytest.mark.parametrize("field", ["weights", "radius"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    def test_non_finite_weights_and_radii_rejected(self, field, bad):
+        d = GridDims(8, 8)
+        flags = CellFlags.open_box(d)
+        values = {"weights": ScalarField.full(d, 1.0), "radius": ScalarField.full(d, 1.0)}
+        values[field].values[2, 5, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GuidingConfig(flags=flags, **values, u_target=VelocityField.zeros(d),
+                          u_current=VelocityField.zeros(d))
+
+
 class TestExactProx:
     def test_optimality_residual(self, rng):
         d, flags, cfg = guiding_instance(8, rng)
@@ -137,7 +150,7 @@ class TestExactProx:
         v = zero_solid_adjacent(random_velocity(d, rng), flags)
         x = GuidingProxExact(cfg)(sigma, v)
         denom = 2.0 + 2.0 * w * w + sigma
-        valid = per_axis(quad.valid, d)
+        valid = _face_views(d, quad.valid)
         for a, arr in x.components():
             m = valid[a]
             expect = (sigma * v.component(a) + 2.0 * cfg.u_target.component(a)
@@ -149,7 +162,7 @@ class TestExactProx:
         quad = GuidingQuadratic(cfg)
         v = random_velocity(d, rng)
         x = GuidingProxExact(cfg)(1.0, v)
-        valid = per_axis(quad.valid, d)
+        valid = _face_views(d, quad.valid)
         for a, arr in x.components():
             inv = ~valid[a]
             assert np.array_equal(arr[inv], v.component(a)[inv])
@@ -195,7 +208,7 @@ class TestSmwProx:
             m_sub = m_mat[np.ix_(fv, fv)]
             m_inv = np.linalg.inv(m_sub)
             pre = GuidingPrecompute.build(quad, sigma)
-            gamma = per_axis(pre.gamma, d)
+            gamma = _face_views(d, pre.gamma)
 
             def approx_inv(f):
                 g1 = f.copy()
@@ -501,7 +514,7 @@ class TestGuideStep:
         dev = z - cfg.u_target
         left = []
         right = []
-        valid = per_axis(quad.valid, d)
+        valid = _face_views(d, quad.valid)
         for a, arr in dev.components():
             X = face_centers(d, a)[0]
             m = valid[a]

@@ -82,14 +82,13 @@ class TestSmoke:
         # weight 16 left / 1 right: time-averaged distance to the target is
         # larger where guiding is weak (large weights anchor to the current
         # field instead)
-        from conftest import per_axis
-        from pdfluids.fields import face_centers
+        from pdfluids.fields import _face_views, face_centers
         from pdfluids.guiding import GuidingQuadratic
         spec = SceneSpec("circular", nx=64, ny=64, omega=1.0,
                          w_left=16.0, w_right=1.0)
         state, cfg = build_scene(spec)
         quad = GuidingQuadratic(cfg)
-        valid = per_axis(quad.valid, spec.dims)
+        valid = _face_views(spec.dims, quad.valid)
         left_dev, right_dev = [], []
         for _ in range(20):
             cfg = cfg.with_current(state.vel)

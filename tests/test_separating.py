@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
-                             VelocityField, divergence)
+                             VelocityField, _face_views, _flat_faces, divergence)
 from pdfluids.optim import ConvergenceLog
 from pdfluids.pressure import BcTable, CgConfig, FaceTag, project
 from pdfluids.separating import (BcState, BoundaryFaces, SeparatingProx,
@@ -22,6 +24,16 @@ def tank(n=12, fill=1.0):
     return d, flags
 
 
+def face_coords(faces, dims):
+    """(axis, i, j, k) of each face of a BoundaryFaces, decoded from its
+    flat index."""
+    axis = _flat_faces(dims, lambda a: np.full(dims.face_shape(a), a))
+    i, j, k = (_flat_faces(dims, lambda a: np.indices(dims.face_shape(a))[c])
+               for c in range(3))
+    n = faces.index
+    return SimpleNamespace(axis=axis[n], i=i[n], j=j[n], k=k[n])
+
+
 class TestBoundaryFaces:
     def test_exactly_fluid_solid_faces(self):
         d, flags = tank(8, fill=0.5)
@@ -30,11 +42,12 @@ class TestBoundaryFaces:
         level = 1 + 3
         expect = 6 + 2 * 3
         assert len(faces) == expect
+        c = face_coords(faces, d)
         for n in range(len(faces)):
-            idx = np.array((faces.i[n], faces.j[n], faces.k[n]))
+            idx = np.array((c.i[n], c.j[n], c.k[n]))
             cell_hi = tuple(idx)
             lo = idx.copy()
-            lo[faces.axis[n]] -= 1
+            lo[c.axis[n]] -= 1
             a = flags.values[tuple(lo)]
             b = flags.values[cell_hi]
             assert {int(a), int(b)} == {int(CellType.FLUID), int(CellType.SOLID)}
@@ -45,8 +58,9 @@ class TestBoundaryFaces:
         vel = VelocityField.zeros(d)
         vel.v[...] = -1.0  # falling fluid
         un = faces.normal_velocity(vel)
-        bottom = (faces.axis == 1) & (faces.j == 1)
-        top = (faces.axis == 1) & (faces.j == d.ny - 1)
+        c = face_coords(faces, d)
+        bottom = (c.axis == 1) & (c.j == 1)
+        top = (c.axis == 1) & (c.j == d.ny - 1)
         assert np.allclose(un[bottom], -1.0)   # into the floor
         assert np.allclose(un[top], 1.0)       # away from the ceiling
 
@@ -63,8 +77,9 @@ class TestClassify:
         d, flags = tank(n)
         return d, flags, BcState.initial(flags, eps=1e-5)
 
-    def face_where(self, state, axis, pred):
-        idx = np.flatnonzero((state.faces.axis == axis) & pred(state.faces))
+    def face_where(self, d, state, axis, pred):
+        c = face_coords(state.faces, d)
+        idx = np.flatnonzero((c.axis == axis) & pred(c))
         assert idx.size
         return idx[0]
 
@@ -73,7 +88,8 @@ class TestClassify:
         vel = VelocityField.zeros(d)
         vel.v[...] = -0.5
         classify(vel, state)
-        bottom = (state.faces.axis == 1) & (state.faces.j == 1)
+        c = face_coords(state.faces, d)
+        bottom = (c.axis == 1) & (c.j == 1)
         assert state.nsep[bottom].all()
         assert np.allclose(state.memory[bottom], -0.5)
         classify(vel, state)
@@ -81,22 +97,22 @@ class TestClassify:
 
     def test_outward_motion_frees_face_when_beating_memory(self):
         d, flags, state = self.setup_state()
-        n = self.face_where(state, 1, lambda f: f.j == 1)
+        n = self.face_where(d, state, 1, lambda f: f.j == 1)
         state.nsep[n] = True
         state.memory[n] = -0.1
         vel = VelocityField.zeros(d)
-        vel.v[state.faces.i[n], 1, 0] = 0.3 * state.faces.sign[n]
+        vel.as_flat()[state.faces.index[n]] = 0.3 * state.faces.sign[n]
         classify(vel, state)
         assert not state.nsep[n]
         assert state.memory[n] == 0.0
 
     def test_outward_motion_below_memory_stays(self):
         d, flags, state = self.setup_state()
-        n = self.face_where(state, 1, lambda f: f.j == 1)
+        n = self.face_where(d, state, 1, lambda f: f.j == 1)
         state.nsep[n] = True
         state.memory[n] = -0.5
         vel = VelocityField.zeros(d)
-        vel.v[state.faces.i[n], 1, 0] = 0.3 * state.faces.sign[n]
+        vel.as_flat()[state.faces.index[n]] = 0.3 * state.faces.sign[n]
         classify(vel, state)
         assert state.nsep[n]
 
@@ -114,22 +130,22 @@ class TestClassify:
 
     def test_accelerated_mode_ignores_memory(self):
         d, flags, state = self.setup_state()
-        n = self.face_where(state, 1, lambda f: f.j == 1)
+        n = self.face_where(d, state, 1, lambda f: f.j == 1)
         state.nsep[n] = True
         state.memory[n] = -100.0
         vel = VelocityField.zeros(d)
-        vel.v[state.faces.i[n], 1, 0] = 0.3 * state.faces.sign[n]
+        vel.as_flat()[state.faces.index[n]] = 0.3 * state.faces.sign[n]
         classify(vel, state, use_memory=False)
         assert not state.nsep[n]
 
     def test_memory_running_sum_property(self, rng):
         d, flags, state = self.setup_state()
-        n = self.face_where(state, 1, lambda f: f.j == 1)
+        n = self.face_where(d, state, 1, lambda f: f.j == 1)
         values = -rng.random(6)  # wall-ward sequence
         vel = VelocityField.zeros(d)
         total = 0.0
         for val in values:
-            vel.v[state.faces.i[n], 1, 0] = val * state.faces.sign[n]
+            vel.as_flat()[state.faces.index[n]] = val * state.faces.sign[n]
             classify(vel, state)
             total += val
         assert state.memory[n] == pytest.approx(total)
@@ -140,8 +156,8 @@ class TestProxBc:
         d, flags = tank(8)
         state = BcState.initial(flags)
         state.nsep[0] = True
-        f = state.faces
-        axis, index = f.axis[0], (f.i[0], f.j[0], f.k[0])
+        c = face_coords(state.faces, d)
+        axis, index = c.axis[0], (c.i[0], c.j[0], c.k[0])
         vel = random_velocity(d, rng)
         out = SeparatingProx(state)(0.0, vel)
         assert out.component(axis)[index] == 0.0
@@ -229,8 +245,8 @@ class TestStandardSolver:
         state = BcState.initial(flags)
         log = ConvergenceLog()
         out = solve_separating_standard(vel, flags, state=state, log=log)
-        faces = state.faces
-        left = (faces.axis == 0) & (faces.i == 1)
+        c = face_coords(state.faces, d)
+        left = (c.axis == 0) & (c.i == 1)
         assert not state.nsep[left].any()
         assert np.all(out.u[1, 4:7, 0] > 0.5)
 
@@ -270,9 +286,7 @@ class TestAcceleratedSolver:
         d, flags = tank(10, fill=1.0)
         faces = BoundaryFaces(flags)
         vel = VelocityField.zeros(d)
-        for n in range(len(faces)):
-            vel.component(faces.axis[n])[faces.i[n], faces.j[n], faces.k[n]] = \
-                0.5 * faces.sign[n]
+        vel.as_flat()[faces.index] = 0.5 * faces.sign
         state = BcState.initial(flags)
         log = ConvergenceLog()
         solve_separating_accelerated(vel, flags, state=state, log=log)
@@ -373,11 +387,10 @@ def reference_zero_normal(ref, vel, mask):
 
 def reference_walls_table(flags, ref, nsep):
     bc = BcTable.from_flags(flags, solid_faces=FaceTag.DIRICHLET)
-    for axis in range(3):
+    for axis, tags in enumerate(_face_views(flags.dims, bc.tags)):
         m = (ref["axis"] == axis) & nsep
         if m.any():
-            bc.tags[axis][ref["i"][m], ref["j"][m], ref["k"][m]] = \
-                np.uint8(FaceTag.NEUMANN)
+            tags[ref["i"][m], ref["j"][m], ref["k"][m]] = np.uint8(FaceTag.NEUMANN)
     return bc
 
 
@@ -425,8 +438,10 @@ class TestBlockIndexMatchesReference:
         faces, ref = BoundaryFaces(flags), reference_faces(flags)
         assert len(faces) == ref["axis"].size
         assert (len(faces) == 0) == (case == "empty")
+        assert (np.diff(faces.index) > 0).all()
+        coords = face_coords(faces, flags.dims)
         for name, arr in ref.items():
-            got = getattr(faces, name)
+            got = faces.sign if name == "sign" else getattr(coords, name)
             assert got.dtype == arr.dtype
             assert got.tobytes() == arr.tobytes()
         if case.startswith("random"):
@@ -450,5 +465,4 @@ class TestBlockIndexMatchesReference:
             state = BcState(faces, nsep, np.zeros(len(faces)))
             tags = classified_walls_table(flags, state).tags
             expect = reference_walls_table(flags, ref, nsep).tags
-            for axis in range(3):
-                assert tags[axis].tobytes() == expect[axis].tobytes()
+            assert tags.tobytes() == expect.tobytes()

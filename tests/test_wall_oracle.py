@@ -1,0 +1,88 @@
+"""The accelerated separating-wall solver against the exact inequality
+projection.  Separating walls constrain u.n >= 0 on every fluid-solid face;
+the exact pressure step projects the input a onto {D u = 0 on FLUID cells,
+S u >= 0}, the LCP of Batty, Bertails & Bridson (SIGGRAPH 2007).  By Moreau's
+decomposition that projection is u* = a + D^T p + S^T mu for the free p and
+the mu >= 0 that minimize its norm, a bounded least-squares problem that
+scipy solves here as a test-time oracle."""
+
+import copy
+import functools
+
+import numpy as np
+import pytest
+
+from pdfluids.fields import _along, _face_views
+from pdfluids.pressure import CgConfig
+from pdfluids.scenes import SceneSpec, build_scene, liquid_begin_step, liquid_step
+from pdfluids.separating import BoundaryFaces, solve_separating_accelerated
+
+lsq_linear = pytest.importorskip("scipy.optimize").lsq_linear
+
+SCENES = {
+    "dam-2d": SceneSpec("dam", nx=32, ny=22, seed=1),
+    "tank-3d": SceneSpec("hydrostatic", nx=10, ny=10, nz=8, seed=1),
+    "dam-3d": SceneSpec("dam", nx=10, ny=10, nz=8, fill_fraction=0.5,
+                        fill_height=0.7, seed=1),
+}
+FRAMES = {"dam-2d": (30, 60, 120), "tank-3d": (5, 15), "dam-3d": (15,)}
+
+
+@functools.cache
+def pressure_inputs(scene):
+    """{frame: (a, flags)}: the input of the pressure stage of the frame
+    after that many accelerated frames at the CLI's CG accuracy."""
+    state, _ = build_scene(SCENES[scene])
+    out = {}
+    for frame in range(1, max(FRAMES[scene]) + 1):
+        liquid_step(state, mode="separating-accelerated", cg=CgConfig())
+        if frame in FRAMES[scene]:
+            probe = copy.deepcopy(state)
+            a, _ = liquid_begin_step(probe)
+            out[frame] = (a, probe.flags)
+    return out
+
+
+def oracle(a, flags):
+    """The exact projection u* of a and the multipliers mu of its walls."""
+    d = flags.dims
+    n = a.n_dof
+    face = _face_views(d, np.arange(n))   # the flat index of every face
+    cells = np.flatnonzero(flags.fluid)
+    col = np.arange(cells.size)
+    dt = np.zeros((n, cells.size))        # D^T, unscaled
+    for axis in d.axes:
+        dt[face[axis][_along(axis, slice(1, None))].reshape(-1)[cells], col] += 1.0
+        dt[face[axis][_along(axis, slice(None, -1))].reshape(-1)[cells], col] -= 1.0
+    faces = BoundaryFaces(flags)
+    st = np.zeros((n, len(faces)))        # S^T, the signed wall-face selector
+    st[faces.index, np.arange(len(faces))] = faces.sign
+    mat = np.hstack((dt, st))
+    rows = np.flatnonzero(np.abs(mat).sum(axis=1))   # faces the step can move
+    lower = np.concatenate((np.full(cells.size, -np.inf), np.zeros(len(faces))))
+    x = lsq_linear(mat[rows], -a.as_flat()[rows], bounds=(lower, np.inf),
+                   method="bvls", tol=1e-10).x
+    return a.as_flat() + mat @ x, x[cells.size:], dt, st
+
+
+CASES = [pytest.param(scene, frame, id=f"{scene}-{frame}",
+                      marks=[pytest.mark.xfail(strict=True, reason=(
+                          "the lock-in keeps a face whose implied multiplier is "
+                          "-5.5e-3, so the wall pulls the fluid back: 3.9e-3 "
+                          "from the exact projection"))] if scene == "dam-3d" else [])
+         for scene in SCENES for frame in FRAMES[scene]]
+
+
+@pytest.mark.parametrize("scene, frame", CASES)
+def test_accelerated_matches_exact_projection(scene, frame):
+    a, flags = pressure_inputs(scene)[frame]
+    exact, mu, dt, st = oracle(a, flags)
+    step = np.linalg.norm(exact - a.as_flat())
+    assert step > 0 and st.shape[1] > 0
+    # the oracle's own optimality: feasible, mu >= 0, complementary
+    assert np.abs(dt.T @ exact).max() <= 1e-10 * step
+    assert (st.T @ exact).min() >= -1e-10 * step
+    assert mu.min() >= 0.0
+    assert np.abs(mu * (st.T @ exact)).max() <= 1e-10 * step * max(mu.max(), 1.0)
+    z = solve_separating_accelerated(a, flags, eps_cg=1e-8)
+    assert np.linalg.norm(z.as_flat() - exact) <= 1e-8 * step
