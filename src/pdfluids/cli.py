@@ -34,38 +34,28 @@ class SolverFailure(RuntimeError):
     pass
 
 
+_SCENE = "scene."   # the dest prefix of the flags that set a SceneSpec field
+
+
 def _build_config(args) -> RunConfig:
-    """The config file's raw values (or just the scene name) with the flags
-    written over them, so the scene defaults (h = 1/nx, dt by scene) resolve
-    after the flags; an explicit h or dt in the file is kept."""
+    """The config file's raw values (or just the scene name) with every
+    given flag written over the key it names, so the scene defaults
+    (h = 1/nx, dt by scene) resolve after the flags; an explicit h or dt in
+    the file is kept."""
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "config")}
     if args.config:
         data = read_json(args.config)
-    elif args.scene:
-        data = {"scene": {"name": args.scene}}
+    elif _SCENE + "name" in flags:
+        data = {"scene": {}}
     else:
         raise ConfigError("either --config or --scene is required")
-    overrides = {
-        "frames": args.frames, "out_dir": args.out,
-        "method": getattr(args, "method", None),
-        "bc_mode": getattr(args, "bc", None),
-        "save_velocity": True if getattr(args, "save_velocity", False) else None,
-        "save_pgm": True if getattr(args, "save_pgm", False) else None,
-        "save_logs": True if getattr(args, "save_logs", False) else None,
-        "upres_factor": getattr(args, "factor", None),
-        "coarse_dir": getattr(args, "coarse_dir", None),
-    }
-    scene_overrides = {
-        "name": args.scene, "nx": args.nx, "ny": args.ny,
-        "w_left": getattr(args, "w_left", None),
-        "w_right": getattr(args, "w_right", None),
-        "radius_left": getattr(args, "radius_left", None),
-        "radius_right": getattr(args, "radius_right", None),
-        "seed": args.seed,
-    }
-    data.update((k, v) for k, v in overrides.items() if v is not None)
-    if isinstance(data.get("scene"), dict):
-        data["scene"].update((k, v) for k, v in scene_overrides.items()
-                             if v is not None)
+    scene = data.get("scene")
+    for key, value in flags.items():
+        if not key.startswith(_SCENE):
+            data[key] = value
+        elif isinstance(scene, dict):
+            scene[key[len(_SCENE):]] = value
     return RunConfig.from_dict(data)
 
 
@@ -98,62 +88,75 @@ def _frame_outputs(cfg: RunConfig, state):
             render_pgm(state.flags, os.path.join(cfg.out_dir, f"flags_{frame}.pgm"))
     if cfg.save_velocity:
         write_grid(os.path.join(cfg.out_dir, f"vel_{frame}.grid"), state.vel)
-    if cfg.save_logs and state.last_log is not None and len(state.last_log):
+    if cfg.save_logs and len(state.last_log):
         write_convergence_csv(state.last_log, os.path.join(
             cfg.out_dir, f"conv_{cfg.scene.name}_{frame}.csv"))
 
 
-def _check_converged(state, what: str):
-    log = state.last_log
-    if not log.converged:
-        raise SolverFailure(f"{what} did not converge at frame {state.frame} "
-                            f"(residual {log.final_residual:.3e})")
-
-
-def _write_summary(path, rows, header):
-    lines = [header] + [",".join(str(v) for v in r) for r in rows]
+def _write_summary(path, columns, rows):
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("".join(",".join(map(str, r)) + "\n" for r in [columns, *rows]))
+
+
+def _run_frames(cfg: RunConfig, state, step, summary: str, extra=()):
+    """Run cfg.frames frames of step(frame) on `state`.  A frame whose log
+    has not converged raises SolverFailure (exit 3); every other adds the
+    row (frame, *extra columns, outer iterations, CG iterations) to the
+    CSV at `summary` and writes its files to cfg.out_dir.  `extra` holds
+    (column name, function of the state) pairs.  Returns the rows."""
+    os.makedirs(os.path.dirname(summary), exist_ok=True)
+    rows = []
+    for frame in range(cfg.frames):
+        step(frame)
+        log = state.last_log
+        if not log.converged:
+            raise SolverFailure(f"{log.method} did not converge at frame "
+                                f"{state.frame} (residual {log.final_residual:.3e})")
+        rows.append((state.frame, *(column(state) for _, column in extra),
+                     len(log), log.total_cg_iters))
+        _frame_outputs(cfg, state)
+    _write_summary(summary, ["frame", *(name for name, _ in extra),
+                             "iterations", "cg_iters"], rows)
+    return rows
+
+
+def _guided_step(cfg: RunConfig, state, target):
+    """The step of a guided run: `target(frame)` gives the frame's guiding
+    config, whose mean weight sets the default step sizes."""
+    def step(frame):
+        guide_cfg = target(frame).with_current(state.vel)
+        pd, admm = _solver_params(cfg, guide_cfg.w_bar)
+        smoke_step(state, guide_cfg, method=cfg.method, pd_params=pd,
+                   admm_params=admm, cg=cfg.cg, exact_prox=cfg.exact_prox)
+    return step
+
+
+def _guided_scene(cfg: RunConfig):
+    state, guide_cfg = build_scene(cfg.scene)
+    if guide_cfg is None:
+        raise ConfigError(f"scene {cfg.scene.name!r} defines no guiding target")
+    return state, guide_cfg
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     state, _ = build_scene(cfg.scene)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = []
-    for _ in range(cfg.frames):
-        if cfg.scene.is_liquid:
-            liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg)
-        else:
-            smoke_step(state, None, cg=cfg.cg)
-        _check_converged(state, state.last_log.method)
-        log = state.last_log
-        rows.append((state.frame, len(log), log.total_cg_iters))
-        _frame_outputs(cfg, state)
-    _write_summary(os.path.join(cfg.out_dir, "summary.csv"), rows,
-                   "frame,iterations,cg_iters")
+    if cfg.scene.is_liquid:
+        step = lambda _: liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg)
+    else:
+        step = lambda _: smoke_step(state, None, cg=cfg.cg)
+    _run_frames(cfg, state, step, os.path.join(cfg.out_dir, "summary.csv"))
     return 0
 
 
 def cmd_guide(cfg: RunConfig, target_override=None) -> int:
-    state, guide_cfg = build_scene(cfg.scene)
-    if guide_cfg is None and target_override is None:
-        raise ConfigError(f"scene {cfg.scene.name!r} defines no guiding target")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = []
-    for frame in range(cfg.frames):
-        if target_override is not None:
-            guide_cfg = target_override(frame, state)
-        guide_cfg = guide_cfg.with_current(state.vel)
-        pd, admm = _solver_params(cfg, guide_cfg.w_bar)
-        smoke_step(state, guide_cfg, method=cfg.method, pd_params=pd,
-                   admm_params=admm, cg=cfg.cg, exact_prox=cfg.exact_prox)
-        if cfg.method in ("pd", "admm"):
-            _check_converged(state, cfg.method)
-        log = state.last_log
-        rows.append((state.frame, len(log), log.total_cg_iters))
-        _frame_outputs(cfg, state)
-    _write_summary(os.path.join(cfg.out_dir, "summary.csv"), rows,
-                   "frame,iterations,cg_iters")
+    if target_override is None:
+        state, guide_cfg = _guided_scene(cfg)
+        target = lambda _: guide_cfg
+    else:
+        state, _ = build_scene(cfg.scene)
+        target = lambda frame: target_override(frame, state)
+    _run_frames(cfg, state, _guided_step(cfg, state, target),
+                os.path.join(cfg.out_dir, "summary.csv"))
     return 0
 
 
@@ -182,72 +185,52 @@ def cmd_upres(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     summary = []
     for method in ("pd", "admm"):
-        state, guide_cfg = build_scene(cfg.scene)
-        if guide_cfg is None:
-            raise ConfigError(f"scene {cfg.scene.name!r} defines no guiding target")
-        pd, admm = _solver_params(cfg, guide_cfg.w_bar)
-        method_cfg = dataclasses.replace(cfg, out_dir=os.path.join(cfg.out_dir, method))
-        rows = []
-        for _ in range(cfg.frames):
-            guide_cfg = guide_cfg.with_current(state.vel)
-            smoke_step(state, guide_cfg, method=method, pd_params=pd,
-                       admm_params=admm, cg=cfg.cg, exact_prox=cfg.exact_prox)
-            _check_converged(state, method)
-            log = state.last_log
-            rows.append((state.frame, len(log), log.total_cg_iters))
-            _frame_outputs(method_cfg, state)
-        _write_summary(os.path.join(cfg.out_dir, f"compare_{method}.csv"),
-                       rows, "frame,iterations,cg_iters")
+        state, guide_cfg = _guided_scene(cfg)
+        method_cfg = dataclasses.replace(
+            cfg, method=method, out_dir=os.path.join(cfg.out_dir, method))
+        rows = _run_frames(method_cfg, state,
+                           _guided_step(method_cfg, state, lambda _: guide_cfg),
+                           os.path.join(cfg.out_dir, f"compare_{method}.csv"))
         mean_iters = float(np.mean([r[1] for r in rows]))
         mean_cg = float(np.mean([r[2] for r in rows]))
         summary.append((method, f"{mean_iters:.17g}", f"{mean_cg:.17g}"))
         print(f"{method}: mean iterations {mean_iters:.2f}, "
               f"mean CG iterations {mean_cg:.1f}")
-    _write_summary(os.path.join(cfg.out_dir, "summary.csv"), summary,
-                   "method,mean_iterations,mean_cg_iters")
+    _write_summary(os.path.join(cfg.out_dir, "summary.csv"),
+                   ["method", "mean_iterations", "mean_cg_iters"], summary)
     return 0
 
 
 def cmd_dam(cfg: RunConfig) -> int:
-    state, _ = build_scene(cfg.scene)
     if not cfg.scene.is_liquid:
         raise ConfigError("dam expects a liquid scene")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = []
-    for _ in range(cfg.frames):
-        liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg)
-        _check_converged(state, cfg.bc_mode)
-        log = state.last_log
-        rows.append((state.frame, ceiling_contact_cells(state.flags),
-                     len(log), log.total_cg_iters))
-        _frame_outputs(cfg, state)
-    _write_summary(os.path.join(cfg.out_dir, "ceiling_contact.csv"), rows,
-                   "frame,ceiling_cells,iterations,cg_iters")
+    state, _ = build_scene(cfg.scene)
+    _run_frames(cfg, state,
+                lambda _: liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg),
+                os.path.join(cfg.out_dir, "ceiling_contact.csv"),
+                extra=[("ceiling_cells", lambda s: ceiling_contact_cells(s.flags))])
     return 0
 
 
 def _add_common(p):
     p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--scene", choices=list(SCENE_NAMES), help="scene name")
+    p.add_argument("--scene", dest=_SCENE + "name", choices=list(SCENE_NAMES),
+                   help="scene name")
     p.add_argument("--frames", type=int)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--save-velocity", action="store_true", dest="save_velocity")
-    p.add_argument("--save-pgm", action="store_true", dest="save_pgm")
-    p.add_argument("--save-logs", action="store_true", dest="save_logs")
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    for key in ("seed", "nx", "ny"):
+        p.add_argument(f"--{key}", dest=_SCENE + key, type=int)
+    for key in ("save_velocity", "save_pgm", "save_logs"):
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       action="store_const", const=True)
 
 
 def _add_guiding_flags(p):
     p.add_argument("--method", choices=["pd", "admm", "iop", "direct"])
-    p.add_argument("--w-left", type=float, dest="w_left")
-    p.add_argument("--w-right", type=float, dest="w_right")
-    p.add_argument("--radius-left", type=float, dest="radius_left")
-    p.add_argument("--radius-right", type=float, dest="radius_right")
+    for key in ("w_left", "w_right", "radius_left", "radius_right"):
+        p.add_argument("--" + key.replace("_", "-"), dest=_SCENE + key, type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guiding_flags(p)
     p.add_argument("--coarse-dir", dest="coarse_dir",
                    help="directory with vel_%%04d.grid frames")
-    p.add_argument("--factor", type=int, help="refinement factor")
+    p.add_argument("--factor", dest="upres_factor", type=int,
+                   help="refinement factor")
 
     p = sub.add_parser("compare-methods", help="PD vs ADMM on one scene")
     _add_common(p)
@@ -276,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dam", help="liquid run with selectable wall treatment")
     _add_common(p)
-    p.add_argument("--bc", choices=["regular", "separating-standard",
-                                    "separating-accelerated"])
+    p.add_argument("--bc", dest="bc_mode", choices=[
+        "regular", "separating-standard", "separating-accelerated"])
     return parser
 
 

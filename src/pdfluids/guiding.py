@@ -143,17 +143,22 @@ class GuidingQuadratic:
 
 @dataclass
 class GuidingPrecompute:
-    """Per-time-step cache for the approximate prox (q and the diagonal inverse)."""
+    """Per-time-step cache for the approximate prox: q, the diagonal inverse
+    gamma and its square, and the masked u_current."""
 
     sigma: float
     q: VelocityField
     gamma: np.ndarray
+    gamma_sq: np.ndarray
+    u_current: VelocityField
 
     @classmethod
     def build(cls, quad: GuidingQuadratic, sigma: float) -> "GuidingPrecompute":
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        return cls(sigma, quad.q(sigma), quad.gamma_diag(sigma))
+        gamma = quad.gamma_diag(sigma)
+        return cls(sigma, quad.q(sigma), gamma, np.square(gamma),
+                   quad.mask(quad.cfg.u_current))
 
 
 def _cg_velocity(apply_op, rhs: VelocityField, tol: float,
@@ -189,8 +194,9 @@ class GuidingProx(ProxOperator):
 
         x = u_current + gamma (sigma v + q) - 2 B^T B gamma^2 (sigma v + q)
 
-    with gamma = (2 W^2 + sigma I)^-1 diagonal; q and gamma are cached until
-    sigma changes.  Faces outside the objective pass v through.
+    with gamma = (2 W^2 + sigma I)^-1 diagonal; q, gamma, gamma^2 and the
+    masked u_current are cached until sigma changes.  Faces outside the
+    objective pass v through.
     """
 
     def __init__(self, cfg: GuidingConfig):
@@ -205,8 +211,8 @@ class GuidingProx(ProxOperator):
         s = sigma * quad.mask(v) + pre.q
         g1, g2 = s.copy(), s.copy()
         np.multiply(s.as_flat(), pre.gamma, out=g1.as_flat())
-        np.multiply(s.as_flat(), np.square(pre.gamma), out=g2.as_flat())
-        out = quad.mask(self.cfg.u_current) + g1 - 2.0 * quad.apply_BtB(g2)
+        np.multiply(s.as_flat(), pre.gamma_sq, out=g2.as_flat())
+        out = pre.u_current + g1 - 2.0 * quad.apply_BtB(g2)
         return quad.keep_fixed(out, v)
 
 

@@ -85,8 +85,9 @@ class BcState:
             fresh.faces, fresh.nsep, fresh.memory, fresh.eps)
 
 
-def classify(u: VelocityField, state: BcState, use_memory: bool = True) -> BcState:
-    """Hysteresis classification of boundary faces.
+def classify(u: VelocityField, state: BcState, use_memory: bool = True) -> int:
+    """Hysteresis classification of boundary faces; returns the number of
+    faces that entered or left the non-separating set.
 
     Faces with |u.n| below the threshold keep their previous state.  Wall-ward
     motion (u.n <= 0) marks the face non-separating and accumulates into the
@@ -96,13 +97,15 @@ def classify(u: VelocityField, state: BcState, use_memory: bool = True) -> BcSta
     un = state.faces.normal_velocity(u)
     act = np.abs(un) >= state.eps
     into = act & (un <= 0.0)
+    flips = np.count_nonzero(into & ~state.nsep)
     state.nsep[into] = True
     state.memory[into] += un[into]
     mem = np.abs(state.memory) if use_memory else 0.0
     outward = act & (un > 0.0) & (np.abs(un) >= mem)
+    flips += np.count_nonzero(outward & state.nsep)
     state.nsep[outward] = False
     state.memory[outward] = 0.0
-    return state
+    return int(flips)
 
 
 class SeparatingProx(ProxOperator):
@@ -183,9 +186,7 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
         the current CG accuracy; notes whether the set moved."""
         nonlocal changed
         state.eps = projector.eps
-        before = state.nsep.copy()
-        classify(z, state)
-        changed = changed or not np.array_equal(before, state.nsep)
+        changed = classify(z, state) > 0 or changed
 
     # While the classification is still moving, the accumulated duals steer
     # the iteration to a feasible point that can sit far from the
@@ -231,16 +232,15 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     z = u.copy()
     cg = CgConfig(eps_cg, eps_cg, max_cg_iters)
     prox = SeparatingProx(state)
-    for sweep in range(1, MAX_SWEEPS + 1):
+    for _ in range(MAX_SWEEPS):
         z_old = z
         z = prox(0.0, z)
         projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
         z, cg_iters, _ = projector.project(z)
-        before = state.nsep.copy()
-        classify(z, state, use_memory=False)
+        flips = classify(z, state, use_memory=False)
         _, residual, eps = stop_check(z, z_old, 0.0, 0.0)
-        log.record(sweep, residual, eps, eps_cg, cg_iters)
-        if np.array_equal(before, state.nsep):
+        log.record(len(log) + 1, residual, eps, eps_cg, cg_iters)
+        if not flips:
             log.converged = True
             break
     return z

@@ -224,7 +224,8 @@ class TestCli:
 
     @pytest.mark.parametrize("args, step", [
         (["simulate", "--scene", "plume"], "smoke_step"),
-        (["dam", "--scene", "dam", "--bc", "regular"], "liquid_step")])
+        (["dam", "--scene", "dam", "--bc", "regular"], "liquid_step"),
+        (["guide", "--scene", "circular", "--method", "iop"], "smoke_step")])
     def test_unconverged_step_exits_3(self, tmp_path, monkeypatch, args, step):
         import pdfluids.cli as cli
         real = getattr(cli, step)
@@ -237,6 +238,16 @@ class TestCli:
         monkeypatch.setattr(cli, step, unconverged)
         assert run(args + ["--nx", "16", "--ny", "16", "--frames", "1",
                            "--out", tmp_path / "nc"]) == 3
+
+    @pytest.mark.parametrize("command, scene", [
+        ("dam", "circular"), ("compare-methods", "plume")])
+    def test_scene_the_command_cannot_run_exits_2(self, tmp_path, command, scene):
+        # dam needs a liquid scene, compare-methods a guiding target; both
+        # are rejected before any output is written
+        out = tmp_path / "out"
+        assert run([command, "--scene", scene, "--nx", "16", "--ny", "16",
+                    "--frames", "1", "--out", out]) == 2
+        assert not out.exists()
 
     def test_compare_methods_nonconvergence_exits_3(self, tmp_path):
         cfg = {"scene": {"name": "circular", "nx": 16, "ny": 16}, "frames": 2,
@@ -335,3 +346,19 @@ class TestBuildConfig:
     def test_seed_flag_sets_scene_seed(self):
         cfg = self.build(["simulate", "--scene", "plume", "--seed", "7"])
         assert cfg.scene.seed == 7
+
+    @pytest.mark.parametrize("command", ["simulate", "guide", "upres",
+                                         "compare-methods", "dam"])
+    def test_every_flag_sets_the_config_key_it_names(self, command):
+        import dataclasses
+        from pdfluids.cli import _SCENE, build_parser
+        from pdfluids.config import RunConfig
+        from pdfluids.scenes import SceneSpec
+        run_keys = {f.name for f in dataclasses.fields(RunConfig)} - {"scene"}
+        scene_keys = {_SCENE + f.name for f in dataclasses.fields(SceneSpec)}
+        args = vars(build_parser().parse_args([command]))
+        assert args.pop("command") == command
+        assert args.pop("config") is None
+        assert set(args) <= run_keys | scene_keys
+        # an absent flag writes nothing over the config
+        assert all(v is None for v in args.values())

@@ -87,12 +87,13 @@ class TestClassify:
         d, flags, state = self.setup_state()
         vel = VelocityField.zeros(d)
         vel.v[...] = -0.5
-        classify(vel, state)
+        flips = classify(vel, state)
         c = face_coords(state.faces, d)
         bottom = (c.axis == 1) & (c.j == 1)
         assert state.nsep[bottom].all()
+        assert flips == np.count_nonzero(bottom) == np.count_nonzero(state.nsep)
         assert np.allclose(state.memory[bottom], -0.5)
-        classify(vel, state)
+        assert classify(vel, state) == 0   # already non-separating
         assert np.allclose(state.memory[bottom], -1.0)  # accumulates
 
     def test_outward_motion_frees_face_when_beating_memory(self):
@@ -102,7 +103,7 @@ class TestClassify:
         state.memory[n] = -0.1
         vel = VelocityField.zeros(d)
         vel.as_flat()[state.faces.index[n]] = 0.3 * state.faces.sign[n]
-        classify(vel, state)
+        assert classify(vel, state) == 1
         assert not state.nsep[n]
         assert state.memory[n] == 0.0
 
@@ -113,7 +114,7 @@ class TestClassify:
         state.memory[n] = -0.5
         vel = VelocityField.zeros(d)
         vel.as_flat()[state.faces.index[n]] = 0.3 * state.faces.sign[n]
-        classify(vel, state)
+        assert classify(vel, state) == 0
         assert state.nsep[n]
 
     def test_hysteresis_below_threshold(self, rng):
@@ -124,7 +125,7 @@ class TestClassify:
         vel = VelocityField.zeros(d)
         for _, arr in vel.components():
             arr[...] = rng.uniform(-1e-6, 1e-6, arr.shape)
-        classify(vel, state)
+        assert classify(vel, state) == 0
         assert np.array_equal(state.nsep, before)
         assert np.array_equal(state.memory, mem_before)
 
@@ -135,7 +136,7 @@ class TestClassify:
         state.memory[n] = -100.0
         vel = VelocityField.zeros(d)
         vel.as_flat()[state.faces.index[n]] = 0.3 * state.faces.sign[n]
-        classify(vel, state, use_memory=False)
+        assert classify(vel, state, use_memory=False) == 1
         assert not state.nsep[n]
 
     def test_memory_running_sum_property(self, rng):
@@ -149,6 +150,17 @@ class TestClassify:
             classify(vel, state)
             total += val
         assert state.memory[n] == pytest.approx(total)
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_flips_count_the_faces_that_changed_set(self, rng, use_memory):
+        d, flags, state = self.setup_state()
+        state.nsep[:] = rng.random(len(state.faces)) > 0.5
+        state.memory[:] = np.where(state.nsep, -rng.random(len(state.faces)), 0.0)
+        for _ in range(4):
+            vel = random_velocity(d, rng)
+            before = state.nsep.copy()
+            flips = classify(vel, state, use_memory=use_memory)
+            assert flips == np.count_nonzero(before != state.nsep)
 
 
 class TestProxBc:
@@ -269,6 +281,24 @@ class TestStandardSolver:
         rel = (out - ref).norm() / max(ref.norm(), 1.0)
         assert rel < 1e-3
 
+    def test_every_projection_output_is_classified(self, monkeypatch):
+        # the set moves in the first pass; each later projection output is
+        # classified all the same, one call per logged iteration after the
+        # classification of the input
+        import pdfluids.separating as separating
+        calls = []
+
+        def counting(u, state, use_memory=True):
+            calls.append(u)
+            return classify(u, state, use_memory)
+
+        monkeypatch.setattr(separating, "classify", counting)
+        d, flags, vel = hydrostatic_intermediate(10)
+        log = ConvergenceLog()
+        solve_separating_standard(vel, flags, state=BcState.initial(flags), log=log)
+        assert len(log) > 1
+        assert len(calls) == 1 + len(log)
+
     def test_complementarity_at_convergence(self):
         d, flags, vel = hydrostatic_intermediate(10)
         state = BcState.initial(flags)
@@ -326,6 +356,15 @@ class TestAcceleratedSolver:
             assert (before <= state.nsep).all()  # faces never leave
             if np.array_equal(before, state.nsep):
                 break
+
+    def test_log_numbers_on_from_earlier_rows(self):
+        d, flags, vel = hydrostatic_intermediate(12)
+        log = ConvergenceLog()
+        log.record(1, 1.0, 1.0, 1e-5, 3)
+        log.record(2, 0.5, 1.0, 1e-5, 2)
+        solve_separating_accelerated(vel, flags, log=log)
+        assert len(log) > 2
+        assert log.iterations == list(range(1, len(log) + 1))
 
     def test_divergence_bound(self):
         d, flags, vel = hydrostatic_intermediate(12)
