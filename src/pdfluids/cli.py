@@ -21,12 +21,12 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, read_json
+from .config import METHODS, ConfigError, RunConfig, read_json
 from .fileio import read_grid, render_pgm, write_convergence_csv, write_grid
 from .guiding import default_guiding_params
 from .optim import AdmmParams, PdParams
 from .pressure import PoissonConvergenceError
-from .scenes import (SCENE_NAMES, build_scene, ceiling_contact_cells,
+from .scenes import (BC_MODES, SCENE_NAMES, build_scene, ceiling_contact_cells,
                      liquid_step, smoke_step, upsampled_target)
 
 
@@ -72,13 +72,22 @@ def _solver_params(cfg: RunConfig, w_bar: float) -> tuple[PdParams, AdmmParams]:
     return pd, admm
 
 
+def _make_dirs(path):
+    """os.makedirs; a path that cannot be made a directory (empty, or an
+    existing file) is a ConfigError (exit 2)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+
+
 def _frame_outputs(cfg: RunConfig, state):
     """The per-frame files the save flags ask for, in cfg.out_dir: the
     density image (the flags image when the scene carries no density), the
     velocity grid and the convergence log."""
     if not (cfg.save_pgm or cfg.save_velocity or cfg.save_logs):
         return
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_dirs(cfg.out_dir)
     frame = f"{state.frame:04d}"
     if cfg.save_pgm:
         if state.density is not None:
@@ -104,7 +113,7 @@ def _run_frames(cfg: RunConfig, state, step, summary: str, extra=()):
     row (frame, *extra columns, outer iterations, CG iterations) to the
     CSV at `summary` and writes its files to cfg.out_dir.  `extra` holds
     (column name, function of the state) pairs.  Returns the rows."""
-    os.makedirs(os.path.dirname(summary), exist_ok=True)
+    _make_dirs(os.path.dirname(summary))
     rows = []
     for frame in range(cfg.frames):
         step(frame)
@@ -228,7 +237,6 @@ def _add_common(p):
 
 
 def _add_guiding_flags(p):
-    p.add_argument("--method", choices=["pd", "admm", "iop", "direct"])
     for key in ("w_left", "w_right", "radius_left", "radius_right"):
         p.add_argument("--" + key.replace("_", "-"), dest=_SCENE + key, type=float)
 
@@ -245,10 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("guide", help="guided smoke run")
     _add_common(p)
     _add_guiding_flags(p)
+    p.add_argument("--method", choices=METHODS)
 
     p = sub.add_parser("upres", help="guided resimulation from coarse grids")
     _add_common(p)
     _add_guiding_flags(p)
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--coarse-dir", dest="coarse_dir",
                    help="directory with vel_%%04d.grid frames")
     p.add_argument("--factor", dest="upres_factor", type=int,
@@ -260,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dam", help="liquid run with selectable wall treatment")
     _add_common(p)
-    p.add_argument("--bc", dest="bc_mode", choices=[
-        "regular", "separating-standard", "separating-accelerated"])
+    p.add_argument("--bc", dest="bc_mode", choices=BC_MODES)
     return parser
 
 

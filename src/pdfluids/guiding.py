@@ -19,7 +19,6 @@ passes them through unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,7 +204,7 @@ class GuidingProx(ProxOperator):
         self._pre = None
 
     def __call__(self, sigma, v):
-        if self._pre is None or not math.isclose(self._pre.sigma, sigma):
+        if self._pre is None or self._pre.sigma != sigma:
             self._pre = GuidingPrecompute.build(self.quad, sigma)
         quad, pre = self.quad, self._pre
         s = sigma * quad.mask(v) + pre.q

@@ -19,9 +19,11 @@ while the flags and the boundary table stay equal by content.
 The preconditioner is one symmetric V-cycle of an aggregation multigrid
 (MGPCG, McAdams, Sifakis & Teran, SCA 2010; the unsmoothed-aggregation
 coarse operator of Notay, ETNA 2010), built once per PoissonSystem from its
-own stencil: cells paired 2x along every active axis, the Galerkin coarse
-operator of the piecewise-constant prolongation, one damped-Jacobi sweep
-(omega 2/3) before and after a coarse correction scaled by 1.6, and a dense
+own stencil: cells paired 2x along every active axis through one flat
+parent index per level, the Galerkin coarse operator of the
+piecewise-constant prolongation summed through it, restriction by one
+bincount and prolongation by one take, one damped-Jacobi sweep (omega 2/3)
+before and after a coarse correction scaled by 1.6, and a dense
 pseudo-inverse on the coarsest grid (at most 64 active cells).  These are
 constants, not settings: with them the cycle is SPD for every boundary
 table and the CG iteration count stays flat in the grid width (11, 12 and
@@ -31,7 +33,6 @@ is nothing left for a caller to tune.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -136,12 +137,13 @@ class PoissonSystem:
             c[_along(axis, slice(None, -1))] &= self.active[_along(axis, slice(1, None))]
             c[_along(axis, -1)] = False
             interior.append(c.astype(np.float64))
-        self._stencil = _flat_stencil(interior, d.axes, inv_h2)
+        counts = _flat_stencil(interior, d.axes)
+        self._stencil = [(s, c * inv_h2) for s, c in counts]
         self._tmp = np.empty(d.cell_count)
         # without a Dirichlet face the rhs is made compatible per component
         self._components = None if has_dirichlet else _components(
             self.active, self._stencil)
-        self._multigrid = _Multigrid(self, count, interior, inv_h2)
+        self._multigrid = _Multigrid(self, count.reshape(-1), counts, inv_h2)
 
     def apply(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A p, written into `out` (C-contiguous) when given; rows of
@@ -287,16 +289,15 @@ _COARSE_SCALE = 1.6    # over-correction that offsets the piecewise-constant P
 _DENSE_CELLS = 64      # coarsen until at most this many active cells remain
 
 
-def _flat_stencil(conns, axes, inv_h2):
-    """[(stride, conn)] of the flattened grid: axis a couples flat cells c
-    and c + stride_a with conn[c], read from the cell-shaped face counts
-    `conns` (0 in the last slab along a, so also where c + stride_a wraps
-    to the next row)."""
+def _flat_stencil(conns, axes):
+    """[(stride, conn)] of the flattened grid in face counts: axis a couples
+    flat cells c and c + stride_a with conn[c], read from the cell-shaped
+    counts `conns` (0 in the last slab along a, so also where c + stride_a
+    wraps to the next row)."""
     stencil = []
     for a, c in zip(axes, conns):
         s = math.prod(c.shape[a + 1:])
-        f = (c * inv_h2).reshape(-1)
-        stencil.append((s, f[:f.size - s]))
+        stencil.append((s, c.reshape(-1)[:c.size - s]))
     return stencil
 
 
@@ -313,73 +314,59 @@ def _stencil_apply(diag, stencil, p, out, tmp):
     return out
 
 
-@functools.cache
-def _pair_slices(axis: int, n: int):
-    """Index tuples along `axis` (length n) of the first and of the second
-    cell of each pair (2i, 2i+1), and of the n // 2 full pairs."""
-    return (_along(axis, slice(0, None, 2)), _along(axis, slice(1, None, 2)),
-            _along(axis, slice(0, n // 2)))
+def _parent(shape, agg):
+    """The coarse shape and the flat index of each fine cell's aggregate:
+    cells (2i, 2i+1) are paired along every axis in `agg`, and an odd last
+    cell is a pair on its own."""
+    coarse = tuple((n + 1) // 2 if a in agg else n for a, n in enumerate(shape))
+    parent = np.zeros((), np.intp)
+    for a, n in enumerate(shape):
+        parent = np.add.outer(parent * coarse[a], np.arange(n) // (2 if a in agg else 1))
+    return coarse, parent.reshape(-1)
 
 
-def _pair_sum(a, axes):
-    """Sum of each cell pair (2i, 2i+1) along every axis in `axes`; an odd
-    last cell forms a pair on its own."""
-    for ax in axes:
-        first, second, full = _pair_slices(ax, a.shape[ax])
-        s = a[first].copy()
-        s[full] += a[second]
-        a = s
-    return a
-
-
-def _galerkin(count, conns, axes, agg):
-    """Coarse P^T A P of the piecewise-constant P over the pair aggregates
-    along `agg`, in face counts: coarse conn = the couplings that cross
-    between two aggregates, coarse diag = the children's diags minus twice
-    the couplings inside the aggregate.  Each conn is cell-shaped (the
-    coupling to the high neighbour, 0 in the last slab), at both grids."""
-    diag = _pair_sum(count, agg)
-    coarse = []
-    for axis, conn in zip(axes, conns):
-        if axis not in agg:
-            coarse.append(_pair_sum(conn, agg))
-            continue
-        rest = tuple(a for a in agg if a != axis)
-        # pairs (2i, 2i+1) lie inside an aggregate (the zero last slab in
-        # an odd last pair), pairs (2i+1, 2i+2) cross to the next one
-        diag -= 2.0 * _pair_sum(conn[_along(axis, slice(0, None, 2))], rest)
-        cross = _pair_sum(conn[_along(axis, slice(1, None, 2))], rest)
-        if cross.shape[axis] < diag.shape[axis]:   # odd length: the last slab
-            cross = np.concatenate((cross, np.zeros_like(cross[_along(axis, slice(0, 1))])),
-                                   axis)
-        coarse.append(cross)
-    return diag, coarse
+def _galerkin(parent, count, stencil, coarse):
+    """Coarse P^T A P of the piecewise-constant P of `parent`, in face counts
+    on flat stencils: coarse diag = the children's diags minus twice the
+    couplings whose two cells share an aggregate, coarse conn along axis a
+    = the couplings that cross to the next aggregate along a, at the
+    coarse stride of a."""
+    n = math.prod(coarse)
+    diag = count.copy()
+    conns = []
+    for a, (s, conn) in enumerate(stencil):
+        lo = parent[:conn.size]
+        inside = np.where(lo == parent[s:], conn, 0.0)
+        diag[:conn.size] -= 2.0 * inside
+        stride = math.prod(coarse[a + 1:])
+        conns.append((stride, np.bincount(lo, conn - inside, n)[:n - stride]))
+    return np.bincount(parent, diag, n), conns
 
 
 class _Level:
-    """One smoothed grid of the V-cycle and its link to the next coarser one;
-    diag, stencil and the scratch are flat, the masks cell-shaped."""
+    """One smoothed grid of the V-cycle and its map to the next coarser
+    one, all flat.  parent[c] is the coarse cell of fine cell c, or the
+    zero slot past the coarse cells when c or its aggregate is inactive:
+    restriction is one bincount over it, prolongation one take from
+    `coarse`, whose last slot stays 0."""
 
-    def __init__(self, diag, stencil, inactive, agg, coarse_inactive):
-        self.shape = inactive.shape
+    def __init__(self, diag, stencil, inactive, parent, coarse_cells):
         self.diag = diag
         self.stencil = stencil
-        self.inactive = inactive
         with np.errstate(divide="ignore"):
-            self.wdinv = np.where(inactive.reshape(-1), 0.0, _OMEGA / diag)
-        self.agg = agg                           # the axes paired into the next grid
-        self.cut = [_along(a, slice(0, self.shape[a])) for a in agg]   # drops an odd pad
+            self.wdinv = np.where(inactive, 0.0, _OMEGA / diag)
+        self.parent = parent
         self.t = np.empty_like(diag)             # residual
         self.tmp = np.empty_like(diag)           # matvec scratch
-        self.coarse_inactive = coarse_inactive   # the next grid's inactive cells
-        self.coarse_x = np.empty(coarse_inactive.shape)   # the next grid's correction
+        self.coarse = np.zeros(coarse_cells + 1)   # the next grid's correction, then the zero slot
 
 
 class _Multigrid:
     """Symmetric V-cycle M ~ A^-1 on the active cells of a PoissonSystem.
 
-    Level 0 is the system's own stencil.  Each coarser grid pairs the cells
-    (2i, 2i+1) along every active axis longer than two cells and carries
+    Level 0 is the system's own diag and stencil; every coarser grid is
+    flat.  Each coarser grid pairs the cells (2i, 2i+1) along every active
+    axis longer than two cells, one parent index per level, and carries
     the Galerkin operator of the piecewise-constant prolongation, so the
     INTERIOR/NEUMANN/DIRICHLET faces hold at every level without coarse
     flags.  A coarse cell is active when its diagonal is nonzero, which
@@ -388,33 +375,34 @@ class _Multigrid:
     coarsest grid (at most _DENSE_CELLS active cells, or no axis longer
     than two) applies the dense pseudo-inverse, which also covers the
     singular all-Neumann case.  Restriction and prolongation skip inactive
-    cells, so M is symmetric and positive definite on the active cells and
-    its output is zero elsewhere.  Every level couples active cells only,
-    so the smoother's matvecs keep zero rows off the active cells without
-    masking.
+    cells through the parent index's zero slot, so M is symmetric and
+    positive definite on the active cells and its output is zero
+    elsewhere.  Every level couples active cells only, so the smoother's
+    matvecs keep zero rows off the active cells without masking.
     """
 
-    def __init__(self, system: PoissonSystem, count, conns, inv_h2):
-        axes = system.dims.axes
-        active = system.active
-        diag, stencil, inactive = system.diag.reshape(-1), system._stencil, system._inactive
+    def __init__(self, system: PoissonSystem, count, stencil, inv_h2):
+        shape, axes = system.dims.shape, system.dims.axes
+        active, inactive = system.active.reshape(-1), system._inactive.reshape(-1)
+        diag, scaled = system.diag.reshape(-1), system._stencil
         self.levels = []
         while int(active.sum()) > _DENSE_CELLS:
-            agg = tuple(a for a in axes if count.shape[a] > 2)
+            agg = tuple(a for a in axes if shape[a] > 2)
             if not agg:
                 break
-            count, conns = _galerkin(count, conns, axes, agg)
-            active = count > 0
-            level = _Level(diag, stencil, inactive, agg, ~active)
-            self.levels.append(level)
-            diag, inactive = (count * inv_h2).reshape(-1), level.coarse_inactive
-            stencil = _flat_stencil(conns, axes, inv_h2)
+            shape, parent = _parent(shape, agg)
+            count, stencil = _galerkin(parent, count, stencil, shape)
+            coarse_active = count > 0
+            parent[inactive | ~coarse_active[parent]] = count.size
+            self.levels.append(_Level(diag, scaled, inactive, parent, count.size))
+            active, inactive = coarse_active, ~coarse_active
+            diag, scaled = count * inv_h2, [(s, c * inv_h2) for s, c in stencil]
         # the coarsest grid: dense matrix over its active cells, from the stencil
         self.cells = np.flatnonzero(active)
         index = np.full(count.size, -1)
         index[self.cells] = np.arange(self.cells.size)
-        mat = np.diag(count.reshape(-1)[self.cells])
-        for s, c in _flat_stencil(conns, axes, 1.0):
+        mat = np.diag(count[self.cells])
+        for s, c in stencil:
             m = c > 0
             i = index[:c.size][m]
             j = index[s:][m]
@@ -423,8 +411,8 @@ class _Multigrid:
         self.dense = np.linalg.pinv(mat * inv_h2, hermitian=True)
 
     def cycle(self, k: int, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """x = M_k r on level k; r and x are C-contiguous and zero on the
-        level's inactive cells."""
+        """x = M_k r on level k; r and x are C-contiguous (flat below level
+        0) and zero on the level's inactive cells."""
         if k == len(self.levels):
             x.fill(0.0)
             x.reshape(-1)[self.cells] = self.dense @ r.reshape(-1)[self.cells]
@@ -433,14 +421,10 @@ class _Multigrid:
         rf, xf, t = r.reshape(-1), x.reshape(-1), lv.t
         np.multiply(lv.wdinv, rf, out=xf)
         np.subtract(rf, _stencil_apply(lv.diag, lv.stencil, xf, t, lv.tmp), out=t)
-        rc = _pair_sum(t.reshape(lv.shape), lv.agg)
-        rc[lv.coarse_inactive] = 0.0
-        ec = self.cycle(k + 1, rc, lv.coarse_x)
+        n = lv.coarse.size - 1
+        ec = self.cycle(k + 1, np.bincount(lv.parent, t, n + 1)[:n], lv.coarse[:n])
         ec *= _COARSE_SCALE
-        for ax, cut in zip(lv.agg, lv.cut):
-            ec = np.repeat(ec, 2, axis=ax)[cut]
-        ec[lv.inactive] = 0.0
-        x += ec
+        xf += lv.coarse.take(lv.parent)
         np.subtract(rf, _stencil_apply(lv.diag, lv.stencil, xf, t, lv.tmp), out=t)
         t *= lv.wdinv
         xf += t

@@ -211,6 +211,40 @@ class TestCli:
         if h == 0.5:   # the message names both grids
             assert "h=0.25" in err and f"h={1.0 / 32}" in err
 
+    def test_compare_methods_rejects_method_flag(self, tmp_path, capsys):
+        # compare-methods always runs pd and then admm
+        with pytest.raises(SystemExit) as exc:
+            run(["compare-methods", "--scene", "circular", "--nx", "12", "--ny", "12",
+                 "--frames", "1", "--out", tmp_path / "cmp", "--method", "iop"])
+        assert exc.value.code == 2
+        assert "--method" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("command, scene", [
+        ("simulate", "plume"), ("guide", "circular"), ("upres", "circular"),
+        ("compare-methods", "circular"), ("dam", "dam")])
+    @pytest.mark.parametrize("out", ["empty", "file"])
+    def test_bad_output_directory_exits_2(self, tmp_path, monkeypatch, capsys,
+                                          command, scene, out):
+        monkeypatch.chdir(tmp_path)
+        path = ""
+        if out == "file":
+            path = tmp_path / "taken"
+            path.write_text("not a directory")
+        args = [command, "--scene", scene, "--nx", "12", "--ny", "12",
+                "--frames", "1", "--out", path]
+        if command == "upres":
+            args += ["--coarse-dir", tmp_path / "coarse"]
+        assert run(args) == 2
+        assert "output directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ([] if out == "empty" else ["taken"])
+
+    def test_compare_methods_per_method_directory_taken_exits_2(self, tmp_path, capsys):
+        (tmp_path / "pd").write_text("not a directory")
+        assert run(["compare-methods", "--scene", "circular", "--nx", "12", "--ny", "12",
+                    "--frames", "1", "--out", tmp_path, "--save-logs"]) == 2
+        assert "output directory" in capsys.readouterr().err
+
     def test_missing_scene_exits_2(self, tmp_path):
         assert run(["simulate", "--out", tmp_path]) == 2
 

@@ -197,6 +197,18 @@ class TestSmwProx:
             errs.append((approx - exact).norm() / exact.norm())
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:])), errs
 
+    def test_precompute_follows_any_sigma_change(self, rng):
+        # a sigma within 1e-9 of the cached one still gets its own precompute
+        d, flags, cfg = guiding_instance(8, rng)
+        sigma = default_guiding_params(cfg.w_bar)[0].sigma
+        v = zero_solid_adjacent(random_velocity(d, rng), flags)
+        prox = GuidingProx(cfg)
+        prox(sigma, v)
+        moved = sigma * (1 + 1e-12)
+        assert moved != sigma
+        got = prox(moved, v)
+        assert got.as_flat().tobytes() == GuidingProx(cfg)(moved, v).as_flat().tobytes()
+
     def test_operator_norm_error_monotone(self, rng):
         # relative operator-norm error of the approximate M^-1 vs dense M^-1
         d, flags, cfg = guiding_instance(8, rng)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -558,6 +559,16 @@ PRECONDITIONER_CASES = {
 }
 
 
+def dense_from_stencil(diag, stencil):
+    """Dense matrix of the flat Laplacian (diag, [(stride, conn)])."""
+    mat = np.diag(diag)
+    for s, conn in stencil:
+        i = np.arange(conn.size)
+        mat[i, i + s] -= conn
+        mat[i + s, i] -= conn
+    return mat
+
+
 class TestMultigridPreconditioner:
     @pytest.mark.parametrize("name", list(PRECONDITIONER_CASES))
     def test_symmetric_positive_and_zero_off_active(self, rng, name):
@@ -574,6 +585,40 @@ class TestMultigridPreconditioner:
             assert abs(np.vdot(ma, b) - np.vdot(a, mb)) <= 1e-13 * scale
             assert np.vdot(ma, a) > 0.0
             assert not ma[~act].any()
+
+    @pytest.mark.parametrize("name", list(PRECONDITIONER_CASES))
+    def test_coarse_operators_are_galerkin_products(self, rng, name):
+        # each coarse operator against P^T A P, with A the next finer grid's
+        # operator and P the 0/1 pairing matrix built here from the shapes
+        flags, bc = PRECONDITIONER_CASES[name](rng)
+        system = PoissonSystem(flags, bc)
+        mg = system._multigrid
+        grids = [(system.diag.reshape(-1), system._stencil)]
+        grids += [(lv.diag, lv.stencil) for lv in mg.levels[1:]]
+        shape = flags.dims.shape
+        for k, (diag, stencil) in enumerate(grids):
+            a = dense_from_stencil(diag, stencil)
+            agg = [ax for ax in flags.dims.axes if shape[ax] > 2]
+            coarse = tuple((n + 1) // 2 if ax in agg else n for ax, n in enumerate(shape))
+            index = np.indices(shape).reshape(3, -1)
+            index[agg] //= 2
+            pairing = np.zeros((math.prod(shape), math.prod(coarse)))
+            pairing[np.arange(pairing.shape[0]), np.ravel_multi_index(index, coarse)] = 1.0
+            want = pairing.T @ a @ pairing
+            if k + 1 < len(grids):
+                got = dense_from_stencil(*grids[k + 1])
+            else:   # the coarsest grid keeps the pseudo-inverse of its active block
+                off = np.ones(want.shape[0], bool)
+                off[mg.cells] = False
+                assert not want[off].any() and not want[:, off].any()
+                block = want[np.ix_(mg.cells, mg.cells)]
+                got, want = mg.dense, np.linalg.pinv(block, hermitian=True)
+            if flags.dims.h == 1.0:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+            shape = coarse
 
     def test_dam_solution_matches_sparse_direct_solve(self, rng):
         sparse = pytest.importorskip("scipy.sparse")
@@ -616,6 +661,19 @@ def reference_pair_sum(a, axes):
         s[_along(ax, slice(0, n // 2))] += a[_along(ax, slice(1, None, 2))]
         a = s
     return a
+
+
+def reference_child_sum(a, axes):
+    """Sum of each pair aggregate along `axes`, its children added in C
+    order from 0.0 (an odd last cell is a pair on its own)."""
+    s = np.zeros([(n + 1) // 2 if ax in axes else n for ax, n in enumerate(a.shape)])
+    for offset in itertools.product((0, 1), repeat=len(axes)):
+        child = [slice(None)] * 3
+        for ax, o in zip(axes, offset):
+            child[ax] = slice(o, None, 2)
+        c = a[tuple(child)]
+        s[tuple(map(slice, c.shape))] += c
+    return s
 
 
 def reference_galerkin(count, conns, axes, agg):
@@ -693,7 +751,7 @@ class ReferenceMultigrid:
         t = np.empty_like(diag)
         np.multiply(wdinv, r, out=x)
         np.subtract(r, reference_stencil_apply(diag, stencil, inactive, x, t), out=t)
-        rc = reference_pair_sum(t, agg)
+        rc = reference_child_sum(t, agg)
         rc[coarse_inactive] = 0.0
         ec = self.cycle(k + 1, rc, np.empty(rc.shape))
         ec *= pressure._COARSE_SCALE
