@@ -50,15 +50,15 @@ def _taps(rad: np.ndarray) -> list[np.ndarray]:
     return taps
 
 
-def _normalizer(vf: np.ndarray, taps: list[np.ndarray], axis: int) -> np.ndarray:
-    """Sum of the kernel weights over the valid taps of each face along
-    `axis` (1 where that sum is 0)."""
-    den = vf.copy()  # t = 0 tap
+def _tap_sum(vv: np.ndarray, taps: list[np.ndarray], axis: int) -> np.ndarray:
+    """The kernel's gather sum along `axis`: at every face, vv there plus
+    w_t times vv at the faces t away on either side, t = 1..tmax."""
+    out = vv.copy()  # t = 0 tap
     for t, wt in enumerate(taps, 1):
         for s in (t, -t):
             dst, src = _shifted(axis, -s)  # gather: out[f] reads f+s
-            den[dst] += wt[dst] * vf[src]
-    return np.where(den > 0, den, 1.0)
+            out[dst] += wt[dst] * vv[src]
+    return out
 
 
 def _sweep(vals: np.ndarray, valid: np.ndarray, vf: np.ndarray,
@@ -66,13 +66,7 @@ def _sweep(vals: np.ndarray, valid: np.ndarray, vf: np.ndarray,
            transpose: bool) -> np.ndarray:
     """One 1D blur pass along `axis` (or its exact transpose)."""
     if not transpose:
-        vv = vals * vf
-        num = vv.copy()
-        for t, wt in enumerate(taps, 1):
-            for s in (t, -t):
-                dst, src = _shifted(axis, -s)
-                num[dst] += wt[dst] * vv[src]
-        return np.where(valid, num / norm, vals)
+        return np.where(valid, _tap_sum(vals * vf, taps, axis) / norm, vals)
 
     # adjoint: scatter each valid source face through its own kernel
     coef = np.where(valid, vals / norm, 0.0)
@@ -106,7 +100,8 @@ class _BlurKernel:
             valid = face_valid_mask(flags, comp)
             vf = valid.astype(np.float64)
             taps = _taps(cell_to_face_average(radius, comp))
-            norms = {axis: _normalizer(vf, taps, axis) for axis in axes}
+            dens = [_tap_sum(vf, taps, axis) for axis in axes]  # valid-tap weight sums
+            norms = {axis: np.where(den > 0, den, 1.0) for axis, den in zip(axes, dens)}
             self.parts[comp] = (valid, vf, taps, norms)
 
     def apply(self, field: VelocityField, transpose: bool) -> VelocityField:

@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from .config import METHODS, ConfigError, RunConfig, read_json
-from .fileio import read_grid, render_pgm, write_convergence_csv, write_grid
+from .fileio import (_write_csv, read_grid, render_pgm, write_convergence_csv,
+                     write_grid)
 from .guiding import default_guiding_params
 from .optim import AdmmParams, PdParams
 from .pressure import PoissonConvergenceError
@@ -102,11 +103,6 @@ def _frame_outputs(cfg: RunConfig, state):
             cfg.out_dir, f"conv_{cfg.scene.name}_{frame}.csv"))
 
 
-def _write_summary(path, columns, rows):
-    with open(path, "w") as f:
-        f.write("".join(",".join(map(str, r)) + "\n" for r in [columns, *rows]))
-
-
 def _run_frames(cfg: RunConfig, state, step, summary: str, extra=()):
     """Run cfg.frames frames of step(frame) on `state`.  A frame whose log
     has not converged raises SolverFailure (exit 3); every other adds the
@@ -124,8 +120,8 @@ def _run_frames(cfg: RunConfig, state, step, summary: str, extra=()):
         rows.append((state.frame, *(column(state) for _, column in extra),
                      len(log), log.total_cg_iters))
         _frame_outputs(cfg, state)
-    _write_summary(summary, ["frame", *(name for name, _ in extra),
-                             "iterations", "cg_iters"], rows)
+    _write_csv(summary, ["frame", *(name for name, _ in extra),
+                         "iterations", "cg_iters"], rows)
     return rows
 
 
@@ -207,8 +203,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         summary.append((method, f"{mean_iters:.17g}", f"{mean_cg:.17g}"))
         print(f"{method}: mean iterations {mean_iters:.2f}, "
               f"mean CG iterations {mean_cg:.1f}")
-    _write_summary(os.path.join(cfg.out_dir, "summary.csv"),
-                   ["method", "mean_iterations", "mean_cg_iters"], summary)
+    _write_csv(os.path.join(cfg.out_dir, "summary.csv"),
+               ["method", "mean_iterations", "mean_cg_iters"], summary)
     return 0
 
 

@@ -245,24 +245,21 @@ class VelocityField:
 # ---------------------------------------------------------------------------
 # geometry helpers
 
+def _centers(shape, offsets, h: float):
+    """Physical (X, Y, Z) coordinate arrays of the samples of an array whose
+    sample (i, j, k) sits at ((i, j, k) + offsets) * h."""
+    return np.meshgrid(*[(np.arange(n) + off) * h for n, off in zip(shape, offsets)],
+                       indexing="ij")
+
+
 def cell_centers(dims: GridDims):
     """Physical (X, Y, Z) coordinate arrays of cell centers, shape dims.shape."""
-    h = dims.h
-    x = (np.arange(dims.nx) + 0.5) * h
-    y = (np.arange(dims.ny) + 0.5) * h
-    z = (np.arange(dims.nz) + 0.5) * h
-    return np.meshgrid(x, y, z, indexing="ij")
+    return _centers(dims.shape, (0.5, 0.5, 0.5), dims.h)
+
 
 def face_centers(dims: GridDims, axis: int):
     """Physical coordinate arrays of face centers for one velocity component."""
-    h = dims.h
-    coords = []
-    for a, n in enumerate(dims.shape):
-        if a == axis:
-            coords.append(np.arange(n + 1) * h)
-        else:
-            coords.append((np.arange(n) + 0.5) * h)
-    return np.meshgrid(*coords, indexing="ij")
+    return _centers(dims.face_shape(axis), _face_offsets(axis), dims.h)
 
 
 def _to_faces(c: np.ndarray, axis: int, pair, ghost=None) -> np.ndarray:
@@ -377,14 +374,19 @@ def _interp_component(arr: np.ndarray, axis: int, dims: GridDims, px, py, pz):
     return out
 
 
+def _sample(vel: VelocityField, px, py, pz) -> list:
+    """Velocity at physical points (clamped to the domain), one entry per
+    axis: interpolated on an active axis, 0.0 on an inactive one."""
+    d = vel.dims
+    return [_interp_component(vel.component(a), a, d, px, py, pz)
+            if a in d.axes else 0.0 for a in range(3)]
+
+
 def sample_velocity(vel: VelocityField, point) -> np.ndarray:
     """Velocity vector at a physical point (clamped to the domain)."""
     p = np.zeros(3)
     p[:len(point)] = point
-    out = np.zeros(3)
-    for axis, arr in vel.components():
-        out[axis] = _interp_component(arr, axis, vel.dims, p[0], p[1], p[2])
-    return out
+    return np.array(_sample(vel, *p))
 
 
 def _backtrace_rk2(vel: VelocityField, px, py, pz, dt: float):
@@ -395,11 +397,8 @@ def _backtrace_rk2(vel: VelocityField, px, py, pz, dt: float):
     def step(scale, sx, sy, sz):
         """(px, py, pz) - scale * vel(sx, sy, sz), clamped into the box; the
         inactive z axis moves by 0.0."""
-        k = [0.0, 0.0, 0.0]
-        for a in d.axes:
-            k[a] = _interp_component(vel.component(a), a, d, sx, sy, sz)
-        return tuple(np.clip(p - scale * v, 0.0, top)
-                     for p, v, top in zip((px, py, pz), k, lim))
+        return tuple(np.clip(p - scale * v, 0.0, top) for p, v, top
+                     in zip((px, py, pz), _sample(vel, sx, sy, sz), lim))
 
     return step(dt, *step(0.5 * dt, px, py, pz))
 

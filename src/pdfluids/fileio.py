@@ -6,14 +6,15 @@ Grid file layout (little endian):
 Payload values are x-fastest; a velocity file carries the three face blocks
 concatenated (x block (nx+1)*ny*nz, then y, then z, the z block present
 also in 2D).  Round trips are bit exact.  All writers go through a
-temp-file-plus-rename so readers never see partial files.
+temp-file-plus-rename so readers never see partial files, and the files
+get mode 0o666 less the umask, as a plain open() would give them.
 """
 
 from __future__ import annotations
 
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -33,8 +34,10 @@ class GridFileError(ValueError):
 
 
 def _atomic_write(path, data: bytes):
+    """Write data to a fresh temp file beside path, then rename it over path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pdfg-")
+    tmp = os.path.join(directory, f".pdfg-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -138,13 +141,18 @@ def render_pgm(field, path, value_range=None) -> None:
     _atomic_write(path, header + img.tobytes())
 
 
+def _write_csv(path, columns, rows) -> None:
+    """A header line of `columns`, then one line per row, each value by str."""
+    lines = [columns, *rows]
+    _atomic_write(path, "".join(",".join(map(str, r)) + "\n" for r in lines).encode())
+
+
 def write_convergence_csv(log: ConvergenceLog, path) -> None:
-    """One row per optimizer iteration: iter,residual,epsilon,eps_cg,cg_iters."""
+    """One row per optimizer iteration: iter,residual,epsilon,eps_cg,cg_iters,
+    with iter the row's position from 1."""
     if len(log) == 0:
         raise ValueError("refusing to write an empty convergence log")
-    lines = ["iter,residual,epsilon,eps_cg,cg_iters"]
-    for n in range(len(log)):
-        lines.append(f"{log.iterations[n]},{log.residuals[n]:.17g},"
-                     f"{log.epsilons[n]:.17g},{log.eps_cg[n]:.17g},"
-                     f"{log.cg_iters[n]}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    rows = zip(log.residuals, log.epsilons, log.eps_cg, log.cg_iters)
+    _write_csv(path, ["iter", "residual", "epsilon", "eps_cg", "cg_iters"],
+               [(n, f"{r:.17g}", f"{e:.17g}", f"{c:.17g}", i)
+                for n, (r, e, c, i) in enumerate(rows, 1)])

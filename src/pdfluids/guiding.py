@@ -314,7 +314,7 @@ def direct_least_squares(cfg: GuidingConfig, tol: float = 1e-8,
     x, iters = _cg_velocity(normal_op, rhs, tol, max_iters)
     if log is not None:
         log.method = "direct-lsq"
-        log.record(1, 0.0, tol, tol, iters)
+        log.record(0.0, tol, tol, iters)
         log.converged = True
     return quad.keep_fixed(x, cfg.u_current)
 

@@ -38,6 +38,14 @@ class IdentityProx(ProxOperator):
         return v.copy()
 
 
+def _check_stop(max_iters: int, eps_abs: float, eps_rel: float):
+    """Raise ValueError unless an outer loop runs at least once and both
+    stop tolerances are finite and >= 0."""
+    if not (max_iters >= 1 and 0 <= eps_abs < math.inf and 0 <= eps_rel < math.inf):
+        raise ValueError("need max_iters >= 1 and finite stop tolerances >= 0, got "
+                         f"max_iters={max_iters}, eps_abs={eps_abs}, eps_rel={eps_rel}")
+
+
 @dataclass
 class PdParams:
     """Step sizes and stopping control of the primal-dual iteration."""
@@ -56,6 +64,7 @@ class PdParams:
             raise ValueError("tau and sigma must be positive")
         if not (0 < self.theta <= 1):
             raise ValueError("theta must be in (0, 1]")
+        _check_stop(self.max_iters, self.eps_abs, self.eps_rel)
 
 
 @dataclass
@@ -68,30 +77,29 @@ class AdmmParams:
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        _check_stop(self.max_iters, self.eps_abs, self.eps_rel)
 
 
 @dataclass
 class ConvergenceLog:
-    """Per-iteration residuals and solver effort of one optimizer run."""
+    """Per-iteration residuals and solver effort of one optimizer run; row
+    n (from 0) is iteration n + 1."""
 
     method: str = ""
-    iterations: list[int] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     epsilons: list[float] = field(default_factory=list)
     eps_cg: list[float] = field(default_factory=list)
     cg_iters: list[int] = field(default_factory=list)
     converged: bool = False
 
-    def record(self, iteration: int, residual: float, epsilon: float,
-               eps_cg: float, cg_iters: int):
-        self.iterations.append(iteration)
+    def record(self, residual: float, epsilon: float, eps_cg: float, cg_iters: int):
         self.residuals.append(residual)
         self.epsilons.append(epsilon)
         self.eps_cg.append(eps_cg)
         self.cg_iters.append(cg_iters)
 
     def __len__(self):
-        return len(self.iterations)
+        return len(self.residuals)
 
     @property
     def total_cg_iters(self) -> int:
@@ -161,13 +169,12 @@ def _loop_tail(z: VelocityField, z_old: VelocityField, eps_cg: float,
                cg_iters: int, projector: DivergenceProjector, eps_abs: float,
                eps_rel: float, log: ConvergenceLog, iterate_callback=None) -> bool:
     """End of one outer iteration, shared by every solver: stop check, CG
-    accuracy adaptation, log row (numbered on from the log's length so a
-    log carried across solves counts cumulatively), callback.  Returns and
-    records on the log whether the solve has converged: the iterate change
-    is below the threshold and the projection ran at its final accuracy."""
+    accuracy adaptation, log row, callback.  Returns and records on the log
+    whether the solve has converged: the iterate change is below the
+    threshold and the projection ran at its final accuracy."""
     stop, residual, eps = stop_check(z, z_old, eps_abs, eps_rel)
     projector.adapt(residual, eps)
-    log.record(len(log) + 1, residual, eps, eps_cg, cg_iters)
+    log.record(residual, eps, eps_cg, cg_iters)
     if iterate_callback is not None:
         iterate_callback(z)
     log.converged = stop and eps_cg <= projector.cg.eps_final
@@ -252,6 +259,7 @@ def iop_solve(prox_f: ProxOperator, projector: DivergenceProjector,
     """
     if not prox_f.is_orthogonal_projection:
         raise ValueError("iop_solve requires an orthogonal-projection prox operator")
+    _check_stop(max_iters, eps_abs, eps_rel)
     log.method = log.method or "iop"
     z = z_proj = z0.copy()
     if krylov and krylov_error is None:

@@ -9,14 +9,13 @@ the separating-wall solvers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
                      _along, _coords, _corners, _face_offsets, _flat_faces,
-                     _interp_component, advect_semi_lagrangian,
+                     _sample, advect_semi_lagrangian, cell_centers,
                      cell_to_face_average, face_centers, face_valid_mask,
                      fluid_adjacent_face_mask, upsample)
 from .guiding import GuidingConfig, guide_step, split_scalar_field
@@ -154,23 +153,19 @@ def _radial_target(dims: GridDims, flags: CellFlags, rate: float) -> VelocityFie
 
 def _seed_particles(flags: CellFlags, fluid_mask: np.ndarray, per_cell: int,
                     rng) -> np.ndarray:
+    """About per_cell jittered particles on a sub-grid of each fluid cell,
+    along the k active axes; an inactive axis holds them at mid-cell."""
     d = flags.dims
+    k = len(d.axes)
     cells = np.argwhere(fluid_mask)
-    n_side = max(int(round(math.sqrt(per_cell))), 1) if d.is_2d else \
-        max(int(round(per_cell ** (1.0 / 3.0))), 1)
+    n_side = max(round(per_cell ** (1 / k)), 1)
     offs = (np.arange(n_side) + 0.5) / n_side
-    if d.is_2d:
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        offsets = np.stack([ox.ravel(), oy.ravel(),
-                            np.full(ox.size, 0.5)], axis=1)
-    else:
-        ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
-        offsets = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=1)
+    grids = np.meshgrid(*[offs if a < k else 0.5 for a in range(3)], indexing="ij")
+    offsets = np.stack([g.ravel() for g in grids], axis=1)
     base = cells[:, None, :] + offsets[None, :, :]
     pos = base.reshape(-1, 3) * d.h
     jitter = rng.uniform(-0.2, 0.2, size=pos.shape) * (d.h / n_side)
-    if d.is_2d:
-        jitter[:, 2] = 0.0
+    jitter[:, k:] = 0.0
     return pos + jitter
 
 
@@ -209,8 +204,7 @@ def build_scene(spec: SceneSpec):
     else:
         cx, cy = int(0.5 * d.nx), int(0.22 * d.ny)
         r = max(d.nx // 12, 2)
-        X, Y, Z = np.meshgrid(np.arange(d.nx), np.arange(d.ny),
-                              np.arange(d.nz), indexing="ij")
+        X, Y, _ = np.indices(d.shape)
         blob = (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
         state.density.values[blob & ~solid_mask] = 1.0
 
@@ -268,7 +262,7 @@ def _fixed_projection(vel: VelocityField, flags: CellFlags, cg: CgConfig,
     projector = DivergenceProjector(flags, BcTable.from_flags(flags), fixed)
     out, iters, _ = projector.project(vel)
     log.method = method
-    log.record(1, 0.0, 0.0, cg.eps_final, iters)
+    log.record(0.0, 0.0, cg.eps_final, iters)
     log.converged = True
     return out
 
@@ -310,9 +304,7 @@ def angular_momentum(state: SceneState) -> float:
     d = state.flags.dims
     uc = 0.5 * (state.vel.u[:-1, :, :] + state.vel.u[1:, :, :])
     vc = 0.5 * (state.vel.v[:, :-1, :] + state.vel.v[:, 1:, :])
-    X, Y, _ = np.meshgrid((np.arange(d.nx) + 0.5) * d.h,
-                          (np.arange(d.ny) + 0.5) * d.h,
-                          (np.arange(d.nz) + 0.5) * d.h, indexing="ij")
+    X, Y, _ = cell_centers(d)
     rx = X - 0.5 * d.nx * d.h
     ry = Y - 0.5 * d.ny * d.h
     lz = rx * vc - ry * uc
@@ -363,11 +355,8 @@ def particles_to_grid(state: SceneState) -> VelocityField:
 
 
 def sample_at_particles(vel: VelocityField, pos: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(pos)
-    for axis, arr in vel.components():
-        out[:, axis] = _interp_component(arr, axis, vel.dims,
-                                         pos[:, 0], pos[:, 1], pos[:, 2])
-    return out
+    """Velocity at (N, 3) particle positions, as an (N, 3) array."""
+    return np.stack(np.broadcast_arrays(*_sample(vel, *pos.T)), axis=1)
 
 
 def extrapolate_velocity(vel: VelocityField, flags: CellFlags) -> VelocityField:

@@ -239,7 +239,7 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
         z, cg_iters, _ = projector.project(z)
         flips = classify(z, state, use_memory=False)
         _, residual, eps = stop_check(z, z_old, 0.0, 0.0)
-        log.record(len(log) + 1, residual, eps, eps_cg, cg_iters)
+        log.record(residual, eps, eps_cg, cg_iters)
         if not flips:
             log.converged = True
             break

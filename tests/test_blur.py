@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pdfluids.blur import blur_obstacle_aware
+from pdfluids.blur import _BlurKernel, _sweep, blur_obstacle_aware
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, cell_to_face_average, face_valid_mask)
 
@@ -282,3 +282,41 @@ class TestCachedKernelBitwise:
         radius.values[4, 3, 0] = 1.0   # inside the obstacle
         with pytest.raises(ValueError, match="SOLID"):
             blur_obstacle_aware(vel, radius, flags)
+
+
+# -- the normalizer and forward sweep as written before the shared tap sum ---
+
+def _ref_normalizer(vf, taps, axis):
+    den = vf.copy()
+    for t, wt in enumerate(taps, 1):
+        for s in (t, -t):
+            dst, src = _shifted(axis, -s)
+            den[dst] += wt[dst] * vf[src]
+    return np.where(den > 0, den, 1.0)
+
+
+def _ref_forward_sweep(vals, valid, vf, taps, norm, axis):
+    vv = vals * vf
+    num = vv.copy()
+    for t, wt in enumerate(taps, 1):
+        for s in (t, -t):
+            dst, src = _shifted(axis, -s)
+            num[dst] += wt[dst] * vv[src]
+    return np.where(valid, num / norm, vals)
+
+
+class TestTapSumBitwise:
+    @pytest.mark.parametrize("dims", [GridDims(9, 7), GridDims(7, 6, 5)],
+                             ids=["2d", "3d"])
+    def test_normalizers_and_forward_sweep_match_reference(self, rng, dims):
+        flags, radius = obstacle_scene(dims, rng)
+        radius.values[:3] = 0.0   # a band of zero-radius faces
+        kernel = _BlurKernel(radius, flags)
+        for comp, (valid, vf, taps, norms) in kernel.parts.items():
+            vals = rng.standard_normal(valid.shape)
+            for axis, norm in norms.items():
+                want = _ref_normalizer(vf, taps, axis)
+                assert norm.tobytes() == want.tobytes()
+                got = _sweep(vals, valid, vf, taps, norm, axis, transpose=False)
+                want = _ref_forward_sweep(vals, valid, vf, taps, want, axis)
+                assert got.tobytes() == want.tobytes()

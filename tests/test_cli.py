@@ -43,6 +43,34 @@ class TestCli:
         assert len(rows) == 3
         assert (out / "conv_circular_0001.csv").exists()
 
+    def test_every_output_is_an_atomic_write(self, tmp_path, monkeypatch):
+        """The summary CSV too goes through the temp-file-plus-rename writer,
+        and every written file's mode follows the umask."""
+        from pdfluids import fileio
+        targets = []
+        write = fileio._atomic_write
+
+        def recording_write(path, data):
+            targets.append(os.path.basename(path))
+            write(path, data)
+
+        monkeypatch.setattr(fileio, "_atomic_write", recording_write)
+        out = tmp_path / "plume"
+        old = os.umask(0o022)
+        try:
+            rc = run(["simulate", "--scene", "plume", "--nx", "12", "--ny", "12",
+                      "--frames", "1", "--out", out, "--save-pgm",
+                      "--save-velocity", "--save-logs"])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        names = sorted(os.listdir(out))
+        assert names == ["conv_plume_0001.csv", "plume_0001.pgm", "summary.csv",
+                         "vel_0001.grid"]
+        assert sorted(targets) == names
+        for name in names:
+            assert os.stat(out / name).st_mode & 0o777 == 0o644, name
+
     def test_guide_needs_target(self, tmp_path):
         rc = run(["guide", "--scene", "plume", "--nx", "16", "--ny", "16",
                   "--frames", "1", "--out", tmp_path / "x"])

@@ -439,3 +439,36 @@ class TestStencilBitwise:
             else:
                 for a in range(3):
                     assert got.component(a).tobytes() == want.component(a).tobytes()
+
+
+# -- sample coordinates as cell_centers and face_centers built them before ----
+
+def _ref_cell_centers(dims):
+    h = dims.h
+    x = (np.arange(dims.nx) + 0.5) * h
+    y = (np.arange(dims.ny) + 0.5) * h
+    z = (np.arange(dims.nz) + 0.5) * h
+    return np.meshgrid(x, y, z, indexing="ij")
+
+
+def _ref_face_centers(dims, axis):
+    h = dims.h
+    coords = []
+    for a, n in enumerate(dims.shape):
+        if a == axis:
+            coords.append(np.arange(n + 1) * h)
+        else:
+            coords.append((np.arange(n) + 0.5) * h)
+    return np.meshgrid(*coords, indexing="ij")
+
+
+@pytest.mark.parametrize("dims", [*STENCIL_DIMS.values(), GridDims(9, 7, 1, 1 / 7),
+                                  GridDims(7, 6, 5, 1 / 3)],
+                         ids=["2d", "3d", "2d-h7", "3d-h3"])
+def test_centers_match_reference(dims):
+    pairs = [(cell_centers(dims), _ref_cell_centers(dims))]
+    pairs += [(face_centers(dims, a), _ref_face_centers(dims, a)) for a in range(3)]
+    for got, want in pairs:
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()

@@ -137,11 +137,26 @@ class TestPgm:
         assert set(body) == {128}
 
 
+class TestAtomicWrites:
+    def test_written_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            write_grid(tmp_path / "s.grid", ScalarField.zeros(GridDims(4, 4)))
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "s.grid").st_mode & 0o777 == 0o644
+
+    def test_write_leaves_no_temp_file(self, tmp_path):
+        write_grid(tmp_path / "s.grid", ScalarField.zeros(GridDims(4, 4)))
+        write_grid(tmp_path / "s.grid", ScalarField.full(GridDims(4, 4), 2.0))
+        assert os.listdir(tmp_path) == ["s.grid"]
+
+
 class TestConvergenceCsv:
     def make_log(self, n):
         log = ConvergenceLog(method="pd")
         for k in range(1, n + 1):
-            log.record(k, 0.1 / k, 0.01, 1e-3, 10 + k)
+            log.record(0.1 / k, 0.01, 1e-3, 10 + k)
         return log
 
     def test_one_iteration_two_lines(self, tmp_path):
@@ -153,7 +168,7 @@ class TestConvergenceCsv:
 
     def test_raw_values_preserved_full_precision(self, tmp_path):
         log = ConvergenceLog()
-        log.record(1, 1.0 / 3.0, 2.0 / 7.0, 1e-5, 42)
+        log.record(1.0 / 3.0, 2.0 / 7.0, 1e-5, 42)
         path = tmp_path / "p.csv"
         write_convergence_csv(log, path)
         row = path.read_text().strip().split("\n")[1].split(",")

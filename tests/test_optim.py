@@ -231,6 +231,43 @@ class SmallGuidingOracle:
         self.solution.set_flat(x)
 
 
+def _kwargs_id(kwargs):
+    return ",".join(f"{k}={v}" for k, v in kwargs.items())
+
+
+class TestStopParameters:
+    """A cap or tolerance that would let an outer loop return its input
+    unprojected, or never stop on its tolerance, raises."""
+
+    BAD = [dict(max_iters=0), dict(max_iters=-3), dict(eps_abs=-1.0),
+           dict(eps_rel=-1e-9), dict(eps_abs=math.nan), dict(eps_rel=math.nan),
+           dict(eps_abs=math.inf)]
+
+    @pytest.mark.parametrize("bad", BAD, ids=_kwargs_id)
+    def test_pd_params(self, bad):
+        with pytest.raises(ValueError):
+            PdParams(tau=1.0, sigma=1.0, **bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=_kwargs_id)
+    def test_admm_params(self, bad):
+        with pytest.raises(ValueError):
+            AdmmParams(rho=1.0, **bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=_kwargs_id)
+    def test_iop_solve(self, bad, rng):
+        d = GridDims(8, 8)
+        flags = CellFlags.closed_box(d)
+        log = ConvergenceLog()
+        with pytest.raises(ValueError):
+            iop_solve(IdentityProx(), make_projector(flags),
+                      random_velocity(d, rng), log, **bad)
+        assert len(log) == 0
+
+    def test_zero_tolerances_and_one_iteration_accepted(self):
+        PdParams(tau=1.0, sigma=1.0, max_iters=1, eps_abs=0.0, eps_rel=0.0)
+        AdmmParams(rho=1.0, max_iters=1, eps_abs=0.0, eps_rel=0.0)
+
+
 class TestSolvers:
     def test_pd_identity_prox_returns_projection(self, rng):
         # with f == 0 the first x-update vanishes and z converges to the plain

@@ -5,8 +5,9 @@ from pdfluids.fields import CellType, VelocityField, divergence
 from pdfluids.pressure import CgConfig
 from pdfluids.scenes import (SCENE_NAMES, SceneSpec, angular_momentum,
                              build_scene, ceiling_contact_cells,
-                             flags_from_particles, liquid_step,
-                             particles_to_grid, smoke_step)
+                             _seed_particles, flags_from_particles,
+                             liquid_step, particles_to_grid,
+                             sample_at_particles, smoke_step)
 
 
 class TestBuildScene:
@@ -261,6 +262,39 @@ def _transfer_state(nz, rng):
     return state
 
 
+def _ref_sample_at_particles(vel, pos):
+    """The G2P loop as written before the one point sampler."""
+    from pdfluids.fields import _interp_component
+    out = np.zeros_like(pos)
+    for axis, arr in vel.components():
+        out[:, axis] = _interp_component(arr, axis, vel.dims,
+                                         pos[:, 0], pos[:, 1], pos[:, 2])
+    return out
+
+
+def _ref_seed_particles(flags, fluid_mask, per_cell, rng):
+    """Particle seeding as written before, one branch for 2D, one for 3D."""
+    import math
+    d = flags.dims
+    cells = np.argwhere(fluid_mask)
+    n_side = max(int(round(math.sqrt(per_cell))), 1) if d.is_2d else \
+        max(int(round(per_cell ** (1.0 / 3.0))), 1)
+    offs = (np.arange(n_side) + 0.5) / n_side
+    if d.is_2d:
+        ox, oy = np.meshgrid(offs, offs, indexing="ij")
+        offsets = np.stack([ox.ravel(), oy.ravel(),
+                            np.full(ox.size, 0.5)], axis=1)
+    else:
+        ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
+        offsets = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=1)
+    base = cells[:, None, :] + offsets[None, :, :]
+    pos = base.reshape(-1, 3) * d.h
+    jitter = rng.uniform(-0.2, 0.2, size=pos.shape) * (d.h / n_side)
+    if d.is_2d:
+        jitter[:, 2] = 0.0
+    return pos + jitter
+
+
 class TestTransferBitwise:
     @pytest.mark.parametrize("nz", [1, 7], ids=["2d", "3d"])
     def test_p2g_matches_add_at_reference(self, nz, rng):
@@ -269,6 +303,27 @@ class TestTransferBitwise:
         want = _ref_particles_to_grid(state)
         for a in range(3):
             assert got.component(a).tobytes() == want.component(a).tobytes()
+
+    @pytest.mark.parametrize("nz", [1, 7], ids=["2d", "3d"])
+    def test_g2p_matches_loop_reference(self, nz, rng):
+        state = _transfer_state(nz, rng)
+        vel = particles_to_grid(state)
+        for pos in (state.particles_pos, state.particles_pos[:0]):
+            got = sample_at_particles(vel, pos)
+            assert got.shape == pos.shape and got.flags.c_contiguous
+            assert got.tobytes() == _ref_sample_at_particles(vel, pos).tobytes()
+
+    @pytest.mark.parametrize("per_cell", [1, 2, 4, 8, 9, 27])
+    @pytest.mark.parametrize("nz", [1, 5], ids=["2d", "3d"])
+    def test_seeding_matches_reference(self, nz, per_cell):
+        spec = SceneSpec("dam", nx=9, ny=7, nz=nz, obstacle=(0.3, 0.3, 0.6, 0.6))
+        state, _ = build_scene(spec)
+        fluid = ~state.solid_mask
+        fluid[0] = False
+        got = _seed_particles(state.flags, fluid, per_cell, np.random.default_rng(per_cell))
+        want = _ref_seed_particles(state.flags, fluid, per_cell,
+                                   np.random.default_rng(per_cell))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("nz", [1, 7], ids=["2d", "3d"])
     def test_particle_cells_match_reference(self, nz, rng):

@@ -5,14 +5,23 @@ import pytest
 
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, _face_views, _flat_faces, divergence)
+from pdfluids.fileio import write_convergence_csv
 from pdfluids.optim import ConvergenceLog
 from pdfluids.pressure import BcTable, CgConfig, FaceTag, project
+from pdfluids.scenes import liquid_pressure_solve
 from pdfluids.separating import (BcState, BoundaryFaces, SeparatingProx,
                                  classified_walls_table, classify,
                                  solve_separating_accelerated,
                                  solve_separating_standard)
 
 from conftest import random_velocity, zero_solid_adjacent
+
+
+def _csv_iters(log, tmp_path):
+    """The iter column of the log's convergence CSV."""
+    write_convergence_csv(log, tmp_path / "log.csv")
+    rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
+    return [int(row.split(",")[0]) for row in rows]
 
 
 def tank(n=12, fill=1.0):
@@ -357,14 +366,25 @@ class TestAcceleratedSolver:
             if np.array_equal(before, state.nsep):
                 break
 
-    def test_log_numbers_on_from_earlier_rows(self):
+    def test_log_numbers_on_from_earlier_rows(self, tmp_path):
         d, flags, vel = hydrostatic_intermediate(12)
         log = ConvergenceLog()
-        log.record(1, 1.0, 1.0, 1e-5, 3)
-        log.record(2, 0.5, 1.0, 1e-5, 2)
+        log.record(1.0, 1.0, 1e-5, 3)
+        log.record(0.5, 1.0, 1e-5, 2)
         solve_separating_accelerated(vel, flags, log=log)
         assert len(log) > 2
-        assert log.iterations == list(range(1, len(log) + 1))
+        assert _csv_iters(log, tmp_path) == list(range(1, len(log) + 1))
+
+    def test_reused_log_numbers_rows_by_position(self, tmp_path):
+        """A fixed projection after a sweep loop on one log is the next
+        row, not a second iteration 1."""
+        d, flags, vel = hydrostatic_intermediate(12)
+        log = ConvergenceLog()
+        liquid_pressure_solve(vel, flags, "separating-accelerated", log=log)
+        n = len(log)
+        liquid_pressure_solve(vel, flags, "regular", log=log)
+        assert len(log) == n + 1
+        assert _csv_iters(log, tmp_path) == list(range(1, n + 2))
 
     def test_divergence_bound(self):
         d, flags, vel = hydrostatic_intermediate(12)
