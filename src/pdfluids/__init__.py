@@ -3,19 +3,16 @@ to a proximal-splitting optimizer, with guided smoke and separating-wall
 liquid applications."""
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     advect_semi_lagrangian, divergence, sample_velocity,
-                     upsample)
+                     advect_semi_lagrangian, divergence, upsample)
 from .blur import blur_obstacle_aware
 from .pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
-                       PoissonConvergenceError, project, solve_poisson,
-                       subtract_gradient)
-from .optim import (AdmmParams, ConvergenceLog, IdentityProx, PdParams,
-                    ProxOperator, adaptive_pd_update, admm_solve, iop_solve,
-                    krylov_accelerate, moreau_transform, pd_solve, stop_check)
+                       PoissonConvergenceError, project, subtract_gradient)
+from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
+                    adaptive_pd_update, admm_solve, iop_solve, krylov_accelerate,
+                    moreau_transform, pd_solve, stop_check)
 from .guiding import (GuidingConfig, GuidingProx, GuidingProxExact,
-                      GuidingQuadratic, blend_detail_preserving, blend_linear,
-                      default_guiding_params, direct_least_squares, guide_step,
-                      guiding_objective)
+                      GuidingQuadratic, default_guiding_params,
+                      direct_least_squares, guide_step, guiding_objective)
 from .separating import (BcState, BoundaryFaces, SeparatingProx,
                          classify, solve_separating_accelerated,
                          solve_separating_standard)

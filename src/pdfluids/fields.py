@@ -382,13 +382,6 @@ def _sample(vel: VelocityField, px, py, pz) -> list:
             if a in d.axes else 0.0 for a in range(3)]
 
 
-def sample_velocity(vel: VelocityField, point) -> np.ndarray:
-    """Velocity vector at a physical point (clamped to the domain)."""
-    p = np.zeros(3)
-    p[:len(point)] = point
-    return np.array(_sample(vel, *p))
-
-
 def _backtrace_rk2(vel: VelocityField, px, py, pz, dt: float):
     """Midpoint backtrace through vel; end points clamped into the domain box."""
     d = vel.dims

@@ -109,12 +109,12 @@ def read_grid(path):
 FLAG_GRAY = {CellType.EMPTY: 0, CellType.FLUID: 128, CellType.SOLID: 255}
 
 
-def render_pgm(field, path, value_range=None) -> None:
+def render_pgm(field, path) -> None:
     """8-bit binary PGM of a scalar field or flag field (2D or a mid slice).
 
-    Scalar values are min-max normalized per frame unless an absolute
-    (lo, hi) range is given; a constant field maps to mid-gray.  Flags render
-    as three fixed gray levels.  Rows run top to bottom (y decreasing).
+    Scalar values are min-max normalized per frame; a constant field maps to
+    mid-gray.  Flags render as three fixed gray levels.  Rows run top to
+    bottom (y decreasing).
     """
     if isinstance(field, CellFlags):
         sl = field.values[:, :, field.dims.nz // 2]
@@ -124,10 +124,7 @@ def render_pgm(field, path, value_range=None) -> None:
     elif isinstance(field, ScalarField):
         field.validate_finite()
         sl = field.values[:, :, field.dims.nz // 2]
-        if value_range is not None:
-            lo, hi = value_range
-        else:
-            lo, hi = float(sl.min()), float(sl.max())
+        lo, hi = float(sl.min()), float(sl.max())
         if hi > lo:
             norm = (sl - lo) / (hi - lo)
             img = np.clip(np.rint(norm * 255.0), 0, 255).astype(np.uint8)

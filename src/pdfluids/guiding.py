@@ -268,20 +268,6 @@ def default_guiding_params(w_bar: float) -> tuple[PdParams, AdmmParams]:
             AdmmParams(rho=1.4 * w_bar * w_bar))
 
 
-def blend_linear(u_current: VelocityField, u_target: VelocityField,
-                 ratio: float) -> VelocityField:
-    """Naive baseline: r*u_current + (1-r)*u_target (caller projects)."""
-    if not (0.0 <= ratio <= 1.0):
-        raise ValueError("blend ratio must lie in [0, 1]")
-    return ratio * u_current + (1.0 - ratio) * u_target
-
-
-def blend_detail_preserving(u_current: VelocityField, u_target: VelocityField,
-                            radius: ScalarField, flags: CellFlags) -> VelocityField:
-    """Naive baseline keeping small scales: u_current - B u_current + u_target."""
-    return u_current - blur_obstacle_aware(u_current, radius, flags) + u_target
-
-
 def direct_least_squares(cfg: GuidingConfig, tol: float = 1e-8,
                          max_iters: int = 200000,
                          log: ConvergenceLog | None = None) -> VelocityField:

@@ -29,15 +29,6 @@ class ProxOperator:
         raise NotImplementedError
 
 
-class IdentityProx(ProxOperator):
-    """Prox of f == 0 (and the orthogonal projection onto the whole space)."""
-
-    is_orthogonal_projection = True
-
-    def __call__(self, sigma: float, v: VelocityField) -> VelocityField:
-        return v.copy()
-
-
 def _check_stop(max_iters: int, eps_abs: float, eps_rel: float):
     """Raise ValueError unless an outer loop runs at least once and both
     stop tolerances are finite and >= 0."""

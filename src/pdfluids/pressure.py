@@ -102,8 +102,9 @@ class CgConfig:
     max_cg_iters: int = 10000
 
     def __post_init__(self):
-        if not (0 < self.eps_final <= self.eps_start):
-            raise ValueError("need 0 < eps_final <= eps_start")
+        if not (0 < self.eps_final <= self.eps_start < math.inf and self.max_cg_iters >= 1):
+            raise ValueError(f"need 0 < eps_final <= eps_start < inf and max_cg_iters >= 1, "
+                             f"got {self}")
 
 
 class PoissonSystem:
@@ -449,22 +450,6 @@ def _require_finite(vel: VelocityField):
     non-finite face value."""
     if not np.isfinite(vel.as_flat()).all():
         raise PoissonConvergenceError(0, math.nan)
-
-
-def solve_poisson(rhs: ScalarField, flags: CellFlags, bc: BcTable, eps_cg: float,
-                  max_cg_iters: int = 10000,
-                  inf_tol: float | None = None) -> ScalarField:
-    """Pressure p with ||lap(p) - rhs|| <= eps_cg * max(||rhs||, 1).
-
-    lap is the boundary-aware discrete Laplacian (div of the ghost-treated
-    gradient); internally CG runs on the SPD negation.
-    """
-    _check_dims(rhs, flags)
-    rhs.validate_finite()
-    system = PoissonSystem(flags, bc)
-    b = system.prepare_rhs(-rhs.values)
-    p, _ = system.cg(b, eps_cg, max_cg_iters, inf_tol=inf_tol)
-    return ScalarField(rhs.dims, p)
 
 
 def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,

@@ -15,9 +15,9 @@ import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
                      _along, _coords, _corners, _face_offsets, _flat_faces,
-                     _sample, advect_semi_lagrangian, cell_centers,
-                     cell_to_face_average, face_centers, face_valid_mask,
-                     fluid_adjacent_face_mask, upsample)
+                     _sample, advect_semi_lagrangian, cell_to_face_average,
+                     face_centers, face_valid_mask, fluid_adjacent_face_mask,
+                     upsample)
 from .guiding import GuidingConfig, guide_step, split_scalar_field
 from .optim import AdmmParams, ConvergenceLog, PdParams
 from .pressure import BcTable, CgConfig, DivergenceProjector
@@ -81,6 +81,9 @@ class SceneSpec:
         for box in (self.obstacle, self.emitter):
             if box is not None and np.shape(np.asarray(box, dtype=float)) != (4,):
                 raise ValueError(f"box {box!r} needs four fractions x0, y0, x1, y1")
+        if _static_flags(self).solid.all():
+            raise ValueError("no open cell: the closed box's walls and the "
+                             "obstacle fill the grid")
 
     @property
     def dims(self) -> GridDims:
@@ -115,6 +118,14 @@ def _fractional_box(dims: GridDims, box) -> tuple[slice, slice, slice]:
     return (slice(int(x0 * dims.nx), max(int(x1 * dims.nx), int(x0 * dims.nx) + 1)),
             slice(int(y0 * dims.ny), max(int(y1 * dims.ny), int(y0 * dims.ny) + 1)),
             slice(None))
+
+
+def _static_flags(spec: SceneSpec) -> CellFlags:
+    """The closed box with the obstacle's cells SOLID."""
+    flags = CellFlags.closed_box(spec.dims)
+    if spec.obstacle is not None:
+        flags.values[_fractional_box(spec.dims, spec.obstacle)] = CellType.SOLID
+    return flags
 
 
 def _guiding_config(spec: SceneSpec, flags: CellFlags, u_target: VelocityField,
@@ -174,9 +185,7 @@ def build_scene(spec: SceneSpec):
     scenes that define a target velocity."""
     d = spec.dims
     rng = np.random.default_rng(spec.seed)
-    flags = CellFlags.closed_box(d)
-    if spec.obstacle is not None:
-        flags.values[_fractional_box(d, spec.obstacle)] = CellType.SOLID
+    flags = _static_flags(spec)
     solid_mask = flags.solid.copy()
     state = SceneState(spec=spec, flags=flags, solid_mask=solid_mask,
                        vel=VelocityField.zeros(d))
@@ -299,18 +308,6 @@ def smoke_step(state: SceneState, cfg: GuidingConfig | None = None,
     return state
 
 
-def angular_momentum(state: SceneState) -> float:
-    """z component of sum(r x u) over fluid cells, about the domain center."""
-    d = state.flags.dims
-    uc = 0.5 * (state.vel.u[:-1, :, :] + state.vel.u[1:, :, :])
-    vc = 0.5 * (state.vel.v[:, :-1, :] + state.vel.v[:, 1:, :])
-    X, Y, _ = cell_centers(d)
-    rx = X - 0.5 * d.nx * d.h
-    ry = Y - 0.5 * d.ny * d.h
-    lz = rx * vc - ry * uc
-    return float(lz[state.flags.fluid].sum())
-
-
 # ---------------------------------------------------------------------------
 # liquid stepping (PIC/FLIP)
 
@@ -424,7 +421,6 @@ def liquid_begin_step(state: SceneState):
 
 def liquid_pressure_solve(vel: VelocityField, flags: CellFlags, mode: str,
                           cg: CgConfig | None = None,
-                          bc_params: PdParams | None = None,
                           state: BcState | None = None,
                           log: ConvergenceLog | None = None) -> VelocityField:
     """Pressure stage of a liquid step under the selected wall treatment."""
@@ -437,11 +433,8 @@ def liquid_pressure_solve(vel: VelocityField, flags: CellFlags, mode: str,
         _zero_solid_faces(out, flags)
         return _fixed_projection(out, flags, cg, log, "regular")
     if mode == "separating-standard":
-        return solve_separating_standard(vel, flags, params=bc_params,
-                                         state=state, cg=cg, log=log)
-    return solve_separating_accelerated(vel, flags, eps_cg=cg.eps_final,
-                                        state=state, log=log,
-                                        max_cg_iters=cg.max_cg_iters)
+        return solve_separating_standard(vel, flags, state=state, cg=cg, log=log)
+    return solve_separating_accelerated(vel, flags, cg=cg, state=state, log=log)
 
 
 def liquid_finish_step(state: SceneState, vel_new: VelocityField,
@@ -466,7 +459,6 @@ def liquid_finish_step(state: SceneState, vel_new: VelocityField,
 
 def liquid_step(state: SceneState, mode: str = "regular",
                 cg: CgConfig | None = None,
-                bc_params: PdParams | None = None,
                 bc_state: BcState | None = None) -> SceneState:
     """One liquid frame under the selected boundary treatment."""
     if state.particles_pos is None:
@@ -474,7 +466,7 @@ def liquid_step(state: SceneState, mode: str = "regular",
     vel, vel_old = liquid_begin_step(state)
     log = ConvergenceLog()
     vel_new = liquid_pressure_solve(vel, state.flags, mode, cg=cg,
-                                    bc_params=bc_params, state=bc_state, log=log)
+                                    state=bc_state, log=log)
     state.last_log = log
     liquid_finish_step(state, vel_new, vel_old)
     return state

@@ -207,10 +207,9 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
 
 
 def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
-                                 eps_cg: float = 1e-5,
+                                 cg: CgConfig | None = None,
                                  state: BcState | None = None,
-                                 log: ConvergenceLog | None = None,
-                                 max_cg_iters: int = 10000) -> VelocityField:
+                                 log: ConvergenceLog | None = None) -> VelocityField:
     """Mixed-boundary sweep solver.
 
     Starting from an empty non-separating set and one classification of the
@@ -218,19 +217,22 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     non-separating and Dirichlet at separating walls; reclassify} until the
     set stops changing.  Classification ignores the memory here; the Neumann
     faces hold the zeroed normals exactly, so a face that enters the set
-    never leaves (lock-in) and the loop terminates quickly.  A non-finite u
-    raises PoissonConvergenceError before the classification runs.
+    never leaves (lock-in) and the loop terminates quickly.  Every sweep
+    solves at cg.eps_final.  A non-finite u raises PoissonConvergenceError
+    before the classification runs.
     """
     _require_finite(u)
     log = log if log is not None else ConvergenceLog()
     log.method = log.method or "accelerated-separating"
+    cg = cg if cg is not None else CgConfig()
+    eps_cg = cg.eps_final
+    cg = CgConfig(eps_cg, eps_cg, cg.max_cg_iters)
     if state is None:
         state = BcState.initial(flags, eps=eps_cg)
     else:
         state.reset(flags, eps_cg)
     classify(u, state, use_memory=False)
     z = u.copy()
-    cg = CgConfig(eps_cg, eps_cg, max_cg_iters)
     prox = SeparatingProx(state)
     for _ in range(MAX_SWEEPS):
         z_old = z

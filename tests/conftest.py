@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdfluids.fields import CellFlags, GridDims, ScalarField, VelocityField
+from pdfluids.fields import CellFlags, GridDims, ScalarField, VelocityField, _sample
 
 
 @pytest.fixture
@@ -19,6 +19,13 @@ def random_velocity(dims, rng, scale=1.0, zero_wall_normals=False):
         if not dims.is_2d:
             vel.w[:, :, 0] = vel.w[:, :, -1] = 0.0
     return vel
+
+
+def sample_velocity(vel, point):
+    """Velocity vector at a physical point (clamped to the domain)."""
+    p = np.zeros(3)
+    p[:len(point)] = point
+    return np.array(_sample(vel, *p))
 
 
 def zero_solid_adjacent(vel, flags):

@@ -7,8 +7,8 @@ from pdfluids.fields import CellFlags, CellType, GridDims, ScalarField, Velocity
 from pdfluids.guiding import (GuidingConfig, GuidingProxExact, GuidingQuadratic,
                               direct_least_squares, guide_step,
                               split_scalar_field)
-from pdfluids.optim import (AdmmParams, ConvergenceLog, IdentityProx, PdParams,
-                            ProxOperator, admm_solve, iop_solve, pd_solve)
+from pdfluids.optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
+                            admm_solve, iop_solve, pd_solve)
 from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector, project
 from pdfluids.scenes import (SceneSpec, build_scene, liquid_step, smoke_step)
 from pdfluids.separating import (BcState, SeparatingProx, classify,
@@ -16,7 +16,7 @@ from pdfluids.separating import (BcState, SeparatingProx, classify,
                                  solve_separating_standard, violation_norm)
 
 from conftest import random_velocity, zero_solid_adjacent
-from test_optim import guiding_instance, make_projector
+from test_optim import IdentityProx, guiding_instance, make_projector
 
 
 class ClassifyingProx(ProxOperator):

@@ -7,10 +7,10 @@ from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, _gather_scalar_masked,
                              _interp_component, advect_semi_lagrangian,
                              cell_centers, divergence, face_centers,
-                             face_valid_mask, sample_velocity, upsample)
+                             face_valid_mask, upsample)
 from pdfluids.pressure import BcTable, FaceTag, subtract_gradient
 
-from conftest import dense_divergence_matrix, random_velocity
+from conftest import dense_divergence_matrix, random_velocity, sample_velocity
 
 
 def open_dims(n=8, h=1.0):

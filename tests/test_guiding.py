@@ -6,10 +6,10 @@ import pytest
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, _face_views, divergence, face_centers)
 from pdfluids import guiding
+from pdfluids.blur import blur_obstacle_aware
 from pdfluids.guiding import (GuidingConfig, GuidingMinimizerProjection,
                               GuidingPrecompute, GuidingProx,
                               GuidingProxExact, GuidingQuadratic,
-                              blend_detail_preserving, blend_linear,
                               default_guiding_params, direct_least_squares,
                               guide_step, guiding_objective, split_scalar_field)
 from pdfluids.optim import ConvergenceLog, PdParams
@@ -17,6 +17,20 @@ from pdfluids.pressure import PoissonConvergenceError
 
 from conftest import random_velocity, zero_solid_adjacent
 from test_optim import SmallGuidingOracle, guiding_instance
+
+
+def blend_linear(u_current: VelocityField, u_target: VelocityField,
+                 ratio: float) -> VelocityField:
+    """Naive baseline: r*u_current + (1-r)*u_target (caller projects)."""
+    if not (0.0 <= ratio <= 1.0):
+        raise ValueError("blend ratio must lie in [0, 1]")
+    return ratio * u_current + (1.0 - ratio) * u_target
+
+
+def blend_detail_preserving(u_current: VelocityField, u_target: VelocityField,
+                            radius: ScalarField, flags: CellFlags) -> VelocityField:
+    """Naive baseline keeping small scales: u_current - B u_current + u_target."""
+    return u_current - blur_obstacle_aware(u_current, radius, flags) + u_target
 
 
 def dense_operator(quad, apply_fn):
@@ -319,7 +333,6 @@ class TestBlends:
         u_c = random_velocity(d, rng)
         u_t = random_velocity(d, rng)
         out = blend_detail_preserving(u_c, u_t, radius, flags)
-        from pdfluids.blur import blur_obstacle_aware
         expect = u_c - blur_obstacle_aware(u_c, radius, flags) + u_t
         assert (out - expect).norm() == 0.0
 

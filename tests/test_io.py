@@ -128,14 +128,6 @@ class TestPgm:
         assert (body == 128).any()    # fluid interior
         assert (body == 0).any()      # the empty cell
 
-    def test_absolute_range(self, tmp_path):
-        d = GridDims(4, 4)
-        f = ScalarField.full(d, 0.5)
-        path = tmp_path / "a.pgm"
-        render_pgm(f, path, value_range=(0.0, 1.0))
-        body = path.read_bytes()[len(b"P5\n4 4\n255\n"):]
-        assert set(body) == {128}
-
 
 class TestAtomicWrites:
     def test_written_file_mode_follows_umask(self, tmp_path):

@@ -5,14 +5,22 @@ import pytest
 
 from pdfluids.fields import CellFlags, GridDims, ScalarField, VelocityField
 from pdfluids.guiding import GuidingConfig, GuidingProxExact
-from pdfluids.optim import (AdmmParams, ConvergenceLog,
-                            IdentityProx, PdParams, ProxOperator,
+from pdfluids.optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
                             adaptive_pd_update, admm_solve, iop_solve,
                             krylov_accelerate, moreau_transform, pd_solve,
                             stop_check)
 from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector
 
 from conftest import random_velocity, zero_solid_adjacent
+
+
+class IdentityProx(ProxOperator):
+    """Prox of f == 0 (and the orthogonal projection onto the whole space)."""
+
+    is_orthogonal_projection = True
+
+    def __call__(self, sigma: float, v: VelocityField) -> VelocityField:
+        return v.copy()
 
 
 def guiding_instance(n=8, rng=None, w=1.0, r=1.0):

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -24,3 +25,39 @@ def test_runtime_imports_are_numpy_and_stdlib_only():
             outside += [f"{path.name}: {n}" for n in names
                         if n.split(".")[0] not in ALLOWED]
     assert not outside
+
+
+def _identifiers(tree, strings=False) -> set:
+    """Names and attributes used in `tree`; with `strings`, also imported
+    names and the identifiers inside string constants (the tracer names its
+    spans by string)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public top-level function or class of src/ is used by another
+    # top-level statement of src/ (the package export does not count), by
+    # bench/ or by the acceptance criteria; test-only helpers live in tests/
+    src = Path(pdfluids.__file__).parent
+    root = src.parent.parent
+    nodes = [node for p in sorted(src.glob("*.py")) if p.name != "__init__.py"
+             for node in ast.parse(p.read_text(), str(p)).body]
+    uses = [_identifiers(node) for node in nodes]
+    outside = [*root.glob("bench/*.py"), root / "tests" / "test_acceptance.py"]
+    used = set().union(*(_identifiers(ast.parse(p.read_text()), strings=True)
+                         for p in outside))
+    unused = [node.name for i, node in enumerate(nodes)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used
+              and not any(node.name in u for j, u in enumerate(uses) if j != i)]
+    assert not unused

@@ -12,7 +12,7 @@ from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
 from pdfluids.guiding import guide_step
 from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                                PoissonConvergenceError, PoissonSystem, project,
-                               solve_poisson, subtract_gradient)
+                               subtract_gradient)
 from pdfluids.scenes import (SceneSpec, build_scene, liquid_begin_step,
                              liquid_pressure_solve)
 from pdfluids.separating import BcState, classified_walls_table
@@ -30,6 +30,14 @@ def dense_laplacian(flags, bc):
         e[c] = 1.0
         mat[:, c] = sys_.apply(e.reshape(flags.dims.shape)).ravel()
     return mat, sys_
+
+
+def solve_poisson(rhs, flags, bc, eps_cg, max_cg_iters=10000):
+    """Pressure p with ||lap(p) - rhs|| <= eps_cg * max(||rhs||, 1); CG runs
+    on the SPD negation of the boundary-aware Laplacian."""
+    system = PoissonSystem(flags, bc)
+    p, _ = system.cg(system.prepare_rhs(-rhs.values), eps_cg, max_cg_iters)
+    return ScalarField(rhs.dims, p)
 
 
 class TestSolvePoisson:
@@ -210,6 +218,31 @@ class TestAdaptiveController:
     def test_validation(self):
         with pytest.raises(ValueError):
             CgConfig(eps_start=1e-6, eps_final=1e-2)
+
+
+class TestCgConfigChecks:
+    """A tolerance that cannot be met or a cap below one iteration raises
+    at once, never a plausible-looking unprojected field."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(eps_start=math.inf), dict(eps_start=math.inf, eps_final=math.inf),
+        dict(eps_final=math.nan), dict(eps_start=math.nan),
+        dict(max_cg_iters=0), dict(max_cg_iters=-3)],
+        ids=["start-inf", "both-inf", "final-nan", "start-nan", "iters-0",
+             "iters-neg"])
+    def test_rejected(self, kw):
+        with pytest.raises(ValueError, match="max_cg_iters >= 1"):
+            CgConfig(**kw)
+
+    @pytest.mark.parametrize("eps, max_cg_iters", [(math.inf, 10000), (1e-5, 0)],
+                             ids=["eps-inf", "iters-0"])
+    def test_project_raises(self, eps, max_cg_iters):
+        d = GridDims(8, 8)
+        flags = CellFlags.closed_box(d)
+        vel = VelocityField.zeros(d)
+        vel.u[4, 4, 0] = 1.0
+        with pytest.raises(ValueError):
+            project(vel, flags, BcTable.from_flags(flags), eps, max_cg_iters)
 
 
 def split_halves():

@@ -1,13 +1,28 @@
 import numpy as np
 import pytest
 
-from pdfluids.fields import CellType, VelocityField, divergence
+from pdfluids.fields import CellType, VelocityField, cell_centers, divergence
 from pdfluids.pressure import CgConfig
-from pdfluids.scenes import (SCENE_NAMES, SceneSpec, angular_momentum,
-                             build_scene, ceiling_contact_cells,
-                             _seed_particles, flags_from_particles,
-                             liquid_step, particles_to_grid,
+from pdfluids.scenes import (SCENE_NAMES, SceneSpec, SceneState, build_scene,
+                             ceiling_contact_cells, _seed_particles,
+                             flags_from_particles, liquid_begin_step,
+                             liquid_finish_step, liquid_step, particles_to_grid,
                              sample_at_particles, smoke_step)
+from pdfluids.separating import solve_separating_standard
+
+from conftest import sample_velocity
+
+
+def angular_momentum(state: SceneState) -> float:
+    """z component of sum(r x u) over fluid cells, about the domain center."""
+    d = state.flags.dims
+    uc = 0.5 * (state.vel.u[:-1, :, :] + state.vel.u[1:, :, :])
+    vc = 0.5 * (state.vel.v[:, :-1, :] + state.vel.v[:, 1:, :])
+    X, Y, _ = cell_centers(d)
+    rx = X - 0.5 * d.nx * d.h
+    ry = Y - 0.5 * d.ny * d.h
+    lz = rx * vc - ry * uc
+    return float(lz[state.flags.fluid].sum())
 
 
 class TestBuildScene:
@@ -16,7 +31,6 @@ class TestBuildScene:
         state, cfg = build_scene(spec)
         d = spec.dims
         # velocity sampled at the domain center vanishes
-        from pdfluids.fields import sample_velocity
         c = sample_velocity(cfg.u_target, [0.5 * d.nx * d.h, 0.5 * d.ny * d.h])
         assert abs(c[0]) < 1e-12 and abs(c[1]) < 1e-12
         # and the field actually rotates counterclockwise off-center
@@ -42,6 +56,15 @@ class TestBuildScene:
     def test_unknown_scene_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec("warp-core-breach")
+
+    @pytest.mark.parametrize("keys", [{"nz": 2}, {"obstacle": (0, 0, 1, 1)}],
+                             ids=["nz-2", "obstacle-fills"])
+    def test_no_open_cell_rejected(self, keys):
+        with pytest.raises(ValueError, match="no open cell"):
+            SceneSpec("circular", nx=12, ny=12, **keys)
+        # one open layer or one open column is enough
+        SceneSpec("circular", nx=12, ny=12, nz=3)
+        SceneSpec("circular", nx=12, ny=12, obstacle=(0, 0, 0.9, 1))
 
     def test_determinism(self):
         a, _ = build_scene(SceneSpec("dam", nx=24, ny=20, seed=3))
@@ -164,7 +187,9 @@ class TestLiquid:
         params = PdParams(tau=1.0, sigma=1.0, theta=1.0, max_iters=2000,
                           eps_abs=1e-5, eps_rel=1e-5)
         for _ in range(10):
-            liquid_step(state, mode="separating-standard", bc_params=params)
+            vel, vel_old = liquid_begin_step(state)
+            vel_new = solve_separating_standard(vel, state.flags, params=params)
+            liquid_finish_step(state, vel_new, vel_old)
         drift = np.abs(state.particles_pos - start).max()
         assert drift <= 0.1 * spec.h
 

@@ -388,8 +388,19 @@ class TestAcceleratedSolver:
 
     def test_divergence_bound(self):
         d, flags, vel = hydrostatic_intermediate(12)
-        out = solve_separating_accelerated(vel, flags, eps_cg=1e-5)
+        out = solve_separating_accelerated(vel, flags, cg=CgConfig(eps_final=1e-5))
         assert np.abs(divergence(out, flags).values).max() <= 1e-4
+
+    @pytest.mark.parametrize("key, value", [("eps_final", np.inf),
+                                            ("max_cg_iters", 0)])
+    def test_rechecks_its_cg_settings(self, key, value):
+        # the sweeps run on a fixed-accuracy config built from cg, so
+        # settings changed after construction are checked again
+        d, flags, vel = hydrostatic_intermediate(12)
+        cg = CgConfig()
+        setattr(cg, key, value)
+        with pytest.raises(ValueError):
+            solve_separating_accelerated(vel, flags, cg=cg)
 
     def test_agrees_with_standard_solver(self):
         d, flags, vel = hydrostatic_intermediate(12)

@@ -84,5 +84,5 @@ def test_accelerated_matches_exact_projection(scene, frame):
     assert (st.T @ exact).min() >= -1e-10 * step
     assert mu.min() >= 0.0
     assert np.abs(mu * (st.T @ exact)).max() <= 1e-10 * step * max(mu.max(), 1.0)
-    z = solve_separating_accelerated(a, flags, eps_cg=1e-8)
+    z = solve_separating_accelerated(a, flags, cg=CgConfig(eps_final=1e-8))
     assert np.linalg.norm(z.as_flat() - exact) <= 1e-8 * step
