@@ -24,8 +24,6 @@ import numpy as np
 from .config import METHODS, ConfigError, RunConfig, read_json
 from .fileio import (_write_csv, read_grid, render_pgm, write_convergence_csv,
                      write_grid)
-from .guiding import default_guiding_params
-from .optim import AdmmParams, PdParams
 from .pressure import PoissonConvergenceError
 from .scenes import (BC_MODES, SCENE_NAMES, build_scene, ceiling_contact_cells,
                      liquid_step, smoke_step, upsampled_target)
@@ -58,19 +56,6 @@ def _build_config(args) -> RunConfig:
         elif isinstance(scene, dict):
             scene[key[len(_SCENE):]] = value
     return RunConfig.from_dict(data)
-
-
-def _solver_params(cfg: RunConfig, w_bar: float) -> tuple[PdParams, AdmmParams]:
-    pd_default, admm_default = default_guiding_params(w_bar)
-    pd = PdParams(
-        tau=cfg.tau if cfg.tau is not None else pd_default.tau,
-        sigma=cfg.sigma if cfg.sigma is not None else pd_default.sigma,
-        theta=cfg.theta if cfg.theta is not None else pd_default.theta,
-        max_iters=cfg.max_iters, eps_abs=cfg.eps_abs, eps_rel=cfg.eps_rel)
-    admm = AdmmParams(
-        rho=cfg.rho if cfg.rho is not None else admm_default.rho,
-        max_iters=cfg.max_iters, eps_abs=cfg.eps_abs, eps_rel=cfg.eps_rel)
-    return pd, admm
 
 
 def _make_dirs(path):
@@ -130,7 +115,7 @@ def _guided_step(cfg: RunConfig, state, target):
     config, whose mean weight sets the default step sizes."""
     def step(frame):
         guide_cfg = target(frame).with_current(state.vel)
-        pd, admm = _solver_params(cfg, guide_cfg.w_bar)
+        pd, admm = cfg.solver_params(guide_cfg.w_bar)
         smoke_step(state, guide_cfg, method=cfg.method, pd_params=pd,
                    admm_params=admm, cg=cfg.cg, exact_prox=cfg.exact_prox)
     return step

@@ -13,6 +13,8 @@ import sys
 import typing
 from dataclasses import dataclass
 
+from .guiding import default_guiding_params
+from .optim import AdmmParams, PdParams
 from .pressure import CgConfig
 from .scenes import BC_MODES, SceneSpec
 
@@ -38,9 +40,9 @@ class RunConfig:
     max_iters: int = 300
     eps_abs: float = 1e-3
     eps_rel: float = 1e-3
-    eps_cg_start: float = 1e-2
-    eps_cg_final: float = 1e-5
-    max_cg_iters: int = 10000
+    eps_cg_start: float = CgConfig.eps_start
+    eps_cg_final: float = CgConfig.eps_final
+    max_cg_iters: int = CgConfig.max_cg_iters
     exact_prox: bool = False
     save_velocity: bool = False
     save_pgm: bool = False
@@ -52,26 +54,33 @@ class RunConfig:
         self.validate()
 
     def validate(self):
+        """Check the run's own keys; the solver keys are checked by building
+        the CG settings and the PD and ADMM parameters at unit mean weight."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.bc_mode not in BC_MODES:
             raise ConfigError(f"bc_mode must be one of {BC_MODES}, got {self.bc_mode!r}")
         if self.frames < 1:
             raise ConfigError("frames must be >= 1")
-        if not (0 < self.eps_cg_final <= self.eps_cg_start):
-            raise ConfigError("need 0 < eps_cg_final <= eps_cg_start")
-        for name in ("tau", "sigma", "theta", "rho"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive when given")
-        if self.theta is not None and self.theta > 1:
-            raise ConfigError("theta must be in (0, 1]")
-        if self.max_iters < 1 or self.max_cg_iters < 1:
-            raise ConfigError("iteration caps must be >= 1")
-        if self.eps_abs < 0 or self.eps_rel < 0:
-            raise ConfigError("stop tolerances must be non-negative")
         if self.upres_factor < 1:
             raise ConfigError("upres_factor must be >= 1")
+        try:
+            self.cg
+            self.solver_params(1.0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def solver_params(self, w_bar: float) -> tuple[PdParams, AdmmParams]:
+        """The PD and ADMM parameters of a guided frame: the guiding-weight
+        defaults at mean weight w_bar, with the step sizes this config sets
+        and its stop settings written over them."""
+        pd, admm = default_guiding_params(w_bar)
+        stop = dict(max_iters=self.max_iters, eps_abs=self.eps_abs, eps_rel=self.eps_rel)
+        steps = {k: getattr(self, k) for k in ("tau", "sigma", "theta")
+                 if getattr(self, k) is not None}
+        rho = self.rho if self.rho is not None else admm.rho
+        return (dataclasses.replace(pd, **steps, **stop),
+                dataclasses.replace(admm, rho=rho, **stop))
 
     @property
     def cg(self) -> CgConfig:

@@ -315,8 +315,9 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     proximal solve of the guiding objective under the divergence constraint.
 
     method "pd" (default) or "admm" for production, "iop" only to
-    demonstrate how alternating projections mishandle guiding, "direct" for
-    the stacked least-squares baseline.  A non-finite u_current raises
+    demonstrate how alternating projections mishandle guiding (under the
+    PD parameters' iteration cap and stop tolerances), "direct" for the
+    stacked least-squares baseline.  A non-finite u_current raises
     PoissonConvergenceError before any blur or prox runs.
     """
     _require_finite(u_current)
@@ -327,15 +328,16 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     bc = BcTable.from_flags(cfg.flags)
     projector = DivergenceProjector(cfg.flags, bc, cg)
     pd_default, admm_default = default_guiding_params(cfg.w_bar)
+    pd_params = pd_params if pd_params is not None else pd_default
     if method == "pd":
-        params = pd_params if pd_params is not None else pd_default
         prox = GuidingProxExact(cfg) if exact_prox else GuidingProx(cfg)
-        return pd_solve(prox, projector, params, u_current, log)
+        return pd_solve(prox, projector, pd_params, u_current, log)
     if method == "admm":
         params = admm_params if admm_params is not None else admm_default
         prox = GuidingProxExact(cfg) if exact_prox else GuidingProx(cfg)
         return admm_solve(prox, projector, params, u_current, log)
     if method == "iop":
-        proj_f = GuidingMinimizerProjection(cfg)
-        return iop_solve(proj_f, projector, u_current, log)
+        return iop_solve(GuidingMinimizerProjection(cfg), projector, u_current, log,
+                         eps_abs=pd_params.eps_abs, eps_rel=pd_params.eps_rel,
+                         max_iters=pd_params.max_iters)
     raise ValueError(f"unknown guiding method {method!r}")

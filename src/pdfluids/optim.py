@@ -51,8 +51,8 @@ class PdParams:
     krylov: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0 or self.sigma <= 0:
-            raise ValueError("tau and sigma must be positive")
+        if not (0 < self.tau < math.inf and 0 < self.sigma < math.inf):
+            raise ValueError(f"tau and sigma must be finite and > 0, got {self}")
         if not (0 < self.theta <= 1):
             raise ValueError("theta must be in (0, 1]")
         _check_stop(self.max_iters, self.eps_abs, self.eps_rel)
@@ -66,8 +66,8 @@ class AdmmParams:
     eps_rel: float = 1e-3
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (0 < self.rho < math.inf):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         _check_stop(self.max_iters, self.eps_abs, self.eps_rel)
 
 
@@ -158,23 +158,21 @@ def _guard_extensions(prox_f: ProxOperator, params: PdParams):
 
 def _loop_tail(z: VelocityField, z_old: VelocityField, eps_cg: float,
                cg_iters: int, projector: DivergenceProjector, eps_abs: float,
-               eps_rel: float, log: ConvergenceLog, iterate_callback=None) -> bool:
+               eps_rel: float, log: ConvergenceLog) -> bool:
     """End of one outer iteration, shared by every solver: stop check, CG
-    accuracy adaptation, log row, callback.  Returns and records on the log
-    whether the solve has converged: the iterate change is below the
-    threshold and the projection ran at its final accuracy."""
+    accuracy adaptation, log row.  Returns and records on the log whether
+    the solve has converged: the iterate change is below the threshold and
+    the projection ran at its final accuracy."""
     stop, residual, eps = stop_check(z, z_old, eps_abs, eps_rel)
     projector.adapt(residual, eps)
     log.record(residual, eps, eps_cg, cg_iters)
-    if iterate_callback is not None:
-        iterate_callback(z)
     log.converged = stop and eps_cg <= projector.cg.eps_final
     return log.converged
 
 
 def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdParams,
-             z0: VelocityField, log: ConvergenceLog, on_z_update=None,
-             krylov_error=None, iterate_callback=None) -> VelocityField:
+             z0: VelocityField, log: ConvergenceLog, krylov_error=None,
+             iterate_callback=None) -> VelocityField:
     """First-order primal-dual iteration with K = identity.
 
     Per iteration:
@@ -183,7 +181,7 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
       y <- z + theta*(z - z_old)
     and stop once ||z - z_old|| falls below the stop threshold with the CG
     tolerance already at its final accuracy.  Starts from x = 0, y = z0.
-    on_z_update sees each projection output before the Krylov correction.
+    iterate_callback sees each projection output, before the Krylov step.
     Returns the last projection output, so the result is divergence-free to
     the last CG accuracy even when the Krylov correction moved the iterate;
     non-convergence is flagged on the log.
@@ -202,8 +200,8 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
         x = x + sigma * y - sigma * prox_f(sigma, x * (1.0 / sigma) + y)
         z_old = z
         z_proj, cg_iters, eps_cg = projector.project(z_old - tau * x)
-        if on_z_update is not None:
-            on_z_update(z_proj)
+        if iterate_callback is not None:
+            iterate_callback(z_proj)
         z = z_proj
         if params.krylov:
             z, eps_km1 = krylov_accelerate(z_proj, z_km1, krylov_error, eps_km1)
@@ -212,7 +210,7 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
             tau, sigma, theta = adaptive_pd_update(tau, sigma, GAMMA_ACCEL)
         y = z + theta * (z - z_old)
         if _loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
-                      params.eps_rel, log, iterate_callback):
+                      params.eps_rel, log):
             break
     return z_proj
 
@@ -220,7 +218,8 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
 def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
                params: AdmmParams, z0: VelocityField, log: ConvergenceLog,
                iterate_callback=None) -> VelocityField:
-    """Alternating direction method of multipliers with scaled dual y0 = 0.
+    """Alternating direction method of multipliers with scaled dual y0 = 0;
+    iterate_callback sees each projection output.
 
       x <- prox_f(rho, z - y);  z <- project(x + y);  y <- y + x - z
     """
@@ -231,9 +230,11 @@ def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
         x = prox_f(params.rho, z - y)
         z_old = z
         z, cg_iters, eps_cg = projector.project(x + y)
+        if iterate_callback is not None:
+            iterate_callback(z)
         y = y + x - z
         if _loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
-                      params.eps_rel, log, iterate_callback):
+                      params.eps_rel, log):
             break
     return z
 

@@ -474,15 +474,15 @@ def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
     return out
 
 
-def project(vel: VelocityField, flags: CellFlags, bc: BcTable, eps_cg: float,
-            max_cg_iters: int = 10000) -> VelocityField:
+def project(vel: VelocityField, flags: CellFlags, bc: BcTable,
+            eps_cg: float) -> VelocityField:
     """Divergence-free (Euclidean) projection via a pressure solve.
 
     Faces tagged NEUMANN keep their input velocity; only the velocity field
     is touched.  The CG residual is additionally driven below 10*eps_cg in
     max norm so the per-cell divergence bound holds at any rhs scale.
     """
-    projector = DivergenceProjector(flags, bc, CgConfig(eps_cg, eps_cg, max_cg_iters))
+    projector = DivergenceProjector(flags, bc, CgConfig(eps_cg, eps_cg))
     return projector.project(vel)[0]
 
 

@@ -79,8 +79,9 @@ class SceneSpec:
         if not (self.radius_left >= 0 and self.radius_right >= 0):
             raise ValueError("blur radii radius_left, radius_right must be >= 0")
         for box in (self.obstacle, self.emitter):
-            if box is not None and np.shape(np.asarray(box, dtype=float)) != (4,):
-                raise ValueError(f"box {box!r} needs four fractions x0, y0, x1, y1")
+            if box is not None and not (np.shape(box) == (4,)
+                                        and np.isfinite(np.asarray(box, float)).all()):
+                raise ValueError(f"box {box!r} needs four finite fractions x0, y0, x1, y1")
         if _static_flags(self).solid.all():
             raise ValueError("no open cell: the closed box's walls and the "
                              "obstacle fill the grid")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CellFlags, CellType, VelocityField, _flat_faces, _to_faces
-from .optim import ConvergenceLog, PdParams, ProxOperator, pd_solve, stop_check
+from .optim import ConvergenceLog, PdParams, ProxOperator, pd_solve
 from .pressure import BcTable, CgConfig, DivergenceProjector, FaceTag, _require_finite
 # re-exported: bench/test_bench.py checks that the tracer rebinds it here
 from .pressure import subtract_gradient  # noqa: F401
@@ -85,14 +85,14 @@ class BcState:
             fresh.faces, fresh.nsep, fresh.memory, fresh.eps)
 
 
-def classify(u: VelocityField, state: BcState, use_memory: bool = True) -> int:
+def classify(u: VelocityField, state: BcState) -> int:
     """Hysteresis classification of boundary faces; returns the number of
     faces that entered or left the non-separating set.
 
     Faces with |u.n| below the threshold keep their previous state.  Wall-ward
     motion (u.n <= 0) marks the face non-separating and accumulates into the
     memory; outward motion frees the face only once it outweighs the
-    remembered wall-ward motion (treated as zero in accelerated mode).
+    remembered wall-ward motion.
     """
     un = state.faces.normal_velocity(u)
     act = np.abs(un) >= state.eps
@@ -100,8 +100,7 @@ def classify(u: VelocityField, state: BcState, use_memory: bool = True) -> int:
     flips = np.count_nonzero(into & ~state.nsep)
     state.nsep[into] = True
     state.memory[into] += un[into]
-    mem = np.abs(state.memory) if use_memory else 0.0
-    outward = act & (un > 0.0) & (np.abs(un) >= mem)
+    outward = act & (un > 0.0) & (np.abs(un) >= np.abs(state.memory))
     flips += np.count_nonzero(outward & state.nsep)
     state.nsep[outward] = False
     state.memory[outward] = 0.0
@@ -199,8 +198,8 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
     for _ in range(4):
         changed = False
         z = pd_solve(prox, projector, params, u, log,
-                     on_z_update=None if lock_set else reclassify,
-                     krylov_error=violation_norm(state))
+                     krylov_error=violation_norm(state),
+                     iterate_callback=None if lock_set else reclassify)
         if not changed:
             break
     return z
@@ -215,11 +214,13 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     Starting from an empty non-separating set and one classification of the
     input, repeat {zero non-separating normals; project with Neumann at
     non-separating and Dirichlet at separating walls; reclassify} until the
-    set stops changing.  Classification ignores the memory here; the Neumann
-    faces hold the zeroed normals exactly, so a face that enters the set
-    never leaves (lock-in) and the loop terminates quickly.  Every sweep
-    solves at cg.eps_final.  A non-finite u raises PoissonConvergenceError
-    before the classification runs.
+    set stops changing.  Every sweep solves at cg.eps_final.  The Neumann
+    faces hold the zeroed normals exactly, so after each sweep u.n is 0.0
+    on every non-separating face, below any threshold: a face that enters
+    the set never leaves (lock-in, so the loop ends quickly), and every
+    face outside the set has memory 0, so the memory rule of classify
+    frees it on any outward motion.  A non-finite u raises
+    PoissonConvergenceError before the classification runs.
     """
     _require_finite(u)
     log = log if log is not None else ConvergenceLog()
@@ -231,7 +232,7 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
         state = BcState.initial(flags, eps=eps_cg)
     else:
         state.reset(flags, eps_cg)
-    classify(u, state, use_memory=False)
+    classify(u, state)
     z = u.copy()
     prox = SeparatingProx(state)
     for _ in range(MAX_SWEEPS):
@@ -239,9 +240,8 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
         z = prox(0.0, z)
         projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
         z, cg_iters, _ = projector.project(z)
-        flips = classify(z, state, use_memory=False)
-        _, residual, eps = stop_check(z, z_old, 0.0, 0.0)
-        log.record(residual, eps, eps_cg, cg_iters)
+        flips = classify(z, state)
+        log.record((z - z_old).norm(), 0.0, eps_cg, cg_iters)
         if not flips:
             log.converged = True
             break

@@ -287,6 +287,15 @@ class TestCli:
         p.write_text(json.dumps(cfg))
         assert run(["guide", "--config", p]) == 3
 
+    def test_iop_nonconvergence_exits_3(self, tmp_path):
+        # iop runs under the run's cap and stop tolerances
+        cfg = {"scene": {"name": "circular", "nx": 16, "ny": 16},
+               "frames": 1, "out_dir": str(tmp_path / "nc"), "method": "iop",
+               "max_iters": 1, "eps_abs": 0.0, "eps_rel": 0.0}
+        p = tmp_path / "nc.json"
+        p.write_text(json.dumps(cfg))
+        assert run(["guide", "--config", p]) == 3
+
     @pytest.mark.parametrize("args, step", [
         (["simulate", "--scene", "plume"], "smoke_step"),
         (["dam", "--scene", "dam", "--bc", "regular"], "liquid_step"),

@@ -90,7 +90,7 @@ class TestIopOnBoundaryProblem:
         out_pd = solve_separating_standard(vel, flags, params=params,
                                            log=log_pd)
         st = BcState.initial(flags, eps=1e-5)
-        classify(vel, st, use_memory=True)
+        classify(vel, st)
         prox = ClassifyingProx(st)
         projector = DivergenceProjector(flags, free_surface_walls_table(flags),
                                         CgConfig(1e-8, 1e-8))

@@ -549,6 +549,14 @@ class TestGuideStep:
         mean_right = np.concatenate(right).mean()
         assert mean_left > mean_right
 
+    def test_iop_runs_under_the_pd_stop_settings(self, rng):
+        d, flags, cfg = guiding_instance(8, rng)
+        log = ConvergenceLog()
+        guide_step(cfg.u_current, cfg, method="iop", log=log,
+                   pd_params=PdParams(tau=1.0, sigma=1.0, max_iters=1,
+                                      eps_abs=1e-12, eps_rel=1e-12))
+        assert len(log) == 1 and not log.converged
+
     def test_unknown_method_rejected(self, rng):
         d, flags, cfg = guiding_instance(8, rng)
         with pytest.raises(ValueError):

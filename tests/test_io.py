@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -204,3 +205,19 @@ class TestRunConfig:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             RunConfig.from_json("{nope")
+
+    @pytest.mark.parametrize("key, value", [
+        ("eps_abs", math.nan), ("eps_rel", math.inf), ("eps_cg_start", math.inf),
+        ("tau", math.inf), ("theta", math.nan), ("rho", math.nan)])
+    def test_non_finite_solver_value_rejected(self, key, value):
+        # checked by the CgConfig, PdParams and AdmmParams the key feeds
+        with pytest.raises(ConfigError):
+            RunConfig(scene=SceneSpec("circular", nx=12, ny=12), **{key: value})
+
+    def test_solver_params_write_the_set_keys_over_the_defaults(self):
+        cfg = RunConfig(scene=SceneSpec("circular", nx=12, ny=12), tau=2.0,
+                        rho=3.0, max_iters=7, eps_rel=0.0)
+        pd, admm = cfg.solver_params(2.0)
+        assert (pd.tau, pd.sigma, pd.theta) == (2.0, 2.44 / (0.58 / 2.0), 0.3)
+        assert (admm.rho, pd.max_iters, admm.max_iters) == (3.0, 7, 7)
+        assert pd.eps_abs == admm.eps_abs == 1e-3 and pd.eps_rel == admm.eps_rel == 0.0

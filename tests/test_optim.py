@@ -23,6 +23,20 @@ class IdentityProx(ProxOperator):
         return v.copy()
 
 
+class MaskProx(ProxOperator):
+    """Orthogonal projection that zeroes the faces of a flat mask."""
+
+    is_orthogonal_projection = True
+
+    def __init__(self, mask):
+        self.mask = mask
+
+    def __call__(self, sigma: float, v: VelocityField) -> VelocityField:
+        out = v.copy()
+        out.as_flat()[self.mask] = 0.0
+        return out
+
+
 def guiding_instance(n=8, rng=None, w=1.0, r=1.0):
     """Small closed-box guiding problem with a circular target."""
     rng = rng or np.random.default_rng(7)
@@ -271,6 +285,18 @@ class TestStopParameters:
                       random_velocity(d, rng), log, **bad)
         assert len(log) == 0
 
+    @pytest.mark.parametrize("steps", [
+        dict(tau=math.nan), dict(tau=math.inf), dict(sigma=math.inf),
+        dict(sigma=math.nan)], ids=_kwargs_id)
+    def test_pd_non_finite_step_sizes(self, steps):
+        with pytest.raises(ValueError, match="finite"):
+            PdParams(**{"tau": 1.0, "sigma": 1.0, **steps})
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_admm_non_finite_rho(self, rho):
+        with pytest.raises(ValueError, match="finite"):
+            AdmmParams(rho=rho)
+
     def test_zero_tolerances_and_one_iteration_accepted(self):
         PdParams(tau=1.0, sigma=1.0, max_iters=1, eps_abs=0.0, eps_rel=0.0)
         AdmmParams(rho=1.0, max_iters=1, eps_abs=0.0, eps_rel=0.0)
@@ -334,6 +360,23 @@ class TestSolvers:
         for zp, za in zip(iters_pd, iters_admm):
             scale = max(za.norm(), 1.0)
             assert (zp - za).norm() <= 1e-10 * scale
+
+    def test_pd_callback_sees_the_returned_field_with_krylov(self, rng):
+        # the hook fires on each projection output, before the Krylov
+        # correction, so its last field is the one pd_solve returns
+        d = GridDims(8, 8)
+        flags = CellFlags.closed_box(d)
+        z0 = zero_solid_adjacent(random_velocity(d, rng), flags)
+        column = VelocityField.zeros(d)
+        column.u[3] = 1.0                  # f: u = 0 on the x-faces at i = 3
+        seen = []
+        log = ConvergenceLog()
+        z = pd_solve(MaskProx(column.as_flat() != 0.0), make_projector(flags),
+                     PdParams(tau=1.0, sigma=1.0, theta=1.0, krylov=True,
+                              eps_abs=1e-9, eps_rel=1e-9),
+                     z0, log, iterate_callback=lambda f: seen.append(f.copy()))
+        assert log.converged and len(seen) == len(log) > 2
+        assert seen[-1].as_flat().tobytes() == z.as_flat().tobytes()
 
     def test_iop_requires_orthogonal_projection(self, rng):
         d, flags, cfg = guiding_instance(4, rng)

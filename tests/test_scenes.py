@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,12 @@ class TestBuildScene:
         # one open layer or one open column is enough
         SceneSpec("circular", nx=12, ny=12, nz=3)
         SceneSpec("circular", nx=12, ny=12, obstacle=(0, 0, 0.9, 1))
+
+    @pytest.mark.parametrize("box", ["obstacle", "emitter"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_box_rejected(self, box, bad):
+        with pytest.raises(ValueError, match="four finite fractions"):
+            SceneSpec("circular", nx=12, ny=12, **{box: (0, 0, bad, 1)})
 
     def test_determinism(self):
         a, _ = build_scene(SceneSpec("dam", nx=24, ny=20, seed=3))

@@ -8,7 +8,7 @@ from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
 from pdfluids.fileio import write_convergence_csv
 from pdfluids.optim import ConvergenceLog
 from pdfluids.pressure import BcTable, CgConfig, FaceTag, project
-from pdfluids.scenes import liquid_pressure_solve
+from pdfluids.scenes import SceneSpec, build_scene, liquid_pressure_solve, liquid_step
 from pdfluids.separating import (BcState, BoundaryFaces, SeparatingProx,
                                  classified_walls_table, classify,
                                  solve_separating_accelerated,
@@ -138,16 +138,6 @@ class TestClassify:
         assert np.array_equal(state.nsep, before)
         assert np.array_equal(state.memory, mem_before)
 
-    def test_accelerated_mode_ignores_memory(self):
-        d, flags, state = self.setup_state()
-        n = self.face_where(d, state, 1, lambda f: f.j == 1)
-        state.nsep[n] = True
-        state.memory[n] = -100.0
-        vel = VelocityField.zeros(d)
-        vel.as_flat()[state.faces.index[n]] = 0.3 * state.faces.sign[n]
-        assert classify(vel, state, use_memory=False) == 1
-        assert not state.nsep[n]
-
     def test_memory_running_sum_property(self, rng):
         d, flags, state = self.setup_state()
         n = self.face_where(d, state, 1, lambda f: f.j == 1)
@@ -160,15 +150,14 @@ class TestClassify:
             total += val
         assert state.memory[n] == pytest.approx(total)
 
-    @pytest.mark.parametrize("use_memory", [True, False])
-    def test_flips_count_the_faces_that_changed_set(self, rng, use_memory):
+    def test_flips_count_the_faces_that_changed_set(self, rng):
         d, flags, state = self.setup_state()
         state.nsep[:] = rng.random(len(state.faces)) > 0.5
         state.memory[:] = np.where(state.nsep, -rng.random(len(state.faces)), 0.0)
         for _ in range(4):
             vel = random_velocity(d, rng)
             before = state.nsep.copy()
-            flips = classify(vel, state, use_memory=use_memory)
+            flips = classify(vel, state)
             assert flips == np.count_nonzero(before != state.nsep)
 
 
@@ -297,9 +286,9 @@ class TestStandardSolver:
         import pdfluids.separating as separating
         calls = []
 
-        def counting(u, state, use_memory=True):
+        def counting(u, state):
             calls.append(u)
-            return classify(u, state, use_memory)
+            return classify(u, state)
 
         monkeypatch.setattr(separating, "classify", counting)
         d, flags, vel = hydrostatic_intermediate(10)
@@ -351,7 +340,7 @@ class TestAcceleratedSolver:
         # reproduce the sweep loop with instrumentation
         from pdfluids.pressure import PoissonSystem, subtract_gradient
         from pdfluids.fields import divergence, ScalarField
-        classify(vel, state, use_memory=False)
+        classify(vel, state)
         z = vel.copy()
         for _ in range(6):
             z = SeparatingProx(state)(0.0, z)
@@ -361,10 +350,33 @@ class TestAcceleratedSolver:
             p, _ = system.cg(b, 1e-5, 10000, inf_tol=1e-4)
             z = subtract_gradient(z, ScalarField(d, p), flags, bc)
             before = state.nsep.copy()
-            classify(z, state, use_memory=False)
+            classify(z, state)
             assert (before <= state.nsep).all()  # faces never leave
             if np.array_equal(before, state.nsep):
                 break
+
+    @pytest.mark.parametrize("spec, frames", [
+        (SceneSpec("dam", nx=32, ny=22, seed=1), 20),
+        (SceneSpec("hydrostatic", nx=10, ny=10, nz=8, seed=1), 15)],
+        ids=["dam-2d", "tank-3d"])
+    def test_non_separating_normals_are_zero_after_every_sweep(self, monkeypatch,
+                                                                spec, frames):
+        # what lets the sweep classify with the memory rule: u.n is exactly
+        # 0.0 on the set after each sweep, so no set face can leave and the
+        # faces outside it keep memory 0
+        import pdfluids.separating as separating
+        set_sizes = []
+
+        def checking(u, state):
+            assert (state.faces.normal_velocity(u)[state.nsep] == 0.0).all()
+            set_sizes.append(np.count_nonzero(state.nsep))
+            return classify(u, state)
+
+        monkeypatch.setattr(separating, "classify", checking)
+        state, _ = build_scene(spec)
+        for _ in range(frames):
+            liquid_step(state, mode="separating-accelerated")
+        assert max(set_sizes) > 0
 
     def test_log_numbers_on_from_earlier_rows(self, tmp_path):
         d, flags, vel = hydrostatic_intermediate(12)
