@@ -3,10 +3,10 @@
 The linear system is the 5/7-point Laplacian assembled matrix-free from the
 cell flags and a per-face boundary table: Neumann faces drop out of the
 stencil (the face velocity is kept), Dirichlet faces use a ghost pressure of
-zero (free surface).  Conjugate gradients solve the SPD form; all-Neumann
-systems get their right-hand side mean-subtracted for compatibility.  One
-private loop, _pcg, is every CG of the package: this solve and the
-velocity-space CG of the guiding paths.
+zero (free surface).  Conjugate gradients solve the SPD form; each
+connected component without a Dirichlet face gets its right-hand side
+mean-subtracted for compatibility.  One private loop, _pcg, is every CG of
+the package: this solve and the velocity-space CG of the guiding paths.
 
 Every grid, the system's own and each multigrid level, stores its stencil
 flat: the diagonal and, per axis a, one coefficient array over the
@@ -14,7 +14,8 @@ flattened cells that couples cell c to cell c + stride_a, zero where that
 neighbour wraps to the next row.  Each half of a matvec update is then one
 contiguous multiply and subtract into preallocated scratch, and one routine
 serves every grid.  DivergenceProjector reuses one cached PoissonSystem
-while the flags and the boundary table stay equal by content.
+while the flags and the boundary table stay equal by content, and starts
+each solve from the pressure of its previous one.
 
 The preconditioner is one symmetric V-cycle of an aggregation multigrid
 (MGPCG, McAdams, Sifakis & Teran, SCA 2010; the unsmoothed-aggregation
@@ -23,12 +24,13 @@ own stencil: cells paired 2x along every active axis through one flat
 parent index per level, the Galerkin coarse operator of the
 piecewise-constant prolongation summed through it, restriction by one
 bincount and prolongation by one take, one damped-Jacobi sweep (omega 2/3)
-before and after a coarse correction scaled by 1.6, and a dense
-pseudo-inverse on the coarsest grid (at most 64 active cells).  These are
-constants, not settings: with them the cycle is SPD for every boundary
-table and the CG iteration count stays flat in the grid width (11, 12 and
-14 iterations on a closed 64^2, 128^2 and 256^2 box at eps 1e-5), so there
-is nothing left for a caller to tune.
+before and after a coarse correction scaled by 1.6, and on the coarsest
+grid (at most 256 active cells) a dense inverse, or the pseudo-inverse
+where a component has no Dirichlet face, which the integer face counts
+decide exactly.  These are constants, not settings: with them the cycle is
+SPD for every boundary table and the CG iteration count stays flat in the
+grid width (9, 11 and 13 iterations on a closed 64^2, 128^2 and 256^2 box
+at eps 1e-5), so there is nothing left for a caller to tune.
 """
 
 from __future__ import annotations
@@ -123,10 +125,9 @@ class PoissonSystem:
             for cells in (slice(None, -1), slice(1, None)):
                 count += tags[axis][_along(axis, cells)] != FaceTag.NEUMANN
         adjacent = _flat_faces(d, lambda a: fluid_adjacent_face_mask(flags, a))
-        has_dirichlet = bool((bc.tags[adjacent] == FaceTag.DIRICHLET).any())
+        self.has_dirichlet = bool((bc.tags[adjacent] == FaceTag.DIRICHLET).any())
         count[~self.fluid] = 0.0
         self.diag = count * inv_h2
-        self.has_dirichlet = has_dirichlet
         self.active = self.fluid & (count > 0)
         self._inactive = ~self.active
         # 1.0 where an INTERIOR face couples a cell to its high neighbour,
@@ -141,9 +142,8 @@ class PoissonSystem:
         counts = _flat_stencil(interior, d.axes)
         self._stencil = [(s, c * inv_h2) for s, c in counts]
         self._tmp = np.empty(d.cell_count)
-        # without a Dirichlet face the rhs is made compatible per component
-        self._components = None if has_dirichlet else _components(
-            self.active, self._stencil)
+        # the rhs is made compatible on each component with no Dirichlet face
+        self._components = _singular_components(self.active, count.reshape(-1), counts)
         self._multigrid = _Multigrid(self, count.reshape(-1), counts, inv_h2)
 
     def apply(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -159,11 +159,11 @@ class PoissonSystem:
         return out
 
     def prepare_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """Mask to active cells; when no Dirichlet face exists, subtract the
-        mean of each connected component of the active cells."""
+        """Mask to active cells and subtract the mean of each connected
+        component of them that has no Dirichlet face."""
         b = np.where(self.active, rhs, 0.0)
         flat = b.reshape(-1)
-        for cells in self._components or ():
+        for cells in self._components:
             v = flat[cells]
             flat[cells] = v - v.mean()
         return b
@@ -174,40 +174,58 @@ class PoissonSystem:
         return self._multigrid.cycle(0, r, out)
 
     def cg(self, b: np.ndarray, eps: float, max_iters: int,
-           inf_tol: float | None = None):
-        """Multigrid-preconditioned CG on A x = b, run by _pcg: stops when
+           inf_tol: float | None = None, x0: np.ndarray | None = None,
+           r0: np.ndarray | None = None):
+        """Multigrid-preconditioned CG on A x = b, run by _pcg: starts from
+        x0 (zero when None) with its residual r0 if given, and stops when
         ||r||_2 <= eps * max(||b||_2, 1) and, if inf_tol is given,
         additionally max|r_i| <= inf_tol.  Returns (x, iterations); raises
         PoissonConvergenceError as _pcg does.  apply and _precondition are
         looked up per call, so a wrapper installed on them sees every one.
         """
         return _pcg(self.apply, b, eps, 1.0, max_iters, self._precondition,
-                    inf_tol=inf_tol)
+                    inf_tol=inf_tol, x0=x0, r0=r0)
 
 
 def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
          precondition=None, inf_tol: float | None = None,
-         solver: str = "pressure"):
+         solver: str = "pressure", x0: np.ndarray | None = None,
+         r0: np.ndarray | None = None):
     """The one CG loop: preconditioned CG on A x = b for an SPD `apply(d,
     out)`, with the optional preconditioner `precondition(r, out)` (z is r
     without one).  b is a C-contiguous array of any shape; x, r, z, d and
     A d keep its shape and are updated in place.
 
+    x starts from a copy of x0 (zero when None).  r0, if given, is the
+    start's residual b - A x0 in a C-contiguous array that the loop updates
+    as its r, so it ends as the final residual b - A x up to rounding;
+    otherwise one apply computes it from x0.
+
     Stops when ||r||_2 <= tol * max(||b||_2, floor) and, if inf_tol is
     given, additionally max|r_i| <= inf_tol.  Returns (x, iterations).
     Raises PoissonConvergenceError, labelled `solver`, on a non-finite rhs,
-    residual or d.A d, on a breakdown and when max_iters is used up; the
-    reported residual is ||r||_2 / max(||b||_2, floor).
+    x0, residual or d.A d, on a breakdown and when max_iters is used up;
+    the reported residual is ||r||_2 / max(||b||_2, floor).
     """
     x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
     if not math.isfinite(bnorm):
         raise PoissonConvergenceError(0, bnorm, solver)
-    if bnorm == 0.0:
+    if bnorm == 0.0 and x0 is None:
         return x, 0
     scale = max(bnorm, floor)
     target = tol * scale
-    r = b.copy()
+    if x0 is not None:
+        if not np.isfinite(x0).all():
+            raise PoissonConvergenceError(0, math.nan, solver)
+        np.copyto(x, x0)
+    if r0 is not None:
+        r = r0
+    elif x0 is None:
+        r = b.copy()
+    else:
+        r = apply(x, np.empty_like(b))
+        np.subtract(b, r, out=r)
     r_flat = r.reshape(-1)
     z = np.empty_like(b) if precondition is not None else r
     ad = np.empty_like(b)
@@ -279,6 +297,18 @@ def _components(active, stencil) -> list[np.ndarray]:
     return np.split(cells[order], bounds) if cells.size else []
 
 
+def _singular_components(active, count, stencil) -> list[np.ndarray]:
+    """The components of the flat Laplacian (count, stencil), in integer
+    face counts, on which it is singular: those where no row has more count
+    than couplings, so no Dirichlet face.  Each has the constant on its
+    cells as its one null vector; every other component is nonsingular."""
+    excess = count.copy()
+    for s, conn in stencil:
+        excess[:conn.size] -= conn
+        excess[s:] -= conn
+    return [cells for cells in _components(active, stencil) if not excess[cells].any()]
+
+
 # -- the aggregation multigrid preconditioner ----------------------------------
 #
 # Fixed constants, not settings: the cycle is SPD for any of them in range
@@ -287,7 +317,7 @@ def _components(active, stencil) -> list[np.ndarray]:
 # values below keep the closed-box iteration count flat from 64^2 to 256^2.
 _OMEGA = 2.0 / 3.0     # damped-Jacobi weight of the pre- and post-sweep
 _COARSE_SCALE = 1.6    # over-correction that offsets the piecewise-constant P
-_DENSE_CELLS = 64      # coarsen until at most this many active cells remain
+_DENSE_CELLS = 256     # coarsen until at most this many active cells remain
 
 
 def _flat_stencil(conns, axes):
@@ -344,6 +374,25 @@ def _galerkin(parent, count, stencil, coarse):
     return np.bincount(parent, diag, n), conns
 
 
+def _dense_inverse(mat, null):
+    """The symmetrized inverse of the symmetric positive semidefinite `mat`,
+    or its pseudo-inverse when mat is singular on the index sets `null`,
+    each a component whose one null vector is the constant on it: with P
+    the projector onto those constants, A+ = inv(A + s P) - P / s for any
+    s > 0, here the mean diagonal.  So the face counts give the rank, not a
+    pivot or an eigenvalue threshold.  Overwrites mat; in place to keep the
+    peak memory of a 256-cell grid low."""
+    scale = mat.trace() / max(len(mat), 1)
+    for cells in null:
+        mat[np.ix_(cells, cells)] += scale / cells.size
+    inv = np.linalg.inv(mat)
+    for cells in null:
+        inv[np.ix_(cells, cells)] -= 1.0 / (scale * cells.size)
+    inv += inv.T
+    inv *= 0.5
+    return inv
+
+
 class _Level:
     """One smoothed grid of the V-cycle and its map to the next coarser
     one, all flat.  parent[c] is the coarse cell of fine cell c, or the
@@ -374,8 +423,9 @@ class _Multigrid:
     the face counts decide exactly.  Every level smooths with one damped
     Jacobi sweep before and one after the scaled coarse correction; the
     coarsest grid (at most _DENSE_CELLS active cells, or no axis longer
-    than two) applies the dense pseudo-inverse, which also covers the
-    singular all-Neumann case.  Restriction and prolongation skip inactive
+    than two) applies a dense inverse formed once per system, the
+    pseudo-inverse when a component of it has no Dirichlet face (the rule
+    of _singular_components).  Restriction and prolongation skip inactive
     cells through the parent index's zero slot, so M is symmetric and
     positive definite on the active cells and its output is zero
     elsewhere.  Every level couples active cells only, so the smoother's
@@ -409,7 +459,9 @@ class _Multigrid:
             j = index[s:][m]
             mat[i, j] -= c[m]
             mat[j, i] -= c[m]
-        self.dense = np.linalg.pinv(mat * inv_h2, hermitian=True)
+        mat *= inv_h2
+        null = [index[c] for c in _singular_components(active, count, stencil)]
+        self.dense = _dense_inverse(mat, null)
 
     def cycle(self, k: int, r: np.ndarray, x: np.ndarray) -> np.ndarray:
         """x = M_k r on level k; r and x are C-contiguous (flat below level
@@ -494,6 +546,9 @@ class DivergenceProjector:
     adaptive CG accuracy `eps` (from cg.eps_start down to cg.eps_final), and
     reports the CG effort of each projection so convergence logs can
     attribute cost.  A fixed accuracy eps is CgConfig(eps, eps, max_cg_iters).
+    Each solve starts from the pressure of the projector's previous one; the
+    start is kept here, not on the shared cached system, so two projectors
+    on one system do not steer each other.
     """
 
     def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None):
@@ -502,10 +557,12 @@ class DivergenceProjector:
         self.cg = cg if cg is not None else CgConfig()
         self.eps = self.cg.eps_start
         self.system = _system_for(flags, bc)
+        self._pressure = self._image = None   # the last solve's p and A p
 
     def project(self, vel: VelocityField) -> tuple[VelocityField, int, float]:
         """The one projection routine: divergence, pressure solve at the
-        current accuracy (max-norm residual below 10x it), gradient update.
+        current accuracy (max-norm residual below 10x it) warm-started from
+        the previous solve's pressure, gradient update.
         Returns (projected velocity, CG iterations, CG accuracy).  A
         non-finite face raises before the solve, also one the divergence
         never reads (no FLUID neighbour)."""
@@ -513,7 +570,12 @@ class DivergenceProjector:
         eps = self.eps
         div = divergence(vel, self.flags)
         b = self.system.prepare_rhs(-div.values)
-        p, iters = self.system.cg(b, eps, self.cg.max_cg_iters, inf_tol=10.0 * eps)
+        # the start's residual from the last solve's A p = b - r, so the warm
+        # start costs no matvec
+        r = b.copy() if self._pressure is None else b - self._image
+        p, iters = self.system.cg(b, eps, self.cg.max_cg_iters, inf_tol=10.0 * eps,
+                                  x0=self._pressure, r0=r)
+        self._pressure, self._image = p, b - r
         out = subtract_gradient(vel, ScalarField(vel.dims, p), self.flags, self.bc)
         return out, iters, eps
 
