@@ -15,7 +15,10 @@ neighbour wraps to the next row.  Each half of a matvec update is then one
 contiguous multiply and subtract into preallocated scratch, and one routine
 serves every grid.  DivergenceProjector reuses one cached PoissonSystem
 while the flags and the boundary table stay equal by content, and starts
-each solve from the pressure of its previous one.
+each solve from the pressure of its previous one.  A retag of wall faces
+changes the table, the system and the cache key in place: integer face
+counts on every level and a rank-k update of the coarsest dense inverse,
+so no rebuild unless the active cells or the singular components move.
 
 The preconditioner is one symmetric V-cycle of an aggregation multigrid
 (MGPCG, McAdams, Sifakis & Teran, SCA 2010; the unsmoothed-aggregation
@@ -43,7 +46,7 @@ import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
                      _along, _check_dims, _face_views, _flat_faces, _to_faces,
-                     divergence, fluid_adjacent_face_mask)
+                     divergence)
 
 
 class FaceTag(IntEnum):
@@ -124,8 +127,6 @@ class PoissonSystem:
         for axis in d.axes:
             for cells in (slice(None, -1), slice(1, None)):
                 count += tags[axis][_along(axis, cells)] != FaceTag.NEUMANN
-        adjacent = _flat_faces(d, lambda a: fluid_adjacent_face_mask(flags, a))
-        self.has_dirichlet = bool((bc.tags[adjacent] == FaceTag.DIRICHLET).any())
         count[~self.fluid] = 0.0
         self.diag = count * inv_h2
         self.active = self.fluid & (count > 0)
@@ -142,9 +143,50 @@ class PoissonSystem:
         counts = _flat_stencil(interior, d.axes)
         self._stencil = [(s, c * inv_h2) for s, c in counts]
         self._tmp = np.empty(d.cell_count)
-        # the rhs is made compatible on each component with no Dirichlet face
-        self._components = _singular_components(self.active, count.reshape(-1), counts)
+        # the rhs is made compatible on each component with no Dirichlet face;
+        # the component of each cell and their face counts let retag tell
+        # when one would gain or lose its last Dirichlet face
+        self._components, self._root, self._excess = _singular_components(
+            self.active, count.reshape(-1), counts)
         self._multigrid = _Multigrid(self, count.reshape(-1), counts, inv_h2)
+
+    def retag(self, flags: CellFlags, bc: BcTable, faces: np.ndarray,
+              cells: np.ndarray, tags) -> None:
+        """Set bc.tags[faces] = tags in place and make this system the one
+        PoissonSystem(flags, bc) would build for the new table.
+
+        The faces are distinct wall faces, each between the FLUID cell at
+        the same position of `cells` (a flat cell index) and a cell that is
+        not FLUID, tagged NEUMANN or DIRICHLET before and after, so a retag
+        moves one cell's face count by one and couples nothing.  Every level's counts, diag
+        and smoother weights are updated in place (integer counts, so bit
+        for bit as in a fresh build) and the coarsest dense inverse by one
+        rank-k Sherman-Morrison-Woodbury step over the k coarsest cells
+        whose count moved.  When the new counts would change the active
+        cells of a level, or a component would gain or lose its last
+        Dirichlet face, the system is rebuilt in place instead.  The cached
+        system follows the retag: its key becomes the new table's content.
+        Every holder of this system sees the new operator.
+        """
+        old, tags = bc.tags[faces], np.asarray(tags)
+        gain, lose = tags == FaceTag.DIRICHLET, old == FaceTag.DIRICHLET
+        if not ((gain | (tags == FaceTag.NEUMANN)).all()
+                and (lose | (old == FaceTag.NEUMANN)).all()
+                and self.fluid.reshape(-1)[cells].all()):
+            raise ValueError("retag takes wall faces of a FLUID cell, NEUMANN or DIRICHLET")
+        step = np.subtract(gain, lose, dtype=np.float64)
+        bc.tags[faces] = tags
+        global _cached
+        if _cached is not None and _cached[1] is self:
+            _cached = (_key(flags, bc), self)
+        cells, step = _net(cells, step)
+        roots, change = _net(self._root[cells], step)
+        excess = self._excess[roots]
+        if ((excess == 0) != (excess + change == 0)).any() \
+                or not self._multigrid.retag(cells, step):
+            self.__init__(flags, bc)
+            return
+        self._excess[roots] += change
 
     def apply(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A p, written into `out` (C-contiguous) when given; rows of
@@ -271,10 +313,12 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
     raise PoissonConvergenceError(it, rnorm / scale, solver)
 
 
-def _components(active, stencil) -> list[np.ndarray]:
-    """Flat indices (ascending) of each set of active cells that the
-    stencil's couplings connect: min-label hooking with pointer jumping,
-    which settles in a few rounds on grid graphs."""
+def _components(active, stencil):
+    """The root of every flat cell, the smallest index of its set of active
+    cells that the stencil's couplings connect (an inactive cell is its own),
+    and the flat indices (ascending) of each such set, which start with
+    their root: min-label hooking with pointer jumping, which settles in a
+    few rounds on grid graphs."""
     i = [np.flatnonzero(conn > 0) for _, conn in stencil]
     j = np.concatenate([c + s for (s, _), c in zip(stencil, i)])
     i = np.concatenate(i)
@@ -294,19 +338,34 @@ def _components(active, stencil) -> list[np.ndarray]:
     roots = parent[cells]
     order = np.argsort(roots, kind="stable")
     bounds = np.flatnonzero(np.diff(roots[order])) + 1
-    return np.split(cells[order], bounds) if cells.size else []
+    return parent, np.split(cells[order], bounds) if cells.size else []
 
 
-def _singular_components(active, count, stencil) -> list[np.ndarray]:
+def _singular_components(active, count, stencil):
     """The components of the flat Laplacian (count, stencil), in integer
     face counts, on which it is singular: those where no row has more count
     than couplings, so no Dirichlet face.  Each has the constant on its
-    cells as its one null vector; every other component is nonsingular."""
+    cells as its one null vector; every other component is nonsingular.
+    Also returns the root of every cell (see _components) and, by root,
+    the count less the couplings summed over its component (0 off the
+    roots): each row's excess is at least 0, so a component is singular
+    exactly when that sum is 0."""
     excess = count.copy()
     for s, conn in stencil:
         excess[:conn.size] -= conn
         excess[s:] -= conn
-    return [cells for cells in _components(active, stencil) if not excess[cells].any()]
+    root, components = _components(active, stencil)
+    excess = np.bincount(root, excess, root.size)
+    return [cells for cells in components if not excess[cells[0]]], root, excess
+
+
+def _net(index, step):
+    """The distinct indices (ascending) whose summed steps are not zero,
+    and those sums."""
+    index, at = np.unique(index, return_inverse=True)
+    step = np.bincount(at, step, index.size)
+    keep = step != 0
+    return index[keep], step[keep]
 
 
 # -- the aggregation multigrid preconditioner ----------------------------------
@@ -393,6 +452,19 @@ def _dense_inverse(mat, null):
     return inv
 
 
+def _smw(inv, k, d):
+    """In place, inv of A + D from inv of A, where D adds d to the diagonal
+    at the indices k (distinct, d nonzero): the Sherman-Morrison-Woodbury
+    identity inv - inv[:, k] (diag(1/d) + inv[k, k])^-1 inv[k, :], then
+    symmetrized as _dense_inverse symmetrizes."""
+    w = inv[:, k]
+    s = w[k]
+    s[np.diag_indices(k.size)] += 1.0 / d
+    inv -= w @ np.linalg.solve(s, w.T)
+    inv += inv.T
+    inv *= 0.5
+
+
 class _Level:
     """One smoothed grid of the V-cycle and its map to the next coarser
     one, all flat.  parent[c] is the coarse cell of fine cell c, or the
@@ -400,7 +472,8 @@ class _Level:
     restriction is one bincount over it, prolongation one take from
     `coarse`, whose last slot stays 0."""
 
-    def __init__(self, diag, stencil, inactive, parent, coarse_cells):
+    def __init__(self, count, diag, stencil, inactive, parent, coarse_cells):
+        self.count = count
         self.diag = diag
         self.stencil = stencil
         with np.errstate(divide="ignore"):
@@ -425,30 +498,35 @@ class _Multigrid:
     coarsest grid (at most _DENSE_CELLS active cells, or no axis longer
     than two) applies a dense inverse formed once per system, the
     pseudo-inverse when a component of it has no Dirichlet face (the rule
-    of _singular_components).  Restriction and prolongation skip inactive
-    cells through the parent index's zero slot, so M is symmetric and
-    positive definite on the active cells and its output is zero
-    elsewhere.  Every level couples active cells only, so the smoother's
-    matvecs keep zero rows off the active cells without masking.
+    of _singular_components), and updated by retag.  Restriction and
+    prolongation skip inactive cells through the parent index's zero
+    slot, so M is symmetric and positive definite on the active cells and
+    its output is zero elsewhere.  Every level couples active cells only,
+    so the smoother's matvecs keep zero rows off the active cells without
+    masking.
     """
 
     def __init__(self, system: PoissonSystem, count, stencil, inv_h2):
         shape, axes = system.dims.shape, system.dims.axes
         active, inactive = system.active.reshape(-1), system._inactive.reshape(-1)
         diag, scaled = system.diag.reshape(-1), system._stencil
+        self.inv_h2 = inv_h2
         self.levels = []
         while int(active.sum()) > _DENSE_CELLS:
             agg = tuple(a for a in axes if shape[a] > 2)
             if not agg:
                 break
             shape, parent = _parent(shape, agg)
+            fine = count
             count, stencil = _galerkin(parent, count, stencil, shape)
             coarse_active = count > 0
             parent[inactive | ~coarse_active[parent]] = count.size
-            self.levels.append(_Level(diag, scaled, inactive, parent, count.size))
+            self.levels.append(_Level(fine, diag, scaled, inactive, parent, count.size))
             active, inactive = coarse_active, ~coarse_active
             diag, scaled = count * inv_h2, [(s, c * inv_h2) for s, c in stencil]
-        # the coarsest grid: dense matrix over its active cells, from the stencil
+        # the coarsest grid: dense matrix over its active cells, from the stencil;
+        # its count and diag are the system's own when there is no coarser level
+        self.count, self.diag = count, diag
         self.cells = np.flatnonzero(active)
         index = np.full(count.size, -1)
         index[self.cells] = np.arange(self.cells.size)
@@ -460,8 +538,39 @@ class _Multigrid:
             mat[i, j] -= c[m]
             mat[j, i] -= c[m]
         mat *= inv_h2
-        null = [index[c] for c in _singular_components(active, count, stencil)]
+        null = [index[c] for c in _singular_components(active, count, stencil)[0]]
         self.dense = _dense_inverse(mat, null)
+
+    def retag(self, cells, step) -> bool:
+        """Add `step` to the counts of the distinct level-0 cells `cells` and
+        to their aggregates' on every coarser level, with each grid's diag,
+        the smoothers' weights and the coarsest dense inverse.  Returns
+        False, with nothing changed, when a grid's active cells would
+        change.  On the coarsest grid the moved cells lie in components
+        with a Dirichlet face (the caller rebuilds otherwise), so the
+        pseudo-inverse's constants do not touch them and the plain
+        Sherman-Morrison-Woodbury step updates it."""
+        moves = []
+        for lv in self.levels:
+            if ((lv.count[cells] > 0) != (lv.count[cells] + step > 0)).any():
+                return False
+            moves.append((lv, cells, step))
+            cells, step = _net(lv.parent[cells], step)
+            # the zero slot's sum is 0 exactly when no inactive aggregate's
+            # count moves, since each of those counts can only grow
+            if cells.size and cells[-1] == lv.coarse.size - 1:
+                return False
+        if ((self.count[cells] > 0) != (self.count[cells] + step > 0)).any():
+            return False
+        for lv, c, s in moves:
+            lv.count[c] += s
+            lv.diag[c] = lv.count[c] * self.inv_h2
+            lv.wdinv[c] = _OMEGA / lv.diag[c]
+        self.count[cells] += step
+        self.diag[cells] = self.count[cells] * self.inv_h2
+        if cells.size:
+            _smw(self.dense, np.searchsorted(self.cells, cells), step * self.inv_h2)
+        return True
 
     def cycle(self, k: int, r: np.ndarray, x: np.ndarray) -> np.ndarray:
         """x = M_k r on level k; r and x are C-contiguous (flat below level
@@ -485,13 +594,18 @@ class _Multigrid:
 
 
 # the one system kept, keyed on the content of (flags, bc): a table rebuilt
-# with equal tags hits, one changed in place misses
+# with equal tags hits, one changed in place misses unless PoissonSystem.retag
+# changed it, which moves the key along
 _cached: tuple | None = None
+
+
+def _key(flags: CellFlags, bc: BcTable) -> tuple:
+    return flags.dims, bc.dims, flags.values.tobytes(), bc.tags.tobytes()
 
 
 def _system_for(flags: CellFlags, bc: BcTable) -> PoissonSystem:
     global _cached
-    key = (flags.dims, bc.dims, flags.values.tobytes(), bc.tags.tobytes())
+    key = _key(flags, bc)
     if _cached is None or _cached[0] != key:
         _cached = (key, PoissonSystem(flags, bc))
     return _cached[1]
@@ -578,6 +692,13 @@ class DivergenceProjector:
         self._pressure, self._image = p, b - r
         out = subtract_gradient(vel, ScalarField(vel.dims, p), self.flags, self.bc)
         return out, iters, eps
+
+    def retag(self, faces: np.ndarray, cells: np.ndarray, tags) -> None:
+        """PoissonSystem.retag of this projector's table and system.  The
+        next solve starts cold: the last one's A p belongs to the old
+        operator."""
+        self.system.retag(self.flags, self.bc, faces, cells, tags)
+        self._pressure = self._image = None
 
     def adapt(self, residual: float, eps_stop: float) -> float:
         """Drop the CG accuracy a decade once the iterate change nears the

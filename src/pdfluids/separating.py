@@ -12,8 +12,9 @@ with the classification hooked after every projection, the pressure solver
 treating every wall as a free surface.  The accelerated one instead feeds
 the classification into the pressure boundary table (Neumann at
 non-separating faces, free-surface Dirichlet at separating ones) and sweeps
-until the classification stops changing; faces lock in, which makes it
-cheaper but only approximately equal to the standard solution.
+until the classification stops changing, retagging the faces that changed
+in one table and one pressure system; faces lock in, which makes it cheaper
+but only approximately equal to the standard solution.
 """
 
 from __future__ import annotations
@@ -41,15 +42,19 @@ _NORMAL[CellType.FLUID, CellType.SOLID] = -1.0
 
 class BoundaryFaces:
     """All fluid-solid faces of a flag field: `index` holds their ascending
-    indices into `VelocityField.as_flat` (so (axis, i, j, k) order) and
-    `sign` the sign of the wall normal, which points out of the solid
-    along the face's axis."""
+    indices into `VelocityField.as_flat` (so (axis, i, j, k) order), `sign`
+    the sign of the wall normal, which points out of the solid along the
+    face's axis, and `cell` the flat index of each face's FLUID cell."""
 
     def __init__(self, flags: CellFlags):
         sign = _flat_faces(flags.dims, lambda axis: _to_faces(
             flags.values, axis, lambda a, b: _NORMAL.take(3 * a + b)))
         self.index = np.flatnonzero(sign)
         self.sign = sign[self.index]
+        fluid = flags.fluid.reshape(-1)
+        cells = np.arange(fluid.size).reshape(flags.dims.shape)
+        self.cell = _flat_faces(flags.dims, lambda axis: _to_faces(
+            cells, axis, lambda a, b: np.where(fluid[b], b, a)))[self.index]
 
     def __len__(self):
         return self.index.size
@@ -214,13 +219,16 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     Starting from an empty non-separating set and one classification of the
     input, repeat {zero non-separating normals; project with Neumann at
     non-separating and Dirichlet at separating walls; reclassify} until the
-    set stops changing.  Every sweep solves at cg.eps_final.  The Neumann
-    faces hold the zeroed normals exactly, so after each sweep u.n is 0.0
-    on every non-separating face, below any threshold: a face that enters
-    the set never leaves (lock-in, so the loop ends quickly), and every
-    face outside the set has memory 0, so the memory rule of classify
-    frees it on any outward motion.  A non-finite u raises
-    PoissonConvergenceError before the classification runs.
+    set stops changing.  Every sweep solves at cg.eps_final from a cold
+    start.  The Neumann faces hold the zeroed normals exactly, so after
+    each sweep u.n is 0.0 on every non-separating face, below any
+    threshold: a face that enters the set never leaves (lock-in, so the
+    loop ends quickly), and every face outside the set has memory 0, so
+    the memory rule of classify frees it on any outward motion.  One table
+    and one PoissonSystem serve every sweep: the first sweep builds them
+    and each later one retags the faces whose set changed, in place.  A
+    non-finite u raises PoissonConvergenceError before the classification
+    runs.
     """
     _require_finite(u)
     log = log if log is not None else ConvergenceLog()
@@ -235,10 +243,15 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     classify(u, state)
     z = u.copy()
     prox = SeparatingProx(state)
-    for _ in range(MAX_SWEEPS):
+    faces = state.faces
+    projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
+    for sweep in range(MAX_SWEEPS):
+        if sweep:
+            moved = (projector.bc.tags[faces.index] == FaceTag.NEUMANN) != state.nsep
+            projector.retag(faces.index[moved], faces.cell[moved], np.where(
+                state.nsep[moved], FaceTag.NEUMANN, FaceTag.DIRICHLET))
         z_old = z
         z = prox(0.0, z)
-        projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
         z, cg_iters, _ = projector.project(z)
         flips = classify(z, state)
         log.record((z - z_old).norm(), 0.0, eps_cg, cg_iters)

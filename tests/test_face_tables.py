@@ -11,7 +11,7 @@ from pdfluids import pressure
 from pdfluids.fields import (CellType, GridDims, ScalarField, VelocityField,
                              _along, _backtrace_rk2, _face_views, _flat_faces,
                              _interp_component, _to_faces, advect_semi_lagrangian,
-                             face_centers, face_valid_mask, fluid_adjacent_face_mask)
+                             face_centers, face_valid_mask)
 from pdfluids.pressure import (BcTable, DivergenceProjector, FaceTag, PoissonSystem,
                                subtract_gradient)
 from pdfluids.separating import (_NORMAL, BcState, BoundaryFaces,
@@ -72,21 +72,52 @@ class ReferenceBoundaryFaces:
 
 
 def reference_system_faces(flags, tags):
-    """The face counts, Dirichlet test and INTERIOR couplings that
-    PoissonSystem read from a per-axis table."""
+    """The face counts, singular components and INTERIOR couplings that
+    PoissonSystem read from a per-axis table.  A singular component is a
+    set of active cells joined by INTERIOR faces between two active cells
+    with no other non-Neumann face, listed as `_components` lists them:
+    cells ascending, components by their first cell."""
     d = flags.dims
     count = np.zeros(d.shape)
-    has_dirichlet = False
     for axis in d.axes:
         t = tags[axis]
         for cells in (slice(None, -1), slice(1, None)):
             count += (t[_along(axis, cells)] != FaceTag.NEUMANN).astype(np.float64)
-        if (t[fluid_adjacent_face_mask(flags, axis)] == FaceTag.DIRICHLET).any():
-            has_dirichlet = True
     count[~flags.fluid] = 0.0
     interior = [tags[axis][_along(axis, slice(1, None))] == FaceTag.INTERIOR
                 for axis in d.axes]
-    return count, has_dirichlet, interior
+    active = flags.fluid & (count > 0)
+    # flood fill over the couplings, one cell at a time
+    couplings = np.zeros(d.shape)
+    links = {}
+    for axis in d.axes:
+        inner = tags[axis][_along(axis, slice(1, -1))] == FaceTag.INTERIOR
+        lo, hi = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
+        link = inner & active[lo] & active[hi]
+        couplings[lo] += link
+        couplings[hi] += link
+        for c in zip(*np.nonzero(link)):
+            n = list(c)
+            n[axis] += 1
+            links.setdefault(c, []).append(tuple(n))
+            links.setdefault(tuple(n), []).append(c)
+    seen = np.zeros(d.shape, bool)
+    singular = []
+    for start in zip(*np.nonzero(active)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        todo, members = [start], []
+        while todo:
+            c = todo.pop()
+            members.append(c)
+            for n in links.get(c, ()):
+                if not seen[n]:
+                    seen[n] = True
+                    todo.append(n)
+        if all(count[c] == couplings[c] for c in members):
+            singular.append(sorted(np.ravel_multi_index(c, d.shape) for c in members))
+    return count, sorted(singular), interior
 
 
 def reference_advect_velocity(field, vel, dt, flags):
@@ -180,10 +211,10 @@ class TestFlatTables:
         for tags in (reference_tags(flags), reference_tags(flags, FaceTag.DIRICHLET),
                      random_tags(flags.dims, rng)):
             system = PoissonSystem(flags, BcTable(flags.dims, flat(flags.dims, tags)))
-            count, has_dirichlet, interior = reference_system_faces(flags, tags)
+            count, singular, interior = reference_system_faces(flags, tags)
             inv_h2 = 1.0 / (flags.dims.h * flags.dims.h)
             assert system.diag.tobytes() == (count * inv_h2).tobytes()
-            assert system.has_dirichlet == has_dirichlet
+            assert [c.tolist() for c in system._components] == singular
             for (_, conn), c in zip(system._stencil, interior):
                 # the coupling is zero wherever the reference face is not
                 # INTERIOR (activity masks the rest)

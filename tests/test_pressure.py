@@ -15,7 +15,8 @@ from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                                subtract_gradient)
 from pdfluids.scenes import (SceneSpec, build_scene, liquid_begin_step,
                              liquid_pressure_solve)
-from pdfluids.separating import BcState, classified_walls_table
+from pdfluids.separating import (MAX_SWEEPS, BcState, BoundaryFaces,
+                                 classified_walls_table, free_surface_walls_table)
 
 from conftest import random_velocity
 
@@ -470,7 +471,8 @@ class TestCgBitwise:
         flags, bc, rhs = case(rng)
         system = PoissonSystem(flags, bc)
         b = system.prepare_rhs(rhs)
-        assert system.has_dirichlet == (case is dam_case)
+        # the closed boxes are one all-Neumann component, the dam has air
+        assert len(system._components) == (0 if case is dam_case else 1)
         x, iters = system.cg(b, 1e-5, 10000, inf_tol=inf_tol)
         _, iters_ref = reference_cg(flags, bc, system, b, 1e-5, 10000, inf_tol=inf_tol)
         assert 0 < iters <= iters_ref
@@ -1167,10 +1169,160 @@ class TestCoarseFactor:
     def test_pocket_beside_a_pool(self, rng, monkeypatch):
         flags, bc, pocket = pocket_pool_case()
         system, mat, nullity = coarsest_matrix(flags, bc, monkeypatch)
-        assert system.has_dirichlet and nullity == 1
+        assert nullity == 1 and (system.active & ~pocket).any()
         assert [c.tolist() for c in system._components] == [np.flatnonzero(pocket).tolist()]
         b = system.prepare_rhs(rng.standard_normal(flags.dims.shape))
         assert abs(b[pocket].sum()) <= 1e-14 * np.abs(b[pocket]).sum()
+
+
+def assert_same_system(got, want, dense_rtol=None):
+    """Two PoissonSystems array for array, byte for byte: every level's
+    counts, diag, smoother weights, parent index and stencil, the active
+    cells and the components; the coarsest dense inverse too, or within
+    dense_rtol of want's (max norm) when given."""
+    for name in ("diag", "active", "_root", "_excess"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert [c.tobytes() for c in got._components] == [c.tobytes() for c in want._components]
+    mg, fresh = got._multigrid, want._multigrid
+    assert len(mg.levels) == len(fresh.levels)
+    for a, b in zip(mg.levels, fresh.levels):
+        for name in ("count", "diag", "wdinv", "parent"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert [(s, c.tobytes()) for s, c in a.stencil] == \
+            [(s, c.tobytes()) for s, c in b.stencil]
+    for name in ("count", "diag", "cells"):
+        assert getattr(mg, name).tobytes() == getattr(fresh, name).tobytes(), name
+    if dense_rtol is None:
+        assert mg.dense.tobytes() == fresh.dense.tobytes()
+    else:
+        assert np.array_equal(mg.dense, mg.dense.T)
+        err = np.abs(mg.dense - fresh.dense).max()
+        assert err <= dense_rtol * np.abs(fresh.dense).max()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The PoissonSystem constructions from here on, retag's rebuilds
+    included."""
+    seen = []
+    original = PoissonSystem.__init__
+
+    def counted(self, flags, bc):
+        seen.append(1)
+        original(self, flags, bc)
+
+    monkeypatch.setattr(PoissonSystem, "__init__", counted)
+    return seen
+
+
+def pocket_and_cell_case():
+    """A pool open to air over a 40x30 closed box, a closed 2x2 pocket in
+    one solid block and a single FLUID cell in another, every wall face a
+    free surface: the pocket's and the cell's faces are all wall faces."""
+    d = GridDims(40, 30, 1, 1.0 / 40)
+    flags = CellFlags.closed_box(d)
+    flags.values[1:-1, 18:-1, 0] = CellType.EMPTY
+    flags.values[20:26, 2:8, 0] = CellType.SOLID
+    flags.values[22:24, 4:6, 0] = CellType.FLUID
+    flags.values[30:33, 2:5, 0] = CellType.SOLID
+    flags.values[31, 3, 0] = CellType.FLUID
+    faces = BoundaryFaces(flags)
+    pocket = np.isin(faces.cell, np.ravel_multi_index(([22, 22, 23, 23], [4, 5, 4, 5], 0),
+                                                      d.shape))
+    cell = faces.cell == np.ravel_multi_index((31, 3, 0), d.shape)
+    return flags, free_surface_walls_table(flags), faces, pocket, cell
+
+
+class TestRetag:
+    """PoissonSystem.retag against a fresh build of the retagged table:
+    every level bit for bit and the coarsest inverse within 1e-12 after a
+    sweep cap's worth of retags, and a bit-for-bit rebuild when the active
+    cells or a component's Dirichlet status move."""
+
+    @pytest.mark.parametrize("spec", [SceneSpec("dam", nx=80, ny=60),
+                                      SceneSpec("dam", nx=40, ny=30),
+                                      SceneSpec("dam", nx=16, ny=14, nz=12)],
+                             ids=["2d", "2d-one-grid", "3d"])
+    def test_random_sequences_match_a_rebuild(self, spec, builds):
+        flags = build_scene(spec)[0].flags
+        rng = np.random.default_rng(spec.nx)
+        state = BcState.initial(flags)
+        state.nsep[:] = rng.random(len(state.nsep)) < 0.5
+        faces = state.faces
+        bc = classified_walls_table(flags, state)
+        system = PoissonSystem(flags, bc)
+        levels = len(system._multigrid.levels)
+        assert levels == {80: 2, 40: 0, 16: 1}[spec.nx]
+        directions = set()
+        for _ in range(MAX_SWEEPS):
+            pick = rng.choice(len(faces), size=int(rng.integers(1, 30)), replace=False)
+            tags = np.where(bc.tags[faces.index[pick]] == FaceTag.NEUMANN,
+                            FaceTag.DIRICHLET, FaceTag.NEUMANN)
+            directions.update(tags.tolist())
+            system.retag(flags, bc, faces.index[pick], faces.cell[pick], tags)
+            assert len(builds) == 1   # every retag in place
+            assert_same_system(system, PoissonSystem(flags, bc), dense_rtol=1e-12)
+            builds.pop()
+        assert directions == {FaceTag.NEUMANN, FaceTag.DIRICHLET}
+
+    @pytest.mark.parametrize("which", ["cell", "pocket"])
+    def test_rebuilds_when_a_cell_or_component_closes(self, which, builds):
+        # the cell: count 0 with every face Neumann, so inactive; the pocket:
+        # no Dirichlet face left, so singular.  Both ways round.
+        flags, bc, faces, pocket, cell = pocket_and_cell_case()
+        walls = np.flatnonzero(cell if which == "cell" else pocket)
+        system = PoissonSystem(flags, bc)
+        assert system._multigrid.levels and system._components == []
+
+        def retag(pick, tag):
+            system.retag(flags, bc, faces.index[pick], faces.cell[pick], tag)
+
+        retag(walls[:-1], FaceTag.NEUMANN)
+        assert len(builds) == 1
+        assert_same_system(system, PoissonSystem(flags, bc), dense_rtol=1e-12)
+        builds.pop()
+        retag(walls[-1:], FaceTag.NEUMANN)
+        assert len(builds) == 2   # the rebuild in place
+        assert_same_system(system, PoissonSystem(flags, bc))
+        if which == "cell":
+            assert not system.active.reshape(-1)[faces.cell[walls]].any()
+        else:
+            assert [c.tolist() for c in system._components] == \
+                [np.unique(faces.cell[walls]).tolist()]
+        retag(walls[-1:], FaceTag.DIRICHLET)
+        assert len(builds) == 4
+        assert_same_system(system, PoissonSystem(flags, bc))
+
+    def test_rejects_a_face_it_cannot_retag(self):
+        flags, bc, faces, pocket, cell = pocket_and_cell_case()
+        system = PoissonSystem(flags, bc)
+        before = bc.tags.copy()
+        interior = int(np.flatnonzero(bc.tags == FaceTag.INTERIOR)[0])
+        for face, fluid, tag in [(interior, 0, FaceTag.NEUMANN),   # not a wall face
+                                 (faces.index[0], faces.cell[0], FaceTag.INTERIOR),
+                                 (faces.index[0], 0, FaceTag.NEUMANN)]:   # a SOLID cell
+            with pytest.raises(ValueError, match="wall faces"):
+                system.retag(flags, bc, np.array([face]), np.array([fluid]), tag)
+        assert bc.tags.tobytes() == before.tobytes()
+
+    def test_projector_retag_shares_the_table_and_starts_cold(self, rng):
+        flags, bc, faces, pocket, cell = pocket_and_cell_case()
+        eps = 1e-6
+        projector = DivergenceProjector(flags, bc, CgConfig(eps, eps))
+        vel = random_velocity(flags.dims, rng, zero_wall_normals=True)
+        projector.project(vel)
+        assert projector._pressure is not None
+        walls = faces.index[pocket]
+        projector.retag(walls, faces.cell[pocket], FaceTag.NEUMANN)
+        assert projector._pressure is None and projector._image is None
+        assert (projector.bc.tags[walls] == FaceTag.NEUMANN).all()
+        vel.as_flat()[walls] = rng.standard_normal(walls.size)
+        out, iters, _ = projector.project(vel)
+        # the gradient read the retagged table: the new Neumann faces kept u
+        assert out.as_flat()[walls].tobytes() == vel.as_flat()[walls].tobytes()
+        fresh = DivergenceProjector(flags, BcTable(flags.dims, bc.tags.copy()),
+                                    CgConfig(eps, eps)).project(vel)[0]
+        np.testing.assert_allclose(out.as_flat(), fresh.as_flat(), rtol=0, atol=1e-4)
 
 
 class TestNeumannPocket:
@@ -1216,21 +1368,27 @@ class TestSystemCache:
         first = DivergenceProjector(flags, bc).system
         _face_views(d, bc.tags)[0][4, 4, 0] = FaceTag.DIRICHLET
         second = DivergenceProjector(flags, bc).system
-        assert second is not first and second.has_dirichlet
+        assert second is not first and second._components == []
         flags.values[5, 5, 0] = CellType.SOLID
         third = DivergenceProjector(flags, bc).system
         assert third is not second and not third.active[5, 5, 0]
 
-    def test_guided_frames_build_once(self, monkeypatch):
+    def test_retag_moves_the_key(self):
+        flags, bc, faces, pocket, cell = pocket_and_cell_case()
+        before = BcTable(flags.dims, bc.tags.copy())
+        projector = DivergenceProjector(flags, bc)
+        retagged = projector.system
+        projector.retag(faces.index[pocket][:3], faces.cell[pocket][:3], FaceTag.NEUMANN)
+        after = BcTable(flags.dims, bc.tags.copy())
+        assert pressure._system_for(flags, after) is retagged
+        old = pressure._system_for(flags, before)
+        assert old is not retagged
+        assert_same_system(old, PoissonSystem(flags, before))
+        # and the old content's system did not become the retagged one
+        assert old.diag.tobytes() != retagged.diag.tobytes()
+
+    def test_guided_frames_build_once(self, builds):
         state, cfg = build_scene(SceneSpec("circular", nx=16, ny=16))
-        builds = []
-        original = PoissonSystem.__init__
-
-        def counted(self, flags, bc):
-            builds.append(1)
-            original(self, flags, bc)
-
-        monkeypatch.setattr(PoissonSystem, "__init__", counted)
         u = state.vel
         for _ in range(2):
             u = guide_step(u, cfg)

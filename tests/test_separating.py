@@ -3,11 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pdfluids import scenes
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, _face_views, _flat_faces, divergence)
 from pdfluids.fileio import write_convergence_csv
 from pdfluids.optim import ConvergenceLog
-from pdfluids.pressure import BcTable, CgConfig, FaceTag, project
+from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
+                               PoissonSystem, project)
 from pdfluids.scenes import SceneSpec, build_scene, liquid_pressure_solve, liquid_step
 from pdfluids.separating import (BcState, BoundaryFaces, SeparatingProx,
                                  classified_walls_table, classify,
@@ -378,6 +380,44 @@ class TestAcceleratedSolver:
             liquid_step(state, mode="separating-accelerated")
         assert max(set_sizes) > 0
 
+    def test_one_table_and_one_system_per_call(self, monkeypatch):
+        # every sweep projects with the one table, retagged in place to the
+        # classified table of the set it projects, and a call builds its
+        # PoissonSystem once however many sweeps it runs
+        state, _ = build_scene(SceneSpec("dam", nx=32, ny=22, seed=1))
+        bc_state = BcState.initial(state.flags)
+        builds, tables, calls = [], [], []
+        init, project_, solve = (PoissonSystem.__init__, DivergenceProjector.project,
+                                 scenes.solve_separating_accelerated)
+
+        def counted(self, flags, bc):
+            builds.append(1)
+            init(self, flags, bc)
+
+        def checked(self, vel):
+            expect = classified_walls_table(self.flags, bc_state).tags
+            assert self.bc.tags.tobytes() == expect.tobytes()
+            tables.append(self.bc)
+            return project_(self, vel)
+
+        def per_call(u, flags, **kw):
+            builds.clear()
+            tables.clear()
+            out = solve(u, flags, **kw)
+            expect = classified_walls_table(flags, bc_state).tags
+            assert tables[-1].tags.tobytes() == expect.tobytes()
+            calls.append((len(builds), len(tables), len({id(t) for t in tables})))
+            return out
+
+        monkeypatch.setattr(PoissonSystem, "__init__", counted)
+        monkeypatch.setattr(DivergenceProjector, "project", checked)
+        monkeypatch.setattr(scenes, "solve_separating_accelerated", per_call)
+        for _ in range(20):
+            liquid_step(state, mode="separating-accelerated", bc_state=bc_state)
+        assert len(calls) == 20
+        assert all(built == 1 and one == 1 for built, _, one in calls)
+        assert max(sweeps for _, sweeps, _ in calls) >= 3
+
     def test_log_numbers_on_from_earlier_rows(self, tmp_path):
         d, flags, vel = hydrostatic_intermediate(12)
         log = ConvergenceLog()
@@ -526,6 +566,12 @@ class TestBlockIndexMatchesReference:
             got = faces.sign if name == "sign" else getattr(coords, name)
             assert got.dtype == arr.dtype
             assert got.tobytes() == arr.tobytes()
+        # the FLUID cell: below the face along its axis where the sign is -1
+        below = [np.where((ref["axis"] == a) & (ref["sign"] < 0), 1, 0) for a in range(3)]
+        cell = np.ravel_multi_index((ref["i"] - below[0], ref["j"] - below[1],
+                                     ref["k"] - below[2]), flags.dims.shape)
+        assert faces.cell.tobytes() == cell.tobytes()
+        assert (flags.values.reshape(-1)[faces.cell] == CellType.FLUID).all()
         if case.startswith("random"):
             assert {(int(a), float(s)) for a, s in zip(ref["axis"], ref["sign"])} \
                 == {(a, s) for a in flags.dims.axes for s in (1.0, -1.0)}
