@@ -8,23 +8,24 @@ connected component without a Dirichlet face gets its right-hand side
 mean-subtracted for compatibility.  One private loop, _pcg, is every CG of
 the package: this solve and the velocity-space CG of the guiding paths.
 
-Every grid, the system's own and each multigrid level, stores its stencil
-flat: the diagonal and, per axis a, one coefficient array over the
-flattened cells that couples cell c to cell c + stride_a, zero where that
-neighbour wraps to the next row.  Each half of a matvec update is then one
-contiguous multiply and subtract into preallocated scratch, and one routine
-serves every grid.  DivergenceProjector reuses one cached PoissonSystem
-while the flags and the boundary table stay equal by content, and starts
-each solve from the pressure of its previous one.  A retag of wall faces
-changes the table, the system and the cache key in place: integer face
-counts on every level and a rank-k update of the coarsest dense inverse,
-so no rebuild unless the active cells or the singular components move.
+Every grid of the system, its own first and then each coarser one of the
+multigrid, stores its stencil flat: the diagonal and, per axis a, one
+coefficient array over the flattened cells that couples cell c to cell
+c + stride_a, zero where that neighbour wraps to the next row.  Each half
+of a matvec update is then one contiguous multiply and subtract into
+preallocated scratch, and one routine serves every grid.
+DivergenceProjector reuses one cached PoissonSystem while the flags and the
+boundary table stay equal by content, and starts each solve from the
+pressure of its previous one.  A retag of wall faces changes the table,
+the system and the cache key in place: integer face counts on every grid
+and a rank-k update of the coarsest dense inverse, so no rebuild unless a
+component gains or loses its last Dirichlet face.
 
 The preconditioner is one symmetric V-cycle of an aggregation multigrid
 (MGPCG, McAdams, Sifakis & Teran, SCA 2010; the unsmoothed-aggregation
 coarse operator of Notay, ETNA 2010), built once per PoissonSystem from its
 own stencil: cells paired 2x along every active axis through one flat
-parent index per level, the Galerkin coarse operator of the
+parent index per grid, the Galerkin coarse operator of the
 piecewise-constant prolongation summed through it, restriction by one
 bincount and prolongation by one take, one damped-Jacobi sweep (omega 2/3)
 before and after a coarse correction scaled by 1.6, and on the coarsest
@@ -128,7 +129,6 @@ class PoissonSystem:
             for cells in (slice(None, -1), slice(1, None)):
                 count += tags[axis][_along(axis, cells)] != FaceTag.NEUMANN
         count[~self.fluid] = 0.0
-        self.diag = count * inv_h2
         self.active = self.fluid & (count > 0)
         self._inactive = ~self.active
         # 1.0 where an INTERIOR face couples a cell to its high neighbour,
@@ -140,53 +140,99 @@ class PoissonSystem:
             c[_along(axis, slice(None, -1))] &= self.active[_along(axis, slice(1, None))]
             c[_along(axis, -1)] = False
             interior.append(c.astype(np.float64))
-        counts = _flat_stencil(interior, d.axes)
-        self._stencil = [(s, c * inv_h2) for s, c in counts]
-        self._tmp = np.empty(d.cell_count)
+        count, stencil = count.reshape(-1), _flat_stencil(interior, d.axes)
         # the rhs is made compatible on each component with no Dirichlet face;
         # the component of each cell and their face counts let retag tell
         # when one would gain or lose its last Dirichlet face
         self._components, self._root, self._excess = _singular_components(
-            self.active, count.reshape(-1), counts)
-        self._multigrid = _Multigrid(self, count.reshape(-1), counts, inv_h2)
+            self.active, count, stencil)
+        # the V-cycle's grids, this one first: coarsen until at most
+        # _DENSE_CELLS active cells remain or no axis is longer than two
+        self.grids = [_Grid(count, stencil, inv_h2)]
+        self.diag = self.grids[0].diag.reshape(d.shape)
+        shape = d.shape
+        while np.count_nonzero(count) > _DENSE_CELLS:
+            agg = tuple(a for a in d.axes if shape[a] > 2)
+            if not agg:
+                break
+            shape, parent = _parent(shape, agg)
+            fine = self.grids[-1]
+            count, stencil = _galerkin(parent, count, stencil, shape)
+            parent[(fine.count == 0) | (count[parent] == 0)] = count.size
+            fine.parent, fine.coarse = parent, np.zeros(count.size + 1)
+            self.grids.append(_Grid(count, stencil, inv_h2))
+        # the coarsest grid's dense matrix over its active cells, inverted
+        self.cells = np.flatnonzero(count)
+        index = np.full(count.size, -1)
+        index[self.cells] = np.arange(self.cells.size)
+        mat = np.diag(count[self.cells])
+        for s, c in stencil:
+            m = c > 0
+            i = index[:c.size][m]
+            j = index[s:][m]
+            mat[i, j] -= c[m]
+            mat[j, i] -= c[m]
+        mat *= inv_h2
+        null = [index[c] for c in _singular_components(count > 0, count, stencil)[0]]
+        self.dense = _dense_inverse(mat, null)
 
     def retag(self, flags: CellFlags, bc: BcTable, faces: np.ndarray,
               cells: np.ndarray, tags) -> None:
         """Set bc.tags[faces] = tags in place and make this system the one
         PoissonSystem(flags, bc) would build for the new table.
 
-        The faces are distinct wall faces, each between the FLUID cell at
-        the same position of `cells` (a flat cell index) and a cell that is
-        not FLUID, tagged NEUMANN or DIRICHLET before and after, so a retag
-        moves one cell's face count by one and couples nothing.  Every level's counts, diag
-        and smoother weights are updated in place (integer counts, so bit
-        for bit as in a fresh build) and the coarsest dense inverse by one
-        rank-k Sherman-Morrison-Woodbury step over the k coarsest cells
-        whose count moved.  When the new counts would change the active
-        cells of a level, or a component would gain or lose its last
-        Dirichlet face, the system is rebuilt in place instead.  The cached
-        system follows the retag: its key becomes the new table's content.
-        Every holder of this system sees the new operator.
+        The faces are distinct (a repeated one raises) wall faces, each
+        between the FLUID cell at the same position of `cells` (a flat cell
+        index; unchecked, as that costs a pass over the face layout) and a
+        cell that is not FLUID, tagged NEUMANN or DIRICHLET before and
+        after, so a retag moves one cell's face count by one and couples
+        nothing.  When a component would gain or lose its last Dirichlet
+        face, the system is rebuilt in place.  Otherwise every grid's
+        counts, diag and smoother weights are updated in place (integer
+        counts, so bit for bit as in a fresh build) and the coarsest dense
+        inverse by one rank-k Sherman-Morrison-Woodbury step over the k
+        coarsest cells whose count moved.  The cached system's key follows
+        the retag.  Every holder of this system sees the new operator.
         """
         old, tags = bc.tags[faces], np.asarray(tags)
         gain, lose = tags == FaceTag.DIRICHLET, old == FaceTag.DIRICHLET
         if not ((gain | (tags == FaceTag.NEUMANN)).all()
                 and (lose | (old == FaceTag.NEUMANN)).all()
-                and self.fluid.reshape(-1)[cells].all()):
-            raise ValueError("retag takes wall faces of a FLUID cell, NEUMANN or DIRICHLET")
+                and self.fluid.reshape(-1)[cells].all()
+                and np.diff(np.sort(faces)).all()):   # distinct
+            raise ValueError("retag takes distinct wall faces of a FLUID cell, "
+                             "NEUMANN or DIRICHLET")
         step = np.subtract(gain, lose, dtype=np.float64)
         bc.tags[faces] = tags
         global _cached
         if _cached is not None and _cached[1] is self:
             _cached = (_key(flags, bc), self)
+        # Only the component rule rebuilds.  A retag couples nothing, and a
+        # grid's count of an aggregate is the couplings leaving it plus the
+        # Dirichlet faces inside, so it reaches or leaves 0 only where none
+        # leaves: there the aggregate holds whole grid-0 components, its
+        # count is their summed excess, and one of those crosses 0 too
+        # (grid 0 is the one-cell case).  A zero slot holds such aggregates
+        # and inactive cells (components of excess 0), so it too moves only
+        # with a rebuild.  Without one, no count moves in a singular
+        # component (its excess is 0 and can only grow), so the SMW step
+        # never meets the coarsest pseudo-inverse's constants.
         cells, step = _net(cells, step)
         roots, change = _net(self._root[cells], step)
         excess = self._excess[roots]
-        if ((excess == 0) != (excess + change == 0)).any() \
-                or not self._multigrid.retag(cells, step):
+        if ((excess == 0) != (excess + change == 0)).any():
             self.__init__(flags, bc)
             return
         self._excess[roots] += change
+        inv_h2 = 1.0 / (self.dims.h * self.dims.h)
+        for k, grid in enumerate(self.grids):
+            grid.count[cells] += step
+            grid.diag[cells] = grid.count[cells] * inv_h2
+            grid.wdinv[cells] = _OMEGA / grid.diag[cells]
+            if k + 1 < len(self.grids):
+                cells, step = _net(grid.parent[cells], step)
+        if cells.size:
+            _smw(self.dense, np.searchsorted(self.cells, cells), step * inv_h2)
 
     def apply(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A p, written into `out` (C-contiguous) when given; rows of
@@ -195,8 +241,8 @@ class PoissonSystem:
             out = np.empty_like(self.diag)
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        _stencil_apply(self.diag.reshape(-1), self._stencil, p.reshape(-1),
-                       out.reshape(-1), self._tmp)
+        grid = self.grids[0]
+        _stencil_apply(grid.diag, grid.stencil, p.reshape(-1), out.reshape(-1), grid.tmp)
         np.copyto(out, 0.0, where=self._inactive)
         return out
 
@@ -211,9 +257,31 @@ class PoissonSystem:
         return b
 
     def _precondition(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = M r: one V-cycle of the aggregation multigrid; r and out are
-        zero off the active cells."""
-        return self._multigrid.cycle(0, r, out)
+        """out = M r: one V-cycle; r and out are zero off the active cells."""
+        return self._cycle(0, r, out)
+
+    def _cycle(self, k: int, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """x = M_k r on grid k, both C-contiguous (flat below grid 0) and
+        zero on its inactive cells.  Restriction and prolongation skip
+        those through the zero slot of `parent`, so M is symmetric positive
+        definite on the active cells and zero elsewhere; every grid couples
+        active cells only, so the smoother's matvecs need no masking."""
+        if k == len(self.grids) - 1:
+            x.fill(0.0)
+            x.reshape(-1)[self.cells] = self.dense @ r.reshape(-1)[self.cells]
+            return x
+        g = self.grids[k]
+        rf, xf, t = r.reshape(-1), x.reshape(-1), g.t
+        np.multiply(g.wdinv, rf, out=xf)
+        np.subtract(rf, _stencil_apply(g.diag, g.stencil, xf, t, g.tmp), out=t)
+        n = g.coarse.size - 1
+        ec = self._cycle(k + 1, np.bincount(g.parent, t, n + 1)[:n], g.coarse[:n])
+        ec *= _COARSE_SCALE
+        xf += g.coarse.take(g.parent)
+        np.subtract(rf, _stencil_apply(g.diag, g.stencil, xf, t, g.tmp), out=t)
+        t *= g.wdinv
+        xf += t
+        return x
 
     def cg(self, b: np.ndarray, eps: float, max_iters: int,
            inf_tol: float | None = None, x0: np.ndarray | None = None,
@@ -465,132 +533,26 @@ def _smw(inv, k, d):
     inv *= 0.5
 
 
-class _Level:
-    """One smoothed grid of the V-cycle and its map to the next coarser
-    one, all flat.  parent[c] is the coarse cell of fine cell c, or the
-    zero slot past the coarse cells when c or its aggregate is inactive:
-    restriction is one bincount over it, prolongation one take from
-    `coarse`, whose last slot stays 0."""
+class _Grid:
+    """One flat grid of the V-cycle from its Laplacian's integer face
+    counts `count` (the diagonal) and stencil, with both scaled by 1/h^2,
+    the damped-Jacobi weights (0 on the inactive cells, of count 0) and
+    scratch.  A coarser grid is the Galerkin operator of the
+    piecewise-constant prolongation, so the face tags hold on every grid
+    without coarse flags.  PoissonSystem gives every grid but the
+    coarsest `parent`: each cell's coarse cell, or the zero slot past them
+    when the cell or its aggregate is inactive; restriction is one
+    bincount over it, prolongation one take from `coarse`, the coarser
+    grid's correction, whose last slot stays 0."""
 
-    def __init__(self, count, diag, stencil, inactive, parent, coarse_cells):
+    def __init__(self, count, stencil, inv_h2):
         self.count = count
-        self.diag = diag
-        self.stencil = stencil
+        self.diag = count * inv_h2
+        self.stencil = [(s, c * inv_h2) for s, c in stencil]
         with np.errstate(divide="ignore"):
-            self.wdinv = np.where(inactive, 0.0, _OMEGA / diag)
-        self.parent = parent
-        self.t = np.empty_like(diag)             # residual
-        self.tmp = np.empty_like(diag)           # matvec scratch
-        self.coarse = np.zeros(coarse_cells + 1)   # the next grid's correction, then the zero slot
-
-
-class _Multigrid:
-    """Symmetric V-cycle M ~ A^-1 on the active cells of a PoissonSystem.
-
-    Level 0 is the system's own diag and stencil; every coarser grid is
-    flat.  Each coarser grid pairs the cells (2i, 2i+1) along every active
-    axis longer than two cells, one parent index per level, and carries
-    the Galerkin operator of the piecewise-constant prolongation, so the
-    INTERIOR/NEUMANN/DIRICHLET faces hold at every level without coarse
-    flags.  A coarse cell is active when its diagonal is nonzero, which
-    the face counts decide exactly.  Every level smooths with one damped
-    Jacobi sweep before and one after the scaled coarse correction; the
-    coarsest grid (at most _DENSE_CELLS active cells, or no axis longer
-    than two) applies a dense inverse formed once per system, the
-    pseudo-inverse when a component of it has no Dirichlet face (the rule
-    of _singular_components), and updated by retag.  Restriction and
-    prolongation skip inactive cells through the parent index's zero
-    slot, so M is symmetric and positive definite on the active cells and
-    its output is zero elsewhere.  Every level couples active cells only,
-    so the smoother's matvecs keep zero rows off the active cells without
-    masking.
-    """
-
-    def __init__(self, system: PoissonSystem, count, stencil, inv_h2):
-        shape, axes = system.dims.shape, system.dims.axes
-        active, inactive = system.active.reshape(-1), system._inactive.reshape(-1)
-        diag, scaled = system.diag.reshape(-1), system._stencil
-        self.inv_h2 = inv_h2
-        self.levels = []
-        while int(active.sum()) > _DENSE_CELLS:
-            agg = tuple(a for a in axes if shape[a] > 2)
-            if not agg:
-                break
-            shape, parent = _parent(shape, agg)
-            fine = count
-            count, stencil = _galerkin(parent, count, stencil, shape)
-            coarse_active = count > 0
-            parent[inactive | ~coarse_active[parent]] = count.size
-            self.levels.append(_Level(fine, diag, scaled, inactive, parent, count.size))
-            active, inactive = coarse_active, ~coarse_active
-            diag, scaled = count * inv_h2, [(s, c * inv_h2) for s, c in stencil]
-        # the coarsest grid: dense matrix over its active cells, from the stencil;
-        # its count and diag are the system's own when there is no coarser level
-        self.count, self.diag = count, diag
-        self.cells = np.flatnonzero(active)
-        index = np.full(count.size, -1)
-        index[self.cells] = np.arange(self.cells.size)
-        mat = np.diag(count[self.cells])
-        for s, c in stencil:
-            m = c > 0
-            i = index[:c.size][m]
-            j = index[s:][m]
-            mat[i, j] -= c[m]
-            mat[j, i] -= c[m]
-        mat *= inv_h2
-        null = [index[c] for c in _singular_components(active, count, stencil)[0]]
-        self.dense = _dense_inverse(mat, null)
-
-    def retag(self, cells, step) -> bool:
-        """Add `step` to the counts of the distinct level-0 cells `cells` and
-        to their aggregates' on every coarser level, with each grid's diag,
-        the smoothers' weights and the coarsest dense inverse.  Returns
-        False, with nothing changed, when a grid's active cells would
-        change.  On the coarsest grid the moved cells lie in components
-        with a Dirichlet face (the caller rebuilds otherwise), so the
-        pseudo-inverse's constants do not touch them and the plain
-        Sherman-Morrison-Woodbury step updates it."""
-        moves = []
-        for lv in self.levels:
-            if ((lv.count[cells] > 0) != (lv.count[cells] + step > 0)).any():
-                return False
-            moves.append((lv, cells, step))
-            cells, step = _net(lv.parent[cells], step)
-            # the zero slot's sum is 0 exactly when no inactive aggregate's
-            # count moves, since each of those counts can only grow
-            if cells.size and cells[-1] == lv.coarse.size - 1:
-                return False
-        if ((self.count[cells] > 0) != (self.count[cells] + step > 0)).any():
-            return False
-        for lv, c, s in moves:
-            lv.count[c] += s
-            lv.diag[c] = lv.count[c] * self.inv_h2
-            lv.wdinv[c] = _OMEGA / lv.diag[c]
-        self.count[cells] += step
-        self.diag[cells] = self.count[cells] * self.inv_h2
-        if cells.size:
-            _smw(self.dense, np.searchsorted(self.cells, cells), step * self.inv_h2)
-        return True
-
-    def cycle(self, k: int, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """x = M_k r on level k; r and x are C-contiguous (flat below level
-        0) and zero on the level's inactive cells."""
-        if k == len(self.levels):
-            x.fill(0.0)
-            x.reshape(-1)[self.cells] = self.dense @ r.reshape(-1)[self.cells]
-            return x
-        lv = self.levels[k]
-        rf, xf, t = r.reshape(-1), x.reshape(-1), lv.t
-        np.multiply(lv.wdinv, rf, out=xf)
-        np.subtract(rf, _stencil_apply(lv.diag, lv.stencil, xf, t, lv.tmp), out=t)
-        n = lv.coarse.size - 1
-        ec = self.cycle(k + 1, np.bincount(lv.parent, t, n + 1)[:n], lv.coarse[:n])
-        ec *= _COARSE_SCALE
-        xf += lv.coarse.take(lv.parent)
-        np.subtract(rf, _stencil_apply(lv.diag, lv.stencil, xf, t, lv.tmp), out=t)
-        t *= lv.wdinv
-        xf += t
-        return x
+            self.wdinv = np.where(count > 0, _OMEGA / self.diag, 0.0)
+        self.t = np.empty_like(count)     # residual
+        self.tmp = np.empty_like(count)   # matvec scratch
 
 
 # the one system kept, keyed on the content of (flags, bc): a table rebuilt

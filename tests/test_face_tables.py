@@ -215,7 +215,7 @@ class TestFlatTables:
             inv_h2 = 1.0 / (flags.dims.h * flags.dims.h)
             assert system.diag.tobytes() == (count * inv_h2).tobytes()
             assert [c.tolist() for c in system._components] == singular
-            for (_, conn), c in zip(system._stencil, interior):
+            for (_, conn), c in zip(system.grids[0].stencil, interior):
                 # the coupling is zero wherever the reference face is not
                 # INTERIOR (activity masks the rest)
                 assert not conn[~c.reshape(-1)[:conn.size]].any()

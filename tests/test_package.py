@@ -44,20 +44,32 @@ def _identifiers(tree, strings=False) -> set:
     return out
 
 
-def test_every_public_name_has_a_caller_outside_tests():
-    # a public top-level function or class of src/ is used by another
-    # top-level statement of src/ (the package export does not count), by
-    # bench/ or by the acceptance criteria; test-only helpers live in tests/
+def _uncalled(private: bool, used=frozenset()) -> list:
+    """The top-level functions and classes of src/, private or public, that
+    no other top-level statement of src/ uses (the package export does not
+    count) and that are not named in `used`."""
     src = Path(pdfluids.__file__).parent
-    root = src.parent.parent
     nodes = [node for p in sorted(src.glob("*.py")) if p.name != "__init__.py"
              for node in ast.parse(p.read_text(), str(p)).body]
     uses = [_identifiers(node) for node in nodes]
+    return [node.name for i, node in enumerate(nodes)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private and node.name not in used
+            and not any(node.name in u for j, u in enumerate(uses) if j != i)]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public top-level function or class of src/ is used by another
+    # top-level statement of src/, by bench/ or by the acceptance criteria;
+    # test-only helpers live in tests/
+    root = Path(pdfluids.__file__).parent.parent.parent
     outside = [*root.glob("bench/*.py"), root / "tests" / "test_acceptance.py"]
     used = set().union(*(_identifiers(ast.parse(p.read_text()), strings=True)
                          for p in outside))
-    unused = [node.name for i, node in enumerate(nodes)
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in used
-              and not any(node.name in u for j, u in enumerate(uses) if j != i)]
-    assert not unused
+    assert not _uncalled(private=False, used=used)
+
+
+def test_every_private_name_has_a_caller_in_src():
+    # a private top-level function or class of src/ is used by another
+    # top-level statement of src/, so a helper left behind by a refactor fails
+    assert not _uncalled(private=True)
