@@ -16,10 +16,10 @@ of a matvec update is then one contiguous multiply and subtract into
 preallocated scratch, and one routine serves every grid.
 DivergenceProjector reuses one cached PoissonSystem while the flags and the
 boundary table stay equal by content, and starts each solve from the
-pressure of its previous one.  A retag of wall faces changes the table,
-the system and the cache key in place: integer face counts on every grid
-and a rank-k update of the coarsest dense inverse, so no rebuild unless a
-component gains or loses its last Dirichlet face.
+pressure of its previous one, also across a retag.  A retag of wall faces
+changes the table, the system and the cache key in place: integer face
+counts on every grid and a rank-k update of the coarsest dense inverse, so
+no rebuild unless a component gains or loses its last Dirichlet face.
 
 The preconditioner is one symmetric V-cycle of an aggregation multigrid
 (MGPCG, McAdams, Sifakis & Teran, SCA 2010; the unsmoothed-aggregation
@@ -173,7 +173,8 @@ class PoissonSystem:
             mat[i, j] -= c[m]
             mat[j, i] -= c[m]
         mat *= inv_h2
-        null = [index[c] for c in _singular_components(count > 0, count, stencil)[0]]
+        null = [index[c] for c in _coarse_singular(self._components, self._root,
+                                                   self._excess, self.grids)]
         self.dense = _dense_inverse(mat, null)
 
     def retag(self, flags: CellFlags, bc: BcTable, faces: np.ndarray,
@@ -381,32 +382,40 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
     raise PoissonConvergenceError(it, rnorm / scale, solver)
 
 
-def _components(active, stencil):
-    """The root of every flat cell, the smallest index of its set of active
-    cells that the stencil's couplings connect (an inactive cell is its own),
-    and the flat indices (ascending) of each such set, which start with
-    their root: min-label hooking with pointer jumping, which settles in a
-    few rounds on grid graphs."""
-    i = [np.flatnonzero(conn > 0) for _, conn in stencil]
-    j = np.concatenate([c + s for (s, _), c in zip(stencil, i)])
-    i = np.concatenate(i)
-    parent = np.arange(active.size)
+def _hook(n, i, j):
+    """The root of each of n nodes, the smallest node of its set that the
+    edges (i, j) connect: min-label hooking with pointer jumping, which
+    settles in a few rounds on grid graphs."""
+    parent = np.arange(n)
     while True:
         a, b = parent[i], parent[j]
         split = a != b
         if not split.any():
-            break
+            return parent
         np.minimum.at(parent, np.maximum(a, b)[split], np.minimum(a, b)[split])
-        while True:   # point every cell at its root; parent[x] <= x, so no cycles
+        while True:   # point every node at its root; parent[x] <= x, so no cycles
             up = parent[parent]
             if np.array_equal(up, parent):
                 break
             parent = up
-    cells = np.flatnonzero(active)
-    roots = parent[cells]
-    order = np.argsort(roots, kind="stable")
-    bounds = np.flatnonzero(np.diff(roots[order])) + 1
-    return parent, np.split(cells[order], bounds) if cells.size else []
+
+
+def _groups(label, cells):
+    """The ascending flat indices `cells` split by label, in label order."""
+    order = np.argsort(label[cells], kind="stable")
+    bounds = np.flatnonzero(np.diff(label[cells[order]])) + 1
+    return np.split(cells[order], bounds) if cells.size else []
+
+
+def _components(active, stencil):
+    """The root of every flat cell, the smallest index of its set of active
+    cells that the stencil's couplings connect (an inactive cell is its own),
+    and the flat indices (ascending) of each such set, which start with
+    their root."""
+    i = [np.flatnonzero(conn > 0) for _, conn in stencil]
+    j = np.concatenate([c + s for (s, _), c in zip(stencil, i)])
+    root = _hook(active.size, np.concatenate(i), j)
+    return root, _groups(root, np.flatnonzero(active))
 
 
 def _singular_components(active, count, stencil):
@@ -425,6 +434,39 @@ def _singular_components(active, count, stencil):
     root, components = _components(active, stencil)
     excess = np.bincount(root, excess, root.size)
     return [cells for cells in components if not excess[cells[0]]], root, excess
+
+
+def _coarse_singular(singular, root, excess, grids):
+    """The coarsest grid's singular components (see _singular_components),
+    from grid 0's: its singular components, roots and excess.  Each active
+    grid-0 cell is carried to its coarsest cell through the `parent`
+    indices (dropped at a zero slot), and the grid-0 components that share
+    a coarsest cell merge.  Every grid's couplings join cells of one grid-0
+    component, so these are the coarsest grid's components, and a merged
+    one is singular when its excess, the sum of its members' excess, is 0.
+    So none is when no grid-0 component is, and when one singular grid-0
+    component holds every active cell, the coarsest active cells are one."""
+    if not singular:
+        return []
+    cells = np.flatnonzero(grids[0].count)
+    if len(singular) == 1 and singular[0].size == cells.size:
+        return [np.flatnonzero(grids[-1].count)]
+    agg = cells
+    for grid in grids[:-1]:
+        agg = grid.parent[agg]
+        keep = agg < grid.coarse.size - 1
+        cells, agg = cells[keep], agg[keep]
+    order = np.argsort(agg, kind="stable")
+    a, r = agg[order], root[cells[order]]
+    same = a[1:] == a[:-1]
+    merged = _hook(root.size, r[:-1][same], r[1:][same])
+    zero = np.bincount(merged, excess, root.size) == 0
+    merged = merged[root[cells]]
+    label = np.zeros(grids[-1].count.size, merged.dtype)
+    label[agg] = merged
+    keep = np.zeros(label.size, bool)
+    keep[agg[zero[merged]]] = True
+    return _groups(label, np.flatnonzero(keep))
 
 
 def _net(index, step):
@@ -622,9 +664,10 @@ class DivergenceProjector:
     adaptive CG accuracy `eps` (from cg.eps_start down to cg.eps_final), and
     reports the CG effort of each projection so convergence logs can
     attribute cost.  A fixed accuracy eps is CgConfig(eps, eps, max_cg_iters).
-    Each solve starts from the pressure of the projector's previous one; the
-    start is kept here, not on the shared cached system, so two projectors
-    on one system do not steer each other.
+    Each solve starts from `pressure`, the pressure of the projector's
+    previous solve (None before the first), also across a retag; the start
+    is kept here, not on the shared cached system, so two projectors on one
+    system do not steer each other.
     """
 
     def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None):
@@ -633,7 +676,7 @@ class DivergenceProjector:
         self.cg = cg if cg is not None else CgConfig()
         self.eps = self.cg.eps_start
         self.system = _system_for(flags, bc)
-        self._pressure = self._image = None   # the last solve's p and A p
+        self.pressure = self._image = None   # the last solve's p and A p
 
     def project(self, vel: VelocityField) -> tuple[VelocityField, int, float]:
         """The one projection routine: divergence, pressure solve at the
@@ -648,19 +691,30 @@ class DivergenceProjector:
         b = self.system.prepare_rhs(-div.values)
         # the start's residual from the last solve's A p = b - r, so the warm
         # start costs no matvec
-        r = b.copy() if self._pressure is None else b - self._image
+        r = b.copy() if self.pressure is None else b - self._image
         p, iters = self.system.cg(b, eps, self.cg.max_cg_iters, inf_tol=10.0 * eps,
-                                  x0=self._pressure, r0=r)
-        self._pressure, self._image = p, b - r
+                                  x0=self.pressure, r0=r)
+        self.pressure, self._image = p, b - r
         out = subtract_gradient(vel, ScalarField(vel.dims, p), self.flags, self.bc)
         return out, iters, eps
 
     def retag(self, faces: np.ndarray, cells: np.ndarray, tags) -> None:
         """PoissonSystem.retag of this projector's table and system.  The
-        next solve starts cold: the last one's A p belongs to the old
-        operator."""
+        next solve still starts from the last pressure p.  A retag in place
+        moves only the diagonal of the cells in `cells`, so the kept A p
+        moves by that change times p on them, with no matvec; after a
+        rebuild one apply recomputes it."""
+        grid = self.system.grids[0]
+        before = grid.diag[cells]
         self.system.retag(self.flags, self.bc, faces, cells, tags)
-        self._pressure = self._image = None
+        if self.pressure is None:
+            return
+        p, image = self.pressure.reshape(-1), self._image.reshape(-1)
+        if self.system.grids[0] is grid:
+            # a cell listed twice gets the same value twice, not two updates
+            image[cells] = image[cells] + (grid.diag[cells] - before) * p[cells]
+        else:
+            self.system.apply(self.pressure, self._image)
 
     def adapt(self, residual: float, eps_stop: float) -> float:
         """Drop the CG accuracy a decade once the iterate change nears the

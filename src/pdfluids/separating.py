@@ -1,20 +1,22 @@
 """Separating solid-wall boundary conditions.
 
 Fluid may leave a wall (positive wall-normal velocity) but never penetrate
-it.  Boundary faces between FLUID and SOLID cells are classified into
-separating and non-separating sets with a hysteresis rule: a face only
-changes state when the evidence exceeds the solver accuracy, and a
-non-separating face additionally remembers the accumulated wall-ward motion
-so solver noise cannot flip it back.
+it: u.n >= 0 on every face between FLUID and SOLID cells.  A BcState holds
+the non-separating set of those faces, the ones the wall holds.
 
 Two solvers are provided.  The standard one runs the primal-dual iteration
-with the classification hooked after every projection, the pressure solver
-treating every wall as a free surface.  The accelerated one instead feeds
-the classification into the pressure boundary table (Neumann at
-non-separating faces, free-surface Dirichlet at separating ones) and sweeps
-until the classification stops changing, retagging the faces that changed
-in one table and one pressure system; faces lock in, which makes it cheaper
-but only approximately equal to the standard solution.
+with the pressure solver treating every wall as a free surface and the
+faces classified after every projection by a hysteresis rule: a face only
+changes state when the evidence exceeds the solver accuracy, and a
+non-separating face additionally remembers the accumulated wall-ward motion
+so solver noise cannot flip it back.  The accelerated one returns the exact
+projection onto {div u = 0, u.n >= 0} by a primal-dual active-set sweep:
+it projects the input with Neumann tags on the set and free-surface
+Dirichlet ones on the other walls, adds the faces the result penetrates,
+releases the faces whose wall would pull (a negative multiplier), and
+repeats until no face moves, retagging one table and one pressure system in
+place.  It starts from the set that the caller's state carries over from
+the previous frame.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .pressure import BcTable, CgConfig, DivergenceProjector, FaceTag, _require_
 # re-exported: bench/test_bench.py checks that the tracer rebinds it here
 from .pressure import subtract_gradient  # noqa: F401
 
-MAX_SWEEPS = 50   # cap of the accelerated solver's classify-and-project sweeps
+MAX_SWEEPS = 50   # cap of the accelerated solver's active-set sweeps
 
 
 # _NORMAL[lower, upper]: the face sign of the wall normal by the types of the
@@ -214,21 +216,28 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
                                  cg: CgConfig | None = None,
                                  state: BcState | None = None,
                                  log: ConvergenceLog | None = None) -> VelocityField:
-    """Mixed-boundary sweep solver.
+    """The exact separating-wall projection of u, by a primal-dual
+    active-set sweep.
 
-    Starting from an empty non-separating set and one classification of the
-    input, repeat {zero non-separating normals; project with Neumann at
-    non-separating and Dirichlet at separating walls; reclassify} until the
-    set stops changing.  Every sweep solves at cg.eps_final from a cold
-    start.  The Neumann faces hold the zeroed normals exactly, so after
-    each sweep u.n is 0.0 on every non-separating face, below any
-    threshold: a face that enters the set never leaves (lock-in, so the
-    loop ends quickly), and every face outside the set has memory 0, so
-    the memory rule of classify frees it on any outward motion.  One table
-    and one PoissonSystem serve every sweep: the first sweep builds them
-    and each later one retags the faces whose set changed, in place.  A
-    non-finite u raises PoissonConvergenceError before the classification
-    runs.
+    Separating walls ask u.n >= 0 on every fluid-solid face, so the exact
+    pressure step projects u onto {div = 0 on FLUID, u.n >= 0}, the LCP of
+    Batty, Bertails & Bridson (SIGGRAPH 2007).  Each sweep projects a copy
+    of u with the normals of the non-separating set zeroed, under Neumann
+    tags on the set and Dirichlet ones on the other walls, to z.  A set
+    face's multiplier is mu = p[cell]/h - u.n, with the sweep's pressure p
+    and the input's u.n (the wall pushes when mu >= 0).  The faces outside
+    the set with z.n < -tol enter it and the set faces with mu < -tol leave
+    it, tol = eps_final * max(1, max|z.n|, max|mu| on the set); the loop
+    ends when no face moves.  This is the primal-dual active-set method, a
+    semismooth Newton method (Hintermueller, Ito & Kunisch, SIAM J. Optim.
+    2002) that may start from any set, so it starts from the faces with
+    u.n < 0 together with the set the caller's state holds: passed to every
+    frame, as the CLI passes it, the state carries the last frame's set (a
+    face's flat index does not change between frames).  The state ends
+    with the final set.  One table and one PoissonSystem serve every sweep:
+    each sweep retags the faces that moved, in place, and its CG starts
+    from the previous sweep's pressure.  Every solve runs at eps_final.  A
+    non-finite u raises PoissonConvergenceError before any solve.
     """
     _require_finite(u)
     log = log if log is not None else ConvergenceLog()
@@ -236,26 +245,32 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     cg = cg if cg is not None else CgConfig()
     eps_cg = cg.eps_final
     cg = CgConfig(eps_cg, eps_cg, cg.max_cg_iters)
+    carried = np.zeros(u.as_flat().size, bool)   # the set held, by flat face
     if state is None:
         state = BcState.initial(flags, eps=eps_cg)
     else:
+        carried[state.faces.index[state.nsep]] = True
         state.reset(flags, eps_cg)
-    classify(u, state)
-    z = u.copy()
-    prox = SeparatingProx(state)
     faces = state.faces
+    un_in = faces.normal_velocity(u)
+    state.nsep = (un_in < 0.0) | carried[faces.index]
     projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
-    for sweep in range(MAX_SWEEPS):
-        if sweep:
-            moved = (projector.bc.tags[faces.index] == FaceTag.NEUMANN) != state.nsep
-            projector.retag(faces.index[moved], faces.cell[moved], np.where(
-                state.nsep[moved], FaceTag.NEUMANN, FaceTag.DIRICHLET))
-        z_old = z
-        z = prox(0.0, z)
-        z, cg_iters, _ = projector.project(z)
-        flips = classify(z, state)
+    inv_h = 1.0 / flags.dims.h
+    z = u
+    for _ in range(MAX_SWEEPS):
+        start = u.copy()
+        faces.zero_normal(start, state.nsep)
+        z_old, (z, cg_iters, _) = z, projector.project(start)
         log.record((z - z_old).norm(), 0.0, eps_cg, cg_iters)
-        if not flips:
+        un = faces.normal_velocity(z)
+        mu = projector.pressure.reshape(-1)[faces.cell] * inv_h - un_in
+        tol = eps_cg * max(1.0, np.abs(un).max(initial=0.0),
+                           np.abs(mu[state.nsep]).max(initial=0.0))
+        moved = np.where(state.nsep, mu < -tol, un < -tol)
+        if not moved.any():
             log.converged = True
             break
+        state.nsep ^= moved
+        projector.retag(faces.index[moved], faces.cell[moved], np.where(
+            state.nsep[moved], FaceTag.NEUMANN, FaceTag.DIRICHLET))
     return z

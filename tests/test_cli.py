@@ -360,6 +360,52 @@ class TestCli:
         assert len(rows) >= 2
         assert (out / "flags_0001.pgm").exists()
 
+    def test_dam_accelerated_carries_one_wall_state(self, tmp_path):
+        # the run passes one BcState through every frame: its convergence
+        # logs are byte for byte those of a library loop that carries one,
+        # and not those of a loop that passes none
+        from pdfluids.cli import _build_config, build_parser
+        from pdfluids.fileio import write_convergence_csv
+        from pdfluids.scenes import build_scene, liquid_step
+        from pdfluids.separating import BcState
+        out, frames = tmp_path / "dam", 12
+        args = [str(a) for a in ["dam", "--scene", "dam", "--nx", "20", "--ny", "16",
+                                 "--frames", frames, "--bc", "separating-accelerated",
+                                 "--out", out, "--save-logs"]]
+        assert run(args) == 0
+        cfg = _build_config(build_parser().parse_args(args))
+        logs = {}
+        for carry in (True, False):
+            state, _ = build_scene(cfg.scene)
+            bc_state = BcState.initial(state.flags, eps=cfg.eps_cg_final) if carry else None
+            for frame in range(1, frames + 1):
+                liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg, bc_state=bc_state)
+                path = tmp_path / "lib.csv"
+                write_convergence_csv(state.last_log, path)
+                logs[carry, frame] = path.read_bytes()
+        cli_logs = [(out / f"conv_dam_{f:04d}.csv").read_bytes()
+                    for f in range(1, frames + 1)]
+        assert cli_logs == [logs[True, f] for f in range(1, frames + 1)]
+        assert cli_logs != [logs[False, f] for f in range(1, frames + 1)]
+
+    def test_dam_standard_output_unchanged_by_the_wall_state(self, tmp_path, monkeypatch):
+        # the standard solver resets the state it is given, so the run
+        # writes byte for byte what it writes when liquid_step gets none
+        import pdfluids.cli as cli
+
+        def dam(out):
+            assert run(["dam", "--scene", "dam", "--nx", "16", "--ny", "12",
+                        "--frames", "3", "--bc", "separating-standard", "--out", out,
+                        "--save-logs", "--save-velocity"]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        carried = dam(tmp_path / "carried")
+        real = cli.liquid_step
+        monkeypatch.setattr(cli, "liquid_step",
+                            lambda state, **kw: real(state, **{**kw, "bc_state": None}))
+        assert dam(tmp_path / "none") == carried
+        assert len(carried) == 7   # summary, three logs, three velocity grids
+
     def test_simulate_liquid_save_pgm_renders_flags(self, tmp_path):
         out = tmp_path / "liquid"
         rc = run(["simulate", "--scene", "dam", "--nx", "16", "--ny", "12",

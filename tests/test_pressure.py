@@ -1078,7 +1078,7 @@ class TestWarmStart:
             div = divergence(out, flags).values[projector.system.active]
             assert np.abs(div).max() <= 10.0001 * eps
         # the kept A p is the system's matvec of the kept p up to rounding
-        p, image = projector._pressure, projector._image
+        p, image = projector.pressure, projector._image
         np.testing.assert_allclose(image, projector.system.apply(p), rtol=0,
                                    atol=1e-12 * np.abs(image).max())
 
@@ -1307,16 +1307,29 @@ class TestRetag:
         assert bc.tags.tobytes() == before.tobytes()
         assert_same_system(system, PoissonSystem(flags, bc))
 
-    def test_projector_retag_shares_the_table_and_starts_cold(self, rng):
+    def test_projector_retag_shares_the_table_and_keeps_the_start(self, rng, monkeypatch):
+        # a retag keeps the last pressure as the next solve's start, and the
+        # kept A p follows the retagged operator: by the diagonal change in
+        # place (no apply), by one apply after a rebuild
         flags, bc, faces, pocket, cell = pocket_and_cell_case()
         eps = 1e-6
         projector = DivergenceProjector(flags, bc, CgConfig(eps, eps))
         vel = random_velocity(flags.dims, rng, zero_wall_normals=True)
         projector.project(vel)
-        assert projector._pressure is not None
+        p = projector.pressure
+        assert p is not None
+        calls = counted_applies(monkeypatch)
+        walls = np.flatnonzero(pocket)
+        for pick, applies in ((walls[:-1], 0), (walls[-1:], 1)):   # in place, rebuild
+            projector.retag(faces.index[pick], faces.cell[pick], FaceTag.NEUMANN)
+            assert len(calls) == applies
+            calls.clear()
+            assert projector.pressure is p
+            image = projector._image
+            np.testing.assert_allclose(image, projector.system.apply(p), rtol=0,
+                                       atol=1e-12 * np.abs(image).max())
+            calls.clear()
         walls = faces.index[pocket]
-        projector.retag(walls, faces.cell[pocket], FaceTag.NEUMANN)
-        assert projector._pressure is None and projector._image is None
         assert (projector.bc.tags[walls] == FaceTag.NEUMANN).all()
         vel.as_flat()[walls] = rng.standard_normal(walls.size)
         out, iters, _ = projector.project(vel)
@@ -1341,12 +1354,32 @@ class TestRebuildRule:
         grids += [g.parent == g.coarse.size - 1 for g in system.grids[:-1]]
         return singular, grids
 
-    @pytest.mark.parametrize("case", ["2d", "3d", "pocket-and-cell"])
-    def test_grids_move_only_with_the_singular_components(self, case):
+    @staticmethod
+    def flips(case):
+        """The flags and the table, then the same after each of 60 seeded
+        random Neumann/Dirichlet flips of wall faces (in the other cases
+        than the dams, only of the faces their comments name), the table
+        in place."""
         rng = np.random.default_rng(20)
         if case == "pocket-and-cell":
+            # flips of the pocket's and the single cell's faces only
             flags, bc, faces, pocket, cell = pocket_and_cell_case()
             pool = np.flatnonzero(pocket | cell)
+        elif case == "closed":
+            # a closed all-Neumann 24^2 box, one component, flips on one wall
+            flags = CellFlags.closed_box(GridDims(24, 24))
+            bc, faces = BcTable.from_flags(flags), BoundaryFaces(flags)
+            x, _, _ = np.unravel_index(faces.cell, flags.dims.shape)
+            pool = np.flatnonzero(x == 1)
+        elif case == "diagonal":
+            # a closed 24^2 box cut along its diagonal by a staircase of
+            # solid cells: two all-Neumann halves whose cells share the
+            # coarse aggregates on the diagonal; flips on one half only
+            flags = CellFlags.closed_box(GridDims(24, 24))
+            flags.values[np.arange(1, 23), np.arange(1, 23), 0] = CellType.SOLID
+            bc, faces = BcTable.from_flags(flags), BoundaryFaces(flags)
+            x, y, _ = np.unravel_index(faces.cell, flags.dims.shape)
+            pool = np.flatnonzero(x > y)
         else:
             spec = {"2d": SceneSpec("dam", nx=80, ny=60),
                     "3d": SceneSpec("dam", nx=16, ny=14, nz=12)}[case]
@@ -1356,13 +1389,20 @@ class TestRebuildRule:
             faces = state.faces
             bc = classified_walls_table(flags, state)
             pool = np.arange(len(faces))
-        before = self.shape(PoissonSystem(flags, bc))
-        assert len(before[1]) > 1   # at least one coarse grid
-        moved = 0
+        yield flags, bc
         for _ in range(60):
             pick = faces.index[rng.choice(pool, size=int(rng.integers(1, 12)), replace=False)]
             bc.tags[pick] = np.where(bc.tags[pick] == FaceTag.NEUMANN,
                                      FaceTag.DIRICHLET, FaceTag.NEUMANN)
+            yield flags, bc
+
+    @pytest.mark.parametrize("case", ["2d", "3d", "pocket-and-cell"])
+    def test_grids_move_only_with_the_singular_components(self, case):
+        tables = self.flips(case)
+        before = self.shape(PoissonSystem(*next(tables)))
+        assert len(before[1]) > 1   # at least one coarse grid
+        moved = 0
+        for flags, bc in tables:
             after = self.shape(PoissonSystem(flags, bc))
             if len(before[1]) != len(after[1]) or not all(
                     np.array_equal(a, b) for a, b in zip(before[1], after[1])):
@@ -1371,6 +1411,34 @@ class TestRebuildRule:
             before = after
         if case == "pocket-and-cell":
             assert moved >= 5   # the premise is met, not only vacuously true
+
+    @pytest.mark.parametrize("case", ["2d", "3d", "pocket-and-cell", "closed", "diagonal"])
+    def test_coarse_null_sets_are_the_hooking_passes(self, case, monkeypatch):
+        # the coarsest grid's singular components, carried from grid 0's
+        # through the parent indices, are those a hooking pass over the
+        # coarsest grid's own couplings finds
+        null, original = [], pressure._dense_inverse
+        monkeypatch.setattr(pressure, "_dense_inverse",
+                            lambda mat, sets: null.extend(sets) or original(mat, sets))
+        singular = merged = 0
+        for flags, bc in self.flips(case):
+            null.clear()
+            system = PoissonSystem(flags, bc)
+            coarsest, h2 = system.grids[-1], flags.dims.h ** 2
+            assert len(system.grids) > 1
+            stencil = [(s, np.rint(c * h2)) for s, c in coarsest.stencil]
+            want = pressure._singular_components(coarsest.count > 0, coarsest.count,
+                                                 stencil)[0]
+            assert sorted(system.cells[c].tolist() for c in null) == \
+                sorted(c.tolist() for c in want)
+            singular += len(want) == 1
+            merged += len(system._components) == 1 and not want
+        if case in ("closed", "diagonal"):   # the premise is met
+            assert singular > 0
+        if case == "diagonal":
+            # the halves merge into one singular set, and a singular half
+            # merged with a nonsingular one is not singular
+            assert merged > 0
 
 
 class TestNeumannPocket:

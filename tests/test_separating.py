@@ -334,28 +334,22 @@ class TestAcceleratedSolver:
         assert state.nsep.all()
         assert out.max_abs() <= 1e-3
 
-    def test_lock_in_monotone(self):
-        d, flags, vel = hydrostatic_intermediate(12)
-        sets = []
+    def test_carried_faces_whose_wall_would_pull_are_released(self):
+        # a set carried from a frame in which every wall held, on fluid that
+        # now moves off every wall: each set face's multiplier is negative,
+        # so the sweep releases them all and ends as a fresh solve does
+        d, flags = tank(10, fill=1.0)
+        faces = BoundaryFaces(flags)
+        vel = VelocityField.zeros(d)
+        vel.as_flat()[faces.index] = 0.5 * faces.sign
         state = BcState.initial(flags)
-
-        # reproduce the sweep loop with instrumentation
-        from pdfluids.pressure import PoissonSystem, subtract_gradient
-        from pdfluids.fields import divergence, ScalarField
-        classify(vel, state)
-        z = vel.copy()
-        for _ in range(6):
-            z = SeparatingProx(state)(0.0, z)
-            bc = classified_walls_table(flags, state)
-            system = PoissonSystem(flags, bc)
-            b = system.prepare_rhs(-divergence(z, flags).values)
-            p, _ = system.cg(b, 1e-5, 10000, inf_tol=1e-4)
-            z = subtract_gradient(z, ScalarField(d, p), flags, bc)
-            before = state.nsep.copy()
-            classify(z, state)
-            assert (before <= state.nsep).all()  # faces never leave
-            if np.array_equal(before, state.nsep):
-                break
+        state.nsep[:] = True
+        log = ConvergenceLog()
+        out = solve_separating_accelerated(vel, flags, state=state, log=log)
+        assert log.converged and len(log) == 2
+        assert not state.nsep.any()
+        fresh = solve_separating_accelerated(vel, flags)
+        assert (out - fresh).norm() <= 1e-5 * vel.norm()
 
     @pytest.mark.parametrize("spec, frames", [
         (SceneSpec("dam", nx=32, ny=22, seed=1), 20),
@@ -363,29 +357,35 @@ class TestAcceleratedSolver:
         ids=["dam-2d", "tank-3d"])
     def test_non_separating_normals_are_zero_after_every_sweep(self, monkeypatch,
                                                                 spec, frames):
-        # what lets the sweep classify with the memory rule: u.n is exactly
-        # 0.0 on the set after each sweep, so no set face can leave and the
-        # faces outside it keep memory 0
-        import pdfluids.separating as separating
+        # each sweep projects the input with the set's normals zeroed, under
+        # Neumann tags on the set, so u.n is exactly 0.0 on the set after
+        # every sweep
         set_sizes = []
+        project_ = DivergenceProjector.project
 
-        def checking(u, state):
-            assert (state.faces.normal_velocity(u)[state.nsep] == 0.0).all()
-            set_sizes.append(np.count_nonzero(state.nsep))
-            return classify(u, state)
+        def checking(self, vel):
+            out = project_(self, vel)
+            faces = BoundaryFaces(self.flags)
+            nsep = self.bc.tags[faces.index] == FaceTag.NEUMANN
+            assert (faces.normal_velocity(out[0])[nsep] == 0.0).all()
+            set_sizes.append(np.count_nonzero(nsep))
+            return out
 
-        monkeypatch.setattr(separating, "classify", checking)
+        monkeypatch.setattr(DivergenceProjector, "project", checking)
         state, _ = build_scene(spec)
+        bc_state = BcState.initial(state.flags)
         for _ in range(frames):
-            liquid_step(state, mode="separating-accelerated")
+            liquid_step(state, mode="separating-accelerated", bc_state=bc_state)
         assert max(set_sizes) > 0
 
     def test_one_table_and_one_system_per_call(self, monkeypatch):
         # every sweep projects with the one table, retagged in place to the
-        # classified table of the set it projects, and a call builds its
-        # PoissonSystem once however many sweeps it runs
-        state, _ = build_scene(SceneSpec("dam", nx=32, ny=22, seed=1))
-        bc_state = BcState.initial(state.flags)
+        # classified table of the set it projects, and a call builds at most
+        # one PoissonSystem however many sweeps it runs (none when the
+        # content-keyed cache holds its start table).  The frames run once
+        # with one carried state and once with a fresh one per frame, which
+        # starts from the input's wall-ward faces alone and so runs more
+        # sweeps.
         builds, tables, calls = [], [], []
         init, project_, solve = (PoissonSystem.__init__, DivergenceProjector.project,
                                  scenes.solve_separating_accelerated)
@@ -412,11 +412,44 @@ class TestAcceleratedSolver:
         monkeypatch.setattr(PoissonSystem, "__init__", counted)
         monkeypatch.setattr(DivergenceProjector, "project", checked)
         monkeypatch.setattr(scenes, "solve_separating_accelerated", per_call)
-        for _ in range(20):
-            liquid_step(state, mode="separating-accelerated", bc_state=bc_state)
-        assert len(calls) == 20
-        assert all(built == 1 and one == 1 for built, _, one in calls)
+        for carry in (True, False):
+            state, _ = build_scene(SceneSpec("dam", nx=32, ny=22, seed=1))
+            bc_state = BcState.initial(state.flags)
+            for _ in range(20):
+                if not carry:
+                    bc_state = BcState.initial(state.flags)
+                liquid_step(state, mode="separating-accelerated", bc_state=bc_state)
+        assert len(calls) == 40
+        assert all(built <= 1 and one == 1 for built, _, one in calls)
         assert max(sweeps for _, sweeps, _ in calls) >= 3
+
+    def test_sweep_cap_leaves_the_log_unconverged(self, monkeypatch):
+        # a state that needs two sweeps, capped at one: the log says so, and
+        # the CLI turns that into exit 3
+        import pdfluids.separating as separating
+        d, flags, vel = hydrostatic_intermediate(12)
+        log = ConvergenceLog()
+        solve_separating_accelerated(vel, flags, log=log)
+        assert log.converged and len(log) == 2
+        monkeypatch.setattr(separating, "MAX_SWEEPS", 1)
+        log = ConvergenceLog()
+        solve_separating_accelerated(vel, flags, log=log)
+        assert len(log) == 1 and not log.converged
+
+    def test_carried_set_saves_sweeps(self):
+        # the set carried by one state from frame to frame starts each solve
+        # near its answer: fewer sweeps than starting every frame afresh
+        sweeps = []
+        for carry in (True, False):
+            state, _ = build_scene(SceneSpec("dam", nx=32, ny=22, seed=1))
+            bc_state = BcState.initial(state.flags) if carry else None
+            total = 0
+            for _ in range(20):
+                liquid_step(state, mode="separating-accelerated", bc_state=bc_state)
+                assert state.last_log.converged
+                total += len(state.last_log)
+            sweeps.append(total)
+        assert sweeps[0] < sweeps[1]
 
     def test_log_numbers_on_from_earlier_rows(self, tmp_path):
         d, flags, vel = hydrostatic_intermediate(12)

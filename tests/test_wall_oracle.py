@@ -15,7 +15,7 @@ import pytest
 from pdfluids.fields import _along, _face_views
 from pdfluids.pressure import CgConfig
 from pdfluids.scenes import SceneSpec, build_scene, liquid_begin_step, liquid_step
-from pdfluids.separating import BoundaryFaces, solve_separating_accelerated
+from pdfluids.separating import BcState, BoundaryFaces, solve_separating_accelerated
 
 lsq_linear = pytest.importorskip("scipy.optimize").lsq_linear
 
@@ -24,22 +24,32 @@ SCENES = {
     "tank-3d": SceneSpec("hydrostatic", nx=10, ny=10, nz=8, seed=1),
     "dam-3d": SceneSpec("dam", nx=10, ny=10, nz=8, fill_fraction=0.5,
                         fill_height=0.7, seed=1),
+    # columns up to the ceiling, falling away from it: separating faces
+    # under the ceiling, in 3D beside a few wall-ward ones
+    "ceiling-2d": SceneSpec("dam", nx=24, ny=18, fill_fraction=0.5,
+                            fill_height=1.0, seed=2),
+    "ceiling-3d": SceneSpec("dam", nx=10, ny=10, nz=8, fill_fraction=0.5,
+                            fill_height=1.0, seed=3),
 }
-FRAMES = {"dam-2d": (30, 60, 120), "tank-3d": (5, 15), "dam-3d": (15,)}
+FRAMES = {"dam-2d": (30, 60, 120), "tank-3d": (5, 15), "dam-3d": (15,),
+          "ceiling-2d": (2, 8), "ceiling-3d": (2, 11)}
 
 
 @functools.cache
-def pressure_inputs(scene):
-    """{frame: (a, flags)}: the input of the pressure stage of the frame
-    after that many accelerated frames at the CLI's CG accuracy."""
+def pressure_inputs(scene, carry):
+    """{frame: (a, flags, state)}: the input of the pressure stage of the
+    frame after that many accelerated frames at the CLI's CG accuracy, and
+    with `carry` a copy of the one BcState those frames carried, as the CLI
+    carries it (else None)."""
     state, _ = build_scene(SCENES[scene])
+    bc_state = BcState.initial(state.flags) if carry else None
     out = {}
     for frame in range(1, max(FRAMES[scene]) + 1):
-        liquid_step(state, mode="separating-accelerated", cg=CgConfig())
+        liquid_step(state, mode="separating-accelerated", cg=CgConfig(), bc_state=bc_state)
         if frame in FRAMES[scene]:
             probe = copy.deepcopy(state)
             a, _ = liquid_begin_step(probe)
-            out[frame] = (a, probe.flags)
+            out[frame] = (a, probe.flags, copy.deepcopy(bc_state))
     return out
 
 
@@ -65,17 +75,16 @@ def oracle(a, flags):
     return a.as_flat() + mat @ x, x[cells.size:], dt, st
 
 
-CASES = [pytest.param(scene, frame, id=f"{scene}-{frame}",
-                      marks=[pytest.mark.xfail(strict=True, reason=(
-                          "the lock-in keeps a face whose implied multiplier is "
-                          "-5.5e-3, so the wall pulls the fluid back: 3.9e-3 "
-                          "from the exact projection"))] if scene == "dam-3d" else [])
-         for scene in SCENES for frame in FRAMES[scene]]
+# every frame with a fresh set, and each scene's last frame also with the
+# set carried from the frame before
+CASES = [pytest.param(scene, frame, carry, id=f"{scene}-{frame}" + ("-carried" * carry))
+         for scene in SCENES for frame in FRAMES[scene] for carry in (False, True)
+         if not carry or frame == FRAMES[scene][-1]]
 
 
-@pytest.mark.parametrize("scene, frame", CASES)
-def test_accelerated_matches_exact_projection(scene, frame):
-    a, flags = pressure_inputs(scene)[frame]
+@pytest.mark.parametrize("scene, frame, carry", CASES)
+def test_accelerated_matches_exact_projection(scene, frame, carry):
+    a, flags, state = pressure_inputs(scene, carry)[frame]
     exact, mu, dt, st = oracle(a, flags)
     step = np.linalg.norm(exact - a.as_flat())
     assert step > 0 and st.shape[1] > 0
@@ -84,5 +93,7 @@ def test_accelerated_matches_exact_projection(scene, frame):
     assert (st.T @ exact).min() >= -1e-10 * step
     assert mu.min() >= 0.0
     assert np.abs(mu * (st.T @ exact)).max() <= 1e-10 * step * max(mu.max(), 1.0)
-    z = solve_separating_accelerated(a, flags, cg=CgConfig(eps_final=1e-8))
+    if carry:
+        assert state.nsep.any()
+    z = solve_separating_accelerated(a, flags, cg=CgConfig(eps_final=1e-8), state=state)
     assert np.linalg.norm(z.as_flat() - exact) <= 1e-8 * step
