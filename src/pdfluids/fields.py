@@ -12,6 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -332,46 +333,70 @@ def _face_offsets(axis: int) -> tuple[float, ...]:
     return tuple(0.0 if a == axis else 0.5 for a in range(3))
 
 
-def _coords(shape, offsets, h: float, points):
-    """Multilinear stencil of physical points on an array whose sample
-    (i, j, k) sits at ((i, j, k) + offsets) * h.  Per axis: the lower index,
-    the upper index and the fraction, with the sample coordinate clamped to
-    [0, n-1].  Zero offsets give the cell holding each point as the lower
-    index."""
-    out = []
-    for n, off, p in zip(shape, offsets, points):
-        g = np.clip(np.asarray(p, dtype=np.float64) / h - off, 0.0, n - 1.0)
-        i0 = np.floor(g).astype(np.intp)
-        out.append((i0, np.minimum(i0 + 1, n - 1), g - i0))
-    return out
+class _Stencil(NamedTuple):
+    """Points on one sample array, in the flat layout of `_coords`."""
+
+    base: np.ndarray
+    steps: tuple
+    fracs: tuple
+
+    def corners(self) -> list:
+        """(flat index, weight) of each corner, x outermost: 4 in 2D, 8 in
+        3D, each weight the product of its per-axis weights from x on."""
+        idx, wts = [self.base], [1.0]
+        for step, f in zip(self.steps, self.fracs):
+            pair = (1 - f, f)
+            idx = [i for j in idx for i in (j, j + step)]
+            wts = [w * v for w in wts for v in pair]
+        return list(zip(idx, wts))
+
+    def gather(self, arr: np.ndarray):
+        """arr at the points: bracketed by axis in 2D, the sum of the corner
+        terms in `corners` order in 3D."""
+        flat = arr.ravel()
+        if len(self.steps) == 3:
+            out = 0.0
+            for idx, w in self.corners():
+                out = out + flat[idx] * w
+            return out
+        (sx, sy), (fx, fy), b = self.steps, self.fracs, self.base
+        bx = b + sx
+        c00, c01, c10, c11 = flat[b], flat[b + sy], flat[bx], flat[bx + sy]
+        gx = 1 - fx
+        return (c00 * gx + c10 * fx) * (1 - fy) + (c01 * gx + c11 * fx) * fy
 
 
-def _corners(coords, is_2d: bool):
-    """(index tuple, weight) of each stencil corner, x outermost: 4 corners
-    at z index 0 in 2D, 8 in 3D."""
-    (x0, x1, fx), (y0, y1, fy), (z0, z1, fz) = coords
-    xs = ((x0, 1 - fx), (x1, fx))
-    ys = ((y0, 1 - fy), (y1, fy))
-    if is_2d:
-        return [((ix, iy, z0), wx * wy) for ix, wx in xs for iy, wy in ys]
-    zs = ((z0, 1 - fz), (z1, fz))
-    return [((ix, iy, iz), wx * wy * wz)
-            for ix, wx in xs for iy, wy in ys for iz, wz in zs]
+def _coords(shape, offsets, h: float, points) -> _Stencil:
+    """Clamped multilinear stencil of physical points on a C-order array
+    whose sample (i, j, k) sits at ((i, j, k) + offsets) * h, in flat
+    indices.  Per axis the sample coordinate is clamped to [0, n-1] and
+    split into its floor i and a fraction.  The stencil holds the flat index
+    of the lower corner and, per axis of more than one sample, the int32
+    flat step to the upper corner (the stride, 0 where i = n-1) and the
+    fraction; an axis of one sample (z in 2D) takes index 0."""
+    strides = (shape[1] * shape[2], shape[2], 1)
+    base, steps, fracs = 0, [], []
+    for n, off, p, stride in zip(shape, offsets, points, strides):
+        if n > 1:
+            g = np.clip(np.asarray(p, dtype=np.float64) / h - off, 0.0, n - 1.0)
+            i0 = np.floor(g).astype(np.intp)
+            base = base + i0 * stride
+            steps.append(np.where(i0 < n - 1, np.int32(stride), np.int32(0)))
+            fracs.append(g - i0)
+    return _Stencil(base, tuple(steps), tuple(fracs))
+
+
+def _face_stencils(dims: GridDims, points) -> list:
+    """The `_coords` stencil of points on each active axis' face array."""
+    return [_coords(dims.face_shape(a), _face_offsets(a), dims.h, points)
+            for a in dims.axes]
 
 
 def _interp_component(arr: np.ndarray, axis: int, dims: GridDims, px, py, pz):
-    """Clamped multilinear interpolation of one face array at physical points."""
-    coords = _coords(arr.shape, _face_offsets(axis), dims.h, (px, py, pz))
-    corners = _corners(coords, dims.is_2d)
-    if dims.is_2d:
-        c00, c01, c10, c11 = (arr[idx] for idx, _ in corners)
-        fx, fy = coords[0][2], coords[1][2]
-        return ((c00 * (1 - fx) + c10 * fx) * (1 - fy)
-                + (c01 * (1 - fx) + c11 * fx) * fy)
-    out = 0.0
-    for idx, w in corners:
-        out = out + arr[idx] * w
-    return out
+    """Clamped multilinear interpolation of one face array at physical
+    points, read through the flat `_coords` stencil: one flat index per
+    corner, not an (i, j, k) tuple of three index arrays."""
+    return _coords(arr.shape, _face_offsets(axis), dims.h, (px, py, pz)).gather(arr)
 
 
 def _sample(vel: VelocityField, px, py, pz) -> list:
@@ -401,12 +426,11 @@ def _gather_scalar_masked(scalar: ScalarField, flags: CellFlags, px, py, pz):
     remaining weights renormalized.  Weight sum 0 reports NaN (caller keeps
     the original value there)."""
     d = scalar.dims
-    vals = scalar.values
-    notsolid = (flags.values != CellType.SOLID).astype(np.float64)
+    vals = scalar.values.ravel()
+    notsolid = (flags.values != CellType.SOLID).astype(np.float64).ravel()
     num = 0.0
     den = 0.0
-    coords = _coords(d.shape, (0.5, 0.5, 0.5), d.h, (px, py, pz))
-    for idx, w in _corners(coords, d.is_2d):
+    for idx, w in _coords(d.shape, (0.5, 0.5, 0.5), d.h, (px, py, pz)).corners():
         w = w * notsolid[idx]
         num = num + vals[idx] * w
         den = den + w

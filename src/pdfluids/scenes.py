@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _along, _coords, _corners, _face_offsets, _flat_faces,
-                     _sample, advect_semi_lagrangian, cell_to_face_average,
+                     _along, _face_stencils, _flat_faces,
+                     advect_semi_lagrangian, cell_to_face_average,
                      face_centers, face_valid_mask, fluid_adjacent_face_mask,
                      upsample)
 from .guiding import GuidingConfig, guide_step, split_scalar_field
@@ -316,9 +316,14 @@ FLIP_BLEND = 0.95
 EXTRAPOLATION_LAYERS = 2   # cells of velocity spread into the empty region
 
 
-def _particle_cells(dims: GridDims, pos: np.ndarray) -> tuple:
-    """Index tuple of the cell holding each particle, clamped to the grid."""
-    return tuple(i0 for i0, _, _ in _coords(dims.shape, (0.0, 0.0, 0.0), dims.h, pos.T))
+def _particle_cells(dims: GridDims, pos: np.ndarray) -> np.ndarray:
+    """Flat C-order index of the cell holding each particle, clamped to the
+    grid; an axis of one cell (z in 2D) adds nothing."""
+    cell = 0
+    for n, p in zip(dims.shape, pos.T):
+        if n > 1:
+            cell = cell * n + np.floor(np.clip(p / dims.h, 0.0, n - 1.0)).astype(np.intp)
+    return cell
 
 
 def flags_from_particles(state: SceneState) -> CellFlags:
@@ -326,35 +331,53 @@ def flags_from_particles(state: SceneState) -> CellFlags:
     vals = np.full(d.shape, CellType.EMPTY, dtype=np.uint8)
     vals[state.solid_mask] = CellType.SOLID
     occupied = np.zeros(d.shape, dtype=bool)
-    occupied[_particle_cells(d, state.particles_pos)] = True
+    occupied.ravel()[_particle_cells(d, state.particles_pos)] = True
     vals[occupied & ~state.solid_mask] = CellType.FLUID
     return CellFlags(d, vals)
+
+
+# the one particle stencil kept, keyed on the grid and a copy of the
+# positions' bits: a liquid frame builds it in P2G, its PIC and FLIP-delta
+# gathers read it again, and the midpoint gather replaces it
+_cached: tuple | None = None
+
+
+def _particle_stencils(dims: GridDims, pos: np.ndarray) -> list:
+    """The face stencils of every active axis at (N, 3) particle positions."""
+    global _cached
+    bits = np.ascontiguousarray(pos, dtype=np.float64).view(np.uint64)
+    if _cached is None or _cached[0] != dims or not np.array_equal(_cached[1], bits):
+        _cached = None   # the old stencil goes before the new one is built
+        _cached = (dims, bits.copy(), _face_stencils(dims, pos.T))
+    return _cached[2]
 
 
 def particles_to_grid(state: SceneState) -> VelocityField:
     """Multilinear scatter of particle velocities onto the staggered grid:
     each face takes the weighted mean of the particles in its stencil."""
     d = state.spec.dims
-    pos = state.particles_pos.T
     vel = VelocityField.zeros(d)
-    for axis, arr in vel.components():
-        corners = _corners(_coords(arr.shape, _face_offsets(axis), d.h, pos), d.is_2d)
+    stencils = _particle_stencils(d, state.particles_pos)
+    for (axis, arr), st in zip(vel.components(), stencils):
+        # terms laid out corner by corner: bincount adds the terms of each
+        # face in that order, the order of one scatter per corner
+        idx, wts = zip(*st.corners())
+        idx, wts = np.concatenate(idx), np.stack(wts)
         pv = state.particles_vel[:, axis]
-        # terms concatenated corner by corner: bincount adds the terms of
-        # each face in that order, the order of one scatter per corner
-        flat = np.concatenate([np.ravel_multi_index(idx, arr.shape) for idx, _ in corners])
-        acc = np.bincount(flat, np.concatenate([w * pv for _, w in corners]),
-                          arr.size).reshape(arr.shape)
-        wsum = np.bincount(flat, np.concatenate([w for _, w in corners]),
-                           arr.size).reshape(arr.shape)
+        acc = np.bincount(idx, (wts * pv).ravel(), arr.size).reshape(arr.shape)
+        wsum = np.bincount(idx, wts.ravel(), arr.size).reshape(arr.shape)
         nz = wsum > 0
         arr[nz] = acc[nz] / wsum[nz]
     return vel
 
 
 def sample_at_particles(vel: VelocityField, pos: np.ndarray) -> np.ndarray:
-    """Velocity at (N, 3) particle positions, as an (N, 3) array."""
-    return np.stack(np.broadcast_arrays(*_sample(vel, *pos.T)), axis=1)
+    """Velocity at (N, 3) particle positions, as an (N, 3) array; 0.0 on an
+    inactive axis."""
+    out = np.zeros(pos.shape)
+    for (axis, arr), st in zip(vel.components(), _particle_stencils(vel.dims, pos)):
+        out[:, axis] = st.gather(arr)
+    return out
 
 
 def extrapolate_velocity(vel: VelocityField, flags: CellFlags) -> VelocityField:
@@ -399,7 +422,7 @@ def _clamp_particles(state: SceneState, pos: np.ndarray,
             vel[hit_lo, a] = np.maximum(vel[hit_lo, a], 0.0)
             vel[hit_hi, a] = np.minimum(vel[hit_hi, a], 0.0)
         np.clip(pos[:, a], lo[a], hi[a], out=pos[:, a])
-    stuck = state.solid_mask[_particle_cells(d, pos)]
+    stuck = state.solid_mask.ravel()[_particle_cells(d, pos)]
     if stuck.any():
         pos[stuck] = state.particles_pos[stuck]
     return pos

@@ -305,6 +305,49 @@ def _ref_sample_at_particles(vel, pos):
     return out
 
 
+def _ref_clamp_particles(state, pos, vel=None):
+    """_clamp_particles as written before the flat cell index: the cell of
+    each particle as a tuple of three index arrays."""
+    d = state.spec.dims
+    h = d.h
+    eps = 1e-4 * h
+    lo = [h + eps, h + eps, eps if d.is_2d else h + eps]
+    hi = [(d.nx - 1) * h - eps, (d.ny - 1) * h - eps,
+          d.nz * h - eps if d.is_2d else (d.nz - 1) * h - eps]
+    for a in range(3):
+        if vel is not None:
+            hit_lo = pos[:, a] < lo[a]
+            hit_hi = pos[:, a] > hi[a]
+            vel[hit_lo, a] = np.maximum(vel[hit_lo, a], 0.0)
+            vel[hit_hi, a] = np.minimum(vel[hit_hi, a], 0.0)
+        np.clip(pos[:, a], lo[a], hi[a], out=pos[:, a])
+    cells = tuple(np.clip(np.floor(pos[:, a] / h).astype(np.intp), 0, d.shape[a] - 1)
+                  for a in range(3))
+    stuck = state.solid_mask[cells]
+    if stuck.any():
+        pos[stuck] = state.particles_pos[stuck]
+    return pos
+
+
+def _ref_liquid_finish_step(state, vel_new, vel_old):
+    """liquid_finish_step as written before the shared particle stencil:
+    three G2P calls, each building its own stencil."""
+    from pdfluids.scenes import FLIP_BLEND, _cfl_dt, extrapolate_velocity
+    d = state.spec.dims
+    vel_ext = extrapolate_velocity(vel_new, state.flags)
+    old_ext = extrapolate_velocity(vel_old, state.flags)
+    pic = _ref_sample_at_particles(vel_ext, state.particles_pos)
+    delta = _ref_sample_at_particles(vel_ext - old_ext, state.particles_pos)
+    flip = state.particles_vel + delta
+    state.particles_vel = FLIP_BLEND * flip + (1.0 - FLIP_BLEND) * pic
+    dt = _cfl_dt(vel_ext, state.dt, d.h)
+    mid = _ref_clamp_particles(state, state.particles_pos + 0.5 * dt * pic)
+    pos = state.particles_pos + dt * _ref_sample_at_particles(vel_ext, mid)
+    state.particles_pos = _ref_clamp_particles(state, pos, state.particles_vel)
+    state.vel = vel_new
+    state.frame += 1
+
+
 def _ref_seed_particles(flags, fluid_mask, per_cell, rng):
     """Particle seeding as written before, one branch for 2D, one for 3D."""
     import math
@@ -363,6 +406,64 @@ class TestTransferBitwise:
         state = _transfer_state(nz, rng)
         assert flags_from_particles(state).values.tobytes() == \
             _ref_flags_from_particles(state).tobytes()
+
+    @pytest.mark.parametrize("nz", [1, 7], ids=["2d", "3d"])
+    def test_finish_step_matches_reference(self, nz, rng):
+        import copy
+        from pdfluids.scenes import liquid_pressure_solve
+        state = _transfer_state(nz, rng)
+        vel, vel_old = liquid_begin_step(state)
+        vel_new = liquid_pressure_solve(vel, state.flags, "regular")
+        ref = copy.deepcopy(state)
+        liquid_finish_step(state, vel_new, vel_old)
+        _ref_liquid_finish_step(ref, vel_new.copy(), vel_old.copy())
+        assert state.particles_pos.tobytes() == ref.particles_pos.tobytes()
+        assert state.particles_vel.tobytes() == ref.particles_vel.tobytes()
+        for a in range(3):
+            assert state.vel.component(a).tobytes() == ref.vel.component(a).tobytes()
+
+
+class TestParticleStencil:
+    @pytest.mark.parametrize("nz", [1, 5], ids=["2d", "3d"])
+    def test_one_stencil_at_particles_and_one_at_midpoints(self, nz, monkeypatch):
+        import pdfluids.scenes as scenes
+        state, _ = build_scene(SceneSpec("dam", nx=16, ny=12, nz=nz, seed=1))
+        liquid_step(state)   # the cache now holds this frame's midpoint stencil
+        built, sampled = [], []
+        build, sample = scenes._face_stencils, scenes.sample_at_particles
+
+        def counting_build(dims, points):
+            built.append(np.asarray(points).T.tobytes())
+            return build(dims, points)
+
+        def recording_sample(vel, pos):
+            sampled.append(pos.tobytes())
+            return sample(vel, pos)
+
+        monkeypatch.setattr(scenes, "_face_stencils", counting_build)
+        monkeypatch.setattr(scenes, "sample_at_particles", recording_sample)
+        start = state.particles_pos.tobytes()
+        liquid_step(state)
+        # P2G builds the stencil at the particles, PIC and FLIP-delta read it
+        # again, and the midpoint sample builds the one other
+        assert len(built) == 2 and built[0] == start and built[1] != start
+        assert sampled == [start, start, built[1]]
+
+    @pytest.mark.parametrize("nz", [1, 5], ids=["2d", "3d"])
+    def test_no_particles(self, nz):
+        state, _ = build_scene(SceneSpec("dam", nx=16, ny=12, nz=nz))
+        state.particles_pos = state.particles_vel = np.zeros((0, 3))
+        assert particles_to_grid(state).max_abs() == 0.0
+        assert sample_at_particles(state.vel, state.particles_pos).shape == (0, 3)
+
+    def test_positions_changed_in_place_rebuild_the_stencil(self, rng):
+        state = _transfer_state(1, rng)
+        vel = particles_to_grid(state)
+        pos = state.particles_pos
+        sample_at_particles(vel, pos)
+        pos[:5, 0] += 0.37 * state.spec.h
+        assert sample_at_particles(vel, pos).tobytes() == \
+            _ref_sample_at_particles(vel, pos).tobytes()
 
 
 # ---------------------------------------------------------------------------
