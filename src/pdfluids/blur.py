@@ -8,37 +8,36 @@ over the remaining taps, so constants are preserved and nothing leaks
 through walls.  Faces adjacent to SOLID pass through unchanged.
 
 The transpose mode applies the exact adjoint of this linear map (the same
-kernels in scatter form, with the axis sweeps in reverse order), which is
-what realizes B^T for the guiding operators.
+kernels with the axis sweeps in reverse order), which is what realizes B^T
+for the guiding operators.
 
 The taps, masks and normalizers depend only on (radius, flags); they are
 built once and reused for as long as calls pass the same radius and flag
-values, so each call is multiply-adds over shifted slices.
+values.  Each component is kept flat with a gap of T entries after every
+row along each active axis but the first, T being its tap count.  A shift
+by t <= T along any axis then reads its own row or the gap, never the next
+row, so every tap of every sweep is one contiguous multiply into scratch
+plus one add over a flat range.  A field's gap holds +0.0 and the valid
+mask's -0.0, so every product that reads the gap is -0.0, which leaves a
+sum it joins unchanged: the result is bit for bit that of dropping the
+taps that leave the row.  The adjoint is a gather as well: a valid face
+sums its own coefficient and w_t * coefficient of the faces t away, and
+faces next to SOLID keep their input.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .fields import (CellFlags, ScalarField, VelocityField, _along,
+from .fields import (CellFlags, ScalarField, VelocityField,
                      cell_to_face_average, face_valid_mask)
 
 
-@functools.cache
-def _shifted(axis: int, t: int):
-    """(dst, src) index tuples such that dst = src + t along axis (t != 0)."""
-    if t > 0:
-        return _along(axis, slice(t, None)), _along(axis, slice(None, -t))
-    return _along(axis, slice(None, t)), _along(axis, slice(-t, None))
-
-
-def _taps(rad: np.ndarray) -> list[np.ndarray]:
+def _taps(rad: np.ndarray, tmax: int) -> list[np.ndarray]:
     """Per-face Gaussian weights w_t for t = 1..tmax; taps beyond ceil(3 r)
     and at faces with r = 0 are zero."""
-    tmax = int(math.ceil(3.0 * rad.max())) if rad.size else 0
     ncut = np.ceil(3.0 * rad)
     live = rad > 0
     two_r2 = 2.0 * np.square(rad)
@@ -50,33 +49,86 @@ def _taps(rad: np.ndarray) -> list[np.ndarray]:
     return taps
 
 
-def _tap_sum(vv: np.ndarray, taps: list[np.ndarray], axis: int) -> np.ndarray:
-    """The kernel's gather sum along `axis`: at every face, vv there plus
-    w_t times vv at the faces t away on either side, t = 1..tmax."""
-    out = vv.copy()  # t = 0 tap
+def _gather(out: np.ndarray, src: np.ndarray, taps: list[np.ndarray],
+            step: int, scratch: np.ndarray):
+    """out[f] += w_t[f] * src[f + s] for s = t*step, then -t*step, t = 1..T;
+    shifts past either end of the flat buffer read nothing."""
+    n = out.size
     for t, wt in enumerate(taps, 1):
-        for s in (t, -t):
-            dst, src = _shifted(axis, -s)  # gather: out[f] reads f+s
-            out[dst] += wt[dst] * vv[src]
-    return out
+        k = t * step
+        if k >= n:
+            break
+        tmp = scratch[:n - k]
+        np.multiply(wt[:n - k], src[k:], out=tmp)
+        out[:n - k] += tmp
+        np.multiply(wt[k:], src[:n - k], out=tmp)
+        out[k:] += tmp
 
 
-def _sweep(vals: np.ndarray, valid: np.ndarray, vf: np.ndarray,
-           taps: list[np.ndarray], norm: np.ndarray, axis: int,
-           transpose: bool) -> np.ndarray:
-    """One 1D blur pass along `axis` (or its exact transpose)."""
+def _gather_transposed(out: np.ndarray, coef: np.ndarray, taps: list[np.ndarray],
+                       step: int, scratch: np.ndarray):
+    """The transpose of `_gather`'s sum with the weight taken at the source:
+    out[f] += (w_t * coef)[f - s] for s = t*step, then -t*step, t = 1..T."""
+    n = out.size
+    for t, wt in enumerate(taps, 1):
+        k = t * step
+        if k >= n:
+            break
+        np.multiply(wt, coef, out=scratch)
+        out[k:] += scratch[:n - k]
+        out[:n - k] += scratch[k:]
+
+
+class _Component:
+    """One component's share of the kernel in the gap layout: flat arrays
+    of the padded `shape`, whose leading `core` block holds the faces."""
+
+    def __init__(self, valid: np.ndarray, rad: np.ndarray, axes: tuple[int, ...]):
+        gap = int(math.ceil(3.0 * rad.max())) if rad.size else 0  # the tap count
+        self.core = tuple(slice(0, n) for n in valid.shape)
+        self.shape = tuple(n + gap if a in axes[1:] else n
+                           for a, n in enumerate(valid.shape))
+        self.steps = {a: math.prod(self.shape[a + 1:]) for a in axes}
+        # every array is built in the gap layout, so no face-shaped
+        # temporary outlives the build as a hole the padded ones cannot reuse
+        self.valid = self.pad(valid, False)
+        self.vf = self.pad(valid, -0.0, np.float64)
+        self.taps = _taps(self.pad(rad), gap)  # r = 0 in the gap: no taps there
+        scratch = np.empty(self.vf.size)
+        self.norms = {}
+        for axis in axes:
+            den = self.vf.copy()  # valid-tap weight sums
+            _gather(den, self.vf, self.taps, self.steps[axis], scratch)
+            self.norms[axis] = np.where(den > 0, den, 1.0)
+
+    def pad(self, arr: np.ndarray, fill=0.0, dtype=None) -> np.ndarray:
+        """`arr` in the flat gap layout, the gap filled with `fill`."""
+        out = np.full(self.shape, fill, dtype=dtype or arr.dtype)
+        out[self.core] = arr
+        return out.ravel()
+
+    def unpad(self, flat: np.ndarray) -> np.ndarray:
+        """The face block of a flat gap-layout array, as a view."""
+        return flat.reshape(self.shape)[self.core]
+
+
+def _sweep(cur: np.ndarray, part: _Component, axis: int, transpose: bool,
+           scratch: np.ndarray):
+    """One 1D blur pass along `axis` (or its exact transpose), in place on
+    the flat gap-layout array `cur`; faces next to SOLID and the gap keep
+    their values, and only valid faces are divided by their normalizer."""
+    step, norm, valid = part.steps[axis], part.norms[axis], part.valid
     if not transpose:
-        return np.where(valid, _tap_sum(vals * vf, taps, axis) / norm, vals)
-
-    # adjoint: scatter each valid source face through its own kernel
-    coef = np.where(valid, vals / norm, 0.0)
-    out = np.where(valid, coef, vals)  # t = 0 term plus identity on invalid
-    for t, wt in enumerate(taps, 1):
-        wc = wt * coef
-        for s in (t, -t):
-            dst, src = _shifted(axis, s)  # scatter: f -> f+s
-            out[dst] += wc[src] * vf[dst]
-    return out
+        vv = cur * part.vf
+        num = vv.copy()  # t = 0 tap
+        _gather(num, vv, part.taps, step, scratch)
+        np.divide(num, norm, out=cur, where=valid)
+        return
+    coef = part.vf * 0.0  # +0 on the faces, -0 in the gap
+    np.divide(cur, norm, out=coef, where=valid)
+    acc = coef.copy()  # t = 0 tap
+    _gather_transposed(acc, coef, part.taps, step, scratch)
+    np.copyto(cur, acc, where=valid)
 
 
 def _check_radius(radius: ScalarField, flags: CellFlags):
@@ -88,32 +140,27 @@ def _check_radius(radius: ScalarField, flags: CellFlags):
 
 
 class _BlurKernel:
-    """The parts of the blur that depend only on (radius, flags): for each
-    active component the valid mask (bool and float), the taps and, per
-    sweep axis, the normalizer.  Building it validates the radius."""
+    """The parts of the blur that depend only on (radius, flags), one
+    `_Component` per active component.  Building it validates the radius."""
 
     def __init__(self, radius: ScalarField, flags: CellFlags):
         _check_radius(radius, flags)
         axes = radius.dims.axes
-        self.parts = {}
-        for comp in axes:
-            valid = face_valid_mask(flags, comp)
-            vf = valid.astype(np.float64)
-            taps = _taps(cell_to_face_average(radius, comp))
-            dens = [_tap_sum(vf, taps, axis) for axis in axes]  # valid-tap weight sums
-            norms = {axis: np.where(den > 0, den, 1.0) for axis, den in zip(axes, dens)}
-            self.parts[comp] = (valid, vf, taps, norms)
+        self.parts = {comp: _Component(face_valid_mask(flags, comp),
+                                       cell_to_face_average(radius, comp), axes)
+                      for comp in axes}
 
     def apply(self, field: VelocityField, transpose: bool) -> VelocityField:
         out = field.copy()
         axes = field.dims.axes
         sweep_axes = axes if not transpose else tuple(reversed(axes))
         for comp, arr in out.components():
-            valid, vf, taps, norms = self.parts[comp]
-            cur = arr
+            part = self.parts[comp]
+            cur = part.pad(arr)
+            scratch = np.empty(cur.size)
             for axis in sweep_axes:
-                cur = _sweep(cur, valid, vf, taps, norms[axis], axis, transpose)
-            arr[...] = cur
+                _sweep(cur, part, axis, transpose, scratch)
+            arr[...] = part.unpad(cur)
         return out
 
 

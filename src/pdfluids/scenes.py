@@ -9,6 +9,7 @@ the separating-wall solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,27 +381,74 @@ def sample_at_particles(vel: VelocityField, pos: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Extrapolation:
+    """The flag-only part of `extrapolate_velocity` over the flat active
+    faces: per layer, the faces that grow, the count of known neighbours
+    each averages and, per neighbour slot in summation order, the face each
+    reads (-1, a zero kept past the last face, when that neighbour is
+    missing or not yet known)."""
+
+    def __init__(self, flags: CellFlags):
+        d = flags.dims
+        parts, self.n = [], 0
+        for axis in d.axes:
+            # wall faces are known from the start and never grow
+            known = fluid_adjacent_face_mask(flags, axis) | ~face_valid_mask(flags, axis)
+            parts.append((known, self.n))
+            self.n += known.size
+        self.layers = []
+        for _ in range(EXTRAPOLATION_LAYERS):
+            faces, reads, counts = [], [], []
+            for known, start in parts:
+                shape, flat = known.shape, known.ravel()
+                cnt = np.zeros(shape)
+                for a in d.axes:
+                    lo, hi = _along(a, slice(1, None)), _along(a, slice(None, -1))
+                    cnt[lo] += known[hi]
+                    cnt[hi] += known[lo]
+                grow = np.flatnonzero(~flat & (cnt.ravel() > 0))
+                at = np.unravel_index(grow, shape)
+                slots = []
+                for a in d.axes:
+                    step = math.prod(shape[a + 1:])
+                    for has, nb in ((at[a] > 0, grow - step),
+                                    (at[a] < shape[a] - 1, grow + step)):
+                        nb = np.where(has, nb, 0)
+                        slots.append(np.where(has & flat[nb], start + nb, -1))
+                faces.append(start + grow)
+                reads.append(slots)
+                counts.append(cnt.ravel()[grow])
+                flat[grow] = True
+            self.layers.append((np.concatenate(faces),
+                                [np.concatenate(r) for r in zip(*reads)],
+                                np.concatenate(counts)))
+
+    def apply(self, vel: VelocityField) -> VelocityField:
+        ext = np.zeros(self.n + 1)
+        ext[:self.n] = vel.as_flat()
+        for faces, reads, cnt in self.layers:
+            acc = np.zeros(faces.size)
+            for slot in reads:
+                acc += ext[slot]
+            ext[faces] = acc / cnt
+        out = vel.copy()
+        out.as_flat()[:] = ext[:self.n]
+        return out
+
+
+# the one extrapolation plan kept, keyed on the content of the flags: a
+# liquid frame builds it for its new field and reuses it for the old one
+_extrapolation: tuple | None = None
+
+
 def extrapolate_velocity(vel: VelocityField, flags: CellFlags) -> VelocityField:
     """Spread face values into the empty region by averaging valid
     neighbours, EXTRAPOLATION_LAYERS cells deep; wall faces are left alone."""
-    out = vel.copy()
-    for axis, arr in out.components():
-        known = fluid_adjacent_face_mask(flags, axis)
-        frozen = ~face_valid_mask(flags, axis)
-        known = known | frozen
-        for _ in range(EXTRAPOLATION_LAYERS):
-            acc = np.zeros(arr.shape)
-            cnt = np.zeros(arr.shape)
-            for a in vel.dims.axes:
-                for dst, src in ((slice(1, None), slice(None, -1)),
-                                 (slice(None, -1), slice(1, None))):
-                    dst, src = _along(a, dst), _along(a, src)
-                    acc[dst] += np.where(known[src], arr[src], 0.0)
-                    cnt[dst] += known[src]
-            grow = (~known) & (cnt > 0) & ~frozen
-            arr[grow] = acc[grow] / cnt[grow]
-            known = known | grow
-    return out
+    global _extrapolation
+    key = (flags.dims, flags.values.tobytes())
+    if _extrapolation is None or _extrapolation[0] != key:
+        _extrapolation = (key, _Extrapolation(flags))
+    return _extrapolation[1].apply(vel)
 
 
 def _clamp_particles(state: SceneState, pos: np.ndarray,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,11 +313,84 @@ class TestTapSumBitwise:
         flags, radius = obstacle_scene(dims, rng)
         radius.values[:3] = 0.0   # a band of zero-radius faces
         kernel = _BlurKernel(radius, flags)
-        for comp, (valid, vf, taps, norms) in kernel.parts.items():
+        for comp, part in kernel.parts.items():
+            valid, vf = part.unpad(part.valid), part.unpad(part.vf)
+            taps = [part.unpad(w) for w in part.taps]
             vals = rng.standard_normal(valid.shape)
-            for axis, norm in norms.items():
+            for axis, norm in part.norms.items():
                 want = _ref_normalizer(vf, taps, axis)
-                assert norm.tobytes() == want.tobytes()
-                got = _sweep(vals, valid, vf, taps, norm, axis, transpose=False)
+                assert part.unpad(norm).tobytes() == want.tobytes()
+                got = part.pad(vals)
+                _sweep(got, part, axis, False, np.empty(got.size))
                 want = _ref_forward_sweep(vals, valid, vf, taps, want, axis)
-                assert got.tobytes() == want.tobytes()
+                assert part.unpad(got).tobytes() == want.tobytes()
+
+
+# -- the gap layout at its edges, the wall faces and the kernel's memory ------
+
+class TestGapLayout:
+    @pytest.mark.parametrize("dims", [GridDims(6, 5), GridDims(4, 9), GridDims(5, 4, 3)],
+                             ids=["6x5", "4x9", "5x4x3"])
+    @pytest.mark.parametrize("rmax", [0.0, 1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "adj"])
+    def test_taps_at_or_past_the_row_length(self, rng, dims, rmax, transpose):
+        # up to 15 taps against rows of 3 to 10 faces: every long shift must
+        # land in its own row's gap or run off the buffer
+        for flags in (CellFlags.open_box(dims), CellFlags.closed_box(dims)):
+            for rvals in (np.full(dims.shape, rmax), rng.random(dims.shape) * rmax):
+                rvals[flags.solid] = 0.0
+                radius = ScalarField(dims, rvals)
+                vel = random_velocity(dims, rng)
+                got = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
+                want = reference_blur(vel, radius, flags, transpose=transpose)
+                assert field_bytes(got) == field_bytes(want)
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "adj"])
+    def test_subnormal_normalizer_next_to_an_obstacle(self, rng, transpose):
+        # at these radii a wall face's normalizer is subnormal; dividing by it
+        # overflowed (and warned) although the quotient was masked out
+        d = GridDims(8, 8)
+        flags = CellFlags.closed_box(d)
+        flags.values[4, 4, 0] = CellType.SOLID
+        vel = random_velocity(d, rng)
+        for r in (0.052, 0.0525, 0.053):
+            radius = ScalarField.full(d, r)
+            radius.values[flags.solid] = 0.0
+            got = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
+            with np.errstate(over="ignore"):
+                want = reference_blur(vel, radius, flags, transpose=transpose)
+            assert field_bytes(got) == field_bytes(want)
+
+    @pytest.mark.parametrize("dims", [GridDims(12, 10), GridDims(7, 6, 5)],
+                             ids=["2d", "3d"])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "adj"])
+    def test_wall_faces_keep_their_bits(self, rng, dims, transpose):
+        flags, radius = obstacle_scene(dims, rng)
+        vel = random_velocity(dims, rng)
+        for _, arr in vel.components():
+            arr[::2] = -0.0
+        out = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
+        for comp, arr in vel.components():
+            wall = ~face_valid_mask(flags, comp)
+            assert out.component(comp)[wall].tobytes() == arr[wall].tobytes()
+
+
+# bytes tracemalloc saw a _BlurKernel hold at 128^2, radius 2, when it kept
+# one unpadded weight array per tap
+KERNEL_BYTES_UNPADDED = 2_425_707
+
+
+def test_kernel_memory_stays_near_one_weight_array_per_tap():
+    d = GridDims(128, 128)
+    flags = CellFlags.closed_box(d)
+    rvals = np.full(d.shape, 2.0)
+    rvals[flags.solid] = 0.0
+    radius = ScalarField(d, rvals)
+    tracemalloc.start()
+    try:
+        kernel = _BlurKernel(radius, flags)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kernel.parts[0].taps) == 6
+    assert held <= 1.25 * KERNEL_BYTES_UNPADDED

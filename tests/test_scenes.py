@@ -12,7 +12,7 @@ from pdfluids.scenes import (SCENE_NAMES, SceneSpec, SceneState, build_scene,
                              sample_at_particles, smoke_step)
 from pdfluids.separating import solve_separating_standard
 
-from conftest import sample_velocity
+from conftest import random_velocity, sample_velocity
 
 
 def angular_momentum(state: SceneState) -> float:
@@ -464,6 +464,77 @@ class TestParticleStencil:
         pos[:5, 0] += 0.37 * state.spec.h
         assert sample_at_particles(vel, pos).tobytes() == \
             _ref_sample_at_particles(vel, pos).tobytes()
+
+
+def _ref_extrapolate_velocity(vel, flags):
+    """extrapolate_velocity as written before its masks were built once:
+    every call rebuilds the known set and each layer's counts."""
+    from pdfluids.fields import _along, face_valid_mask, fluid_adjacent_face_mask
+    from pdfluids.scenes import EXTRAPOLATION_LAYERS
+    out = vel.copy()
+    for axis, arr in out.components():
+        known = fluid_adjacent_face_mask(flags, axis)
+        frozen = ~face_valid_mask(flags, axis)
+        known = known | frozen
+        for _ in range(EXTRAPOLATION_LAYERS):
+            acc = np.zeros(arr.shape)
+            cnt = np.zeros(arr.shape)
+            for a in vel.dims.axes:
+                for dst, src in ((slice(1, None), slice(None, -1)),
+                                 (slice(None, -1), slice(1, None))):
+                    dst, src = _along(a, dst), _along(a, src)
+                    acc[dst] += np.where(known[src], arr[src], 0.0)
+                    cnt[dst] += known[src]
+            grow = (~known) & (cnt > 0) & ~frozen
+            arr[grow] = acc[grow] / cnt[grow]
+            known = known | grow
+    return out
+
+
+class TestExtrapolation:
+    @pytest.mark.parametrize("nz", [1, 7], ids=["2d", "3d"])
+    def test_matches_reference(self, nz, rng):
+        from pdfluids.scenes import extrapolate_velocity
+        state = _transfer_state(nz, rng)
+        flags = flags_from_particles(state)
+        for _ in range(2):   # the second field reuses the first one's plan
+            vel = random_velocity(flags.dims, rng)
+            for _, arr in vel.components():
+                arr[rng.random(arr.shape) < 0.3] = -0.0
+            got = extrapolate_velocity(vel, flags)
+            want = _ref_extrapolate_velocity(vel, flags)
+            assert got.as_flat().tobytes() == want.as_flat().tobytes()
+
+    def test_one_plan_per_liquid_frame(self, monkeypatch):
+        import pdfluids.scenes as scenes
+        state, _ = build_scene(SceneSpec("dam", nx=16, ny=12, seed=1))
+        built = []
+        plan = scenes._Extrapolation
+
+        def counting_plan(flags):
+            built.append(flags.values.tobytes())
+            return plan(flags)
+
+        monkeypatch.setattr(scenes, "_Extrapolation", counting_plan)
+        monkeypatch.setattr(scenes, "_extrapolation", None)
+        seen = []
+        for _ in range(6):
+            liquid_step(state)
+            seen.append(state.flags.values.tobytes())
+        # the new and the old field share one plan, and a frame whose flags
+        # match the last frame's builds none
+        changed = [f for k, f in enumerate(seen) if k == 0 or f != seen[k - 1]]
+        assert built == changed
+
+    def test_flags_changed_in_place_rebuild_the_plan(self, rng):
+        from pdfluids.scenes import extrapolate_velocity
+        state = _transfer_state(1, rng)
+        flags = flags_from_particles(state)
+        vel = random_velocity(flags.dims, rng)
+        extrapolate_velocity(vel, flags)
+        flags.values[3:6, 2:4, 0] = CellType.EMPTY
+        assert extrapolate_velocity(vel, flags).as_flat().tobytes() == \
+            _ref_extrapolate_velocity(vel, flags).as_flat().tobytes()
 
 
 # ---------------------------------------------------------------------------
