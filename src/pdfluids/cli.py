@@ -132,7 +132,8 @@ def _guided_scene(cfg: RunConfig):
 def _liquid_step(cfg: RunConfig, state):
     """The step of a liquid run: one BcState passed to every frame, so the
     accelerated wall solver starts each frame from the last frame's set
-    (the standard solver resets the state it is given)."""
+    (the standard solver reads no set; it leaves the faces its result
+    holds in the state)."""
     bc_state = BcState.initial(state.flags, eps=cfg.eps_cg_final)
     return lambda _: liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg, bc_state=bc_state)
 

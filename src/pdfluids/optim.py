@@ -3,9 +3,10 @@
 All solvers minimize f(z) + g(z) where g is the indicator of the
 divergence-free set (its proximal operator is the pressure projection) and
 f is supplied as a proximal operator.  The first-order primal-dual
-iteration is the workhorse; ADMM and iterated orthogonal projection are
-provided for comparison and share the same projection and stopping
-machinery so their convergence logs are comparable.
+iteration (Chambolle & Pock, JMIV 2011) is the workhorse of both the
+guiding objective and the separating walls; ADMM and iterated orthogonal
+projection are provided for comparison and share the same projection and
+stopping machinery so their convergence logs are comparable.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from dataclasses import dataclass, field
 
 from .fields import VelocityField
 from .pressure import DivergenceProjector
-
-# acceleration constant of the adaptive primal-dual step-size schedule
-GAMMA_ACCEL = 200.0
-
 
 class ProxOperator:
     """Callable prox contract: (sigma, v) -> argmin_x f(x) + sigma/2 ||x-v||^2."""
@@ -47,8 +44,6 @@ class PdParams:
     max_iters: int = 300
     eps_abs: float = 1e-3
     eps_rel: float = 1e-3
-    adaptive: bool = False
-    krylov: bool = False
 
     def __post_init__(self):
         if not (0 < self.tau < math.inf and 0 < self.sigma < math.inf):
@@ -121,41 +116,6 @@ def moreau_transform(prox_f: ProxOperator, sigma: float, v: VelocityField) -> Ve
     return v - sigma * prox_f(sigma, v * (1.0 / sigma))
 
 
-def adaptive_pd_update(tau: float, sigma: float,
-                       gamma_accel: float) -> tuple[float, float, float]:
-    """Accelerated step-size schedule.
-
-    theta' = 1/sqrt(1 + 2*tau*gamma), tau' = tau*theta', sigma' = sigma/theta'.
-    """
-    theta = 1.0 / math.sqrt(1.0 + 2.0 * tau * gamma_accel)
-    return tau * theta, sigma / theta, theta
-
-
-def krylov_accelerate(z_k: VelocityField, z_km1: VelocityField | None, error_fn,
-                      eps_km1: float | None) -> tuple[VelocityField, float]:
-    """One secant-style correction of an alternating-projection iterate.
-
-    eps_k = error_fn(z_k); for k > 1 the candidate
-    z_tmp = z_k - (eps_k/eps_{k-1}) (z_k - z_{k-1}) replaces z_k only when it
-    has a strictly smaller error.  Returns (iterate, eps_k); eps_{k-1} = 0
-    skips the correction.
-    """
-    eps_k = float(error_fn(z_k))
-    if z_km1 is None or eps_km1 is None or eps_km1 == 0.0 or eps_k == 0.0:
-        return z_k, eps_k
-    ratio = eps_k / eps_km1
-    z_tmp = z_k - ratio * (z_k - z_km1)
-    if float(error_fn(z_tmp)) < eps_k:
-        return z_tmp, eps_k
-    return z_k, eps_k
-
-
-def _guard_extensions(prox_f: ProxOperator, params: PdParams):
-    if (params.adaptive or params.krylov) and not prox_f.is_orthogonal_projection:
-        raise ValueError("adaptive parameters and Krylov correction are only "
-                         "supported for orthogonal-projection prox operators")
-
-
 def _loop_tail(z: VelocityField, z_old: VelocityField, eps_cg: float,
                cg_iters: int, projector: DivergenceProjector, eps_abs: float,
                eps_rel: float, log: ConvergenceLog) -> bool:
@@ -171,7 +131,7 @@ def _loop_tail(z: VelocityField, z_old: VelocityField, eps_cg: float,
 
 
 def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdParams,
-             z0: VelocityField, log: ConvergenceLog, krylov_error=None,
+             z0: VelocityField, log: ConvergenceLog,
              iterate_callback=None) -> VelocityField:
     """First-order primal-dual iteration with K = identity.
 
@@ -181,38 +141,25 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
       y <- z + theta*(z - z_old)
     and stop once ||z - z_old|| falls below the stop threshold with the CG
     tolerance already at its final accuracy.  Starts from x = 0, y = z0.
-    iterate_callback sees each projection output, before the Krylov step.
-    Returns the last projection output, so the result is divergence-free to
-    the last CG accuracy even when the Krylov correction moved the iterate;
-    non-convergence is flagged on the log.
+    iterate_callback sees each projection output.  Returns the last
+    projection output; non-convergence is flagged on the log.
     """
-    _guard_extensions(prox_f, params)
     log.method = log.method or "pd"
-    z = z_proj = z0.copy()
+    z = z0.copy()
     x = VelocityField.zeros(z.dims)
     y = z0.copy()
     tau, sigma, theta = params.tau, params.sigma, params.theta
-    if params.krylov and krylov_error is None:
-        krylov_error = lambda f: (f - prox_f(1.0, f)).norm()
-    z_km1 = None
-    eps_km1 = None
     for _ in range(params.max_iters):
         x = x + sigma * y - sigma * prox_f(sigma, x * (1.0 / sigma) + y)
         z_old = z
-        z_proj, cg_iters, eps_cg = projector.project(z_old - tau * x)
+        z, cg_iters, eps_cg = projector.project(z_old - tau * x)
         if iterate_callback is not None:
-            iterate_callback(z_proj)
-        z = z_proj
-        if params.krylov:
-            z, eps_km1 = krylov_accelerate(z_proj, z_km1, krylov_error, eps_km1)
-            z_km1 = z
-        if params.adaptive:
-            tau, sigma, theta = adaptive_pd_update(tau, sigma, GAMMA_ACCEL)
+            iterate_callback(z)
         y = z + theta * (z - z_old)
         if _loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
                       params.eps_rel, log):
             break
-    return z_proj
+    return z
 
 
 def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
@@ -240,32 +187,21 @@ def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
 
 
 def iop_solve(prox_f: ProxOperator, projector: DivergenceProjector,
-              z0: VelocityField, log: ConvergenceLog, krylov: bool = False,
-              eps_abs: float = 1e-3, eps_rel: float = 1e-3,
-              max_iters: int = 500, krylov_error=None) -> VelocityField:
+              z0: VelocityField, log: ConvergenceLog, eps_abs: float = 1e-3,
+              eps_rel: float = 1e-3, max_iters: int = 500) -> VelocityField:
     """Iterated orthogonal projection: alternate prox_f and the projection.
 
-    Valid only when prox_f is an orthogonal projection; optionally applies
-    the Krylov correction each iteration.  Returns the last projection
-    output, as pd_solve does.
+    Valid only when prox_f is an orthogonal projection.  Returns the last
+    projection output, as pd_solve does.
     """
     if not prox_f.is_orthogonal_projection:
         raise ValueError("iop_solve requires an orthogonal-projection prox operator")
     _check_stop(max_iters, eps_abs, eps_rel)
     log.method = log.method or "iop"
-    z = z_proj = z0.copy()
-    if krylov and krylov_error is None:
-        krylov_error = lambda f: (f - prox_f(1.0, f)).norm()
-    z_km1 = None
-    eps_km1 = None
+    z = z0.copy()
     for _ in range(max_iters):
-        x = prox_f(1.0, z)
         z_old = z
-        z_proj, cg_iters, eps_cg = projector.project(x)
-        z = z_proj
-        if krylov:
-            z, eps_km1 = krylov_accelerate(z_proj, z_km1, krylov_error, eps_km1)
-            z_km1 = z
+        z, cg_iters, eps_cg = projector.project(prox_f(1.0, z))
         if _loop_tail(z, z_old, eps_cg, cg_iters, projector, eps_abs, eps_rel, log):
             break
-    return z_proj
+    return z

@@ -173,8 +173,11 @@ class PoissonSystem:
             mat[i, j] -= c[m]
             mat[j, i] -= c[m]
         mat *= inv_h2
-        null = [index[c] for c in _coarse_singular(self._components, self._root,
-                                                   self._excess, self.grids)]
+        # every grid's couplings join cells of one grid-0 component, so the
+        # coarsest grid is singular only where grid 0 is
+        null = []
+        if self._components:
+            null = [index[c] for c in _singular_components(count > 0, count, stencil)[0]]
         self.dense = _dense_inverse(mat, null)
 
     def retag(self, flags: CellFlags, bc: BcTable, faces: np.ndarray,
@@ -382,40 +385,31 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
     raise PoissonConvergenceError(it, rnorm / scale, solver)
 
 
-def _hook(n, i, j):
-    """The root of each of n nodes, the smallest node of its set that the
-    edges (i, j) connect: min-label hooking with pointer jumping, which
-    settles in a few rounds on grid graphs."""
-    parent = np.arange(n)
-    while True:
-        a, b = parent[i], parent[j]
-        split = a != b
-        if not split.any():
-            return parent
-        np.minimum.at(parent, np.maximum(a, b)[split], np.minimum(a, b)[split])
-        while True:   # point every node at its root; parent[x] <= x, so no cycles
-            up = parent[parent]
-            if np.array_equal(up, parent):
-                break
-            parent = up
-
-
-def _groups(label, cells):
-    """The ascending flat indices `cells` split by label, in label order."""
-    order = np.argsort(label[cells], kind="stable")
-    bounds = np.flatnonzero(np.diff(label[cells[order]])) + 1
-    return np.split(cells[order], bounds) if cells.size else []
-
-
 def _components(active, stencil):
     """The root of every flat cell, the smallest index of its set of active
     cells that the stencil's couplings connect (an inactive cell is its own),
     and the flat indices (ascending) of each such set, which start with
-    their root."""
+    their root.  The roots come from min-label hooking with pointer
+    jumping, which settles in a few rounds on grid graphs."""
     i = [np.flatnonzero(conn > 0) for _, conn in stencil]
     j = np.concatenate([c + s for (s, _), c in zip(stencil, i)])
-    root = _hook(active.size, np.concatenate(i), j)
-    return root, _groups(root, np.flatnonzero(active))
+    i = np.concatenate(i)
+    root = np.arange(active.size)
+    while True:
+        a, b = root[i], root[j]
+        split = a != b
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while True:   # point every cell at its root; root[x] <= x, so no cycles
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    cells = np.flatnonzero(active)
+    order = np.argsort(root[cells], kind="stable")
+    bounds = np.flatnonzero(np.diff(root[cells[order]])) + 1
+    return root, np.split(cells[order], bounds) if cells.size else []
 
 
 def _singular_components(active, count, stencil):
@@ -434,39 +428,6 @@ def _singular_components(active, count, stencil):
     root, components = _components(active, stencil)
     excess = np.bincount(root, excess, root.size)
     return [cells for cells in components if not excess[cells[0]]], root, excess
-
-
-def _coarse_singular(singular, root, excess, grids):
-    """The coarsest grid's singular components (see _singular_components),
-    from grid 0's: its singular components, roots and excess.  Each active
-    grid-0 cell is carried to its coarsest cell through the `parent`
-    indices (dropped at a zero slot), and the grid-0 components that share
-    a coarsest cell merge.  Every grid's couplings join cells of one grid-0
-    component, so these are the coarsest grid's components, and a merged
-    one is singular when its excess, the sum of its members' excess, is 0.
-    So none is when no grid-0 component is, and when one singular grid-0
-    component holds every active cell, the coarsest active cells are one."""
-    if not singular:
-        return []
-    cells = np.flatnonzero(grids[0].count)
-    if len(singular) == 1 and singular[0].size == cells.size:
-        return [np.flatnonzero(grids[-1].count)]
-    agg = cells
-    for grid in grids[:-1]:
-        agg = grid.parent[agg]
-        keep = agg < grid.coarse.size - 1
-        cells, agg = cells[keep], agg[keep]
-    order = np.argsort(agg, kind="stable")
-    a, r = agg[order], root[cells[order]]
-    same = a[1:] == a[:-1]
-    merged = _hook(root.size, r[:-1][same], r[1:][same])
-    zero = np.bincount(merged, excess, root.size) == 0
-    merged = merged[root[cells]]
-    label = np.zeros(grids[-1].count.size, merged.dtype)
-    label[agg] = merged
-    keep = np.zeros(label.size, bool)
-    keep[agg[zero[merged]]] = True
-    return _groups(label, np.flatnonzero(keep))
 
 
 def _net(index, step):

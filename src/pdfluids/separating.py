@@ -1,22 +1,23 @@
 """Separating solid-wall boundary conditions.
 
 Fluid may leave a wall (positive wall-normal velocity) but never penetrate
-it: u.n >= 0 on every face between FLUID and SOLID cells.  A BcState holds
-the non-separating set of those faces, the ones the wall holds.
+it: u.n >= 0 on every face between FLUID and SOLID cells, so the exact
+pressure step projects the input onto {div u = 0, u.n >= 0}, the LCP of
+Batty, Bertails & Bridson (SIGGRAPH 2007).  A BcState holds the
+non-separating set of those faces, the ones the wall holds.
 
-Two solvers are provided.  The standard one runs the primal-dual iteration
-with the pressure solver treating every wall as a free surface and the
-faces classified after every projection by a hysteresis rule: a face only
-changes state when the evidence exceeds the solver accuracy, and a
-non-separating face additionally remembers the accumulated wall-ward motion
-so solver noise cannot flip it back.  The accelerated one returns the exact
-projection onto {div u = 0, u.n >= 0} by a primal-dual active-set sweep:
-it projects the input with Neumann tags on the set and free-surface
-Dirichlet ones on the other walls, adds the faces the result penetrates,
-releases the faces whose wall would pull (a negative multiplier), and
-repeats until no face moves, retagging one table and one pressure system in
-place.  It starts from the set that the caller's state carries over from
-the previous frame.
+Two solvers are provided.  The standard one poses the step as
+min f(z) + g(z) with f(z) = 1/2 ||z - a||^2 plus the indicator of
+{u.n >= 0} and g the indicator of the divergence-free set under
+free-surface walls, and runs the primal-dual iteration on it: the prox of
+f clamps u.n at 0 face by face, the pressure projection handles g, and no
+face is ever classified.  The accelerated one returns the same projection
+by a primal-dual active-set sweep: it projects the input with Neumann tags
+on the set and free-surface Dirichlet ones on the other walls, adds the
+faces the result penetrates, releases the faces whose wall would pull (a
+negative multiplier), and repeats until no face moves, retagging one table
+and one pressure system in place.  It starts from the set that the
+caller's state carries over from the previous frame.
 """
 
 from __future__ import annotations
@@ -71,72 +72,46 @@ class BoundaryFaces:
 
 @dataclass
 class BcState:
-    """Non-separating set, wall-ward memory and the classification threshold."""
+    """Non-separating set of the wall faces, and the |u.n| below which the
+    solve that set it counts a face as held."""
 
     faces: BoundaryFaces
     nsep: np.ndarray
-    memory: np.ndarray
     eps: float = 1e-5
 
     @classmethod
     def initial(cls, flags: CellFlags, eps: float = 1e-5) -> "BcState":
         faces = BoundaryFaces(flags)
-        return cls(faces, np.zeros(len(faces), dtype=bool),
-                   np.zeros(len(faces)), eps)
+        return cls(faces, np.zeros(len(faces), dtype=bool), eps)
 
     def reset(self, flags: CellFlags, eps: float):
-        """Empty classification of the faces of `flags` at threshold eps, in
-        place, so a caller holding this state sees the solver's final sets."""
+        """Empty set of the faces of `flags` at threshold eps, in place, so a
+        caller holding this state sees the solver's final sets."""
         fresh = BcState.initial(flags, eps)
-        self.faces, self.nsep, self.memory, self.eps = (
-            fresh.faces, fresh.nsep, fresh.memory, fresh.eps)
+        self.faces, self.nsep, self.eps = fresh.faces, fresh.nsep, fresh.eps
 
 
-def classify(u: VelocityField, state: BcState) -> int:
-    """Hysteresis classification of boundary faces; returns the number of
-    faces that entered or left the non-separating set.
+class WallProx(ProxOperator):
+    """The prox of f(z) = 1/2 ||z - a||^2 + the indicator of the wall set C:
+    u.n >= 0 on every wall face or, given `locked`, u.n = 0 on the locked
+    faces and no constraint on the others.  C constrains each face on its
+    own, so prox(sigma, v) = P_C((a + sigma v) / (1 + sigma)), the weighted
+    mean clamped face by face; every face off the walls keeps the mean."""
 
-    Faces with |u.n| below the threshold keep their previous state.  Wall-ward
-    motion (u.n <= 0) marks the face non-separating and accumulates into the
-    memory; outward motion frees the face only once it outweighs the
-    remembered wall-ward motion.
-    """
-    un = state.faces.normal_velocity(u)
-    act = np.abs(un) >= state.eps
-    into = act & (un <= 0.0)
-    flips = np.count_nonzero(into & ~state.nsep)
-    state.nsep[into] = True
-    state.memory[into] += un[into]
-    outward = act & (un > 0.0) & (np.abs(un) >= np.abs(state.memory))
-    flips += np.count_nonzero(outward & state.nsep)
-    state.nsep[outward] = False
-    state.memory[outward] = 0.0
-    return int(flips)
-
-
-class SeparatingProx(ProxOperator):
-    """Zero the wall-normal component on the non-separating faces of the
-    state.  An orthogonal projection: idempotent, touches nothing else."""
-
-    is_orthogonal_projection = True
-
-    def __init__(self, state: BcState):
-        self.state = state
+    def __init__(self, a: VelocityField, faces: BoundaryFaces,
+                 locked: np.ndarray | None = None):
+        self.a, self.faces, self.locked = a, faces, locked
 
     def __call__(self, sigma, v):
-        out = v.copy()
-        self.state.faces.zero_normal(out, self.state.nsep)
+        out = (self.a + sigma * v) * (1.0 / (1.0 + sigma))
+        faces = self.faces
+        if self.locked is not None:
+            faces.zero_normal(out, self.locked)
+        else:
+            flat = out.as_flat()
+            flat[faces.index] = faces.sign * np.maximum(
+                flat[faces.index] * faces.sign, 0.0)
         return out
-
-
-def violation_norm(state: BcState):
-    """Krylov error measure: distance to the non-separating constraint set."""
-
-    def err(v: VelocityField) -> float:
-        un = state.faces.normal_velocity(v)
-        return float(np.linalg.norm(un[state.nsep]))
-
-    return err
 
 
 def free_surface_walls_table(flags: CellFlags) -> BcTable:
@@ -157,58 +132,34 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
                               cg: CgConfig | None = None,
                               log: ConvergenceLog | None = None,
                               lock_set: bool = False) -> VelocityField:
-    """Primal-dual solve with separating walls.
+    """Primal-dual solve with separating walls: the projection of u onto
+    {div = 0 on FLUID, u.n >= 0}, to the stop tolerance.
 
-    The pressure solver sees every wall as a free surface; the prox zeroes
-    non-separating normals and the classification runs on z after each
-    projection with the threshold synced to the current CG accuracy.  The
-    caller's state is reset at the start of the solve (memory zeroed).
-    With lock_set the caller's classification is frozen (no
-    reclassification at all), the validation mode against plain
+    The pressure solver sees every wall as a free surface and the prox of
+    f(z) = 1/2 ||z - u||^2 + the wall constraint (WallProx) clamps u.n at 0;
+    one pd_solve from z = u, at tau 0.5, sigma 2, theta 1 and a tolerance
+    of 1e-5 by default.  The caller's state ends holding the faces whose
+    |u.n| in the result lies within the last stop threshold, which it
+    keeps as eps.  With lock_set the caller's set is the constraint instead:
+    its normals are held at 0, every other wall face is left free and the
+    state is not touched, the validation mode against plain
     no-penetration projections.  A non-finite u raises
-    PoissonConvergenceError before the classification or the prox runs.
+    PoissonConvergenceError before the prox runs.
     """
     _require_finite(u)
     log = log if log is not None else ConvergenceLog()
     log.method = log.method or "pd-separating"
-    cg = cg if cg is not None else CgConfig()
     if lock_set and state is None:
-        raise ValueError("lock_set requires a pre-classified state")
-    if state is None:
-        state = BcState.initial(flags, eps=cg.eps_final)
-    elif not lock_set:
-        state.reset(flags, cg.eps_final)
+        raise ValueError("lock_set requires a state holding the set to lock")
+    faces = state.faces if lock_set else BoundaryFaces(flags)
     params = params if params is not None else PdParams(
-        tau=150.0, sigma=1.0 / 150.0, theta=1.0, adaptive=True,
-        krylov=True, max_iters=200, eps_abs=1e-3, eps_rel=1e-3)
+        tau=0.5, sigma=2.0, theta=1.0, max_iters=800, eps_abs=1e-5, eps_rel=1e-5)
     projector = DivergenceProjector(flags, free_surface_walls_table(flags), cg)
-    state.eps = projector.eps
-    if not lock_set:
-        classify(u, state)
-    prox = SeparatingProx(state)
-
-    def reclassify(z):
-        """Classification of each projection output, the threshold synced to
-        the current CG accuracy; notes whether the set moved."""
-        nonlocal changed
-        state.eps = projector.eps
-        changed = classify(z, state) > 0 or changed
-
-    # While the classification is still moving, the accumulated duals steer
-    # the iteration to a feasible point that can sit far from the
-    # minimal-change solution (rest states would keep O(1e-2) spurious
-    # velocity, feasible but wrong).  Rerun the pass from the original input
-    # with the stabilized set and memory carried over; a pass without any
-    # set change is a clean fixed-set solve whose limit is the projection of
-    # the input.  The hysteresis guarantees the set stabilizes, normally by
-    # the second pass.  The log runs on across passes.
-    for _ in range(4):
-        changed = False
-        z = pd_solve(prox, projector, params, u, log,
-                     krylov_error=violation_norm(state),
-                     iterate_callback=None if lock_set else reclassify)
-        if not changed:
-            break
+    prox = WallProx(u, faces, state.nsep if lock_set else None)
+    z = pd_solve(prox, projector, params, u, log)
+    if state is not None and not lock_set:
+        state.faces, state.eps = faces, log.epsilons[-1]
+        state.nsep = np.abs(faces.normal_velocity(z)) <= state.eps
     return z
 
 

@@ -7,31 +7,12 @@ from pdfluids.fields import CellFlags, CellType, GridDims, ScalarField, Velocity
 from pdfluids.guiding import (GuidingConfig, GuidingProxExact, GuidingQuadratic,
                               direct_least_squares, guide_step,
                               split_scalar_field)
-from pdfluids.optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
-                            admm_solve, iop_solve, pd_solve)
-from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector, project
-from pdfluids.scenes import (SceneSpec, build_scene, liquid_step, smoke_step)
-from pdfluids.separating import (BcState, SeparatingProx, classify,
-                                 free_surface_walls_table,
-                                 solve_separating_standard, violation_norm)
+from pdfluids.optim import AdmmParams, ConvergenceLog, PdParams, admm_solve, pd_solve
+from pdfluids.pressure import BcTable, project
+from pdfluids.scenes import SceneSpec, build_scene, smoke_step
 
 from conftest import random_velocity, zero_solid_adjacent
 from test_optim import IdentityProx, guiding_instance, make_projector
-
-
-class ClassifyingProx(ProxOperator):
-    """Classify the argument, then zero the non-separating normals: the
-    separating projection for IOP, which has no z-update hook."""
-
-    is_orthogonal_projection = True
-
-    def __init__(self, state):
-        self.state = state
-        self.project = SeparatingProx(state)
-
-    def __call__(self, sigma, v):
-        classify(v, self.state)
-        return self.project(sigma, v)
 
 
 class TestAdmmBasics:
@@ -69,38 +50,6 @@ class TestThreeMethodAgreement:
         assert (z_pd - z_admm).norm() <= tol
         assert (z_pd - z_iop).norm() <= tol
         assert (z_admm - z_iop).norm() <= tol
-
-
-class TestIopOnBoundaryProblem:
-    def test_iop_matches_standard_pd_on_small_dam_step(self):
-        # one intermediate state of a small dam; both solvers run the
-        # separating projection pair and should land on the same fixed point
-        spec = SceneSpec("dam", nx=16, ny=16, fill_fraction=0.4,
-                         fill_height=0.6, seed=4)
-        state, _ = build_scene(spec)
-        for _ in range(3):
-            liquid_step(state, mode="separating-accelerated")
-        from pdfluids.scenes import liquid_begin_step
-        vel, _ = liquid_begin_step(state)
-        flags = state.flags
-
-        params = PdParams(tau=1.0, sigma=1.0, theta=1.0, max_iters=3000,
-                          eps_abs=1e-6, eps_rel=1e-6)
-        log_pd = ConvergenceLog()
-        out_pd = solve_separating_standard(vel, flags, params=params,
-                                           log=log_pd)
-        st = BcState.initial(flags, eps=1e-5)
-        classify(vel, st)
-        prox = ClassifyingProx(st)
-        projector = DivergenceProjector(flags, free_surface_walls_table(flags),
-                                        CgConfig(1e-8, 1e-8))
-        log_iop = ConvergenceLog()
-        out_iop = iop_solve(prox, projector, vel, log_iop, krylov=True,
-                            eps_abs=1e-6, eps_rel=1e-6, max_iters=3000,
-                            krylov_error=violation_norm(st))
-        assert log_pd.converged and log_iop.converged
-        scale = max(vel.norm(), 1.0)
-        assert (out_pd - out_iop).norm() / scale < 1e-3
 
 
 class TestDirectSolverCost:
@@ -141,19 +90,3 @@ class TestTornado3d:
         rz = Z - 0.5 * d.nz * d.h
         swirl = float((rx * wc - rz * uc)[state.flags.fluid].sum())
         assert swirl > 0.0
-
-
-class TestMemoryPersistence:
-    def test_memory_zeroed_at_the_start_of_each_solve(self):
-        from test_separating import hydrostatic_intermediate
-        d, flags, vel = hydrostatic_intermediate(12)
-        state = BcState.initial(flags)
-        solve_separating_standard(vel, flags, state=state)
-        carried = state.memory.copy()
-        assert np.abs(carried).max() > 0
-        # memory zeroed at the start of each solve; with a zero input
-        # nothing accumulates
-        state3 = BcState.initial(flags)
-        state3.memory[:] = carried
-        solve_separating_standard(0.0 * vel, flags, state=state3)
-        assert np.abs(state3.memory).max() == 0.0

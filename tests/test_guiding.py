@@ -286,7 +286,6 @@ class TestDefaults:
         assert pd.tau == pytest.approx(tau, rel=1e-9)
         assert pd.sigma == pytest.approx(sigma, rel=1e-4)
         assert pd.theta == 0.3
-        assert not pd.adaptive
         assert admm.rho == pytest.approx(rho, rel=1e-9)
 
     def test_invalid_w_bar(self):

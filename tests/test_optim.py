@@ -6,8 +6,7 @@ import pytest
 from pdfluids.fields import CellFlags, GridDims, ScalarField, VelocityField
 from pdfluids.guiding import GuidingConfig, GuidingProxExact
 from pdfluids.optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
-                            adaptive_pd_update, admm_solve, iop_solve,
-                            krylov_accelerate, moreau_transform, pd_solve,
+                            admm_solve, iop_solve, moreau_transform, pd_solve,
                             stop_check)
 from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector
 
@@ -21,20 +20,6 @@ class IdentityProx(ProxOperator):
 
     def __call__(self, sigma: float, v: VelocityField) -> VelocityField:
         return v.copy()
-
-
-class MaskProx(ProxOperator):
-    """Orthogonal projection that zeroes the faces of a flat mask."""
-
-    is_orthogonal_projection = True
-
-    def __init__(self, mask):
-        self.mask = mask
-
-    def __call__(self, sigma: float, v: VelocityField) -> VelocityField:
-        out = v.copy()
-        out.as_flat()[self.mask] = 0.0
-        return out
 
 
 def guiding_instance(n=8, rng=None, w=1.0, r=1.0):
@@ -95,26 +80,6 @@ class TestStopCheck:
         assert res == pytest.approx((z_new - z_old).norm())
 
 
-class TestAdaptiveUpdate:
-    def test_reference_values(self):
-        tau, sigma, theta = adaptive_pd_update(150.0, 1.0 / 150.0, 200.0)
-        assert theta == pytest.approx(1.0 / math.sqrt(60001.0), rel=1e-12)
-        assert theta == pytest.approx(0.0040824, rel=1e-4)
-        assert tau == pytest.approx(0.61236, rel=1e-4)
-        assert sigma == pytest.approx((1.0 / 150.0) / theta, rel=1e-12)
-
-    def test_gamma_zero_no_adaptation(self):
-        tau, sigma, theta = adaptive_pd_update(0.7, 2.0, 0.0)
-        assert (tau, sigma, theta) == (0.7, 2.0, 1.0)
-
-    def test_tau_sigma_product_invariant(self):
-        tau, sigma = 150.0, 1.0 / 150.0
-        prod = tau * sigma
-        for _ in range(2):
-            tau, sigma, theta = adaptive_pd_update(tau, sigma, 200.0)
-        assert tau * sigma == pytest.approx(prod, rel=1e-12)
-
-
 class TestMoreau:
     def test_prox_of_zero_function(self, rng):
         d = GridDims(6, 6)
@@ -164,56 +129,6 @@ class TestMoreau:
         out = moreau_transform(ZeroVComponent(), 1.0, v)
         assert np.allclose(out.u, 0.0)
         assert np.allclose(out.v, v.v)
-
-
-class TestKrylov:
-    def test_zero_error_returns_unchanged(self, rng):
-        d = GridDims(4, 4)
-        z = random_velocity(d, rng)
-        out, eps = krylov_accelerate(z, z.copy(), lambda f: 0.0, 1.0)
-        assert out is z and eps == 0.0
-
-    def test_equal_iterates_no_correction(self, rng):
-        d = GridDims(4, 4)
-        z = random_velocity(d, rng)
-        err = lambda f: f.norm()
-        out, eps = krylov_accelerate(z, z.copy(), err, err(z))
-        # correction vector is zero so the candidate equals z; not accepted
-        assert (out - z).norm() == 0.0
-
-    def test_zero_previous_error_skips(self, rng):
-        d = GridDims(4, 4)
-        z = random_velocity(d, rng)
-        out, eps = krylov_accelerate(z, 0.5 * z, lambda f: f.norm(), 0.0)
-        assert (out - z).norm() == 0.0
-
-    def test_oscillating_sequence_accepted_and_reduces_error(self, rng):
-        # iterates alternating around a fixed point: z_k = z* + (-rho)^k e.
-        # the secant correction overshoots monotone sequences (and is then
-        # rejected) but cancels the oscillation here, cutting the error by rho
-        d = GridDims(4, 4)
-        z_star = random_velocity(d, rng)
-        e = random_velocity(d, rng)
-        rho = 0.5
-        k = 4
-        z_km1 = z_star + ((-rho) ** (k - 1)) * e
-        z_k = z_star + ((-rho) ** k) * e
-        err = lambda f: (f - z_star).norm()
-        out, eps = krylov_accelerate(z_k, z_km1, err, err(z_km1))
-        assert eps == pytest.approx(err(z_k))
-        assert err(out) < err(z_k)
-        assert err(out) == pytest.approx(rho ** (k + 1) * e.norm(), rel=1e-9)
-
-    def test_monotone_sequence_rejected(self, rng):
-        d = GridDims(4, 4)
-        z0 = VelocityField.zeros(d)
-        z0.u[...] = 1.0
-        rho = 0.5
-        z_km1 = rho * z0
-        z_k = rho * z_km1
-        err = lambda f: f.norm()
-        out, eps = krylov_accelerate(z_k, z_km1, err, err(z_km1))
-        assert (out - z_k).norm() == 0.0  # candidate is worse, keep z_k
 
 
 class SmallGuidingOracle:
@@ -361,23 +276,6 @@ class TestSolvers:
             scale = max(za.norm(), 1.0)
             assert (zp - za).norm() <= 1e-10 * scale
 
-    def test_pd_callback_sees_the_returned_field_with_krylov(self, rng):
-        # the hook fires on each projection output, before the Krylov
-        # correction, so its last field is the one pd_solve returns
-        d = GridDims(8, 8)
-        flags = CellFlags.closed_box(d)
-        z0 = zero_solid_adjacent(random_velocity(d, rng), flags)
-        column = VelocityField.zeros(d)
-        column.u[3] = 1.0                  # f: u = 0 on the x-faces at i = 3
-        seen = []
-        log = ConvergenceLog()
-        z = pd_solve(MaskProx(column.as_flat() != 0.0), make_projector(flags),
-                     PdParams(tau=1.0, sigma=1.0, theta=1.0, krylov=True,
-                              eps_abs=1e-9, eps_rel=1e-9),
-                     z0, log, iterate_callback=lambda f: seen.append(f.copy()))
-        assert log.converged and len(seen) == len(log) > 2
-        assert seen[-1].as_flat().tobytes() == z.as_flat().tobytes()
-
     def test_iop_requires_orthogonal_projection(self, rng):
         d, flags, cfg = guiding_instance(4, rng)
         with pytest.raises(ValueError):
@@ -395,13 +293,6 @@ class TestSolvers:
         assert log.converged
         assert len(log) <= 2
         assert (z - z0).norm() <= 1e-5 * max(z0.norm(), 1.0)
-
-    def test_guard_extensions_for_non_projection_prox(self, rng):
-        d, flags, cfg = guiding_instance(4, rng)
-        params = PdParams(tau=1.0, sigma=1.0, adaptive=True)
-        with pytest.raises(ValueError):
-            pd_solve(GuidingProxExact(cfg), make_projector(flags), params,
-                     cfg.u_current, ConvergenceLog())
 
     def test_nonconvergence_flagged(self, rng):
         d, flags, cfg = guiding_instance(8, rng)

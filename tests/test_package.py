@@ -73,3 +73,19 @@ def test_every_private_name_has_a_caller_in_src():
     # a private top-level function or class of src/ is used by another
     # top-level statement of src/, so a helper left behind by a refactor fails
     assert not _uncalled(private=True)
+
+
+def test_readme_library_table_names_live_code():
+    # every backticked identifier in the README's row for `pdfluids.X`
+    # occurs in src/pdfluids/X.py, so a name deleted from a module cannot
+    # stay documented as part of it
+    src = Path(pdfluids.__file__).parent
+    readme = (src.parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `pdfluids\.(\w+)` \|(.*)\|$", readme, re.MULTILINE)
+    assert len(rows) == len(list(src.glob("*.py"))) - 2   # not __init__, __main__
+    stale = []
+    for module, text in rows:
+        code = (src / f"{module}.py").read_text()
+        stale += [f"{module}: {name}" for name in re.findall(r"`([A-Za-z_]\w*)`", text)
+                  if not re.search(rf"\b{name}\b", code)]
+    assert not stale

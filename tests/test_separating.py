@@ -11,8 +11,8 @@ from pdfluids.optim import ConvergenceLog
 from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                                PoissonSystem, project)
 from pdfluids.scenes import SceneSpec, build_scene, liquid_pressure_solve, liquid_step
-from pdfluids.separating import (BcState, BoundaryFaces, SeparatingProx,
-                                 classified_walls_table, classify,
+from pdfluids.separating import (BcState, BoundaryFaces, WallProx,
+                                 classified_walls_table,
                                  solve_separating_accelerated,
                                  solve_separating_standard)
 
@@ -83,126 +83,56 @@ class TestBoundaryFaces:
         assert len(BoundaryFaces(flags)) == 0
 
 
-class TestClassify:
-    def setup_state(self, n=8):
-        d, flags = tank(n)
-        return d, flags, BcState.initial(flags, eps=1e-5)
+class TestWallProx:
+    """prox(sigma, v) = argmin 1/2 ||z - a||^2 + sigma/2 ||z - v||^2 over the
+    wall set: u.n >= 0 on every wall face, or u.n = 0 on a locked set."""
 
-    def face_where(self, d, state, axis, pred):
-        c = face_coords(state.faces, d)
-        idx = np.flatnonzero((c.axis == axis) & pred(c))
-        assert idx.size
-        return idx[0]
+    def instance(self, rng, shape=(10, 9, 1)):
+        flags = random_flags(shape, int(rng.integers(1000)))
+        faces = BoundaryFaces(flags)
+        a = random_velocity(flags.dims, rng)
+        v = random_velocity(flags.dims, rng)
+        sigma = float(rng.uniform(0.1, 5.0))
+        mean = (a.as_flat() + sigma * v.as_flat()) * (1.0 / (1.0 + sigma))
+        return flags, faces, a, v, sigma, mean
 
-    def test_wallward_motion_marks_nonseparating(self):
-        d, flags, state = self.setup_state()
-        vel = VelocityField.zeros(d)
-        vel.v[...] = -0.5
-        flips = classify(vel, state)
-        c = face_coords(state.faces, d)
-        bottom = (c.axis == 1) & (c.j == 1)
-        assert state.nsep[bottom].all()
-        assert flips == np.count_nonzero(bottom) == np.count_nonzero(state.nsep)
-        assert np.allclose(state.memory[bottom], -0.5)
-        assert classify(vel, state) == 0   # already non-separating
-        assert np.allclose(state.memory[bottom], -1.0)  # accumulates
+    @pytest.mark.parametrize("shape", [(10, 9, 1), (7, 6, 5)], ids=["2d", "3d"])
+    def test_optimality_conditions(self, rng, shape):
+        # KKT: the gradient (1 + sigma) z - (a + sigma v) is lam * n on the
+        # wall faces with lam >= 0, u.n >= 0 and lam * u.n = 0, and 0 elsewhere
+        for _ in range(5):
+            flags, faces, a, v, sigma, mean = self.instance(rng, shape)
+            assert len(faces) > 0
+            z = WallProx(a, faces)(sigma, v)
+            grad = (1.0 + sigma) * (z.as_flat() - mean)
+            off = np.ones(grad.size, bool)
+            off[faces.index] = False
+            assert np.abs(grad[off]).max() <= 1e-12
+            lam = grad[faces.index] * faces.sign
+            un = faces.normal_velocity(z)
+            assert un.min() >= 0.0 and lam.min() >= -1e-12
+            assert np.abs(lam * un).max() <= 1e-12
+            assert np.count_nonzero(un == 0.0) > 0 and np.count_nonzero(un > 0.0) > 0
 
-    def test_outward_motion_frees_face_when_beating_memory(self):
-        d, flags, state = self.setup_state()
-        n = self.face_where(d, state, 1, lambda f: f.j == 1)
-        state.nsep[n] = True
-        state.memory[n] = -0.1
-        vel = VelocityField.zeros(d)
-        vel.as_flat()[state.faces.index[n]] = 0.3 * state.faces.sign[n]
-        assert classify(vel, state) == 1
-        assert not state.nsep[n]
-        assert state.memory[n] == 0.0
+    def test_touches_wall_faces_only(self, rng):
+        flags, faces, a, v, sigma, mean = self.instance(rng)
+        z = WallProx(a, faces)(sigma, v).as_flat()
+        moved = np.flatnonzero(z != mean)
+        assert moved.size > 0 and np.isin(moved, faces.index).all()
+        # a wall face moves exactly when its mean points into the wall
+        into = faces.index[mean[faces.index] * faces.sign < 0.0]
+        assert np.array_equal(moved, into)
 
-    def test_outward_motion_below_memory_stays(self):
-        d, flags, state = self.setup_state()
-        n = self.face_where(d, state, 1, lambda f: f.j == 1)
-        state.nsep[n] = True
-        state.memory[n] = -0.5
-        vel = VelocityField.zeros(d)
-        vel.as_flat()[state.faces.index[n]] = 0.3 * state.faces.sign[n]
-        assert classify(vel, state) == 0
-        assert state.nsep[n]
-
-    def test_hysteresis_below_threshold(self, rng):
-        d, flags, state = self.setup_state()
-        state.nsep[:] = rng.random(len(state.faces)) > 0.5
-        before = state.nsep.copy()
-        mem_before = state.memory.copy()
-        vel = VelocityField.zeros(d)
-        for _, arr in vel.components():
-            arr[...] = rng.uniform(-1e-6, 1e-6, arr.shape)
-        assert classify(vel, state) == 0
-        assert np.array_equal(state.nsep, before)
-        assert np.array_equal(state.memory, mem_before)
-
-    def test_memory_running_sum_property(self, rng):
-        d, flags, state = self.setup_state()
-        n = self.face_where(d, state, 1, lambda f: f.j == 1)
-        values = -rng.random(6)  # wall-ward sequence
-        vel = VelocityField.zeros(d)
-        total = 0.0
-        for val in values:
-            vel.as_flat()[state.faces.index[n]] = val * state.faces.sign[n]
-            classify(vel, state)
-            total += val
-        assert state.memory[n] == pytest.approx(total)
-
-    def test_flips_count_the_faces_that_changed_set(self, rng):
-        d, flags, state = self.setup_state()
-        state.nsep[:] = rng.random(len(state.faces)) > 0.5
-        state.memory[:] = np.where(state.nsep, -rng.random(len(state.faces)), 0.0)
-        for _ in range(4):
-            vel = random_velocity(d, rng)
-            before = state.nsep.copy()
-            flips = classify(vel, state)
-            assert flips == np.count_nonzero(before != state.nsep)
-
-
-class TestProxBc:
-    def test_zeroes_marked_normals_only(self, rng):
-        d, flags = tank(8)
-        state = BcState.initial(flags)
-        state.nsep[0] = True
-        c = face_coords(state.faces, d)
-        axis, index = c.axis[0], (c.i[0], c.j[0], c.k[0])
-        vel = random_velocity(d, rng)
-        out = SeparatingProx(state)(0.0, vel)
-        assert out.component(axis)[index] == 0.0
-        # everything else bit-identical
-        changed = 0
-        for a, arr in out.components():
-            changed += int(np.sum(arr != vel.component(a)))
-        assert changed == (1 if vel.component(axis)[index] != 0 else 0)
-
-    def test_empty_set_is_identity(self, rng):
-        d, flags = tank(8)
-        state = BcState.initial(flags)
-        vel = random_velocity(d, rng)
-        assert (SeparatingProx(state)(0.0, vel) - vel).norm() == 0.0
-
-    def test_idempotent_bitwise(self, rng):
-        d, flags = tank(8)
-        state = BcState.initial(flags)
-        state.nsep[:] = True
-        vel = random_velocity(d, rng)
-        once = SeparatingProx(state)(0.0, vel)
-        twice = SeparatingProx(state)(0.0, once)
-        for a, arr in twice.components():
-            assert np.array_equal(arr, once.component(a))
-
-    def test_orthogonal_projection_property(self, rng):
-        d, flags = tank(8)
-        state = BcState.initial(flags)
-        state.nsep[:] = rng.random(len(state.faces)) > 0.4
-        vel = random_velocity(d, rng)
-        out = SeparatingProx(state)(0.0, vel)
-        assert out.dot(vel - out) == 0.0
-        assert SeparatingProx(state).is_orthogonal_projection
+    def test_locked_set_holds_its_normals_and_frees_the_rest(self, rng):
+        flags, faces, a, v, sigma, mean = self.instance(rng)
+        locked = rng.random(len(faces)) < 0.5
+        z = WallProx(a, faces, locked)(sigma, v)
+        flat = z.as_flat()
+        assert (flat[faces.index[locked]] == 0.0).all()
+        keep = np.ones(flat.size, bool)
+        keep[faces.index[locked]] = False
+        assert flat[keep].tobytes() == mean[keep].tobytes()
+        assert faces.normal_velocity(z)[~locked].min() < 0.0   # left unclamped
 
 
 def hydrostatic_intermediate(n=12, g=9.81, dt=0.01, fill=0.75):
@@ -215,12 +145,10 @@ def hydrostatic_intermediate(n=12, g=9.81, dt=0.01, fill=0.75):
 
 
 def rest_params(eps=1e-5, max_iters=2000):
-    """Unit step sizes and tight stopping: the configuration that drives the
-    solve to the minimal-change solution (the adaptive schedule is the fast
-    flavor for dynamic scenes and stalls at ~3e-3 on rest states)."""
+    """Unit step sizes and tight stopping."""
     from pdfluids.optim import PdParams
     return PdParams(tau=1.0, sigma=1.0, theta=1.0, max_iters=max_iters,
-                    eps_abs=eps, eps_rel=eps, krylov=False)
+                    eps_abs=eps, eps_rel=eps)
 
 
 class TestStandardSolver:
@@ -236,8 +164,8 @@ class TestStandardSolver:
         assert state.nsep.all()
 
     def test_hydrostatic_default_params_classify_and_no_jets(self):
-        # the paper-flavored fast defaults: same classification outcome and
-        # velocities at the visual-noise level, if not rest-state tight
+        # the defaults: every wetted wall face held and velocities at the
+        # visual-noise level, if not rest-state tight
         d, flags, vel = hydrostatic_intermediate()
         state = BcState.initial(flags)
         log = ConvergenceLog()
@@ -280,24 +208,6 @@ class TestStandardSolver:
         ref = project(vel, flags, bc, 1e-10)
         rel = (out - ref).norm() / max(ref.norm(), 1.0)
         assert rel < 1e-3
-
-    def test_every_projection_output_is_classified(self, monkeypatch):
-        # the set moves in the first pass; each later projection output is
-        # classified all the same, one call per logged iteration after the
-        # classification of the input
-        import pdfluids.separating as separating
-        calls = []
-
-        def counting(u, state):
-            calls.append(u)
-            return classify(u, state)
-
-        monkeypatch.setattr(separating, "classify", counting)
-        d, flags, vel = hydrostatic_intermediate(10)
-        log = ConvergenceLog()
-        solve_separating_standard(vel, flags, state=BcState.initial(flags), log=log)
-        assert len(log) > 1
-        assert len(calls) == 1 + len(log)
 
     def test_complementarity_at_convergence(self):
         d, flags, vel = hydrostatic_intermediate(10)
@@ -623,7 +533,7 @@ class TestBlockIndexMatchesReference:
             reference_zero_normal(ref, b, nsep)
             for axis in range(3):
                 assert a.component(axis).tobytes() == b.component(axis).tobytes()
-            state = BcState(faces, nsep, np.zeros(len(faces)))
+            state = BcState(faces, nsep)
             tags = classified_walls_table(flags, state).tags
             expect = reference_walls_table(flags, ref, nsep).tags
             assert tags.tobytes() == expect.tobytes()

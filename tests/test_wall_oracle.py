@@ -1,5 +1,4 @@
-"""The accelerated separating-wall solver against the exact inequality
-projection.  Separating walls constrain u.n >= 0 on every fluid-solid face;
+"""Both separating-wall solvers against the exact inequality projection.  Separating walls constrain u.n >= 0 on every fluid-solid face;
 the exact pressure step projects the input a onto {D u = 0 on FLUID cells,
 S u >= 0}, the LCP of Batty, Bertails & Bridson (SIGGRAPH 2007).  By Moreau's
 decomposition that projection is u* = a + D^T p + S^T mu for the free p and
@@ -15,7 +14,8 @@ import pytest
 from pdfluids.fields import _along, _face_views
 from pdfluids.pressure import CgConfig
 from pdfluids.scenes import SceneSpec, build_scene, liquid_begin_step, liquid_step
-from pdfluids.separating import BcState, BoundaryFaces, solve_separating_accelerated
+from pdfluids.separating import (BcState, BoundaryFaces, solve_separating_accelerated,
+                                 solve_separating_standard)
 
 lsq_linear = pytest.importorskip("scipy.optimize").lsq_linear
 
@@ -97,3 +97,6 @@ def test_accelerated_matches_exact_projection(scene, frame, carry):
         assert state.nsep.any()
     z = solve_separating_accelerated(a, flags, cg=CgConfig(eps_final=1e-8), state=state)
     assert np.linalg.norm(z.as_flat() - exact) <= 1e-8 * step
+    # the standard solver at its defaults stops at its PD tolerance
+    z = solve_separating_standard(a, flags, cg=CgConfig())
+    assert np.linalg.norm(z.as_flat() - exact) <= 5e-3 * step
