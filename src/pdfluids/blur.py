@@ -13,16 +13,19 @@ for the guiding operators.
 
 The taps, masks and normalizers depend only on (radius, flags); they are
 built once and reused for as long as calls pass the same radius and flag
-values.  Each component is kept flat with a gap of T entries after every
-row along each active axis but the first, T being its tap count.  A shift
-by t <= T along any axis then reads its own row or the gap, never the next
-row, so every tap of every sweep is one contiguous multiply into scratch
-plus one add over a flat range.  A field's gap holds +0.0 and the valid
-mask's -0.0, so every product that reads the gap is -0.0, which leaves a
-sum it joins unchanged: the result is bit for bit that of dropping the
-taps that leave the row.  The adjoint is a gather as well: a valid face
-sums its own coefficient and w_t * coefficient of the faces t away, and
-faces next to SOLID keep their input.
+values.  Each component is kept flat with a gap of min(T, n - 1) entries
+after every row along each active axis but the first, T being its tap
+count and n the row's length.  A shift by t <= min(T, n - 1) along any
+axis then reads its own row or the gap, never the next row, and a longer
+one would leave the row from every face, so it is skipped: every tap of
+every sweep is one contiguous multiply into scratch plus one add over a
+flat range.  A field's gap holds +0.0 and the valid mask's -0.0, so every
+product that reads the gap is -0.0, which leaves a sum it joins
+unchanged: the result is bit for bit that of dropping the taps that leave
+the row.  The adjoint is a gather as well: a valid face sums its own
+coefficient and w_t * coefficient of the faces t away, and faces next to
+SOLID keep their input.  The kernel owns its padded work arrays, built by
+its first call, so a call given an `out` field allocates no array.
 """
 
 from __future__ import annotations
@@ -81,25 +84,44 @@ def _gather_transposed(out: np.ndarray, coef: np.ndarray, taps: list[np.ndarray]
 
 class _Component:
     """One component's share of the kernel in the gap layout: flat arrays
-    of the padded `shape`, whose leading `core` block holds the faces."""
+    of the padded `shape`, whose leading `core` block holds the faces.
+    `reach[axis]` is the number of taps a sweep along the axis runs,
+    min(T, n - 1) on an axis of n faces; the padded axes' gaps are that
+    wide."""
 
     def __init__(self, valid: np.ndarray, rad: np.ndarray, axes: tuple[int, ...]):
-        gap = int(math.ceil(3.0 * rad.max())) if rad.size else 0  # the tap count
+        ntaps = int(math.ceil(3.0 * rad.max())) if rad.size else 0
+        self.reach = {a: min(ntaps, valid.shape[a] - 1) for a in axes}
         self.core = tuple(slice(0, n) for n in valid.shape)
-        self.shape = tuple(n + gap if a in axes[1:] else n
+        self.shape = tuple(n + self.reach[a] if a in axes[1:] else n
                            for a, n in enumerate(valid.shape))
         self.steps = {a: math.prod(self.shape[a + 1:]) for a in axes}
         # every array is built in the gap layout, so no face-shaped
         # temporary outlives the build as a hole the padded ones cannot reuse
         self.valid = self.pad(valid, False)
         self.vf = self.pad(valid, -0.0, np.float64)
-        self.taps = _taps(self.pad(rad), gap)  # r = 0 in the gap: no taps there
+        # r = 0 in the gap: no taps there
+        self.taps = _taps(self.pad(rad), max(self.reach.values()))
         scratch = np.empty(self.vf.size)
         self.norms = {}
         for axis in axes:
             den = self.vf.copy()  # valid-tap weight sums
-            _gather(den, self.vf, self.taps, self.steps[axis], scratch)
+            _gather(den, self.vf, self.along(axis), self.steps[axis], scratch)
             self.norms[axis] = np.where(den > 0, den, 1.0)
+        self.cur = None   # the padded field, built by the first `load`
+
+    def along(self, axis: int) -> list[np.ndarray]:
+        """The taps a sweep along `axis` runs."""
+        return self.taps[:self.reach[axis]]
+
+    def load(self, arr: np.ndarray) -> np.ndarray:
+        """`arr` copied into the component's own padded array, whose gap
+        holds +0.0 (no sweep writes the gap)."""
+        if self.cur is None:
+            self.cur = self.pad(arr)
+        else:
+            self.cur.reshape(self.shape)[self.core] = arr
+        return self.cur
 
     def pad(self, arr: np.ndarray, fill=0.0, dtype=None) -> np.ndarray:
         """`arr` in the flat gap layout, the gap filled with `fill`."""
@@ -113,21 +135,23 @@ class _Component:
 
 
 def _sweep(cur: np.ndarray, part: _Component, axis: int, transpose: bool,
-           scratch: np.ndarray):
+           work: np.ndarray):
     """One 1D blur pass along `axis` (or its exact transpose), in place on
     the flat gap-layout array `cur`; faces next to SOLID and the gap keep
-    their values, and only valid faces are divided by their normalizer."""
-    step, norm, valid = part.steps[axis], part.norms[axis], part.valid
+    their values, and only valid faces are divided by their normalizer.
+    `work` holds three rows of at least cur.size entries of scratch."""
+    step, norm, valid, taps = part.steps[axis], part.norms[axis], part.valid, part.along(axis)
+    src, acc, scratch = (row[:cur.size] for row in work)
     if not transpose:
-        vv = cur * part.vf
-        num = vv.copy()  # t = 0 tap
-        _gather(num, vv, part.taps, step, scratch)
-        np.divide(num, norm, out=cur, where=valid)
+        np.multiply(cur, part.vf, out=src)
+        np.copyto(acc, src)  # t = 0 tap
+        _gather(acc, src, taps, step, scratch)
+        np.divide(acc, norm, out=cur, where=valid)
         return
-    coef = part.vf * 0.0  # +0 on the faces, -0 in the gap
-    np.divide(cur, norm, out=coef, where=valid)
-    acc = coef.copy()  # t = 0 tap
-    _gather_transposed(acc, coef, part.taps, step, scratch)
+    np.multiply(part.vf, 0.0, out=src)  # +0 on the faces, -0 in the gap
+    np.divide(cur, norm, out=src, where=valid)
+    np.copyto(acc, src)  # t = 0 tap
+    _gather_transposed(acc, src, taps, step, scratch)
     np.copyto(cur, acc, where=valid)
 
 
@@ -149,18 +173,26 @@ class _BlurKernel:
         self.parts = {comp: _Component(face_valid_mask(flags, comp),
                                        cell_to_face_average(radius, comp), axes)
                       for comp in axes}
+        self._work = None   # the sweeps' scratch rows, built by the first apply
 
-    def apply(self, field: VelocityField, transpose: bool) -> VelocityField:
-        out = field.copy()
+    def apply(self, field: VelocityField, transpose: bool,
+              out: VelocityField | None = None) -> VelocityField:
+        """The blur of `field` (or its adjoint), written into `out` (a copy
+        of field when None; out may be field itself)."""
+        if out is None:
+            out = field.copy()
+        elif out is not field:
+            np.copyto(out._buf, field._buf)
+        if self._work is None:
+            self._work = np.empty((3, max(p.vf.size for p in self.parts.values())))
         axes = field.dims.axes
         sweep_axes = axes if not transpose else tuple(reversed(axes))
-        for comp, arr in out.components():
+        for comp, arr in field.components():
             part = self.parts[comp]
-            cur = part.pad(arr)
-            scratch = np.empty(cur.size)
+            cur = part.load(arr)
             for axis in sweep_axes:
-                _sweep(cur, part, axis, transpose, scratch)
-            arr[...] = part.unpad(cur)
+                _sweep(cur, part, axis, transpose, self._work)
+            out.component(comp)[...] = part.unpad(cur)
         return out
 
 
@@ -178,8 +210,12 @@ def _kernel_for(radius: ScalarField, flags: CellFlags) -> _BlurKernel:
 
 
 def blur_obstacle_aware(field: VelocityField, radius: ScalarField,
-                        flags: CellFlags, transpose: bool = False) -> VelocityField:
-    """Blur a velocity field with spatially varying radius, or apply the adjoint."""
+                        flags: CellFlags, transpose: bool = False,
+                        out: VelocityField | None = None) -> VelocityField:
+    """Blur a velocity field with spatially varying radius, or apply the
+    adjoint; the result goes into `out` when given (out may be field)."""
     if field.dims != radius.dims or field.dims != flags.dims:
         raise ValueError("dimension mismatch between field, radius and flags")
-    return _kernel_for(radius, flags).apply(field, transpose)
+    if out is not None and out.dims != field.dims:
+        raise ValueError("dimension mismatch between field and out")
+    return _kernel_for(radius, flags).apply(field, transpose, out)

@@ -78,42 +78,49 @@ class GuidingQuadratic:
 
     Provides A, b, c, the shifted system M = A + sigma*I, the precomputable
     q and diagonal-inverse factors, and the stacked least-squares operator.
-    `valid` and `w2` are flat over the active faces, ordered as `as_flat`.
+    `valid`, its complement `fixed` and `w2` are flat over the active
+    faces, ordered as `as_flat`.  The operators taking `out` write their
+    result there (a new field when None; out may be the input).
     """
 
     def __init__(self, cfg: GuidingConfig):
         self.cfg = cfg
         d = self.dims = cfg.flags.dims
         self.valid = _flat_faces(d, lambda a: face_valid_mask(cfg.flags, a))
+        self.fixed = ~self.valid
         self.w2 = np.square(_flat_faces(d, lambda a: cell_to_face_average(cfg.weights, a)))
 
     # -- masking helpers ----------------------------------------------------
-    def mask(self, vel: VelocityField) -> VelocityField:
-        out = vel.copy()
-        out.as_flat()[~self.valid] = 0.0
+    def mask(self, vel: VelocityField, out: VelocityField | None = None) -> VelocityField:
+        if out is None:
+            out = vel.copy()
+        elif out is not vel:
+            np.copyto(out._buf, vel._buf)
+        np.copyto(out.as_flat(), 0.0, where=self.fixed)
         return out
 
     def keep_fixed(self, out: VelocityField, v: VelocityField) -> VelocityField:
         """Give the faces outside the objective v's values, in place."""
-        np.copyto(out.as_flat(), v.as_flat(), where=~self.valid)
+        np.copyto(out.as_flat(), v.as_flat(), where=self.fixed)
         return out
 
     def _wsq(self, vel: VelocityField) -> VelocityField:
         out = vel.copy()
         np.multiply(vel.as_flat(), self.w2, out=out.as_flat())
-        out.as_flat()[~self.valid] = 0.0
+        np.copyto(out.as_flat(), 0.0, where=self.fixed)
         return out
 
     # -- operators ----------------------------------------------------------
-    def apply_B(self, vel: VelocityField) -> VelocityField:
-        return blur_obstacle_aware(vel, self.cfg.radius, self.cfg.flags)
+    def apply_B(self, vel: VelocityField, out: VelocityField | None = None) -> VelocityField:
+        return blur_obstacle_aware(vel, self.cfg.radius, self.cfg.flags, out=out)
 
-    def apply_Bt(self, vel: VelocityField) -> VelocityField:
+    def apply_Bt(self, vel: VelocityField, out: VelocityField | None = None) -> VelocityField:
         return blur_obstacle_aware(vel, self.cfg.radius, self.cfg.flags,
-                                   transpose=True)
+                                   transpose=True, out=out)
 
-    def apply_BtB(self, vel: VelocityField) -> VelocityField:
-        return self.mask(self.apply_Bt(self.apply_B(self.mask(vel))))
+    def apply_BtB(self, vel: VelocityField, out: VelocityField | None = None) -> VelocityField:
+        out = self.mask(vel, out)
+        return self.mask(self.apply_Bt(self.apply_B(out, out), out), out)
 
     def apply_A(self, vel: VelocityField) -> VelocityField:
         return 2.0 * (self.apply_BtB(vel) + self._wsq(vel))
@@ -195,24 +202,37 @@ class GuidingProx(ProxOperator):
 
     with gamma = (2 W^2 + sigma I)^-1 diagonal; q, gamma, gamma^2 and the
     masked u_current are cached until sigma changes.  Faces outside the
-    objective pass v through.
+    objective pass v through.  The result is the prox's own field, which
+    its next call overwrites; a caller that keeps it copies it.
     """
 
     def __init__(self, cfg: GuidingConfig):
         self.cfg = cfg
         self.quad = GuidingQuadratic(cfg)
         self._pre = None
+        dims = cfg.flags.dims
+        self._out, self._g1, self._g2 = (VelocityField.zeros(dims) for _ in range(3))
 
     def __call__(self, sigma, v):
         if self._pre is None or self._pre.sigma != sigma:
             self._pre = GuidingPrecompute.build(self.quad, sigma)
         quad, pre = self.quad, self._pre
-        s = sigma * quad.mask(v) + pre.q
-        g1, g2 = s.copy(), s.copy()
-        np.multiply(s.as_flat(), pre.gamma, out=g1.as_flat())
-        np.multiply(s.as_flat(), pre.gamma_sq, out=g2.as_flat())
-        out = pre.u_current + g1 - 2.0 * quad.apply_BtB(g2)
-        return quad.keep_fixed(out, v)
+        # whole buffers, the inactive 2D z block included, as the field
+        # operators compute them; gamma scales the active faces only
+        s, g1, g2 = self._out, self._g1, self._g2
+        sb, g1b, g2b, n = s._buf, g1._buf, g2._buf, v.n_dof
+        quad.mask(v, s)
+        sb *= sigma
+        sb += pre.q._buf
+        for g, factor in ((g1b, pre.gamma), (g2b, pre.gamma_sq)):
+            np.multiply(sb[:n], factor, out=g[:n])
+            g[n:] = sb[n:]
+        quad.apply_BtB(g2, g2)
+        # x = (u_current + g1) - 2 B^T B g2, written over s
+        np.add(pre.u_current._buf, g1b, out=sb)
+        g2b *= 2.0
+        sb -= g2b
+        return quad.keep_fixed(s, v)
 
 
 class GuidingProxExact(ProxOperator):

@@ -14,11 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fields import VelocityField
 from .pressure import DivergenceProjector
 
 class ProxOperator:
-    """Callable prox contract: (sigma, v) -> argmin_x f(x) + sigma/2 ||x-v||^2."""
+    """Callable prox contract: (sigma, v) -> argmin_x f(x) + sigma/2 ||x-v||^2.
+
+    A prox never writes v.  It may return a field of its own that its next
+    call overwrites; the loops below read it only before that call.
+    """
 
     is_orthogonal_projection = False
 
@@ -96,15 +102,15 @@ class ConvergenceLog:
         return self.residuals[-1] if self.residuals else math.inf
 
 
-def stop_check(z_new: VelocityField, z_old: VelocityField, eps_abs: float,
+def stop_check(change: VelocityField, z_new: VelocityField, eps_abs: float,
                eps_rel: float) -> tuple[bool, float, float]:
     """Iterate-change stopping rule.
 
-    residual = ||z_new - z_old||_2, threshold
+    residual = ||change||_2 with change = z_new - z_old, threshold
     eps = sqrt(n_dof) * eps_abs + eps_rel * ||z_new||_2 with n_dof the number
     of velocity degrees of freedom.
     """
-    residual = (z_new - z_old).norm()
+    residual = change.norm()
     eps = math.sqrt(z_new.n_dof) * eps_abs + eps_rel * z_new.norm()
     return residual <= eps, residual, eps
 
@@ -116,18 +122,33 @@ def moreau_transform(prox_f: ProxOperator, sigma: float, v: VelocityField) -> Ve
     return v - sigma * prox_f(sigma, v * (1.0 / sigma))
 
 
-def _loop_tail(z: VelocityField, z_old: VelocityField, eps_cg: float,
+def _iterates(z0: VelocityField, n: int) -> list[VelocityField]:
+    """The solve's own fields: z, a copy of z0, then z_old and n more, all
+    zero (the first swap makes z_old the copy)."""
+    return [z0.copy()] + [VelocityField.zeros(z0.dims) for _ in range(n + 1)]
+
+
+def _loop_tail(z: VelocityField, change: VelocityField, eps_cg: float,
                cg_iters: int, projector: DivergenceProjector, eps_abs: float,
                eps_rel: float, log: ConvergenceLog) -> bool:
-    """End of one outer iteration, shared by every solver: stop check, CG
-    accuracy adaptation, log row.  Returns and records on the log whether
-    the solve has converged: the iterate change is below the threshold and
-    the projection ran at its final accuracy."""
-    stop, residual, eps = stop_check(z, z_old, eps_abs, eps_rel)
+    """End of one outer iteration, shared by every solver: stop check on
+    `change` = z - z_old, CG accuracy adaptation, log row.  Returns and
+    records on the log whether the solve has converged: the iterate change
+    is below the threshold and the projection ran at its final accuracy."""
+    stop, residual, eps = stop_check(change, z, eps_abs, eps_rel)
     projector.adapt(residual, eps)
     log.record(residual, eps, eps_cg, cg_iters)
     log.converged = stop and eps_cg <= projector.cg.eps_final
     return log.converged
+
+
+# The loops below update iterates that each solve call allocates once, with
+# numpy `out=` calls on the whole buffers (each operation's operands and
+# order as the field operators compute them, so the bits are theirs), and
+# swap z and z_old by reference.  They never write z0 or a prox's input.
+# iterate_callback sees the loop's own z, which the next iteration
+# overwrites: a callback that keeps it copies it.  The returned field is the
+# solve's own, never written again.
 
 
 def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdParams,
@@ -145,18 +166,28 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
     projection output; non-convergence is flagged on the log.
     """
     log.method = log.method or "pd"
-    z = z0.copy()
-    x = VelocityField.zeros(z.dims)
+    z, z_old, x, arg, t = _iterates(z0, 3)
     y = z0.copy()
+    xb, yb, ab, tb = x._buf, y._buf, arg._buf, t._buf
     tau, sigma, theta = params.tau, params.sigma, params.theta
     for _ in range(params.max_iters):
-        x = x + sigma * y - sigma * prox_f(sigma, x * (1.0 / sigma) + y)
-        z_old = z
-        z, cg_iters, eps_cg = projector.project(z_old - tau * x)
+        np.multiply(xb, 1.0 / sigma, out=ab)
+        ab += yb
+        p = prox_f(sigma, arg)
+        np.multiply(yb, sigma, out=tb)
+        xb += tb
+        np.multiply(p._buf, sigma, out=tb)
+        xb -= tb
+        z, z_old = z_old, z
+        np.multiply(xb, tau, out=tb)
+        np.subtract(z_old._buf, tb, out=ab)
+        _, cg_iters, eps_cg = projector.project(arg, out=z)
         if iterate_callback is not None:
             iterate_callback(z)
-        y = z + theta * (z - z_old)
-        if _loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
+        np.subtract(z._buf, z_old._buf, out=tb)
+        np.multiply(tb, theta, out=yb)
+        yb += z._buf
+        if _loop_tail(z, t, eps_cg, cg_iters, projector, params.eps_abs,
                       params.eps_rel, log):
             break
     return z
@@ -171,16 +202,20 @@ def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
       x <- prox_f(rho, z - y);  z <- project(x + y);  y <- y + x - z
     """
     log.method = log.method or "admm"
-    z = z0.copy()
-    y = VelocityField.zeros(z.dims)
+    z, z_old, y, arg, t = _iterates(z0, 3)
+    yb, ab, tb = y._buf, arg._buf, t._buf
     for _ in range(params.max_iters):
-        x = prox_f(params.rho, z - y)
-        z_old = z
-        z, cg_iters, eps_cg = projector.project(x + y)
+        np.subtract(z._buf, yb, out=ab)
+        x = prox_f(params.rho, arg)
+        np.add(x._buf, yb, out=tb)
+        z, z_old = z_old, z
+        _, cg_iters, eps_cg = projector.project(t, out=z)
         if iterate_callback is not None:
             iterate_callback(z)
-        y = y + x - z
-        if _loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
+        yb += x._buf
+        yb -= z._buf
+        np.subtract(z._buf, z_old._buf, out=tb)
+        if _loop_tail(z, t, eps_cg, cg_iters, projector, params.eps_abs,
                       params.eps_rel, log):
             break
     return z
@@ -198,10 +233,12 @@ def iop_solve(prox_f: ProxOperator, projector: DivergenceProjector,
         raise ValueError("iop_solve requires an orthogonal-projection prox operator")
     _check_stop(max_iters, eps_abs, eps_rel)
     log.method = log.method or "iop"
-    z = z0.copy()
+    z, z_old, t = _iterates(z0, 1)
     for _ in range(max_iters):
-        z_old = z
-        z, cg_iters, eps_cg = projector.project(prox_f(1.0, z))
-        if _loop_tail(z, z_old, eps_cg, cg_iters, projector, eps_abs, eps_rel, log):
+        p = prox_f(1.0, z)
+        z, z_old = z_old, z
+        _, cg_iters, eps_cg = projector.project(p, out=z)
+        np.subtract(z._buf, z_old._buf, out=t._buf)
+        if _loop_tail(z, t, eps_cg, cg_iters, projector, eps_abs, eps_rel, log):
             break
     return z

@@ -250,10 +250,16 @@ class PoissonSystem:
         np.copyto(out, 0.0, where=self._inactive)
         return out
 
-    def prepare_rhs(self, rhs: np.ndarray) -> np.ndarray:
+    def prepare_rhs(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Mask to active cells and subtract the mean of each connected
-        component of them that has no Dirichlet face."""
-        b = np.where(self.active, rhs, 0.0)
+        component of them that has no Dirichlet face; written into `out`
+        when given (out may be rhs)."""
+        if out is None:
+            b = np.array(rhs, dtype=np.float64)
+        else:
+            b = out
+            np.copyto(b, rhs)
+        np.copyto(b, 0.0, where=self._inactive)
         flat = b.reshape(-1)
         for cells in self._components:
             v = flat[cells]
@@ -289,7 +295,7 @@ class PoissonSystem:
 
     def cg(self, b: np.ndarray, eps: float, max_iters: int,
            inf_tol: float | None = None, x0: np.ndarray | None = None,
-           r0: np.ndarray | None = None):
+           r0: np.ndarray | None = None, work: tuple | None = None):
         """Multigrid-preconditioned CG on A x = b, run by _pcg: starts from
         x0 (zero when None) with its residual r0 if given, and stops when
         ||r||_2 <= eps * max(||b||_2, 1) and, if inf_tol is given,
@@ -298,17 +304,20 @@ class PoissonSystem:
         looked up per call, so a wrapper installed on them sees every one.
         """
         return _pcg(self.apply, b, eps, 1.0, max_iters, self._precondition,
-                    inf_tol=inf_tol, x0=x0, r0=r0)
+                    inf_tol=inf_tol, x0=x0, r0=r0, work=work)
 
 
 def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
          precondition=None, inf_tol: float | None = None,
          solver: str = "pressure", x0: np.ndarray | None = None,
-         r0: np.ndarray | None = None):
+         r0: np.ndarray | None = None, work: tuple | None = None):
     """The one CG loop: preconditioned CG on A x = b for an SPD `apply(d,
     out)`, with the optional preconditioner `precondition(r, out)` (z is r
     without one).  b is a C-contiguous array of any shape; x, r, z, d and
-    A d keep its shape and are updated in place.
+    A d keep its shape and are updated in place.  `work`, when given, is
+    (x, z, d, A d, tmp): C-contiguous arrays shaped like b, none of them b,
+    x0 or r0, that the loop uses instead of allocating its own; x is the
+    returned solution.
 
     x starts from a copy of x0 (zero when None).  r0, if given, is the
     start's residual b - A x0 in a C-contiguous array that the loop updates
@@ -321,7 +330,9 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
     x0, residual or d.A d, on a breakdown and when max_iters is used up;
     the reported residual is ||r||_2 / max(||b||_2, floor).
     """
-    x = np.zeros_like(b)
+    x, z, d, ad, tmp = work if work is not None else [np.empty_like(b) for _ in range(5)]
+    if x0 is None:
+        x.fill(0.0)
     bnorm = float(np.linalg.norm(b))
     if not math.isfinite(bnorm):
         raise PoissonConvergenceError(0, bnorm, solver)
@@ -341,9 +352,8 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
         r = apply(x, np.empty_like(b))
         np.subtract(b, r, out=r)
     r_flat = r.reshape(-1)
-    z = np.empty_like(b) if precondition is not None else r
-    ad = np.empty_like(b)
-    tmp = np.empty_like(b)
+    if precondition is None:
+        z = r
 
     def done():
         rn = math.sqrt(float(r_flat.dot(r_flat)))
@@ -361,7 +371,7 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
         return x, 0
     if precondition is not None:
         precondition(r, z)
-    d = z.copy()
+    np.copyto(d, z)
     rz = float(np.vdot(r, z))
     for it in range(1, max_iters + 1):
         apply(d, ad)
@@ -584,8 +594,9 @@ def _require_finite(vel: VelocityField):
 
 
 def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
-                      bc: BcTable) -> VelocityField:
-    """Velocity update u <- u - grad(p) with the table's ghost treatment.
+                      bc: BcTable, out: VelocityField | None = None) -> VelocityField:
+    """Velocity update u <- u - grad(p) with the table's ghost treatment,
+    written into `out` (a copy of vel when None; out may be vel itself).
 
     The gradient reads p at FLUID cells and a ghost pressure of zero at
     every other cell and beyond the domain walls, and every face not tagged
@@ -595,11 +606,17 @@ def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
     """
     _check_dims(vel, p)
     _check_dims(vel, flags)
-    inv_h = 1.0 / vel.dims.h
+    d = vel.dims
     pv = np.where(flags.fluid, p.values, 0.0)
-    grad = _flat_faces(vel.dims, lambda axis: _to_faces(
-        pv, axis, lambda lo, hi: (hi - lo) * inv_h, ghost=0.0))
-    out = vel.copy()
+    grad = np.empty(vel.n_dof)
+    for axis, g in zip(d.axes, _face_views(d, grad)):
+        _to_faces(pv, axis, lambda lo, hi, out: np.subtract(hi, lo, out=out), ghost=0.0, out=g)
+    grad *= 1.0 / d.h
+    if out is None:
+        out = vel.copy()
+    elif out is not vel:
+        _check_dims(vel, out)
+        np.copyto(out._buf, vel._buf)
     flat = out.as_flat()
     np.subtract(flat, grad, out=flat, where=bc.tags != FaceTag.NEUMANN)
     return out
@@ -628,7 +645,10 @@ class DivergenceProjector:
     Each solve starts from `pressure`, the pressure of the projector's
     previous solve (None before the first), also across a retag; the start
     is kept here, not on the shared cached system, so two projectors on one
-    system do not steer each other.
+    system do not steer each other.  The rhs, the residual, the CG work
+    arrays and a second pressure array are the projector's own, allocated
+    once: each solve writes its pressure into the array the last solve's
+    pressure does not hold, so a failed solve leaves `pressure` as it was.
     """
 
     def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None):
@@ -637,26 +657,40 @@ class DivergenceProjector:
         self.cg = cg if cg is not None else CgConfig()
         self.eps = self.cg.eps_start
         self.system = _system_for(flags, bc)
-        self.pressure = self._image = None   # the last solve's p and A p
+        self.pressure = None   # the last solve's p
+        shape = flags.dims.shape
+        self._image = np.zeros(shape)   # the last solve's A p
+        self._b, self._r, self._spare = (np.empty(shape) for _ in range(3))
+        self._work = tuple(np.empty(shape) for _ in range(4))   # z, d, A d, tmp
 
-    def project(self, vel: VelocityField) -> tuple[VelocityField, int, float]:
+    def project(self, vel: VelocityField, out: VelocityField | None = None
+                ) -> tuple[VelocityField, int, float]:
         """The one projection routine: divergence, pressure solve at the
         current accuracy (max-norm residual below 10x it) warm-started from
         the previous solve's pressure, gradient update.
-        Returns (projected velocity, CG iterations, CG accuracy).  A
-        non-finite face raises before the solve, also one the divergence
-        never reads (no FLUID neighbour)."""
+        Returns (projected velocity, CG iterations, CG accuracy); the
+        velocity is written into `out` when given (out may be vel), else
+        into a new field.  A non-finite face raises before the solve, also
+        one the divergence never reads (no FLUID neighbour)."""
         _require_finite(vel)
         eps = self.eps
-        div = divergence(vel, self.flags)
-        b = self.system.prepare_rhs(-div.values)
+        b, r = self._b, self._r
+        divergence(vel, self.flags, out=b)
+        np.negative(b, out=b)
+        self.system.prepare_rhs(b, out=b)
         # the start's residual from the last solve's A p = b - r, so the warm
         # start costs no matvec
-        r = b.copy() if self.pressure is None else b - self._image
+        if self.pressure is None:
+            np.copyto(r, b)
+        else:
+            np.subtract(b, self._image, out=r)
         p, iters = self.system.cg(b, eps, self.cg.max_cg_iters, inf_tol=10.0 * eps,
-                                  x0=self.pressure, r0=r)
-        self.pressure, self._image = p, b - r
-        out = subtract_gradient(vel, ScalarField(vel.dims, p), self.flags, self.bc)
+                                  x0=self.pressure, r0=r,
+                                  work=(self._spare,) + self._work)
+        self._spare = self.pressure if self.pressure is not None else np.empty_like(p)
+        self.pressure = p
+        np.subtract(b, r, out=self._image)
+        out = subtract_gradient(vel, ScalarField(vel.dims, p), self.flags, self.bc, out=out)
         return out, iters, eps
 
     def retag(self, faces: np.ndarray, cells: np.ndarray, tags) -> None:

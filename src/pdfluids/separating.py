@@ -96,14 +96,20 @@ class WallProx(ProxOperator):
     u.n >= 0 on every wall face or, given `locked`, u.n = 0 on the locked
     faces and no constraint on the others.  C constrains each face on its
     own, so prox(sigma, v) = P_C((a + sigma v) / (1 + sigma)), the weighted
-    mean clamped face by face; every face off the walls keeps the mean."""
+    mean clamped face by face; every face off the walls keeps the mean.  The
+    result is the prox's own field, which its next call overwrites."""
 
     def __init__(self, a: VelocityField, faces: BoundaryFaces,
                  locked: np.ndarray | None = None):
         self.a, self.faces, self.locked = a, faces, locked
+        self._out = VelocityField.zeros(a.dims)
 
     def __call__(self, sigma, v):
-        out = (self.a + sigma * v) * (1.0 / (1.0 + sigma))
+        out = self._out
+        buf = out._buf
+        np.multiply(v._buf, sigma, out=buf)
+        buf += self.a._buf
+        buf *= 1.0 / (1.0 + sigma)
         faces = self.faces
         if self.locked is not None:
             faces.zero_normal(out, self.locked)
@@ -207,12 +213,17 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     state.nsep = (un_in < 0.0) | carried[faces.index]
     projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
     inv_h = 1.0 / flags.dims.h
+    # the sweep's own fields: its projection input (then the iterate change)
+    # and two iterates in turn; z_old is u itself at the first sweep
+    start, *iterates = (VelocityField.zeros(u.dims) for _ in range(3))
     z = u
-    for _ in range(MAX_SWEEPS):
-        start = u.copy()
+    for k in range(MAX_SWEEPS):
+        np.copyto(start._buf, u._buf)
         faces.zero_normal(start, state.nsep)
-        z_old, (z, cg_iters, _) = z, projector.project(start)
-        log.record((z - z_old).norm(), 0.0, eps_cg, cg_iters)
+        z_old, z = z, iterates[k % 2]
+        cg_iters = projector.project(start, out=z)[1]
+        np.subtract(z._buf, z_old._buf, out=start._buf)
+        log.record(start.norm(), 0.0, eps_cg, cg_iters)
         un = faces.normal_velocity(z)
         mu = projector.pressure.reshape(-1)[faces.cell] * inv_h - un_in
         tol = eps_cg * max(1.0, np.abs(un).max(initial=0.0),

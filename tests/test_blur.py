@@ -321,7 +321,7 @@ class TestTapSumBitwise:
                 want = _ref_normalizer(vf, taps, axis)
                 assert part.unpad(norm).tobytes() == want.tobytes()
                 got = part.pad(vals)
-                _sweep(got, part, axis, False, np.empty(got.size))
+                _sweep(got, part, axis, False, np.empty((3, got.size)))
                 want = _ref_forward_sweep(vals, valid, vf, taps, want, axis)
                 assert part.unpad(got).tobytes() == want.tobytes()
 
@@ -373,6 +373,28 @@ class TestGapLayout:
         for comp, arr in vel.components():
             wall = ~face_valid_mask(flags, comp)
             assert out.component(comp)[wall].tobytes() == arr[wall].tobytes()
+
+
+class TestGapBound:
+    @pytest.mark.parametrize("dims", [GridDims(12, 12), GridDims(12, 12, 12)],
+                             ids=["2d", "3d"])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "adj"])
+    def test_long_radius_pads_at_most_one_row(self, rng, dims, transpose):
+        # radii above a third of the grid: 13 to 18 taps against rows of 12
+        # and 13 faces; each gap is capped at n - 1 for a row of n faces
+        for rmax in (4.5, 6.0):
+            flags, radius = obstacle_scene(dims, rng, rmax=rmax)
+            radius.values[~flags.solid] = np.maximum(radius.values[~flags.solid], 4.2)
+            kernel = _BlurKernel(radius, flags)
+            for comp, part in kernel.parts.items():
+                n = dims.face_shape(comp)
+                assert math.ceil(3.0 * radius.values.max()) > max(n)
+                assert all(part.shape[a] <= 2 * n[a] - 1 for a in dims.axes)
+            for _ in range(2):
+                vel = random_velocity(dims, rng)
+                got = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
+                want = reference_blur(vel, radius, flags, transpose=transpose)
+                assert field_bytes(got) == field_bytes(want)
 
 
 # bytes tracemalloc saw a _BlurKernel hold at 128^2, radius 2, when it kept

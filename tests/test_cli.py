@@ -482,3 +482,82 @@ class TestBuildConfig:
         assert set(args) <= run_keys | scene_keys
         # an absent flag writes nothing over the config
         assert all(v is None for v in args.values())
+
+
+# -- one set of bits under any BLAS thread setting of the process entry ----------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_entry(args, out, threads):
+    """`python -m pdfluids args` in a subprocess with the BLAS thread
+    variables unset (threads None) or set to `threads`; the output files by
+    name."""
+    import subprocess
+    import sys
+    from pdfluids.cli import BLAS_THREAD_VARS
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if threads is not None:
+        env.update({k: str(threads) for k in BLAS_THREAD_VARS})
+    subprocess.run([sys.executable, "-m", "pdfluids", *args, "--out", str(out),
+                    "--save-velocity", "--save-logs"], env=env, check=True,
+                   capture_output=True)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("args", [
+    ["guide", "--scene", "circular", "--nx", "12", "--ny", "12", "--frames", "1"],
+    ["dam", "--scene", "dam", "--bc", "separating-accelerated", "--nx", "30",
+     "--ny", "21", "--frames", "1"]], ids=["guide", "dam-accelerated"])
+def test_entry_pins_unset_blas_threads(tmp_path, args):
+    # these runs write different last bits under 1 and 2 BLAS threads when
+    # nothing pins the count: the coarse factor's LAPACK calls round by it
+    unset = run_entry(args, tmp_path / "unset", None)
+    one = run_entry(args, tmp_path / "one", 1)
+    assert any(name.startswith("vel_") for name in unset)
+    assert unset == one
+
+
+class TestEntry:
+    """cli.entry re-execs only after its arguments parse, and only with a
+    BLAS thread variable unset; cli.main never re-execs."""
+
+    @pytest.fixture
+    def execs(self, monkeypatch):
+        from pdfluids import cli
+        calls = []
+
+        def fake_execve(path, argv, env):
+            calls.append(env)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(cli.os, "execve", fake_execve)
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["guide", "--nx", "x"], 2)],
+                             ids=["help", "usage-error"])
+    def test_parse_exits_before_the_re_exec(self, monkeypatch, execs, argv, code):
+        from pdfluids import cli
+        monkeypatch.setattr("sys.argv", ["pdfluids", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code and execs == []
+
+    def test_re_execs_with_unset_variables_pinned(self, monkeypatch, execs):
+        from pdfluids import cli
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.setattr("sys.argv", ["pdfluids", "guide", "--frames", "1"])
+        with pytest.raises(SystemExit):
+            cli.entry()
+        (env,) = execs
+        assert env["OPENBLAS_NUM_THREADS"] == env["MKL_NUM_THREADS"] == "1"
+        assert env["OMP_NUM_THREADS"] == "2"
+
+    def test_main_runs_in_process(self, monkeypatch, execs, tmp_path):
+        monkeypatch.setattr("sys.argv", ["pdfluids", "simulate", "--scene", "plume",
+                                         "--nx", "8", "--ny", "8", "--frames", "1",
+                                         "--out", str(tmp_path)])
+        assert main() == 0 and execs == []
