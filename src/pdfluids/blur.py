@@ -177,12 +177,10 @@ class _BlurKernel:
 
     def apply(self, field: VelocityField, transpose: bool,
               out: VelocityField | None = None) -> VelocityField:
-        """The blur of `field` (or its adjoint), written into `out` (a copy
-        of field when None; out may be field itself)."""
+        """The blur of `field` (or its adjoint), written into the active
+        faces of `out` (a copy of field when None; out may be field itself)."""
         if out is None:
             out = field.copy()
-        elif out is not field:
-            np.copyto(out._buf, field._buf)
         if self._work is None:
             self._work = np.empty((3, max(p.vf.size for p in self.parts.values())))
         axes = field.dims.axes

@@ -3,7 +3,9 @@
 Velocity lives on cell faces (MAC layout), scalars at cell centers.  All
 arrays are float64 and indexed (i, j, k) with i along x; a grid with nz=1
 is the 2D configuration and runs through the same code paths with the
-z direction inactive.
+z direction inactive.  Its velocity buffer still holds the z block, which
+only this module moves; every other module computes on the active faces
+(`VelocityField.as_flat`), so a solver's result keeps its input's block.
 """
 
 from __future__ import annotations

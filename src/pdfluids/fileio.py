@@ -82,9 +82,12 @@ def read_grid(path):
         raise GridFileError(f"unsupported format version {version}")
     if kind not in (KIND_SCALAR, KIND_VELOCITY):
         raise GridFileError(f"unknown grid kind {kind}")
-    if nx * ny * nz > _MAX_CELLS or min(nx, ny, nz) < 1:
+    if nx * ny * nz > _MAX_CELLS:
         raise GridFileError(f"implausible dimensions {nx}x{ny}x{nz}")
-    dims = GridDims(nx, ny, nz, h)
+    try:
+        dims = GridDims(nx, ny, nz, h)
+    except ValueError as exc:   # nx or ny < 4, nz < 1, h not finite and > 0
+        raise GridFileError(f"bad grid header: {exc}") from exc
     if kind == KIND_SCALAR:
         shapes = [dims.shape]
     else:

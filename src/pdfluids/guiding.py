@@ -95,7 +95,7 @@ class GuidingQuadratic:
         if out is None:
             out = vel.copy()
         elif out is not vel:
-            np.copyto(out._buf, vel._buf)
+            np.copyto(out.as_flat(), vel.as_flat())
         np.copyto(out.as_flat(), 0.0, where=self.fixed)
         return out
 
@@ -217,21 +217,18 @@ class GuidingProx(ProxOperator):
         if self._pre is None or self._pre.sigma != sigma:
             self._pre = GuidingPrecompute.build(self.quad, sigma)
         quad, pre = self.quad, self._pre
-        # whole buffers, the inactive 2D z block included, as the field
-        # operators compute them; gamma scales the active faces only
         s, g1, g2 = self._out, self._g1, self._g2
-        sb, g1b, g2b, n = s._buf, g1._buf, g2._buf, v.n_dof
+        sf, g1f, g2f = s.as_flat(), g1.as_flat(), g2.as_flat()
         quad.mask(v, s)
-        sb *= sigma
-        sb += pre.q._buf
-        for g, factor in ((g1b, pre.gamma), (g2b, pre.gamma_sq)):
-            np.multiply(sb[:n], factor, out=g[:n])
-            g[n:] = sb[n:]
+        sf *= sigma
+        sf += pre.q.as_flat()
+        np.multiply(sf, pre.gamma, out=g1f)
+        np.multiply(sf, pre.gamma_sq, out=g2f)
         quad.apply_BtB(g2, g2)
         # x = (u_current + g1) - 2 B^T B g2, written over s
-        np.add(pre.u_current._buf, g1b, out=sb)
-        g2b *= 2.0
-        sb -= g2b
+        np.add(pre.u_current.as_flat(), g1f, out=sf)
+        g2f *= 2.0
+        sf -= g2f
         return quad.keep_fixed(s, v)
 
 

@@ -123,9 +123,8 @@ def moreau_transform(prox_f: ProxOperator, sigma: float, v: VelocityField) -> Ve
 
 
 def _iterates(z0: VelocityField, n: int) -> list[VelocityField]:
-    """The solve's own fields: z, a copy of z0, then z_old and n more, all
-    zero (the first swap makes z_old the copy)."""
-    return [z0.copy()] + [VelocityField.zeros(z0.dims) for _ in range(n + 1)]
+    """The solve's own fields: z and z_old, copies of z0, then n zero ones."""
+    return [z0.copy(), z0.copy()] + [VelocityField.zeros(z0.dims) for _ in range(n)]
 
 
 def _loop_tail(z: VelocityField, change: VelocityField, eps_cg: float,
@@ -143,9 +142,10 @@ def _loop_tail(z: VelocityField, change: VelocityField, eps_cg: float,
 
 
 # The loops below update iterates that each solve call allocates once, with
-# numpy `out=` calls on the whole buffers (each operation's operands and
-# order as the field operators compute them, so the bits are theirs), and
-# swap z and z_old by reference.  They never write z0 or a prox's input.
+# numpy `out=` calls on the active faces (`as_flat`; each operation's
+# operands and order as the field operators compute them, so the bits are
+# theirs), and swap z and z_old by reference.  They never write z0 or a
+# prox's input, nor the inactive 2D z block: the result carries z0's.
 # iterate_callback sees the loop's own z, which the next iteration
 # overwrites: a callback that keeps it copies it.  The returned field is the
 # solve's own, never written again.
@@ -168,7 +168,7 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
     log.method = log.method or "pd"
     z, z_old, x, arg, t = _iterates(z0, 3)
     y = z0.copy()
-    xb, yb, ab, tb = x._buf, y._buf, arg._buf, t._buf
+    xb, yb, ab, tb = x.as_flat(), y.as_flat(), arg.as_flat(), t.as_flat()
     tau, sigma, theta = params.tau, params.sigma, params.theta
     for _ in range(params.max_iters):
         np.multiply(xb, 1.0 / sigma, out=ab)
@@ -176,17 +176,17 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
         p = prox_f(sigma, arg)
         np.multiply(yb, sigma, out=tb)
         xb += tb
-        np.multiply(p._buf, sigma, out=tb)
+        np.multiply(p.as_flat(), sigma, out=tb)
         xb -= tb
         z, z_old = z_old, z
         np.multiply(xb, tau, out=tb)
-        np.subtract(z_old._buf, tb, out=ab)
+        np.subtract(z_old.as_flat(), tb, out=ab)
         _, cg_iters, eps_cg = projector.project(arg, out=z)
         if iterate_callback is not None:
             iterate_callback(z)
-        np.subtract(z._buf, z_old._buf, out=tb)
+        np.subtract(z.as_flat(), z_old.as_flat(), out=tb)
         np.multiply(tb, theta, out=yb)
-        yb += z._buf
+        yb += z.as_flat()
         if _loop_tail(z, t, eps_cg, cg_iters, projector, params.eps_abs,
                       params.eps_rel, log):
             break
@@ -203,18 +203,18 @@ def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
     """
     log.method = log.method or "admm"
     z, z_old, y, arg, t = _iterates(z0, 3)
-    yb, ab, tb = y._buf, arg._buf, t._buf
+    yb, ab, tb = y.as_flat(), arg.as_flat(), t.as_flat()
     for _ in range(params.max_iters):
-        np.subtract(z._buf, yb, out=ab)
+        np.subtract(z.as_flat(), yb, out=ab)
         x = prox_f(params.rho, arg)
-        np.add(x._buf, yb, out=tb)
+        np.add(x.as_flat(), yb, out=tb)
         z, z_old = z_old, z
         _, cg_iters, eps_cg = projector.project(t, out=z)
         if iterate_callback is not None:
             iterate_callback(z)
-        yb += x._buf
-        yb -= z._buf
-        np.subtract(z._buf, z_old._buf, out=tb)
+        yb += x.as_flat()
+        yb -= z.as_flat()
+        np.subtract(z.as_flat(), z_old.as_flat(), out=tb)
         if _loop_tail(z, t, eps_cg, cg_iters, projector, params.eps_abs,
                       params.eps_rel, log):
             break
@@ -238,7 +238,7 @@ def iop_solve(prox_f: ProxOperator, projector: DivergenceProjector,
         p = prox_f(1.0, z)
         z, z_old = z_old, z
         _, cg_iters, eps_cg = projector.project(p, out=z)
-        np.subtract(z._buf, z_old._buf, out=t._buf)
+        np.subtract(z.as_flat(), z_old.as_flat(), out=t.as_flat())
         if _loop_tail(z, t, eps_cg, cg_iters, projector, eps_abs, eps_rel, log):
             break
     return z

@@ -596,7 +596,7 @@ def _require_finite(vel: VelocityField):
 def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
                       bc: BcTable, out: VelocityField | None = None) -> VelocityField:
     """Velocity update u <- u - grad(p) with the table's ghost treatment,
-    written into `out` (a copy of vel when None; out may be vel itself).
+    written into the active faces of `out` (a copy of vel when None, or vel).
 
     The gradient reads p at FLUID cells and a ghost pressure of zero at
     every other cell and beyond the domain walls, and every face not tagged
@@ -616,7 +616,7 @@ def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
         out = vel.copy()
     elif out is not vel:
         _check_dims(vel, out)
-        np.copyto(out._buf, vel._buf)
+        np.copyto(out.as_flat(), vel.as_flat())
     flat = out.as_flat()
     np.subtract(flat, grad, out=flat, where=bc.tags != FaceTag.NEUMANN)
     return out
@@ -669,9 +669,9 @@ class DivergenceProjector:
         current accuracy (max-norm residual below 10x it) warm-started from
         the previous solve's pressure, gradient update.
         Returns (projected velocity, CG iterations, CG accuracy); the
-        velocity is written into `out` when given (out may be vel), else
-        into a new field.  A non-finite face raises before the solve, also
-        one the divergence never reads (no FLUID neighbour)."""
+        velocity goes into the active faces of `out` when given (out may be
+        vel), else into a copy of vel.  A non-finite face raises before the
+        solve, also one the divergence never reads (no FLUID neighbour)."""
         _require_finite(vel)
         eps = self.eps
         b, r = self._b, self._r

@@ -105,16 +105,14 @@ class WallProx(ProxOperator):
         self._out = VelocityField.zeros(a.dims)
 
     def __call__(self, sigma, v):
-        out = self._out
-        buf = out._buf
-        np.multiply(v._buf, sigma, out=buf)
-        buf += self.a._buf
-        buf *= 1.0 / (1.0 + sigma)
-        faces = self.faces
+        out, faces = self._out, self.faces
+        flat = out.as_flat()
+        np.multiply(v.as_flat(), sigma, out=flat)
+        flat += self.a.as_flat()
+        flat *= 1.0 / (1.0 + sigma)
         if self.locked is not None:
             faces.zero_normal(out, self.locked)
         else:
-            flat = out.as_flat()
             flat[faces.index] = faces.sign * np.maximum(
                 flat[faces.index] * faces.sign, 0.0)
         return out
@@ -214,15 +212,15 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
     inv_h = 1.0 / flags.dims.h
     # the sweep's own fields: its projection input (then the iterate change)
-    # and two iterates in turn; z_old is u itself at the first sweep
-    start, *iterates = (VelocityField.zeros(u.dims) for _ in range(3))
+    # and two iterates in turn, copies of u whose z block the result keeps
+    start, iterates = VelocityField.zeros(u.dims), (u.copy(), u.copy())
     z = u
     for k in range(MAX_SWEEPS):
-        np.copyto(start._buf, u._buf)
+        np.copyto(start.as_flat(), u.as_flat())
         faces.zero_normal(start, state.nsep)
-        z_old, z = z, iterates[k % 2]
+        z_old, z = z, iterates[k % 2]   # z_old is u itself at the first sweep
         cg_iters = projector.project(start, out=z)[1]
-        np.subtract(z._buf, z_old._buf, out=start._buf)
+        np.subtract(z.as_flat(), z_old.as_flat(), out=start.as_flat())
         log.record(start.norm(), 0.0, eps_cg, cg_iters)
         un = faces.normal_velocity(z)
         mu = projector.pressure.reshape(-1)[faces.cell] * inv_h - un_in

@@ -3,9 +3,11 @@
 The allocating PD, ADMM and IOP loops, the guiding and wall proxes and the
 accelerated wall sweep they replaced are kept here as test-time
 references: the in-place ones must return the same field and log the same
-rows bit for bit.  The loops must never write their input or a prox's
-input, successive solves must return independent fields, and no iteration
-may construct a VelocityField.
+rows bit for bit.  They compute on the active faces only, so a 2D input
+with values in its inactive z block gets its own block back unchanged.
+The loops must never write their input or a prox's input, successive
+solves must return independent fields, and no iteration may construct a
+VelocityField.
 """
 
 import math
@@ -188,6 +190,24 @@ def guided_projector(cfg):
     return DivergenceProjector(cfg.flags, BcTable.from_flags(cfg.flags), CgConfig())
 
 
+# solve_separating_standard's default PD parameters
+STANDARD_PD = PdParams(tau=0.5, sigma=2.0, theta=1.0, max_iters=800,
+                       eps_abs=1e-5, eps_rel=1e-5)
+
+
+def ref_standard(u, flags, log):
+    projector = DivergenceProjector(flags, free_surface_walls_table(flags), CgConfig())
+    return ref_pd_solve(RefWallProx(u, BoundaryFaces(flags)), projector, STANDARD_PD,
+                        u, log)
+
+
+def live_z(vel, rng):
+    """A copy of a 2D field with random values in its inactive z block."""
+    out = vel.copy()
+    out.w[...] = rng.standard_normal(out.w.shape)
+    return out
+
+
 # -- bit for bit against the references ----------------------------------------
 
 class TestMatchesAllocatingLoops:
@@ -231,12 +251,9 @@ class TestMatchesAllocatingLoops:
         state = BcState.initial(flags)
         log = ConvergenceLog()
         got = solve_separating_standard(u, flags, state=state, log=log)
-        params = PdParams(tau=0.5, sigma=2.0, theta=1.0, max_iters=800,
-                          eps_abs=1e-5, eps_rel=1e-5)
         faces = BoundaryFaces(flags)
         ref_log = ConvergenceLog(method="pd-separating")
-        projector = DivergenceProjector(flags, free_surface_walls_table(flags), CgConfig())
-        want = ref_pd_solve(RefWallProx(u, faces), projector, params, u, ref_log)
+        want = ref_standard(u, flags, ref_log)
         assert len(log) >= 10 and log.converged
         assert field_bytes(got) == field_bytes(want)
         assert log_rows(log) == log_rows(ref_log)
@@ -255,6 +272,75 @@ class TestMatchesAllocatingLoops:
             runs.append((field_bytes(z), log_rows(log), state.nsep.tobytes()))
         assert len(np.frombuffer(runs[0][1][2])) >= 2
         assert runs[0] == runs[1]
+
+
+class TestLiveZBlock:
+    """A 2D input with values in its inactive z block: the in-place result
+    matches the allocating reference on the active faces and carries the
+    input's z block unchanged."""
+
+    @staticmethod
+    def check(got, want, z0):
+        assert got.as_flat().tobytes() == want.as_flat().tobytes()
+        assert got.w.any() and got.w.tobytes() == z0.w.tobytes()
+
+    @pytest.mark.parametrize("method", ["pd", "admm", "iop"])
+    def test_guided_solves(self, rng, method):
+        state, cfg = guided_case(24)
+        z0 = live_z(state.vel, rng)
+        held = field_bytes(z0)
+        pd, admm = default_guiding_params(cfg.w_bar)
+        solves, params, stop = {
+            "pd": (((pd_solve, GuidingProx), (ref_pd_solve, RefGuidingProx)), (pd,), {}),
+            "admm": (((admm_solve, GuidingProx), (ref_admm_solve, RefGuidingProx)),
+                     (admm,), {}),
+            "iop": (((iop_solve, GuidingMinimizerProjection),
+                     (ref_iop_solve, GuidingMinimizerProjection)), (),
+                    dict(eps_abs=1e-4, eps_rel=1e-4, max_iters=12))}[method]
+        runs = []
+        for solve, prox in solves:
+            log = ConvergenceLog()
+            runs.append((solve(prox(cfg), guided_projector(cfg), *params, z0, log, **stop),
+                         log))
+        (got, log), (want, ref_log) = runs
+        assert len(log) >= 3 and log_rows(log) == log_rows(ref_log)
+        self.check(got, want, z0)
+        assert field_bytes(z0) == held
+
+    def test_standard_wall_solve(self, rng):
+        flags, u = dam_case(rng)
+        u = live_z(u, rng)
+        log, ref_log = ConvergenceLog(), ConvergenceLog(method="pd-separating")
+        got = solve_separating_standard(u, flags, log=log)
+        want = ref_standard(u, flags, ref_log)
+        assert len(log) >= 10 and log_rows(log) == log_rows(ref_log)
+        self.check(got, want, u)
+
+    def test_accelerated_sweep(self, rng, monkeypatch):
+        flags, u = dam_case(rng)
+        u = live_z(u, rng)
+        runs = []
+        for solve in (solve_separating_accelerated, ref_accelerated):
+            monkeypatch.setattr(pressure, "_cached", None)
+            state, log = BcState.initial(flags), ConvergenceLog()
+            z = solve(u, flags, cg=CgConfig(), state=state, log=log)
+            runs.append((z, log_rows(log), state.nsep.tobytes()))
+        (got, *rows), (want, *ref_rows) = runs
+        assert len(np.frombuffer(rows[0][2])) >= 2 and rows == ref_rows
+        self.check(got, want, u)
+
+    def test_project_out(self, rng):
+        state, cfg = guided_case(24)
+        vel = live_z(state.vel + 0.5 * random_velocity(state.vel.dims, rng), rng)
+        want, iters, _ = guided_projector(cfg).project(vel)   # into a copy of vel
+        assert iters >= 3
+        into = live_z(VelocityField.zeros(vel.dims), rng)
+        block = into.w.tobytes()
+        got = guided_projector(cfg).project(vel, out=into)[0]
+        assert got is into and got.as_flat().tobytes() == want.as_flat().tobytes()
+        assert got.w.tobytes() == block   # out's own z block is not moved
+        same = vel.copy()
+        self.check(guided_projector(cfg).project(same, out=same)[0], want, vel)
 
 
 # -- what the loops must not write ----------------------------------------------

@@ -80,6 +80,20 @@ class TestGridFile:
         with pytest.raises(GridFileError, match="dimensions"):
             read_grid(path)
 
+    @pytest.mark.parametrize("nx, nz, h", [(2, 1, 1.0), (0, 1, 1.0), (4, 0, 1.0),
+                                           (4, 1, math.inf), (4, 1, -1.0),
+                                           (4, 1, math.nan), (4, 1, 0.0)],
+                             ids=["nx2", "nx0", "nz0", "inf", "neg", "nan", "zero"])
+    def test_bad_header_dims_rejected(self, tmp_path, nx, nz, h):
+        # a header GridDims refuses (nx or ny < 4, nz < 1, h not finite and
+        # > 0) is a grid file error like every other bad header
+        import struct
+        header = struct.pack("<4sHBIIId", b"PDFG", 1, 0, nx, 4, nz, h)
+        path = tmp_path / "dims.grid"
+        path.write_bytes(header + bytes(8 * nx * 4 * nz))
+        with pytest.raises(GridFileError, match="header"):
+            read_grid(path)
+
     def test_payload_is_x_fastest(self, tmp_path):
         d = GridDims(4, 4)
         f = ScalarField.zeros(d)

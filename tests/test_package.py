@@ -27,6 +27,18 @@ def test_runtime_imports_are_numpy_and_stdlib_only():
     assert not outside
 
 
+def test_only_fields_touches_the_velocity_buffer():
+    # the buffer layout (the inactive 2D z block included) is private to
+    # fields: every other module reads and writes velocity through the
+    # field's views, `as_flat` and its operators
+    src = Path(pdfluids.__file__).parent
+    users = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             if path.name != "fields.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "_buf"]
+    assert not users
+
+
 def _identifiers(tree, strings=False) -> set:
     """Names and attributes used in `tree`; with `strings`, also imported
     names and the identifiers inside string constants (the tracer names its
