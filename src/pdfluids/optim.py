@@ -3,10 +3,10 @@
 All solvers minimize f(z) + g(z) where g is the indicator of the
 divergence-free set (its proximal operator is the pressure projection) and
 f is supplied as a proximal operator.  The first-order primal-dual
-iteration (Chambolle & Pock, JMIV 2011) is the workhorse of both the
-guiding objective and the separating walls; ADMM and iterated orthogonal
-projection are provided for comparison and share the same projection and
-stopping machinery so their convergence logs are comparable.
+iteration (Chambolle & Pock, JMIV 2011) is the workhorse of the guiding
+objective and the separating walls, and ADMM runs as its case theta = 1,
+sigma = rho, tau = 1/rho.  Iterated orthogonal projection is provided for
+comparison; it shares the projection and stopping machinery.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class AdmmParams:
     eps_rel: float = 1e-3
 
     def __post_init__(self):
-        if not (0 < self.rho < math.inf):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not (0 < self.rho < math.inf and 1.0 / self.rho < math.inf):
+            raise ValueError(f"rho and 1/rho must be positive and finite, got {self.rho}")
         _check_stop(self.max_iters, self.eps_abs, self.eps_rel)
 
 
@@ -196,29 +196,14 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
 def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
                params: AdmmParams, z0: VelocityField, log: ConvergenceLog,
                iterate_callback=None) -> VelocityField:
-    """Alternating direction method of multipliers with scaled dual y0 = 0;
-    iterate_callback sees each projection output.
-
-      x <- prox_f(rho, z - y);  z <- project(x + y);  y <- y + x - z
-    """
+    """ADMM with scaled dual y0 = 0 (iterate_callback sees each z),
+      x <- prox_f(rho, z - y);  z <- project(x + y);  y <- y + x - z,
+    run as pd_solve at theta = 1, sigma = rho, tau = 1/rho, whose x/sigma is
+    -(y + z - z_old): the same z iterates up to rounding, the same stop."""
     log.method = log.method or "admm"
-    z, z_old, y, arg, t = _iterates(z0, 3)
-    yb, ab, tb = y.as_flat(), arg.as_flat(), t.as_flat()
-    for _ in range(params.max_iters):
-        np.subtract(z.as_flat(), yb, out=ab)
-        x = prox_f(params.rho, arg)
-        np.add(x.as_flat(), yb, out=tb)
-        z, z_old = z_old, z
-        _, cg_iters, eps_cg = projector.project(t, out=z)
-        if iterate_callback is not None:
-            iterate_callback(z)
-        yb += x.as_flat()
-        yb -= z.as_flat()
-        np.subtract(z.as_flat(), z_old.as_flat(), out=tb)
-        if _loop_tail(z, t, eps_cg, cg_iters, projector, params.eps_abs,
-                      params.eps_rel, log):
-            break
-    return z
+    pd = PdParams(tau=1.0 / params.rho, sigma=params.rho, theta=1.0, max_iters=params.max_iters,
+                  eps_abs=params.eps_abs, eps_rel=params.eps_rel)
+    return pd_solve(prox_f, projector, pd, z0, log, iterate_callback)
 
 
 def iop_solve(prox_f: ProxOperator, projector: DivergenceProjector,

@@ -250,15 +250,10 @@ class PoissonSystem:
         np.copyto(out, 0.0, where=self._inactive)
         return out
 
-    def prepare_rhs(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Mask to active cells and subtract the mean of each connected
-        component of them that has no Dirichlet face; written into `out`
-        when given (out may be rhs)."""
-        if out is None:
-            b = np.array(rhs, dtype=np.float64)
-        else:
-            b = out
-            np.copyto(b, rhs)
+    def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
+        """Mask the C-contiguous float64 array b to active cells and subtract
+        the mean of each connected component of them that has no Dirichlet
+        face, in place; returns b."""
         np.copyto(b, 0.0, where=self._inactive)
         flat = b.reshape(-1)
         for cells in self._components:
@@ -594,9 +589,9 @@ def _require_finite(vel: VelocityField):
 
 
 def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
-                      bc: BcTable, out: VelocityField | None = None) -> VelocityField:
+                      bc: BcTable, out: VelocityField) -> VelocityField:
     """Velocity update u <- u - grad(p) with the table's ghost treatment,
-    written into the active faces of `out` (a copy of vel when None, or vel).
+    written into the active faces of `out` (which may be vel); returns out.
 
     The gradient reads p at FLUID cells and a ghost pressure of zero at
     every other cell and beyond the domain walls, and every face not tagged
@@ -612,9 +607,7 @@ def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
     for axis, g in zip(d.axes, _face_views(d, grad)):
         _to_faces(pv, axis, lambda lo, hi, out: np.subtract(hi, lo, out=out), ghost=0.0, out=g)
     grad *= 1.0 / d.h
-    if out is None:
-        out = vel.copy()
-    elif out is not vel:
+    if out is not vel:
         _check_dims(vel, out)
         np.copyto(out.as_flat(), vel.as_flat())
     flat = out.as_flat()
@@ -677,7 +670,7 @@ class DivergenceProjector:
         b, r = self._b, self._r
         divergence(vel, self.flags, out=b)
         np.negative(b, out=b)
-        self.system.prepare_rhs(b, out=b)
+        self.system.prepare_rhs(b)
         # the start's residual from the last solve's A p = b - r, so the warm
         # start costs no matvec
         if self.pressure is None:
@@ -690,7 +683,8 @@ class DivergenceProjector:
         self._spare = self.pressure if self.pressure is not None else np.empty_like(p)
         self.pressure = p
         np.subtract(b, r, out=self._image)
-        out = subtract_gradient(vel, ScalarField(vel.dims, p), self.flags, self.bc, out=out)
+        out = subtract_gradient(vel, ScalarField(vel.dims, p), self.flags, self.bc,
+                                vel.copy() if out is None else out)
         return out, iters, eps
 
     def retag(self, faces: np.ndarray, cells: np.ndarray, tags) -> None:

@@ -72,6 +72,8 @@ class SceneSpec:
             self.dt = 0.05 if self.name not in ("dam", "hydrostatic") else 0.01
         if self.particles_per_cell is None:
             self.particles_per_cell = 4 if self.nz == 1 else 8
+        if not self.particles_per_cell >= 1:
+            raise ValueError(f"particles_per_cell must be >= 1, got {self.particles_per_cell}")
         self.dims   # built once so GridDims checks nx, ny, nz and h
         if not self.dt > 0:
             raise ValueError(f"time step dt must be positive, got {self.dt}")
@@ -79,10 +81,11 @@ class SceneSpec:
             raise ValueError("guiding weights w_left, w_right must be positive")
         if not (self.radius_left >= 0 and self.radius_right >= 0):
             raise ValueError("blur radii radius_left, radius_right must be >= 0")
-        for box in (self.obstacle, self.emitter):
-            if box is not None and not (np.shape(box) == (4,)
-                                        and np.isfinite(np.asarray(box, float)).all()):
-                raise ValueError(f"box {box!r} needs four finite fractions x0, y0, x1, y1")
+        for box in (b for b in (self.obstacle, self.emitter) if b is not None):
+            x0, y0, x1, y1 = np.asarray(box, float) if np.shape(box) == (4,) else [np.nan] * 4
+            if not (0 <= x0 <= x1 <= 1 and 0 <= y0 <= y1 <= 1):
+                raise ValueError(f"box {box!r} needs four finite fractions "
+                                 "0 <= x0 <= x1 <= 1, 0 <= y0 <= y1 <= 1")
         if _static_flags(self).solid.all():
             raise ValueError("no open cell: the closed box's walls and the "
                              "obstacle fill the grid")

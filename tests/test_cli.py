@@ -174,13 +174,19 @@ class TestCli:
         ("simulate", {}, {"obstacle": [0.4, 0.4, math.inf, 0.6]}),
         ("guide", {}, {"nz": 2}),
         ("simulate", {}, {"obstacle": [0, 0, 1, 1]}),
+        ("guide", {"method": "admm", "rho": 1e-310}, {}),
+        ("simulate", {}, {"obstacle": [-0.5, -0.5, -0.25, -0.25]}),
+        ("simulate", {}, {"obstacle": [0.6, 0.6, 0.4, 0.4]}),
+        ("simulate", {}, {"particles_per_cell": -4}),
+        ("simulate", {}, {"particles_per_cell": 0}),
     ], ids=["theta", "nx", "h", "dt", "w_left", "radius_left", "obstacle",
             "coarse-mismatched", "coarse-truncated", "omega-str", "nx-float",
             "nx-bool", "seed-float", "frames-float", "max_cg_iters-float",
             "exact_prox-str", "obstacle-str", "h-inf", "buoyancy-nan",
             "w_left-inf", "radius_left-inf", "tau-nan", "omega-nan",
             "eps_abs-inf", "obstacle-inf", "nz-no-open-cell",
-            "obstacle-no-open-cell"])
+            "obstacle-no-open-cell", "rho-inverse-overflows", "obstacle-negative",
+            "obstacle-reversed", "particles_per_cell-negative", "particles_per_cell-0"])
     def test_bad_input_exits_2(self, tmp_path, command, run_keys, scene_keys):
         from pdfluids.fields import GridDims, VelocityField
         from pdfluids.fileio import write_grid

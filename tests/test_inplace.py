@@ -1,10 +1,13 @@
 """The proximal loops update their iterates in place.
 
-The allocating PD, ADMM and IOP loops, the guiding and wall proxes and the
+The allocating PD and IOP loops, the guiding and wall proxes and the
 accelerated wall sweep they replaced are kept here as test-time
 references: the in-place ones must return the same field and log the same
-rows bit for bit.  They compute on the active faces only, so a 2D input
-with values in its inactive z block gets its own block back unchanged.
+rows bit for bit.  ADMM runs as the PD loop at theta = 1, sigma = rho,
+tau = 1/rho, so it matches the PD reference at those parameters bit for
+bit, and the allocating ADMM loop to rounding.  The loops compute on the
+active faces only, so a 2D input with values in its inactive z block gets
+its own block back unchanged.
 The loops must never write their input or a prox's input, successive
 solves must return independent fields, and no iteration may construct a
 VelocityField.
@@ -59,7 +62,7 @@ def ref_pd_solve(prox_f, projector, params, z0, log):
     return z
 
 
-def ref_admm_solve(prox_f, projector, params, z0, log):
+def ref_admm_solve(prox_f, projector, params, z0, log, iterate_callback):
     log.method = log.method or "admm"
     z = z0.copy()
     y = VelocityField.zeros(z.dims)
@@ -67,6 +70,7 @@ def ref_admm_solve(prox_f, projector, params, z0, log):
         x = prox_f(params.rho, z - y)
         z_old = z
         z, cg_iters, eps_cg = projector.project(x + y)
+        iterate_callback(z)
         y = y + x - z
         if ref_loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
                          params.eps_rel, log):
@@ -190,6 +194,13 @@ def guided_projector(cfg):
     return DivergenceProjector(cfg.flags, BcTable.from_flags(cfg.flags), CgConfig())
 
 
+def admm_as_pd(admm):
+    """The PdParams admm_solve runs pd_solve at."""
+    return PdParams(tau=1.0 / admm.rho, sigma=admm.rho, theta=1.0,
+                    max_iters=admm.max_iters, eps_abs=admm.eps_abs,
+                    eps_rel=admm.eps_rel)
+
+
 # solve_separating_standard's default PD parameters
 STANDARD_PD = PdParams(tau=0.5, sigma=2.0, theta=1.0, max_iters=800,
                        eps_abs=1e-5, eps_rel=1e-5)
@@ -225,14 +236,35 @@ class TestMatchesAllocatingLoops:
 
     def test_guided_admm_step(self):
         state, cfg = guided_case(24)
-        params = default_guiding_params(cfg.w_bar)[1]
+        admm = default_guiding_params(cfg.w_bar)[1]
         runs = []
-        for solve, prox in ((admm_solve, GuidingProx), (ref_admm_solve, RefGuidingProx)):
-            log = ConvergenceLog()
+        for solve, prox, params, log in (
+                (admm_solve, GuidingProx, admm, ConvergenceLog()),
+                (ref_pd_solve, RefGuidingProx, admm_as_pd(admm),
+                 ConvergenceLog(method="admm"))):
             z = solve(prox(cfg), guided_projector(cfg), params, state.vel, log)
             runs.append((field_bytes(z), log_rows(log)))
         assert len(np.frombuffer(runs[0][1][2])) >= 3
         assert runs[0] == runs[1]
+
+    def test_admm_matches_the_admm_loop(self):
+        # the allocating ADMM loop as an independent oracle, at the default
+        # rho = 1.4 w_bar^2 (not 1) with adaptive CG: the same rows and CG
+        # effort, and every projection output equal to rounding
+        state, cfg = guided_case(24)
+        params = default_guiding_params(cfg.w_bar)[1]
+        assert params.rho != 1.0
+        runs = []
+        for solve in (admm_solve, ref_admm_solve):
+            log, iterates = ConvergenceLog(), []
+            solve(GuidingProx(cfg), guided_projector(cfg), params, state.vel, log,
+                  iterate_callback=lambda z: iterates.append(z.copy()))
+            runs.append((log, iterates))
+        (log, got), (ref_log, want) = runs
+        assert len(log) >= 3 and len(log) == len(ref_log) == len(got) == len(want)
+        assert log.cg_iters == ref_log.cg_iters and log.converged == ref_log.converged
+        for z, ref in zip(got, want):
+            assert (z - ref).norm() <= 1e-10 * ref.norm()
 
     def test_guided_iop_step(self):
         state, cfg = guided_case(24)
@@ -290,16 +322,18 @@ class TestLiveZBlock:
         z0 = live_z(state.vel, rng)
         held = field_bytes(z0)
         pd, admm = default_guiding_params(cfg.w_bar)
-        solves, params, stop = {
-            "pd": (((pd_solve, GuidingProx), (ref_pd_solve, RefGuidingProx)), (pd,), {}),
-            "admm": (((admm_solve, GuidingProx), (ref_admm_solve, RefGuidingProx)),
-                     (admm,), {}),
-            "iop": (((iop_solve, GuidingMinimizerProjection),
-                     (ref_iop_solve, GuidingMinimizerProjection)), (),
+        # admm_solve against the PD reference at its mapped parameters
+        solves, stop = {
+            "pd": (((pd_solve, GuidingProx, (pd,)), (ref_pd_solve, RefGuidingProx, (pd,))),
+                   {}),
+            "admm": (((admm_solve, GuidingProx, (admm,)),
+                      (ref_pd_solve, RefGuidingProx, (admm_as_pd(admm),))), {}),
+            "iop": (((iop_solve, GuidingMinimizerProjection, ()),
+                     (ref_iop_solve, GuidingMinimizerProjection, ())),
                     dict(eps_abs=1e-4, eps_rel=1e-4, max_iters=12))}[method]
         runs = []
-        for solve, prox in solves:
-            log = ConvergenceLog()
+        for solve, prox, params in solves:
+            log = ConvergenceLog(method="admm" if method == "admm" else "")
             runs.append((solve(prox(cfg), guided_projector(cfg), *params, z0, log, **stop),
                          log))
         (got, log), (want, ref_log) = runs

@@ -207,7 +207,8 @@ class TestStopParameters:
         with pytest.raises(ValueError, match="finite"):
             PdParams(**{"tau": 1.0, "sigma": 1.0, **steps})
 
-    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    # 1e-310 is finite, but ADMM runs PD at tau = 1/rho, which overflows
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, 1e-310])
     def test_admm_non_finite_rho(self, rho):
         with pytest.raises(ValueError, match="finite"):
             AdmmParams(rho=rho)

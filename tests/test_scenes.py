@@ -68,11 +68,23 @@ class TestBuildScene:
         SceneSpec("circular", nx=12, ny=12, nz=3)
         SceneSpec("circular", nx=12, ny=12, obstacle=(0, 0, 0.9, 1))
 
+    # a box outside [0, 1] used to wrap around the grid or select one cell
     @pytest.mark.parametrize("box", ["obstacle", "emitter"])
-    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("bad", [
+        (0, 0, math.inf, 1), (0, 0, math.nan, 1), (-0.5, -0.5, -0.25, -0.25),
+        (0.6, 0.6, 0.4, 0.4), (0.2, 0.2, 1.5, 0.4), (0.2, 0.2, 0.4, 1.01)],
+        ids=["inf", "nan", "negative", "reversed", "x1-above-1", "y1-above-1"])
     def test_non_finite_box_rejected(self, box, bad):
         with pytest.raises(ValueError, match="four finite fractions"):
-            SceneSpec("circular", nx=12, ny=12, **{box: (0, 0, bad, 1)})
+            SceneSpec("circular", nx=12, ny=12, **{box: bad})
+        SceneSpec("circular", nx=12, ny=12, **{box: (0, 0.5, 1, 0.5)})   # the edges are in
+
+    @pytest.mark.parametrize("per_cell", [-4, 0])
+    def test_particles_per_cell_below_1_rejected(self, per_cell):
+        with pytest.raises(ValueError, match="particles_per_cell"):
+            SceneSpec("dam", nx=16, ny=16, particles_per_cell=per_cell)
+        assert len(build_scene(SceneSpec("dam", nx=16, ny=16,
+                                         particles_per_cell=1))[0].particles_pos)
 
     def test_determinism(self):
         a, _ = build_scene(SceneSpec("dam", nx=24, ny=20, seed=3))
