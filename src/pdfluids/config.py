@@ -55,7 +55,8 @@ class RunConfig:
 
     def validate(self):
         """Check the run's own keys; the solver keys are checked by building
-        the CG settings and the PD and ADMM parameters at unit mean weight."""
+        the CG settings and the PD and ADMM parameters at both guiding weights,
+        between which the mean lies; every default step is monotone in it."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.bc_mode not in BC_MODES:
@@ -66,7 +67,8 @@ class RunConfig:
             raise ConfigError("upres_factor must be >= 1")
         try:
             self.cg
-            self.solver_params(1.0)
+            self.solver_params(self.scene.w_left)
+            self.solver_params(self.scene.w_right)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

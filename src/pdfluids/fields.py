@@ -265,18 +265,17 @@ def face_centers(dims: GridDims, axis: int):
     return _centers(dims.face_shape(axis), _face_offsets(axis), dims.h)
 
 
-def _to_faces(c: np.ndarray, axis: int, pair, ghost=None, out=None) -> np.ndarray:
+def _to_faces(c: np.ndarray, axis: int, pair, ghost=None) -> np.ndarray:
     """Face array of one axis from a cell array: the cells get one ghost
     cell beyond each domain wall, and every face is pair(lower, upper) of
     the two cells it separates.  The ghost is `ghost` when given, else the
-    wall cell itself, so a wall face is pair(c, c) of its one cell.  Given
-    `out`, a face array of the axis, pair(lower, upper, out) writes it."""
+    wall cell itself, so a wall face is pair(c, c) of its one cell."""
     lo, hi = c[_along(axis, slice(None, 1))], c[_along(axis, slice(-1, None))]
     if ghost is not None:
         lo = hi = np.full_like(lo, ghost)
     padded = np.concatenate((lo, c, hi), axis=axis)
     cells = padded[_along(axis, slice(None, -1))], padded[_along(axis, slice(1, None))]
-    return pair(*cells) if out is None else pair(*cells, out)
+    return pair(*cells)
 
 
 def cell_to_face_average(scalar: ScalarField, axis: int) -> np.ndarray:
@@ -314,13 +313,11 @@ def _face_views(dims: GridDims, flat: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 # divergence
 
-def divergence(vel: VelocityField, flags: CellFlags,
-               out: np.ndarray | None = None) -> ScalarField:
-    """MAC central divergence at FLUID cells, zero at SOLID/EMPTY, written
-    into `out` (a cell array) when given."""
+def divergence(vel: VelocityField, flags: CellFlags) -> ScalarField:
+    """MAC central divergence at FLUID cells, zero at SOLID/EMPTY."""
     _check_dims(vel, flags)
     d = vel.dims
-    div = np.empty(d.shape) if out is None else out
+    div = np.empty(d.shape)
     np.subtract(vel.u[1:, :, :], vel.u[:-1, :, :], out=div)
     div += vel.v[:, 1:, :]
     div -= vel.v[:, :-1, :]

@@ -290,7 +290,7 @@ class PoissonSystem:
 
     def cg(self, b: np.ndarray, eps: float, max_iters: int,
            inf_tol: float | None = None, x0: np.ndarray | None = None,
-           r0: np.ndarray | None = None, work: tuple | None = None):
+           r0: np.ndarray | None = None):
         """Multigrid-preconditioned CG on A x = b, run by _pcg: starts from
         x0 (zero when None) with its residual r0 if given, and stops when
         ||r||_2 <= eps * max(||b||_2, 1) and, if inf_tol is given,
@@ -299,20 +299,17 @@ class PoissonSystem:
         looked up per call, so a wrapper installed on them sees every one.
         """
         return _pcg(self.apply, b, eps, 1.0, max_iters, self._precondition,
-                    inf_tol=inf_tol, x0=x0, r0=r0, work=work)
+                    inf_tol=inf_tol, x0=x0, r0=r0)
 
 
 def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
          precondition=None, inf_tol: float | None = None,
          solver: str = "pressure", x0: np.ndarray | None = None,
-         r0: np.ndarray | None = None, work: tuple | None = None):
+         r0: np.ndarray | None = None):
     """The one CG loop: preconditioned CG on A x = b for an SPD `apply(d,
     out)`, with the optional preconditioner `precondition(r, out)` (z is r
-    without one).  b is a C-contiguous array of any shape; x, r, z, d and
-    A d keep its shape and are updated in place.  `work`, when given, is
-    (x, z, d, A d, tmp): C-contiguous arrays shaped like b, none of them b,
-    x0 or r0, that the loop uses instead of allocating its own; x is the
-    returned solution.
+    without one).  b is a C-contiguous array of any shape; x (the returned
+    solution), r, z, d and A d keep its shape and are updated in place.
 
     x starts from a copy of x0 (zero when None).  r0, if given, is the
     start's residual b - A x0 in a C-contiguous array that the loop updates
@@ -325,7 +322,7 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
     x0, residual or d.A d, on a breakdown and when max_iters is used up;
     the reported residual is ||r||_2 / max(||b||_2, floor).
     """
-    x, z, d, ad, tmp = work if work is not None else [np.empty_like(b) for _ in range(5)]
+    x, z, d, ad, tmp = (np.empty_like(b) for _ in range(5))
     if x0 is None:
         x.fill(0.0)
     bnorm = float(np.linalg.norm(b))
@@ -603,9 +600,7 @@ def subtract_gradient(vel: VelocityField, p: ScalarField, flags: CellFlags,
     _check_dims(vel, flags)
     d = vel.dims
     pv = np.where(flags.fluid, p.values, 0.0)
-    grad = np.empty(vel.n_dof)
-    for axis, g in zip(d.axes, _face_views(d, grad)):
-        _to_faces(pv, axis, lambda lo, hi, out: np.subtract(hi, lo, out=out), ghost=0.0, out=g)
+    grad = _flat_faces(d, lambda a: _to_faces(pv, a, lambda lo, hi: hi - lo, ghost=0.0))
     grad *= 1.0 / d.h
     if out is not vel:
         _check_dims(vel, out)
@@ -638,10 +633,9 @@ class DivergenceProjector:
     Each solve starts from `pressure`, the pressure of the projector's
     previous solve (None before the first), also across a retag; the start
     is kept here, not on the shared cached system, so two projectors on one
-    system do not steer each other.  The rhs, the residual, the CG work
-    arrays and a second pressure array are the projector's own, allocated
-    once: each solve writes its pressure into the array the last solve's
-    pressure does not hold, so a failed solve leaves `pressure` as it was.
+    system do not steer each other.  With it the projector keeps `_image`,
+    its A p; a solve sets both only once CG has converged, on arrays of its
+    own, so a failed solve leaves them as they were.
     """
 
     def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None):
@@ -651,10 +645,7 @@ class DivergenceProjector:
         self.eps = self.cg.eps_start
         self.system = _system_for(flags, bc)
         self.pressure = None   # the last solve's p
-        shape = flags.dims.shape
-        self._image = np.zeros(shape)   # the last solve's A p
-        self._b, self._r, self._spare = (np.empty(shape) for _ in range(3))
-        self._work = tuple(np.empty(shape) for _ in range(4))   # z, d, A d, tmp
+        self._image = np.zeros(flags.dims.shape)   # the last solve's A p
 
     def project(self, vel: VelocityField, out: VelocityField | None = None
                 ) -> tuple[VelocityField, int, float]:
@@ -667,20 +658,14 @@ class DivergenceProjector:
         solve, also one the divergence never reads (no FLUID neighbour)."""
         _require_finite(vel)
         eps = self.eps
-        b, r = self._b, self._r
-        divergence(vel, self.flags, out=b)
+        b = divergence(vel, self.flags).values
         np.negative(b, out=b)
         self.system.prepare_rhs(b)
-        # the start's residual from the last solve's A p = b - r, so the warm
-        # start costs no matvec
-        if self.pressure is None:
-            np.copyto(r, b)
-        else:
-            np.subtract(b, self._image, out=r)
+        # the start's residual from the last solve's A p = b - r (0 before
+        # the first solve, so r0 = b), so the warm start costs no matvec
+        r = b - self._image
         p, iters = self.system.cg(b, eps, self.cg.max_cg_iters, inf_tol=10.0 * eps,
-                                  x0=self.pressure, r0=r,
-                                  work=(self._spare,) + self._work)
-        self._spare = self.pressure if self.pressure is not None else np.empty_like(p)
+                                  x0=self.pressure, r0=r)
         self.pressure = p
         np.subtract(b, r, out=self._image)
         out = subtract_gradient(vel, ScalarField(vel.dims, p), self.flags, self.bc,

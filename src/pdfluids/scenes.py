@@ -77,6 +77,8 @@ class SceneSpec:
         self.dims   # built once so GridDims checks nx, ny, nz and h
         if not self.dt > 0:
             raise ValueError(f"time step dt must be positive, got {self.dt}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.w_left > 0 and self.w_right > 0):
             raise ValueError("guiding weights w_left, w_right must be positive")
         if not (self.radius_left >= 0 and self.radius_right >= 0):
@@ -86,6 +88,11 @@ class SceneSpec:
             if not (0 <= x0 <= x1 <= 1 and 0 <= y0 <= y1 <= 1):
                 raise ValueError(f"box {box!r} needs four finite fractions "
                                  "0 <= x0 <= x1 <= 1, 0 <= y0 <= y1 <= 1")
+            walls = CellFlags.closed_box(self.dims).solid[_fractional_box(self.dims, box)]
+            # an emitter on wall cells only, whose density never reaches a
+            # FLUID cell, stays valid: bench/test_bench.py's 16^2 scene has one
+            if not walls.size or (box is self.obstacle and walls.all()):
+                raise ValueError(f"box {box!r} covers no cell inside the closed box's walls")
         if _static_flags(self).solid.all():
             raise ValueError("no open cell: the closed box's walls and the "
                              "obstacle fill the grid")

@@ -179,6 +179,12 @@ class TestCli:
         ("simulate", {}, {"obstacle": [0.6, 0.6, 0.4, 0.4]}),
         ("simulate", {}, {"particles_per_cell": -4}),
         ("simulate", {}, {"particles_per_cell": 0}),
+        ("simulate", {}, {"seed": -1}),
+        ("guide", {}, {"w_left": 1e-200, "w_right": 1e-200}),
+        ("guide", {}, {"w_left": 1e200, "w_right": 1e200}),
+        ("simulate", {}, {"emitter": [1, 0.4, 1, 0.6]}),
+        ("simulate", {}, {"obstacle": [0.99, 0.4, 1, 0.6]}),
+        ("simulate", {}, {"obstacle": [0, 0, 0.05, 1]}),
     ], ids=["theta", "nx", "h", "dt", "w_left", "radius_left", "obstacle",
             "coarse-mismatched", "coarse-truncated", "omega-str", "nx-float",
             "nx-bool", "seed-float", "frames-float", "max_cg_iters-float",
@@ -186,7 +192,9 @@ class TestCli:
             "w_left-inf", "radius_left-inf", "tau-nan", "omega-nan",
             "eps_abs-inf", "obstacle-inf", "nz-no-open-cell",
             "obstacle-no-open-cell", "rho-inverse-overflows", "obstacle-negative",
-            "obstacle-reversed", "particles_per_cell-negative", "particles_per_cell-0"])
+            "obstacle-reversed", "particles_per_cell-negative", "particles_per_cell-0",
+            "seed-negative", "rho-underflows", "rho-overflows", "emitter-empty",
+            "obstacle-right-wall", "obstacle-left-wall"])
     def test_bad_input_exits_2(self, tmp_path, command, run_keys, scene_keys):
         from pdfluids.fields import GridDims, VelocityField
         from pdfluids.fileio import write_grid

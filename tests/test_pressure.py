@@ -1083,6 +1083,30 @@ class TestWarmStart:
         np.testing.assert_allclose(image, projector.system.apply(p), rtol=0,
                                    atol=1e-12 * np.abs(image).max())
 
+    def test_failed_projection_keeps_the_start(self, rng):
+        # a solve that runs out of iterations leaves the kept p and A p as
+        # they were, so the next solve is the one a projector that never
+        # failed makes (648 fluid cells, so the coarsest grid is not grid 0
+        # and one iteration does not solve)
+        state, _ = build_scene(SceneSpec("dam", nx=64, ny=48))
+        flags = state.flags
+        eps = 1e-6
+        first, second = (random_velocity(flags.dims, rng, zero_wall_normals=True)
+                         for _ in range(2))
+        projector = DivergenceProjector(flags, BcTable.from_flags(flags), CgConfig(eps, eps))
+        projector.project(first)
+        p, image = projector.pressure.tobytes(), projector._image.tobytes()
+        cg, projector.cg = projector.cg, CgConfig(eps, eps, max_cg_iters=1)
+        with pytest.raises(PoissonConvergenceError):
+            projector.project(second)
+        assert projector.pressure.tobytes() == p and projector._image.tobytes() == image
+        projector.cg = cg
+        out, iters, _ = projector.project(second)
+        never = DivergenceProjector(flags, BcTable.from_flags(flags), CgConfig(eps, eps))
+        never.project(first)
+        ref, ref_iters, _ = never.project(second)
+        assert iters == ref_iters > 1 and out.as_flat().tobytes() == ref.as_flat().tobytes()
+
     def test_projectors_on_one_system_keep_their_own_start(self, rng):
         # two projectors on the one cached system, alternated, give what
         # each gives alone

@@ -79,6 +79,24 @@ class TestBuildScene:
             SceneSpec("circular", nx=12, ny=12, **{box: bad})
         SceneSpec("circular", nx=12, ny=12, **{box: (0, 0.5, 1, 0.5)})   # the edges are in
 
+    # on 16^2 these select no cell, or wall cells only; an emitter on wall
+    # cells only is still accepted
+    @pytest.mark.parametrize("box", ["obstacle", "emitter"])
+    @pytest.mark.parametrize("bad", [(1, 0.4, 1, 0.6), (0.99, 0.4, 1, 0.6), (0, 0, 0.05, 1)],
+                             ids=["empty", "right-wall", "left-wall"])
+    def test_box_in_the_wall_ring_rejected(self, box, bad):
+        if box == "emitter" and bad[0] < 1:
+            SceneSpec("plume", nx=16, ny=16, **{box: bad})
+        else:
+            with pytest.raises(ValueError, match="inside the closed box's walls"):
+                SceneSpec("plume", nx=16, ny=16, **{box: bad})
+        SceneSpec("plume", nx=16, ny=16, **{box: (0, 0, 0.13, 1)})   # one open column
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            SceneSpec("dam", nx=16, ny=16, seed=-1)
+        build_scene(SceneSpec("dam", nx=16, ny=16, seed=0))
+
     @pytest.mark.parametrize("per_cell", [-4, 0])
     def test_particles_per_cell_below_1_rejected(self, per_cell):
         with pytest.raises(ValueError, match="particles_per_cell"):
