@@ -24,9 +24,13 @@ class ProxOperator:
 
     A prox never writes v.  It may return a field of its own that its next
     call overwrites; the loops below read it only before that call.
+    `has_indicator` marks an f that holds the indicator of a constraint set:
+    a projection output alone then says nothing of dom f, so pd_solve also
+    stops on the distance of the prox output to it.
     """
 
     is_orthogonal_projection = False
+    has_indicator = False
 
     def __call__(self, sigma: float, v: VelocityField) -> VelocityField:
         raise NotImplementedError
@@ -103,14 +107,16 @@ class ConvergenceLog:
 
 
 def stop_check(change: VelocityField, z_new: VelocityField, eps_abs: float,
-               eps_rel: float) -> tuple[bool, float, float]:
-    """Iterate-change stopping rule.
+               eps_rel: float, dual: VelocityField | None = None,
+               tau: float = 1.0) -> tuple[bool, float, float]:
+    """Stopping rule.
 
-    residual = ||change||_2 with change = z_new - z_old, threshold
-    eps = sqrt(n_dof) * eps_abs + eps_rel * ||z_new||_2 with n_dof the number
-    of velocity degrees of freedom.
+    residual = ||change||_2 with change = z_new - z_old or, given the dual
+    residual field `dual`, the larger of the pair ||dual||_2 and
+    ||change||_2 / tau; threshold eps = sqrt(n_dof) * eps_abs + eps_rel *
+    ||z_new||_2 with n_dof the number of velocity degrees of freedom.
     """
-    residual = change.norm()
+    residual = change.norm() if dual is None else max(dual.norm(), change.norm() / tau)
     eps = math.sqrt(z_new.n_dof) * eps_abs + eps_rel * z_new.norm()
     return residual <= eps, residual, eps
 
@@ -129,12 +135,14 @@ def _iterates(z0: VelocityField, n: int) -> list[VelocityField]:
 
 def _loop_tail(z: VelocityField, change: VelocityField, eps_cg: float,
                cg_iters: int, projector: DivergenceProjector, eps_abs: float,
-               eps_rel: float, log: ConvergenceLog) -> bool:
+               eps_rel: float, log: ConvergenceLog, dual: VelocityField | None = None,
+               tau: float = 1.0) -> bool:
     """End of one outer iteration, shared by every solver: stop check on
-    `change` = z - z_old, CG accuracy adaptation, log row.  Returns and
-    records on the log whether the solve has converged: the iterate change
-    is below the threshold and the projection ran at its final accuracy."""
-    stop, residual, eps = stop_check(change, z, eps_abs, eps_rel)
+    `change` = z - z_old (and `dual`, see stop_check), CG accuracy
+    adaptation and log row, both on the stop residual.  Returns and records
+    on the log whether the solve has converged: the residual is below the
+    threshold and the projection ran at its final accuracy."""
+    stop, residual, eps = stop_check(change, z, eps_abs, eps_rel, dual, tau)
     projector.adapt(residual, eps)
     log.record(residual, eps, eps_cg, cg_iters)
     log.converged = stop and eps_cg <= projector.cg.eps_final
@@ -160,16 +168,24 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
       x <- x + sigma*y - sigma*prox_f(sigma, x/sigma + y)
       z <- project(z - tau*x)           (adaptive CG accuracy)
       y <- z + theta*(z - z_old)
-    and stop once ||z - z_old|| falls below the stop threshold with the CG
-    tolerance already at its final accuracy.  Starts from x = 0, y = z0.
-    iterate_callback sees each projection output.  Returns the last
-    projection output; non-convergence is flagged on the log.
+    and stop once the stop residual falls below the stop threshold with the
+    CG tolerance already at its final accuracy.  The residual is the
+    iterate change ||z - z_old|| or, for a prox whose f holds an indicator
+    (`has_indicator`), the larger of the primal and dual residuals
+    ||z - z_old|| / tau of the projection step and ||p - z|| of dual
+    feasibility, with p the prox output: x changes by sigma*(y - p), so
+    y + (x_old - x)/sigma - z = p - z.  At theta = 1, sigma = rho and
+    tau = 1/rho they are ADMM's s = rho ||z - z_old|| and r = ||x - z||
+    (Boyd et al., Found. Trends ML 2011, 3.3.1).  Starts from x = 0,
+    y = z0.  iterate_callback sees each projection output.  Returns the
+    last projection output; non-convergence is flagged on the log.
     """
     log.method = log.method or "pd"
     z, z_old, x, arg, t = _iterates(z0, 3)
     y = z0.copy()
     xb, yb, ab, tb = x.as_flat(), y.as_flat(), arg.as_flat(), t.as_flat()
     tau, sigma, theta = params.tau, params.sigma, params.theta
+    dual = arg if prox_f.has_indicator else None   # p - z, once arg is projected
     for _ in range(params.max_iters):
         np.multiply(xb, 1.0 / sigma, out=ab)
         ab += yb
@@ -187,8 +203,10 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
         np.subtract(z.as_flat(), z_old.as_flat(), out=tb)
         np.multiply(tb, theta, out=yb)
         yb += z.as_flat()
+        if dual is not None:
+            np.subtract(p.as_flat(), z.as_flat(), out=ab)
         if _loop_tail(z, t, eps_cg, cg_iters, projector, params.eps_abs,
-                      params.eps_rel, log):
+                      params.eps_rel, log, dual, tau):
             break
     return z
 

@@ -99,6 +99,8 @@ class WallProx(ProxOperator):
     mean clamped face by face; every face off the walls keeps the mean.  The
     result is the prox's own field, which its next call overwrites."""
 
+    has_indicator = True
+
     def __init__(self, a: VelocityField, faces: BoundaryFaces,
                  locked: np.ndarray | None = None):
         self.a, self.faces, self.locked = a, faces, locked
@@ -141,8 +143,9 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
 
     The pressure solver sees every wall as a free surface and the prox of
     f(z) = 1/2 ||z - u||^2 + the wall constraint (WallProx) clamps u.n at 0;
-    one pd_solve from z = u, at tau 0.5, sigma 2, theta 1 and a tolerance
-    of 1e-5 by default.  The caller's state ends holding the faces whose
+    one pd_solve from z = u, by default at tau 1/3, sigma 3, theta 1 (ADMM
+    at rho 3), stopped on its primal and dual residuals at a tolerance of
+    1e-5.  The caller's state ends holding the faces whose
     |u.n| in the result lies within the last stop threshold, which it
     keeps as eps.  With lock_set the caller's set is the constraint instead:
     its normals are held at 0, every other wall face is left free and the
@@ -157,7 +160,7 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
         raise ValueError("lock_set requires a state holding the set to lock")
     faces = state.faces if lock_set else BoundaryFaces(flags)
     params = params if params is not None else PdParams(
-        tau=0.5, sigma=2.0, theta=1.0, max_iters=800, eps_abs=1e-5, eps_rel=1e-5)
+        tau=1.0 / 3.0, sigma=3.0, theta=1.0, max_iters=800, eps_abs=1e-5, eps_rel=1e-5)
     projector = DivergenceProjector(flags, free_surface_walls_table(flags), cg)
     prox = WallProx(u, faces, state.nsep if lock_set else None)
     z = pd_solve(prox, projector, params, u, log)

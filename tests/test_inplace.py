@@ -5,7 +5,8 @@ accelerated wall sweep they replaced are kept here as test-time
 references: the in-place ones must return the same field and log the same
 rows bit for bit.  ADMM runs as the PD loop at theta = 1, sigma = rho,
 tau = 1/rho, so it matches the PD reference at those parameters bit for
-bit, and the allocating ADMM loop to rounding.  The loops compute on the
+bit, and the allocating ADMM loop to rounding; for the wall prox, whose f
+holds an indicator, it logs that loop's residual pair.  The loops compute on the
 active faces only, so a 2D input with values in its inactive z block gets
 its own block back unchanged.
 The loops must never write their input or a prox's input, successive
@@ -23,7 +24,8 @@ from pdfluids.fields import VelocityField
 from pdfluids.guiding import (GuidingMinimizerProjection, GuidingPrecompute,
                               GuidingProx, GuidingQuadratic, default_guiding_params,
                               guide_step)
-from pdfluids.optim import ConvergenceLog, PdParams, admm_solve, iop_solve, pd_solve
+from pdfluids.optim import (AdmmParams, ConvergenceLog, PdParams, admm_solve, iop_solve,
+                            pd_solve)
 from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector, FaceTag
 from pdfluids.scenes import SceneSpec, build_scene, liquid_step, smoke_step
 from pdfluids.separating import (MAX_SWEEPS, BcState, BoundaryFaces, WallProx,
@@ -36,8 +38,9 @@ from conftest import random_velocity
 
 # -- the allocating bodies, kept as test-time references ----------------------
 
-def ref_loop_tail(z, z_old, eps_cg, cg_iters, projector, eps_abs, eps_rel, log):
-    residual = (z - z_old).norm()
+def ref_loop_tail(z, z_old, eps_cg, cg_iters, projector, eps_abs, eps_rel, log,
+                  residual=None):
+    residual = (z - z_old).norm() if residual is None else residual
     eps = math.sqrt(z.n_dof) * eps_abs + eps_rel * z.norm()
     projector.adapt(residual, eps)
     log.record(residual, eps, eps_cg, cg_iters)
@@ -52,12 +55,16 @@ def ref_pd_solve(prox_f, projector, params, z0, log):
     y = z0.copy()
     tau, sigma, theta = params.tau, params.sigma, params.theta
     for _ in range(params.max_iters):
-        x = x + sigma * y - sigma * prox_f(sigma, x * (1.0 / sigma) + y)
+        p = prox_f(sigma, x * (1.0 / sigma) + y)
+        x = x + sigma * y - sigma * p
         z_old = z
         z, cg_iters, eps_cg = projector.project(z_old - tau * x)
         y = z + theta * (z - z_old)
+        # with an indicator in f, the primal and dual residuals of the step
+        residual = (max((p - z).norm(), (z - z_old).norm() / tau)
+                    if getattr(prox_f, "has_indicator", False) else None)
         if ref_loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
-                         params.eps_rel, log):
+                         params.eps_rel, log, residual):
             break
     return z
 
@@ -72,8 +79,11 @@ def ref_admm_solve(prox_f, projector, params, z0, log, iterate_callback):
         z, cg_iters, eps_cg = projector.project(x + y)
         iterate_callback(z)
         y = y + x - z
+        # with an indicator in f, Boyd's r = ||x - z|| and s = rho ||z - z_old||
+        residual = (max((x - z).norm(), params.rho * (z - z_old).norm())
+                    if getattr(prox_f, "has_indicator", False) else None)
         if ref_loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
-                         params.eps_rel, log):
+                         params.eps_rel, log, residual):
             break
     return z
 
@@ -114,6 +124,8 @@ class RefGuidingProx:
 
 
 class RefWallProx:
+    has_indicator = True
+
     def __init__(self, a, faces):
         self.a, self.faces = a, faces
 
@@ -202,7 +214,7 @@ def admm_as_pd(admm):
 
 
 # solve_separating_standard's default PD parameters
-STANDARD_PD = PdParams(tau=0.5, sigma=2.0, theta=1.0, max_iters=800,
+STANDARD_PD = PdParams(tau=1.0 / 3.0, sigma=3.0, theta=1.0, max_iters=800,
                        eps_abs=1e-5, eps_rel=1e-5)
 
 
@@ -263,6 +275,31 @@ class TestMatchesAllocatingLoops:
         (log, got), (ref_log, want) = runs
         assert len(log) >= 3 and len(log) == len(ref_log) == len(got) == len(want)
         assert log.cg_iters == ref_log.cg_iters and log.converged == ref_log.converged
+        for z, ref in zip(got, want):
+            assert (z - ref).norm() <= 1e-10 * ref.norm()
+
+    def test_wall_pair_matches_the_admm_residuals(self, rng):
+        # the standard wall solve against the allocating ADMM loop at
+        # rho = sigma = 3: the same rows and CG effort, and every logged
+        # residual Boyd's max(||x - z||, rho ||z - z_old||), to rounding
+        flags, u = dam_case(rng)
+        faces = BoundaryFaces(flags)
+        admm = AdmmParams(rho=STANDARD_PD.sigma, max_iters=STANDARD_PD.max_iters,
+                          eps_abs=STANDARD_PD.eps_abs, eps_rel=STANDARD_PD.eps_rel)
+        assert admm_as_pd(admm) == STANDARD_PD
+        runs = []
+        for solve, prox, params in ((pd_solve, WallProx, STANDARD_PD),
+                                    (ref_admm_solve, RefWallProx, admm)):
+            log, iterates = ConvergenceLog(), []
+            projector = DivergenceProjector(flags, free_surface_walls_table(flags), CgConfig())
+            solve(prox(u, faces), projector, params, u, log,
+                  iterate_callback=lambda z: iterates.append(z.copy()))
+            runs.append((log, iterates))
+        (log, got), (ref_log, want) = runs
+        assert len(log) >= 10 and log.converged and ref_log.converged
+        assert len(log) == len(ref_log) == len(got) == len(want)
+        assert log.cg_iters == ref_log.cg_iters
+        np.testing.assert_allclose(log.residuals, ref_log.residuals, rtol=1e-10, atol=0.0)
         for z, ref in zip(got, want):
             assert (z - ref).norm() <= 1e-10 * ref.norm()
 

@@ -99,4 +99,24 @@ def test_accelerated_matches_exact_projection(scene, frame, carry):
     assert np.linalg.norm(z.as_flat() - exact) <= 1e-8 * step
     # the standard solver at its defaults stops at its PD tolerance
     z = solve_separating_standard(a, flags, cg=CgConfig())
-    assert np.linalg.norm(z.as_flat() - exact) <= 5e-3 * step
+    assert np.linalg.norm(z.as_flat() - exact) <= 2e-3 * step
+
+
+def test_standard_stops_near_the_exact_projection_on_the_workload_dam():
+    # the 100x70 dam of the dam workloads after 10 accelerated frames: a
+    # stop on the iterate change alone lands 8.5e-3 of the step away here,
+    # the stop on the primal and dual residuals within 2e-3.  The exact
+    # projection is the accelerated solve at a tight CG accuracy (too large
+    # a state for the oracle)
+    state, _ = build_scene(SceneSpec("dam", nx=100, ny=70, fill_fraction=0.5,
+                                     fill_height=0.9, dt=0.01, seed=1))
+    bc_state = BcState.initial(state.flags)
+    for _ in range(10):
+        liquid_step(state, mode="separating-accelerated", cg=CgConfig(), bc_state=bc_state)
+    a, _ = liquid_begin_step(state)
+    exact = solve_separating_accelerated(a, state.flags, cg=CgConfig(eps_final=1e-9),
+                                         state=bc_state)
+    step = (exact - a).norm()
+    assert step > 0
+    z = solve_separating_standard(a, state.flags)
+    assert (z - exact).norm() <= 2e-3 * step
