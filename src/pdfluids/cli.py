@@ -113,9 +113,9 @@ def _run_frames(cfg: RunConfig, state, step, summary: str, extra=()):
 
 def _guided_step(cfg: RunConfig, state, target):
     """The step of a guided run: `target(frame)` gives the frame's guiding
-    config, whose mean weight sets the default step sizes."""
+    config, whose mean weight sets the step sizes."""
     def step(frame):
-        guide_cfg = target(frame).with_current(state.vel)
+        guide_cfg = target(frame)
         pd, admm = cfg.solver_params(guide_cfg.w_bar)
         smoke_step(state, guide_cfg, method=cfg.method, pd_params=pd,
                    admm_params=admm, cg=cfg.cg, exact_prox=cfg.exact_prox)

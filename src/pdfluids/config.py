@@ -32,11 +32,8 @@ class RunConfig:
     bc_mode: str = "regular"
     frames: int = 50
     out_dir: str = "out"
-    # solver overrides; None means the guiding-weight defaults
-    tau: float | None = None
-    sigma: float | None = None
-    theta: float | None = None
-    rho: float | None = None
+    # stop settings of the guided solve; its step sizes follow the guiding
+    # weights (default_guiding_params)
     max_iters: int = 300
     eps_abs: float = 1e-3
     eps_rel: float = 1e-3
@@ -56,7 +53,7 @@ class RunConfig:
     def validate(self):
         """Check the run's own keys; the solver keys are checked by building
         the CG settings and the PD and ADMM parameters at both guiding weights,
-        between which the mean lies; every default step is monotone in it."""
+        between which the mean lies; every step is monotone in it."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.bc_mode not in BC_MODES:
@@ -74,15 +71,10 @@ class RunConfig:
 
     def solver_params(self, w_bar: float) -> tuple[PdParams, AdmmParams]:
         """The PD and ADMM parameters of a guided frame: the guiding-weight
-        defaults at mean weight w_bar, with the step sizes this config sets
-        and its stop settings written over them."""
+        steps at mean weight w_bar under this config's stop settings."""
         pd, admm = default_guiding_params(w_bar)
         stop = dict(max_iters=self.max_iters, eps_abs=self.eps_abs, eps_rel=self.eps_rel)
-        steps = {k: getattr(self, k) for k in ("tau", "sigma", "theta")
-                 if getattr(self, k) is not None}
-        rho = self.rho if self.rho is not None else admm.rho
-        return (dataclasses.replace(pd, **steps, **stop),
-                dataclasses.replace(admm, rho=rho, **stop))
+        return dataclasses.replace(pd, **stop), dataclasses.replace(admm, **stop)
 
     @property
     def cg(self) -> CgConfig:

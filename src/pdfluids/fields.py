@@ -127,10 +127,6 @@ class CellFlags:
     def empty(self) -> np.ndarray:
         return self.values == CellType.EMPTY
 
-    def __eq__(self, other):
-        return isinstance(other, CellFlags) and self.dims == other.dims and \
-            np.array_equal(self.values, other.values)
-
 
 class ScalarField:
     """Cell-centered scalar field (pressure, smoke density, weights, radii)."""

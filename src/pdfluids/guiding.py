@@ -129,10 +129,6 @@ class GuidingQuadratic:
         return -2.0 * (self.apply_BtB(self.cfg.u_target)
                        + self._wsq(self.cfg.u_current))
 
-    def c(self) -> float:
-        ut, uc = self.cfg.u_target, self.cfg.u_current
-        return ut.dot(self.apply_BtB(ut)) + uc.dot(self._wsq(uc))
-
     def apply_M(self, sigma: float, vel: VelocityField) -> VelocityField:
         masked = self.mask(vel)
         return self.apply_A(masked) + sigma * masked

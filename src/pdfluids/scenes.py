@@ -112,7 +112,6 @@ class SceneState:
 
     spec: SceneSpec
     flags: CellFlags
-    solid_mask: np.ndarray          # static obstacles, never changes
     vel: VelocityField
     density: ScalarField | None = None
     particles_pos: np.ndarray | None = None   # (N, 3) meters
@@ -198,9 +197,8 @@ def build_scene(spec: SceneSpec):
     d = spec.dims
     rng = np.random.default_rng(spec.seed)
     flags = _static_flags(spec)
-    solid_mask = flags.solid.copy()
-    state = SceneState(spec=spec, flags=flags, solid_mask=solid_mask,
-                       vel=VelocityField.zeros(d))
+    solid = flags.solid
+    state = SceneState(spec=spec, flags=flags, vel=VelocityField.zeros(d))
     cfg = None
 
     if spec.is_liquid:
@@ -212,7 +210,7 @@ def build_scene(spec: SceneSpec):
         else:  # hydrostatic: full-width resting column
             nrows = max(int((d.ny - 2) * spec.fill_height), 1)
             fluid[1:-1, 1:1 + nrows, :] = True
-        fluid &= ~solid_mask
+        fluid &= ~solid
         state.particles_pos = _seed_particles(flags, fluid, spec.particles_per_cell, rng)
         state.particles_vel = np.zeros_like(state.particles_pos)
         state.flags = flags_from_particles(state)
@@ -227,7 +225,7 @@ def build_scene(spec: SceneSpec):
         r = max(d.nx // 12, 2)
         X, Y, _ = np.indices(d.shape)
         blob = (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
-        state.density.values[blob & ~solid_mask] = 1.0
+        state.density.values[blob & ~solid] = 1.0
 
     omega, k, a = spec.omega, spec.star_lobes, spec.star_amp
     if spec.name == "circular":
@@ -338,12 +336,15 @@ def _particle_cells(dims: GridDims, pos: np.ndarray) -> np.ndarray:
 
 
 def flags_from_particles(state: SceneState) -> CellFlags:
+    # SOLID cells are static: build_scene sets them, smoke flags never
+    # change and this rebuild keeps them, rewriting only FLUID and EMPTY
     d = state.spec.dims
+    solid = state.flags.solid
     vals = np.full(d.shape, CellType.EMPTY, dtype=np.uint8)
-    vals[state.solid_mask] = CellType.SOLID
+    vals[solid] = CellType.SOLID
     occupied = np.zeros(d.shape, dtype=bool)
     occupied.ravel()[_particle_cells(d, state.particles_pos)] = True
-    vals[occupied & ~state.solid_mask] = CellType.FLUID
+    vals[occupied & ~solid] = CellType.FLUID
     return CellFlags(d, vals)
 
 
@@ -480,7 +481,7 @@ def _clamp_particles(state: SceneState, pos: np.ndarray,
             vel[hit_lo, a] = np.maximum(vel[hit_lo, a], 0.0)
             vel[hit_hi, a] = np.minimum(vel[hit_hi, a], 0.0)
         np.clip(pos[:, a], lo[a], hi[a], out=pos[:, a])
-    stuck = state.solid_mask.ravel()[_particle_cells(d, pos)]
+    stuck = state.flags.solid.ravel()[_particle_cells(d, pos)]
     if stuck.any():
         pos[stuck] = state.particles_pos[stuck]
     return pos

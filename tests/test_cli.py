@@ -146,8 +146,17 @@ class TestCli:
         bad.write_text('{"scene": {"name": "dam"}, "frames": 0}')
         assert run(["simulate", "--config", bad]) == 2
 
+    @pytest.mark.parametrize("key", ["tau", "sigma", "theta", "rho"])
+    def test_step_size_key_exits_2(self, tmp_path, capsys, key):
+        # the step sizes follow the guiding weights; a config cannot set them
+        p = tmp_path / "steps.json"
+        p.write_text(json.dumps({"scene": {"name": "circular", "nx": 12, "ny": 12},
+                                 "frames": 1, "out_dir": str(tmp_path / "out"),
+                                 key: 0.5}))
+        assert run(["guide", "--config", p]) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, run_keys, scene_keys", [
-        ("guide", {"theta": 2.0}, {}),
         ("simulate", {}, {"nx": 3}),
         ("simulate", {}, {"h": -1}),
         ("simulate", {}, {"dt": -0.1}),
@@ -168,13 +177,12 @@ class TestCli:
         ("simulate", {}, {"buoyancy": math.nan}),
         ("guide", {}, {"w_left": math.inf}),
         ("guide", {}, {"radius_left": math.inf}),
-        ("guide", {"tau": math.nan}, {}),
         ("guide", {}, {"omega": math.nan}),
         ("guide", {"eps_abs": math.inf}, {}),
         ("simulate", {}, {"obstacle": [0.4, 0.4, math.inf, 0.6]}),
         ("guide", {}, {"nz": 2}),
         ("simulate", {}, {"obstacle": [0, 0, 1, 1]}),
-        ("guide", {"method": "admm", "rho": 1e-310}, {}),
+        ("guide", {"method": "admm"}, {"w_left": 1e-155, "w_right": 1e-155}),
         ("simulate", {}, {"obstacle": [-0.5, -0.5, -0.25, -0.25]}),
         ("simulate", {}, {"obstacle": [0.6, 0.6, 0.4, 0.4]}),
         ("simulate", {}, {"particles_per_cell": -4}),
@@ -185,11 +193,11 @@ class TestCli:
         ("simulate", {}, {"emitter": [1, 0.4, 1, 0.6]}),
         ("simulate", {}, {"obstacle": [0.99, 0.4, 1, 0.6]}),
         ("simulate", {}, {"obstacle": [0, 0, 0.05, 1]}),
-    ], ids=["theta", "nx", "h", "dt", "w_left", "radius_left", "obstacle",
+    ], ids=["nx", "h", "dt", "w_left", "radius_left", "obstacle",
             "coarse-mismatched", "coarse-truncated", "omega-str", "nx-float",
             "nx-bool", "seed-float", "frames-float", "max_cg_iters-float",
             "exact_prox-str", "obstacle-str", "h-inf", "buoyancy-nan",
-            "w_left-inf", "radius_left-inf", "tau-nan", "omega-nan",
+            "w_left-inf", "radius_left-inf", "omega-nan",
             "eps_abs-inf", "obstacle-inf", "nz-no-open-cell",
             "obstacle-no-open-cell", "rho-inverse-overflows", "obstacle-negative",
             "obstacle-reversed", "particles_per_cell-negative", "particles_per_cell-0",

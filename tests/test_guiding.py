@@ -67,7 +67,7 @@ class TestObjective:
         quad = GuidingQuadratic(cfg)
         a_mat = dense_operator(quad, quad.apply_A)
         b_vec = quad.b().as_flat()
-        c = quad.c()
+        c = guiding_objective(VelocityField.zeros(d), cfg)   # f(0) = c
         x = zero_solid_adjacent(random_velocity(d, rng), flags)
         xf = x.as_flat()
         expect = 0.5 * xf @ a_mat @ xf + b_vec @ xf + c

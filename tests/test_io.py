@@ -1,5 +1,9 @@
+import dataclasses
+import importlib.util
+import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from pdfluids.config import ConfigError, RunConfig
 from pdfluids.fields import CellFlags, CellType, GridDims, ScalarField, VelocityField
 from pdfluids.fileio import (GridFileError, read_grid, render_pgm,
                              write_convergence_csv, write_grid)
+from pdfluids.guiding import default_guiding_params
 from pdfluids.optim import ConvergenceLog
 from pdfluids.scenes import SceneSpec
 
@@ -200,7 +205,7 @@ class TestRunConfig:
     def test_roundtrip_identity(self):
         cfg = RunConfig(scene=SceneSpec("dam", nx=32, ny=24, fill_fraction=0.4),
                         method="admm", frames=7, bc_mode="separating-standard",
-                        rho=2.5, save_pgm=True)
+                        save_pgm=True)
         back = RunConfig.from_json(cfg.to_json())
         assert back.to_dict() == cfg.to_dict()
 
@@ -221,17 +226,36 @@ class TestRunConfig:
             RunConfig.from_json("{nope")
 
     @pytest.mark.parametrize("key, value", [
-        ("eps_abs", math.nan), ("eps_rel", math.inf), ("eps_cg_start", math.inf),
-        ("tau", math.inf), ("theta", math.nan), ("rho", math.nan)])
+        ("eps_abs", math.nan), ("eps_rel", math.inf), ("eps_cg_start", math.inf)])
     def test_non_finite_solver_value_rejected(self, key, value):
         # checked by the CgConfig, PdParams and AdmmParams the key feeds
         with pytest.raises(ConfigError):
             RunConfig(scene=SceneSpec("circular", nx=12, ny=12), **{key: value})
 
+    @pytest.mark.parametrize("key", ["tau", "sigma", "theta", "rho"])
+    def test_step_size_key_rejected(self, key):
+        # the step sizes follow the guiding weights; a config cannot set them
+        text = json.dumps({"scene": {"name": "circular"}, key: 0.5})
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: ['{key}']")):
+            RunConfig.from_json(text)
+
     def test_solver_params_write_the_set_keys_over_the_defaults(self):
-        cfg = RunConfig(scene=SceneSpec("circular", nx=12, ny=12), tau=2.0,
-                        rho=3.0, max_iters=7, eps_rel=0.0)
-        pd, admm = cfg.solver_params(2.0)
-        assert (pd.tau, pd.sigma, pd.theta) == (2.0, 2.44 / (0.58 / 2.0), 0.3)
-        assert (admm.rho, pd.max_iters, admm.max_iters) == (3.0, 7, 7)
-        assert pd.eps_abs == admm.eps_abs == 1e-3 and pd.eps_rel == admm.eps_rel == 0.0
+        # the stop keys over the guiding-weight steps, at any mean weight
+        cfg = RunConfig(scene=SceneSpec("circular", nx=12, ny=12), max_iters=7,
+                        eps_rel=0.0)
+        stop = dict(max_iters=7, eps_abs=1e-3, eps_rel=0.0)
+        for w_bar in (0.25, 2.0, 7.5):
+            pd, admm = default_guiding_params(w_bar)
+            assert cfg.solver_params(w_bar) == (dataclasses.replace(pd, **stop),
+                                                dataclasses.replace(admm, **stop))
+
+    def test_solver_params_match_the_benchmark(self):
+        # bench/workloads.py keeps its own copy of the rule; loaded read-only
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for stop in ({}, dict(max_iters=17, eps_abs=1e-5, eps_rel=0.0)):
+            cfg = RunConfig(scene=SceneSpec("circular", nx=12, ny=12), **stop)
+            for w_bar in (0.25, 1.0, 2.5, 4.0):
+                assert cfg.solver_params(w_bar) == workloads.solver_params(cfg, w_bar)

@@ -298,13 +298,13 @@ def _ref_flags_from_particles(state):
     """Cell of each particle by floor, then clip, as written before."""
     d = state.spec.dims
     vals = np.full(d.shape, CellType.EMPTY, dtype=np.uint8)
-    vals[state.solid_mask] = CellType.SOLID
+    vals[state.flags.solid] = CellType.SOLID
     idx = np.floor(state.particles_pos / d.h).astype(np.intp)
     for a in range(3):
         np.clip(idx[:, a], 0, d.shape[a] - 1, out=idx[:, a])
     occupied = np.zeros(d.shape, dtype=bool)
     occupied[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    vals[occupied & ~state.solid_mask] = CellType.FLUID
+    vals[occupied & ~state.flags.solid] = CellType.FLUID
     return vals
 
 
@@ -353,7 +353,7 @@ def _ref_clamp_particles(state, pos, vel=None):
         np.clip(pos[:, a], lo[a], hi[a], out=pos[:, a])
     cells = tuple(np.clip(np.floor(pos[:, a] / h).astype(np.intp), 0, d.shape[a] - 1)
                   for a in range(3))
-    stuck = state.solid_mask[cells]
+    stuck = state.flags.solid[cells]
     if stuck.any():
         pos[stuck] = state.particles_pos[stuck]
     return pos
@@ -424,7 +424,7 @@ class TestTransferBitwise:
     def test_seeding_matches_reference(self, nz, per_cell):
         spec = SceneSpec("dam", nx=9, ny=7, nz=nz, obstacle=(0.3, 0.3, 0.6, 0.6))
         state, _ = build_scene(spec)
-        fluid = ~state.solid_mask
+        fluid = ~state.flags.solid
         fluid[0] = False
         got = _seed_particles(state.flags, fluid, per_cell, np.random.default_rng(per_cell))
         want = _ref_seed_particles(state.flags, fluid, per_cell,
