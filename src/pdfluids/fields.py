@@ -123,10 +123,6 @@ class CellFlags:
     def solid(self) -> np.ndarray:
         return self.values == CellType.SOLID
 
-    @property
-    def empty(self) -> np.ndarray:
-        return self.values == CellType.EMPTY
-
 
 class ScalarField:
     """Cell-centered scalar field (pressure, smoke density, weights, radii)."""

@@ -26,11 +26,13 @@ class ProxOperator:
     call overwrites; the loops below read it only before that call.
     `has_indicator` marks an f that holds the indicator of a constraint set:
     a projection output alone then says nothing of dom f, so pd_solve also
-    stops on the distance of the prox output to it.
+    stops on the distance of the prox output to it.  `relaxation` is the
+    over-relaxation factor r that pd_solve runs this f at (1: none).
     """
 
     is_orthogonal_projection = False
     has_indicator = False
+    relaxation = 1.0
 
     def __call__(self, sigma: float, v: VelocityField) -> VelocityField:
         raise NotImplementedError
@@ -162,47 +164,59 @@ def _loop_tail(z: VelocityField, change: VelocityField, eps_cg: float,
 def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdParams,
              z0: VelocityField, log: ConvergenceLog,
              iterate_callback=None) -> VelocityField:
-    """First-order primal-dual iteration with K = identity.
+    """First-order primal-dual iteration with K = identity, over-relaxed by
+    r = prox_f.relaxation.
 
-    Per iteration:
-      x <- x + sigma*y - sigma*prox_f(sigma, x/sigma + y)
-      z <- project(z - tau*x)           (adaptive CG accuracy)
-      y <- z + theta*(z - z_old)
+    Per iteration, with zb the relaxed base:
+      x  <- x + r*sigma*y - r*sigma*prox_f(sigma, x/sigma + y)
+      z  <- project(zb - tau*x)         (adaptive CG accuracy)
+      y  <- z + theta*(z - zb)
+      zb <- zb + r*(z - zb)
     and stop once the stop residual falls below the stop threshold with the
-    CG tolerance already at its final accuracy.  The residual is the
-    iterate change ||z - z_old|| or, for a prox whose f holds an indicator
-    (`has_indicator`), the larger of the primal and dual residuals
-    ||z - z_old|| / tau of the projection step and ||p - z|| of dual
-    feasibility, with p the prox output: x changes by sigma*(y - p), so
-    y + (x_old - x)/sigma - z = p - z.  At theta = 1, sigma = rho and
-    tau = 1/rho they are ADMM's s = rho ||z - z_old|| and r = ||x - z||
-    (Boyd et al., Found. Trends ML 2011, 3.3.1).  Starts from x = 0,
-    y = z0.  iterate_callback sees each projection output.  Returns the
-    last projection output; non-convergence is flagged on the log.
+    CG tolerance already at its final accuracy.  At r = 1 the base is the
+    last projection output.  The residual is the iterate change
+    ||z - z_old|| of the projection outputs or, for a prox whose f holds an
+    indicator (`has_indicator`), the larger of the primal and dual
+    residuals ||z - z_old|| / tau of the projection step and ||p - z|| of
+    dual feasibility, with p the prox output: at r = 1, x changes by
+    sigma*(y - p), so y + (x_old - x)/sigma - z = p - z.  At theta = 1,
+    sigma = rho and tau = 1/rho they are ADMM's s = rho ||z - z_old|| and
+    r = ||x - z|| (Boyd et al., Found. Trends ML 2011, 3.3.1), and the
+    relaxed step is ADMM over-relaxed by alpha = r (ibid., 3.4.3), whose
+    pair the relaxation leaves as it is.  Starts from x = 0, y = zb = z0.
+    iterate_callback sees each projection output.  Returns the last
+    projection output; non-convergence is flagged on the log.
     """
     log.method = log.method or "pd"
     z, z_old, x, arg, t = _iterates(z0, 3)
     y = z0.copy()
     xb, yb, ab, tb = x.as_flat(), y.as_flat(), arg.as_flat(), t.as_flat()
     tau, sigma, theta = params.tau, params.sigma, params.theta
+    relax = prox_f.relaxation
+    base = z0.copy() if relax != 1.0 else None   # else z_old, swapped in
     dual = arg if prox_f.has_indicator else None   # p - z, once arg is projected
     for _ in range(params.max_iters):
         np.multiply(xb, 1.0 / sigma, out=ab)
         ab += yb
         p = prox_f(sigma, arg)
-        np.multiply(yb, sigma, out=tb)
+        np.multiply(yb, relax * sigma, out=tb)
         xb += tb
-        np.multiply(p.as_flat(), sigma, out=tb)
+        np.multiply(p.as_flat(), relax * sigma, out=tb)
         xb -= tb
         z, z_old = z_old, z
+        zb = z_old.as_flat() if base is None else base.as_flat()
         np.multiply(xb, tau, out=tb)
-        np.subtract(z_old.as_flat(), tb, out=ab)
+        np.subtract(zb, tb, out=ab)
         _, cg_iters, eps_cg = projector.project(arg, out=z)
         if iterate_callback is not None:
             iterate_callback(z)
-        np.subtract(z.as_flat(), z_old.as_flat(), out=tb)
+        np.subtract(z.as_flat(), zb, out=tb)
         np.multiply(tb, theta, out=yb)
         yb += z.as_flat()
+        if base is not None:
+            tb *= relax
+            zb += tb
+            np.subtract(z.as_flat(), z_old.as_flat(), out=tb)
         if dual is not None:
             np.subtract(p.as_flat(), z.as_flat(), out=ab)
         if _loop_tail(z, t, eps_cg, cg_iters, projector, params.eps_abs,

@@ -6,9 +6,10 @@ references: the in-place ones must return the same field and log the same
 rows bit for bit.  ADMM runs as the PD loop at theta = 1, sigma = rho,
 tau = 1/rho, so it matches the PD reference at those parameters bit for
 bit, and the allocating ADMM loop to rounding; for the wall prox, whose f
-holds an indicator, it logs that loop's residual pair.  The loops compute on the
-active faces only, so a 2D input with values in its inactive z block gets
-its own block back unchanged.
+holds an indicator, it logs that loop's residual pair, and its over-relaxed
+step matches that loop over-relaxed in Boyd's form at the same factor.  The
+loops compute on the active faces only, so a 2D input with values in its
+inactive z block gets its own block back unchanged.
 The loops must never write their input or a prox's input, successive
 solves must return independent fields, and no iteration may construct a
 VelocityField.
@@ -53,13 +54,16 @@ def ref_pd_solve(prox_f, projector, params, z0, log):
     z = z0.copy()
     x = VelocityField.zeros(z.dims)
     y = z0.copy()
+    zb = z0.copy()   # the relaxed base: the last projection output at r = 1
     tau, sigma, theta = params.tau, params.sigma, params.theta
+    r = getattr(prox_f, "relaxation", 1.0)
     for _ in range(params.max_iters):
         p = prox_f(sigma, x * (1.0 / sigma) + y)
-        x = x + sigma * y - sigma * p
+        x = x + (r * sigma) * y - (r * sigma) * p
         z_old = z
-        z, cg_iters, eps_cg = projector.project(z_old - tau * x)
-        y = z + theta * (z - z_old)
+        z, cg_iters, eps_cg = projector.project(zb - tau * x)
+        y = z + theta * (z - zb)
+        zb = z if r == 1.0 else zb + r * (z - zb)
         # with an indicator in f, the primal and dual residuals of the step
         residual = (max((p - z).norm(), (z - z_old).norm() / tau)
                     if getattr(prox_f, "has_indicator", False) else None)
@@ -69,16 +73,18 @@ def ref_pd_solve(prox_f, projector, params, z0, log):
     return z
 
 
-def ref_admm_solve(prox_f, projector, params, z0, log, iterate_callback):
+def ref_admm_solve(prox_f, projector, params, z0, log, iterate_callback, alpha=1.0):
+    # over-relaxed by alpha as in Boyd et al., Found. Trends ML 2011, 3.4.3
     log.method = log.method or "admm"
     z = z0.copy()
     y = VelocityField.zeros(z.dims)
     for _ in range(params.max_iters):
         x = prox_f(params.rho, z - y)
+        xh = alpha * x + (1.0 - alpha) * z
         z_old = z
-        z, cg_iters, eps_cg = projector.project(x + y)
+        z, cg_iters, eps_cg = projector.project(xh + y)
         iterate_callback(z)
-        y = y + x - z
+        y = y + xh - z
         # with an indicator in f, Boyd's r = ||x - z|| and s = rho ||z - z_old||
         residual = (max((x - z).norm(), params.rho * (z - z_old).norm())
                     if getattr(prox_f, "has_indicator", False) else None)
@@ -125,6 +131,7 @@ class RefGuidingProx:
 
 class RefWallProx:
     has_indicator = True
+    relaxation = WallProx.relaxation
 
     def __init__(self, a, faces):
         self.a, self.faces = a, faces
@@ -280,20 +287,22 @@ class TestMatchesAllocatingLoops:
 
     def test_wall_pair_matches_the_admm_residuals(self, rng):
         # the standard wall solve against the allocating ADMM loop at
-        # rho = sigma = 3: the same rows and CG effort, and every logged
-        # residual Boyd's max(||x - z||, rho ||z - z_old||), to rounding
+        # rho = sigma = 3, over-relaxed by the wall prox's factor: the same
+        # rows and CG effort, and every logged residual Boyd's
+        # max(||x - z||, rho ||z - z_old||), to rounding
         flags, u = dam_case(rng)
         faces = BoundaryFaces(flags)
         admm = AdmmParams(rho=STANDARD_PD.sigma, max_iters=STANDARD_PD.max_iters,
                           eps_abs=STANDARD_PD.eps_abs, eps_rel=STANDARD_PD.eps_rel)
-        assert admm_as_pd(admm) == STANDARD_PD
+        assert admm_as_pd(admm) == STANDARD_PD and WallProx.relaxation != 1.0
         runs = []
-        for solve, prox, params in ((pd_solve, WallProx, STANDARD_PD),
-                                    (ref_admm_solve, RefWallProx, admm)):
+        for solve, prox, params, relax in (
+                (pd_solve, WallProx, STANDARD_PD, {}),
+                (ref_admm_solve, RefWallProx, admm, dict(alpha=WallProx.relaxation))):
             log, iterates = ConvergenceLog(), []
             projector = DivergenceProjector(flags, free_surface_walls_table(flags), CgConfig())
             solve(prox(u, faces), projector, params, u, log,
-                  iterate_callback=lambda z: iterates.append(z.copy()))
+                  iterate_callback=lambda z: iterates.append(z.copy()), **relax)
             runs.append((log, iterates))
         (log, got), (ref_log, want) = runs
         assert len(log) >= 10 and log.converged and ref_log.converged
