@@ -25,6 +25,11 @@ class CellType(IntEnum):
     EMPTY = 2
 
 
+# plain ints for array comparisons: numpy compares an IntEnum member about
+# 5x slower, as it probes the member's attributes on every call
+_FLUID, _SOLID = CellType.FLUID.value, CellType.SOLID.value
+
+
 @dataclass(frozen=True)
 class GridDims:
     """Cell counts and the uniform cell width h (meters)."""
@@ -70,6 +75,17 @@ class GridDims:
         shapes = [self.face_shape(a) for a in range(3)]
         ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
         return tuple(zip(ends, ends[1:], shapes))
+
+    @functools.cached_property
+    def _face_cells(self) -> tuple:
+        """(lower, upper): np.intp arrays of the flat indices of the two
+        cells of every active face, laid out as in `VelocityField.as_flat`,
+        with `cell_count` for the ghost beyond a domain wall.  Reading a
+        cell array padded by one ghost value through them gives the face
+        pairs of `_to_faces` with that ghost."""
+        cells = np.arange(self.cell_count, dtype=np.intp).reshape(self.shape)
+        return tuple(_flat_faces(self, lambda a: _to_faces(
+            cells, a, lambda *pair: pair[k], ghost=self.cell_count)) for k in (0, 1))
 
 
 def _check_dims(a, b):
@@ -117,11 +133,11 @@ class CellFlags:
 
     @property
     def fluid(self) -> np.ndarray:
-        return self.values == CellType.FLUID
+        return self.values == _FLUID
 
     @property
     def solid(self) -> np.ndarray:
-        return self.values == CellType.SOLID
+        return self.values == _SOLID
 
 
 class ScalarField:
@@ -278,7 +294,7 @@ def cell_to_face_average(scalar: ScalarField, axis: int) -> np.ndarray:
 
 def face_valid_mask(flags: CellFlags, axis: int) -> np.ndarray:
     """Faces not adjacent to any SOLID cell."""
-    return _to_faces(flags.values != CellType.SOLID, axis, np.logical_and)
+    return _to_faces(flags.values != _SOLID, axis, np.logical_and)
 
 
 def fluid_adjacent_face_mask(flags: CellFlags, axis: int) -> np.ndarray:
@@ -317,7 +333,7 @@ def divergence(vel: VelocityField, flags: CellFlags) -> ScalarField:
         div += vel.w[:, :, 1:]
         div -= vel.w[:, :, :-1]
     div /= d.h
-    np.copyto(div, 0.0, where=flags.values != CellType.FLUID)
+    np.copyto(div, 0.0, where=flags.values != _FLUID)
     return ScalarField(d, div)
 
 
@@ -424,7 +440,7 @@ def _gather_scalar_masked(scalar: ScalarField, flags: CellFlags, px, py, pz):
     the original value there)."""
     d = scalar.dims
     vals = scalar.values.ravel()
-    notsolid = (flags.values != CellType.SOLID).astype(np.float64).ravel()
+    notsolid = (flags.values != _SOLID).astype(np.float64).ravel()
     num = 0.0
     den = 0.0
     for idx, w in _coords(d.shape, (0.5, 0.5, 0.5), d.h, (px, py, pz)).corners():
@@ -450,7 +466,7 @@ def advect_semi_lagrangian(field, vel: VelocityField, dt: float, flags: CellFlag
         bx, by, bz = _backtrace_rk2(vel, X, Y, Z, dt)
         gathered = _gather_scalar_masked(field, flags, bx, by, bz)
         out = field.values.copy()
-        target = flags.values != CellType.SOLID
+        target = flags.values != _SOLID
         ok = target & np.isfinite(gathered)
         out[ok] = gathered[ok]
         return ScalarField(field.dims, out)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blur import _check_radius, blur_obstacle_aware
-from .fields import (CellFlags, ScalarField, VelocityField, _flat_faces, _to_faces,
+from .fields import (CellFlags, ScalarField, VelocityField, _flat_faces,
                      cell_to_face_average, divergence, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
                     admm_solve, iop_solve, pd_solve)
@@ -302,8 +302,8 @@ def direct_least_squares(cfg: GuidingConfig, tol: float = 1e-8,
     def apply_Dt(cellvals: np.ndarray) -> VelocityField:
         # the negated difference of the cell values, zero beyond the walls
         out = VelocityField.zeros(d)
-        src = np.where(fluid, cellvals, 0.0) / d.h
-        out.as_flat()[:] = _flat_faces(d, lambda a: _to_faces(src, a, np.subtract, ghost=0.0))
+        src = np.append(np.where(fluid, cellvals, 0.0) / d.h, 0.0)
+        np.subtract(*(src.take(cells) for cells in d._face_cells), out=out.as_flat())
         return quad.mask(out)
 
     def normal_op(vel: VelocityField) -> VelocityField:

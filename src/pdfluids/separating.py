@@ -57,10 +57,8 @@ class BoundaryFaces:
             flags.values, axis, lambda a, b: _NORMAL.take(3 * a + b)))
         self.index = np.flatnonzero(sign)
         self.sign = sign[self.index]
-        fluid = flags.fluid.reshape(-1)
-        cells = np.arange(fluid.size).reshape(flags.dims.shape)
-        self.cell = _flat_faces(flags.dims, lambda axis: _to_faces(
-            cells, axis, lambda a, b: np.where(fluid[b], b, a)))[self.index]
+        lower, upper = (cells[self.index] for cells in flags.dims._face_cells)
+        self.cell = np.where(flags.fluid.reshape(-1)[upper], upper, lower)
 
     def __len__(self):
         return self.index.size

@@ -42,6 +42,21 @@ def reference_subtract_gradient(vel, p, flags, tags):
     return out
 
 
+def reference_gradient(dims, pv):
+    """The gradient as subtract_gradient built it before its face-cell
+    table: per active axis, a zero slab padded beyond each domain wall, the
+    upper cell less the lower, in the layout of `as_flat`, then times 1/h."""
+    per_axis = []
+    for axis in dims.axes:
+        ghost = np.zeros_like(pv[_along(axis, slice(None, 1))])
+        padded = np.concatenate((ghost, pv, ghost), axis=axis)
+        per_axis.append(np.ravel(padded[_along(axis, slice(1, None))]
+                                 - padded[_along(axis, slice(None, -1))]))
+    grad = np.concatenate(per_axis)
+    grad *= 1.0 / dims.h
+    return grad
+
+
 class ReferenceBoundaryFaces:
     """The per-axis block index: (axis, i, j, k) and sign per face, with one
     (axis, slice) block per active axis."""
@@ -205,6 +220,22 @@ class TestFlatTables:
         got = subtract_gradient(vel, p, flags, bc, vel.copy())
         assert_same_velocity(got, reference_subtract_gradient(vel, p, flags, tags))
 
+    def test_gathered_gradient(self, make, shape):
+        # bit for bit the padded difference it replaced, and a NaN pressure
+        # off the FLUID cells reaches no face, whatever the tags
+        flags = make(shape)
+        d = flags.dims
+        rng = np.random.default_rng(15)
+        p = np.where(flags.fluid, rng.standard_normal(d.shape), np.nan)
+        bc = BcTable(d, flat(d, random_tags(d, rng)))
+        vel = random_velocity(d, rng)
+        got = subtract_gradient(vel, ScalarField(d, p), flags, bc, vel.copy()).as_flat()
+        want = vel.as_flat().copy()
+        np.subtract(want, reference_gradient(d, np.where(flags.fluid, p, 0.0)), out=want,
+                    where=bc.tags != FaceTag.NEUMANN)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == want.tobytes()
+
     def test_poisson_system_reads(self, make, shape):
         flags = make(shape)
         rng = np.random.default_rng(12)
@@ -232,6 +263,11 @@ class TestFlatTables:
         assert faces.sign.dtype == ref.sign.dtype
         assert faces.sign.tobytes() == ref.sign.tobytes()
         assert len(faces) == ref.count
+        # each face's FLUID cell: its upper cell or the one below it
+        upper = np.stack([ref.i, ref.j, ref.k])
+        lower = upper - (np.arange(3)[:, None] == ref.axis)
+        cell = np.where(flags.fluid[tuple(upper)], upper, lower)
+        assert faces.cell.tobytes() == np.ravel_multi_index(cell, d.shape).tobytes()
 
     @pytest.mark.parametrize("share", [0.5, 0.0, 1.0])
     def test_wall_reads_and_writes(self, make, shape, share):
@@ -257,6 +293,25 @@ class TestFlatTables:
         vel = random_velocity(flags.dims, rng, scale=2.0)
         got = advect_semi_lagrangian(field, vel, 0.1, flags)
         assert_same_velocity(got, reference_advect_velocity(field, vel, 0.1, flags))
+
+
+@pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+def test_face_cell_table(shape):
+    # every active face's lower and upper cell, cell_count past a domain
+    # wall, as np.intp arrays built once per dims
+    d = _dims(shape)
+    lower, upper = d._face_cells
+    assert d._face_cells[0] is lower and d._face_cells[1] is upper
+    for side, shift in ((lower, 1), (upper, 0)):
+        want = []
+        for axis in d.axes:
+            idx = np.indices(d.face_shape(axis)).reshape(3, -1)
+            idx[axis] -= shift
+            inside = (idx[axis] >= 0) & (idx[axis] < d.shape[axis])
+            idx[axis] = np.clip(idx[axis], 0, d.shape[axis] - 1)
+            want.append(np.where(inside, np.ravel_multi_index(idx, d.shape), d.cell_count))
+        assert side.dtype == np.intp
+        assert side.tobytes() == np.concatenate(want).astype(np.intp).tobytes()
 
 
 def test_cache_key_reads_every_tag():

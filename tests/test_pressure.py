@@ -764,18 +764,36 @@ def reference_null_components(counts):
     return null
 
 
-def reference_dense_inverse(block, null):
+def reference_dense_inverse(block, null, inverse=None):
     """The coarsest grid's factor: the symmetrized inverse of the block
     shifted by the mean diagonal times the projector onto the constants of
-    the `null` components, less that projector over the shift."""
+    the `null` components, less that projector over the shift.  The
+    inverse is reference_schur_inverse's, the one the package takes, unless
+    `inverse` is given."""
     scale = block.trace() / max(len(block), 1)
     shifted = block.copy()
     for cells in null:
         shifted[np.ix_(cells, cells)] += scale / len(cells)
-    inv = np.linalg.inv(shifted)
+    inv = (inverse or reference_schur_inverse)(shifted)
     for cells in null:
         inv[np.ix_(cells, cells)] -= 1.0 / (scale * len(cells))
     return 0.5 * (inv + inv.T)
+
+
+def reference_schur_inverse(a):
+    """inv(a) of the SPD a by the package's recursion, operation for
+    operation: a = [[P, Q], [Q^T, R]] split in half, W = P^-1 Q, S = R -
+    Q^T W, inv(a) = [[P^-1 + W S^-1 W^T, -W S^-1], [-S^-1 W^T, S^-1]];
+    blocks of at most pressure._LEAF rows by np.linalg.inv."""
+    n = len(a)
+    if n <= pressure._LEAF:
+        return np.linalg.inv(a)
+    k = n // 2
+    p_inv = reference_schur_inverse(a[:k, :k])
+    w = p_inv @ a[:k, k:]
+    s_inv = reference_schur_inverse(a[k:, k:] - a[:k, k:].T @ w)
+    ws = w @ s_inv
+    return np.block([[p_inv + ws @ w.T, -ws], [-ws.T, s_inv]])
 
 
 class ReferenceMultigrid:
@@ -1195,6 +1213,41 @@ class TestCoarseFactor:
         assert [c.tolist() for c in system._components] == [np.flatnonzero(pocket).tolist()]
         b = system.prepare_rhs(rng.standard_normal(flags.dims.shape))
         assert abs(b[pocket].sum()) <= 1e-14 * np.abs(b[pocket]).sum()
+
+    @pytest.mark.parametrize("n", [0, 1, pressure._LEAF, pressure._LEAF + 1, 219])
+    def test_schur_inverse_against_lapack(self, n):
+        # a 1-D Dirichlet Laplacian, condition ~ n^2 as a coarsest grid's;
+        # up to the leaf size LAPACK's inverse itself, one split past it
+        mat = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        got = pressure._dense_inverse(mat.copy(), [])
+        want = reference_dense_inverse(mat, [], np.linalg.inv)
+        assert got.shape == (n, n) and np.array_equal(got, got.T)
+        if n <= pressure._LEAF:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["nonsingular", "pocket", "closed"])
+    def test_coarsest_block_against_lapack(self, case, monkeypatch):
+        # the recursion on real coarsest blocks, nonsingular and with null
+        # sets: within 1e-12 of LAPACK's inverse of the shifted block,
+        # exactly symmetric, and a generalized inverse, A X A = A
+        if case == "nonsingular":
+            flags = build_scene(SceneSpec("dam", nx=64, ny=48))[0].flags
+            bc = BcTable.from_flags(flags)
+        elif case == "pocket":
+            flags, bc, _ = pocket_pool_case()
+        else:
+            flags = CellFlags.closed_box(GridDims(40, 30, 1, 1.0 / 40))
+            bc = BcTable.from_flags(flags)
+        system, mat, nullity = coarsest_matrix(flags, bc, monkeypatch)
+        assert len(mat) > pressure._LEAF and nullity == (case != "nonsingular")
+        null = reference_null_components(np.rint(mat * flags.dims.h ** 2))
+        want = reference_dense_inverse(mat, null, np.linalg.inv)
+        got = system.dense
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(mat @ got @ mat - mat).max() <= 1e-12 * np.abs(mat).max()
 
 
 def assert_same_system(got, want, dense_rtol=None):
