@@ -8,7 +8,7 @@ from .blur import blur_obstacle_aware
 from .pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                        PoissonConvergenceError, project, subtract_gradient)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
-                    admm_solve, iop_solve, moreau_transform, pd_solve, stop_check)
+                    admm_solve, moreau_transform, pd_solve, stop_check)
 from .guiding import (GuidingConfig, GuidingProx, GuidingProxExact,
                       GuidingQuadratic, default_guiding_params,
                       direct_least_squares, guide_step, guiding_objective)

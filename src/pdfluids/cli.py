@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from .config import METHODS, ConfigError, RunConfig, read_json
+from .fields import VelocityField
 from .fileio import (_write_csv, read_grid, render_pgm, write_convergence_csv,
                      write_grid)
 from .pressure import PoissonConvergenceError
@@ -161,6 +162,8 @@ def cmd_guide(cfg: RunConfig, target_override=None) -> int:
 
 
 def cmd_upres(cfg: RunConfig) -> int:
+    if cfg.scene.is_liquid:
+        raise ConfigError("upres expects a smoke scene")
     if not cfg.coarse_dir:
         raise ConfigError("upres needs --coarse-dir with saved velocity grids")
 
@@ -170,6 +173,8 @@ def cmd_upres(cfg: RunConfig) -> int:
             raise ConfigError(f"missing coarse velocity frame {path}")
         try:
             coarse = read_grid(path)
+            if not isinstance(coarse, VelocityField):
+                raise ValueError("not a velocity grid (it holds a scalar field)")
             coarse.validate_finite()
             return upsampled_target(coarse, cfg.upres_factor, cfg.scene, state)
         except ValueError as exc:   # a bad, non-finite or mismatched coarse grid

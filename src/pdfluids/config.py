@@ -163,8 +163,8 @@ def _parse_json(text: str) -> dict:
 def read_json(path) -> dict:
     """The raw JSON object of a config file, before any default resolves."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:   # unreadable, or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return _parse_json(text)

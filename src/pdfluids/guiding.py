@@ -27,7 +27,7 @@ from .blur import _check_radius, blur_obstacle_aware
 from .fields import (CellFlags, ScalarField, VelocityField, _flat_faces,
                      cell_to_face_average, divergence, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
-                    admm_solve, iop_solve, pd_solve)
+                    _fixed_projection, admm_solve, pd_solve)
 from .pressure import BcTable, CgConfig, DivergenceProjector, _pcg, _require_finite
 
 MAX_CG_ITERS = 4000   # cap of the exact prox's and the IOP minimizer's CG
@@ -247,27 +247,6 @@ class GuidingProxExact(ProxOperator):
         return quad.keep_fixed(x, v)
 
 
-class GuidingMinimizerProjection(ProxOperator):
-    """Constant map onto the unconstrained minimizer of the objective.
-
-    This is the orthogonal projection onto {argmin f} (a single point since
-    W > 0 makes f strictly convex); it is what a naive alternating-projection
-    treatment of guiding uses, and it generally does not reach the
-    divergence-constrained minimizer.
-    """
-
-    is_orthogonal_projection = True
-
-    def __init__(self, cfg: GuidingConfig, tol: float = 1e-10):
-        self.cfg = cfg
-        self.quad = GuidingQuadratic(cfg)
-        rhs = -1.0 * self.quad.b()
-        self._minimizer, _ = _cg_velocity(self.quad.apply_A, rhs, tol, MAX_CG_ITERS)
-
-    def __call__(self, sigma, v):
-        return self.quad.keep_fixed(self._minimizer.copy(), v)
-
-
 def default_guiding_params(w_bar: float) -> tuple[PdParams, AdmmParams]:
     """Step sizes tuned against the mean guiding weight.
 
@@ -327,10 +306,13 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     """One guided projection: replace the plain pressure projection with a
     proximal solve of the guiding objective under the divergence constraint.
 
-    method "pd" (default) or "admm" for production, "iop" only to
-    demonstrate how alternating projections mishandle guiding (under the
-    PD parameters' iteration cap and stop tolerances), "direct" for the
-    stacked least-squares baseline.  A non-finite u_current raises
+    method "pd" (default) or "admm" for production, "direct" for the
+    stacked least-squares baseline, and "iop" only to demonstrate how
+    alternating projections mishandle guiding.  Its prox is the constant
+    map onto the unconstrained minimizer, so iterated orthogonal projection
+    is one projection, at cg's final accuracy, of u_current with the
+    minimizer on the objective faces; it reads no PD parameters and is
+    logged as one converged row.  A non-finite u_current raises
     PoissonConvergenceError before any blur or prox runs.
     """
     _require_finite(u_current)
@@ -338,6 +320,13 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     log = log if log is not None else ConvergenceLog()
     if method == "direct":
         return direct_least_squares(cfg, log=log)
+    if method == "iop":
+        quad = GuidingQuadratic(cfg)
+        minimizer, _ = _cg_velocity(quad.apply_A, -1.0 * quad.b(), 1e-10, MAX_CG_ITERS)
+        start = u_current.copy()
+        np.copyto(start.as_flat(), minimizer.as_flat(), where=quad.valid)
+        return _fixed_projection(start, cfg.flags, cg if cg is not None else CgConfig(),
+                                 log, "iop")
     bc = BcTable.from_flags(cfg.flags)
     projector = DivergenceProjector(cfg.flags, bc, cg)
     pd_default, admm_default = default_guiding_params(cfg.w_bar)
@@ -349,8 +338,4 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
         params = admm_params if admm_params is not None else admm_default
         prox = GuidingProxExact(cfg) if exact_prox else GuidingProx(cfg)
         return admm_solve(prox, projector, params, u_current, log)
-    if method == "iop":
-        return iop_solve(GuidingMinimizerProjection(cfg), projector, u_current, log,
-                         eps_abs=pd_params.eps_abs, eps_rel=pd_params.eps_rel,
-                         max_iters=pd_params.max_iters)
     raise ValueError(f"unknown guiding method {method!r}")

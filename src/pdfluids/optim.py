@@ -3,10 +3,12 @@
 All solvers minimize f(z) + g(z) where g is the indicator of the
 divergence-free set (its proximal operator is the pressure projection) and
 f is supplied as a proximal operator.  The first-order primal-dual
-iteration (Chambolle & Pock, JMIV 2011) is the workhorse of the guiding
-objective and the separating walls, and ADMM runs as its case theta = 1,
-sigma = rho, tau = 1/rho.  Iterated orthogonal projection is provided for
-comparison; it shares the projection and stopping machinery.
+iteration (Chambolle & Pock, JMIV 2011) is the one proximal loop: it
+solves the guiding objective and the separating walls, and ADMM runs as
+its case theta = 1, sigma = rho, tau = 1/rho.  `_fixed_projection` is the
+plain projection at the final CG accuracy, logged as one row, for the
+paths that need no loop (unguided smoke, the regular liquid walls and
+iterated orthogonal projection, whose prox is a constant map).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import VelocityField
-from .pressure import DivergenceProjector
+from .fields import CellFlags, VelocityField
+from .pressure import BcTable, CgConfig, DivergenceProjector
 
 class ProxOperator:
     """Callable prox contract: (sigma, v) -> argmin_x f(x) + sigma/2 ||x-v||^2.
@@ -30,7 +32,6 @@ class ProxOperator:
     over-relaxation factor r that pd_solve runs this f at (1: none).
     """
 
-    is_orthogonal_projection = False
     has_indicator = False
     relaxation = 1.0
 
@@ -130,31 +131,10 @@ def moreau_transform(prox_f: ProxOperator, sigma: float, v: VelocityField) -> Ve
     return v - sigma * prox_f(sigma, v * (1.0 / sigma))
 
 
-def _iterates(z0: VelocityField, n: int) -> list[VelocityField]:
-    """The solve's own fields: z and z_old, copies of z0, then n zero ones."""
-    return [z0.copy(), z0.copy()] + [VelocityField.zeros(z0.dims) for _ in range(n)]
-
-
-def _loop_tail(z: VelocityField, change: VelocityField, eps_cg: float,
-               cg_iters: int, projector: DivergenceProjector, eps_abs: float,
-               eps_rel: float, log: ConvergenceLog, dual: VelocityField | None = None,
-               tau: float = 1.0) -> bool:
-    """End of one outer iteration, shared by every solver: stop check on
-    `change` = z - z_old (and `dual`, see stop_check), CG accuracy
-    adaptation and log row, both on the stop residual.  Returns and records
-    on the log whether the solve has converged: the residual is below the
-    threshold and the projection ran at its final accuracy."""
-    stop, residual, eps = stop_check(change, z, eps_abs, eps_rel, dual, tau)
-    projector.adapt(residual, eps)
-    log.record(residual, eps, eps_cg, cg_iters)
-    log.converged = stop and eps_cg <= projector.cg.eps_final
-    return log.converged
-
-
-# The loops below update iterates that each solve call allocates once, with
+# The loop below updates iterates that each solve call allocates once, with
 # numpy `out=` calls on the active faces (`as_flat`; each operation's
 # operands and order as the field operators compute them, so the bits are
-# theirs), and swap z and z_old by reference.  They never write z0 or a
+# theirs), and swaps z and z_old by reference.  It never writes z0 or a
 # prox's input, nor the inactive 2D z block: the result carries z0's.
 # iterate_callback sees the loop's own z, which the next iteration
 # overwrites: a callback that keeps it copies it.  The returned field is the
@@ -188,8 +168,8 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
     projection output; non-convergence is flagged on the log.
     """
     log.method = log.method or "pd"
-    z, z_old, x, arg, t = _iterates(z0, 3)
-    y = z0.copy()
+    z, z_old, y = z0.copy(), z0.copy(), z0.copy()
+    x, arg, t = (VelocityField.zeros(z0.dims) for _ in range(3))
     xb, yb, ab, tb = x.as_flat(), y.as_flat(), arg.as_flat(), t.as_flat()
     tau, sigma, theta = params.tau, params.sigma, params.theta
     relax = prox_f.relaxation
@@ -219,8 +199,12 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
             np.subtract(z.as_flat(), z_old.as_flat(), out=tb)
         if dual is not None:
             np.subtract(p.as_flat(), z.as_flat(), out=ab)
-        if _loop_tail(z, t, eps_cg, cg_iters, projector, params.eps_abs,
-                      params.eps_rel, log, dual, tau):
+        # t holds z - z_old; the stop residual also sets the CG accuracy
+        stop, residual, eps = stop_check(t, z, params.eps_abs, params.eps_rel, dual, tau)
+        projector.adapt(residual, eps)
+        log.record(residual, eps, eps_cg, cg_iters)
+        log.converged = stop and eps_cg <= projector.cg.eps_final
+        if log.converged:
             break
     return z
 
@@ -238,24 +222,14 @@ def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
     return pd_solve(prox_f, projector, pd, z0, log, iterate_callback)
 
 
-def iop_solve(prox_f: ProxOperator, projector: DivergenceProjector,
-              z0: VelocityField, log: ConvergenceLog, eps_abs: float = 1e-3,
-              eps_rel: float = 1e-3, max_iters: int = 500) -> VelocityField:
-    """Iterated orthogonal projection: alternate prox_f and the projection.
-
-    Valid only when prox_f is an orthogonal projection.  Returns the last
-    projection output, as pd_solve does.
-    """
-    if not prox_f.is_orthogonal_projection:
-        raise ValueError("iop_solve requires an orthogonal-projection prox operator")
-    _check_stop(max_iters, eps_abs, eps_rel)
-    log.method = log.method or "iop"
-    z, z_old, t = _iterates(z0, 1)
-    for _ in range(max_iters):
-        p = prox_f(1.0, z)
-        z, z_old = z_old, z
-        _, cg_iters, eps_cg = projector.project(p, out=z)
-        np.subtract(z.as_flat(), z_old.as_flat(), out=t.as_flat())
-        if _loop_tail(z, t, eps_cg, cg_iters, projector, eps_abs, eps_rel, log):
-            break
-    return z
+def _fixed_projection(vel: VelocityField, flags: CellFlags, cg: CgConfig,
+                      log: ConvergenceLog, method: str) -> VelocityField:
+    """Plain projection at the final CG accuracy with default walls, logged
+    as one converged row carrying its CG iterations."""
+    fixed = CgConfig(cg.eps_final, cg.eps_final, cg.max_cg_iters)
+    projector = DivergenceProjector(flags, BcTable.from_flags(flags), fixed)
+    out, iters, _ = projector.project(vel)
+    log.method = method
+    log.record(0.0, 0.0, cg.eps_final, iters)
+    log.converged = True
+    return out

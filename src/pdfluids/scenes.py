@@ -20,8 +20,8 @@ from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
                      face_centers, face_valid_mask, fluid_adjacent_face_mask,
                      upsample)
 from .guiding import GuidingConfig, guide_step, split_scalar_field
-from .optim import AdmmParams, ConvergenceLog, PdParams
-from .pressure import BcTable, CgConfig, DivergenceProjector
+from .optim import AdmmParams, ConvergenceLog, PdParams, _fixed_projection
+from .pressure import CgConfig
 from .separating import (BcState, solve_separating_accelerated,
                          solve_separating_standard)
 
@@ -271,19 +271,6 @@ def add_buoyancy(state: SceneState):
     dens_face = cell_to_face_average(state.density, 1)
     m = fluid_adjacent_face_mask(state.flags, 1)
     state.vel.v[m] += state.dt * beta * dens_face[m]
-
-
-def _fixed_projection(vel: VelocityField, flags: CellFlags, cg: CgConfig,
-                      log: ConvergenceLog, method: str) -> VelocityField:
-    """Plain projection at the final CG accuracy with default walls, logged
-    as one converged row carrying its CG iterations."""
-    fixed = CgConfig(cg.eps_final, cg.eps_final, cg.max_cg_iters)
-    projector = DivergenceProjector(flags, BcTable.from_flags(flags), fixed)
-    out, iters, _ = projector.project(vel)
-    log.method = method
-    log.record(0.0, 0.0, cg.eps_final, iters)
-    log.converged = True
-    return out
 
 
 def smoke_step(state: SceneState, cfg: GuidingConfig | None = None,

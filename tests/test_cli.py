@@ -264,6 +264,27 @@ class TestCli:
         if h == 0.5:   # the message names both grids
             assert "h=0.25" in err and f"h={1.0 / 32}" in err
 
+    def test_upres_scalar_coarse_grid_exits_2(self, tmp_path, capsys):
+        from pdfluids.fields import GridDims, ScalarField
+        from pdfluids.fileio import write_grid
+        coarse = tmp_path / "coarse"
+        coarse.mkdir()
+        write_grid(coarse / "vel_0001.grid", ScalarField.zeros(GridDims(12, 12, 1, 1.0 / 12)))
+        assert run(["upres", "--scene", "circular", "--nx", "12", "--ny", "12",
+                    "--frames", "1", "--out", tmp_path / "fine", "--factor", "2",
+                    "--coarse-dir", coarse]) == 2
+        err = capsys.readouterr().err
+        assert "vel_0001.grid" in err and "not a velocity grid" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "guide", "upres", "compare-methods",
+                                         "dam"])
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        p = tmp_path / "run.json"
+        p.write_bytes(b"\xff\xfe" + '{"scene": {"name": "circular"}}'.encode("utf-16-le"))
+        assert run([command, "--config", p]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.json"]
+
     def test_compare_methods_rejects_method_flag(self, tmp_path, capsys):
         # compare-methods always runs pd and then admm
         with pytest.raises(SystemExit) as exc:
@@ -310,10 +331,11 @@ class TestCli:
         assert run(["guide", "--config", p]) == 3
 
     def test_iop_nonconvergence_exits_3(self, tmp_path):
-        # iop runs under the run's cap and stop tolerances
-        cfg = {"scene": {"name": "circular", "nx": 16, "ny": 16},
+        # iop's one projection fails at a CG cap of one iteration (at 16^2
+        # the preconditioner is one dense grid, and one iteration converges)
+        cfg = {"scene": {"name": "circular", "nx": 32, "ny": 32},
                "frames": 1, "out_dir": str(tmp_path / "nc"), "method": "iop",
-               "max_iters": 1, "eps_abs": 0.0, "eps_rel": 0.0}
+               "max_cg_iters": 1}
         p = tmp_path / "nc.json"
         p.write_text(json.dumps(cfg))
         assert run(["guide", "--config", p]) == 3
@@ -336,13 +358,23 @@ class TestCli:
                            "--out", tmp_path / "nc"]) == 3
 
     @pytest.mark.parametrize("command, scene", [
-        ("dam", "circular"), ("compare-methods", "plume")])
+        ("dam", "circular"), ("compare-methods", "plume"), ("upres", "dam")])
     def test_scene_the_command_cannot_run_exits_2(self, tmp_path, command, scene):
-        # dam needs a liquid scene, compare-methods a guiding target; both
-        # are rejected before any output is written
+        # dam needs a liquid scene, compare-methods a guiding target and
+        # upres a smoke scene (here with a valid coarse frame); all are
+        # rejected before any output is written
+        from pdfluids.fields import GridDims, VelocityField
+        from pdfluids.fileio import write_grid
         out = tmp_path / "out"
-        assert run([command, "--scene", scene, "--nx", "16", "--ny", "16",
-                    "--frames", "1", "--out", out]) == 2
+        args = [command, "--scene", scene, "--nx", "16", "--ny", "16",
+                "--frames", "1", "--out", out]
+        if command == "upres":
+            coarse = tmp_path / "coarse"
+            coarse.mkdir()
+            write_grid(coarse / "vel_0001.grid",
+                       VelocityField.zeros(GridDims(16, 16, 1, 1.0 / 16)))
+            args += ["--coarse-dir", coarse, "--factor", "1"]
+        assert run(args) == 2
         assert not out.exists()
 
     def test_compare_methods_nonconvergence_exits_3(self, tmp_path):

@@ -7,13 +7,12 @@ from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, _face_views, divergence, face_centers)
 from pdfluids import guiding
 from pdfluids.blur import blur_obstacle_aware
-from pdfluids.guiding import (GuidingConfig, GuidingMinimizerProjection,
-                              GuidingPrecompute, GuidingProx,
+from pdfluids.guiding import (GuidingConfig, GuidingPrecompute, GuidingProx,
                               GuidingProxExact, GuidingQuadratic,
                               default_guiding_params, direct_least_squares,
                               guide_step, guiding_objective, split_scalar_field)
 from pdfluids.optim import ConvergenceLog, PdParams
-from pdfluids.pressure import PoissonConvergenceError
+from pdfluids.pressure import BcTable, CgConfig, PoissonConvergenceError, project
 
 from conftest import random_velocity, zero_solid_adjacent
 from test_optim import SmallGuidingOracle, guiding_instance
@@ -31,6 +30,18 @@ def blend_detail_preserving(u_current: VelocityField, u_target: VelocityField,
                             radius: ScalarField, flags: CellFlags) -> VelocityField:
     """Naive baseline keeping small scales: u_current - B u_current + u_target."""
     return u_current - blur_obstacle_aware(u_current, radius, flags) + u_target
+
+
+def one_shot_iop(cfg: GuidingConfig, u: VelocityField, eps: float) -> VelocityField:
+    """The iop step built by hand: u with the unconstrained minimizer of the
+    objective (at u_current = u) on the objective faces, projected once at
+    CG accuracy eps."""
+    quad = GuidingQuadratic(cfg.with_current(u))
+    minimizer, _ = guiding._cg_velocity(quad.apply_A, -1.0 * quad.b(), 1e-10,
+                                        guiding.MAX_CG_ITERS)
+    start = u.copy()
+    start.as_flat()[quad.valid] = minimizer.as_flat()[quad.valid]
+    return project(start, cfg.flags, BcTable.from_flags(cfg.flags), eps)
 
 
 def dense_operator(quad, apply_fn):
@@ -493,7 +504,8 @@ class TestSharedCgCore:
 
     def test_iop_minimizer(self, rng, solves):
         d, flags, cfg = guiding_instance(8, rng)
-        GuidingMinimizerProjection(cfg)
+        guide_step(cfg.u_current, cfg, method="iop")
+        assert len(solves) == 1   # the minimizer, solved once per step
         self.check(solves)
 
 
@@ -548,13 +560,21 @@ class TestGuideStep:
         mean_right = np.concatenate(right).mean()
         assert mean_left > mean_right
 
-    def test_iop_runs_under_the_pd_stop_settings(self, rng):
+    def test_iop_is_one_projection_of_the_minimizer(self, rng):
+        # one projection at cg's final accuracy, bit for bit, logged as one
+        # converged row; the PD parameters, even a cap of one iteration,
+        # change nothing
         d, flags, cfg = guiding_instance(8, rng)
-        log = ConvergenceLog()
-        guide_step(cfg.u_current, cfg, method="iop", log=log,
-                   pd_params=PdParams(tau=1.0, sigma=1.0, max_iters=1,
-                                      eps_abs=1e-12, eps_rel=1e-12))
-        assert len(log) == 1 and not log.converged
+        cg = CgConfig(1e-3, 1e-7)
+        want = one_shot_iop(cfg, cfg.u_current, cg.eps_final).as_flat().tobytes()
+        capped = PdParams(tau=1.0, sigma=1.0, max_iters=1, eps_abs=1e-12, eps_rel=1e-12)
+        for pd_params in (None, capped):
+            log = ConvergenceLog()
+            z = guide_step(cfg.u_current, cfg, method="iop", pd_params=pd_params,
+                           cg=cg, log=log)
+            assert z.as_flat().tobytes() == want
+            assert (log.method, len(log), log.converged) == ("iop", 1, True)
+            assert log.eps_cg == [1e-7] and log.cg_iters[0] > 0
 
     def test_unknown_method_rejected(self, rng):
         d, flags, cfg = guiding_instance(8, rng)

@@ -1,9 +1,9 @@
 """The proximal loops update their iterates in place.
 
-The allocating PD and IOP loops, the guiding and wall proxes and the
-accelerated wall sweep they replaced are kept here as test-time
-references: the in-place ones must return the same field and log the same
-rows bit for bit.  ADMM runs as the PD loop at theta = 1, sigma = rho,
+The allocating PD loop, the guiding and wall proxes and the accelerated
+wall sweep they replaced are kept here as test-time references: the
+in-place ones must return the same field and log the same rows bit for
+bit.  ADMM runs as the PD loop at theta = 1, sigma = rho,
 tau = 1/rho, so it matches the PD reference at those parameters bit for
 bit, and the allocating ADMM loop to rounding; for the wall prox, whose f
 holds an indicator, it logs that loop's residual pair, and its over-relaxed
@@ -22,11 +22,9 @@ import pytest
 
 from pdfluids import pressure
 from pdfluids.fields import VelocityField
-from pdfluids.guiding import (GuidingMinimizerProjection, GuidingPrecompute,
-                              GuidingProx, GuidingQuadratic, default_guiding_params,
-                              guide_step)
-from pdfluids.optim import (AdmmParams, ConvergenceLog, PdParams, admm_solve, iop_solve,
-                            pd_solve)
+from pdfluids.guiding import (GuidingPrecompute, GuidingProx, GuidingQuadratic,
+                              default_guiding_params, guide_step)
+from pdfluids.optim import AdmmParams, ConvergenceLog, PdParams, admm_solve, pd_solve
 from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector, FaceTag
 from pdfluids.scenes import SceneSpec, build_scene, liquid_step, smoke_step
 from pdfluids.separating import (MAX_SWEEPS, BcState, BoundaryFaces, WallProx,
@@ -35,6 +33,7 @@ from pdfluids.separating import (MAX_SWEEPS, BcState, BoundaryFaces, WallProx,
                                  solve_separating_standard)
 
 from conftest import random_velocity
+from test_guiding import one_shot_iop
 
 
 # -- the allocating bodies, kept as test-time references ----------------------
@@ -90,17 +89,6 @@ def ref_admm_solve(prox_f, projector, params, z0, log, iterate_callback, alpha=1
                     if getattr(prox_f, "has_indicator", False) else None)
         if ref_loop_tail(z, z_old, eps_cg, cg_iters, projector, params.eps_abs,
                          params.eps_rel, log, residual):
-            break
-    return z
-
-
-def ref_iop_solve(prox_f, projector, z0, log, eps_abs, eps_rel, max_iters):
-    log.method = log.method or "iop"
-    z = z0.copy()
-    for _ in range(max_iters):
-        z_old = z
-        z, cg_iters, eps_cg = projector.project(prox_f(1.0, z))
-        if ref_loop_tail(z, z_old, eps_cg, cg_iters, projector, eps_abs, eps_rel, log):
             break
     return z
 
@@ -312,18 +300,6 @@ class TestMatchesAllocatingLoops:
         for z, ref in zip(got, want):
             assert (z - ref).norm() <= 1e-10 * ref.norm()
 
-    def test_guided_iop_step(self):
-        state, cfg = guided_case(24)
-        prox = GuidingMinimizerProjection(cfg)
-        runs = []
-        for solve in (iop_solve, ref_iop_solve):
-            log = ConvergenceLog()
-            z = solve(prox, guided_projector(cfg), state.vel, log, eps_abs=1e-4,
-                      eps_rel=1e-4, max_iters=12)
-            runs.append((field_bytes(z), log_rows(log)))
-        assert len(np.frombuffer(runs[0][1][2])) >= 3
-        assert runs[0] == runs[1]
-
     def test_standard_wall_solve(self, rng):
         flags, u = dam_case(rng)
         state = BcState.initial(flags)
@@ -354,8 +330,8 @@ class TestMatchesAllocatingLoops:
 
 class TestLiveZBlock:
     """A 2D input with values in its inactive z block: the in-place result
-    matches the allocating reference on the active faces and carries the
-    input's z block unchanged."""
+    matches the allocating reference (for iop, the hand-built projection)
+    on the active faces and carries the input's z block unchanged."""
 
     @staticmethod
     def check(got, want, z0):
@@ -367,23 +343,24 @@ class TestLiveZBlock:
         state, cfg = guided_case(24)
         z0 = live_z(state.vel, rng)
         held = field_bytes(z0)
-        pd, admm = default_guiding_params(cfg.w_bar)
-        # admm_solve against the PD reference at its mapped parameters
-        solves, stop = {
-            "pd": (((pd_solve, GuidingProx, (pd,)), (ref_pd_solve, RefGuidingProx, (pd,))),
-                   {}),
-            "admm": (((admm_solve, GuidingProx, (admm,)),
-                      (ref_pd_solve, RefGuidingProx, (admm_as_pd(admm),))), {}),
-            "iop": (((iop_solve, GuidingMinimizerProjection, ()),
-                     (ref_iop_solve, GuidingMinimizerProjection, ())),
-                    dict(eps_abs=1e-4, eps_rel=1e-4, max_iters=12))}[method]
-        runs = []
-        for solve, prox, params in solves:
-            log = ConvergenceLog(method="admm" if method == "admm" else "")
-            runs.append((solve(prox(cfg), guided_projector(cfg), *params, z0, log, **stop),
-                         log))
-        (got, log), (want, ref_log) = runs
-        assert len(log) >= 3 and log_rows(log) == log_rows(ref_log)
+        if method == "iop":
+            log = ConvergenceLog()
+            got = guide_step(z0, cfg, method="iop", log=log)
+            want = one_shot_iop(cfg, z0, CgConfig().eps_final)
+            assert len(log) == 1 and log.converged
+        else:
+            pd, admm = default_guiding_params(cfg.w_bar)
+            # admm_solve against the PD reference at its mapped parameters
+            solves = {
+                "pd": ((pd_solve, GuidingProx, pd), (ref_pd_solve, RefGuidingProx, pd)),
+                "admm": ((admm_solve, GuidingProx, admm),
+                         (ref_pd_solve, RefGuidingProx, admm_as_pd(admm)))}[method]
+            runs = []
+            for solve, prox, params in solves:
+                log = ConvergenceLog(method="admm" if method == "admm" else "")
+                runs.append((solve(prox(cfg), guided_projector(cfg), params, z0, log), log))
+            (got, log), (want, ref_log) = runs
+            assert len(log) >= 3 and log_rows(log) == log_rows(ref_log)
         self.check(got, want, z0)
         assert field_bytes(z0) == held
 

@@ -6,8 +6,7 @@ import pytest
 from pdfluids.fields import CellFlags, GridDims, ScalarField, VelocityField
 from pdfluids.guiding import GuidingConfig, GuidingProxExact
 from pdfluids.optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
-                            admm_solve, iop_solve, moreau_transform, pd_solve,
-                            stop_check)
+                            admm_solve, moreau_transform, pd_solve, stop_check)
 from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector
 
 from conftest import random_velocity, zero_solid_adjacent
@@ -15,8 +14,6 @@ from conftest import random_velocity, zero_solid_adjacent
 
 class IdentityProx(ProxOperator):
     """Prox of f == 0 (and the orthogonal projection onto the whole space)."""
-
-    is_orthogonal_projection = True
 
     def __call__(self, sigma: float, v: VelocityField) -> VelocityField:
         return v.copy()
@@ -118,8 +115,6 @@ class TestMoreau:
         d = GridDims(4, 4)
 
         class ZeroVComponent(ProxOperator):
-            is_orthogonal_projection = True
-
             def __call__(self, sig, v):
                 out = v.copy()
                 out.v[...] = 0.0
@@ -189,16 +184,6 @@ class TestStopParameters:
     def test_admm_params(self, bad):
         with pytest.raises(ValueError):
             AdmmParams(rho=1.0, **bad)
-
-    @pytest.mark.parametrize("bad", BAD, ids=_kwargs_id)
-    def test_iop_solve(self, bad, rng):
-        d = GridDims(8, 8)
-        flags = CellFlags.closed_box(d)
-        log = ConvergenceLog()
-        with pytest.raises(ValueError):
-            iop_solve(IdentityProx(), make_projector(flags),
-                      random_velocity(d, rng), log, **bad)
-        assert len(log) == 0
 
     @pytest.mark.parametrize("steps", [
         dict(tau=math.nan), dict(tau=math.inf), dict(sigma=math.inf),
@@ -276,24 +261,6 @@ class TestSolvers:
         for zp, za in zip(iters_pd, iters_admm):
             scale = max(za.norm(), 1.0)
             assert (zp - za).norm() <= 1e-10 * scale
-
-    def test_iop_requires_orthogonal_projection(self, rng):
-        d, flags, cfg = guiding_instance(4, rng)
-        with pytest.raises(ValueError):
-            iop_solve(GuidingProxExact(cfg), make_projector(flags),
-                      cfg.u_current, ConvergenceLog())
-
-    def test_iop_fixed_point_returns_quickly(self, rng):
-        d = GridDims(8, 8)
-        flags = CellFlags.closed_box(d)
-        projector = make_projector(flags)
-        z0, _, _ = make_projector(flags).project(
-            zero_solid_adjacent(random_velocity(d, rng), flags))
-        log = ConvergenceLog()
-        z = iop_solve(IdentityProx(), projector, z0, log)
-        assert log.converged
-        assert len(log) <= 2
-        assert (z - z0).norm() <= 1e-5 * max(z0.norm(), 1.0)
 
     def test_nonconvergence_flagged(self, rng):
         d, flags, cfg = guiding_instance(8, rng)
