@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdfluids import pressure
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
@@ -453,11 +455,20 @@ def box_3d_case(rng):
     return flags, BcTable.from_flags(flags), rng.standard_normal(d.shape)
 
 
-def box_rhs(n, seed=0):
-    d = GridDims(n, n)
+def box_rhs(n, seed=0, dim=2):
+    d = GridDims(*(n,) * dim)
     flags = CellFlags.closed_box(d)
     system = PoissonSystem(flags, BcTable.from_flags(flags))
     return flags, system, system.prepare_rhs(np.random.default_rng(seed).standard_normal(d.shape))
+
+
+def closed_box_iterations(sizes, dim):
+    """CG iterations from zero to 1e-5 on a random rhs, per box width."""
+    iters = {}
+    for n in sizes:
+        _, system, b = box_rhs(n, dim=dim)
+        iters[n] = system.cg(b, 1e-5, 10000)[1]
+    return iters
 
 
 class TestCgBitwise:
@@ -621,22 +632,28 @@ def dense_from_stencil(diag, stencil):
     return mat
 
 
+def assert_symmetric_positive(system, rng, pairs):
+    """For random a, b on the active cells: <Ma, b> = <a, Mb> to 1e-13 of
+    |Ma| |b|, <Ma, a> > 0, and Ma zero off the active cells."""
+    act = system.active
+    for _ in range(pairs):
+        a = np.where(act, rng.standard_normal(act.shape), 0.0)
+        b = np.where(act, rng.standard_normal(act.shape), 0.0)
+        ma = system._precondition(a, np.empty_like(a))
+        mb = system._precondition(b, np.empty_like(b))
+        scale = np.linalg.norm(ma) * np.linalg.norm(b)
+        assert abs(np.vdot(ma, b) - np.vdot(a, mb)) <= 1e-13 * scale
+        assert np.vdot(ma, a) > 0.0
+        assert not ma[~act].any()
+
+
 class TestMultigridPreconditioner:
     @pytest.mark.parametrize("name", list(PRECONDITIONER_CASES))
     def test_symmetric_positive_and_zero_off_active(self, rng, preconditioner_case, name):
         flags, bc = preconditioner_case(name)
         system = PoissonSystem(flags, bc)
         assert len(system.grids) > 1   # at least one coarse grid
-        act = system.active
-        for _ in range(5):
-            a = np.where(act, rng.standard_normal(act.shape), 0.0)
-            b = np.where(act, rng.standard_normal(act.shape), 0.0)
-            ma = system._precondition(a, np.empty_like(a))
-            mb = system._precondition(b, np.empty_like(b))
-            scale = np.linalg.norm(ma) * np.linalg.norm(b)
-            assert abs(np.vdot(ma, b) - np.vdot(a, mb)) <= 1e-13 * scale
-            assert np.vdot(ma, a) > 0.0
-            assert not ma[~act].any()
+        assert_symmetric_positive(system, rng, 5)
 
     @pytest.mark.parametrize("name", list(PRECONDITIONER_CASES))
     def test_coarse_operators_are_galerkin_products(self, preconditioner_case, name):
@@ -684,12 +701,52 @@ class TestMultigridPreconditioner:
         assert np.linalg.norm(x.ravel() - expect) <= 1e-8 * np.linalg.norm(expect)
 
     def test_iterations_flat_in_grid_size(self):
-        iters = {}
-        for n in (64, 128, 256):
-            _, system, b = box_rhs(n)
-            iters[n] = system.cg(b, 1e-5, 10000)[1]
-        assert max(iters.values()) <= 20
+        iters = closed_box_iterations((64, 128, 256), 2)
+        assert max(iters.values()) <= 11
         assert iters[256] <= 1.5 * iters[64]
+
+    def test_iterations_flat_in_grid_size_3d(self):
+        iters = closed_box_iterations((16, 24, 32), 3)
+        assert iters[32] <= 13
+        assert iters[32] <= 1.5 * iters[16]
+
+
+# random flag fields: 2-D at 4-20 cells a side, 3-D at 4-8 x 4-8 x 4-6; the
+# cell types drawn from a seeded rng in the given FLUID:SOLID:EMPTY weights, and
+# each fluid-solid face DIRICHLET with the given probability, else NEUMANN
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(shape=st.one_of(st.tuples(st.integers(4, 20), st.integers(4, 20)),
+                       st.tuples(st.integers(4, 8), st.integers(4, 8), st.integers(4, 6))),
+       weights=st.tuples(st.integers(4, 8), st.integers(0, 2), st.integers(0, 2)),
+       dirichlet=st.sampled_from((0.0, 0.5, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_vcycle_symmetric_positive_on_random_flags(shape, weights, dirichlet, seed):
+    rng = np.random.default_rng(seed)
+    d = GridDims(*shape)
+    p = np.array(weights) / sum(weights)
+    flags = CellFlags(d, rng.choice([CellType.FLUID, CellType.SOLID, CellType.EMPTY],
+                                    size=d.shape, p=p))
+    neumann = BcTable.from_flags(flags, FaceTag.NEUMANN).tags
+    solid_dirichlet = BcTable.from_flags(flags, FaceTag.DIRICHLET).tags
+    tags = np.where(rng.random(neumann.shape) < dirichlet, solid_dirichlet, neumann)
+    with pytest.MonkeyPatch.context() as mp:   # coarsen as preconditioner_case does
+        mp.setattr(pressure, "_DENSE_CELLS", 64)
+        system = PoissonSystem(flags, BcTable(d, tags))
+    assume(system.active.any())
+    assert_symmetric_positive(system, rng, 3)
+    # random vectors miss a small negative eigenvalue, as a weight past the
+    # SPD range (2/omega below the largest eigenvalue of D^-1 A) gives; M is
+    # only semidefinite where a component is all Neumann (the coarsest
+    # grid's pseudo-inverse)
+    act = np.flatnonzero(system.active)
+    unit, out = np.zeros(system.active.shape), np.empty(system.active.shape)
+    m = np.empty((act.size, act.size))
+    for j, cell in enumerate(act):
+        unit.flat[cell] = 1.0
+        m[:, j] = system._precondition(unit, out).flat[act]
+        unit.flat[cell] = 0.0
+    eig = np.linalg.eigvalsh(m + m.T)
+    assert eig.min() >= -1e-12 * eig.max()
 
 
 # -- the 3-D-slice stencil and V-cycle, kept as a bitwise reference --------------
