@@ -34,21 +34,25 @@ import math
 
 import numpy as np
 
-from .fields import (CellFlags, ScalarField, VelocityField,
+from .fields import (CellFlags, ScalarField, VelocityField, _aligned_empty,
                      cell_to_face_average, face_valid_mask)
 
 
 def _taps(rad: np.ndarray, tmax: int) -> list[np.ndarray]:
-    """Per-face Gaussian weights w_t for t = 1..tmax; taps beyond ceil(3 r)
-    and at faces with r = 0 are zero."""
+    """Per-face Gaussian weights w_t for t = 1..tmax, each in an array of
+    its own on a 64-byte boundary; taps beyond ceil(3 r) and at faces with
+    r = 0 are zero."""
     ncut = np.ceil(3.0 * rad)
-    live = rad > 0
+    dead = ~(rad > 0)
     two_r2 = 2.0 * np.square(rad)
     taps = []
     with np.errstate(divide="ignore"):
         for t in range(1, tmax + 1):
-            w = np.exp(-(t * t) / two_r2)
-            taps.append(np.where(live & (t <= ncut), w, 0.0))
+            w = _aligned_empty(rad.shape)
+            np.divide(-(t * t), two_r2, out=w)
+            np.exp(w, out=w)
+            np.copyto(w, 0.0, where=dead | (t > ncut))
+            taps.append(w)
     return taps
 
 
@@ -87,7 +91,8 @@ class _Component:
     of the padded `shape`, whose leading `core` block holds the faces.
     `reach[axis]` is the number of taps a sweep along the axis runs,
     min(T, n - 1) on an axis of n faces; the padded axes' gaps are that
-    wide."""
+    wide.  Every array it keeps, and its build scratch, starts on a 64-byte
+    boundary and is allocated once."""
 
     def __init__(self, valid: np.ndarray, rad: np.ndarray, axes: tuple[int, ...]):
         ntaps = int(math.ceil(3.0 * rad.max())) if rad.size else 0
@@ -102,12 +107,14 @@ class _Component:
         self.vf = self.pad(valid, -0.0, np.float64)
         # r = 0 in the gap: no taps there
         self.taps = _taps(self.pad(rad), max(self.reach.values()))
-        scratch = np.empty(self.vf.size)
+        scratch = _aligned_empty(self.vf.size)
         self.norms = {}
         for axis in axes:
-            den = self.vf.copy()  # valid-tap weight sums
+            den = _aligned_empty(self.vf.size)  # valid-tap weight sums
+            np.copyto(den, self.vf)
             _gather(den, self.vf, self.along(axis), self.steps[axis], scratch)
-            self.norms[axis] = np.where(den > 0, den, 1.0)
+            np.copyto(den, 1.0, where=~(den > 0))
+            self.norms[axis] = den
         self.cur = None   # the padded field, built by the first `load`
 
     def along(self, axis: int) -> list[np.ndarray]:
@@ -125,7 +132,8 @@ class _Component:
 
     def pad(self, arr: np.ndarray, fill=0.0, dtype=None) -> np.ndarray:
         """`arr` in the flat gap layout, the gap filled with `fill`."""
-        out = np.full(self.shape, fill, dtype=dtype or arr.dtype)
+        out = _aligned_empty(self.shape, dtype or arr.dtype)
+        out.fill(fill)
         out[self.core] = arr
         return out.ravel()
 
@@ -182,7 +190,9 @@ class _BlurKernel:
         if out is None:
             out = field.copy()
         if self._work is None:
-            self._work = np.empty((3, max(p.vf.size for p in self.parts.values())))
+            # rows padded to whole 64-byte lines, so each starts on one
+            n = max(p.vf.size for p in self.parts.values())
+            self._work = _aligned_empty((3, -(-n // 8) * 8))
         axes = field.dims.axes
         sweep_axes = axes if not transpose else tuple(reversed(axes))
         for comp, arr in field.components():

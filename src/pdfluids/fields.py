@@ -87,6 +87,18 @@ class GridDims:
         return tuple(_flat_faces(self, lambda a: _to_faces(
             cells, a, lambda *pair: pair[k], ghost=self.cell_count)) for k in (0, 1))
 
+    @functools.cached_property
+    def _starts(self) -> tuple:
+        """(points, stencils) of the backtrace start points of advection:
+        the face centers of each active axis in turn, then the cell centers
+        (last).  The points are per-axis coordinate arrays that broadcast to
+        the sample array's shape, and the stencils are their split
+        `_face_stencils`, whose base, steps and fractions are per axis as
+        well: O(nx + ny + nz) entries each."""
+        starts = [face_centers(self, a, sparse=True) for a in self.axes]
+        starts.append(cell_centers(self, sparse=True))
+        return tuple((pts, _face_stencils(self, pts, split=True)) for pts in starts)
+
 
 def _check_dims(a, b):
     if a.dims != b.dims:
@@ -253,24 +265,38 @@ class VelocityField:
     __rmul__ = __mul__
 
 
+def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialized C-order array whose data starts on a 64-byte
+    boundary, carved out of a plain byte buffer (numpy's own allocations
+    are 16-byte aligned, and its kernels run slower at such offsets)."""
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # geometry helpers
 
-def _centers(shape, offsets, h: float):
+def _centers(shape, offsets, h: float, sparse: bool = False):
     """Physical (X, Y, Z) coordinate arrays of the samples of an array whose
-    sample (i, j, k) sits at ((i, j, k) + offsets) * h."""
+    sample (i, j, k) sits at ((i, j, k) + offsets) * h; with `sparse`, one
+    array per axis that broadcasts to the array's shape."""
     return np.meshgrid(*[(np.arange(n) + off) * h for n, off in zip(shape, offsets)],
-                       indexing="ij")
+                       indexing="ij", sparse=sparse)
 
 
-def cell_centers(dims: GridDims):
-    """Physical (X, Y, Z) coordinate arrays of cell centers, shape dims.shape."""
-    return _centers(dims.shape, (0.5, 0.5, 0.5), dims.h)
+def cell_centers(dims: GridDims, sparse: bool = False):
+    """Physical (X, Y, Z) coordinate arrays of cell centers, shape dims.shape
+    (per axis with `sparse`, as in `_centers`)."""
+    return _centers(dims.shape, (0.5, 0.5, 0.5), dims.h, sparse)
 
 
-def face_centers(dims: GridDims, axis: int):
-    """Physical coordinate arrays of face centers for one velocity component."""
-    return _centers(dims.face_shape(axis), _face_offsets(axis), dims.h)
+def face_centers(dims: GridDims, axis: int, sparse: bool = False):
+    """Physical coordinate arrays of face centers for one velocity component
+    (per axis with `sparse`, as in `_centers`)."""
+    return _centers(dims.face_shape(axis), _face_offsets(axis), dims.h, sparse)
 
 
 def _to_faces(c: np.ndarray, axis: int, pair, ghost=None) -> np.ndarray:
@@ -347,11 +373,17 @@ def _face_offsets(axis: int) -> tuple[float, ...]:
 
 
 class _Stencil(NamedTuple):
-    """Points on one sample array, in the flat layout of `_coords`."""
+    """Points on one sample array, in the flat layout of `_coords`; a split
+    stencil's base is a tuple of per-axis terms, which `joined` sums before
+    the stencil is read."""
 
     base: np.ndarray
     steps: tuple
     fracs: tuple
+
+    def joined(self) -> "_Stencil":
+        """This split stencil with its base's terms summed in axis order."""
+        return self._replace(base=sum(self.base))
 
     def corners(self) -> list:
         """(flat index, weight) of each corner, x outermost: 4 in 2D, 8 in
@@ -379,29 +411,31 @@ class _Stencil(NamedTuple):
         return (c00 * gx + c10 * fx) * (1 - fy) + (c01 * gx + c11 * fx) * fy
 
 
-def _coords(shape, offsets, h: float, points) -> _Stencil:
+def _coords(shape, offsets, h: float, points, split: bool = False) -> _Stencil:
     """Clamped multilinear stencil of physical points on a C-order array
     whose sample (i, j, k) sits at ((i, j, k) + offsets) * h, in flat
     indices.  Per axis the sample coordinate is clamped to [0, n-1] and
     split into its floor i and a fraction.  The stencil holds the flat index
     of the lower corner and, per axis of more than one sample, the int32
     flat step to the upper corner (the stride, 0 where i = n-1) and the
-    fraction; an axis of one sample (z in 2D) takes index 0."""
+    fraction; an axis of one sample (z in 2D) takes index 0.  With `split`,
+    the base is left as its per-axis terms (i * stride), for `joined`."""
     strides = (shape[1] * shape[2], shape[2], 1)
-    base, steps, fracs = 0, [], []
+    terms, steps, fracs = [], [], []
     for n, off, p, stride in zip(shape, offsets, points, strides):
         if n > 1:
             g = np.clip(np.asarray(p, dtype=np.float64) / h - off, 0.0, n - 1.0)
             i0 = np.floor(g).astype(np.intp)
-            base = base + i0 * stride
+            terms.append(i0 * stride)
             steps.append(np.where(i0 < n - 1, np.int32(stride), np.int32(0)))
             fracs.append(g - i0)
-    return _Stencil(base, tuple(steps), tuple(fracs))
+    st = _Stencil(tuple(terms), tuple(steps), tuple(fracs))
+    return st if split else st.joined()
 
 
-def _face_stencils(dims: GridDims, points) -> list:
+def _face_stencils(dims: GridDims, points, split: bool = False) -> list:
     """The `_coords` stencil of points on each active axis' face array."""
-    return [_coords(dims.face_shape(a), _face_offsets(a), dims.h, points)
+    return [_coords(dims.face_shape(a), _face_offsets(a), dims.h, points, split)
             for a in dims.axes]
 
 
@@ -412,26 +446,30 @@ def _interp_component(arr: np.ndarray, axis: int, dims: GridDims, px, py, pz):
     return _coords(arr.shape, _face_offsets(axis), dims.h, (px, py, pz)).gather(arr)
 
 
-def _sample(vel: VelocityField, px, py, pz) -> list:
+def _sample(vel: VelocityField, px, py, pz, stencils=None) -> list:
     """Velocity at physical points (clamped to the domain), one entry per
-    axis: interpolated on an active axis, 0.0 on an inactive one."""
+    axis: interpolated on an active axis, 0.0 on an inactive one.
+    `stencils` are the points' `_face_stencils` when the caller has them."""
     d = vel.dims
-    return [_interp_component(vel.component(a), a, d, px, py, pz)
-            if a in d.axes else 0.0 for a in range(3)]
+    st = dict(zip(d.axes, stencils or _face_stencils(d, (px, py, pz))))
+    return [st[a].gather(vel.component(a)) if a in st else 0.0 for a in range(3)]
 
 
-def _backtrace_rk2(vel: VelocityField, px, py, pz, dt: float):
-    """Midpoint backtrace through vel; end points clamped into the domain box."""
+def _backtrace_rk2(vel: VelocityField, px, py, pz, dt: float, first=None):
+    """Midpoint backtrace through vel; end points clamped into the domain box.
+    `first` are the start points' split `_face_stencils` when the caller has
+    them (`GridDims._starts`)."""
     d = vel.dims
     lim = (d.nx * d.h, d.ny * d.h, d.nz * d.h)
 
-    def step(scale, sx, sy, sz):
-        """(px, py, pz) - scale * vel(sx, sy, sz), clamped into the box; the
+    def step(scale, samples):
+        """(px, py, pz) - scale * samples, clamped into the box; the
         inactive z axis moves by 0.0."""
         return tuple(np.clip(p - scale * v, 0.0, top) for p, v, top
-                     in zip((px, py, pz), _sample(vel, sx, sy, sz), lim))
+                     in zip((px, py, pz), samples, lim))
 
-    return step(dt, *step(0.5 * dt, px, py, pz))
+    first = first and [st.joined() for st in first]
+    return step(dt, _sample(vel, *step(0.5 * dt, _sample(vel, px, py, pz, first))))
 
 
 def _gather_scalar_masked(scalar: ScalarField, flags: CellFlags, px, py, pz):
@@ -454,16 +492,19 @@ def _gather_scalar_masked(scalar: ScalarField, flags: CellFlags, px, py, pz):
 def advect_semi_lagrangian(field, vel: VelocityField, dt: float, flags: CellFlags):
     """Second-order semi-Lagrangian advection of a scalar or velocity field.
 
-    Sample locations are traced backward with an RK2 midpoint step; SOLID
-    cells (and faces adjacent to SOLID) keep their values, and scalar
-    interpolation never reads SOLID cell values.
+    Sample locations are traced backward with an RK2 midpoint step from the
+    grid's own sample points, whose first-stage stencils the grid builds
+    once (`GridDims._starts`); SOLID cells (and faces adjacent to SOLID)
+    keep their values, and scalar interpolation never reads SOLID cell
+    values.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     _check_dims(field, vel)
+    starts = vel.dims._starts
     if isinstance(field, ScalarField):
-        X, Y, Z = cell_centers(field.dims)
-        bx, by, bz = _backtrace_rk2(vel, X, Y, Z, dt)
+        points, first = starts[-1]
+        bx, by, bz = _backtrace_rk2(vel, *points, dt, first)
         gathered = _gather_scalar_masked(field, flags, bx, by, bz)
         out = field.values.copy()
         target = flags.values != _SOLID
@@ -473,7 +514,7 @@ def advect_semi_lagrangian(field, vel: VelocityField, dt: float, flags: CellFlag
     if isinstance(field, VelocityField):
         d = field.dims
         sampled = _flat_faces(d, lambda a: _interp_component(
-            field.component(a), a, d, *_backtrace_rk2(vel, *face_centers(d, a), dt)))
+            field.component(a), a, d, *_backtrace_rk2(vel, *starts[a][0], dt, starts[a][1])))
         res = field.copy()
         np.copyto(res.as_flat(), sampled,
                   where=_flat_faces(d, lambda a: face_valid_mask(flags, a)))

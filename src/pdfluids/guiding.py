@@ -26,7 +26,7 @@ import numpy as np
 from .blur import _check_radius, blur_obstacle_aware
 from .fields import (CellFlags, ScalarField, VelocityField, _flat_faces,
                      cell_to_face_average, divergence, face_valid_mask)
-from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
+from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator, SolverCarry,
                     _fixed_projection, admm_solve, pd_solve)
 from .pressure import BcTable, CgConfig, DivergenceProjector, _pcg, _require_finite
 
@@ -302,7 +302,8 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
                admm_params: AdmmParams | None = None,
                cg: CgConfig | None = None,
                log: ConvergenceLog | None = None,
-               exact_prox: bool = False) -> VelocityField:
+               exact_prox: bool = False,
+               dual: SolverCarry | None = None) -> VelocityField:
     """One guided projection: replace the plain pressure projection with a
     proximal solve of the guiding objective under the divergence constraint.
 
@@ -312,7 +313,10 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     map onto the unconstrained minimizer, so iterated orthogonal projection
     is one projection, at cg's final accuracy, of u_current with the
     minimizer on the objective faces; it reads no PD parameters and is
-    logged as one converged row.  A non-finite u_current raises
+    logged as one converged row.  A "pd" or "admm" solve with the SMW prox
+    starts from the carried dual x of `dual` when its dims and sigma match
+    (pd_solve) and leaves its own final x there; the exact prox, "direct"
+    and "iop" neither read nor write it.  A non-finite u_current raises
     PoissonConvergenceError before any blur or prox runs.
     """
     _require_finite(u_current)
@@ -331,11 +335,10 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     projector = DivergenceProjector(cfg.flags, bc, cg)
     pd_default, admm_default = default_guiding_params(cfg.w_bar)
     pd_params = pd_params if pd_params is not None else pd_default
+    prox, dual = (GuidingProxExact(cfg), None) if exact_prox else (GuidingProx(cfg), dual)
     if method == "pd":
-        prox = GuidingProxExact(cfg) if exact_prox else GuidingProx(cfg)
-        return pd_solve(prox, projector, pd_params, u_current, log)
+        return pd_solve(prox, projector, pd_params, u_current, log, dual=dual)
     if method == "admm":
         params = admm_params if admm_params is not None else admm_default
-        prox = GuidingProxExact(cfg) if exact_prox else GuidingProx(cfg)
-        return admm_solve(prox, projector, params, u_current, log)
+        return admm_solve(prox, projector, params, u_current, log, dual=dual)
     raise ValueError(f"unknown guiding method {method!r}")

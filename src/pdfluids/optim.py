@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import CellFlags, VelocityField
+from .fields import CellFlags, GridDims, VelocityField
 from .pressure import BcTable, CgConfig, DivergenceProjector
 
 class ProxOperator:
@@ -37,6 +37,18 @@ class ProxOperator:
 
     def __call__(self, sigma: float, v: VelocityField) -> VelocityField:
         raise NotImplementedError
+
+
+@dataclass
+class SolverCarry:
+    """Solver state a caller keeps from one solve to the next of nearly the
+    same problem: the final dual x of a guided PD solve on its active faces
+    (`as_flat`), the grid it lives on and the sigma it ran at, all unset
+    until a solve given the carry returns."""
+
+    x: np.ndarray | None = None
+    dims: GridDims | None = None
+    sigma: float = math.nan
 
 
 def _check_stop(max_iters: int, eps_abs: float, eps_rel: float):
@@ -143,7 +155,7 @@ def moreau_transform(prox_f: ProxOperator, sigma: float, v: VelocityField) -> Ve
 
 def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdParams,
              z0: VelocityField, log: ConvergenceLog,
-             iterate_callback=None) -> VelocityField:
+             iterate_callback=None, dual: SolverCarry | None = None) -> VelocityField:
     """First-order primal-dual iteration with K = identity, over-relaxed by
     r = prox_f.relaxation.
 
@@ -163,18 +175,24 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
     sigma = rho and tau = 1/rho they are ADMM's s = rho ||z - z_old|| and
     r = ||x - z|| (Boyd et al., Found. Trends ML 2011, 3.3.1), and the
     relaxed step is ADMM over-relaxed by alpha = r (ibid., 3.4.3), whose
-    pair the relaxation leaves as it is.  Starts from x = 0, y = zb = z0.
+    pair the relaxation leaves as it is.  Starts from y = zb = z0 and from
+    the caller's dual x, else 0: x is `dual.x` when the carry holds one
+    on z0's dims that ran at this sigma.  When the loop returns, the carry
+    takes the final x and sigma; a solve that raises leaves it as it was.
     iterate_callback sees each projection output.  Returns the last
     projection output; non-convergence is flagged on the log.
     """
     log.method = log.method or "pd"
     z, z_old, y = z0.copy(), z0.copy(), z0.copy()
-    x, arg, t = (VelocityField.zeros(z0.dims) for _ in range(3))
-    xb, yb, ab, tb = x.as_flat(), y.as_flat(), arg.as_flat(), t.as_flat()
+    arg, t = VelocityField.zeros(z0.dims), VelocityField.zeros(z0.dims)
+    yb, ab, tb = y.as_flat(), arg.as_flat(), t.as_flat()
     tau, sigma, theta = params.tau, params.sigma, params.theta
+    # x is read and written on the active faces only
+    carried = dual is not None and dual.dims == z0.dims and dual.sigma == sigma
+    xb = dual.x.copy() if carried else np.zeros(z0.n_dof)
     relax = prox_f.relaxation
     base = z0.copy() if relax != 1.0 else None   # else z_old, swapped in
-    dual = arg if prox_f.has_indicator else None   # p - z, once arg is projected
+    dual_res = arg if prox_f.has_indicator else None   # p - z, once arg is projected
     for _ in range(params.max_iters):
         np.multiply(xb, 1.0 / sigma, out=ab)
         ab += yb
@@ -197,29 +215,32 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
             tb *= relax
             zb += tb
             np.subtract(z.as_flat(), z_old.as_flat(), out=tb)
-        if dual is not None:
+        if dual_res is not None:
             np.subtract(p.as_flat(), z.as_flat(), out=ab)
         # t holds z - z_old; the stop residual also sets the CG accuracy
-        stop, residual, eps = stop_check(t, z, params.eps_abs, params.eps_rel, dual, tau)
+        stop, residual, eps = stop_check(t, z, params.eps_abs, params.eps_rel, dual_res, tau)
         projector.adapt(residual, eps)
         log.record(residual, eps, eps_cg, cg_iters)
         log.converged = stop and eps_cg <= projector.cg.eps_final
         if log.converged:
             break
+    if dual is not None:
+        dual.x, dual.dims, dual.sigma = xb, z0.dims, sigma
     return z
 
 
 def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
                params: AdmmParams, z0: VelocityField, log: ConvergenceLog,
-               iterate_callback=None) -> VelocityField:
-    """ADMM with scaled dual y0 = 0 (iterate_callback sees each z),
+               iterate_callback=None, dual: SolverCarry | None = None) -> VelocityField:
+    """ADMM (iterate_callback sees each z),
       x <- prox_f(rho, z - y);  z <- project(x + y);  y <- y + x - z,
     run as pd_solve at theta = 1, sigma = rho, tau = 1/rho, whose x/sigma is
-    -(y + z - z_old): the same z iterates up to rounding, the same stop."""
+    -(y + z - z_old): the same z iterates up to rounding, the same stop.
+    The scaled dual starts from the caller's dual (pd_solve's carry), else 0."""
     log.method = log.method or "admm"
     pd = PdParams(tau=1.0 / params.rho, sigma=params.rho, theta=1.0, max_iters=params.max_iters,
                   eps_abs=params.eps_abs, eps_rel=params.eps_rel)
-    return pd_solve(prox_f, projector, pd, z0, log, iterate_callback)
+    return pd_solve(prox_f, projector, pd, z0, log, iterate_callback, dual)
 
 
 def _fixed_projection(vel: VelocityField, flags: CellFlags, cg: CgConfig,

@@ -10,7 +10,7 @@ the separating-wall solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
                      face_centers, face_valid_mask, fluid_adjacent_face_mask,
                      upsample)
 from .guiding import GuidingConfig, guide_step, split_scalar_field
-from .optim import AdmmParams, ConvergenceLog, PdParams, _fixed_projection
+from .optim import AdmmParams, ConvergenceLog, PdParams, SolverCarry, _fixed_projection
 from .pressure import CgConfig
 from .separating import (BcState, solve_separating_accelerated,
                          solve_separating_standard)
@@ -108,7 +108,9 @@ class SceneSpec:
 
 @dataclass
 class SceneState:
-    """Everything a running scene carries between frames."""
+    """Everything a running scene carries between frames.  `carry` is the
+    solver state one frame hands the next: the guided solve's dual, which
+    `smoke_step` starts each guided solve from."""
 
     spec: SceneSpec
     flags: CellFlags
@@ -118,6 +120,7 @@ class SceneState:
     particles_vel: np.ndarray | None = None   # (N, 3)
     frame: int = 0
     last_log: ConvergenceLog | None = None
+    carry: SolverCarry = field(default_factory=SolverCarry)
 
     @property
     def dt(self) -> float:
@@ -279,7 +282,9 @@ def smoke_step(state: SceneState, cfg: GuidingConfig | None = None,
                cg: CgConfig | None = None,
                exact_prox: bool = False) -> SceneState:
     """One smoke frame: buoyancy, advection, then the guided projection (or a
-    plain one when no guiding configuration is given)."""
+    plain one when no guiding configuration is given).  The guided solve
+    starts from the dual the last one left on `state.carry`, when it ran on
+    the same dims and sigma, and leaves its own there."""
     spec = state.spec
     if state.density is None:
         raise ValueError("smoke_step needs a smoke scene")
@@ -299,7 +304,7 @@ def smoke_step(state: SceneState, cfg: GuidingConfig | None = None,
     else:
         state.vel = guide_step(u_c, cfg, method=method, pd_params=pd_params,
                                admm_params=admm_params, cg=cg, log=log,
-                               exact_prox=exact_prox)
+                               exact_prox=exact_prox, dual=state.carry)
     state.last_log = log
     state.frame += 1
     return state

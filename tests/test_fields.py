@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pdfluids import fields
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, _gather_scalar_masked,
                              _interp_component, advect_semi_lagrangian,
@@ -439,6 +440,44 @@ class TestStencilBitwise:
             else:
                 for a in range(3):
                     assert got.component(a).tobytes() == want.component(a).tobytes()
+
+    @pytest.mark.parametrize("case", STENCIL_DIMS)
+    def test_advection_on_a_warm_grid_matches_reference(self, case, rng):
+        # the first advection on a grid builds its start stencils, every
+        # later one reads them, also after an equal grid built its own
+        d = GridDims(*STENCIL_DIMS[case].shape, STENCIL_DIMS[case].h)
+        twin = GridDims(*d.shape, d.h)
+        assert twin == d and twin is not d
+        for dims, dt in ((d, 0.07), (d, 0.03), (twin, 0.07), (d, 0.07), (d, 0.11)):
+            flags = _obstacle_flags(dims)
+            vel = random_velocity(dims, rng, scale=2.0)
+            for field in (vel, ScalarField(dims, rng.random(dims.shape))):
+                got = advect_semi_lagrangian(field, vel, dt, flags)
+                want = _ref_advect(field, vel, dt, flags)
+                if isinstance(field, ScalarField):
+                    assert got.values.tobytes() == want.values.tobytes()
+                else:
+                    for a in range(3):
+                        assert got.component(a).tobytes() == want.component(a).tobytes()
+        assert vars(d)["_starts"] is not vars(twin)["_starts"]
+
+    @pytest.mark.parametrize("case, built", [("2d", 9), ("3d", 16)])
+    def test_warm_grid_builds_only_the_moved_stencils(self, case, built, rng, monkeypatch):
+        # per start set (each face axis, then the cells) a frame builds the
+        # second-stage stencils and the final one; the first stage is cached
+        d = GridDims(*STENCIL_DIMS[case].shape, STENCIL_DIMS[case].h)
+        flags = _obstacle_flags(d)
+        vel = random_velocity(d, rng)
+        dens = ScalarField(d, rng.random(d.shape))
+        advect_semi_lagrangian(vel, vel, 0.07, flags)
+        calls = []
+        for name in ("_coords", "_centers"):
+            wrapped = getattr(fields, name)
+            monkeypatch.setattr(fields, name, lambda *a, f=wrapped, n=name: (
+                calls.append(n), f(*a))[1])
+        advect_semi_lagrangian(vel, vel, 0.07, flags)
+        advect_semi_lagrangian(dens, vel, 0.07, flags)
+        assert calls == ["_coords"] * built
 
 
 # -- sample coordinates as cell_centers and face_centers built them before ----

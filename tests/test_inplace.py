@@ -24,7 +24,8 @@ from pdfluids import pressure
 from pdfluids.fields import VelocityField
 from pdfluids.guiding import (GuidingPrecompute, GuidingProx, GuidingQuadratic,
                               default_guiding_params, guide_step)
-from pdfluids.optim import AdmmParams, ConvergenceLog, PdParams, admm_solve, pd_solve
+from pdfluids.optim import (AdmmParams, ConvergenceLog, PdParams, SolverCarry, admm_solve,
+                            pd_solve)
 from pdfluids.pressure import BcTable, CgConfig, DivergenceProjector, FaceTag
 from pdfluids.scenes import SceneSpec, build_scene, liquid_step, smoke_step
 from pdfluids.separating import (MAX_SWEEPS, BcState, BoundaryFaces, WallProx,
@@ -48,10 +49,12 @@ def ref_loop_tail(z, z_old, eps_cg, cg_iters, projector, eps_abs, eps_rel, log,
     return log.converged
 
 
-def ref_pd_solve(prox_f, projector, params, z0, log):
+def ref_pd_solve(prox_f, projector, params, z0, log, x0=None):
     log.method = log.method or "pd"
     z = z0.copy()
     x = VelocityField.zeros(z.dims)
+    if x0 is not None:
+        x.set_flat(x0)
     y = z0.copy()
     zb = z0.copy()   # the relaxed base: the last projection output at r = 1
     tau, sigma, theta = params.tau, params.sigma, params.theta
@@ -240,6 +243,30 @@ class TestMatchesAllocatingLoops:
             runs.append((field_bytes(z), log_rows(log)))
         assert len(np.frombuffer(runs[0][1][2])) >= 3
         assert runs[0] == runs[1]
+
+    def test_guided_pd_step_from_a_carried_dual(self):
+        # the carry of one frame's solve starts the next frame's, as in
+        # smoke_step: the same field and rows as the allocating loop started
+        # from that x, and not those of a start from zero
+        state, cfg = guided_case(24)
+        params = default_guiding_params(cfg.w_bar)[0]
+        carry = SolverCarry()
+        pd_solve(GuidingProx(cfg), guided_projector(cfg), params, state.vel,
+                 ConvergenceLog(), dual=carry)
+        x0 = carry.x.copy()
+        smoke_step(state, cfg.with_current(state.vel))
+        cfg = cfg.with_current(state.vel)
+        runs = []
+        for x in (x0, None):
+            log = ConvergenceLog()
+            z = ref_pd_solve(RefGuidingProx(cfg), guided_projector(cfg), params, state.vel,
+                             log, x0=x)
+            runs.append((field_bytes(z), log_rows(log)))
+        log = ConvergenceLog()
+        z = pd_solve(GuidingProx(cfg), guided_projector(cfg), params, state.vel, log,
+                     dual=carry)
+        assert len(log) >= 3 and (field_bytes(z), log_rows(log)) == runs[0] != runs[1]
+        assert carry.x.tobytes() != x0.tobytes()
 
     def test_guided_admm_step(self):
         state, cfg = guided_case(24)

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,3 +103,61 @@ def test_readme_library_table_names_live_code():
         stale += [f"{module}: {name}" for name in re.findall(r"`([A-Za-z_]\w*)`", text)
                   if not re.search(rf"\b{name}\b", code)]
     assert not stale
+
+
+WARNING_CASES = """
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pdfluids.blur import blur_obstacle_aware
+from pdfluids.fields import CellFlags, GridDims, ScalarField, VelocityField
+
+
+def test_package_warning():
+    # a zero tap times inf: numpy warns from inside pdfluids' blur
+    d = GridDims(8, 8)
+    vel = VelocityField.zeros(d)
+    vel.u[4, 3, 0] = np.inf
+    radius = ScalarField.full(d, 2.0)
+    radius.values[:4] = 0.0
+    blur_obstacle_aware(vel, radius, CellFlags.open_box(d))
+
+
+def test_typeddict_warning():
+    import warnings
+    warnings.warn("mypy_extensions.TypedDict is deprecated, and will be removed",
+                  DeprecationWarning)
+
+
+def test_other_deprecation():
+    import warnings
+    warnings.warn("mypy_extensions.Arg is deprecated", DeprecationWarning)
+
+
+@settings(derandomize=True, database=None, max_examples=5)
+@given(st.integers(0, 10))
+def test_failing_property(n):
+    assert n < 0
+"""
+
+
+def test_warning_filters_fail_package_warnings_and_report_examples(tmp_path):
+    # pytest under this repo's configuration: a warning raised inside
+    # pdfluids still fails its test, the one ignored message passes, and a
+    # failing hypothesis test prints its falsifying example instead of
+    # ending in INTERNALERROR
+    root = Path(pdfluids.__file__).parent.parent.parent
+    (tmp_path / "test_cases.py").write_text(WARNING_CASES)
+    env = dict(os.environ, PYTHONPATH=str(Path(pdfluids.__file__).parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(root / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-rA", "test_cases.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1 and "INTERNALERROR" not in out, out
+    assert "FAILED test_cases.py::test_package_warning - RuntimeWarning" in out
+    assert "PASSED test_cases.py::test_typeddict_warning" in out
+    assert "FAILED test_cases.py::test_other_deprecation - DeprecationWarning" in out
+    assert "FAILED test_cases.py::test_failing_property" in out
+    assert "Falsifying example: test_failing_property(" in out

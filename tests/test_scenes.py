@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pdfluids.fields import CellType, VelocityField, cell_centers, divergence
-from pdfluids.pressure import CgConfig
+from pdfluids.guiding import default_guiding_params, guide_step
+from pdfluids.optim import SolverCarry
+from pdfluids.pressure import CgConfig, PoissonConvergenceError
 from pdfluids.scenes import (SCENE_NAMES, SceneSpec, SceneState, build_scene,
                              ceiling_contact_cells, _seed_particles,
                              flags_from_particles, liquid_begin_step,
@@ -193,6 +196,102 @@ class TestSmoke:
         assert np.array_equal(runs[0].vel.u, runs[1].vel.u)
         assert np.array_equal(runs[0].vel.v, runs[1].vel.v)
         assert np.array_equal(runs[0].density.values, runs[1].density.values)
+
+
+def _carry_scene(n=32, frames=0):
+    """The bench's guided scene (w 4/1, blur radius 2) at n^2 after a few
+    frames, and its guiding config."""
+    spec = SceneSpec("circular", nx=n, ny=n, w_left=4.0, w_right=1.0, radius_left=2.0,
+                     radius_right=2.0, emitter=(0.45, 0.08, 0.55, 0.13), seed=1)
+    state, cfg = build_scene(spec)
+    for _ in range(frames):
+        smoke_step(state, cfg.with_current(state.vel))
+    return state, cfg
+
+
+def _max_div(state):
+    return float(np.abs(divergence(state.vel, state.flags).values[state.flags.fluid]).max())
+
+
+class TestDualCarry:
+    """smoke_step starts each guided solve from the dual x the last one left
+    on state.carry, when it ran on the same dims and sigma."""
+
+    def test_carry_saves_pd_rows(self):
+        rows = {}
+        for reset in (False, True):
+            state, cfg = _carry_scene()
+            rows[reset] = []
+            for _ in range(20):
+                if reset:
+                    state.carry = SolverCarry()
+                smoke_step(state, cfg.with_current(state.vel))
+                assert state.last_log.converged
+                assert _max_div(state) <= 10.0 * CgConfig().eps_final
+                rows[reset].append(len(state.last_log))
+        assert rows[False][0] == rows[True][0]   # nothing carried into frame 1
+        assert sum(rows[False]) < sum(rows[True])
+
+    def test_carry_holds_the_last_solves_dual_and_sigma(self):
+        state, cfg = _carry_scene()
+        assert state.carry.x is None
+        smoke_step(state, cfg.with_current(state.vel))
+        x = state.carry.x
+        assert state.carry.dims == state.vel.dims
+        assert x.shape == state.vel.as_flat().shape and np.abs(x).max() > 0.0
+        assert state.carry.sigma == default_guiding_params(cfg.w_bar)[0].sigma
+        smoke_step(state, cfg.with_current(state.vel))
+        assert state.carry.x is not x
+
+    @staticmethod
+    def same_frame(a, b):
+        assert a.vel.as_flat().tobytes() == b.vel.as_flat().tobytes()
+        assert a.last_log.residuals == b.last_log.residuals
+        assert a.last_log.cg_iters == b.last_log.cg_iters
+
+    def test_dropped_when_sigma_changes(self):
+        # pd -> admm mid-run: the admm solve starts from zero, as with no carry
+        state, cfg = _carry_scene(frames=2)
+        twin = _carry_scene(frames=2)[0]
+        twin.carry = SolverCarry()
+        admm = default_guiding_params(cfg.w_bar)[1]
+        assert admm.rho != state.carry.sigma
+        for s in (state, twin):
+            smoke_step(s, cfg.with_current(s.vel), method="admm")
+        self.same_frame(state, twin)
+        assert state.carry.sigma == admm.rho
+        # and back: the pd solve meets admm's sigma and starts from zero too
+        twin.carry = SolverCarry()
+        for s in (state, twin):
+            smoke_step(s, cfg.with_current(s.vel))
+        self.same_frame(state, twin)
+
+    def test_dropped_when_dims_change(self):
+        big, _ = _carry_scene(frames=2)
+        small, cfg = _carry_scene(n=24, frames=2)
+        twin = _carry_scene(n=24, frames=2)[0]
+        small.carry, twin.carry = big.carry, SolverCarry()
+        assert big.carry.sigma == default_guiding_params(cfg.w_bar)[0].sigma
+        for s in (small, twin):
+            smoke_step(s, cfg.with_current(s.vel))
+        self.same_frame(small, twin)
+        assert small.carry.dims == small.vel.dims
+
+    def test_a_frame_that_raises_leaves_the_carry(self):
+        state, cfg = _carry_scene(frames=2)
+        x, sigma = state.carry.x, state.carry.sigma
+        held = x.tobytes()
+        bad = state.vel.copy()
+        bad.u[5, 5, 0] = np.nan
+        with pytest.raises(PoissonConvergenceError):
+            guide_step(bad, cfg, dual=state.carry)
+        # a non-finite target: the first projection inside the loop raises
+        target = cfg.u_target.copy()
+        target.v[7, 7, 0] = np.nan
+        with pytest.raises(PoissonConvergenceError):
+            smoke_step(state, dataclasses.replace(cfg, u_target=target, u_current=state.vel))
+        assert state.carry.x is x and state.carry.sigma == sigma
+        assert x.tobytes() == held
 
 
 class TestLiquid:
