@@ -7,7 +7,7 @@ from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
 from .blur import blur_obstacle_aware
 from .pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                        PoissonConvergenceError, project, subtract_gradient)
-from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator,
+from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator, SolverCarry,
                     admm_solve, moreau_transform, pd_solve, stop_check)
 from .guiding import (GuidingConfig, GuidingProx, GuidingProxExact,
                       GuidingQuadratic, default_guiding_params,
