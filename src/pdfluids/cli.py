@@ -28,7 +28,6 @@ from .fileio import (_write_csv, read_grid, render_pgm, write_convergence_csv,
 from .pressure import PoissonConvergenceError
 from .scenes import (BC_MODES, SCENE_NAMES, build_scene, ceiling_contact_cells,
                      liquid_step, smoke_step, upsampled_target)
-from .separating import BcState
 
 
 class SolverFailure(RuntimeError):
@@ -130,19 +129,10 @@ def _guided_scene(cfg: RunConfig):
     return state, guide_cfg
 
 
-def _liquid_step(cfg: RunConfig, state):
-    """The step of a liquid run: one BcState passed to every frame, so the
-    accelerated wall solver starts each frame from the last frame's set
-    (the standard solver reads no set; it leaves the faces its result
-    holds in the state)."""
-    bc_state = BcState.initial(state.flags, eps=cfg.eps_cg_final)
-    return lambda _: liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg, bc_state=bc_state)
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     state, _ = build_scene(cfg.scene)
     if cfg.scene.is_liquid:
-        step = _liquid_step(cfg, state)
+        step = lambda _: liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg)
     else:
         step = lambda _: smoke_step(state, None, cg=cfg.cg)
     _run_frames(cfg, state, step, os.path.join(cfg.out_dir, "summary.csv"))
@@ -212,7 +202,7 @@ def cmd_dam(cfg: RunConfig) -> int:
     if not cfg.scene.is_liquid:
         raise ConfigError("dam expects a liquid scene")
     state, _ = build_scene(cfg.scene)
-    _run_frames(cfg, state, _liquid_step(cfg, state),
+    _run_frames(cfg, state, lambda _: liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg),
                 os.path.join(cfg.out_dir, "ceiling_contact.csv"),
                 extra=[("ceiling_cells", lambda s: ceiling_contact_cells(s.flags))])
     return 0

@@ -216,6 +216,9 @@ class VelocityField:
     def copy(self) -> "VelocityField":
         return VelocityField._of(self.dims, self._buf.copy())
 
+    def __deepcopy__(self, memo) -> "VelocityField":
+        return self.copy()   # the views stay on the one copied buffer
+
     def component(self, axis: int) -> np.ndarray:
         return (self.u, self.v, self.w)[axis]
 

@@ -44,11 +44,13 @@ class SolverCarry:
     """Solver state a caller keeps from one solve to the next of nearly the
     same problem: the final dual x of a guided PD solve on its active faces
     (`as_flat`), the grid it lives on and the sigma it ran at, all unset
-    until a solve given the carry returns."""
+    until a solve given the carry returns, and the wall set (a
+    `separating.BcState`) that `scenes.liquid_step` hands on."""
 
     x: np.ndarray | None = None
     dims: GridDims | None = None
     sigma: float = math.nan
+    walls: object = None
 
 
 def _check_stop(max_iters: int, eps_abs: float, eps_rel: float):

@@ -110,7 +110,8 @@ class SceneSpec:
 class SceneState:
     """Everything a running scene carries between frames.  `carry` is the
     solver state one frame hands the next: the guided solve's dual, which
-    `smoke_step` starts each guided solve from."""
+    `smoke_step` starts each guided solve from, and the wall set, which
+    `liquid_step` starts each separating-wall solve from."""
 
     spec: SceneSpec
     flags: CellFlags
@@ -498,7 +499,8 @@ def liquid_pressure_solve(vel: VelocityField, flags: CellFlags, mode: str,
                           cg: CgConfig | None = None,
                           state: BcState | None = None,
                           log: ConvergenceLog | None = None) -> VelocityField:
-    """Pressure stage of a liquid step under the selected wall treatment."""
+    """Pressure stage of a liquid step under the selected wall treatment; a
+    separating-wall solve starts from the set `state` holds and leaves its own there."""
     if mode not in BC_MODES:
         raise ValueError(f"unknown bc mode {mode!r}; expected one of {BC_MODES}")
     cg = cg if cg is not None else CgConfig()
@@ -535,13 +537,17 @@ def liquid_finish_step(state: SceneState, vel_new: VelocityField,
 def liquid_step(state: SceneState, mode: str = "regular",
                 cg: CgConfig | None = None,
                 bc_state: BcState | None = None) -> SceneState:
-    """One liquid frame under the selected boundary treatment."""
+    """One liquid frame under the selected boundary treatment.  A wall solve
+    starts from the set on `state.carry.walls` and leaves its own there.  A
+    passed `bc_state` becomes that set: bench/workloads.py passes one."""
     if state.particles_pos is None:
         raise ValueError("liquid_step needs a particle scene")
+    if bc_state is not None or state.carry.walls is None:
+        state.carry.walls = bc_state or BcState.initial(state.flags)
     vel, vel_old = liquid_begin_step(state)
     log = ConvergenceLog()
     vel_new = liquid_pressure_solve(vel, state.flags, mode, cg=cg,
-                                    state=bc_state, log=log)
+                                    state=state.carry.walls, log=log)
     state.last_log = log
     liquid_finish_step(state, vel_new, vel_old)
     return state

@@ -4,7 +4,8 @@ Fluid may leave a wall (positive wall-normal velocity) but never penetrate
 it: u.n >= 0 on every face between FLUID and SOLID cells, so the exact
 pressure step projects the input onto {div u = 0, u.n >= 0}, the LCP of
 Batty, Bertails & Bridson (SIGGRAPH 2007).  A BcState holds the
-non-separating set of those faces, the ones the wall holds.
+non-separating set of those faces, the ones the wall holds, as one flat
+face mask.
 
 Two solvers are provided.  The standard one poses the step as
 min f(z) + g(z) with f(z) = 1/2 ||z - a||^2 plus the indicator of
@@ -20,7 +21,8 @@ walls, adds the faces the result penetrates, releases the faces whose
 wall would pull (a negative multiplier), and repeats until no face
 moves, retagging one table and one pressure system in place.  It starts
 from the set that the caller's state carries over from the previous
-frame.
+frame.  Each solver reads a state on its own walls only, and writes one
+that holds no other face, when it returns.
 """
 
 from __future__ import annotations
@@ -73,23 +75,15 @@ class BoundaryFaces:
 
 @dataclass
 class BcState:
-    """Non-separating set of the wall faces, and the |u.n| below which the
-    solve that set it counts a face as held."""
+    """The non-separating set: one bool per active face, laid out as in
+    `VelocityField.as_flat` (so as `SolverCarry.x`)."""
 
-    faces: BoundaryFaces
     nsep: np.ndarray
-    eps: float = 1e-5
 
     @classmethod
-    def initial(cls, flags: CellFlags, eps: float = 1e-5) -> "BcState":
-        faces = BoundaryFaces(flags)
-        return cls(faces, np.zeros(len(faces), dtype=bool), eps)
-
-    def reset(self, flags: CellFlags, eps: float):
-        """Empty set of the faces of `flags` at threshold eps, in place, so a
-        caller holding this state sees the solver's final sets."""
-        fresh = BcState.initial(flags, eps)
-        self.faces, self.nsep, self.eps = fresh.faces, fresh.nsep, fresh.eps
+    def initial(cls, flags: CellFlags, eps: float | None = None) -> "BcState":
+        """The empty set.  `eps` is read by nothing: bench/workloads.py passes it."""
+        return cls(_flat_faces(flags.dims, lambda a: np.zeros(flags.dims.face_shape(a), bool)))
 
 
 class WallProx(ProxOperator):
@@ -128,9 +122,10 @@ def free_surface_walls_table(flags: CellFlags) -> BcTable:
 
 
 def classified_walls_table(flags: CellFlags, state: BcState) -> BcTable:
-    """Neumann at non-separating faces, Dirichlet at separating ones."""
+    """Neumann at non-separating faces, Dirichlet at separating ones (the
+    set lies on the walls of flags, as a solver's set on its flags does)."""
     bc = free_surface_walls_table(flags)
-    bc.tags[state.faces.index[state.nsep]] = FaceTag.NEUMANN
+    bc.tags[state.nsep] = FaceTag.NEUMANN
     return bc
 
 
@@ -151,27 +146,27 @@ def solve_separating_standard(u: VelocityField, flags: CellFlags,
     from the relaxed base zb, which then moves 1.5 of the way to z.  It
     stops on the primal and dual residuals ||p - z|| and ||z - z_old|| / tau
     (z_old the previous projection output, not the base) at a tolerance of
-    1e-5.  The caller's state ends holding the faces whose |u.n| in the
-    result lies within the last stop threshold, which it keeps as eps.
-    With lock_set the caller's set is the constraint instead: its normals
-    are held at 0, every other wall face is left free and the state is not
-    touched, the validation mode against plain no-penetration projections.
-    A non-finite u raises PoissonConvergenceError before the prox runs.
+    1e-5.  It reads no set; the caller's state ends holding the faces whose
+    |u.n| in the result lies within the last stop threshold.  With lock_set
+    the caller's set is the constraint instead: its normals are held at 0,
+    every other wall face is left free and the state is not touched, the
+    validation mode against plain no-penetration projections.  A non-finite
+    u raises PoissonConvergenceError before the prox runs.
     """
     _require_finite(u)
     log = log if log is not None else ConvergenceLog()
     log.method = log.method or "pd-separating"
     if lock_set and state is None:
         raise ValueError("lock_set requires a state holding the set to lock")
-    faces = state.faces if lock_set else BoundaryFaces(flags)
+    faces = BoundaryFaces(flags)
     params = params if params is not None else PdParams(
         tau=1.0 / 3.0, sigma=3.0, theta=1.0, max_iters=800, eps_abs=1e-5, eps_rel=1e-5)
     projector = DivergenceProjector(flags, free_surface_walls_table(flags), cg)
-    prox = WallProx(u, faces, state.nsep if lock_set else None)
+    prox = WallProx(u, faces, state.nsep[faces.index] if lock_set else None)
     z = pd_solve(prox, projector, params, u, log)
     if state is not None and not lock_set:
-        state.faces, state.eps = faces, log.epsilons[-1]
-        state.nsep = np.abs(faces.normal_velocity(z)) <= state.eps
+        state.nsep = BcState.initial(flags).nsep
+        state.nsep[faces.index] = np.abs(faces.normal_velocity(z)) <= log.epsilons[-1]
     return z
 
 
@@ -194,10 +189,11 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     ends when no face moves.  This is the primal-dual active-set method, a
     semismooth Newton method (Hintermueller, Ito & Kunisch, SIAM J. Optim.
     2002) that may start from any set, so it starts from the faces with
-    u.n < 0 together with the set the caller's state holds: passed to every
-    frame, as the CLI passes it, the state carries the last frame's set (a
-    face's flat index does not change between frames).  The state ends
-    with the final set.  One table and one PoissonSystem serve every sweep:
+    u.n < 0 together with the wall faces of the set the caller's state
+    holds: passed to every frame, as `scenes.liquid_step` passes its
+    scene's, the state carries the last frame's set (a face's flat index
+    does not change between frames).  It takes the final set when the solve
+    returns.  One table and one PoissonSystem serve every sweep:
     each sweep retags the faces that moved, in place, and its CG starts
     from the previous sweep's pressure.  Every solve runs at eps_final.  A
     non-finite u raises PoissonConvergenceError before any solve.
@@ -208,16 +204,14 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     cg = cg if cg is not None else CgConfig()
     eps_cg = cg.eps_final
     cg = CgConfig(eps_cg, eps_cg, cg.max_cg_iters)
-    carried = np.zeros(u.as_flat().size, bool)   # the set held, by flat face
-    if state is None:
-        state = BcState.initial(flags, eps=eps_cg)
-    else:
-        carried[state.faces.index[state.nsep]] = True
-        state.reset(flags, eps_cg)
-    faces = state.faces
+    faces = BoundaryFaces(flags)
     un_in = faces.normal_velocity(u)
-    state.nsep = (un_in < 0.0) | carried[faces.index]
-    projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
+    nsep = un_in < 0.0   # the set, one bool per wall face
+    if state is not None:
+        nsep |= state.nsep[faces.index]
+    held = BcState.initial(flags)   # the set, a flat face mask
+    held.nsep[faces.index] = nsep
+    projector = DivergenceProjector(flags, classified_walls_table(flags, held), cg)
     inv_h = 1.0 / flags.dims.h
     # the sweep's own fields: its projection input (then the iterate change)
     # and two iterates in turn, copies of u whose z block the result keeps
@@ -225,7 +219,7 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     z = u
     for k in range(MAX_SWEEPS):
         np.copyto(start.as_flat(), u.as_flat())
-        faces.zero_normal(start, state.nsep)
+        faces.zero_normal(start, nsep)
         z_old, z = z, iterates[k % 2]   # z_old is u itself at the first sweep
         cg_iters = projector.project(start, out=z)[1]
         np.subtract(z.as_flat(), z_old.as_flat(), out=start.as_flat())
@@ -233,12 +227,15 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
         un = faces.normal_velocity(z)
         mu = projector.pressure.reshape(-1)[faces.cell] * inv_h - un_in
         tol = eps_cg * max(1.0, np.abs(un).max(initial=0.0),
-                           np.abs(mu[state.nsep]).max(initial=0.0))
-        moved = np.where(state.nsep, mu < -tol, un < -tol)
+                           np.abs(mu[nsep]).max(initial=0.0))
+        moved = np.where(nsep, mu < -tol, un < -tol)
         if not moved.any():
             log.converged = True
             break
-        state.nsep ^= moved
+        nsep ^= moved
         projector.retag(faces.index[moved], faces.cell[moved], np.where(
-            state.nsep[moved], FaceTag.NEUMANN, FaceTag.DIRICHLET))
+            nsep[moved], FaceTag.NEUMANN, FaceTag.DIRICHLET))
+    if state is not None:
+        held.nsep[faces.index] = nsep
+        state.nsep = held.nsep
     return z

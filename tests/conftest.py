@@ -36,6 +36,15 @@ def zero_solid_adjacent(vel, flags):
     return vel
 
 
+def wall_set(flags, faces, held):
+    """The BcState of flags whose set is the faces of the BoundaryFaces
+    `faces` where `held` (one bool per face) is True."""
+    from pdfluids.separating import BcState
+    state = BcState.initial(flags)
+    state.nsep[faces.index] = held
+    return state
+
+
 def dense_divergence_matrix(dims, flags):
     """Row per cell (C-order over dims.shape), column per active-face DOF.
 

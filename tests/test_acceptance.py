@@ -21,7 +21,7 @@ from pdfluids.scenes import (SceneSpec, _radial_target, build_scene,
                              ceiling_contact_cells, liquid_begin_step,
                              liquid_finish_step, liquid_pressure_solve,
                              liquid_step, smoke_step)
-from pdfluids.separating import BcState, solve_separating_standard
+from pdfluids.separating import BcState, BoundaryFaces, solve_separating_standard
 
 from conftest import random_velocity, zero_solid_adjacent
 from test_optim import SmallGuidingOracle, guiding_instance, make_projector
@@ -243,13 +243,14 @@ class TestCriterion07Hydrostatic:
         spec = SceneSpec("hydrostatic", nx=24, ny=24, fill_height=0.75)
         state, _ = build_scene(spec)
         start = state.particles_pos.copy()
-        bc_state = BcState.initial(state.flags)
         worst_v = 0.0
         for _ in range(50):
-            liquid_step(state, mode="separating-accelerated", bc_state=bc_state)
+            liquid_step(state, mode="separating-accelerated")
             worst_v = max(worst_v, state.vel.max_abs())
             assert state.vel.max_abs() <= 1e-3
-            assert bc_state.nsep.all()   # every wetted wall face non-separating
+            # every wetted wall face non-separating, and no other face in the set
+            nsep, walls = state.carry.walls.nsep, BoundaryFaces(state.flags).index
+            assert nsep[walls].all() and np.count_nonzero(nsep) == walls.size
         drift = np.abs(state.particles_pos - start).max() / spec.h
         assert drift <= 0.1
         report(7, f"hydrostatic 50 steps: max velocity {worst_v:.2e} <= 1e-3, "

@@ -415,9 +415,9 @@ class TestCli:
         assert (out / "flags_0001.pgm").exists()
 
     def test_dam_accelerated_carries_one_wall_state(self, tmp_path):
-        # the run passes one BcState through every frame: its convergence
-        # logs are byte for byte those of a library loop that carries one,
-        # and not those of a loop that passes none
+        # the scene state carries the wall set through every frame: the
+        # run's convergence logs are byte for byte those of a plain library
+        # loop, and not those of a loop that passes a fresh set every frame
         from pdfluids.cli import _build_config, build_parser
         from pdfluids.fileio import write_convergence_csv
         from pdfluids.scenes import build_scene, liquid_step
@@ -431,9 +431,9 @@ class TestCli:
         logs = {}
         for carry in (True, False):
             state, _ = build_scene(cfg.scene)
-            bc_state = BcState.initial(state.flags, eps=cfg.eps_cg_final) if carry else None
             for frame in range(1, frames + 1):
-                liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg, bc_state=bc_state)
+                fresh = None if carry else BcState.initial(state.flags)
+                liquid_step(state, mode=cfg.bc_mode, cg=cfg.cg, bc_state=fresh)
                 path = tmp_path / "lib.csv"
                 write_convergence_csv(state.last_log, path)
                 logs[carry, frame] = path.read_bytes()
@@ -443,9 +443,10 @@ class TestCli:
         assert cli_logs != [logs[False, f] for f in range(1, frames + 1)]
 
     def test_dam_standard_output_unchanged_by_the_wall_state(self, tmp_path, monkeypatch):
-        # the standard solver resets the state it is given, so the run
-        # writes byte for byte what it writes when liquid_step gets none
+        # the standard solver reads no wall set, so the run, which carries
+        # one, writes byte for byte what it writes with a fresh set per frame
         import pdfluids.cli as cli
+        from pdfluids.separating import BcState
 
         def dam(out):
             assert run(["dam", "--scene", "dam", "--nx", "16", "--ny", "12",
@@ -455,9 +456,9 @@ class TestCli:
 
         carried = dam(tmp_path / "carried")
         real = cli.liquid_step
-        monkeypatch.setattr(cli, "liquid_step",
-                            lambda state, **kw: real(state, **{**kw, "bc_state": None}))
-        assert dam(tmp_path / "none") == carried
+        monkeypatch.setattr(cli, "liquid_step", lambda state, **kw: real(
+            state, **kw, bc_state=BcState.initial(state.flags)))
+        assert dam(tmp_path / "fresh") == carried
         assert len(carried) == 7   # summary, three logs, three velocity grids
 
     def test_simulate_liquid_save_pgm_renders_flags(self, tmp_path):

@@ -6,7 +6,7 @@ advection must agree bit for bit in 2D and 3D."""
 import numpy as np
 import pytest
 
-from conftest import random_velocity
+from conftest import random_velocity, wall_set
 from pdfluids import pressure
 from pdfluids.fields import (CellType, GridDims, ScalarField, VelocityField,
                              _along, _backtrace_rk2, _face_views, _flat_faces,
@@ -14,8 +14,7 @@ from pdfluids.fields import (CellType, GridDims, ScalarField, VelocityField,
                              face_centers, face_valid_mask)
 from pdfluids.pressure import (BcTable, DivergenceProjector, FaceTag, PoissonSystem,
                                subtract_gradient)
-from pdfluids.separating import (_NORMAL, BcState, BoundaryFaces,
-                                 classified_walls_table)
+from pdfluids.separating import _NORMAL, BoundaryFaces, classified_walls_table
 from test_faces import CASES, SHAPES, _dims, closed
 
 # -- the per-axis bodies, kept as test-time references -------------------------
@@ -283,7 +282,7 @@ class TestFlatTables:
         assert_same_velocity(got, want)
         tags = reference_tags(flags, FaceTag.DIRICHLET)
         ref.write(tags, nsep, np.uint8(FaceTag.NEUMANN))
-        table = classified_walls_table(flags, BcState(faces, nsep, np.zeros(len(faces))))
+        table = classified_walls_table(flags, wall_set(flags, faces, nsep))
         assert table.tags.tobytes() == flat(flags.dims, tags).tobytes()
 
     def test_advect_velocity(self, make, shape):

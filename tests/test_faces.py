@@ -6,7 +6,7 @@ bit for bit on every table the package builds."""
 import numpy as np
 import pytest
 
-from conftest import random_velocity
+from conftest import random_velocity, wall_set
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, _along, _face_views, _flat_faces,
                              cell_to_face_average, divergence, face_valid_mask,
@@ -14,7 +14,7 @@ from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
 from pdfluids.guiding import (GuidingConfig, GuidingQuadratic, _cg_velocity,
                               direct_least_squares)
 from pdfluids.pressure import BcTable, FaceTag, PoissonSystem, subtract_gradient
-from pdfluids.separating import BcState, BoundaryFaces, classified_walls_table
+from pdfluids.separating import BoundaryFaces, classified_walls_table
 
 FLUID, SOLID, EMPTY = CellType.FLUID, CellType.SOLID, CellType.EMPTY
 
@@ -202,10 +202,11 @@ class TestBitwise:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_classified_walls_table(self, make, shape, seed):
         flags = make(shape)
-        state = BcState.initial(flags)
-        state.nsep[:] = np.random.default_rng(seed).random(len(state.nsep)) < 0.5
+        faces = BoundaryFaces(flags)
+        held = np.random.default_rng(seed).random(len(faces)) < 0.5
+        state = wall_set(flags, faces, held)
         ref = reference_from_flags(flags, FaceTag.DIRICHLET)
-        nsep = iter(state.nsep)
+        nsep = iter(held)
         for tags, sign in zip(_face_views(flags.dims, ref.tags), reference_signs(flags)):
             for face in zip(*np.nonzero(sign)):
                 if next(nsep):

@@ -33,7 +33,7 @@ from pdfluids.separating import (MAX_SWEEPS, BcState, BoundaryFaces, WallProx,
                                  solve_separating_accelerated,
                                  solve_separating_standard)
 
-from conftest import random_velocity
+from conftest import random_velocity, wall_set
 from test_guiding import one_shot_iop
 
 
@@ -138,31 +138,30 @@ def ref_accelerated(u, flags, cg, state, log):
     log.method = log.method or "accelerated-separating"
     eps_cg = cg.eps_final
     cg = CgConfig(eps_cg, eps_cg, cg.max_cg_iters)
-    carried = np.zeros(u.as_flat().size, bool)
-    carried[state.faces.index[state.nsep]] = True
-    state.reset(flags, eps_cg)
-    faces = state.faces
+    faces = BoundaryFaces(flags)
     un_in = faces.normal_velocity(u)
-    state.nsep = (un_in < 0.0) | carried[faces.index]
-    projector = DivergenceProjector(flags, classified_walls_table(flags, state), cg)
+    nsep = (un_in < 0.0) | state.nsep[faces.index]
+    projector = DivergenceProjector(
+        flags, classified_walls_table(flags, wall_set(flags, faces, nsep)), cg)
     inv_h = 1.0 / flags.dims.h
     z = u
     for _ in range(MAX_SWEEPS):
         start = u.copy()
-        faces.zero_normal(start, state.nsep)
+        faces.zero_normal(start, nsep)
         z_old, (z, cg_iters, _) = z, projector.project(start)
         log.record((z - z_old).norm(), 0.0, eps_cg, cg_iters)
         un = faces.normal_velocity(z)
         mu = projector.pressure.reshape(-1)[faces.cell] * inv_h - un_in
         tol = eps_cg * max(1.0, np.abs(un).max(initial=0.0),
-                           np.abs(mu[state.nsep]).max(initial=0.0))
-        moved = np.where(state.nsep, mu < -tol, un < -tol)
+                           np.abs(mu[nsep]).max(initial=0.0))
+        moved = np.where(nsep, mu < -tol, un < -tol)
         if not moved.any():
             log.converged = True
             break
-        state.nsep ^= moved
+        nsep ^= moved
         projector.retag(faces.index[moved], faces.cell[moved], np.where(
-            state.nsep[moved], FaceTag.NEUMANN, FaceTag.DIRICHLET))
+            nsep[moved], FaceTag.NEUMANN, FaceTag.DIRICHLET))
+    state.nsep = wall_set(flags, faces, nsep).nsep
     return z
 
 
@@ -339,7 +338,7 @@ class TestMatchesAllocatingLoops:
         assert field_bytes(got) == field_bytes(want)
         assert log_rows(log) == log_rows(ref_log)
         nsep = np.abs(faces.normal_velocity(want)) <= ref_log.epsilons[-1]
-        assert state.nsep.tobytes() == nsep.tobytes()
+        assert state.nsep.tobytes() == wall_set(flags, faces, nsep).nsep.tobytes()
 
     def test_accelerated_sweep(self, rng, monkeypatch):
         flags, u = dam_case(rng)

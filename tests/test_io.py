@@ -15,8 +15,18 @@ from pdfluids.fileio import (GridFileError, read_grid, render_pgm,
 from pdfluids.guiding import default_guiding_params
 from pdfluids.optim import ConvergenceLog
 from pdfluids.scenes import SceneSpec
+from pdfluids.separating import BoundaryFaces
 
 from conftest import random_velocity
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded read-only."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 class TestGridFile:
@@ -250,12 +260,24 @@ class TestRunConfig:
                                                 dataclasses.replace(admm, **stop))
 
     def test_solver_params_match_the_benchmark(self):
-        # bench/workloads.py keeps its own copy of the rule; loaded read-only
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        # bench/workloads.py keeps its own copy of the rule
+        workloads = bench_workloads()
         for stop in ({}, dict(max_iters=17, eps_abs=1e-5, eps_rel=0.0)):
             cfg = RunConfig(scene=SceneSpec("circular", nx=12, ny=12), **stop)
             for w_bar in (0.25, 1.0, 2.5, 4.0):
                 assert cfg.solver_params(w_bar) == workloads.solver_params(cfg, w_bar)
+
+
+@pytest.mark.parametrize("name", ["dam-accelerated", "dam-standard"])
+def test_benchmark_reads_the_carried_wall_set(name, tmp_path):
+    # the dam workloads pass one BcState.initial(flags, eps=...) to every
+    # liquid_step and count its nsep: that state is the set the scene
+    # carries, and it holds the wall faces the solve left held
+    workloads = bench_workloads()
+    run = workloads.WORKLOADS[name](1, 3, str(tmp_path))
+    for _ in range(3):
+        run.frame()
+        walls = run.state.carry.walls
+        held = np.count_nonzero(walls.nsep[BoundaryFaces(run.state.flags).index])
+        assert walls is run.bc_state and held > 0
+        assert workloads.frame_record(run)["nsep"] == held

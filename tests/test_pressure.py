@@ -17,10 +17,10 @@ from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                                subtract_gradient)
 from pdfluids.scenes import (SceneSpec, build_scene, liquid_begin_step,
                              liquid_pressure_solve)
-from pdfluids.separating import (MAX_SWEEPS, BcState, BoundaryFaces,
-                                 classified_walls_table, free_surface_walls_table)
+from pdfluids.separating import (MAX_SWEEPS, BoundaryFaces, classified_walls_table,
+                                 free_surface_walls_table)
 
-from conftest import random_velocity
+from conftest import random_velocity, wall_set
 
 
 def dense_laplacian(flags, bc):
@@ -578,8 +578,8 @@ def split_box_case(rng):
 
 def classified_dam_case(rng):
     flags = build_scene(SceneSpec("dam", nx=24, ny=18))[0].flags
-    state = BcState.initial(flags)
-    state.nsep[:] = rng.random(len(state.nsep)) < 0.5
+    faces = BoundaryFaces(flags)
+    state = wall_set(flags, faces, rng.random(len(faces)) < 0.5)
     assert state.nsep.any()
     return flags, classified_walls_table(flags, state)
 
@@ -1378,10 +1378,8 @@ class TestRetag:
     def test_random_sequences_match_a_rebuild(self, spec, builds):
         flags = build_scene(spec)[0].flags
         rng = np.random.default_rng(spec.nx)
-        state = BcState.initial(flags)
-        state.nsep[:] = rng.random(len(state.nsep)) < 0.5
-        faces = state.faces
-        bc = classified_walls_table(flags, state)
+        faces = BoundaryFaces(flags)
+        bc = classified_walls_table(flags, wall_set(flags, faces, rng.random(len(faces)) < 0.5))
         system = PoissonSystem(flags, bc)
         levels = len(system.grids) - 1
         assert levels == {80: 2, 40: 0, 16: 1}[spec.nx]
@@ -1519,10 +1517,9 @@ class TestRebuildRule:
             spec = {"2d": SceneSpec("dam", nx=80, ny=60),
                     "3d": SceneSpec("dam", nx=16, ny=14, nz=12)}[case]
             flags = build_scene(spec)[0].flags
-            state = BcState.initial(flags)
-            state.nsep[:] = rng.random(len(state.nsep)) < 0.5
-            faces = state.faces
-            bc = classified_walls_table(flags, state)
+            faces = BoundaryFaces(flags)
+            bc = classified_walls_table(flags, wall_set(flags, faces,
+                                                        rng.random(len(faces)) < 0.5))
             pool = np.arange(len(faces))
         yield flags, bc
         for _ in range(60):

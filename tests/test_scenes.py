@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -292,6 +293,21 @@ class TestDualCarry:
             smoke_step(state, dataclasses.replace(cfg, u_target=target, u_current=state.vel))
         assert state.carry.x is x and state.carry.sigma == sigma
         assert x.tobytes() == held
+
+
+def test_a_deep_copy_steps_as_the_original_does():
+    # the copy's u, v and w view its one buffer, which as_flat and every
+    # solver read, so buoyancy written through .v reaches the solve
+    state, cfg = _carry_scene(frames=2)
+    twin = copy.deepcopy(state)
+    assert np.shares_memory(twin.vel.u, twin.vel.as_flat())
+    assert np.shares_memory(twin.vel.v, twin.vel.as_flat())
+    assert not np.shares_memory(twin.vel.as_flat(), state.vel.as_flat())
+    for s in (state, twin):
+        smoke_step(s, cfg.with_current(s.vel))
+    assert twin.vel.as_flat().tobytes() == state.vel.as_flat().tobytes()
+    assert twin.density.values.tobytes() == state.density.values.tobytes()
+    assert twin.carry.x.tobytes() == state.carry.x.tobytes()
 
 
 class TestLiquid:

@@ -1,7 +1,10 @@
+import copy
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdfluids import scenes
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
@@ -9,14 +12,14 @@ from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
 from pdfluids.fileio import write_convergence_csv
 from pdfluids.optim import ConvergenceLog
 from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
-                               PoissonSystem, project)
+                               PoissonConvergenceError, PoissonSystem, project)
 from pdfluids.scenes import SceneSpec, build_scene, liquid_pressure_solve, liquid_step
 from pdfluids.separating import (BcState, BoundaryFaces, WallProx,
                                  classified_walls_table,
                                  solve_separating_accelerated,
                                  solve_separating_standard)
 
-from conftest import random_velocity, zero_solid_adjacent
+from conftest import random_velocity, wall_set, zero_solid_adjacent
 
 
 def _csv_iters(log, tmp_path):
@@ -33,6 +36,14 @@ def tank(n=12, fill=1.0):
     level = 1 + int((n - 2) * fill)
     flags.values[1:-1, level:-1, 0] = CellType.EMPTY
     return d, flags
+
+
+def held(state, flags):
+    """The bits of a solver's set on the wall faces of flags; the set holds
+    no other face."""
+    faces = BoundaryFaces(flags)
+    assert np.count_nonzero(state.nsep) == np.count_nonzero(state.nsep[faces.index])
+    return state.nsep[faces.index]
 
 
 def face_coords(faces, dims):
@@ -161,7 +172,7 @@ class TestStandardSolver:
         assert log.converged
         assert out.max_abs() <= 1e-3
         # every wetted wall face ends non-separating
-        assert state.nsep.all()
+        assert held(state, flags).all()
 
     def test_hydrostatic_default_params_classify_and_no_jets(self):
         # the defaults: every wetted wall face held and velocities at the
@@ -171,7 +182,7 @@ class TestStandardSolver:
         log = ConvergenceLog()
         out = solve_separating_standard(vel, flags, state=state, log=log)
         assert log.converged
-        assert state.nsep.all()
+        assert held(state, flags).all()
         assert out.max_abs() <= 0.1 * vel.max_abs()
 
     def test_fluid_moving_off_wall_keeps_velocity(self):
@@ -185,9 +196,9 @@ class TestStandardSolver:
         state = BcState.initial(flags)
         log = ConvergenceLog()
         out = solve_separating_standard(vel, flags, state=state, log=log)
-        c = face_coords(state.faces, d)
+        c = face_coords(BoundaryFaces(flags), d)
         left = (c.axis == 0) & (c.i == 1)
-        assert not state.nsep[left].any()
+        assert not held(state, flags)[left].any()
         assert np.all(out.u[1, 4:7, 0] > 0.5)
 
     def test_all_locked_matches_regular_projection(self, rng):
@@ -215,9 +226,9 @@ class TestStandardSolver:
         log = ConvergenceLog()
         out = solve_separating_standard(vel, flags, state=state, log=log)
         tol = log.epsilons[-1]
-        un = state.faces.normal_velocity(out)
+        un = BoundaryFaces(flags).normal_velocity(out)
         assert (un >= -tol).all()          # no penetration
-        assert np.abs(un[state.nsep]).max() <= tol
+        assert np.abs(un[held(state, flags)]).max() <= tol
 
 
 class TestAcceleratedSolver:
@@ -241,13 +252,14 @@ class TestAcceleratedSolver:
         out = solve_separating_accelerated(vel, flags, state=state, log=log)
         assert log.converged
         assert len(log) <= 3
-        assert state.nsep.all()
+        assert held(state, flags).all()
         assert out.max_abs() <= 1e-3
 
     def test_carried_faces_whose_wall_would_pull_are_released(self):
         # a set carried from a frame in which every wall held, on fluid that
         # now moves off every wall: each set face's multiplier is negative,
-        # so the sweep releases them all and ends as a fresh solve does
+        # so the sweep releases them all and ends as a fresh solve does (the
+        # carried mask also holds every face off the walls, which it ignores)
         d, flags = tank(10, fill=1.0)
         faces = BoundaryFaces(flags)
         vel = VelocityField.zeros(d)
@@ -283,19 +295,20 @@ class TestAcceleratedSolver:
 
         monkeypatch.setattr(DivergenceProjector, "project", checking)
         state, _ = build_scene(spec)
-        bc_state = BcState.initial(state.flags)
         for _ in range(frames):
-            liquid_step(state, mode="separating-accelerated", bc_state=bc_state)
+            liquid_step(state, mode="separating-accelerated")
         assert max(set_sizes) > 0
 
     def test_one_table_and_one_system_per_call(self, monkeypatch):
         # every sweep projects with the one table, retagged in place to the
         # classified table of the set it projects, and a call builds at most
         # one PoissonSystem however many sweeps it runs (none when the
-        # content-keyed cache holds its start table).  The frames run once
-        # with one carried state and once with a fresh one per frame, which
-        # starts from the input's wall-ward faces alone and so runs more
-        # sweeps.
+        # content-keyed cache holds its start table).  A sweep's set is the
+        # Neumann wall faces of its table, whose normals its input holds at
+        # 0, and the last table is that of the set the state ends with.  The
+        # frames run once with the scene's carried set and once with a fresh
+        # one per frame, which starts from the input's wall-ward faces alone
+        # and so runs more sweeps.
         builds, tables, calls = [], [], []
         init, project_, solve = (PoissonSystem.__init__, DivergenceProjector.project,
                                  scenes.solve_separating_accelerated)
@@ -305,8 +318,11 @@ class TestAcceleratedSolver:
             init(self, flags, bc)
 
         def checked(self, vel, out=None):
-            expect = classified_walls_table(self.flags, bc_state).tags
+            faces = BoundaryFaces(self.flags)
+            nsep = self.bc.tags[faces.index] == FaceTag.NEUMANN
+            expect = classified_walls_table(self.flags, wall_set(self.flags, faces, nsep)).tags
             assert self.bc.tags.tobytes() == expect.tobytes()
+            assert (faces.normal_velocity(vel)[nsep] == 0.0).all()
             tables.append(self.bc)
             return project_(self, vel, out)
 
@@ -314,7 +330,7 @@ class TestAcceleratedSolver:
             builds.clear()
             tables.clear()
             out = solve(u, flags, **kw)
-            expect = classified_walls_table(flags, bc_state).tags
+            expect = classified_walls_table(flags, kw["state"]).tags
             assert tables[-1].tags.tobytes() == expect.tobytes()
             calls.append((len(builds), len(tables), len({id(t) for t in tables})))
             return out
@@ -324,11 +340,9 @@ class TestAcceleratedSolver:
         monkeypatch.setattr(scenes, "solve_separating_accelerated", per_call)
         for carry in (True, False):
             state, _ = build_scene(SceneSpec("dam", nx=32, ny=22, seed=1))
-            bc_state = BcState.initial(state.flags)
             for _ in range(20):
-                if not carry:
-                    bc_state = BcState.initial(state.flags)
-                liquid_step(state, mode="separating-accelerated", bc_state=bc_state)
+                fresh = None if carry else BcState.initial(state.flags)
+                liquid_step(state, mode="separating-accelerated", bc_state=fresh)
         assert len(calls) == 40
         assert all(built <= 1 and one == 1 for built, _, one in calls)
         assert max(sweeps for _, sweeps, _ in calls) >= 3
@@ -347,19 +361,43 @@ class TestAcceleratedSolver:
         assert len(log) == 1 and not log.converged
 
     def test_carried_set_saves_sweeps(self):
-        # the set carried by one state from frame to frame starts each solve
-        # near its answer: fewer sweeps than starting every frame afresh
+        # the set the scene state carries from frame to frame, with no
+        # bc_state passed, starts each solve near its answer: fewer sweeps
+        # than a fresh set every frame
         sweeps = []
         for carry in (True, False):
             state, _ = build_scene(SceneSpec("dam", nx=32, ny=22, seed=1))
-            bc_state = BcState.initial(state.flags) if carry else None
             total = 0
             for _ in range(20):
-                liquid_step(state, mode="separating-accelerated", bc_state=bc_state)
+                fresh = None if carry else BcState.initial(state.flags)
+                liquid_step(state, mode="separating-accelerated", bc_state=fresh)
                 assert state.last_log.converged
                 total += len(state.last_log)
             sweeps.append(total)
         assert sweeps[0] < sweeps[1]
+
+    def test_a_frame_that_raises_leaves_the_carried_set(self, monkeypatch):
+        # the solver writes its set only when it returns: a non-finite input
+        # raises before any sweep, and a CG failure inside the first sweep
+        # raises after the start set is built; neither moves the carried set
+        state, _ = build_scene(SceneSpec("dam", nx=32, ny=22, seed=1))
+        for _ in range(5):
+            liquid_step(state, mode="separating-accelerated")
+        walls = state.carry.walls
+        held = walls.nsep.copy()
+        assert held.any()
+        bad = copy.deepcopy(state)
+        bad.particles_vel[0, 0] = np.nan
+        with pytest.raises(PoissonConvergenceError):
+            liquid_step(bad, mode="separating-accelerated")
+        assert bad.carry.walls.nsep.tobytes() == held.tobytes()
+        def fail(self, vel, out=None):
+            raise PoissonConvergenceError(1, 1.0)
+
+        monkeypatch.setattr(DivergenceProjector, "project", fail)
+        with pytest.raises(PoissonConvergenceError):
+            liquid_step(state, mode="separating-accelerated")
+        assert state.carry.walls is walls and walls.nsep.tobytes() == held.tobytes()
 
     def test_log_numbers_on_from_earlier_rows(self, tmp_path):
         d, flags, vel = hydrostatic_intermediate(12)
@@ -533,7 +571,38 @@ class TestBlockIndexMatchesReference:
             reference_zero_normal(ref, b, nsep)
             for axis in range(3):
                 assert a.component(axis).tobytes() == b.component(axis).tobytes()
-            state = BcState(faces, nsep)
-            tags = classified_walls_table(flags, state).tags
+            tags = classified_walls_table(flags, wall_set(flags, faces, nsep)).tags
             expect = reference_walls_table(flags, ref, nsep).tags
             assert tags.tobytes() == expect.tobytes()
+
+
+# random closed boxes: 2-D at 5-12 cells a side, 3-D at 5-8 x 5-8 x 4-6, the
+# interior cell types drawn from a seeded rng in the given FLUID:SOLID:EMPTY
+# weights, standard-normal face velocities and a carried set holding the
+# given share of all active faces, walls or not
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(shape=st.one_of(st.tuples(st.integers(5, 12), st.integers(5, 12)),
+                       st.tuples(st.integers(5, 8), st.integers(5, 8), st.integers(4, 6))),
+       weights=st.tuples(st.integers(1, 8), st.integers(0, 3), st.integers(0, 4)),
+       carried=st.sampled_from((0.0, 0.3, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_accelerated_solve_is_feasible_from_any_carried_set(shape, weights, carried, seed):
+    rng = np.random.default_rng(seed)
+    d = GridDims(*shape, h=1.0 / shape[0])
+    flags = CellFlags.closed_box(d)
+    inner = (slice(1, -1), slice(1, -1), slice(1, -1) if len(shape) == 3 else 0)
+    flags.values[inner] = rng.choice([CellType.FLUID, CellType.SOLID, CellType.EMPTY],
+                                     size=flags.values[inner].shape,
+                                     p=np.array(weights) / sum(weights))
+    assume(flags.fluid.any())
+    u = random_velocity(d, rng)
+    state, cg, log = BcState(rng.random(u.n_dof) < carried), CgConfig(), ConvergenceLog()
+    z = solve_separating_accelerated(u, flags, cg=cg, state=state, log=log)
+    assert log.converged
+    assert np.abs(divergence(z, flags).values[flags.fluid]).max() <= 10.0 * cg.eps_final
+    faces = BoundaryFaces(flags)
+    tol = cg.eps_final * max(1.0, u.max_abs())
+    assert faces.normal_velocity(z).min(initial=0.0) >= -tol
+    off = np.ones(u.n_dof, bool)
+    off[faces.index] = False
+    assert not state.nsep[off].any()

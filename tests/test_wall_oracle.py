@@ -39,18 +39,19 @@ FRAMES = {"dam-2d": (30, 60, 120), "tank-3d": (5, 15), "dam-3d": (15,),
 @functools.cache
 def pressure_inputs(scene, carry):
     """{frame: (a, flags, state)}: the input of the pressure stage of the
-    frame after that many accelerated frames at the CLI's CG accuracy, and
-    with `carry` a copy of the one BcState those frames carried, as the CLI
-    carries it (else None)."""
+    frame after that many accelerated frames at the CLI's CG accuracy.  With
+    `carry` the frames carry the wall set on the scene state, as the CLI
+    does, and `state` is a copy of it; else each frame starts from a fresh
+    set, and `state` is None."""
     state, _ = build_scene(SCENES[scene])
-    bc_state = BcState.initial(state.flags) if carry else None
     out = {}
     for frame in range(1, max(FRAMES[scene]) + 1):
-        liquid_step(state, mode="separating-accelerated", cg=CgConfig(), bc_state=bc_state)
+        fresh = None if carry else BcState.initial(state.flags)
+        liquid_step(state, mode="separating-accelerated", cg=CgConfig(), bc_state=fresh)
         if frame in FRAMES[scene]:
             probe = copy.deepcopy(state)
             a, _ = liquid_begin_step(probe)
-            out[frame] = (a, probe.flags, copy.deepcopy(bc_state))
+            out[frame] = (a, probe.flags, probe.carry.walls if carry else None)
     return out
 
 
@@ -111,12 +112,11 @@ def test_standard_stops_near_the_exact_projection_on_the_workload_dam():
     # a state for the oracle)
     state, _ = build_scene(SceneSpec("dam", nx=100, ny=70, fill_fraction=0.5,
                                      fill_height=0.9, dt=0.01, seed=1))
-    bc_state = BcState.initial(state.flags)
     for _ in range(10):
-        liquid_step(state, mode="separating-accelerated", cg=CgConfig(), bc_state=bc_state)
+        liquid_step(state, mode="separating-accelerated", cg=CgConfig())
     a, _ = liquid_begin_step(state)
     exact = solve_separating_accelerated(a, state.flags, cg=CgConfig(eps_final=1e-9),
-                                         state=bc_state)
+                                         state=state.carry.walls)
     step = (exact - a).norm()
     assert step > 0
     z = solve_separating_standard(a, state.flags)
@@ -133,17 +133,16 @@ def test_relaxation_saves_standard_solver_work(dims, monkeypatch):
     nx, ny, nz = dims
     state, _ = build_scene(SceneSpec("dam", nx=nx, ny=ny, nz=nz, fill_fraction=0.5,
                                      fill_height=0.9, dt=0.01, seed=1))
-    bc_state = BcState.initial(state.flags)
     assert WallProx.relaxation != 1.0
     work = {WallProx.relaxation: [0, 0], 1.0: [0, 0]}   # PD and CG totals
     for frame in range(1, 7):
-        liquid_step(state, mode="separating-accelerated", cg=CgConfig(), bc_state=bc_state)
+        liquid_step(state, mode="separating-accelerated", cg=CgConfig())
         if frame % 2:
             continue
         probe = copy.deepcopy(state)
         a, _ = liquid_begin_step(probe)
         exact = solve_separating_accelerated(a, probe.flags, cg=CgConfig(eps_final=1e-9),
-                                             state=copy.deepcopy(bc_state))
+                                             state=probe.carry.walls)
         step = (exact - a).norm()
         assert step > 0
         for relax, total in work.items():
