@@ -3,9 +3,7 @@
 Velocity lives on cell faces (MAC layout), scalars at cell centers.  All
 arrays are float64 and indexed (i, j, k) with i along x; a grid with nz=1
 is the 2D configuration and runs through the same code paths with the
-z direction inactive.  Its velocity buffer still holds the z block, which
-only this module moves; every other module computes on the active faces
-(`VelocityField.as_flat`), so a solver's result keeps its input's block.
+z direction inactive.
 """
 
 from __future__ import annotations
@@ -71,10 +69,15 @@ class GridDims:
 
     @functools.cached_property
     def _face_blocks(self) -> tuple:
-        """(start, end, shape) of the u, v and w blocks of a velocity buffer."""
-        shapes = [self.face_shape(a) for a in range(3)]
+        """(start, end, shape) of the active axes' blocks of a velocity buffer."""
+        shapes = [self.face_shape(a) for a in self.axes]
         ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
         return tuple(zip(ends, ends[1:], shapes))
+
+    @functools.cached_property
+    def _zero_w(self) -> np.ndarray:
+        """The w of every 2D velocity on this grid: read-only zeros."""
+        return np.frombuffer(bytes(8 * self.nx * self.ny * 2)).reshape(self.face_shape(2))
 
     @functools.cached_property
     def _face_cells(self) -> tuple:
@@ -183,9 +186,9 @@ class ScalarField:
 
 class VelocityField:
     """Face-centered velocity: u on x-faces, v on y-faces, w on z-faces,
-    writable views of one contiguous float64 buffer holding them in that
-    order.  The z block is there also with nz=1, inactive and past the
-    active prefix that `as_flat` views.  The constructor copies its arrays.
+    writable views of one contiguous float64 buffer holding the active
+    axes' faces in that order.  With nz=1, w is the grid's read-only zeros.
+    The constructor copies its arrays.
     """
 
     def __init__(self, dims: GridDims, u: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -194,14 +197,16 @@ class VelocityField:
             if arr.shape != dims.face_shape(axis):
                 raise ValueError(f"face array {axis} has shape {arr.shape}, "
                                  f"expected {dims.face_shape(axis)}")
-        self._attach(dims, np.concatenate([arr.ravel() for arr in arrays]))
+        if dims.is_2d and arrays[2].any():
+            raise ValueError("a 2D velocity's z block (w) must be all zero")
+        self._attach(dims, np.concatenate([arrays[a].ravel() for a in dims.axes]))
 
     def _attach(self, dims: GridDims, buf: np.ndarray | None) -> "VelocityField":
         """Lay the u, v and w views over buf, a zero buffer when None."""
-        blocks = dims._face_blocks
-        self.dims, self._n_active = dims, blocks[len(dims.axes) - 1][1]
-        self._buf = buf if buf is not None else np.zeros(blocks[2][1])
-        self.u, self.v, self.w = _face_views(dims, self._buf)
+        self.dims = dims
+        self._buf = buf if buf is not None else np.zeros(dims._face_blocks[-1][1])
+        self.u, self.v, *w = _face_views(dims, self._buf)
+        self.w = w[0] if w else dims._zero_w
         return self
 
     @classmethod
@@ -229,20 +234,20 @@ class VelocityField:
     @property
     def n_dof(self) -> int:
         """Total velocity degrees of freedom (active-axis face samples)."""
-        return self._n_active
+        return self._buf.size
 
     def validate_finite(self):
         if not np.isfinite(self.as_flat()).all():
             raise ValueError("velocity field contains non-finite values")
 
     def as_flat(self) -> np.ndarray:
-        """The active prefix of the buffer (x block first), a writable view."""
-        return self._buf[:self._n_active]
+        """The whole buffer (x block first), writable."""
+        return self._buf
 
     def set_flat(self, vec: np.ndarray):
-        if np.size(vec) != self._n_active:
+        if np.size(vec) != self._buf.size:
             raise ValueError("flat vector length does not match field")
-        self._buf[:self._n_active] = vec
+        self._buf[:] = vec
 
     def dot(self, other: "VelocityField") -> float:
         _check_dims(self, other)
@@ -338,13 +343,11 @@ def _flat_faces(dims: GridDims, per_axis) -> np.ndarray:
 
 def _face_views(dims: GridDims, flat: np.ndarray) -> tuple:
     """Writable per-axis face views of an array laid out as in
-    `VelocityField.as_flat`, the inverse of `_flat_faces`: one per active
-    axis, or all three when flat also holds the inactive z block of a 2D
-    velocity buffer."""
+    `VelocityField.as_flat`, one per active axis: the inverse of `_flat_faces`."""
     blocks = dims._face_blocks
-    if flat.shape not in ((blocks[len(dims.axes) - 1][1],), (blocks[2][1],)):
+    if flat.shape != (blocks[-1][1],):
         raise ValueError(f"flat face array of shape {flat.shape} does not match {dims}")
-    return tuple(flat[a:b].reshape(s) for a, b, s in blocks if b <= flat.size)
+    return tuple(flat[a:b].reshape(s) for a, b, s in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +546,5 @@ def upsample(vel: VelocityField, factor: int) -> VelocityField:
     d = vel.dims
     nz = d.nz if d.is_2d else d.nz * factor
     fine = GridDims(d.nx * factor, d.ny * factor, nz, d.h / factor)
-    out = VelocityField.zeros(fine)
-    out.as_flat()[:] = _flat_faces(fine, lambda a: _interp_component(
-        vel.component(a), a, d, *face_centers(fine, a)))
-    return out
+    return VelocityField._of(fine, _flat_faces(fine, lambda a: _interp_component(
+        vel.component(a), a, d, *face_centers(fine, a))))

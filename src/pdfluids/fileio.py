@@ -5,8 +5,8 @@ Grid file layout (little endian):
     nx, ny, nz as u32 | cell width as f64 | payload f64 blocks.
 Payload values are x-fastest; a velocity file carries the three face blocks
 concatenated (x block (nx+1)*ny*nz, then y, then z, the z block present
-also in 2D).  Round trips are bit exact.  All writers go through a
-temp-file-plus-rename so readers never see partial files, and the files
+also in 2D, all zero).  Round trips are bit exact.  All writers go through
+a temp-file-plus-rename so readers never see partial files, and the files
 get mode 0o666 less the umask, as a plain open() would give them.
 """
 
@@ -106,6 +106,8 @@ def read_grid(path):
         off += n * 8
     if kind == KIND_SCALAR:
         return ScalarField(dims, arrays[0])
+    if dims.is_2d and arrays[2].any():   # a nonzero or non-finite value
+        raise GridFileError("a 2D velocity file's z block must be all zero")
     return VelocityField(dims, *arrays)
 
 

@@ -177,8 +177,7 @@ def _cg_velocity(apply_op, rhs: VelocityField, tol: float,
         out[:] = apply_op(field).as_flat()
 
     x, iters = _pcg(apply, rhs.as_flat(), tol, 0.0, max_iters, solver="guiding")
-    field.set_flat(x)
-    return field, iters
+    return VelocityField._of(rhs.dims, x), iters
 
 
 def guiding_objective(x: VelocityField, cfg: GuidingConfig,

@@ -149,7 +149,7 @@ def moreau_transform(prox_f: ProxOperator, sigma: float, v: VelocityField) -> Ve
 # numpy `out=` calls on the active faces (`as_flat`; each operation's
 # operands and order as the field operators compute them, so the bits are
 # theirs), and swaps z and z_old by reference.  It never writes z0 or a
-# prox's input, nor the inactive 2D z block: the result carries z0's.
+# prox's input.
 # iterate_callback sees the loop's own z, which the next iteration
 # overwrites: a callback that keeps it copies it.  The returned field is the
 # solve's own, never written again.

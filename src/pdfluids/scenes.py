@@ -139,7 +139,7 @@ def _static_flags(spec: SceneSpec) -> CellFlags:
     """The closed box with the obstacle's cells SOLID."""
     flags = CellFlags.closed_box(spec.dims)
     if spec.obstacle is not None:
-        flags.values[_fractional_box(spec.dims, spec.obstacle)] = CellType.SOLID
+        flags.values[_fractional_box(flags.dims, spec.obstacle)] = CellType.SOLID
     return flags
 
 
@@ -198,9 +198,9 @@ def _seed_particles(flags: CellFlags, fluid_mask: np.ndarray, per_cell: int,
 def build_scene(spec: SceneSpec):
     """Deterministic initial state, plus a guiding configuration for the
     scenes that define a target velocity."""
-    d = spec.dims
     rng = np.random.default_rng(spec.seed)
     flags = _static_flags(spec)
+    d = flags.dims   # one GridDims, and its cached tables, for the whole run
     solid = flags.solid
     state = SceneState(spec=spec, flags=flags, vel=VelocityField.zeros(d))
     cfg = None
@@ -331,7 +331,7 @@ def _particle_cells(dims: GridDims, pos: np.ndarray) -> np.ndarray:
 def flags_from_particles(state: SceneState) -> CellFlags:
     # SOLID cells are static: build_scene sets them, smoke flags never
     # change and this rebuild keeps them, rewriting only FLUID and EMPTY
-    d = state.spec.dims
+    d = state.flags.dims
     solid = state.flags.solid
     vals = np.full(d.shape, CellType.EMPTY, dtype=np.uint8)
     vals[solid] = CellType.SOLID
@@ -360,7 +360,7 @@ def _particle_stencils(dims: GridDims, pos: np.ndarray) -> list:
 def particles_to_grid(state: SceneState) -> VelocityField:
     """Multilinear scatter of particle velocities onto the staggered grid:
     each face takes the weighted mean of the particles in its stencil."""
-    d = state.spec.dims
+    d = state.flags.dims
     vel = VelocityField.zeros(d)
     stencils = _particle_stencils(d, state.particles_pos)
     for (axis, arr), st in zip(vel.components(), stencils):
@@ -435,9 +435,7 @@ class _Extrapolation:
             for slot in reads:
                 acc += ext[slot]
             ext[faces] = acc / cnt
-        out = vel.copy()
-        out.as_flat()[:] = ext[:self.n]
-        return out
+        return VelocityField._of(vel.dims, ext[:self.n])
 
 
 # the one extrapolation plan kept, keyed on the content of the flags: a
@@ -461,7 +459,7 @@ def _clamp_particles(state: SceneState, pos: np.ndarray,
     inside interior obstacles.  When a particle hits the wall box its
     wall-ward velocity component is cancelled (otherwise the FLIP memory
     keeps pressing it against the wall for many frames)."""
-    d = state.spec.dims
+    d = state.flags.dims
     h = d.h
     eps = 1e-4 * h
     lo = [h + eps, h + eps, eps if d.is_2d else h + eps]
@@ -517,7 +515,7 @@ def liquid_pressure_solve(vel: VelocityField, flags: CellFlags, mode: str,
 def liquid_finish_step(state: SceneState, vel_new: VelocityField,
                        vel_old: VelocityField):
     """FLIP/PIC particle update, velocity extrapolation and advection."""
-    d = state.spec.dims
+    d = state.flags.dims
     vel_ext = extrapolate_velocity(vel_new, state.flags)
     # extrapolate the pre-force field the same way so the FLIP delta near the
     # surface measures physical acceleration, not the extrapolation pattern

@@ -214,8 +214,8 @@ def solve_separating_accelerated(u: VelocityField, flags: CellFlags,
     projector = DivergenceProjector(flags, classified_walls_table(flags, held), cg)
     inv_h = 1.0 / flags.dims.h
     # the sweep's own fields: its projection input (then the iterate change)
-    # and two iterates in turn, copies of u whose z block the result keeps
-    start, iterates = VelocityField.zeros(u.dims), (u.copy(), u.copy())
+    # and two iterates in turn, each projection writing all of its own
+    start, *iterates = (VelocityField.zeros(u.dims) for _ in range(3))
     z = u
     for k in range(MAX_SWEEPS):
         np.copyto(start.as_flat(), u.as_flat())

@@ -392,12 +392,14 @@ class TestCriterion11PropertySuites:
     def test_gridfile_roundtrip(self, tmp_path, rng):
         from pdfluids.fileio import read_grid, write_grid
         d = GridDims(9, 7, 1, 0.04)
-        vel = random_velocity(d, rng)
-        vel.w[...] = rng.standard_normal(vel.w.shape)
-        write_grid(tmp_path / "v.grid", vel)
-        back = read_grid(tmp_path / "v.grid")
-        ok = all(np.array_equal(back.component(a), vel.component(a))
-                 for a in range(3))
+        ok = True
+        # a 2D field (zero w) and a 3D one with a live w
+        for dv in (d, GridDims(6, 5, 4, 0.04)):
+            vel = random_velocity(dv, rng)
+            write_grid(tmp_path / "v.grid", vel)
+            back = read_grid(tmp_path / "v.grid")
+            ok = ok and all(back.component(a).tobytes() == vel.component(a).tobytes()
+                            for a in range(3)) and vel.w.any() != dv.is_2d
         s = ScalarField(d, rng.standard_normal(d.shape))
         write_grid(tmp_path / "s.grid", s)
         ok = ok and np.array_equal(read_grid(tmp_path / "s.grid").values, s.values)

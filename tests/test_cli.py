@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -242,6 +243,24 @@ class TestCli:
                     "--coarse-dir", coarse]) == 2
         err = capsys.readouterr().err
         assert "vel_0001.grid" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("value", [0.5, math.nan], ids=["nonzero", "nan"])
+    def test_upres_coarse_grid_with_a_live_z_block_exits_2(self, tmp_path, capsys, value):
+        # a 2D coarse frame whose z block is not all zero
+        from pdfluids.fields import GridDims, VelocityField
+        from pdfluids.fileio import write_grid
+        coarse = tmp_path / "coarse"
+        coarse.mkdir()
+        path = coarse / "vel_0001.grid"
+        write_grid(path, VelocityField.zeros(GridDims(12, 12, 1, 1.0 / 12)))
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = struct.pack("<d", value)   # the last z face
+        path.write_bytes(bytes(raw))
+        assert run(["upres", "--scene", "circular", "--nx", "12", "--ny", "12",
+                    "--frames", "1", "--out", tmp_path / "fine", "--factor", "2",
+                    "--coarse-dir", coarse]) == 2
+        err = capsys.readouterr().err
+        assert "vel_0001.grid" in err and "z block" in err
 
     @pytest.mark.parametrize("h", [0.5, math.inf], ids=["wrong-h", "inf-h"])
     def test_upres_coarse_grid_with_a_bad_h_exits_2(self, tmp_path, capsys, h):

@@ -3,6 +3,8 @@ bodies it replaced: the boundary tags, the fluid-solid face index, the
 gradient update, the Poisson system's face reads and the velocity branch of
 advection must agree bit for bit in 2D and 3D."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -178,18 +180,19 @@ class TestFaceViews:
     def test_velocity_buffer(self, shape):
         d = _dims(shape)
         vel = random_velocity(d, np.random.default_rng(1))
-        full, active = _face_views(d, vel._buf), _face_views(d, vel.as_flat())
-        assert len(full) == 3 and len(active) == len(d.axes)
-        for a in range(3):
-            assert np.shares_memory(full[a], vel.component(a))
-            assert full[a].tobytes() == vel.component(a).tobytes()
+        active = _face_views(d, vel.as_flat())
+        assert len(active) == len(d.axes)
         for a in d.axes:
+            assert np.shares_memory(active[a], vel.component(a))
             assert active[a].tobytes() == vel.component(a).tobytes()
 
     def test_wrong_length_raises(self, shape):
         d = _dims(shape)
         n = VelocityField.zeros(d).n_dof
-        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1))):
+        bads = [np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1))]
+        if d.is_2d:   # a u, v and w buffer is not a 2D face layout
+            bads.append(np.zeros(sum(math.prod(d.face_shape(a)) for a in range(3))))
+        for bad in bads:
             with pytest.raises(ValueError, match="does not match"):
                 _face_views(d, bad)
 
@@ -214,7 +217,6 @@ class TestFlatTables:
                 else reference_tags(flags, FaceTag[table.upper()]))
         bc = BcTable(flags.dims, flat(flags.dims, tags))
         vel = random_velocity(flags.dims, rng)
-        vel.w[...] = rng.standard_normal(vel.w.shape)   # a live 2D z block stays
         p = ScalarField(flags.dims, rng.standard_normal(flags.dims.shape))
         got = subtract_gradient(vel, p, flags, bc, vel.copy())
         assert_same_velocity(got, reference_subtract_gradient(vel, p, flags, tags))

@@ -1,16 +1,18 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from pdfluids.config import ConfigError, RunConfig
 from pdfluids.fields import CellFlags, CellType, GridDims, ScalarField, VelocityField
-from pdfluids.fileio import (GridFileError, read_grid, render_pgm,
+from pdfluids.fileio import (_HEADER, GridFileError, read_grid, render_pgm,
                              write_convergence_csv, write_grid)
 from pdfluids.guiding import default_guiding_params
 from pdfluids.optim import ConvergenceLog
@@ -41,15 +43,43 @@ class TestGridFile:
         assert np.array_equal(back.values, f.values)
 
     def test_velocity_roundtrip_bit_exact(self, tmp_path, rng):
-        d = GridDims(9, 7, 1, 0.125)
+        # every block a file stores: a live w in 3D, the zero one in 2D
+        for d in (GridDims(9, 7, 1, 0.125), GridDims(6, 5, 4, 0.125)):
+            vel = random_velocity(d, rng)
+            assert vel.w.any() != d.is_2d
+            path = tmp_path / "v.grid"
+            write_grid(path, vel)
+            back = read_grid(path)
+            assert isinstance(back, VelocityField)
+            for a in range(3):
+                assert back.component(a).tobytes() == vel.component(a).tobytes()
+
+    @pytest.mark.parametrize("nz", [1, 4], ids=["2d", "3d"])
+    def test_velocity_file_bytes(self, tmp_path, rng, nz):
+        # the v1 layout: header, then the u, v and w blocks x-fastest; a 2D
+        # field's w block is written as zeros
+        d = GridDims(6, 5, nz, 0.25)
         vel = random_velocity(d, rng)
-        vel.w[...] = rng.standard_normal(vel.w.shape)
         path = tmp_path / "v.grid"
         write_grid(path, vel)
-        back = read_grid(path)
-        assert isinstance(back, VelocityField)
-        for a in range(3):
-            assert np.array_equal(back.component(a), vel.component(a))
+        blocks = [np.ravel(vel.component(a), order="F") for a in range(3)]
+        assert blocks[2].any() != d.is_2d
+        want = _HEADER.pack(b"PDFG", 1, 1, 6, 5, nz, 0.25)
+        assert path.read_bytes() == want + b"".join(b.astype("<f8").tobytes() for b in blocks)
+
+    @pytest.mark.parametrize("value", [1.0, -1e-300, math.nan, math.inf])
+    def test_2d_velocity_with_a_live_z_block_rejected(self, tmp_path, value):
+        # a 2D velocity holds no z block, so its file's must be all zero
+        path = tmp_path / "v.grid"
+        write_grid(path, VelocityField.zeros(GridDims(6, 5)))
+        raw = bytearray(path.read_bytes())
+        raw[-16:-8] = struct.pack("<d", value)   # a z face
+        path.write_bytes(bytes(raw))
+        with pytest.raises(GridFileError, match="z block"):
+            read_grid(path)
+        raw[-16:-8] = struct.pack("<d", -0.0)
+        path.write_bytes(bytes(raw))
+        assert not read_grid(path).w.any()
 
     def test_expected_byte_length_2d_velocity(self, tmp_path):
         nx, ny, nz = 6, 5, 1
@@ -281,3 +311,30 @@ def test_benchmark_reads_the_carried_wall_set(name, tmp_path):
         held = np.count_nonzero(walls.nsep[BoundaryFaces(run.state.flags).index])
         assert walls is run.bc_state and held > 0
         assert workloads.frame_record(run)["nsep"] == held
+
+
+@pytest.mark.parametrize("name", ["guided-smoke", "upres", "dam-standard",
+                                  "dam-accelerated"])
+def test_benchmark_reads_every_frame_output(name, tmp_path):
+    # one frame of each workload through what the benchmark reads of it:
+    # check_frame and signature read vel.u, vel.v and vel.w, the density
+    # and the particles; a 2D w is hashed as nx*ny*2 zero doubles
+    workloads = bench_workloads()
+    run = workloads.WORKLOADS[name](1, 1, str(tmp_path))
+    run.frame()
+    reasons, div_max = workloads.check_frame(run, run.cfg.eps_cg_final)
+    assert reasons == [] and math.isfinite(div_max)
+    st = run.state
+    d = st.vel.dims
+    assert d.is_2d and st.vel.w.shape == (d.nx, d.ny, 2)
+    outputs = [st.vel.u, st.vel.v, np.zeros(d.nx * d.ny * 2),
+               None if st.density is None else st.density.values,
+               st.particles_pos, st.particles_vel]
+    digest = hashlib.sha256()
+    for a in outputs:
+        if a is not None:
+            assert np.isfinite(a).all()
+            digest.update(a.tobytes())
+    *counts, hexdigest = workloads.signature(run)
+    assert hexdigest == digest.hexdigest()
+    assert all(math.isfinite(c) for c in counts)

@@ -30,9 +30,8 @@ def test_runtime_imports_are_numpy_and_stdlib_only():
 
 
 def test_only_fields_touches_the_velocity_buffer():
-    # the buffer layout (the inactive 2D z block included) is private to
-    # fields: every other module reads and writes velocity through the
-    # field's views, `as_flat` and its operators
+    # the buffer layout is private to fields: every other module reads and
+    # writes velocity through the field's views, `as_flat` and its operators
     src = Path(pdfluids.__file__).parent
     users = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              if path.name != "fields.py"

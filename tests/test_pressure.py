@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from pdfluids import pressure
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
-                             VelocityField, _along, _face_views, cell_centers,
-                             divergence)
+                             VelocityField, _along, _face_views, _flat_faces,
+                             cell_centers, divergence, fluid_adjacent_face_mask)
 from pdfluids.guiding import guide_step
 from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                                PoissonConvergenceError, PoissonSystem, project,
@@ -747,6 +747,55 @@ def test_vcycle_symmetric_positive_on_random_flags(shape, weights, dirichlet, se
         unit.flat[cell] = 0.0
     eig = np.linalg.eigvalsh(m + m.T)
     assert eig.min() >= -1e-12 * eig.max()
+
+
+# random closed boxes: 2-D at 5-12 cells a side, 3-D at 5-8 x 5-8 x 4-6; the
+# interior cell types drawn from a seeded rng in the given FLUID:SOLID:EMPTY
+# weights, each fluid-solid face DIRICHLET with the given probability, else
+# NEUMANN, and standard-normal face velocities, zero on the NEUMANN faces of
+# FLUID cells so that every component without a Dirichlet face is compatible
+# (the NEUMANN faces of no FLUID cell keep theirs)
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(shape=st.one_of(st.tuples(st.integers(5, 12), st.integers(5, 12)),
+                       st.tuples(st.integers(5, 8), st.integers(5, 8), st.integers(4, 6))),
+       weights=st.tuples(st.integers(1, 8), st.integers(0, 3), st.integers(0, 4)),
+       dirichlet=st.sampled_from((0.0, 0.5, 1.0)),
+       eps=st.sampled_from((1e-3, 1e-5, 1e-8)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_projection_is_feasible_and_idempotent_on_random_flags(shape, weights, dirichlet,
+                                                              eps, seed):
+    rng = np.random.default_rng(seed)
+    d = GridDims(*shape, h=1.0 / shape[0])
+    flags = CellFlags.closed_box(d)
+    inner = (slice(1, -1), slice(1, -1), slice(1, -1) if len(shape) == 3 else 0)
+    flags.values[inner] = rng.choice([CellType.FLUID, CellType.SOLID, CellType.EMPTY],
+                                     size=flags.values[inner].shape,
+                                     p=np.array(weights) / sum(weights))
+    assume(flags.fluid.any())
+    neumann = BcTable.from_flags(flags, FaceTag.NEUMANN).tags
+    solid_dirichlet = BcTable.from_flags(flags, FaceTag.DIRICHLET).tags
+    bc = BcTable(d, np.where(rng.random(neumann.shape) < dirichlet, solid_dirichlet, neumann))
+    held = bc.tags == FaceTag.NEUMANN
+    u0 = random_velocity(d, rng)
+    u0.as_flat()[held & _flat_faces(d, lambda a: fluid_adjacent_face_mask(flags, a))] = 0.0
+    u1 = project(u0, flags, bc, eps)
+    u2 = project(u1, flags, bc, eps)
+    assert u1.as_flat()[held].tobytes() == u0.as_flat()[held].tobytes()
+    div1, div2 = (divergence(u, flags).values for u in (u1, u2))
+    for div in (div1, div2):
+        assert np.abs(div[PoissonSystem(flags, bc).active]).max(initial=0.0) <= 10.0 * eps
+    # The second projection moves u1 by G p, with A p = div u2 - div u1
+    # (its rhs less its residual) and |G p|^2 = p.A p <= |A p|^2 / lambda,
+    # lambda the least nonzero eigenvalue of A.  On a component of N cells
+    # lambda >= 1 / (h N)^2 (A's inverse is entrywise at most N / h^2 in a
+    # grounded component, and lambda_2 >= 4 / (N diam) h^-2 in a closed one),
+    # so the move is at most h N |div u2 - div u1|, which the max-norm stop
+    # rule caps at 20 eps h N^1.5; the slack covers the rounding of the update.
+    n = np.count_nonzero(flags.fluid)
+    bound = d.h * n * np.linalg.norm(div2 - div1)
+    assert bound <= 20.0 * eps * d.h * n ** 1.5
+    move = np.linalg.norm(u2.as_flat() - u1.as_flat())
+    assert move <= bound + 1e-13 * n * np.linalg.norm(u1.as_flat())
 
 
 # -- the 3-D-slice stencil and V-cycle, kept as a bitwise reference --------------

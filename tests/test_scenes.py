@@ -1,11 +1,12 @@
 import copy
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from pdfluids.fields import CellType, VelocityField, cell_centers, divergence
+from pdfluids.fields import CellType, GridDims, VelocityField, cell_centers, divergence
 from pdfluids.guiding import default_guiding_params, guide_step
 from pdfluids.optim import SolverCarry
 from pdfluids.pressure import CgConfig, PoissonConvergenceError
@@ -293,6 +294,28 @@ class TestDualCarry:
             smoke_step(state, dataclasses.replace(cfg, u_target=target, u_current=state.vel))
         assert state.carry.x is x and state.carry.sigma == sigma
         assert x.tobytes() == held
+
+
+@pytest.mark.parametrize("mode", ["regular", "separating-standard",
+                                  "separating-accelerated"])
+def test_liquid_frames_reuse_one_grid(mode, monkeypatch):
+    # the scene's one GridDims serves every frame, so its cached face
+    # tables are built on the first frame only
+    builds = []
+    for name in ("_face_cells", "_face_blocks"):
+        build = GridDims.__dict__[name].func
+        table = functools.cached_property(
+            lambda dims, build=build, name=name: builds.append(name) or build(dims))
+        table.__set_name__(GridDims, name)
+        monkeypatch.setattr(GridDims, name, table)
+    state, _ = build_scene(SceneSpec("dam", nx=24, ny=18, seed=1))
+    for frame in range(3):
+        before = len(builds)
+        liquid_step(state, mode=mode)
+        assert state.vel.dims is state.flags.dims
+        if frame:
+            assert len(builds) == before
+    assert builds.count("_face_cells") == 1
 
 
 def test_a_deep_copy_steps_as_the_original_does():
@@ -694,7 +717,7 @@ def _ref_centered(dims, axis):
 
 def _ref_target(spec, flags):
     """Target of a guided scene as the separate circular, radial and tornado
-    builders wrote it, the tornado's z block included in 2D."""
+    builders wrote it, on the active axes (a 2D field holds no z block)."""
     from conftest import zero_solid_adjacent
     d, om = spec.dims, spec.omega
     u_t = VelocityField.zeros(d)
@@ -713,7 +736,8 @@ def _ref_target(spec, flags):
     else:  # tornado
         u_t.u[...] = -om * z0
         u_t.v[...] = spec.updraft
-        u_t.w[...] = om * _ref_centered(d, 2)[0]
+        if not d.is_2d:
+            u_t.w[...] = om * _ref_centered(d, 2)[0]
     return zero_solid_adjacent(u_t, flags)
 
 

@@ -1,7 +1,8 @@
 """VelocityField on one flat buffer, against the three-array class and the
 per-axis bodies it replaced: field arithmetic, copies and reductions, the
 guiding operators and the scene masks must agree bit for bit, and every
-field the package makes keeps its u, v and w blocks in one buffer."""
+field the package makes keeps its active blocks in one buffer, which holds
+nothing else."""
 
 import math
 
@@ -193,10 +194,10 @@ CASES = {"2d": GridDims(11, 8, 1, 1.0 / 11), "3d": GridDims(7, 6, 5, 1.0 / 7)}
 
 
 def filled(dims, rng, special=True):
-    """A field with random values on every block, the 2D w block included;
-    with `special`, some entries are -0.0 and some NaN in every block."""
+    """A field with random values on every active block; with `special`,
+    some entries are -0.0 and some NaN in every one."""
     vel = VelocityField.zeros(dims)
-    for arr in (vel.u, vel.v, vel.w):
+    for _, arr in vel.components():
         flat = arr.reshape(-1)
         flat[:] = rng.standard_normal(flat.size) * 10.0 ** rng.integers(-3, 4, flat.size)
         if special:
@@ -211,8 +212,12 @@ def as_reference(vel):
 
 
 def same_bits(a, b):
+    """Bit for bit on the active blocks; a 2D w is zero in both (the three
+    arrays' w * s is -0.0 at s < 0, the package's 2D w always +0.0)."""
+    if a.dims.is_2d and (a.w.any() or b.w.any()):
+        return False
     return all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
-               for x, y in zip((a.u, a.v, a.w), (b.u, b.v, b.w)))
+               for (_, x), (_, y) in zip(a.components(), b.components()))
 
 
 def same_float(x, y):
@@ -277,11 +282,6 @@ class TestMatchesThreeArrays:
     def test_finiteness_checks(self, case, rng):
         d = CASES[case]
         vel = filled(d, rng, special=False)
-        if d.is_2d:   # the inactive block is not checked
-            vel.w[0, 0, 0] = np.nan
-            vel.validate_finite()
-            _require_finite(vel)
-            reference_require_finite(as_reference(vel))
         for axis in d.axes:
             bad = vel.copy()
             bad.component(axis)[-1, -1, -1] = np.inf
@@ -298,10 +298,6 @@ class TestMatchesThreeArrays:
             vel = filled(d, rng, special=False)
             vel.component(axis)[1, 1, 0] = np.nan
             assert math.isnan(vel.max_abs())
-        if d.is_2d:
-            vel = filled(d, rng, special=False)
-            vel.w[1, 1, 0] = np.nan
-            assert vel.max_abs() == as_reference(vel).max_abs()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -350,8 +346,7 @@ class TestGuidingMatchesPerAxisBodies:
         v.as_flat()[prox.quad.valid] = np.nan_to_num(v.as_flat()[prox.quad.valid])
         for sigma in (3.1, 3.1, 0.7):   # the cached precompute, then a rebuild
             got = prox(sigma, v)
-            # the prox computes on the active faces only: its own inactive
-            # 2D z block stays zero, whatever v's holds
+            # a 2D result's w is zero
             assert got.as_flat().tobytes() == ref.prox(sigma, v).as_flat().tobytes()
             if d.is_2d:
                 assert got.w.tobytes() == np.zeros_like(got.w).tobytes()
@@ -392,19 +387,27 @@ def test_liquid_begin_step_matches_reference(nz):
 # -- the one-buffer layout -----------------------------------------------------
 
 def assert_one_buffer(vel):
-    """u, v and w follow each other in one C-contiguous buffer, and
-    as_flat() is a writable view of its start, n_dof long."""
+    """The active blocks (u, v, and w in 3D) follow each other in one
+    C-contiguous buffer, n_dof doubles long and nothing else, which as_flat()
+    is; a 2D w is the grid's one read-only zero array."""
+    d = vel.dims
     u, v, w, flat = vel.u, vel.v, vel.w, vel.as_flat()
     for arr in (u, v, w, flat):
         assert arr.dtype == np.float64 and arr.flags.c_contiguous
-        assert arr.flags.writeable
+    assert u.flags.writeable and v.flags.writeable and flat.flags.writeable
+    assert w.flags.writeable != d.is_2d
     assert v.ctypes.data == u.ctypes.data + u.nbytes
-    assert w.ctypes.data == v.ctypes.data + v.nbytes
-    assert flat.ctypes.data == u.ctypes.data and flat.size == vel.n_dof
+    if d.is_2d:
+        assert w is d._zero_w and not w.any() and w.shape == d.face_shape(2)
+    else:
+        assert w.ctypes.data == v.ctypes.data + v.nbytes
+    assert flat is vel._buf and flat.ctypes.data == u.ctypes.data
+    assert flat.size == vel.n_dof and flat.nbytes == 8 * vel.n_dof
+    assert vel.n_dof == sum(math.prod(d.face_shape(a)) for a in d.axes)
     assert np.shares_memory(flat, u) and np.shares_memory(flat, v)
-    assert np.shares_memory(flat, w) == (not vel.dims.is_2d)
+    assert np.shares_memory(flat, w) == (not d.is_2d)
     flat[-1] = 12.5
-    assert vel.component(vel.dims.axes[-1]).reshape(-1)[-1] == 12.5
+    assert vel.component(d.axes[-1]).reshape(-1)[-1] == 12.5
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -436,3 +439,28 @@ def test_constructor_copies_its_arrays():
         assert not np.shares_memory(arr, vel.as_flat()) and not np.shares_memory(arr, vel.w)
     vel.u[...] = 2.0
     assert (u == 1.0).all()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_2d_w_is_read_only_zeros(case, rng):
+    d = CASES[case]
+    a, b = filled(d, rng), VelocityField.zeros(d)
+    if not d.is_2d:
+        a.w[...] = 1.0   # a live 3D block, in the buffer
+        assert (a.as_flat()[-a.w.size:] == 1.0).all() and not np.shares_memory(a.w, b.w)
+        return
+    assert a.w is b.w is d._zero_w   # one array per grid
+    with pytest.raises(ValueError, match="read-only"):
+        a.w[0, 0, 0] = 1.0
+    assert not a.w.any()
+
+
+@pytest.mark.parametrize("bad", [1.0, -2.5, np.nan, np.inf])
+def test_constructor_refuses_a_nonzero_2d_w(bad):
+    d = CASES["2d"]
+    u, v, w = (np.zeros(d.face_shape(a)) for a in range(3))
+    w[1, 2, 1] = bad
+    with pytest.raises(ValueError, match="z block"):
+        VelocityField(d, u, v, w)
+    w[1, 2, 1] = -0.0
+    assert VelocityField(d, u, v, w).w is d._zero_w
