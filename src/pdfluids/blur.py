@@ -205,7 +205,9 @@ class _BlurKernel:
 
 
 # the one kernel kept, keyed on the content of (dims, radius, flags): a
-# radius rebuilt with equal values hits, one changed in place misses
+# radius rebuilt with equal values hits, one changed in place misses.  It
+# stays a module global: bench/test_bench.py pins blur_obstacle_aware(field,
+# radius, flags, ...) as a guided frame's call, which leaves it no owner.
 _cached: tuple | None = None
 
 

@@ -62,6 +62,11 @@ class GridDims:
         """Active axes: (0, 1) in 2D, (0, 1, 2) in 3D."""
         return (0, 1) if self.nz == 1 else (0, 1, 2)
 
+    def __reduce__(self):
+        # the four fields only: an unpickled or deep-copied grid builds its
+        # own cached tables, so its _zero_w is read-only too
+        return GridDims, (self.nx, self.ny, self.nz, self.h)
+
     def face_shape(self, axis: int) -> tuple[int, int, int]:
         s = list(self.shape)
         s[axis] += 1
@@ -223,6 +228,9 @@ class VelocityField:
 
     def __deepcopy__(self, memo) -> "VelocityField":
         return self.copy()   # the views stay on the one copied buffer
+
+    def __reduce__(self):   # unpickled, the views lie on one buffer again
+        return VelocityField._of, (self.dims, self._buf)
 
     def component(self, axis: int) -> np.ndarray:
         return (self.u, self.v, self.w)[axis]

@@ -315,8 +315,10 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     logged as one converged row.  A "pd" or "admm" solve with the SMW prox
     starts from the carried dual x of `dual` when its dims and sigma match
     (pd_solve) and leaves its own final x there; the exact prox, "direct"
-    and "iop" neither read nor write it.  A non-finite u_current raises
-    PoissonConvergenceError before any blur or prox runs.
+    and "iop" neither read nor write that x.  The projections of all but
+    "direct" reuse the PoissonSystem on `dual` (DivergenceProjector).  A
+    non-finite u_current raises PoissonConvergenceError before any blur or
+    prox runs.
     """
     _require_finite(u_current)
     cfg = cfg.with_current(u_current)
@@ -329,9 +331,9 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
         start = u_current.copy()
         np.copyto(start.as_flat(), minimizer.as_flat(), where=quad.valid)
         return _fixed_projection(start, cfg.flags, cg if cg is not None else CgConfig(),
-                                 log, "iop")
+                                 log, "iop", dual)
     bc = BcTable.from_flags(cfg.flags)
-    projector = DivergenceProjector(cfg.flags, bc, cg)
+    projector = DivergenceProjector(cfg.flags, bc, cg, dual)
     pd_default, admm_default = default_guiding_params(cfg.w_bar)
     pd_params = pd_params if pd_params is not None else pd_default
     prox, dual = (GuidingProxExact(cfg), None) if exact_prox else (GuidingProx(cfg), dual)

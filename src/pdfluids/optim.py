@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import CellFlags, GridDims, VelocityField
-from .pressure import BcTable, CgConfig, DivergenceProjector
+from .pressure import BcTable, CgConfig, DivergenceProjector, PoissonSystem
 
 class ProxOperator:
     """Callable prox contract: (sigma, v) -> argmin_x f(x) + sigma/2 ||x-v||^2.
@@ -44,12 +44,14 @@ class SolverCarry:
     """Solver state a caller keeps from one solve to the next of nearly the
     same problem: the final dual x of a guided PD solve on its active faces
     (`as_flat`), the grid it lives on and the sigma it ran at, all unset
-    until a solve given the carry returns, and the wall set (a
+    until a solve given the carry returns, the PoissonSystem that
+    DivergenceProjector reuses while its key matches, and the wall set (a
     `separating.BcState`) that `scenes.liquid_step` hands on."""
 
     x: np.ndarray | None = None
     dims: GridDims | None = None
     sigma: float = math.nan
+    system: PoissonSystem | None = None
     walls: object = None
 
 
@@ -246,11 +248,12 @@ def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
 
 
 def _fixed_projection(vel: VelocityField, flags: CellFlags, cg: CgConfig,
-                      log: ConvergenceLog, method: str) -> VelocityField:
-    """Plain projection at the final CG accuracy with default walls, logged
-    as one converged row carrying its CG iterations."""
+                      log: ConvergenceLog, method: str,
+                      carry: SolverCarry | None) -> VelocityField:
+    """Plain projection at the final CG accuracy with default walls, on the
+    system `carry` holds, logged as one converged row with its CG iterations."""
     fixed = CgConfig(cg.eps_final, cg.eps_final, cg.max_cg_iters)
-    projector = DivergenceProjector(flags, BcTable.from_flags(flags), fixed)
+    projector = DivergenceProjector(flags, BcTable.from_flags(flags), fixed, carry)
     out, iters, _ = projector.project(vel)
     log.method = method
     log.record(0.0, 0.0, cg.eps_final, iters)

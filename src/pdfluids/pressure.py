@@ -16,12 +16,13 @@ coefficient array over the flattened cells that couples cell c to cell
 c + stride_a, zero where that neighbour wraps to the next row.  Each half
 of a matvec update is then one contiguous multiply and subtract into
 preallocated scratch, and one routine serves every grid.
-DivergenceProjector reuses one cached PoissonSystem while the flags and the
-boundary table stay equal by content, and starts each solve from the
-pressure of its previous one, also across a retag.  A retag of wall faces
-changes the table, the system and the cache key in place: integer face
-counts on every grid and a rank-k update of the coarsest dense inverse, so
-no rebuild unless a component gains or loses its last Dirichlet face.
+Each PoissonSystem records in `key` the content of the flags and table it
+serves.  DivergenceProjector reuses the system a caller's SolverCarry holds
+while that key matches, and starts each solve from the pressure of its
+previous one, also across a retag.  A retag of wall faces changes the
+table, the system and its key in place: integer face counts on every grid
+and a rank-k update of the coarsest dense inverse, so no rebuild unless a
+component gains or loses its last Dirichlet face.
 
 The preconditioner is one symmetric V-cycle of an aggregation multigrid
 (MGPCG, McAdams, Sifakis & Teran, SCA 2010; the unsmoothed-aggregation
@@ -186,6 +187,7 @@ class PoissonSystem:
         if self._components:
             null = [index[c] for c in _singular_components(count > 0, count, stencil)[0]]
         self.dense = _dense_inverse(mat, null)
+        self.key = _key(flags, bc)
 
     def retag(self, flags: CellFlags, bc: BcTable, faces: np.ndarray,
               cells: np.ndarray, tags) -> None:
@@ -202,8 +204,8 @@ class PoissonSystem:
         counts, diag and smoother weights are updated in place (integer
         counts, so bit for bit as in a fresh build) and the coarsest dense
         inverse by one rank-k Sherman-Morrison-Woodbury step over the k
-        coarsest cells whose count moved.  The cached system's key follows
-        the retag.  Every holder of this system sees the new operator.
+        coarsest cells whose count moved.  The system's `key` follows the
+        retag, so a projector with the old content builds its own.
         """
         old, tags = bc.tags[faces], np.asarray(tags)
         gain, lose = tags == FaceTag.DIRICHLET, old == FaceTag.DIRICHLET
@@ -215,9 +217,7 @@ class PoissonSystem:
                              "NEUMANN or DIRICHLET")
         step = np.subtract(gain, lose, dtype=np.float64)
         bc.tags[faces] = tags
-        global _cached
-        if _cached is not None and _cached[1] is self:
-            _cached = (_key(flags, bc), self)
+        self.key = _key(flags, bc)
         # Only the component rule rebuilds.  A retag couples nothing, and a
         # grid's count of an aggregate is the couplings leaving it plus the
         # Dirichlet faces inside, so it reaches or leaves 0 only where none
@@ -595,22 +595,9 @@ class _Grid:
         self.tmp = np.empty_like(count)   # matvec scratch
 
 
-# the one system kept, keyed on the content of (flags, bc): a table rebuilt
-# with equal tags hits, one changed in place misses unless PoissonSystem.retag
-# changed it, which moves the key along
-_cached: tuple | None = None
-
-
+# what a PoissonSystem serves: equal tags match, tags changed in place do not
 def _key(flags: CellFlags, bc: BcTable) -> tuple:
     return flags.dims, bc.dims, flags.values.tobytes(), bc.tags.tobytes()
-
-
-def _system_for(flags: CellFlags, bc: BcTable) -> PoissonSystem:
-    global _cached
-    key = _key(flags, bc)
-    if _cached is None or _cached[0] != key:
-        _cached = (key, PoissonSystem(flags, bc))
-    return _cached[1]
 
 
 def _require_finite(vel: VelocityField):
@@ -663,25 +650,31 @@ def project(vel: VelocityField, flags: CellFlags, bc: BcTable,
 class DivergenceProjector:
     """Projection bundle used inside the optimizer loops.
 
-    Holds the Poisson system for a fixed flag/boundary configuration (the
-    one cached system while the flags and tags stay equal) and owns the
-    adaptive CG accuracy `eps` (from cg.eps_start down to cg.eps_final), and
-    reports the CG effort of each projection so convergence logs can
+    Holds the Poisson system for a fixed flag/boundary configuration and owns
+    the adaptive CG accuracy `eps` (from cg.eps_start down to cg.eps_final),
+    and reports the CG effort of each projection so convergence logs can
     attribute cost.  A fixed accuracy eps is CgConfig(eps, eps, max_cg_iters).
+    The system is the one a caller's SolverCarry `carry` holds while its key
+    is (flags, bc); else the projector builds one and leaves it on the carry.
     Each solve starts from `pressure`, the pressure of the projector's
     previous solve (None before the first), also across a retag; the start
-    is kept here, not on the shared cached system, so two projectors on one
+    is kept here, not on the system, so two projectors on one carried
     system do not steer each other.  With it the projector keeps `_image`,
     its A p; a solve sets both only once CG has converged, on arrays of its
     own, so a failed solve leaves them as they were.
     """
 
-    def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None):
+    def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None,
+                 carry=None):
         self.flags = flags
         self.bc = bc
         self.cg = cg if cg is not None else CgConfig()
         self.eps = self.cg.eps_start
-        self.system = _system_for(flags, bc)
+        self.system = carry.system if carry is not None else None
+        if self.system is None or self.system.key != _key(flags, bc):
+            self.system = PoissonSystem(flags, bc)
+            if carry is not None:
+                carry.system = self.system
         self.pressure = None   # the last solve's p
         self._image = np.zeros(flags.dims.shape)   # the last solve's A p
 

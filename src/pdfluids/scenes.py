@@ -285,7 +285,8 @@ def smoke_step(state: SceneState, cfg: GuidingConfig | None = None,
     """One smoke frame: buoyancy, advection, then the guided projection (or a
     plain one when no guiding configuration is given).  The guided solve
     starts from the dual the last one left on `state.carry`, when it ran on
-    the same dims and sigma, and leaves its own there."""
+    the same dims and sigma, and leaves its own there.  Either projection
+    reuses the PoissonSystem on `state.carry` (DivergenceProjector)."""
     spec = state.spec
     if state.density is None:
         raise ValueError("smoke_step needs a smoke scene")
@@ -301,7 +302,7 @@ def smoke_step(state: SceneState, cfg: GuidingConfig | None = None,
     log = ConvergenceLog()
     if cfg is None:
         cg = cg if cg is not None else CgConfig()
-        state.vel = _fixed_projection(u_c, state.flags, cg, log, "projection")
+        state.vel = _fixed_projection(u_c, state.flags, cg, log, "projection", state.carry)
     else:
         state.vel = guide_step(u_c, cfg, method=method, pd_params=pd_params,
                                admm_params=admm_params, cg=cg, log=log,
@@ -341,28 +342,11 @@ def flags_from_particles(state: SceneState) -> CellFlags:
     return CellFlags(d, vals)
 
 
-# the one particle stencil kept, keyed on the grid and a copy of the
-# positions' bits: a liquid frame builds it in P2G, its PIC and FLIP-delta
-# gathers read it again, and the midpoint gather replaces it
-_cached: tuple | None = None
-
-
-def _particle_stencils(dims: GridDims, pos: np.ndarray) -> list:
-    """The face stencils of every active axis at (N, 3) particle positions."""
-    global _cached
-    bits = np.ascontiguousarray(pos, dtype=np.float64).view(np.uint64)
-    if _cached is None or _cached[0] != dims or not np.array_equal(_cached[1], bits):
-        _cached = None   # the old stencil goes before the new one is built
-        _cached = (dims, bits.copy(), _face_stencils(dims, pos.T))
-    return _cached[2]
-
-
-def particles_to_grid(state: SceneState) -> VelocityField:
+def particles_to_grid(state: SceneState, stencils: list) -> VelocityField:
     """Multilinear scatter of particle velocities onto the staggered grid:
-    each face takes the weighted mean of the particles in its stencil."""
-    d = state.flags.dims
-    vel = VelocityField.zeros(d)
-    stencils = _particle_stencils(d, state.particles_pos)
+    each face takes the weighted mean of the particles in its stencil (the
+    `_face_stencils` of state.particles_pos)."""
+    vel = VelocityField.zeros(state.flags.dims)
     for (axis, arr), st in zip(vel.components(), stencils):
         # terms laid out corner by corner: bincount adds the terms of each
         # face in that order, the order of one scatter per corner
@@ -376,11 +360,11 @@ def particles_to_grid(state: SceneState) -> VelocityField:
     return vel
 
 
-def sample_at_particles(vel: VelocityField, pos: np.ndarray) -> np.ndarray:
-    """Velocity at (N, 3) particle positions, as an (N, 3) array; 0.0 on an
-    inactive axis."""
-    out = np.zeros(pos.shape)
-    for (axis, arr), st in zip(vel.components(), _particle_stencils(vel.dims, pos)):
+def sample_at_particles(vel: VelocityField, stencils: list) -> np.ndarray:
+    """Velocity at N particles, as an (N, 3) array, read through their
+    `_face_stencils` on vel's grid; 0.0 on an inactive axis."""
+    out = np.zeros((stencils[0].base.size, 3))
+    for (axis, arr), st in zip(vel.components(), stencils):
         out[:, axis] = st.gather(arr)
     return out
 
@@ -438,19 +422,12 @@ class _Extrapolation:
         return VelocityField._of(vel.dims, ext[:self.n])
 
 
-# the one extrapolation plan kept, keyed on the content of the flags: a
-# liquid frame builds it for its new field and reuses it for the old one
-_extrapolation: tuple | None = None
-
-
-def extrapolate_velocity(vel: VelocityField, flags: CellFlags) -> VelocityField:
-    """Spread face values into the empty region by averaging valid
-    neighbours, EXTRAPOLATION_LAYERS cells deep; wall faces are left alone."""
-    global _extrapolation
-    key = (flags.dims, flags.values.tobytes())
-    if _extrapolation is None or _extrapolation[0] != key:
-        _extrapolation = (key, _Extrapolation(flags))
-    return _extrapolation[1].apply(vel)
+def extrapolate_velocity(fields, flags: CellFlags) -> list:
+    """Each of `fields` with its face values spread into the empty region by
+    averaging valid neighbours, EXTRAPOLATION_LAYERS cells deep; wall faces
+    are left alone.  One plan of the flags serves every field."""
+    plan = _Extrapolation(flags)
+    return [plan.apply(vel) for vel in fields]
 
 
 def _clamp_particles(state: SceneState, pos: np.ndarray,
@@ -480,9 +457,11 @@ def _clamp_particles(state: SceneState, pos: np.ndarray,
 
 def liquid_begin_step(state: SceneState):
     """Particle transfer, flag update and gravity; returns the intermediate
-    grid velocity and the pre-force copy used for the FLIP delta."""
+    grid velocity, the pre-force copy used for the FLIP delta and the
+    particles' face stencils, which liquid_finish_step reads again."""
     state.flags = flags_from_particles(state)
-    vel = particles_to_grid(state)
+    stencils = _face_stencils(state.flags.dims, state.particles_pos.T)
+    vel = particles_to_grid(state, stencils)
     # transfer taps can spill momentum onto faces with no fluid neighbour
     # (inside walls, into the air); those DOFs carry no meaning and stay zero
     spill = ~_flat_faces(vel.dims, lambda a: fluid_adjacent_face_mask(state.flags, a))
@@ -490,7 +469,7 @@ def liquid_begin_step(state: SceneState):
     vel_old = vel.copy()
     m = fluid_adjacent_face_mask(state.flags, 1)
     vel.v[m] -= state.spec.gravity * state.dt
-    return vel, vel_old
+    return vel, vel_old, stencils
 
 
 def liquid_pressure_solve(vel: VelocityField, flags: CellFlags, mode: str,
@@ -506,27 +485,29 @@ def liquid_pressure_solve(vel: VelocityField, flags: CellFlags, mode: str,
     if mode == "regular":
         out = vel.copy()
         _zero_solid_faces(out, flags)
-        return _fixed_projection(out, flags, cg, log, "regular")
+        return _fixed_projection(out, flags, cg, log, "regular", None)
     if mode == "separating-standard":
         return solve_separating_standard(vel, flags, state=state, cg=cg, log=log)
     return solve_separating_accelerated(vel, flags, cg=cg, state=state, log=log)
 
 
 def liquid_finish_step(state: SceneState, vel_new: VelocityField,
-                       vel_old: VelocityField):
-    """FLIP/PIC particle update, velocity extrapolation and advection."""
+                       vel_old: VelocityField, stencils: list):
+    """FLIP/PIC particle update, velocity extrapolation and advection.  The
+    PIC and FLIP-delta gathers read the stencils of liquid_begin_step, then
+    the list is emptied, so the midpoint stencil is built with them freed."""
     d = state.flags.dims
-    vel_ext = extrapolate_velocity(vel_new, state.flags)
     # extrapolate the pre-force field the same way so the FLIP delta near the
     # surface measures physical acceleration, not the extrapolation pattern
-    old_ext = extrapolate_velocity(vel_old, state.flags)
-    pic = sample_at_particles(vel_ext, state.particles_pos)
-    delta = sample_at_particles(vel_ext - old_ext, state.particles_pos)
+    vel_ext, old_ext = extrapolate_velocity((vel_new, vel_old), state.flags)
+    pic = sample_at_particles(vel_ext, stencils)
+    delta = sample_at_particles(vel_ext - old_ext, stencils)
+    stencils.clear()
     flip = state.particles_vel + delta
     state.particles_vel = FLIP_BLEND * flip + (1.0 - FLIP_BLEND) * pic
     dt = _cfl_dt(vel_ext, state.dt, d.h)
     mid = _clamp_particles(state, state.particles_pos + 0.5 * dt * pic)
-    pos = state.particles_pos + dt * sample_at_particles(vel_ext, mid)
+    pos = state.particles_pos + dt * sample_at_particles(vel_ext, _face_stencils(d, mid.T))
     state.particles_pos = _clamp_particles(state, pos, state.particles_vel)
     state.vel = vel_new
     state.frame += 1
@@ -542,12 +523,12 @@ def liquid_step(state: SceneState, mode: str = "regular",
         raise ValueError("liquid_step needs a particle scene")
     if bc_state is not None or state.carry.walls is None:
         state.carry.walls = bc_state or BcState.initial(state.flags)
-    vel, vel_old = liquid_begin_step(state)
+    vel, vel_old, stencils = liquid_begin_step(state)
     log = ConvergenceLog()
     vel_new = liquid_pressure_solve(vel, state.flags, mode, cg=cg,
                                     state=state.carry.walls, log=log)
     state.last_log = log
-    liquid_finish_step(state, vel_new, vel_old)
+    liquid_finish_step(state, vel_new, vel_old, stencils)
     return state
 
 

@@ -55,7 +55,7 @@ def dam_runs():
     cg_acc, cg_std, field_diffs, div_std = [], [], [], []
     saved_intermediate = None
     for frame in range(DAM_FRAMES):
-        vel, vel_old = liquid_begin_step(state)
+        vel, vel_old, stencils = liquid_begin_step(state)
         if frame == 40:
             saved_intermediate = (vel.copy(), state.flags.copy())
         log_a, log_s = ConvergenceLog(), ConvergenceLog()
@@ -67,7 +67,7 @@ def dam_runs():
         cg_std.append(log_s.total_cg_iters)
         field_diffs.append((out_a - out_s).norm() / max(out_s.norm(), 1e-12))
         div_std.append(float(np.abs(divergence(out_s, state.flags).values).max()))
-        liquid_finish_step(state, out_a, vel_old)
+        liquid_finish_step(state, out_a, vel_old, stencils)
         sep_contact.append(ceiling_contact_cells(state.flags))
     return {"regular_contact": regular_contact, "sep_contact": sep_contact,
             "cg_acc": cg_acc, "cg_std": cg_std, "field_diffs": field_diffs,

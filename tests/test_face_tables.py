@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import random_velocity, wall_set
-from pdfluids import pressure
 from pdfluids.fields import (CellType, GridDims, ScalarField, VelocityField,
                              _along, _backtrace_rk2, _face_views, _flat_faces,
                              _interp_component, _to_faces, advect_semi_lagrangian,
                              face_centers, face_valid_mask)
+from pdfluids.optim import SolverCarry
 from pdfluids.pressure import (BcTable, DivergenceProjector, FaceTag, PoissonSystem,
                                subtract_gradient)
 from pdfluids.separating import _NORMAL, BoundaryFaces, classified_walls_table
@@ -316,16 +316,19 @@ def test_face_cell_table(shape):
 
 
 def test_cache_key_reads_every_tag():
-    # one tag changed in place, on the last face of each block in turn
+    # one tag changed in place, on the last face of each block in turn,
+    # misses the carried system
     flags = closed(SHAPES["3d"])
     bc = BcTable.from_flags(flags)
-    system = DivergenceProjector(flags, bc).system
+    carry = SolverCarry()
+    system = DivergenceProjector(flags, bc, carry=carry).system
     for view in _face_views(flags.dims, bc.tags):
         view[(-1, -1, -1)] = FaceTag.DIRICHLET
-        again = DivergenceProjector(flags, bc).system
+        again = DivergenceProjector(flags, bc, carry=carry).system
         assert again is not system
         system = again
-    assert pressure._system_for(flags, BcTable(flags.dims, bc.tags.copy())) is system
+    assert DivergenceProjector(flags, BcTable(flags.dims, bc.tags.copy()),
+                               carry=carry).system is system
 
 
 def test_dims_h_must_be_finite():

@@ -40,6 +40,24 @@ def test_only_fields_touches_the_velocity_buffer():
     assert not users
 
 
+def test_no_module_global_but_the_blur_kernel():
+    # a cache lives on the object that owns it: a PoissonSystem on its
+    # projector or a caller's SolverCarry, the particle stencils and the
+    # extrapolation plan in their liquid frame.  blur._kernel_for keeps its
+    # one kernel, as bench/test_bench.py pins the blur call a guided frame makes
+    src = Path(pdfluids.__file__).parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # ast.walk goes outside in, so a nested function names its own nodes
+        owner = {id(node): f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
+        sites += [owner.get(id(node), path.stem) for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)]
+    assert sites == ["blur._kernel_for"]
+
+
 def _identifiers(tree, strings=False) -> set:
     """Names and attributes used in `tree`; with `strings`, also imported
     names and the identifiers inside string constants (the tracer names its

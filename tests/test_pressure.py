@@ -12,6 +12,7 @@ from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, _along, _face_views, _flat_faces,
                              cell_centers, divergence, fluid_adjacent_face_mask)
 from pdfluids.guiding import guide_step
+from pdfluids.optim import SolverCarry
 from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                                PoissonConvergenceError, PoissonSystem, project,
                                subtract_gradient)
@@ -329,7 +330,7 @@ class TestNonFiniteInput:
                                       "separating-accelerated"])
     def test_liquid_pressure_solve(self, bad, mode):
         state, _ = build_scene(SceneSpec("dam", nx=16, ny=16))
-        vel, _ = liquid_begin_step(state)
+        vel = liquid_begin_step(state)[0]
         fl = state.flags.fluid
         i, j, k = np.argwhere(fl[1:] & fl[:-1])[0]   # x-face between two FLUID cells
         vel.u[i + 1, j, k] = bad
@@ -354,7 +355,7 @@ class TestNonFiniteInput:
                                       "separating-accelerated"])
     def test_liquid_empty_empty_face(self, bad, mode):
         state, _ = build_scene(SceneSpec("dam", nx=16, ny=16))
-        vel, _ = liquid_begin_step(state)
+        vel = liquid_begin_step(state)[0]
         em = state.flags.values == CellType.EMPTY
         i, j, k = np.argwhere(em[1:] & em[:-1])[0]   # x-face between two EMPTY cells
         vel.u[i + 1, j, k] = bad
@@ -1232,8 +1233,8 @@ class TestWarmStart:
         assert iters == ref_iters > 1 and out.as_flat().tobytes() == ref.as_flat().tobytes()
 
     def test_projectors_on_one_system_keep_their_own_start(self, rng):
-        # two projectors on the one cached system, alternated, give what
-        # each gives alone
+        # two projectors on one carried system, alternated, give what each
+        # gives alone on a system of its own
         state, _ = build_scene(SceneSpec("dam", nx=40, ny=30))
         flags = state.flags
         bc = BcTable.from_flags(flags)
@@ -1244,7 +1245,8 @@ class TestWarmStart:
             return [projector.project(v)[0].as_flat().tobytes() for v in seq]
 
         alone = [run(seq, DivergenceProjector(flags, bc)) for seq in inputs]
-        first, second = DivergenceProjector(flags, bc), DivergenceProjector(flags, bc)
+        carry = SolverCarry()
+        first, second = (DivergenceProjector(flags, bc, carry=carry) for _ in range(2))
         assert first.system is second.system
         both = [[], []]
         for pair in zip(*inputs):
@@ -1644,42 +1646,48 @@ class TestNeumannPocket:
 
 
 class TestSystemCache:
-    """DivergenceProjector takes the one cached PoissonSystem, keyed on the
-    content of the flags and the table."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(pressure, "_cached", None)
+    """DivergenceProjector takes the PoissonSystem that a caller's SolverCarry
+    holds while its key, the content of the flags and the table, matches;
+    otherwise it builds one and leaves it on the carry."""
 
     def test_equal_content_hits(self):
         d = GridDims(12, 10)
         flags = CellFlags.closed_box(d)
-        first = DivergenceProjector(flags, BcTable.from_flags(flags)).system
+        carry = SolverCarry()
+        first = DivergenceProjector(flags, BcTable.from_flags(flags), carry=carry).system
+        assert carry.system is first
         again = CellFlags(d, flags.values.copy())
-        assert DivergenceProjector(again, BcTable.from_flags(again)).system is first
+        assert DivergenceProjector(again, BcTable.from_flags(again), carry=carry).system is first
+        # without a carry a projector builds its own
+        assert DivergenceProjector(again, BcTable.from_flags(again)).system is not first
 
     def test_changed_in_place_misses(self):
         d = GridDims(12, 10)
         flags = CellFlags.closed_box(d)
         bc = BcTable.from_flags(flags)
-        first = DivergenceProjector(flags, bc).system
+        carry = SolverCarry()
+        first = DivergenceProjector(flags, bc, carry=carry).system
         _face_views(d, bc.tags)[0][4, 4, 0] = FaceTag.DIRICHLET
-        second = DivergenceProjector(flags, bc).system
+        second = DivergenceProjector(flags, bc, carry=carry).system
         assert second is not first and second._components == []
+        assert carry.system is second
         flags.values[5, 5, 0] = CellType.SOLID
-        third = DivergenceProjector(flags, bc).system
+        third = DivergenceProjector(flags, bc, carry=carry).system
         assert third is not second and not third.active[5, 5, 0]
 
     def test_retag_moves_the_key(self):
         flags, bc, faces, pocket, cell = pocket_and_cell_case()
         before = BcTable(flags.dims, bc.tags.copy())
-        projector = DivergenceProjector(flags, bc)
+        carry = SolverCarry()
+        projector = DivergenceProjector(flags, bc, carry=carry)
         retagged = projector.system
         projector.retag(faces.index[pocket][:3], faces.cell[pocket][:3], FaceTag.NEUMANN)
+        assert retagged.key == pressure._key(flags, bc)
         after = BcTable(flags.dims, bc.tags.copy())
-        assert pressure._system_for(flags, after) is retagged
-        old = pressure._system_for(flags, before)
-        assert old is not retagged
+        assert DivergenceProjector(flags, after, carry=carry).system is retagged
+        # a projector with the pre-retag content gets a fresh system
+        old = DivergenceProjector(flags, before, carry=carry).system
+        assert old is not retagged and carry.system is old
         assert_same_system(old, PoissonSystem(flags, before))
         # and the old content's system did not become the retagged one
         assert old.diag.tobytes() != retagged.diag.tobytes()
@@ -1688,5 +1696,7 @@ class TestSystemCache:
         state, cfg = build_scene(SceneSpec("circular", nx=16, ny=16))
         u = state.vel
         for _ in range(2):
-            u = guide_step(u, cfg)
+            u = guide_step(u, cfg, dual=state.carry)
         assert len(builds) == 1
+        guide_step(u, cfg)   # no carry: a system of its own
+        assert len(builds) == 2

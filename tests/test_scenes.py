@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from pdfluids.fields import CellType, GridDims, VelocityField, cell_centers, divergence
+from pdfluids.fields import (CellType, GridDims, VelocityField, _face_stencils,
+                             cell_centers, divergence)
 from pdfluids.guiding import default_guiding_params, guide_step
 from pdfluids.optim import SolverCarry
 from pdfluids.pressure import CgConfig, PoissonConvergenceError
@@ -318,6 +319,41 @@ def test_liquid_frames_reuse_one_grid(mode, monkeypatch):
     assert builds.count("_face_cells") == 1
 
 
+def test_liquid_bits_do_not_depend_on_a_scene_stepped_between(monkeypatch):
+    # a liquid frame builds its own PoissonSystem and a smoke scene keeps its
+    # own on state.carry, so a guided scene stepped between the liquid's
+    # frames changes none of its bits and builds one system in all
+    from pdfluids.pressure import PoissonSystem
+    builds, build = [], PoissonSystem.__init__
+
+    def counted(system, flags, bc):
+        builds.append(flags.dims.nx)
+        build(system, flags, bc)
+
+    monkeypatch.setattr(PoissonSystem, "__init__", counted)
+
+    def run(interleave):
+        liquid, _ = build_scene(SceneSpec("hydrostatic", nx=24, ny=16, seed=1))
+        smoke, cfg = build_scene(SceneSpec("circular", nx=16, ny=16))
+        frames = []
+        for _ in range(10):
+            liquid_step(liquid, mode="separating-accelerated")
+            frames.append(b"".join(a.tobytes() for a in (
+                liquid.vel.as_flat(), liquid.particles_pos, liquid.particles_vel,
+                np.array(liquid.last_log.residuals), np.array(liquid.last_log.cg_iters),
+                liquid.carry.walls.nsep)))
+            if interleave:
+                smoke_step(smoke, cfg.with_current(smoke.vel))
+        return frames
+
+    alone = run(False)
+    alone_builds = builds[:]
+    builds.clear()
+    assert run(True) == alone
+    assert alone_builds == [24] * 10
+    assert builds.count(24) == 10 and builds.count(16) == 1
+
+
 def test_a_deep_copy_steps_as_the_original_does():
     # the copy's u, v and w view its one buffer, which as_flat and every
     # solver read, so buoyancy written through .v reaches the solve
@@ -363,9 +399,9 @@ class TestLiquid:
         params = PdParams(tau=1.0, sigma=1.0, theta=1.0, max_iters=2000,
                           eps_abs=1e-5, eps_rel=1e-5)
         for _ in range(10):
-            vel, vel_old = liquid_begin_step(state)
+            vel, vel_old, stencils = liquid_begin_step(state)
             vel_new = solve_separating_standard(vel, state.flags, params=params)
-            liquid_finish_step(state, vel_new, vel_old)
+            liquid_finish_step(state, vel_new, vel_old, stencils)
         drift = np.abs(state.particles_pos - start).max()
         assert drift <= 0.1 * spec.h
 
@@ -463,6 +499,11 @@ def _transfer_state(nz, rng):
     return state
 
 
+def _stencils(dims, pos):
+    """The face stencils of (N, 3) particle positions, as a frame builds them."""
+    return _face_stencils(dims, pos.T)
+
+
 def _ref_sample_at_particles(vel, pos):
     """The G2P loop as written before the one point sampler."""
     from pdfluids.fields import _interp_component
@@ -502,8 +543,7 @@ def _ref_liquid_finish_step(state, vel_new, vel_old):
     three G2P calls, each building its own stencil."""
     from pdfluids.scenes import FLIP_BLEND, _cfl_dt, extrapolate_velocity
     d = state.spec.dims
-    vel_ext = extrapolate_velocity(vel_new, state.flags)
-    old_ext = extrapolate_velocity(vel_old, state.flags)
+    vel_ext, old_ext = extrapolate_velocity((vel_new, vel_old), state.flags)
     pic = _ref_sample_at_particles(vel_ext, state.particles_pos)
     delta = _ref_sample_at_particles(vel_ext - old_ext, state.particles_pos)
     flip = state.particles_vel + delta
@@ -543,7 +583,7 @@ class TestTransferBitwise:
     @pytest.mark.parametrize("nz", [1, 7], ids=["2d", "3d"])
     def test_p2g_matches_add_at_reference(self, nz, rng):
         state = _transfer_state(nz, rng)
-        got = particles_to_grid(state)
+        got = particles_to_grid(state, _stencils(state.spec.dims, state.particles_pos))
         want = _ref_particles_to_grid(state)
         for a in range(3):
             assert got.component(a).tobytes() == want.component(a).tobytes()
@@ -551,9 +591,9 @@ class TestTransferBitwise:
     @pytest.mark.parametrize("nz", [1, 7], ids=["2d", "3d"])
     def test_g2p_matches_loop_reference(self, nz, rng):
         state = _transfer_state(nz, rng)
-        vel = particles_to_grid(state)
+        vel = particles_to_grid(state, _stencils(state.spec.dims, state.particles_pos))
         for pos in (state.particles_pos, state.particles_pos[:0]):
-            got = sample_at_particles(vel, pos)
+            got = sample_at_particles(vel, _stencils(vel.dims, pos))
             assert got.shape == pos.shape and got.flags.c_contiguous
             assert got.tobytes() == _ref_sample_at_particles(vel, pos).tobytes()
 
@@ -580,10 +620,11 @@ class TestTransferBitwise:
         import copy
         from pdfluids.scenes import liquid_pressure_solve
         state = _transfer_state(nz, rng)
-        vel, vel_old = liquid_begin_step(state)
+        vel, vel_old, stencils = liquid_begin_step(state)
         vel_new = liquid_pressure_solve(vel, state.flags, "regular")
         ref = copy.deepcopy(state)
-        liquid_finish_step(state, vel_new, vel_old)
+        liquid_finish_step(state, vel_new, vel_old, stencils)
+        assert stencils == []   # read by the two gathers at the particles, then dropped
         _ref_liquid_finish_step(ref, vel_new.copy(), vel_old.copy())
         assert state.particles_pos.tobytes() == ref.particles_pos.tobytes()
         assert state.particles_vel.tobytes() == ref.particles_vel.tobytes()
@@ -594,43 +635,63 @@ class TestTransferBitwise:
 class TestParticleStencil:
     @pytest.mark.parametrize("nz", [1, 5], ids=["2d", "3d"])
     def test_one_stencil_at_particles_and_one_at_midpoints(self, nz, monkeypatch):
+        import weakref
+
         import pdfluids.scenes as scenes
         state, _ = build_scene(SceneSpec("dam", nx=16, ny=12, nz=nz, seed=1))
-        liquid_step(state)   # the cache now holds this frame's midpoint stencil
-        built, sampled = [], []
-        build, sample = scenes._face_stencils, scenes.sample_at_particles
+        liquid_step(state)
+        # each build by its points and a weak reference, so the test keeps
+        # no stencil alive; each read by the build it came from
+        built, alive, read = [], [], []
+        build, sample, p2g = (scenes._face_stencils, scenes.sample_at_particles,
+                              scenes.particles_to_grid)
 
         def counting_build(dims, points):
-            built.append(np.asarray(points).T.tobytes())
-            return build(dims, points)
+            alive.append([ref() is not None for _, ref in built])
+            stencils = build(dims, points)
+            built.append((np.asarray(points).T.tobytes(), weakref.ref(stencils[0].base)))
+            return stencils
 
-        def recording_sample(vel, pos):
-            sampled.append(pos.tobytes())
-            return sample(vel, pos)
+        def origin(stencils):
+            return [k for k, (_, ref) in enumerate(built) if ref() is stencils[0].base]
+
+        def recording_p2g(state, stencils):
+            read.append(origin(stencils))
+            return p2g(state, stencils)
+
+        def recording_sample(vel, stencils):
+            read.append(origin(stencils))
+            return sample(vel, stencils)
 
         monkeypatch.setattr(scenes, "_face_stencils", counting_build)
+        monkeypatch.setattr(scenes, "particles_to_grid", recording_p2g)
         monkeypatch.setattr(scenes, "sample_at_particles", recording_sample)
         start = state.particles_pos.tobytes()
         liquid_step(state)
         # P2G builds the stencil at the particles, PIC and FLIP-delta read it
-        # again, and the midpoint sample builds the one other
-        assert len(built) == 2 and built[0] == start and built[1] != start
-        assert sampled == [start, start, built[1]]
+        # again, and the midpoint sample builds the one other after the
+        # first is freed
+        assert len(built) == 2 and built[0][0] == start and built[1][0] != start
+        assert read == [[0], [0], [0], [1]]
+        assert alive == [[], [False]]
 
     @pytest.mark.parametrize("nz", [1, 5], ids=["2d", "3d"])
     def test_no_particles(self, nz):
         state, _ = build_scene(SceneSpec("dam", nx=16, ny=12, nz=nz))
         state.particles_pos = state.particles_vel = np.zeros((0, 3))
-        assert particles_to_grid(state).max_abs() == 0.0
-        assert sample_at_particles(state.vel, state.particles_pos).shape == (0, 3)
+        stencils = _stencils(state.spec.dims, state.particles_pos)
+        assert particles_to_grid(state, stencils).max_abs() == 0.0
+        assert sample_at_particles(state.vel, stencils).shape == (0, 3)
 
     def test_positions_changed_in_place_rebuild_the_stencil(self, rng):
+        # a stencil holds the positions it was built from; one built after
+        # they change in place reads the new ones
         state = _transfer_state(1, rng)
-        vel = particles_to_grid(state)
         pos = state.particles_pos
-        sample_at_particles(vel, pos)
+        vel = particles_to_grid(state, _stencils(state.spec.dims, pos))
+        sample_at_particles(vel, _stencils(vel.dims, pos))
         pos[:5, 0] += 0.37 * state.spec.h
-        assert sample_at_particles(vel, pos).tobytes() == \
+        assert sample_at_particles(vel, _stencils(vel.dims, pos)).tobytes() == \
             _ref_sample_at_particles(vel, pos).tobytes()
 
 
@@ -665,11 +726,12 @@ class TestExtrapolation:
         from pdfluids.scenes import extrapolate_velocity
         state = _transfer_state(nz, rng)
         flags = flags_from_particles(state)
-        for _ in range(2):   # the second field reuses the first one's plan
-            vel = random_velocity(flags.dims, rng)
+        fields = [random_velocity(flags.dims, rng) for _ in range(2)]
+        for vel in fields:
             for _, arr in vel.components():
                 arr[rng.random(arr.shape) < 0.3] = -0.0
-            got = extrapolate_velocity(vel, flags)
+        # the second field reuses the first one's plan
+        for vel, got in zip(fields, extrapolate_velocity(fields, flags), strict=True):
             want = _ref_extrapolate_velocity(vel, flags)
             assert got.as_flat().tobytes() == want.as_flat().tobytes()
 
@@ -684,24 +746,21 @@ class TestExtrapolation:
             return plan(flags)
 
         monkeypatch.setattr(scenes, "_Extrapolation", counting_plan)
-        monkeypatch.setattr(scenes, "_extrapolation", None)
         seen = []
         for _ in range(6):
             liquid_step(state)
             seen.append(state.flags.values.tobytes())
-        # the new and the old field share one plan, and a frame whose flags
-        # match the last frame's builds none
-        changed = [f for k, f in enumerate(seen) if k == 0 or f != seen[k - 1]]
-        assert built == changed
+        # the new and the old field share one plan, built from the frame's flags
+        assert built == seen
 
     def test_flags_changed_in_place_rebuild_the_plan(self, rng):
         from pdfluids.scenes import extrapolate_velocity
         state = _transfer_state(1, rng)
         flags = flags_from_particles(state)
         vel = random_velocity(flags.dims, rng)
-        extrapolate_velocity(vel, flags)
+        extrapolate_velocity([vel], flags)
         flags.values[3:6, 2:4, 0] = CellType.EMPTY
-        assert extrapolate_velocity(vel, flags).as_flat().tobytes() == \
+        assert extrapolate_velocity([vel], flags)[0].as_flat().tobytes() == \
             _ref_extrapolate_velocity(vel, flags).as_flat().tobytes()
 
 
