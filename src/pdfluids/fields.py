@@ -286,7 +286,7 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     boundary, carved out of a plain byte buffer (numpy's own allocations
     are 16-byte aligned, and its kernels run slower at such offsets)."""
     dtype = np.dtype(dtype)
-    nbytes = int(np.prod(shape)) * dtype.itemsize
+    nbytes = (math.prod(shape) if isinstance(shape, tuple) else int(shape)) * dtype.itemsize
     raw = np.empty(nbytes + 64, dtype=np.uint8)
     start = -raw.ctypes.data % 64
     return raw[start:start + nbytes].view(dtype).reshape(shape)

@@ -165,16 +165,18 @@ def pd_solve(prox_f: ProxOperator, projector: DivergenceProjector, params: PdPar
 
     Per iteration, with zb the relaxed base:
       x  <- x + r*sigma*y - r*sigma*prox_f(sigma, x/sigma + y)
-      z  <- project(zb - tau*x)         (adaptive CG accuracy)
+      z  <- project(zb - tau*x)         (CG accuracy from projector.adapt)
       y  <- z + theta*(z - zb)
       zb <- zb + r*(z - zb)
     and stop once the stop residual falls below the stop threshold with the
-    CG tolerance already at its final accuracy.  At r = 1 the base is the
-    last projection output.  The residual is the iterate change
-    ||z - z_old|| of the projection outputs or, for a prox whose f holds an
-    indicator (`has_indicator`), the larger of the primal and dual
-    residuals ||z - z_old|| / tau of the projection step and ||p - z|| of
-    dual feasibility, with p the prox output: at r = 1, x changes by
+    CG tolerance already at its final accuracy.  Each residual sets the
+    next projection's accuracy: a decade tighter near the threshold, or
+    the final accuracy once the last contraction predicts the stop.  At
+    r = 1 the base is the last projection output.  The residual is the
+    iterate change ||z - z_old|| of the projection outputs or, for a prox
+    whose f holds an indicator (`has_indicator`), the larger of the primal
+    and dual residuals ||z - z_old|| / tau of the projection step and
+    ||p - z|| of dual feasibility, with p the prox output: at r = 1, x changes by
     sigma*(y - p), so y + (x_old - x)/sigma - z = p - z.  At theta = 1,
     sigma = rho and tau = 1/rho they are ADMM's s = rho ||z - z_old|| and
     r = ||x - z|| (Boyd et al., Found. Trends ML 2011, 3.3.1), and the

@@ -9,13 +9,19 @@ mean-subtracted for compatibility.  One private loop, _pcg, is every CG of
 the package: this solve and the velocity-space CG of the guiding paths.
 The gradient update gathers each face's two cells through one flat table
 of the grid dims (GridDims._face_cells) with a zero ghost slot.
+DivergenceProjector owns the outer loops' CG accuracy: it tightens a
+decade per outer iteration near the stop, and to the final accuracy at
+once when the last contraction predicts the stop for the next iteration.
 
 Every grid of the system, its own first and then each coarser one of the
 multigrid, stores its stencil flat: the diagonal and, per axis a, one
 coefficient array over the flattened cells that couples cell c to cell
 c + stride_a, zero where that neighbour wraps to the next row.  Each half
 of a matvec update is then one contiguous multiply and subtract into
-preallocated scratch, and one routine serves every grid.
+preallocated scratch, and one routine serves every grid.  A build
+allocates every array of a grid, and each CG call its work vectors (from
+one buffer), on 64-byte boundaries (fields._aligned_empty): numpy's own
+arrays are 16-byte aligned, and its kernels run slower on them.
 Each PoissonSystem records in `key` the content of the flags and table it
 serves.  DivergenceProjector reuses the system a caller's SolverCarry holds
 while that key matches, and starts each solve from the pressure of its
@@ -51,8 +57,8 @@ from enum import IntEnum
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _along, _check_dims, _face_views, _flat_faces, _to_faces,
-                     divergence)
+                     _aligned_empty, _along, _check_dims, _face_views, _flat_faces,
+                     _to_faces, divergence)
 
 
 class FaceTag(IntEnum):
@@ -167,7 +173,7 @@ class PoissonSystem:
             fine = self.grids[-1]
             count, stencil = _galerkin(parent, count, stencil, shape)
             parent[(fine.count == 0) | (count[parent] == 0)] = count.size
-            fine.parent, fine.coarse = parent, np.zeros(count.size + 1)
+            fine.parent, fine.coarse = _aligned(parent), _aligned(np.zeros(count.size + 1))
             self.grids.append(_Grid(count, stencil, inv_h2))
         # the coarsest grid's dense matrix over its active cells, inverted
         self.cells = np.flatnonzero(count)
@@ -329,7 +335,10 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
     x0, residual or d.A d, on a breakdown and when max_iters is used up;
     the reported residual is ||r||_2 / max(||b||_2, floor).
     """
-    x, z, d, ad, tmp = (np.empty_like(b) for _ in range(5))
+    n = b.size
+    m = -(-n // 8) * 8   # each vector starts on a 64-byte boundary of one buffer
+    work = _aligned_empty(5 * m)
+    x, z, d, ad, tmp = (work[k:k + n].reshape(b.shape) for k in range(0, 5 * m, m))
     if x0 is None:
         x.fill(0.0)
     bnorm = float(np.linalg.norm(b))
@@ -573,6 +582,13 @@ def _smw(inv, k, d):
     inv *= 0.5
 
 
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` that starts on a 64-byte boundary (fields._aligned_empty)."""
+    out = _aligned_empty(a.shape, a.dtype)
+    np.copyto(out, a)
+    return out
+
+
 class _Grid:
     """One flat grid of the V-cycle from its Laplacian's integer face
     counts `count` (the diagonal) and stencil, with both scaled by 1/h^2,
@@ -586,13 +602,13 @@ class _Grid:
     grid's correction, whose last slot stays 0."""
 
     def __init__(self, count, stencil, inv_h2):
-        self.count = count
-        self.diag = count * inv_h2
-        self.stencil = [(s, c * inv_h2) for s, c in stencil]
-        with np.errstate(divide="ignore"):
-            self.wdinv = np.where(count > 0, _OMEGA / self.diag, 0.0)
-        self.t = np.empty_like(count)     # residual
-        self.tmp = np.empty_like(count)   # matvec scratch
+        self.count = _aligned(count)
+        self.diag = _aligned(count * inv_h2)
+        self.stencil = [(s, _aligned(c * inv_h2)) for s, c in stencil]
+        self.wdinv = _aligned(np.zeros(count.size))
+        np.divide(_OMEGA, self.diag, out=self.wdinv, where=count > 0)
+        self.t = _aligned_empty(count.size)     # residual
+        self.tmp = _aligned_empty(count.size)   # matvec scratch
 
 
 # what a PoissonSystem serves: equal tags match, tags changed in place do not
@@ -651,9 +667,10 @@ class DivergenceProjector:
     """Projection bundle used inside the optimizer loops.
 
     Holds the Poisson system for a fixed flag/boundary configuration and owns
-    the adaptive CG accuracy `eps` (from cg.eps_start down to cg.eps_final),
-    and reports the CG effort of each projection so convergence logs can
-    attribute cost.  A fixed accuracy eps is CgConfig(eps, eps, max_cg_iters).
+    the adaptive CG accuracy `eps` (from cg.eps_start down to cg.eps_final,
+    set by `adapt` from the outer loop's stop residuals), and reports the
+    CG effort of each projection so convergence logs can attribute cost.
+    A fixed accuracy eps is CgConfig(eps, eps, max_cg_iters).
     The system is the one a caller's SolverCarry `carry` holds while its key
     is (flags, bc); else the projector builds one and leaves it on the carry.
     Each solve starts from `pressure`, the pressure of the projector's
@@ -670,6 +687,7 @@ class DivergenceProjector:
         self.bc = bc
         self.cg = cg if cg is not None else CgConfig()
         self.eps = self.cg.eps_start
+        self._residual = None   # the last stop residual adapt saw
         self.system = carry.system if carry is not None else None
         if self.system is None or self.system.key != _key(flags, bc):
             self.system = PoissonSystem(flags, bc)
@@ -722,8 +740,18 @@ class DivergenceProjector:
             self.system.apply(self.pressure, self._image)
 
     def adapt(self, residual: float, eps_stop: float) -> float:
-        """Drop the CG accuracy a decade once the stop residual nears the
-        stopping threshold (within one decade), clamped at cg.eps_final."""
+        """Tighten the CG accuracy once the stop residual nears the stopping
+        threshold (within one decade).  When one more contraction at the
+        rate of the last two calls would meet the threshold (residual below
+        the previous call's and residual^2 <= previous * eps_stop), go to
+        cg.eps_final at once, so the iteration that can stop runs at it;
+        otherwise drop one decade, clamped at cg.eps_final.  The first call
+        has no previous residual, so a trigger there drops one decade."""
+        previous, self._residual = self._residual, residual
         if residual <= 10.0 * eps_stop:
-            self.eps = max(self.eps / 10.0, self.cg.eps_final)
+            if (previous is not None and residual < previous
+                    and residual * residual <= previous * eps_stop):
+                self.eps = self.cg.eps_final
+            else:
+                self.eps = max(self.eps / 10.0, self.cg.eps_final)
         return self.eps

@@ -17,7 +17,7 @@ from pdfluids.pressure import (BcTable, CgConfig, DivergenceProjector, FaceTag,
                                PoissonConvergenceError, PoissonSystem, project,
                                subtract_gradient)
 from pdfluids.scenes import (SceneSpec, build_scene, liquid_begin_step,
-                             liquid_pressure_solve)
+                             liquid_pressure_solve, liquid_step, smoke_step)
 from pdfluids.separating import (MAX_SWEEPS, BoundaryFaces, classified_walls_table,
                                  free_surface_walls_table)
 
@@ -225,6 +225,81 @@ class TestAdaptiveController:
     def test_validation(self):
         with pytest.raises(ValueError):
             CgConfig(eps_start=1e-6, eps_final=1e-2)
+
+    # A trigger after a residual of the same projector jumps to eps_final
+    # when one more contraction at the last rate meets the threshold:
+    # residual < previous and residual^2 <= previous * eps_stop.
+
+    def test_predicted_stop_goes_to_final(self):
+        c = adaptive_projector(1e-2, 1e-5)
+        assert c.adapt(5e-3, 1e-3) == pytest.approx(1e-3)
+        assert c.adapt(2e-3, 1e-3) == 1e-5   # 4e-6 <= 5e-6
+
+    def test_slow_contraction_drops_one_decade(self):
+        c = adaptive_projector(1e-2, 1e-5)
+        assert c.adapt(9e-3, 1e-3) == pytest.approx(1e-3)
+        assert c.adapt(8e-3, 1e-3) == pytest.approx(1e-4)   # 6.4e-5 > 9e-6
+
+    def test_growing_residual_drops_one_decade(self):
+        c = adaptive_projector(1e-2, 1e-5)
+        assert c.adapt(1e-3, 1e-3) == pytest.approx(1e-3)
+        assert c.adapt(2e-3, 1e-3) == pytest.approx(1e-4)
+
+    def test_zero_after_a_positive_residual_goes_to_final(self):
+        c = adaptive_projector(1e-2, 1e-5)
+        assert c.adapt(1.0, 1e-3) == 1e-2
+        assert c.adapt(0.0, 1e-3) == 1e-5
+
+
+def one_decade_adapt(self, residual, eps_stop):
+    """The ramp without the jump: one decade per trigger."""
+    if residual <= 10.0 * eps_stop:
+        self.eps = max(self.eps / 10.0, self.cg.eps_final)
+    return self.eps
+
+
+class TestRampEndsEarly:
+    """The jump to eps_final saves guided PD iterations and leaves the
+    standard wall solver's work as it was."""
+
+    @staticmethod
+    def guided_logs():
+        state, cfg = build_scene(SceneSpec("circular", nx=32, ny=32, seed=1))
+        logs = []
+        for _ in range(20):
+            smoke_step(state, cfg.with_current(state.vel))
+            logs.append(state.last_log)
+        return logs
+
+    @staticmethod
+    def dam_run():
+        state, _ = build_scene(SceneSpec("dam", nx=32, ny=22, seed=1))
+        rows, bits = [], []
+        for _ in range(10):
+            liquid_step(state, mode="separating-standard")
+            log = state.last_log
+            rows.append((log.residuals, log.epsilons, log.eps_cg, log.cg_iters,
+                         log.converged))
+            bits.append(b"".join(a.tobytes() for a in (
+                state.vel.as_flat(), state.particles_pos, state.particles_vel)))
+        return rows, bits
+
+    def test_guided_frames_stop_at_final_in_fewer_rows(self, monkeypatch):
+        logs = self.guided_logs()
+        for log in logs:
+            assert log.converged
+            assert log.eps_cg[-1] == CgConfig().eps_final
+            assert log.residuals[-1] <= log.epsilons[-1]
+        monkeypatch.setattr(DivergenceProjector, "adapt", one_decade_adapt)
+        before = self.guided_logs()
+        assert all(log.converged for log in before)
+        assert sum(map(len, logs)) < sum(map(len, before))
+
+    def test_standard_walls_keep_their_work(self, monkeypatch):
+        rows, bits = self.dam_run()
+        assert any(min(eps_cg) < CgConfig().eps_start for _, _, eps_cg, _, _ in rows)
+        monkeypatch.setattr(DivergenceProjector, "adapt", one_decade_adapt)
+        assert self.dam_run() == (rows, bits)
 
 
 class TestCgConfigChecks:
@@ -1522,6 +1597,74 @@ class TestRetag:
         fresh = DivergenceProjector(flags, BcTable(flags.dims, bc.tags.copy()),
                                     CgConfig(eps, eps)).project(vel)[0]
         np.testing.assert_allclose(out.as_flat(), fresh.as_flat(), rtol=0, atol=1e-4)
+
+
+def grid_arrays(system):
+    """Every array the build of `system` holds per grid: diag, counts,
+    smoother weights, scratch, parent index, coarse correction and the
+    stencil coefficients."""
+    for grid in system.grids:
+        yield from (a for a in vars(grid).values() if isinstance(a, np.ndarray))
+        yield from (conn for _, conn in grid.stencil)
+
+
+def assert_aligned(arrays):
+    arrays = list(arrays)
+    assert arrays and [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
+
+
+class TestAlignedArrays:
+    """The pressure kernels run on arrays that start on 64-byte boundaries
+    (numpy's own are 16-byte aligned), from a fresh build, after a retag
+    in place or a rebuild, and in CG's work vectors."""
+
+    @pytest.mark.parametrize("spec", [SceneSpec("dam", nx=80, ny=60),
+                                      SceneSpec("dam", nx=16, ny=14, nz=12)],
+                             ids=["2d", "3d"])
+    def test_grid_arrays_after_build_and_retag(self, spec, builds):
+        flags = build_scene(spec)[0].flags
+        rng = np.random.default_rng(spec.nx)
+        faces = BoundaryFaces(flags)
+        bc = classified_walls_table(flags, wall_set(flags, faces, rng.random(len(faces)) < 0.5))
+        system = PoissonSystem(flags, bc)
+        assert len(system.grids) > 1
+        assert_aligned(grid_arrays(system))
+        pick = rng.choice(len(faces), size=20, replace=False)
+        tags = np.where(bc.tags[faces.index[pick]] == FaceTag.NEUMANN,
+                        FaceTag.DIRICHLET, FaceTag.NEUMANN)
+        system.retag(flags, bc, faces.index[pick], faces.cell[pick], tags)
+        assert len(builds) == 1   # in place
+        assert_aligned(grid_arrays(system))
+
+    def test_grid_arrays_after_a_rebuild_in_place(self, builds):
+        flags, bc, faces, pocket, cell = pocket_and_cell_case()
+        system = PoissonSystem(flags, bc)
+        walls = np.flatnonzero(cell)
+        system.retag(flags, bc, faces.index[walls], faces.cell[walls], FaceTag.NEUMANN)
+        assert len(builds) == 2
+        assert_aligned(grid_arrays(system))
+
+    @pytest.mark.parametrize("shape", [(13, 11, 1), (7, 5, 3)], ids=["2d", "3d"])
+    def test_cg_work_vectors(self, shape, rng):
+        d = GridDims(*shape)
+        flags = CellFlags.closed_box(d)
+        system = PoissonSystem(flags, BcTable.from_flags(flags))
+        seen = []
+
+        def apply(p, out):
+            seen.extend((p, out))
+            return system.apply(p, out)
+
+        def precondition(r, z):
+            seen.append(z)
+            return system._precondition(r, z)
+
+        b = system.prepare_rhs(rng.standard_normal(d.shape))
+        x, iters = pressure._pcg(apply, b, 1e-8, 1.0, 100, precondition)
+        assert iters >= 1
+        assert_aligned(seen + [x])
+        # x, z, d and A d are four different vectors
+        assert len({a.ctypes.data for a in seen + [x]}) == 4
 
 
 class TestRebuildRule:
