@@ -1,5 +1,5 @@
 import sys
 
-from .cli import entry
+from .cli import main
 
-sys.exit(entry())
+sys.exit(main())

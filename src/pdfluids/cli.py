@@ -259,34 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Thread-count variables of the BLAS/LAPACK builds numpy may use.  LAPACK
-# rounds differently under different thread counts, and the multigrid's
-# coarse factor calls it, so the CLI runs them at one thread where unset.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _pin_blas_threads():
-    """Re-exec the process once with every unset BLAS_THREAD_VARS entry set
-    to 1.  numpy read them when it was imported, so setting them in this
-    process would be too late; a variable the caller set is kept."""
-    unset = [v for v in BLAS_THREAD_VARS if v not in os.environ]
-    if unset:
-        env = dict(os.environ, **{v: "1" for v in unset})
-        os.execve(sys.executable, [sys.executable, *sys.orig_argv[1:]], env)
-
-
-def entry() -> int:
-    """The process entry (`pdfluids ...`, `python -m pdfluids ...`): main()
-    with the BLAS threads pinned.  The arguments are parsed first, so --help
-    and a usage error exit without the re-exec."""
-    build_parser().parse_args()
-    _pin_blas_threads()
-    return main()
-
-
 def main(argv=None) -> int:
-    """The CLI on argv (sys.argv[1:] when None), run in this process under
-    its BLAS thread setting; entry() is the process entry that pins it."""
+    """The CLI on argv (sys.argv[1:] when None), in this process; the process
+    entries `pdfluids ...` and `python -m pdfluids ...` are this call."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -301,7 +276,3 @@ def main(argv=None) -> int:
     except (SolverFailure, PoissonConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(entry())

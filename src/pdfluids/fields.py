@@ -186,7 +186,7 @@ class ScalarField:
             raise ValueError("scalar field contains non-finite values")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values.ravel()))
+        return math.sqrt(_dot(self.values, self.values))
 
 
 class VelocityField:
@@ -259,10 +259,10 @@ class VelocityField:
 
     def dot(self, other: "VelocityField") -> float:
         _check_dims(self, other)
-        return float(sum(np.vdot(a, other.component(ax)) for ax, a in self.components()))
+        return sum(_dot(a, other.component(ax)) for ax, a in self.components())
 
     def norm(self) -> float:
-        return math.sqrt(max(self.dot(self), 0.0))
+        return math.sqrt(sum(_dot(a, a) for _, a in self.components()))
 
     def max_abs(self) -> float:
         return float(np.abs(self.as_flat()).max())
@@ -279,6 +279,18 @@ class VelocityField:
         return VelocityField._of(self.dims, self._buf * float(s))
 
     __rmul__ = __mul__
+
+
+_CHUNK = 8192   # OpenBLAS runs a ddot of at most 10000 entries on one thread
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two C-contiguous arrays of one size, flattened, summed in order
+    over ddots of fixed _CHUNK-entry pieces: each runs on one BLAS thread."""
+    if a.size <= _CHUNK:
+        return float(np.vdot(a, b))
+    a, b = a.reshape(-1), b.reshape(-1)
+    return sum(_dot(a[i:i + _CHUNK], b[i:i + _CHUNK]) for i in range(0, a.size, _CHUNK))
 
 
 def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:

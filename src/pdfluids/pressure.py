@@ -10,8 +10,8 @@ the package: this solve and the velocity-space CG of the guiding paths.
 The gradient update gathers each face's two cells through one flat table
 of the grid dims (GridDims._face_cells) with a zero ghost slot.
 DivergenceProjector owns the outer loops' CG accuracy: it tightens a
-decade per outer iteration near the stop, and to the final accuracy at
-once when the last contraction predicts the stop for the next iteration.
+decade per outer iteration near the stop or once the loop stalls, and to
+the final accuracy when the last contraction predicts the next stop.
 
 Every grid of the system, its own first and then each coarser one of the
 multigrid, stores its stencil flat: the diagonal and, per axis a, one
@@ -45,7 +45,9 @@ mostly by matrix products; LAPACK inverts only blocks of at most 64 rows.
 These are constants, not settings: with them the cycle is
 SPD for every boundary table and the CG iteration count stays flat in the
 grid width (8, 9 and 11 iterations on a closed 64^2, 128^2 and 256^2 box
-at eps 1e-5), so there is nothing left for a caller to tune.
+at eps 1e-5), so there is nothing left for a caller to tune.  No result
+depends on the BLAS thread count: OpenBLAS runs each BLAS call here whole,
+on one thread (fields._dot, _matmul, LAPACK's _LEAF rows, the coarsest gemv).
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from enum import IntEnum
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _aligned_empty, _along, _check_dims, _face_views, _flat_faces,
-                     _to_faces, divergence)
+                     _aligned_empty, _along, _check_dims, _dot, _face_views,
+                     _flat_faces, _to_faces, divergence)
 
 
 class FaceTag(IntEnum):
@@ -133,8 +135,7 @@ class PoissonSystem:
     def __init__(self, flags: CellFlags, bc: BcTable):
         if flags.dims != bc.dims:
             raise ValueError("dimension mismatch between flags and bc table")
-        d = flags.dims
-        self.dims = d
+        d = self.dims = flags.dims
         self.fluid = flags.fluid
         inv_h2 = 1.0 / (d.h * d.h)
         tags = _face_views(d, bc.tags)
@@ -182,8 +183,7 @@ class PoissonSystem:
         mat = np.diag(count[self.cells])
         for s, c in stencil:
             m = c > 0
-            i = index[:c.size][m]
-            j = index[s:][m]
+            i, j = index[:c.size][m], index[s:][m]
             mat[i, j] -= c[m]
             mat[j, i] -= c[m]
         mat *= inv_h2
@@ -207,11 +207,11 @@ class PoissonSystem:
         after, so a retag moves one cell's face count by one and couples
         nothing.  When a component would gain or lose its last Dirichlet
         face, the system is rebuilt in place.  Otherwise every grid's
-        counts, diag and smoother weights are updated in place (integer
-        counts, so bit for bit as in a fresh build) and the coarsest dense
-        inverse by one rank-k Sherman-Morrison-Woodbury step over the k
-        coarsest cells whose count moved.  The system's `key` follows the
-        retag, so a projector with the old content builds its own.
+        counts, diag and smoother weights are updated in place (integer counts,
+        so bit for bit as in a fresh build) and the coarsest dense inverse by
+        one rank-k Sherman-Morrison-Woodbury step over the k coarsest cells
+        whose count moved (a rebuild when k > _LEAF).  The system's `key`
+        follows the retag, so a projector with the old content builds its own.
         """
         old, tags = bc.tags[faces], np.asarray(tags)
         gain, lose = tags == FaceTag.DIRICHLET, old == FaceTag.DIRICHLET
@@ -248,7 +248,9 @@ class PoissonSystem:
             grid.wdinv[cells] = _OMEGA / grid.diag[cells]
             if k + 1 < len(self.grids):
                 cells, step = _net(grid.parent[cells], step)
-        if cells.size:
+        if cells.size > _LEAF:
+            self.__init__(flags, bc)
+        elif cells.size:
             _smw(self.dense, np.searchsorted(self.cells, cells), step * inv_h2)
 
     def apply(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -341,7 +343,7 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
     x, z, d, ad, tmp = (work[k:k + n].reshape(b.shape) for k in range(0, 5 * m, m))
     if x0 is None:
         x.fill(0.0)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(_dot(b, b))
     if not math.isfinite(bnorm):
         raise PoissonConvergenceError(0, bnorm, solver)
     if bnorm == 0.0 and x0 is None:
@@ -359,19 +361,14 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
     else:
         r = apply(x, np.empty_like(b))
         np.subtract(b, r, out=r)
-    r_flat = r.reshape(-1)
     if precondition is None:
         z = r
 
     def done():
-        rn = math.sqrt(float(r_flat.dot(r_flat)))
+        rn = math.sqrt(_dot(r, r))
         if not math.isfinite(rn):
             raise PoissonConvergenceError(it, rn, solver)
-        if rn > target:
-            return False, rn
-        if inf_tol is not None and float(np.abs(r).max()) > inf_tol:
-            return False, rn
-        return True, rn
+        return rn <= target and (inf_tol is None or float(np.abs(r).max()) <= inf_tol), rn
 
     it = 0
     ok, rnorm = done()
@@ -380,10 +377,10 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
     if precondition is not None:
         precondition(r, z)
     np.copyto(d, z)
-    rz = float(np.vdot(r, z))
+    rz = _dot(r, z)
     for it in range(1, max_iters + 1):
         apply(d, ad)
-        dad = float(np.vdot(d, ad))
+        dad = _dot(d, ad)
         if not math.isfinite(dad):
             raise PoissonConvergenceError(it, math.nan, solver)
         if dad <= 0.0:
@@ -396,10 +393,9 @@ def _pcg(apply, b: np.ndarray, tol: float, floor: float, max_iters: int,
             return x, it
         if precondition is not None:
             precondition(r, z)
-        rz_new = float(np.vdot(r, z))
-        d *= rz_new / rz
+        rz, rz_old = _dot(r, z), rz
+        d *= rz / rz_old
         d += z
-        rz = rz_new
     raise PoissonConvergenceError(it, rnorm / scale, solver)
 
 
@@ -468,7 +464,8 @@ def _net(index, step):
 _OMEGA = 4.0 / 5.0     # damped-Jacobi weight of the pre- and post-sweep
 _COARSE_SCALE = 1.6    # over-correction that offsets the piecewise-constant P
 _DENSE_CELLS = 256     # coarsen until at most this many active cells remain
-_LEAF = 64             # _spd_inverse hands blocks of at most this many rows to LAPACK
+_LEAF = 64             # _spd_inverse and _smw hand LAPACK at most this many rows
+_GEMM_SERIAL = 1 << 18   # OpenBLAS runs a gemm of fewer multiply-adds on one thread
 
 
 def _flat_stencil(conns, axes):
@@ -558,11 +555,11 @@ def _spd_inverse(a):
     k = n // 2
     p_inv = _spd_inverse(a[:k, :k])
     q = a[:k, k:]
-    w = p_inv @ q
-    s_inv = _spd_inverse(a[k:, k:] - q.T @ w)
-    ws = w @ s_inv
+    w = _matmul(p_inv, q)
+    s_inv = _spd_inverse(a[k:, k:] - _matmul(q.T, w))
+    ws = _matmul(w, s_inv)
     inv = np.empty_like(a)
-    inv[:k, :k] = p_inv + ws @ w.T
+    inv[:k, :k] = p_inv + _matmul(ws, w.T)
     inv[:k, k:] = -ws
     inv[k:, :k] = -ws.T
     inv[k:, k:] = s_inv
@@ -577,9 +574,20 @@ def _smw(inv, k, d):
     w = inv[:, k]
     s = w[k]
     s[np.diag_indices(k.size)] += 1.0 / d
-    inv -= w @ np.linalg.solve(s, w.T)
+    inv -= _matmul(w, np.linalg.solve(s, w.T))
     inv += inv.T
     inv *= 0.5
+
+
+def _matmul(a, b):
+    """a @ b by near-equal panels of a's rows, each under _GEMM_SERIAL multiply-adds."""
+    m = len(a)
+    panels = -(-m // max(1, (_GEMM_SERIAL - 1) // max(b.size, 1)))
+    out = np.empty((m, b.shape[1]))
+    for i in range(panels):
+        rows = slice(i * m // panels, (i + 1) * m // panels)
+        np.matmul(a[rows], b, out=out[rows])
+    return out
 
 
 def _aligned(a: np.ndarray) -> np.ndarray:
@@ -674,12 +682,14 @@ class DivergenceProjector:
     The system is the one a caller's SolverCarry `carry` holds while its key
     is (flags, bc); else the projector builds one and leaves it on the carry.
     Each solve starts from `pressure`, the pressure of the projector's
-    previous solve (None before the first), also across a retag; the start
+    previous solve (zero before the first), also across a retag; the start
     is kept here, not on the system, so two projectors on one carried
     system do not steer each other.  With it the projector keeps `_image`,
     its A p; a solve sets both only once CG has converged, on arrays of its
     own, so a failed solve leaves them as they were.
     """
+
+    _STALL = 8   # outer iterations without progress after which adapt tightens
 
     def __init__(self, flags: CellFlags, bc: BcTable, cg: CgConfig | None = None,
                  carry=None):
@@ -687,13 +697,13 @@ class DivergenceProjector:
         self.bc = bc
         self.cg = cg if cg is not None else CgConfig()
         self.eps = self.cg.eps_start
-        self._residual = None   # the last stop residual adapt saw
+        self._residuals = []   # the stop residuals adapt saw
         self.system = carry.system if carry is not None else None
         if self.system is None or self.system.key != _key(flags, bc):
             self.system = PoissonSystem(flags, bc)
             if carry is not None:
                 carry.system = self.system
-        self.pressure = None   # the last solve's p
+        self.pressure = np.zeros(flags.dims.shape)   # the last solve's p
         self._image = np.zeros(flags.dims.shape)   # the last solve's A p
 
     def project(self, vel: VelocityField, out: VelocityField | None = None
@@ -715,7 +725,7 @@ class DivergenceProjector:
         r = b - self._image
         p, iters = self.system.cg(b, eps, self.cg.max_cg_iters, inf_tol=10.0 * eps,
                                   x0=self.pressure, r0=r)
-        self.pressure = p
+        np.copyto(self.pressure, p)   # an array of its own: p lies in CG's work buffer
         np.subtract(b, r, out=self._image)
         out = subtract_gradient(vel, ScalarField(vel.dims, p), self.flags, self.bc,
                                 vel.copy() if out is None else out)
@@ -730,8 +740,6 @@ class DivergenceProjector:
         grid = self.system.grids[0]
         before = grid.diag[cells]
         self.system.retag(self.flags, self.bc, faces, cells, tags)
-        if self.pressure is None:
-            return
         p, image = self.pressure.reshape(-1), self._image.reshape(-1)
         if self.system.grids[0] is grid:
             # a cell listed twice gets the same value twice, not two updates
@@ -746,12 +754,17 @@ class DivergenceProjector:
         the previous call's and residual^2 <= previous * eps_stop), go to
         cg.eps_final at once, so the iteration that can stop runs at it;
         otherwise drop one decade, clamped at cg.eps_final.  The first call
-        has no previous residual, so a trigger there drops one decade."""
-        previous, self._residual = self._residual, residual
-        if residual <= 10.0 * eps_stop:
-            if (previous is not None and residual < previous
-                    and residual * residual <= previous * eps_stop):
-                self.eps = self.cg.eps_final
-            else:
-                self.eps = max(self.eps / 10.0, self.cg.eps_final)
+        has no previous residual, so a trigger there drops one decade.
+        Farther out, a residual no lower than the one _STALL calls before
+        drops one decade too: the loop stalls on the CG error at this
+        accuracy (a standard wall solve gains a decade in _STALL)."""
+        seen = self._residuals
+        previous = seen[-1] if seen else None
+        seen.append(residual)
+        near = residual <= 10.0 * eps_stop
+        if (near and previous is not None and residual < previous
+                and residual * residual <= previous * eps_stop):
+            self.eps = self.cg.eps_final
+        elif near or (len(seen) > self._STALL and residual >= seen[-self._STALL - 1]):
+            self.eps = max(self.eps / 10.0, self.cg.eps_final)
         return self.eps

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -558,80 +560,104 @@ class TestBuildConfig:
         assert all(v is None for v in args.values())
 
 
-# -- one set of bits under any BLAS thread setting of the process entry ----------
+# -- one set of bits under any BLAS thread count ---------------------------------
+#
+# OpenBLAS splits a large enough call over its threads, and the split
+# changes the rounding; every BLAS call of the package is one it runs whole.
+# OpenBLAS runs no more threads than the host has cores, so a one-core host
+# cannot tell the two settings apart and these tests show nothing there.
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_entry(args, out, threads):
-    """`python -m pdfluids args` in a subprocess with the BLAS thread
-    variables unset (threads None) or set to `threads`; the output files by
-    name."""
-    import subprocess
-    import sys
-    from pdfluids.cli import BLAS_THREAD_VARS
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+def run_python(args, threads=1, check=True):
+    """`python args` in a subprocess on this tree's package, with every
+    BLAS thread variable set to `threads`."""
+    env = dict(os.environ, **{v: str(threads) for v in BLAS_THREAD_VARS})
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if threads is not None:
-        env.update({k: str(threads) for k in BLAS_THREAD_VARS})
-    subprocess.run([sys.executable, "-m", "pdfluids", *args, "--out", str(out),
-                    "--save-velocity", "--save-logs"], env=env, check=True,
-                   capture_output=True)
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          capture_output=True, text=True)
+
+
+def run_process(args, out, threads):
+    """`python -m pdfluids args` saving velocities and logs to `out`; the
+    output files by name."""
+    run_python(["-m", "pdfluids", *map(str, args), "--out", str(out),
+                "--save-velocity", "--save-logs"], threads)
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+# the bench's dam (fill 0.5 x 0.9); at the CLI's default fill the coarsest
+# grid of these sizes holds 112 cells, whose products OpenBLAS runs whole
+DAM = {"scene": {"name": "dam", "fill_fraction": 0.5, "fill_height": 0.9}}
+
+
+# Frame counts: with whole BLAS calls instead (one ddot over more than 10000
+# entries, one gemm per product of the dense inverse and the SMW step), each
+# run below writes different bits under 1 and 2 threads on a two-core host:
+# the guided 128^2 frame through its dot products, the standard dam from its
+# first frame and the accelerated one from its fifth through the coarse
+# inverse.
 @pytest.mark.parametrize("args", [
-    ["guide", "--scene", "circular", "--nx", "12", "--ny", "12", "--frames", "1"],
-    ["dam", "--scene", "dam", "--bc", "separating-accelerated", "--nx", "30",
-     "--ny", "21", "--frames", "1"]], ids=["guide", "dam-accelerated"])
-def test_entry_pins_unset_blas_threads(tmp_path, args):
-    # these runs write different last bits under 1 and 2 BLAS threads when
-    # nothing pins the count: the coarse factor's LAPACK calls round by it
-    unset = run_entry(args, tmp_path / "unset", None)
-    one = run_entry(args, tmp_path / "one", 1)
-    assert any(name.startswith("vel_") for name in unset)
-    assert unset == one
+    ["guide", "--scene", "circular", "--nx", "128", "--ny", "128", "--frames", "1"],
+    ["dam", "--bc", "separating-accelerated", "--nx", "100", "--ny", "70",
+     "--frames", "6"],
+    ["dam", "--bc", "separating-standard", "--nx", "50", "--ny", "35", "--frames", "2"]],
+    ids=["guide", "dam-accelerated", "dam-standard"])
+def test_process_outputs_do_not_depend_on_blas_threads(tmp_path, args):
+    if args[0] == "dam":
+        (tmp_path / "dam.json").write_text(json.dumps(DAM))
+        args = [*args, "--config", tmp_path / "dam.json"]
+    one = run_process(args, tmp_path / "one", 1)
+    two = run_process(args, tmp_path / "two", 2)
+    assert any(name.startswith("vel_") for name in one)
+    assert one == two
 
 
-class TestEntry:
-    """cli.entry re-execs only after its arguments parse, and only with a
-    BLAS thread variable unset; cli.main never re-execs."""
+# every size of the coarsest dense inverse that is not one LAPACK call, the
+# SMW step at every k it takes, the coarsest grid's matrix-vector product
+# and _dot around OpenBLAS's split; the inputs are made without BLAS
+KERNELS = """
+import hashlib
+import numpy as np
+from pdfluids import fields, pressure
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+def spd(n):
+    a = rng.random((n, n))
+    a += a.T
+    a[np.diag_indices(n)] += 2.0 * n
+    return a
+for n in range(pressure._LEAF + 1, pressure._DENSE_CELLS + 1):
+    inv = pressure._dense_inverse(spd(n), [])
+    digest.update(inv.tobytes())
+    digest.update((inv @ rng.random(n)).tobytes())
+for k in range(1, pressure._LEAF + 1):
+    inv = pressure._dense_inverse(spd(pressure._DENSE_CELLS), [])
+    cells = np.sort(rng.choice(pressure._DENSE_CELLS, k, replace=False))
+    pressure._smw(inv, cells, rng.choice([-1.0, 1.0], k))
+    digest.update(inv.tobytes())
+for n in (10000, 10001, 16384, 100003):
+    a, b = rng.random(n), rng.random(n)
+    digest.update(np.float64(fields._dot(a, b)).tobytes())
+print(digest.hexdigest())
+"""
 
-    @pytest.fixture
-    def execs(self, monkeypatch):
-        from pdfluids import cli
-        calls = []
 
-        def fake_execve(path, argv, env):
-            calls.append(env)
-            raise SystemExit(0)
+def test_pressure_kernels_do_not_depend_on_blas_threads():
+    one, two = (run_python(["-c", KERNELS], threads).stdout for threads in (1, 2))
+    assert len(one) > 60 and one == two
 
-        monkeypatch.setattr(cli.os, "execve", fake_execve)
-        for var in cli.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        return calls
 
-    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["guide", "--nx", "x"], 2)],
-                             ids=["help", "usage-error"])
-    def test_parse_exits_before_the_re_exec(self, monkeypatch, execs, argv, code):
-        from pdfluids import cli
-        monkeypatch.setattr("sys.argv", ["pdfluids", *argv])
-        with pytest.raises(SystemExit) as exc:
-            cli.entry()
-        assert exc.value.code == code and execs == []
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["guide", "--nx", "x"], 2)],
+                         ids=["help", "usage-error"])
+def test_module_entry_exit_codes(argv, code):
+    assert run_python(["-m", "pdfluids", *argv], check=False).returncode == code
 
-    def test_re_execs_with_unset_variables_pinned(self, monkeypatch, execs):
-        from pdfluids import cli
-        monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        monkeypatch.setattr("sys.argv", ["pdfluids", "guide", "--frames", "1"])
-        with pytest.raises(SystemExit):
-            cli.entry()
-        (env,) = execs
-        assert env["OPENBLAS_NUM_THREADS"] == env["MKL_NUM_THREADS"] == "1"
-        assert env["OMP_NUM_THREADS"] == "2"
 
-    def test_main_runs_in_process(self, monkeypatch, execs, tmp_path):
-        monkeypatch.setattr("sys.argv", ["pdfluids", "simulate", "--scene", "plume",
-                                         "--nx", "8", "--ny", "8", "--frames", "1",
-                                         "--out", str(tmp_path)])
-        assert main() == 0 and execs == []
+def test_main_runs_in_process(monkeypatch, tmp_path):
+    monkeypatch.setattr("sys.argv", ["pdfluids", "simulate", "--scene", "plume",
+                                     "--nx", "8", "--ny", "8", "--frames", "1",
+                                     "--out", str(tmp_path)])
+    assert main() == 0 and (tmp_path / "summary.csv").exists()

@@ -40,6 +40,15 @@ def test_only_fields_touches_the_velocity_buffer():
     assert not users
 
 
+def _owners(tree, stem) -> dict:
+    """The function of `tree` that each node lies in, by node id, as
+    "module.function"; ast.walk goes outside in, so a nested function names
+    its own nodes."""
+    return {id(node): f"{stem}.{fn.name}" for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)}
+
+
 def test_no_module_global_but_the_blur_kernel():
     # a cache lives on the object that owns it: a PoissonSystem on its
     # projector or a caller's SolverCarry, the particle stencils and the
@@ -49,13 +58,39 @@ def test_no_module_global_but_the_blur_kernel():
     sites = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        # ast.walk goes outside in, so a nested function names its own nodes
-        owner = {id(node): f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
-                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 for node in ast.walk(fn)}
+        owner = _owners(tree, path.stem)
         sites += [owner.get(id(node), path.stem) for node in ast.walk(tree)
                   if isinstance(node, ast.Global)]
     assert sites == ["blur._kernel_for"]
+
+
+def _blas_call(node):
+    """The BLAS or LAPACK call that `node` makes through numpy, or None."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if isinstance(node, ast.Attribute):
+        if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+            return f"linalg.{node.attr}"
+        if node.attr in ("dot", "vdot", "inner", "matmul", "tensordot", "einsum"):
+            return node.attr
+    return None
+
+
+def test_blas_runs_only_where_it_runs_on_one_thread():
+    # OpenBLAS rounds a call it splits over threads differently.  The only
+    # calls of src/ are these, each sized so that it runs whole: _dot's
+    # ddots of at most 8192 entries, _matmul's gemm panels, LAPACK on at
+    # most _LEAF rows, and the coarsest grid's gemv, which splits by rows
+    src = Path(pdfluids.__file__).parent
+    sites = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = _owners(tree, path.stem)
+        sites |= {(owner.get(id(node), path.stem), call) for node in ast.walk(tree)
+                  if (call := _blas_call(node)) is not None}
+    assert sites == {("fields._dot", "vdot"), ("pressure._matmul", "matmul"),
+                     ("pressure._spd_inverse", "linalg.inv"),
+                     ("pressure._smw", "linalg.solve"), ("pressure._cycle", "@")}
 
 
 def _identifiers(tree, strings=False) -> set:

@@ -245,6 +245,21 @@ class TestAdaptiveController:
         assert c.adapt(1e-3, 1e-3) == pytest.approx(1e-3)
         assert c.adapt(2e-3, 1e-3) == pytest.approx(1e-4)
 
+    # Farther out, a residual no lower than the one _STALL calls before
+    # drops one decade: the outer loop has stalled on the CG error.
+
+    def test_stalled_residual_drops_one_decade(self):
+        c = adaptive_projector(1e-2, 1e-5)
+        for _ in range(DivergenceProjector._STALL):
+            assert c.adapt(1.0, 1e-3) == 1e-2
+        assert c.adapt(1.0, 1e-3) == pytest.approx(1e-3)
+        assert c.adapt(1.0, 1e-3) == pytest.approx(1e-4)
+
+    def test_slowly_contracting_residual_keeps_the_accuracy(self):
+        c = adaptive_projector(1e-2, 1e-5)
+        for k in range(4 * DivergenceProjector._STALL):
+            assert c.adapt(0.99 ** k, 1e-3) == 1e-2
+
     def test_zero_after_a_positive_residual_goes_to_final(self):
         c = adaptive_projector(1e-2, 1e-5)
         assert c.adapt(1.0, 1e-3) == 1e-2
@@ -966,16 +981,18 @@ def reference_schur_inverse(a):
     """inv(a) of the SPD a by the package's recursion, operation for
     operation: a = [[P, Q], [Q^T, R]] split in half, W = P^-1 Q, S = R -
     Q^T W, inv(a) = [[P^-1 + W S^-1 W^T, -W S^-1], [-S^-1 W^T, S^-1]];
-    blocks of at most pressure._LEAF rows by np.linalg.inv."""
+    blocks of at most pressure._LEAF rows by np.linalg.inv, the products
+    by pressure._matmul (row panels that OpenBLAS runs on one thread)."""
     n = len(a)
     if n <= pressure._LEAF:
         return np.linalg.inv(a)
     k = n // 2
+    mm = pressure._matmul
     p_inv = reference_schur_inverse(a[:k, :k])
-    w = p_inv @ a[:k, k:]
-    s_inv = reference_schur_inverse(a[k:, k:] - a[:k, k:].T @ w)
-    ws = w @ s_inv
-    return np.block([[p_inv + ws @ w.T, -ws], [-ws.T, s_inv]])
+    w = mm(p_inv, a[:k, k:])
+    s_inv = reference_schur_inverse(a[k:, k:] - mm(a[:k, k:].T, w))
+    ws = mm(w, s_inv)
+    return np.block([[p_inv + mm(ws, w.T), -ws], [-ws.T, s_inv]])
 
 
 class ReferenceMultigrid:
@@ -1307,6 +1324,15 @@ class TestWarmStart:
         ref, ref_iters, _ = never.project(second)
         assert iters == ref_iters > 1 and out.as_flat().tobytes() == ref.as_flat().tobytes()
 
+    def test_kept_pressure_holds_no_work_vector(self, rng):
+        # the kept p is an array of its own, not a view of CG's work buffer,
+        # which would keep four more cell arrays alive
+        flags = CellFlags.closed_box(GridDims(32, 32))
+        projector = DivergenceProjector(flags, BcTable.from_flags(flags))
+        projector.project(random_velocity(flags.dims, rng, zero_wall_normals=True))
+        p = projector.pressure
+        assert p.base is None or p.base.nbytes <= p.nbytes + 64
+
     def test_projectors_on_one_system_keep_their_own_start(self, rng):
         # two projectors on one carried system, alternated, give what each
         # gives alone on a system of its own
@@ -1547,6 +1573,31 @@ class TestRetag:
                 [np.unique(faces.cell[walls]).tolist()]
         retag(walls[-1:], FaceTag.DIRICHLET)
         assert len(builds) == 4
+        assert_same_system(system, PoissonSystem(flags, bc))
+
+    def test_rebuilds_when_more_than_a_leaf_of_coarsest_cells_move(self, builds):
+        # the SMW step hands LAPACK at most _LEAF rows; past that, retag
+        # rebuilds in place.  A 32^2 box strewn with obstacles: every wall
+        # face of an active cell turns Dirichlet, so no component crosses
+        # the component rule, and 208 coarsest cells move.
+        d = GridDims(32, 32)
+        values = CellFlags.closed_box(d).values
+        values[1:-1, 1:-1][np.random.default_rng(0).random((30, 30)) < 0.15] = CellType.SOLID
+        values[1:-1, -2] = CellType.EMPTY
+        flags = CellFlags(d, values)
+        bc = BcTable.from_flags(flags)
+        system = PoissonSystem(flags, bc)
+        assert system._components == []
+        faces = BoundaryFaces(flags)
+        pick = np.flatnonzero((bc.tags[faces.index] == FaceTag.NEUMANN)
+                              & system.active.reshape(-1)[faces.cell])
+        cells = faces.cell[pick]
+        for grid in system.grids[:-1]:
+            cells = np.unique(grid.parent[cells])
+            cells = cells[cells < grid.coarse.size - 1]
+        assert cells.size > pressure._LEAF
+        system.retag(flags, bc, faces.index[pick], faces.cell[pick], FaceTag.DIRICHLET)
+        assert len(builds) == 2
         assert_same_system(system, PoissonSystem(flags, bc))
 
     def test_rejects_a_face_it_cannot_retag(self):
