@@ -13,12 +13,10 @@ import sys
 import typing
 from dataclasses import dataclass
 
-from .guiding import default_guiding_params
+from .guiding import METHODS, default_guiding_params
 from .optim import AdmmParams, PdParams
 from .pressure import CgConfig
 from .scenes import BC_MODES, SceneSpec
-
-METHODS = ("pd", "admm", "iop", "direct")
 
 
 class ConfigError(ValueError):
@@ -34,9 +32,9 @@ class RunConfig:
     out_dir: str = "out"
     # stop settings of the guided solve; its step sizes follow the guiding
     # weights (default_guiding_params)
-    max_iters: int = 300
-    eps_abs: float = 1e-3
-    eps_rel: float = 1e-3
+    max_iters: int = PdParams.max_iters
+    eps_abs: float = PdParams.eps_abs
+    eps_rel: float = PdParams.eps_rel
     eps_cg_start: float = CgConfig.eps_start
     eps_cg_final: float = CgConfig.eps_final
     max_cg_iters: int = CgConfig.max_cg_iters

@@ -11,15 +11,18 @@ f(x) = 1/2 x^T A x + b^T x + c with A = 2(B^T B + W^2), so its prox is a
 linear solve; the production path approximates the inverse of
 M = A + sigma*I through one Sherman-Morrison-Woodbury step around the
 diagonal part, with q = 2 B^T B (u_target - u_current) - sigma*u_current
-precomputed once per time step.
+precomputed once per time step.  The reference paths (the exact prox, the
+IOP minimizer and the least-squares baseline) run CG on the one in-place
+form of A + shift*I, `GuidingQuadratic.apply_A(vel, out, shift)`.
 
-Faces adjacent to SOLID cells carry no objective terms; every operator
-passes them through unchanged.
+Faces adjacent to SOLID cells carry no objective terms: A is 0 there, and
+the proxes pass them through unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator, SolverCa
 from .pressure import BcTable, CgConfig, DivergenceProjector, _pcg, _require_finite
 
 MAX_CG_ITERS = 4000   # cap of the exact prox's and the IOP minimizer's CG
+METHODS = ("pd", "admm", "iop", "direct")   # what guide_step runs
 
 
 @dataclass
@@ -76,11 +80,10 @@ def split_scalar_field(dims, flags, left: float, right: float,
 class GuidingQuadratic:
     """Matrix-free quadratic form of the guiding objective.
 
-    Provides A, b, c, the shifted system M = A + sigma*I, the precomputable
-    q and diagonal-inverse factors, and the stacked least-squares operator.
-    `valid`, its complement `fixed` and `w2` are flat over the active
-    faces, ordered as `as_flat`.  The operators taking `out` write their
-    result there (a new field when None; out may be the input).
+    Provides A + shift*I, b and the prox's q.  `valid`, its complement
+    `fixed` and `w2` are flat over the active faces, ordered as `as_flat`.
+    The operators taking `out` write their result there (a new field when
+    None; out may be the input); apply_A and b mask into one scratch field.
     """
 
     def __init__(self, cfg: GuidingConfig):
@@ -89,6 +92,10 @@ class GuidingQuadratic:
         self.valid = _flat_faces(d, lambda a: face_valid_mask(cfg.flags, a))
         self.fixed = ~self.valid
         self.w2 = np.square(_flat_faces(d, lambda a: cell_to_face_average(cfg.weights, a)))
+
+    @cached_property
+    def _scratch(self) -> VelocityField:   # made on first use: the SMW prox needs none
+        return VelocityField.zeros(self.dims)
 
     # -- masking helpers ----------------------------------------------------
     def mask(self, vel: VelocityField, out: VelocityField | None = None) -> VelocityField:
@@ -104,12 +111,6 @@ class GuidingQuadratic:
         np.copyto(out.as_flat(), v.as_flat(), where=self.fixed)
         return out
 
-    def _wsq(self, vel: VelocityField) -> VelocityField:
-        out = vel.copy()
-        np.multiply(vel.as_flat(), self.w2, out=out.as_flat())
-        np.copyto(out.as_flat(), 0.0, where=self.fixed)
-        return out
-
     # -- operators ----------------------------------------------------------
     def apply_B(self, vel: VelocityField, out: VelocityField | None = None) -> VelocityField:
         return blur_obstacle_aware(vel, self.cfg.radius, self.cfg.flags, out=out)
@@ -119,34 +120,38 @@ class GuidingQuadratic:
                                    transpose=True, out=out)
 
     def apply_BtB(self, vel: VelocityField, out: VelocityField | None = None) -> VelocityField:
+        # the blur keeps the fixed faces at their input, the mask's +0.0
         out = self.mask(vel, out)
-        return self.mask(self.apply_Bt(self.apply_B(out, out), out), out)
+        return self.apply_Bt(self.apply_B(out, out), out)
 
-    def apply_A(self, vel: VelocityField) -> VelocityField:
-        return 2.0 * (self.apply_BtB(vel) + self._wsq(vel))
+    def apply_A(self, vel: VelocityField, out: VelocityField | None = None,
+                shift: float = 0.0) -> VelocityField:
+        """(A + shift*I) vel on the objective faces, 0 on the fixed ones."""
+        s = self.mask(vel, self._scratch)
+        out = self.apply_BtB(s, out)
+        of, sf = out.as_flat(), s.as_flat()
+        of += sf * self.w2
+        of *= 2.0
+        if shift:
+            of += sf * shift
+        return out
 
     def b(self) -> VelocityField:
-        return -2.0 * (self.apply_BtB(self.cfg.u_target)
-                       + self._wsq(self.cfg.u_current))
+        out = self.apply_BtB(self.cfg.u_target)
+        of = out.as_flat()
+        of += self.mask(self.cfg.u_current, self._scratch).as_flat() * self.w2
+        of *= -2.0
+        return out
 
-    def apply_M(self, sigma: float, vel: VelocityField) -> VelocityField:
-        masked = self.mask(vel)
-        return self.apply_A(masked) + sigma * masked
-
-    # -- prox precomputation -------------------------------------------------
     def q(self, sigma: float) -> VelocityField:
         return 2.0 * self.apply_BtB(self.cfg.u_target - self.cfg.u_current) \
             - sigma * self.mask(self.cfg.u_current)
-
-    def gamma_diag(self, sigma: float) -> np.ndarray:
-        """Per-face entries of (2 W^2 + sigma I)^-1, flat like `w2`."""
-        return 1.0 / (2.0 * self.w2 + sigma)
 
 
 @dataclass
 class GuidingPrecompute:
     """Per-time-step cache for the approximate prox: q, the diagonal inverse
-    gamma and its square, and the masked u_current."""
+    gamma = (2 W^2 + sigma I)^-1 and its square, and the masked u_current."""
 
     sigma: float
     q: VelocityField
@@ -158,7 +163,7 @@ class GuidingPrecompute:
     def build(cls, quad: GuidingQuadratic, sigma: float) -> "GuidingPrecompute":
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        gamma = quad.gamma_diag(sigma)
+        gamma = 1.0 / (2.0 * quad.w2 + sigma)
         return cls(sigma, quad.q(sigma), gamma, np.square(gamma),
                    quad.mask(quad.cfg.u_current))
 
@@ -167,17 +172,17 @@ def _cg_velocity(apply_op, rhs: VelocityField, tol: float,
                  max_iters: int) -> tuple[VelocityField, int]:
     """Plain CG over velocity fields for SPD operators: the one CG loop of
     `pressure` on the flattened field, stopping at ||r|| <= tol * ||rhs||.
-    Returns (x, iterations); raises PoissonConvergenceError ("guiding") on a
+    `apply_op(vel, out)` writes the operator applied to vel into out, both
+    fields on the loop's own vectors.  Returns (x, iterations), x on a
+    buffer of its own; raises PoissonConvergenceError ("guiding") on a
     non-finite rhs, d.A d or residual (at once), on a breakdown and when
     max_iters is used up."""
-    field = VelocityField.zeros(rhs.dims)
 
     def apply(d, out):
-        field.set_flat(d)
-        out[:] = apply_op(field).as_flat()
+        apply_op(VelocityField._of(rhs.dims, d), VelocityField._of(rhs.dims, out))
 
     x, iters = _pcg(apply, rhs.as_flat(), tol, 0.0, max_iters, solver="guiding")
-    return VelocityField._of(rhs.dims, x), iters
+    return VelocityField._of(rhs.dims, x.copy()), iters
 
 
 def guiding_objective(x: VelocityField, cfg: GuidingConfig,
@@ -202,11 +207,9 @@ class GuidingProx(ProxOperator):
     """
 
     def __init__(self, cfg: GuidingConfig):
-        self.cfg = cfg
         self.quad = GuidingQuadratic(cfg)
         self._pre = None
-        dims = cfg.flags.dims
-        self._out, self._g1, self._g2 = (VelocityField.zeros(dims) for _ in range(3))
+        self._out, self._g1, self._g2 = (VelocityField.zeros(self.quad.dims) for _ in range(3))
 
     def __call__(self, sigma, v):
         if self._pre is None or self._pre.sigma != sigma:
@@ -234,15 +237,14 @@ class GuidingProxExact(ProxOperator):
     """
 
     def __init__(self, cfg: GuidingConfig, tol: float = 1e-10):
-        self.cfg = cfg
         self.quad = GuidingQuadratic(cfg)
         self.tol = tol
 
     def __call__(self, sigma, v):
         quad = self.quad
         rhs = sigma * quad.mask(v) - quad.b()
-        x, _ = _cg_velocity(lambda f: quad.apply_M(sigma, f), rhs, self.tol,
-                            MAX_CG_ITERS)
+        x, _ = _cg_velocity(lambda f, out: quad.apply_A(f, out, sigma), rhs,
+                            self.tol, MAX_CG_ITERS)
         return quad.keep_fixed(x, v)
 
 
@@ -274,18 +276,18 @@ def direct_least_squares(cfg: GuidingConfig, tol: float = 1e-8,
     d = flags.dims
     fluid = flags.fluid
 
-    def apply_D(vel: VelocityField) -> np.ndarray:
-        return divergence(quad.mask(vel), flags).values
+    def apply_DtD(vel: VelocityField) -> np.ndarray:
+        # D^T D vel: minus the difference of the FLUID cells' divergence across a face
+        div = divergence(quad.mask(vel), flags).values
+        src = np.append(np.where(fluid, div, 0.0) / d.h, 0.0)
+        dtd = np.subtract(*(src.take(cells) for cells in d._face_cells))
+        dtd[quad.fixed] = 0.0
+        return dtd
 
-    def apply_Dt(cellvals: np.ndarray) -> VelocityField:
-        # the negated difference of the cell values, zero beyond the walls
-        out = VelocityField.zeros(d)
-        src = np.append(np.where(fluid, cellvals, 0.0) / d.h, 0.0)
-        np.subtract(*(src.take(cells) for cells in d._face_cells), out=out.as_flat())
-        return quad.mask(out)
-
-    def normal_op(vel: VelocityField) -> VelocityField:
-        return quad.apply_A(quad.apply_A(vel)) + apply_Dt(apply_D(vel))
+    def normal_op(vel: VelocityField, out: VelocityField):
+        # A^T A = A A: the second apply_A runs on its own output
+        of = quad.apply_A(quad.apply_A(vel, out), out).as_flat()
+        of += apply_DtD(vel)
 
     rhs = quad.apply_A(-1.0 * quad.b())
     x, iters = _cg_velocity(normal_op, rhs, tol, max_iters)
@@ -317,9 +319,11 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     (pd_solve) and leaves its own final x there; the exact prox, "direct"
     and "iop" neither read nor write that x.  The projections of all but
     "direct" reuse the PoissonSystem on `dual` (DivergenceProjector).  A
-    non-finite u_current raises PoissonConvergenceError before any blur or
-    prox runs.
+    non-finite u_current raises PoissonConvergenceError, and an unknown
+    method ValueError, before any blur, table or prox is built.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown guiding method {method!r}; expected one of {METHODS}")
     _require_finite(u_current)
     cfg = cfg.with_current(u_current)
     log = log if log is not None else ConvergenceLog()
@@ -330,8 +334,7 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
         minimizer, _ = _cg_velocity(quad.apply_A, -1.0 * quad.b(), 1e-10, MAX_CG_ITERS)
         start = u_current.copy()
         np.copyto(start.as_flat(), minimizer.as_flat(), where=quad.valid)
-        return _fixed_projection(start, cfg.flags, cg if cg is not None else CgConfig(),
-                                 log, "iop", dual)
+        return _fixed_projection(start, cfg.flags, cg, log, "iop", dual)
     bc = BcTable.from_flags(cfg.flags)
     projector = DivergenceProjector(cfg.flags, bc, cg, dual)
     pd_default, admm_default = default_guiding_params(cfg.w_bar)
@@ -339,7 +342,5 @@ def guide_step(u_current: VelocityField, cfg: GuidingConfig, method: str = "pd",
     prox, dual = (GuidingProxExact(cfg), None) if exact_prox else (GuidingProx(cfg), dual)
     if method == "pd":
         return pd_solve(prox, projector, pd_params, u_current, log, dual=dual)
-    if method == "admm":
-        params = admm_params if admm_params is not None else admm_default
-        return admm_solve(prox, projector, params, u_current, log, dual=dual)
-    raise ValueError(f"unknown guiding method {method!r}")
+    params = admm_params if admm_params is not None else admm_default
+    return admm_solve(prox, projector, params, u_current, log, dual=dual)

@@ -249,11 +249,12 @@ def admm_solve(prox_f: ProxOperator, projector: DivergenceProjector,
     return pd_solve(prox_f, projector, pd, z0, log, iterate_callback, dual)
 
 
-def _fixed_projection(vel: VelocityField, flags: CellFlags, cg: CgConfig,
+def _fixed_projection(vel: VelocityField, flags: CellFlags, cg: CgConfig | None,
                       log: ConvergenceLog, method: str,
                       carry: SolverCarry | None) -> VelocityField:
-    """Plain projection at the final CG accuracy with default walls, on the
-    system `carry` holds, logged as one converged row with its CG iterations."""
+    """Plain projection at the final accuracy of cg (CgConfig() if None) with
+    default walls, on the system `carry` holds, logged as one converged row."""
+    cg = cg if cg is not None else CgConfig()
     fixed = CgConfig(cg.eps_final, cg.eps_final, cg.max_cg_iters)
     projector = DivergenceProjector(flags, BcTable.from_flags(flags), fixed, carry)
     out, iters, _ = projector.project(vel)

@@ -301,7 +301,6 @@ def smoke_step(state: SceneState, cfg: GuidingConfig | None = None,
     u_c = vel_adv
     log = ConvergenceLog()
     if cfg is None:
-        cg = cg if cg is not None else CgConfig()
         state.vel = _fixed_projection(u_c, state.flags, cg, log, "projection", state.carry)
     else:
         state.vel = guide_step(u_c, cfg, method=method, pd_params=pd_params,
@@ -480,7 +479,6 @@ def liquid_pressure_solve(vel: VelocityField, flags: CellFlags, mode: str,
     separating-wall solve starts from the set `state` holds and leaves its own there."""
     if mode not in BC_MODES:
         raise ValueError(f"unknown bc mode {mode!r}; expected one of {BC_MODES}")
-    cg = cg if cg is not None else CgConfig()
     log = log if log is not None else ConvergenceLog()
     if mode == "regular":
         out = vel.copy()

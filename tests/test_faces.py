@@ -92,8 +92,10 @@ def reference_subtract_gradient(vel, p, flags, bc):
     return out
 
 
-def reference_direct_least_squares(cfg, tol, max_iters):
-    quad = GuidingQuadratic(cfg)
+def reference_direct_least_squares(cfg, tol, max_iters, quad=None):
+    """direct_least_squares on per-axis divergence adjoint loops and the
+    allocating operators of `quad` (GuidingQuadratic(cfg) when None)."""
+    quad = quad if quad is not None else GuidingQuadratic(cfg)
     flags = cfg.flags
     d = flags.dims
     fluid = flags.fluid
@@ -110,8 +112,8 @@ def reference_direct_least_squares(cfg, tol, max_iters):
             arr[_along(axis, slice(None, -1))] -= src
         return quad.mask(out)
 
-    def normal_op(vel):
-        return quad.apply_A(quad.apply_A(vel)) + apply_Dt(apply_D(vel))
+    def normal_op(vel, out):
+        out.set_flat((quad.apply_A(quad.apply_A(vel)) + apply_Dt(apply_D(vel))).as_flat())
 
     rhs = quad.apply_A(-1.0 * quad.b())
     x, _ = _cg_velocity(normal_op, rhs, tol, max_iters)

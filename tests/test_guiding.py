@@ -11,11 +11,14 @@ from pdfluids.guiding import (GuidingConfig, GuidingPrecompute, GuidingProx,
                               GuidingProxExact, GuidingQuadratic,
                               default_guiding_params, direct_least_squares,
                               guide_step, guiding_objective, split_scalar_field)
-from pdfluids.optim import ConvergenceLog, PdParams
+from pdfluids.optim import ConvergenceLog, PdParams, SolverCarry
 from pdfluids.pressure import BcTable, CgConfig, PoissonConvergenceError, project
+from pdfluids.scenes import SceneSpec, build_scene, smoke_step
 
 from conftest import random_velocity, zero_solid_adjacent
+from test_faces import reference_direct_least_squares
 from test_optim import SmallGuidingOracle, guiding_instance
+from test_velocity_buffer import ReferenceQuadratic
 
 
 def blend_linear(u_current: VelocityField, u_target: VelocityField,
@@ -32,28 +35,37 @@ def blend_detail_preserving(u_current: VelocityField, u_target: VelocityField,
     return u_current - blur_obstacle_aware(u_current, radius, flags) + u_target
 
 
-def one_shot_iop(cfg: GuidingConfig, u: VelocityField, eps: float) -> VelocityField:
+def one_shot_iop(cfg: GuidingConfig, u: VelocityField, eps: float,
+                 quad_type=GuidingQuadratic) -> VelocityField:
     """The iop step built by hand: u with the unconstrained minimizer of the
     objective (at u_current = u) on the objective faces, projected once at
-    CG accuracy eps."""
-    quad = GuidingQuadratic(cfg.with_current(u))
-    minimizer, _ = guiding._cg_velocity(quad.apply_A, -1.0 * quad.b(), 1e-10,
-                                        guiding.MAX_CG_ITERS)
+    CG accuracy eps; quad_type's A may allocate its result."""
+    quad = quad_type(cfg.with_current(u))
+    minimizer, _ = guiding._cg_velocity(allocating(quad.apply_A), -1.0 * quad.b(),
+                                        1e-10, guiding.MAX_CG_ITERS)
     start = u.copy()
-    start.as_flat()[quad.valid] = minimizer.as_flat()[quad.valid]
+    valid = GuidingQuadratic(cfg).valid
+    start.as_flat()[valid] = minimizer.as_flat()[valid]
     return project(start, cfg.flags, BcTable.from_flags(cfg.flags), eps)
 
 
+def allocating(apply_fn):
+    """An operator returning a new field, as `_cg_velocity`'s (vel, out)."""
+    return lambda vel, out: out.set_flat(apply_fn(vel).as_flat())
+
+
 def dense_operator(quad, apply_fn):
+    """The matrix of an operator apply_fn(vel, out) that writes into out."""
     d = quad.dims
-    probe = VelocityField.zeros(d)
+    probe, image = VelocityField.zeros(d), VelocityField.zeros(d)
     n = probe.as_flat().size
     mat = np.zeros((n, n))
     for col in range(n):
         e = np.zeros(n)
         e[col] = 1.0
         probe.set_flat(e)
-        mat[:, col] = apply_fn(probe).as_flat()
+        apply_fn(probe, image)
+        mat[:, col] = image.as_flat()
     return mat
 
 
@@ -241,20 +253,20 @@ class TestSmwProx:
         fv = quad.valid
         errs = []
         for sigma in (1.0, 4.0, 16.0, 64.0):
-            m_mat = dense_operator(quad, lambda f: quad.apply_M(sigma, f))
+            m_mat = dense_operator(quad, lambda f, out: quad.apply_A(f, out, sigma))
             m_sub = m_mat[np.ix_(fv, fv)]
             m_inv = np.linalg.inv(m_sub)
             pre = GuidingPrecompute.build(quad, sigma)
             gamma = _face_views(d, pre.gamma)
 
-            def approx_inv(f):
+            def approx_inv(f, out):
                 g1 = f.copy()
                 g2 = f.copy()
                 for a, arr in g1.components():
                     arr *= gamma[a]
                 for a, arr in g2.components():
                     arr *= np.square(gamma[a])
-                return quad.mask(g1) - 2.0 * quad.apply_BtB(g2)
+                out.set_flat((quad.mask(g1) - 2.0 * quad.apply_BtB(g2)).as_flat())
 
             inv_approx = dense_operator(quad, approx_inv)[np.ix_(fv, fv)]
             errs.append(np.linalg.norm(inv_approx - m_inv, 2)
@@ -282,7 +294,7 @@ class TestSmwProx:
         sigma = 2.1
         fv = quad.valid
         a_mat = dense_operator(quad, quad.apply_A)[np.ix_(fv, fv)]
-        m_mat = dense_operator(quad, lambda f: quad.apply_M(sigma, f))[np.ix_(fv, fv)]
+        m_mat = dense_operator(quad, lambda f, out: quad.apply_A(f, out, sigma))[np.ix_(fv, fv)]
         assert np.allclose(m_mat, a_mat + sigma * np.eye(fv.sum()), atol=1e-12)
 
 
@@ -391,17 +403,16 @@ class TestGuidingCgFailure:
         rhs.u[2, 2, 0] = np.nan
         calls = []
         with pytest.raises(PoissonConvergenceError, match="non-finite") as exc:
-            _cg_velocity(lambda f: calls.append(1) or f, rhs, 1e-10, 50)
+            _cg_velocity(lambda f, out: calls.append(1), rhs, 1e-10, 50)
         assert exc.value.iterations == 0 and not calls
 
     def test_non_finite_residual_raises_at_once(self, rng):
         from pdfluids.guiding import _cg_velocity
         rhs = random_velocity(GridDims(6, 6), rng)
 
-        def poisoned(f):
-            out = 2.0 * f
+        def poisoned(f, out):
+            np.multiply(f.as_flat(), 2.0, out=out.as_flat())
             out.v[1, 1, 0] = np.nan
-            return out
 
         with pytest.raises(PoissonConvergenceError, match="non-finite") as exc:
             _cg_velocity(poisoned, rhs, 1e-10, 50)
@@ -413,11 +424,10 @@ class TestGuidingCgFailure:
         from pdfluids.guiding import _cg_velocity
         rhs = random_velocity(GridDims(6, 6), rng)
 
-        def poisoned(f):
-            out = 2.0 * f
+        def poisoned(f, out):
+            np.multiply(f.as_flat(), 2.0, out=out.as_flat())
             assert f.u.min() < 0.0
             out.u[np.unravel_index(np.argmin(f.u), f.u.shape)] = np.inf
-            return out
 
         with pytest.raises(PoissonConvergenceError, match="met a non-finite value") as exc:
             _cg_velocity(poisoned, rhs, 1e-10, 50)
@@ -439,8 +449,9 @@ def reference_cg_velocity(apply_op, rhs, tol, max_iters):
     d = r.copy()
     rr = r.dot(r)
     it = 0
+    ad = VelocityField.zeros(rhs.dims)
     for it in range(1, max_iters + 1):
-        ad = apply_op(d)
+        apply_op(d, ad)
         dad = d.dot(ad)
         if not math.isfinite(dad):
             raise PoissonConvergenceError(it, math.nan, "guiding")
@@ -472,7 +483,8 @@ class TestSharedCgCore:
 
         def both(apply_op, rhs, tol, max_iters):
             calls = []
-            x, iters = core(lambda f: calls.append(1) or apply_op(f), rhs, tol, max_iters)
+            x, iters = core(lambda f, out: calls.append(1) or apply_op(f, out), rhs, tol,
+                            max_iters)
             assert iters == len(calls)   # one operator application per iteration
             seen.append((x, iters, *reference_cg_velocity(apply_op, rhs, tol, max_iters)))
             return x, iters
@@ -580,3 +592,88 @@ class TestGuideStep:
         d, flags, cfg = guiding_instance(8, rng)
         with pytest.raises(ValueError):
             guide_step(cfg.u_current, cfg, method="bogus")
+
+    def test_unknown_method_leaves_the_carry_alone(self, rng):
+        # rejected before any table, projector or prox is built: a fresh
+        # carry gets no PoissonSystem, a used one keeps every member
+        d, flags, cfg = guiding_instance(8, rng)
+        fresh, used = SolverCarry(), SolverCarry()
+        guide_step(cfg.u_current, cfg, dual=used)
+        kept = dict(vars(used))
+        for carry in (fresh, used):
+            with pytest.raises(ValueError, match="unknown guiding method"):
+                guide_step(cfg.u_current, cfg, method="bogus", dual=carry)
+        assert fresh.system is None and fresh.x is None and math.isnan(fresh.sigma)
+        assert all(getattr(used, k) is v for k, v in kept.items())
+
+
+@pytest.fixture(scope="module")
+def frame20():
+    """Frame 20 of a guided 32^2 `circular` (w 4/1, blur radius 2, seed 1):
+    its guiding config at the current velocity."""
+    spec = SceneSpec("circular", nx=32, ny=32, w_left=4.0, w_right=1.0,
+                     radius_left=2.0, radius_right=2.0,
+                     emitter=(0.45, 0.075, 0.55, 0.125), seed=1)
+    state, cfg = build_scene(spec)
+    for _ in range(20):
+        smoke_step(state, cfg.with_current(state.vel))
+    return cfg.with_current(state.vel)
+
+
+class TestInPlaceOperator:
+    """Every guiding CG runs apply_A(vel, out, shift) on the loop's own
+    vectors and returns a solution of its own."""
+
+    def test_reference_paths_bit_for_bit(self, frame20):
+        # the exact prox, IOP and direct against the allocating operators
+        # they ran on before (A + sigma*I as apply_M)
+        cfg, v = frame20, frame20.u_current
+        ref = ReferenceQuadratic(cfg)
+        sigma = 3.0
+        rhs = sigma * ref.mask(v) - ref.b()
+        x, _ = guiding._cg_velocity(allocating(lambda f: ref.apply_M(sigma, f)), rhs,
+                                    1e-10, guiding.MAX_CG_ITERS)
+        want = ref.keep_fixed(x, v).as_flat().tobytes()
+        assert GuidingProxExact(cfg)(sigma, v).as_flat().tobytes() == want
+        cg = CgConfig()
+        want = one_shot_iop(cfg, v, cg.eps_final, ReferenceQuadratic).as_flat().tobytes()
+        assert guide_step(v, cfg, method="iop", cg=cg).as_flat().tobytes() == want
+        want = reference_direct_least_squares(cfg, 1e-8, 200000, ref).as_flat().tobytes()
+        assert guide_step(v, cfg, method="direct").as_flat().tobytes() == want
+
+    def test_results_own_their_buffers(self, rng):
+        # a view of the loop's five-vector work buffer would keep it alive
+        d, flags, cfg = guiding_instance(16, rng)
+        v = zero_solid_adjacent(random_velocity(d, rng), flags)
+        quad = GuidingQuadratic(cfg)
+        x, iters = guiding._cg_velocity(quad.apply_A, -1.0 * quad.b(), 1e-10, 500)
+        zero, none = guiding._cg_velocity(quad.apply_A, VelocityField.zeros(d), 1e-10, 500)
+        assert iters > 0 and none == 0
+        for field in (x, zero, GuidingProxExact(cfg)(3.0, v),
+                      direct_least_squares(cfg, tol=1e-6)):
+            assert field.as_flat().flags.owndata
+
+    def test_two_fields_per_cg_iteration(self, frame20, monkeypatch):
+        # the operator's two views of d and A d, nothing else, per iteration
+        built, iters = [], []
+        attach, pcg = VelocityField._attach, guiding._pcg
+
+        def counted_attach(self, *args):
+            built.append(1)
+            return attach(self, *args)
+
+        def counted_pcg(*args, **kwargs):
+            x, it = pcg(*args, **kwargs)
+            iters.append(it)
+            return x, it
+
+        monkeypatch.setattr(VelocityField, "_attach", counted_attach)
+        monkeypatch.setattr(guiding, "_pcg", counted_pcg)
+        counts = []
+        for tol in (1e-4, 1e-10):
+            prox = GuidingProxExact(frame20, tol)
+            built.clear()
+            prox(3.0, frame20.u_current)
+            counts.append(len(built))
+        assert iters[1] > iters[0]
+        assert counts[1] - counts[0] <= 2 * (iters[1] - iters[0])

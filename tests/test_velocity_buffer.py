@@ -87,8 +87,9 @@ class ReferenceVelocityField:
 
 class ReferenceQuadratic:
     """The per-axis `valid`, `w2` and `gamma` dicts of the guiding quadratic
-    and the loop bodies of mask, keep_fixed, _wsq, the SMW prox and the
-    objective; the blur itself is the package's."""
+    and the loop bodies of mask, keep_fixed, the SMW prox and the objective,
+    with the allocating _wsq, apply_A and apply_M (A + sigma*I) that one
+    in-place apply_A(vel, out, shift) replaced; the blur is the package's."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -325,7 +326,9 @@ class TestGuidingMatchesPerAxisBodies:
         v.as_flat()[fixed] = np.where(np.arange(fixed.sum()) % 3 == 0, np.nan,
                                       np.where(np.arange(fixed.sum()) % 3 == 1, -0.0, -2.5))
         assert same_bits(quad.mask(v), ref.mask(v))
-        assert same_bits(quad._wsq(v), ref._wsq(v))
+        # A is 0 on the fixed faces, whatever v holds there
+        assert same_bits(quad.apply_A(v), ref.apply_A(v))
+        assert same_bits(quad.apply_A(v, shift=1.9), ref.apply_M(1.9, v))
         out = filled(d, rng)
         assert same_bits(quad.keep_fixed(out.copy(), v), ref.keep_fixed(out.copy(), v))
 
@@ -337,8 +340,15 @@ class TestGuidingMatchesPerAxisBodies:
         v.as_flat()[::7] = -0.0
         assert same_bits(quad.apply_BtB(v), ref.apply_BtB(v))
         assert same_bits(quad.apply_A(v), ref.apply_A(v))
-        assert same_bits(quad.apply_M(1.9, v), ref.apply_M(1.9, v))
         assert same_bits(quad.b(), ref.b())
+        # the old 2 (B^T B s + W^2 s) + shift*s on s = v masked, written into
+        # and returned as out, also when out is v itself
+        for shift, want in ((0.0, ref.apply_A(v)), (1.9, ref.apply_M(1.9, v))):
+            out = filled(d, rng)
+            assert quad.apply_A(v, out, shift) is out
+            assert same_bits(out, want)
+            aliased = v.copy()
+            assert same_bits(quad.apply_A(aliased, aliased, shift), want)
 
     def test_prox(self, case, rng):
         d = CASES[case]
