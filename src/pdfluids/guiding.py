@@ -234,15 +234,20 @@ class GuidingProxExact(ProxOperator):
     """Exact guiding prox: solve (A + sigma I) x = sigma v - b by CG.
 
     Reference path for the SMW approximation and for oracle comparisons.
+    b depends on the config only, so it is taken once, by the first call.
     """
 
     def __init__(self, cfg: GuidingConfig, tol: float = 1e-10):
         self.quad = GuidingQuadratic(cfg)
         self.tol = tol
 
+    @cached_property
+    def _b(self) -> VelocityField:
+        return self.quad.b()
+
     def __call__(self, sigma, v):
         quad = self.quad
-        rhs = sigma * quad.mask(v) - quad.b()
+        rhs = sigma * quad.mask(v) - self._b
         x, _ = _cg_velocity(lambda f, out: quad.apply_A(f, out, sigma), rhs,
                             self.tol, MAX_CG_ITERS)
         return quad.keep_fixed(x, v)

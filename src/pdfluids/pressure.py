@@ -47,7 +47,8 @@ SPD for every boundary table and the CG iteration count stays flat in the
 grid width (8, 9 and 11 iterations on a closed 64^2, 128^2 and 256^2 box
 at eps 1e-5), so there is nothing left for a caller to tune.  No result
 depends on the BLAS thread count: OpenBLAS runs each BLAS call here whole,
-on one thread (fields._dot, _matmul, LAPACK's _LEAF rows, the coarsest gemv).
+on one thread (fields._dot, the gemm panels of _band_matmul, which also
+runs the blur's banded products, LAPACK's _LEAF rows, the coarsest gemv).
 """
 
 from __future__ import annotations
@@ -582,12 +583,23 @@ def _smw(inv, k, d):
 def _matmul(a, b):
     """a @ b by near-equal panels of a's rows, each under _GEMM_SERIAL multiply-adds."""
     m = len(a)
-    panels = -(-m // max(1, (_GEMM_SERIAL - 1) // max(b.size, 1)))
+    count = -(-m // max(1, (_GEMM_SERIAL - 1) // max(b.size, 1)))
+    rows = [slice(i * m // count, (i + 1) * m // count) for i in range(count)]
     out = np.empty((m, b.shape[1]))
-    for i in range(panels):
-        rows = slice(i * m // panels, (i + 1) * m // panels)
-        np.matmul(a[rows], b, out=out[rows])
+    _band_matmul([(r, slice(None), a[r]) for r in rows], b, out)
     return out
+
+
+def _band_matmul(panels, b, out):
+    """out = K @ b, b and out stacked or not, for a K held as row panels
+    (rows, cols, K[rows, cols]) that cover its nonzeros: each product takes
+    b's last axis in pieces under _GEMM_SERIAL multiply-adds.  The package's
+    one gemm: the dense inverse's and the blur's products."""
+    m = b.shape[-1]
+    for rows, cols, block in panels:
+        step = max(1, (_GEMM_SERIAL - 1) // block.size)
+        for j in range(0, m, step):
+            np.matmul(block, b[..., cols, j:j + step], out=out[..., rows, j:j + step])
 
 
 def _aligned(a: np.ndarray) -> np.ndarray:

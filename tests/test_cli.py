@@ -616,12 +616,16 @@ def test_process_outputs_do_not_depend_on_blas_threads(tmp_path, args):
 
 
 # every size of the coarsest dense inverse that is not one LAPACK call, the
-# SMW step at every k it takes, the coarsest grid's matrix-vector product
-# and _dot around OpenBLAS's split; the inputs are made without BLAS
+# SMW step at every k it takes, the coarsest grid's matrix-vector product,
+# _dot around OpenBLAS's split, and the blur's banded products on lines of
+# 64 to 300 faces and past one product's _GEMM_SERIAL bound; the inputs are
+# made without BLAS
 KERNELS = """
 import hashlib
 import numpy as np
-from pdfluids import fields, pressure
+from pdfluids import blur, fields, pressure
+from pdfluids.fields import CellFlags, CellType, GridDims, ScalarField, VelocityField
+from pdfluids.guiding import split_scalar_field
 rng = np.random.default_rng(0)
 digest = hashlib.sha256()
 def spd(n):
@@ -641,6 +645,21 @@ for k in range(1, pressure._LEAF + 1):
 for n in (10000, 10001, 16384, 100003):
     a, b = rng.random(n), rng.random(n)
     digest.update(np.float64(fields._dot(a, b)).tobytes())
+for dims in (GridDims(64, 300), GridDims(300, 70), GridDims(64, 80, 12), GridDims(10, 90, 70)):
+    flags = CellFlags.closed_box(dims)
+    flags.values[20:30, 30:40] = CellType.SOLID
+    for left, right in ((2.0, 2.0), (1.5, 3.5)):
+        radius = split_scalar_field(dims, flags, left, right, zero_at_solid=True)
+        vel = VelocityField._of(dims, rng.random(VelocityField.zeros(dims).as_flat().size))
+        for transpose in (False, True):
+            digest.update(blur.blur_obstacle_aware(vel, radius, flags, transpose).as_flat().tobytes())
+k = rng.random((40, 40))
+panels = [(slice(i, i + 8), slice(max(0, i - 4), i + 12), k[i:i + 8, max(0, i - 4):i + 12].copy())
+          for i in range(0, 40, 8)]
+b = rng.random((3, 40, 3000))
+out = np.empty_like(b)
+pressure._band_matmul(panels, b, out)
+digest.update(out.tobytes())
 print(digest.hexdigest())
 """
 

@@ -677,3 +677,19 @@ class TestInPlaceOperator:
             counts.append(len(built))
         assert iters[1] > iters[0]
         assert counts[1] - counts[0] <= 2 * (iters[1] - iters[0])
+
+
+def test_the_exact_prox_takes_b_once(frame20, monkeypatch):
+    # b depends on the config only: one B^T B of u_target per prox, not one
+    # per call (4 of the 64 B^T B of this solve, before)
+    calls = []
+    apply_btb = GuidingQuadratic.apply_BtB
+
+    def counted(self, vel, out=None):
+        calls.append(vel is self.cfg.u_target)
+        return apply_btb(self, vel, out)
+
+    monkeypatch.setattr(GuidingQuadratic, "apply_BtB", counted)
+    log = ConvergenceLog()
+    guide_step(frame20.u_current, frame20, exact_prox=True, log=log)
+    assert len(log) > 1 and sum(calls) == 1

@@ -338,3 +338,27 @@ def test_benchmark_reads_every_frame_output(name, tmp_path):
     *counts, hexdigest = workloads.signature(run)
     assert hexdigest == digest.hexdigest()
     assert all(math.isfinite(c) for c in counts)
+
+
+# work totals over short prefixes of the four workloads at seed 1: frames,
+# and (outer iterations, CG iterations, wall sweeps, sum of per-frame nsep)
+WORK = {"guided-smoke": (20, (93, 467, 0, 0)), "upres": (6, (25, 166, 0, 0)),
+        "dam-standard": (20, (609, 1168, 0, 1161)),
+        "dam-accelerated": (20, (0, 221, 21, 2406))}
+
+
+@pytest.mark.parametrize("name", list(WORK))
+def test_benchmark_work_stays_pinned(name, tmp_path):
+    # the one perf figure that does not drift: a change that moves a count
+    # moves its pin here and says why
+    workloads = bench_workloads()
+    frames, want = WORK[name]
+    run = workloads.WORKLOADS[name](1, frames, str(tmp_path))
+    totals = np.zeros(4, int)
+    for _ in range(frames):
+        run.frame()
+        reasons, _ = workloads.check_frame(run, run.cfg.eps_cg_final)
+        assert reasons == []
+        rec = workloads.frame_record(run)
+        totals += [rec["outer_iters"], rec["cg_iters"], rec["sweeps"], rec["nsep"]]
+    assert tuple(totals) == want

@@ -79,8 +79,9 @@ def _blas_call(node):
 def test_blas_runs_only_where_it_runs_on_one_thread():
     # OpenBLAS rounds a call it splits over threads differently.  The only
     # calls of src/ are these, each sized so that it runs whole: _dot's
-    # ddots of at most 8192 entries, _matmul's gemm panels, LAPACK on at
-    # most _LEAF rows, and the coarsest grid's gemv, which splits by rows
+    # ddots of at most 8192 entries, _band_matmul's gemm panels (the dense
+    # inverse's and the blur's), LAPACK on at most _LEAF rows, and the
+    # coarsest grid's gemv, which splits by rows
     src = Path(pdfluids.__file__).parent
     sites = set()
     for path in sorted(src.glob("*.py")):
@@ -88,7 +89,7 @@ def test_blas_runs_only_where_it_runs_on_one_thread():
         owner = _owners(tree, path.stem)
         sites |= {(owner.get(id(node), path.stem), call) for node in ast.walk(tree)
                   if (call := _blas_call(node)) is not None}
-    assert sites == {("fields._dot", "vdot"), ("pressure._matmul", "matmul"),
+    assert sites == {("fields._dot", "vdot"), ("pressure._band_matmul", "matmul"),
                      ("pressure._spd_inverse", "linalg.inv"),
                      ("pressure._smw", "linalg.solve"), ("pressure._cycle", "@")}
 
