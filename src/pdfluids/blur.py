@@ -15,24 +15,22 @@ Everything but the field depends only on (radius, flags); it is built
 once and reused for as long as calls pass the same radius and flag values.
 A sweep takes one of two forms, chosen per component at that build.
 
-Banded products, where the lines along every axis share at most _PATTERNS
-radius patterns (every scene of the package: its radius is split in two
-halves and 0 at SOLID).  A line's pattern is its radius on its valid
-faces; a face next to SOLID takes the radius of the nearest valid face.
-Each pattern has one line matrix K: K[f, f] = 1 and K[f, f +- t] =
-exp(-t^2 / 2 r_f^2) for t <= ceil(3 r_f) inside the line.  A forward
-sweep is K (x vf) * (1/den) on the valid faces, vf the valid mask and
-den = K vf; the adjoint is K^T (x * (1/den)) on the valid faces, 1/den
-being 0 off them.  Faces next to SOLID are left as they are, bits and
--0.0 included.  K and K^T are kept as row panels over the band of columns
-they touch, each product under pressure._GEMM_SERIAL multiply-adds, so
-OpenBLAS runs it on one thread (pressure._band_matmul).  The largest
-pattern runs over all lines; the lines of each other pattern are gathered,
-multiplied and written back.  Lines without a valid face join no pattern
-and pass through.
+Banded products, where the radius is one value r on the component's
+valid faces (every scene of the package at equal left and right radii,
+which is every guided workload of the benchmark).  Every line along an
+axis then runs through one line matrix K: K[f, f] = 1 and K[f, f +- t] =
+exp(-t^2 / 2 r^2) for t <= ceil(3 r) inside the line.  A forward sweep is
+K (x vf) * (1/den) on the valid faces, vf the valid mask and den = K vf;
+the adjoint is K^T (x * (1/den)) on the valid faces, reading +0 off them.
+Faces next to SOLID are left as they are, bits and -0.0 included.  K and
+K^T are kept as row panels over the band of columns they touch, each
+product under pressure._GEMM_SERIAL multiply-adds, so OpenBLAS runs it on
+one thread (pressure._band_matmul).  A product sums a row's zeros too, so
+a non-finite value that enters a sweep (forward from any face, adjoint
+from a valid one) spreads over the rows of its panel, not only its taps.
 
-The tap loop, for a radius of more patterns (past that the products lose:
-each pattern costs its own gather and products).  Each component is kept
+The tap loop, for any other radius: lines of different radii would need
+matrices of their own, each with its own gather.  Each component is kept
 flat with a gap of min(T, n - 1) entries after every row along each
 active axis but the first, T being its tap count and n the row's length.
 A shift by t <= min(T, n - 1) along any axis then reads its own row or the
@@ -58,10 +56,6 @@ import numpy as np
 from .fields import (CellFlags, ScalarField, VelocityField, _aligned_empty,
                      cell_to_face_average, face_valid_mask)
 from .pressure import _GEMM_SERIAL, _band_matmul
-
-# a component runs as banded products while no axis of it has more radius
-# patterns over its lines than this, and as the tap loop past it
-_PATTERNS = 3
 
 
 def _taps(rad: np.ndarray, tmax: int) -> list[np.ndarray]:
@@ -197,135 +191,104 @@ def _sweep(cur: np.ndarray, part: _Component, axis: int, transpose: bool,
     np.copyto(cur, acc, where=valid)
 
 
-def _line_patterns(valid: np.ndarray, rad: np.ndarray, axis: int):
-    """The radius patterns of the lines along `axis` and the pattern of each
-    line (-1 for one without a valid face), line i being column i of
-    moveaxis(arr, axis, 0) flattened to (n, lines).  A line joins the first
-    pattern that matches its radius on its valid faces; a new pattern is
-    the radius of its first line, a face next to SOLID taking the radius of
-    the nearest valid face.  Stops at _PATTERNS + 1 patterns, leaving the
-    lines of no pattern found at -1."""
-    n = valid.shape[axis]
-    v = np.moveaxis(valid, axis, 0).reshape(n, -1)
-    rad = np.moveaxis(rad, axis, 0).reshape(n, -1)
-    which = np.where(v.any(axis=0), -2, -1)
-    pats = []
-    while len(pats) <= _PATTERNS and (rest := np.flatnonzero(which == -2)).size:
-        f, on = np.arange(n), v[:, rest[0]]
-        before = np.maximum.accumulate(np.where(on, f, -2 * n))
-        after = np.minimum.accumulate(np.where(on, f, 3 * n)[::-1])[::-1]
-        pat = rad[np.where(f - before <= after - f, before, after), rest[0]]
-        which[((rad == pat[:, None]) | ~v).all(axis=0) & (which == -2)] = len(pats)
-        pats.append(pat)
-    which[which == -2] = -1
-    return pats, which
-
-
-def _line_matrices(pats: np.ndarray) -> np.ndarray:
-    """K_g of each pattern g: K[f, f] = 1 and K[f, f + t] = exp(-t^2 / 2 r_f^2)
-    for 0 < |t| <= ceil(3 r_f) inside the line, 0 elsewhere."""
-    f = np.arange(pats.shape[1])
+def _line_matrix(n: int, r: float) -> np.ndarray:
+    """K of a line of n faces at radius r: K[f, f] = 1 and K[f, f + t] =
+    exp(-t^2 / 2 r^2) for 0 < |t| <= ceil(3 r), 0 elsewhere."""
+    f = np.arange(n)
     t = f - f[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.exp(-(t * t) / (2.0 * np.square(pats))[..., None])
-    k[np.abs(t) > np.ceil(3.0 * pats)[..., None]] = 0.0
-    k[:, f, f] = 1.0
+        k = np.exp(-(t * t) / (2.0 * r * r))
+    k[np.abs(t) > math.ceil(3.0 * r)] = 0.0
+    k[f, f] = 1.0
     return k
 
 
 class _Band:
-    """One sweep axis of a product component: its lines grouped by radius
-    pattern, and each pattern's line matrix K as row panels (rows, cols,
-    K[rows, cols]) over the band of columns they touch, K^T likewise.  The
-    component is viewed as (L, n, R), the line of (l, r) being [l, :, r].
-    The largest pattern runs over every line; each other one gathers its
-    lines through `idx`, flat face indices, and writes them back."""
+    """One sweep axis of a product component: its line matrix K as row
+    panels (rows, cols, K[rows, cols]) over the band of columns they touch,
+    K^T likewise, and 1/den on the valid faces (0 elsewhere).  The
+    component is viewed as (L, n, R), the line of (l, r) being [l, :, r],
+    and every line runs through the same K."""
 
-    def __init__(self, valid: np.ndarray, pats: np.ndarray, which: np.ndarray, axis: int):
+    def __init__(self, valid: np.ndarray, r: float, axis: int):
         shape = valid.shape
         L, n, R = self.lines = (math.prod(shape[:axis]), shape[axis],
                                 math.prod(shape[axis + 1:]))
-        reach = min(int(math.ceil(3.0 * pats.max())), n - 1)
+        reach = min(int(math.ceil(3.0 * r)), n - 1)
         # panels of p rows, each p (p + 2 reach) m multiply-adds, under
         # _GEMM_SERIAL with m the lines of one product
         m = R if R > 1 else L
         p = max(1, int(math.sqrt(reach * reach + (_GEMM_SERIAL - 1) / m)) - reach)
         count = -(-n // p)
         cuts = [i * n // count for i in range(count + 1)]
-        self.fwd, self.adj = [], []
-        for kg in _line_matrices(pats):
-            spans = [(slice(lo, hi), slice(max(0, lo - reach), min(n, hi + reach)))
-                     for lo, hi in zip(cuts, cuts[1:])]
-            self.fwd.append([(rows, cols, kg[rows, cols].copy()) for rows, cols in spans])
-            self.adj.append([(rows, cols, kg[cols, rows].T.copy()) for rows, cols in spans])
-        counts = np.bincount(which[which >= 0], minlength=len(pats))
-        self.main = int(counts.argmax())
-        self.minor = []
-        for g in range(len(pats)):
-            if g != self.main:
-                line = np.flatnonzero(which == g)
-                idx = ((line // R) * (n * R) + line % R)[:, None] + np.arange(n) * R
-                self.minor.append((g, idx, np.empty(idx.shape), np.empty(idx.shape)))
+        spans = [(slice(lo, hi), slice(max(0, lo - reach), min(n, hi + reach)))
+                 for lo, hi in zip(cuts, cuts[1:])]
+        k = _line_matrix(n, r)
+        self.fwd = [(rows, cols, k[rows, cols].copy()) for rows, cols in spans]
+        self.adj = [(rows, cols, k[cols, rows].T.copy()) for rows, cols in spans]
         # den = K vf on the faces, and its inverse on the valid ones (0 elsewhere)
         den = np.empty(shape)
         self.product(self.fwd, valid.astype(np.float64), den)
         self.inv = np.zeros(shape)
         np.divide(1.0, den, out=self.inv, where=valid)
 
-    def view(self, arr: np.ndarray) -> np.ndarray:
-        """`arr` as the right factor of K: (n, L), (n, R) or (L, n, R)."""
-        L, n, R = self.lines
-        v = arr.reshape(L, n, R)
-        return v[:, :, 0].T if R == 1 else v[0] if L == 1 else v
-
     def product(self, panels, src: np.ndarray, out: np.ndarray):
-        """out = K src on every line, K its pattern's (fwd or adj) matrix."""
-        _band_matmul(panels[self.main], self.view(src), self.view(out))
-        for g, idx, lines_in, lines_out in self.minor:
-            np.take(src.reshape(-1), idx, out=lines_in)
-            _band_matmul(panels[g], lines_in.T, lines_out.T)
-            out.reshape(-1)[idx] = lines_out
+        """out = K src (or K^T src, for the adj panels) on every line, src
+        and out viewed as (n, L), (n, R) or (L, n, R), the right factor of K."""
+        L, n, R = self.lines
+        src, out = (a.reshape(L, n, R) for a in (src, out))
+        if R == 1:
+            src, out = src[:, :, 0].T, out[:, :, 0].T
+        elif L == 1:
+            src, out = src[0], out[0]
+        _band_matmul(panels, src, out)
 
 
 class _Banded:
-    """One component's share of the kernel as banded line products: one
-    `_Band` per axis that has a line with a valid face.  Sweeps run in
-    place on the output's face array, through two rows of scratch."""
+    """One component's share of the kernel as banded line products, for a
+    radius of one value r on the component's valid faces: one `_Band` per
+    axis, none for a component without valid faces, which passes through.
+    Sweeps run in place on the output's face array, through two rows of
+    scratch."""
 
-    def __init__(self, valid: np.ndarray, bands: dict):
+    def __init__(self, valid: np.ndarray, r: float, axes: tuple[int, ...]):
         self.valid = valid
         self.vf = valid.astype(np.float64)
-        self.bands = bands
+        self.wall = np.flatnonzero(~valid)
+        self.bands = {a: _Band(valid, r, a) for a in axes} if valid.any() else {}
 
     def run(self, arr: np.ndarray, sweep_axes: tuple[int, ...], transpose: bool,
             work: np.ndarray):
         """The sweeps along `sweep_axes` in turn, in place on `arr`."""
         for axis in sweep_axes:
-            self.sweep(arr, axis, transpose, work)
+            if axis in self.bands:
+                self.sweep(arr, self.bands[axis], transpose, work)
 
-    def sweep(self, cur: np.ndarray, axis: int, transpose: bool, work: np.ndarray):
-        """One pass along `axis`, or its transpose: forward K (cur vf) / den,
-        adjoint K^T (cur / den), written over the valid faces of cur only."""
-        band = self.bands.get(axis)
-        if band is None:
-            return
+    def sweep(self, cur: np.ndarray, band: _Band, transpose: bool, work: np.ndarray):
+        """One pass through `band`, or its transpose: forward K (cur vf) / den,
+        adjoint K^T (cur / den), written over the valid faces of cur only.
+        As in `_sweep`, the adjoint reads +0 off the valid faces, so what a
+        face next to SOLID holds never reaches a valid one."""
         src, acc = (row[:cur.size].reshape(cur.shape) for row in work[:2])
-        np.multiply(cur, band.inv if transpose else self.vf, out=src)
-        band.product(band.adj if transpose else band.fwd, src, acc)
         if transpose:
+            np.copyto(src, cur)
+            src.reshape(-1)[self.wall] = 0.0
+            src *= band.inv
+            band.product(band.adj, src, acc)
             np.copyto(cur, acc, where=self.valid)
         else:
+            np.multiply(cur, self.vf, out=src)
+            band.product(band.fwd, src, acc)
             np.multiply(acc, band.inv, out=cur, where=self.valid)
 
 
 def _part(valid: np.ndarray, rad: np.ndarray, axes: tuple[int, ...]):
-    """The component's kernel: banded products when no axis has more than
-    _PATTERNS line patterns, else the gap-layout tap loop."""
-    found = {a: _line_patterns(valid, rad, a) for a in axes}
-    if any(len(pats) > _PATTERNS for pats, _ in found.values()):
+    """The component's kernel: banded products when the radius is one value
+    on its valid faces, else the gap-layout tap loop."""
+    r = rad[valid]
+    if r.size and (r != r[0]).any():
         return _Component(valid, rad, axes)
-    return _Banded(valid, {a: _Band(valid, np.array(pats), which, a)
-                           for a, (pats, which) in found.items() if pats})
+    return _Banded(valid, float(r[0]) if r.size else 0.0, axes)
 
 
 def _check_radius(radius: ScalarField, flags: CellFlags):

@@ -226,6 +226,24 @@ def reference_blur(field, radius, flags, transpose=False):
     return out
 
 
+def tap_loop_blur(field, radius, flags, transpose=False):
+    """The blur with every component run by the gap-layout tap loop,
+    whatever form the kernel would take for it."""
+    out = field.copy()
+    axes = field.dims.axes
+    for comp, arr in out.components():
+        part = _Component(face_valid_mask(flags, comp), cell_to_face_average(radius, comp), axes)
+        part.run(arr, axes if not transpose else axes[::-1], transpose,
+                 np.empty((3, part.vf.size)))
+    return out
+
+
+def kernel_forms(radius, flags):
+    """The forms the kernel takes for the components that have a valid face."""
+    parts = _BlurKernel(radius, flags).parts
+    return {type(p) for c, p in parts.items() if face_valid_mask(flags, c).any()}
+
+
 def field_bytes(vel):
     return b"".join(arr.tobytes() for _, arr in vel.components())
 
@@ -346,17 +364,21 @@ class TestGapLayout:
         # up to 15 taps against rows of 3 to 10 faces: every long shift must
         # land in its own row's gap or run off the buffer
         for flags in (CellFlags.open_box(dims), CellFlags.closed_box(dims)):
-            for rvals in (np.full(dims.shape, rmax), rng.random(dims.shape) * rmax):
+            for random in (False, True):
+                rvals = rng.random(dims.shape) * rmax if random else np.full(dims.shape, rmax)
                 rvals[flags.solid] = 0.0
                 radius = ScalarField(dims, rvals)
                 vel = random_velocity(dims, rng)
-                got = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
                 want = reference_blur(vel, radius, flags, transpose=transpose)
-                # a uniform radius, and a random one on a closed box of at
-                # most 3 lines with valid faces per axis, run as products
-                if all(isinstance(p, _Component) for p in _BlurKernel(radius, flags).parts.values()):
+                tap_loop = tap_loop_blur(vel, radius, flags, transpose)
+                assert field_bytes(tap_loop) == field_bytes(want)
+                got = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
+                # a random radius runs as the tap loop, one radius as products
+                if random and rmax > 0:
+                    assert kernel_forms(radius, flags) == {_Component}
                     assert field_bytes(got) == field_bytes(want)
                 else:
+                    assert kernel_forms(radius, flags) == {_Banded}
                     assert_near(got, want)
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "adj"])
@@ -380,9 +402,9 @@ class TestGapLayout:
     @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "adj"])
     def test_wall_faces_keep_their_bits(self, rng, dims, transpose):
         flags, radius = obstacle_scene(dims, rng)
-        split = split_scalar_field(dims, flags, 1.5, 0.7, zero_at_solid=True)
-        for radius, form in ((radius, _Component), (split, _Banded)):
-            assert all(isinstance(p, form) for p in _BlurKernel(radius, flags).parts.values())
+        uniform = ScalarField(dims, np.where(flags.solid, 0.0, 1.5))
+        for radius, form in ((radius, _Component), (uniform, _Banded)):
+            assert kernel_forms(radius, flags) == {form}
             vel = random_velocity(dims, rng)
             for _, arr in vel.components():
                 arr[::2] = -0.0
@@ -390,6 +412,23 @@ class TestGapLayout:
             for comp, arr in vel.components():
                 wall = ~face_valid_mask(flags, comp)
                 assert out.component(comp)[wall].tobytes() == arr[wall].tobytes()
+
+    @pytest.mark.parametrize("dims", [GridDims(12, 10), GridDims(7, 6, 5)],
+                             ids=["2d", "3d"])
+    def test_the_adjoint_reads_no_wall_face(self, rng, dims):
+        # the adjoint divides by den on the valid faces only: a wall face
+        # holding inf must not reach a valid one, in either form
+        flags, radius = obstacle_scene(dims, rng)
+        uniform = ScalarField(dims, np.where(flags.solid, 0.0, 1.5))
+        for radius in (radius, uniform):
+            vel = random_velocity(dims, rng)
+            want = blur_obstacle_aware(vel, radius, flags, transpose=True)
+            for comp, arr in vel.components():
+                arr[~face_valid_mask(flags, comp)] = np.inf
+            got = blur_obstacle_aware(vel, radius, flags, transpose=True)
+            for comp, arr in got.components():
+                valid = face_valid_mask(flags, comp)
+                assert arr[valid].tobytes() == want.component(comp)[valid].tobytes()
 
 
 class TestGapBound:
@@ -432,36 +471,35 @@ def test_kernel_memory_stays_near_one_weight_array_per_tap(rng):
     finally:
         tracemalloc.stop()
     assert held <= 1.25 * KERNEL_BYTES_UNPADDED
-    # the tap loop of a radius of many line patterns, at most 2: 6 taps
+    # the tap loop of a radius of many values, at most 2: 6 taps
     rvals = 1.7 + 0.3 * rng.random(d.shape)
     rvals[flags.solid] = 0.0
     kernel = _BlurKernel(ScalarField(d, rvals), flags)
     assert len(kernel.parts[0].taps) == 6
 
 
-# -- the banded products: a component whose lines share a few radius patterns -
+# -- the banded products: a component of one radius on its valid faces -------
 
-def _scene(kind, dims):
-    """Closed box, with an inner obstacle for "box"; radius 2 for "uniform",
-    else split 1.5 / 0.7; 0 at SOLID."""
+def _scene(kind, dims, r):
+    """Closed box of radius r, 0 at SOLID, with an inner obstacle for "box"."""
     flags = CellFlags.closed_box(dims)
     if kind == "box":
         k = slice(None) if dims.is_2d else slice(1, 3)
         flags.values[4:7, 3:5, k] = CellType.SOLID
-    if kind == "uniform":
-        return flags, ScalarField(dims, np.where(flags.solid, 0.0, 2.0))
-    return flags, split_scalar_field(dims, flags, 1.5, 0.7, zero_at_solid=True)
+    return flags, ScalarField(dims, np.where(flags.solid, 0.0, r))
 
 
 class TestBandedProducts:
     @pytest.mark.parametrize("dims", [GridDims(16, 16), GridDims(40, 30), GridDims(9, 8, 6),
                                       GridDims(12, 10, 7)], ids=["16^2", "40x30", "9x8x6", "12x10x7"])
-    @pytest.mark.parametrize("kind", ["uniform", "split", "box"])
+    @pytest.mark.parametrize("kind", ["closed", "box"])
+    @pytest.mark.parametrize("r", [0.7, 2.0, 5.0])
     @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "adj"])
-    def test_matches_reference_within_bound(self, rng, dims, kind, transpose):
-        flags, radius = _scene(kind, dims)
-        kernel = _BlurKernel(radius, flags)
-        assert all(isinstance(p, _Banded) for p in kernel.parts.values())
+    def test_matches_reference_within_bound(self, rng, dims, kind, r, transpose):
+        # the obstacle's wall faces average r with 0, so only the valid
+        # faces share one radius; r = 5 reaches past the 3D lines
+        flags, radius = _scene(kind, dims, r)
+        assert kernel_forms(radius, flags) == {_Banded}
         for _ in range(2):
             vel = random_velocity(dims, rng)
             got = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
@@ -469,7 +507,7 @@ class TestBandedProducts:
 
     @pytest.mark.parametrize("dims", [GridDims(40, 30), GridDims(12, 10, 7)], ids=["2d", "3d"])
     def test_same_bits_twice(self, rng, dims):
-        flags, radius = _scene("box", dims)
+        flags, radius = _scene("box", dims, 2.0)
         vel = random_velocity(dims, rng)
         for transpose in (False, True):
             first = field_bytes(blur_obstacle_aware(vel, radius, flags, transpose=transpose))
@@ -477,33 +515,30 @@ class TestBandedProducts:
             assert field_bytes(blur_obstacle_aware(vel, radius, flags, transpose=transpose)) == first
 
     @pytest.mark.parametrize("n", [32, 64])
-    def test_the_guided_bench_scene_forms_one_pattern_per_axis(self, n):
+    def test_the_guided_bench_scene_runs_products(self, n):
         spec = SceneSpec("circular", nx=n, ny=n, w_left=4.0, w_right=1.0,
                          radius_left=2.0, radius_right=2.0, seed=1)
         _, cfg = build_scene(spec)
         kernel = _BlurKernel(cfg.radius, cfg.flags)
         for part in kernel.parts.values():
             assert isinstance(part, _Banded) and part.bands.keys() == {0, 1}
-            assert all(len(band.fwd) == 1 and not band.minor for band in part.bands.values())
 
-    def test_a_split_radius_with_an_obstacle_forms_at_most_three(self):
-        flags, radius = _scene("box", GridDims(40, 30))
-        kernel = _BlurKernel(radius, flags)
-        counts = [len(b.fwd) for p in kernel.parts.values() for b in p.bands.values()]
-        assert max(counts) == 3
-
-    def test_a_random_radius_keeps_the_tap_loop(self, rng):
+    @pytest.mark.parametrize("kind", ["random", "split"])
+    def test_a_radius_of_many_values_keeps_the_tap_loop(self, rng, kind):
         d = GridDims(64, 64)
         flags = CellFlags.closed_box(d)
-        rvals = rng.random(d.shape) * 2.0
-        rvals[flags.solid] = 0.0
-        kernel = _BlurKernel(ScalarField(d, rvals), flags)
-        assert all(isinstance(p, _Component) for p in kernel.parts.values())
+        if kind == "split":
+            radius = split_scalar_field(d, flags, 1.5, 0.7, zero_at_solid=True)
+        else:
+            rvals = rng.random(d.shape) * 2.0
+            rvals[flags.solid] = 0.0
+            radius = ScalarField(d, rvals)
+        assert kernel_forms(radius, flags) == {_Component}
 
     def test_a_component_without_valid_faces_passes_through(self, rng):
         # 5x4x3 closed box: every z face touches a SOLID cell
         d = GridDims(5, 4, 3)
-        flags, radius = _scene("uniform", d)
+        flags, radius = _scene("closed", d, 2.0)
         assert _BlurKernel(radius, flags).parts[2].bands == {}
         vel = random_velocity(d, rng)
         for transpose in (False, True):

@@ -648,8 +648,8 @@ for n in (10000, 10001, 16384, 100003):
 for dims in (GridDims(64, 300), GridDims(300, 70), GridDims(64, 80, 12), GridDims(10, 90, 70)):
     flags = CellFlags.closed_box(dims)
     flags.values[20:30, 30:40] = CellType.SOLID
-    for left, right in ((2.0, 2.0), (1.5, 3.5)):
-        radius = split_scalar_field(dims, flags, left, right, zero_at_solid=True)
+    for r in (2.0, 3.5):
+        radius = split_scalar_field(dims, flags, r, r, zero_at_solid=True)
         vel = VelocityField._of(dims, rng.random(VelocityField.zeros(dims).as_flat().size))
         for transpose in (False, True):
             digest.update(blur.blur_obstacle_aware(vel, radius, flags, transpose).as_flat().tobytes())
