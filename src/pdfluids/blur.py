@@ -224,8 +224,11 @@ class _Band:
         spans = [(slice(lo, hi), slice(max(0, lo - reach), min(n, hi + reach)))
                  for lo, hi in zip(cuts, cuts[1:])]
         k = _line_matrix(n, r)
-        self.fwd = [(rows, cols, k[rows, cols].copy()) for rows, cols in spans]
-        self.adj = [(rows, cols, k[cols, rows].T.copy()) for rows, cols in spans]
+        # lines along the last axis multiply transposed views (`product`),
+        # which gemm runs about 1.4x faster on panels kept in Fortran order
+        order = "F" if R == 1 else "C"
+        self.fwd = [(rows, cols, np.array(k[rows, cols], order=order)) for rows, cols in spans]
+        self.adj = [(rows, cols, np.array(k[cols, rows].T, order=order)) for rows, cols in spans]
         # den = K vf on the faces, and its inverse on the valid ones (0 elsewhere)
         den = np.empty(shape)
         self.product(self.fwd, valid.astype(np.float64), den)
@@ -248,11 +251,11 @@ class _Banded:
     """One component's share of the kernel as banded line products, for a
     radius of one value r on the component's valid faces: one `_Band` per
     axis, none for a component without valid faces, which passes through.
-    Sweeps run in place on the output's face array, through two rows of
-    scratch."""
+    Sweeps run in place on the output's contiguous face array, through one
+    row of scratch; the few faces next to SOLID are saved before a sweep
+    and put back after it, which costs less than a masked write."""
 
     def __init__(self, valid: np.ndarray, r: float, axes: tuple[int, ...]):
-        self.valid = valid
         self.vf = valid.astype(np.float64)
         self.wall = np.flatnonzero(~valid)
         self.bands = {a: _Band(valid, r, a) for a in axes} if valid.any() else {}
@@ -269,17 +272,18 @@ class _Banded:
         adjoint K^T (cur / den), written over the valid faces of cur only.
         As in `_sweep`, the adjoint reads +0 off the valid faces, so what a
         face next to SOLID holds never reaches a valid one."""
-        src, acc = (row[:cur.size].reshape(cur.shape) for row in work[:2])
+        flat = cur.reshape(-1)
+        src = work[0, :cur.size].reshape(cur.shape)
+        kept = flat[self.wall]
         if transpose:
-            np.copyto(src, cur)
-            src.reshape(-1)[self.wall] = 0.0
-            src *= band.inv
-            band.product(band.adj, src, acc)
-            np.copyto(cur, acc, where=self.valid)
+            flat[self.wall] = 0.0
+            np.multiply(cur, band.inv, out=src)
+            band.product(band.adj, src, cur)
         else:
             np.multiply(cur, self.vf, out=src)
-            band.product(band.fwd, src, acc)
-            np.multiply(acc, band.inv, out=cur, where=self.valid)
+            band.product(band.fwd, src, cur)
+            cur *= band.inv
+        flat[self.wall] = kept
 
 
 def _part(valid: np.ndarray, rad: np.ndarray, axes: tuple[int, ...]):
