@@ -1,11 +1,15 @@
 """Separable Gaussian blur of velocity fields with obstacle awareness.
 
 Each velocity component is convolved one axis at a time with a discrete 1D
-Gaussian whose standard deviation is the local blur radius sampled at the
-face (in cell units).  Kernel taps that fall outside the domain or on a
-face adjacent to a SOLID cell are dropped and the kernel is renormalized
-over the remaining taps, so constants are preserved and nothing leaks
-through walls.  Faces adjacent to SOLID pass through unchanged.
+Gaussian whose standard deviation is the local blur radius r sampled at the
+face (in cell units).  One tap rule holds for any finite r >= 0 and the
+inf that two cells past half the float range average to: the tap t faces
+away weighs exp(-t^2 / 2 r^2) in [0, 1], 0 past ceil(3 r) and at r = 0
+(`_gauss`), and a sweep on a line of n faces runs min(ceil(3 r), n - 1)
+taps (`_reach`).  Taps that fall outside the domain or on a face adjacent
+to a SOLID cell are dropped and the kernel is renormalized over the
+remaining taps, so constants are preserved and nothing leaks through walls.
+Faces adjacent to SOLID pass through unchanged, bits and -0.0 included.
 
 The transpose mode applies the exact adjoint of this linear map (the same
 kernels with the axis sweeps in reverse order), which is what realizes B^T
@@ -18,16 +22,14 @@ A sweep takes one of two forms, chosen per component at that build.
 Banded products, where the radius is one value r on the component's
 valid faces (every scene of the package at equal left and right radii,
 which is every guided workload of the benchmark).  Every line along an
-axis then runs through one line matrix K: K[f, f] = 1 and K[f, f +- t] =
-exp(-t^2 / 2 r^2) for t <= ceil(3 r) inside the line.  A forward sweep is
-K (x vf) * (1/den) on the valid faces, vf the valid mask and den = K vf;
-the adjoint is K^T (x * (1/den)) on the valid faces, reading +0 off them.
-Faces next to SOLID are left as they are, bits and -0.0 included.  K and
-K^T are kept as row panels over the band of columns they touch, each
-product under pressure._GEMM_SERIAL multiply-adds, so OpenBLAS runs it on
-one thread (pressure._band_matmul).  A product sums a row's zeros too, so
-a non-finite value that enters a sweep (forward from any face, adjoint
-from a valid one) spreads over the rows of its panel, not only its taps.
+axis then runs through one line matrix K, K[f, g] = _gauss(|f - g|, r) off
+the diagonal and 1 on it, symmetric bit for bit.  A forward sweep is K x *
+(1/den) on the valid faces, den = K vf with vf the valid mask, and the
+adjoint K (x * (1/den)); both read +0 off the faces next to SOLID.  K is
+kept as row panels over the band of columns they touch, each product
+under pressure._GEMM_SERIAL multiply-adds, so OpenBLAS runs it on one
+thread (pressure._band_matmul).  A product sums a row's zeros too, so a
+non-finite value on a valid face spreads over the rows of its panel.
 
 The tap loop, for any other radius: lines of different radii would need
 matrices of their own, each with its own gather.  Each component is kept
@@ -39,9 +41,11 @@ face, so it is skipped: every tap of every sweep is one contiguous
 multiply into scratch plus one add over a flat range.  A field's gap holds
 +0.0 and the valid mask's -0.0, so every product that reads the gap is
 -0.0, which leaves a sum it joins unchanged: the result is bit for bit
-that of dropping the taps that leave the row.  The adjoint is a gather as
-well: a valid face sums its own coefficient and w_t * coefficient of the
-faces t away, and faces next to SOLID keep their input.
+that of dropping the taps that leave the row.  The forward reads the faces
+next to SOLID times vf, that is times 0, so a non-finite value there turns
+to NaN on the valid faces it reaches.  The adjoint is a gather as well: a
+valid face sums its own coefficient and w_t * coefficient of the faces t
+away, reading +0 off the faces next to SOLID.
 
 The kernel owns its scratch rows, built by its first call, so a call given
 an `out` field allocates no array.
@@ -53,27 +57,26 @@ import math
 
 import numpy as np
 
-from .fields import (CellFlags, ScalarField, VelocityField, _aligned_empty,
+from .fields import (CellFlags, ScalarField, VelocityField, _aligned, _aligned_empty,
                      cell_to_face_average, face_valid_mask)
 from .pressure import _GEMM_SERIAL, _band_matmul
 
+# any radius >= 0 takes the tap rule silently, subnormal, huge or inf
+_quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
-def _taps(rad: np.ndarray, tmax: int) -> list[np.ndarray]:
-    """Per-face Gaussian weights w_t for t = 1..tmax, each in an array of
-    its own on a 64-byte boundary; taps beyond ceil(3 r) and at faces with
-    r = 0 are zero."""
-    ncut = np.ceil(3.0 * rad)
-    dead = ~(rad > 0)
-    two_r2 = 2.0 * np.square(rad)
-    taps = []
-    with np.errstate(divide="ignore"):
-        for t in range(1, tmax + 1):
-            w = _aligned_empty(rad.shape)
-            np.divide(-(t * t), two_r2, out=w)
-            np.exp(w, out=w)
-            np.copyto(w, 0.0, where=dead | (t > ncut))
-            taps.append(w)
-    return taps
+
+@_quiet
+def _gauss(t, r):
+    """The weight exp(-t^2 / 2 r^2) of a tap t >= 0 faces away at radius r,
+    in [0, 1]: 0 past the cutoff ceil(3 r) and at r = 0."""
+    w = np.exp(-(t * t) / (2.0 * np.square(r)))
+    return np.where((r > 0) & (t <= np.ceil(3.0 * r)), w, 0.0)
+
+
+@_quiet
+def _reach(r: float, n: int) -> int:
+    """The taps a sweep at radius r runs on a line of n faces, min(ceil(3 r), n - 1)."""
+    return int(min(np.ceil(3.0 * r), n - 1))
 
 
 def _gather(out: np.ndarray, src: np.ndarray, taps: list[np.ndarray],
@@ -115,8 +118,7 @@ class _Component:
     boundary and is allocated once."""
 
     def __init__(self, valid: np.ndarray, rad: np.ndarray, axes: tuple[int, ...]):
-        ntaps = int(math.ceil(3.0 * rad.max())) if rad.size else 0
-        self.reach = {a: min(ntaps, valid.shape[a] - 1) for a in axes}
+        self.reach = {a: _reach(rad.max(), valid.shape[a]) for a in axes}
         self.core = tuple(slice(0, n) for n in valid.shape)
         self.shape = tuple(n + self.reach[a] if a in axes[1:] else n
                            for a, n in enumerate(valid.shape))
@@ -125,8 +127,9 @@ class _Component:
         # temporary outlives the build as a hole the padded ones cannot reuse
         self.valid = self.pad(valid, False)
         self.vf = self.pad(valid, -0.0, np.float64)
-        # r = 0 in the gap: no taps there
-        self.taps = _taps(self.pad(rad), max(self.reach.values()))
+        # w_t for t = 1..T, each on a 64-byte boundary; r = 0 in the gap: no taps there
+        rad = self.pad(rad)
+        self.taps = [_aligned(_gauss(t, rad)) for t in range(1, max(self.reach.values()) + 1)]
         scratch = _aligned_empty(self.vf.size)
         self.norms = {}
         for axis in axes:
@@ -192,13 +195,10 @@ def _sweep(cur: np.ndarray, part: _Component, axis: int, transpose: bool,
 
 
 def _line_matrix(n: int, r: float) -> np.ndarray:
-    """K of a line of n faces at radius r: K[f, f] = 1 and K[f, f + t] =
-    exp(-t^2 / 2 r^2) for 0 < |t| <= ceil(3 r), 0 elsewhere."""
+    """K of a line of n faces at radius r: K[f, f] = 1 and K[f, g] =
+    _gauss(|f - g|, r) elsewhere, so K equals its transpose bit for bit."""
     f = np.arange(n)
-    t = f - f[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.exp(-(t * t) / (2.0 * r * r))
-    k[np.abs(t) > math.ceil(3.0 * r)] = 0.0
+    k = _gauss(np.abs(f - f[:, None]), r)
     k[f, f] = 1.0
     return k
 
@@ -206,15 +206,15 @@ def _line_matrix(n: int, r: float) -> np.ndarray:
 class _Band:
     """One sweep axis of a product component: its line matrix K as row
     panels (rows, cols, K[rows, cols]) over the band of columns they touch,
-    K^T likewise, and 1/den on the valid faces (0 elsewhere).  The
-    component is viewed as (L, n, R), the line of (l, r) being [l, :, r],
-    and every line runs through the same K."""
+    and 1/den on the valid faces (0 elsewhere).  The component is viewed as
+    (L, n, R), the line of (l, r) being [l, :, r], and every line runs
+    through the same K."""
 
     def __init__(self, valid: np.ndarray, r: float, axis: int):
         shape = valid.shape
         L, n, R = self.lines = (math.prod(shape[:axis]), shape[axis],
                                 math.prod(shape[axis + 1:]))
-        reach = min(int(math.ceil(3.0 * r)), n - 1)
+        reach = _reach(r, n)
         # panels of p rows, each p (p + 2 reach) m multiply-adds, under
         # _GEMM_SERIAL with m the lines of one product
         m = R if R > 1 else L
@@ -227,24 +227,23 @@ class _Band:
         # lines along the last axis multiply transposed views (`product`),
         # which gemm runs about 1.4x faster on panels kept in Fortran order
         order = "F" if R == 1 else "C"
-        self.fwd = [(rows, cols, np.array(k[rows, cols], order=order)) for rows, cols in spans]
-        self.adj = [(rows, cols, np.array(k[cols, rows].T, order=order)) for rows, cols in spans]
+        self.panels = [(rows, cols, np.array(k[rows, cols], order=order)) for rows, cols in spans]
         # den = K vf on the faces, and its inverse on the valid ones (0 elsewhere)
         den = np.empty(shape)
-        self.product(self.fwd, valid.astype(np.float64), den)
+        self.product(valid.astype(np.float64), den)
         self.inv = np.zeros(shape)
         np.divide(1.0, den, out=self.inv, where=valid)
 
-    def product(self, panels, src: np.ndarray, out: np.ndarray):
-        """out = K src (or K^T src, for the adj panels) on every line, src
-        and out viewed as (n, L), (n, R) or (L, n, R), the right factor of K."""
+    def product(self, src: np.ndarray, out: np.ndarray):
+        """out = K src on every line, src and out viewed as (n, L), (n, R) or
+        (L, n, R), the right factor of K."""
         L, n, R = self.lines
         src, out = (a.reshape(L, n, R) for a in (src, out))
         if R == 1:
             src, out = src[:, :, 0].T, out[:, :, 0].T
         elif L == 1:
             src, out = src[0], out[0]
-        _band_matmul(panels, src, out)
+        _band_matmul(self.panels, src, out)
 
 
 class _Banded:
@@ -252,11 +251,11 @@ class _Banded:
     radius of one value r on the component's valid faces: one `_Band` per
     axis, none for a component without valid faces, which passes through.
     Sweeps run in place on the output's contiguous face array, through one
-    row of scratch; the few faces next to SOLID are saved before a sweep
-    and put back after it, which costs less than a masked write."""
+    row of scratch; the few faces next to SOLID are saved and zeroed before
+    a sweep and put back after it, which costs less than a masked write."""
 
     def __init__(self, valid: np.ndarray, r: float, axes: tuple[int, ...]):
-        self.vf = valid.astype(np.float64)
+        self.shape = valid.shape
         self.wall = np.flatnonzero(~valid)
         self.bands = {a: _Band(valid, r, a) for a in axes} if valid.any() else {}
 
@@ -268,21 +267,20 @@ class _Banded:
                 self.sweep(arr, self.bands[axis], transpose, work)
 
     def sweep(self, cur: np.ndarray, band: _Band, transpose: bool, work: np.ndarray):
-        """One pass through `band`, or its transpose: forward K (cur vf) / den,
-        adjoint K^T (cur / den), written over the valid faces of cur only.
-        As in `_sweep`, the adjoint reads +0 off the valid faces, so what a
-        face next to SOLID holds never reaches a valid one."""
+        """One pass through `band`, or its transpose: forward K cur / den,
+        adjoint K^T (cur / den) = K (cur / den), written over the valid faces
+        of cur only.  Both read +0 off the faces next to SOLID, so what such
+        a face holds never reaches a valid one."""
         flat = cur.reshape(-1)
         src = work[0, :cur.size].reshape(cur.shape)
         kept = flat[self.wall]
+        flat[self.wall] = 0.0
         if transpose:
-            flat[self.wall] = 0.0
             np.multiply(cur, band.inv, out=src)
-            band.product(band.adj, src, cur)
+            band.product(src, cur)
         else:
-            np.multiply(cur, self.vf, out=src)
-            band.product(band.fwd, src, cur)
-            cur *= band.inv
+            band.product(cur, src)
+            np.multiply(src, band.inv, out=cur)
         flat[self.wall] = kept
 
 
@@ -308,6 +306,7 @@ class _BlurKernel:
     `_Banded` or `_Component` per active component.  Building it validates
     the radius."""
 
+    @_quiet   # two cells past half the float range average to an inf radius
     def __init__(self, radius: ScalarField, flags: CellFlags):
         _check_radius(radius, flags)
         axes = radius.dims.axes
@@ -326,7 +325,7 @@ class _BlurKernel:
             np.copyto(out.as_flat(), field.as_flat())
         if self._work is None:
             # rows padded to whole 64-byte lines, so each starts on one
-            n = max(p.vf.size for p in self.parts.values())
+            n = max(math.prod(p.shape) for p in self.parts.values())
             self._work = _aligned_empty((3, -(-n // 8) * 8))
         axes = field.dims.axes
         sweep_axes = axes if not transpose else tuple(reversed(axes))

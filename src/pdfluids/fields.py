@@ -304,6 +304,13 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` that starts on a 64-byte boundary."""
+    out = _aligned_empty(a.shape, a.dtype)
+    np.copyto(out, a)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # geometry helpers
 

@@ -60,7 +60,7 @@ from enum import IntEnum
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _aligned_empty, _along, _check_dims, _dot, _face_views,
+                     _aligned, _aligned_empty, _along, _check_dims, _dot, _face_views,
                      _flat_faces, _to_faces, divergence)
 
 
@@ -600,13 +600,6 @@ def _band_matmul(panels, b, out):
         step = max(1, (_GEMM_SERIAL - 1) // block.size)
         for j in range(0, m, step):
             np.matmul(block, b[..., cols, j:j + step], out=out[..., rows, j:j + step])
-
-
-def _aligned(a: np.ndarray) -> np.ndarray:
-    """A copy of `a` that starts on a 64-byte boundary (fields._aligned_empty)."""
-    out = _aligned_empty(a.shape, a.dtype)
-    np.copyto(out, a)
-    return out
 
 
 class _Grid:

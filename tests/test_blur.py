@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pdfluids.blur import _Banded, _BlurKernel, _Component, _sweep, blur_obstacle_aware
+from pdfluids.blur import (_Banded, _BlurKernel, _Component, _line_matrix, _sweep,
+                           blur_obstacle_aware)
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              VelocityField, cell_to_face_average, face_valid_mask)
 from pdfluids.guiding import split_scalar_field
@@ -416,19 +419,25 @@ class TestGapLayout:
     @pytest.mark.parametrize("dims", [GridDims(12, 10), GridDims(7, 6, 5)],
                              ids=["2d", "3d"])
     def test_the_adjoint_reads_no_wall_face(self, rng, dims):
-        # the adjoint divides by den on the valid faces only: a wall face
-        # holding inf must not reach a valid one, in either form
+        # the adjoint divides by den on the valid faces only, and the banded
+        # products read +0 off the faces next to SOLID in both directions: a
+        # wall face holding inf or NaN must not reach a valid one.  The tap
+        # loop's forward still reads those faces times 0 (a NaN there spreads),
+        # so its forward is not a case here.
         flags, radius = obstacle_scene(dims, rng)
         uniform = ScalarField(dims, np.where(flags.solid, 0.0, 1.5))
-        for radius in (radius, uniform):
+        cases = [(flags, radius, True), (flags, uniform, True)]
+        cases += [(*_scene(kind, dims, 1.5), False) for kind in ("closed", "box")]
+        for flags, radius, transpose in cases:
             vel = random_velocity(dims, rng)
-            want = blur_obstacle_aware(vel, radius, flags, transpose=True)
-            for comp, arr in vel.components():
-                arr[~face_valid_mask(flags, comp)] = np.inf
-            got = blur_obstacle_aware(vel, radius, flags, transpose=True)
-            for comp, arr in got.components():
-                valid = face_valid_mask(flags, comp)
-                assert arr[valid].tobytes() == want.component(comp)[valid].tobytes()
+            want = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
+            for bad in (np.inf, np.nan):
+                for comp, arr in vel.components():
+                    arr[~face_valid_mask(flags, comp)] = bad
+                got = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
+                for comp, arr in got.components():
+                    valid = face_valid_mask(flags, comp)
+                    assert arr[valid].tobytes() == want.component(comp)[valid].tobytes()
 
 
 class TestGapBound:
@@ -544,3 +553,79 @@ class TestBandedProducts:
         for transpose in (False, True):
             out = blur_obstacle_aware(vel, radius, flags, transpose=transpose)
             assert out.w.tobytes() == vel.w.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 65, 129, 301])
+def test_the_line_matrix_is_symmetric_bit_for_bit(n):
+    # the adjoint runs the forward's panels: K must equal K^T exactly
+    for r in (0.0, 5e-324, 1e-160, 1 / 3, 0.7, 2.0, 2.5, 5.0, 17.0, 1e200, math.inf):
+        k = _line_matrix(n, r)
+        assert k.tobytes() == np.ascontiguousarray(k.T).tobytes()
+
+
+# -- any radius >= 0, from subnormal to the float max -------------------------
+
+TINY = (0.0, 1e-160, 5e-324)     # every tap past t = 0 weighs 0
+HUGE = (1e200, 7e307, 1e308)     # every tap within the line weighs exactly 1
+
+RADII = st.one_of(st.just(0.0),
+                  st.floats(5e-324, 1e-150, allow_subnormal=True),
+                  st.floats(0.05, 5.0),
+                  st.floats(1e150, np.finfo(float).max))
+
+
+def _radius_scene(shape, obstacle, layout, radii, seed):
+    """Closed box of `shape` (an optional SOLID block in the middle) and its
+    cell radii: one value, the split of the first two, or one drawn per cell."""
+    dims = GridDims(*shape)
+    flags = CellFlags.closed_box(dims)
+    if obstacle:
+        mid = tuple(slice(n // 2, n // 2 + 1) for n in shape)
+        flags.values[mid] = CellType.SOLID
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        rvals = np.full(dims.shape, radii[0])
+    elif layout == "split":
+        rvals = split_scalar_field(dims, flags, radii[0], radii[-1]).values
+    else:
+        rvals = rng.choice(radii, dims.shape)
+    rvals[flags.solid] = 0.0
+    return flags, rvals, random_velocity(dims, rng), random_velocity(dims, rng)
+
+
+def _blur_bytes(vel, rvals, flags):
+    radius = ScalarField(vel.dims, rvals)
+    return [field_bytes(blur_obstacle_aware(vel, radius, flags, transpose=t))
+            for t in (False, True)]
+
+
+@example(shape=(12, 12), obstacle=False, layout="uniform", radii=[7e307], seed=0)
+@example(shape=(12, 12), obstacle=False, layout="uniform", radii=[1e308], seed=0)
+@example(shape=(12, 12), obstacle=False, layout="split", radii=[7e307, 1.0], seed=0)
+@example(shape=(12, 12), obstacle=False, layout="split", radii=[1e200, 1.0], seed=0)
+@example(shape=(12, 12), obstacle=False, layout="split", radii=[1e-160, 1.0], seed=0)
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(shape=st.one_of(st.tuples(st.integers(4, 12), st.integers(4, 12)),
+                       st.tuples(st.integers(4, 6), st.integers(4, 6), st.integers(4, 6))),
+       obstacle=st.booleans(), layout=st.sampled_from(["uniform", "split", "per-cell"]),
+       radii=st.lists(RADII, min_size=1, max_size=3), seed=st.integers(0, 2 ** 32 - 1))
+def test_any_radius_blurs_finite_and_adjoint(shape, obstacle, layout, radii, seed):
+    flags, rvals, a, b = _radius_scene(shape, obstacle, layout, radii, seed)
+    radius = ScalarField(a.dims, rvals)
+    ba = blur_obstacle_aware(a, radius, flags)
+    btb = blur_obstacle_aware(b, radius, flags, transpose=True)
+    assert np.isfinite(ba.as_flat()).all() and np.isfinite(btb.as_flat()).all()
+    scale = ba.norm() * b.norm() + a.norm() * btb.norm()
+    assert abs(ba.dot(b) - a.dot(btb)) <= 1e-12 * scale
+    # a radius of 1e-160 or 5e-324 is the identity of radius 0, and radii
+    # from 1e200 up all weigh every tap 1: their bytes agree
+    fluid = ~flags.solid
+    tiny = fluid & (rvals < 1e-150)
+    huge = rvals >= 1e150
+    zero = _blur_bytes(a, np.where(tiny, 0.0, rvals), flags)
+    assert _blur_bytes(a, rvals, flags) == zero
+    for c in TINY[1:]:
+        assert _blur_bytes(a, np.where(tiny, c, rvals), flags) == zero
+    first = _blur_bytes(a, np.where(huge, HUGE[0], rvals), flags)
+    for c in HUGE[1:]:
+        assert _blur_bytes(a, np.where(huge, c, rvals), flags) == first

@@ -74,6 +74,15 @@ class TestCli:
         for name in names:
             assert os.stat(out / name).st_mode & 0o777 == 0o644, name
 
+    @pytest.mark.parametrize("left, right", [("7e307", "7e307"), ("1e308", "1e308"),
+                                             ("7e307", "1"), ("1e200", "1"), ("1e-160", "1")])
+    def test_extreme_blur_radii_run(self, tmp_path, capsys, left, right):
+        # one tap rule for every radius >= 0: no overflow, no warning
+        assert run(["guide", "--scene", "circular", "--nx", "16", "--ny", "16",
+                    "--frames", "1", "--radius-left", left, "--radius-right", right,
+                    "--out", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_guide_needs_target(self, tmp_path):
         rc = run(["guide", "--scene", "plume", "--nx", "16", "--ny", "16",
                   "--frames", "1", "--out", tmp_path / "x"])
@@ -645,10 +654,14 @@ for k in range(1, pressure._LEAF + 1):
 for n in (10000, 10001, 16384, 100003):
     a, b = rng.random(n), rng.random(n)
     digest.update(np.float64(fields._dot(a, b)).tobytes())
-for dims in (GridDims(64, 300), GridDims(300, 70), GridDims(64, 80, 12), GridDims(10, 90, 70)):
+# r = 1e-160 and 7e307, reaches of 1 and of a whole line, on lines many
+# enough that a whole-line panel's product exceeds _GEMM_SERIAL and runs in pieces
+for dims, radii in ([(d, (2.0, 3.5)) for d in (GridDims(64, 300), GridDims(300, 70),
+                                               GridDims(64, 80, 12), GridDims(10, 90, 70))]
+                    + [(GridDims(48, 48, 120), (1e-160, 7e307))]):
     flags = CellFlags.closed_box(dims)
     flags.values[20:30, 30:40] = CellType.SOLID
-    for r in (2.0, 3.5):
+    for r in radii:
         radius = split_scalar_field(dims, flags, r, r, zero_at_solid=True)
         vel = VelocityField._of(dims, rng.random(VelocityField.zeros(dims).as_flat().size))
         for transpose in (False, True):
