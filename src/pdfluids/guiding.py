@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .blur import _check_radius, blur_obstacle_aware
-from .fields import (CellFlags, ScalarField, VelocityField, _flat_faces,
-                     cell_to_face_average, divergence, face_valid_mask)
+from .fields import (CellFlags, ScalarField, VelocityField, _divergence, _flat_faces,
+                     cell_to_face_average, face_valid_mask)
 from .optim import (AdmmParams, ConvergenceLog, PdParams, ProxOperator, SolverCarry,
                     _fixed_projection, admm_solve, pd_solve)
 from .pressure import BcTable, CgConfig, DivergenceProjector, _pcg, _require_finite
@@ -279,20 +279,22 @@ def direct_least_squares(cfg: GuidingConfig, tol: float = 1e-8,
     quad = GuidingQuadratic(cfg)
     flags = cfg.flags
     d = flags.dims
-    fluid = flags.fluid
-
-    def apply_DtD(vel: VelocityField) -> np.ndarray:
-        # D^T D vel: minus the difference of the FLUID cells' divergence across a face
-        div = divergence(quad.mask(vel), flags).values
-        src = np.append(np.where(fluid, div, 0.0) / d.h, 0.0)
-        dtd = np.subtract(*(src.take(cells) for cells in d._face_cells))
-        dtd[quad.fixed] = 0.0
-        return dtd
+    lower, upper = d._face_cells
+    # the cells' divergence / h (0 off FLUID), then the ghost's 0 beyond a wall
+    src = np.zeros(d.cell_count + 1)
+    cells = src[:-1].reshape(d.shape)
 
     def normal_op(vel: VelocityField, out: VelocityField):
-        # A^T A = A A: the second apply_A runs on its own output
+        # A^T A = A A: the second apply_A runs on its own output, then
+        # D^T D vel: minus the difference of the cells' divergence across
+        # a face, the masked vel taking apply_A's scratch field
         of = quad.apply_A(quad.apply_A(vel, out), out).as_flat()
-        of += apply_DtD(vel)
+        _divergence(quad.mask(vel, quad._scratch), flags, cells)
+        src[:-1] /= d.h
+        dtd = src.take(lower)
+        dtd -= src.take(upper)
+        dtd[quad.fixed] = 0.0
+        of += dtd
 
     rhs = quad.apply_A(-1.0 * quad.b())
     x, iters = _cg_velocity(normal_op, rhs, tol, max_iters)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (CellFlags, CellType, GridDims, ScalarField, VelocityField,
-                     _along, _face_stencils, _flat_faces,
+                     _along, _face_stencils, _flat_faces, _pad_shape, _padded,
                      advect_semi_lagrangian, cell_to_face_average,
                      face_centers, face_valid_mask, fluid_adjacent_face_mask,
                      upsample)
@@ -320,11 +320,12 @@ EXTRAPOLATION_LAYERS = 2   # cells of velocity spread into the empty region
 
 def _particle_cells(dims: GridDims, pos: np.ndarray) -> np.ndarray:
     """Flat C-order index of the cell holding each particle, clamped to the
-    grid; an axis of one cell (z in 2D) adds nothing."""
+    grid (not negative, so the cast is the floor); an axis of one cell (z in
+    2D) adds nothing."""
     cell = 0
     for n, p in zip(dims.shape, pos.T):
         if n > 1:
-            cell = cell * n + np.floor(np.clip(p / dims.h, 0.0, n - 1.0)).astype(np.intp)
+            cell = cell * n + np.clip(p / dims.h, 0.0, n - 1.0).astype(np.intp)
     return cell
 
 
@@ -348,12 +349,15 @@ def particles_to_grid(state: SceneState, stencils: list) -> VelocityField:
     vel = VelocityField.zeros(state.flags.dims)
     for (axis, arr), st in zip(vel.components(), stencils):
         # terms laid out corner by corner: bincount adds the terms of each
-        # face in that order, the order of one scatter per corner
-        idx, wts = zip(*st.corners())
-        idx, wts = np.concatenate(idx), np.stack(wts)
+        # face in that order, the order of one scatter per corner; the sums
+        # lie on the stencil's padded layout, cropped to the faces
+        offs, wts = zip(*st.corners())
+        idx, wts = np.concatenate([st.base + o for o in offs]), np.stack(wts)
         pv = state.particles_vel[:, axis]
-        acc = np.bincount(idx, (wts * pv).ravel(), arr.size).reshape(arr.shape)
-        wsum = np.bincount(idx, wts.ravel(), arr.size).reshape(arr.shape)
+        shape = _pad_shape(arr.shape)
+        crop = tuple(slice(n) for n in arr.shape)
+        acc = np.bincount(idx, (wts * pv).ravel(), math.prod(shape)).reshape(shape)[crop]
+        wsum = np.bincount(idx, wts.ravel(), math.prod(shape)).reshape(shape)[crop]
         nz = wsum > 0
         arr[nz] = acc[nz] / wsum[nz]
     return vel
@@ -364,7 +368,7 @@ def sample_at_particles(vel: VelocityField, stencils: list) -> np.ndarray:
     `_face_stencils` on vel's grid; 0.0 on an inactive axis."""
     out = np.zeros((stencils[0].base.size, 3))
     for (axis, arr), st in zip(vel.components(), stencils):
-        out[:, axis] = st.gather(arr)
+        out[:, axis] = st.gather(_padded(arr))
     return out
 
 

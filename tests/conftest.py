@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pdfluids.fields import CellFlags, GridDims, ScalarField, VelocityField, _sample
+from pdfluids.fields import (CellFlags, GridDims, ScalarField, VelocityField, _face_stencils,
+                             _padded_faces, _read)
 
 
 @pytest.fixture
@@ -25,7 +26,7 @@ def sample_velocity(vel, point):
     """Velocity vector at a physical point (clamped to the domain)."""
     p = np.zeros(3)
     p[:len(point)] = point
-    return np.array(_sample(vel, *p))
+    return np.array(_read(_padded_faces(vel), _face_stencils(vel.dims, p)))
 
 
 def zero_solid_adjacent(vel, flags):

@@ -1,7 +1,11 @@
 import math
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdfluids import fields
 from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
@@ -10,6 +14,7 @@ from pdfluids.fields import (CellFlags, CellType, GridDims, ScalarField,
                              cell_centers, divergence, face_centers,
                              face_valid_mask, upsample)
 from pdfluids.pressure import BcTable, FaceTag, subtract_gradient
+from pdfluids.scenes import particles_to_grid
 
 from conftest import dense_divergence_matrix, random_velocity, sample_velocity
 
@@ -478,6 +483,132 @@ class TestStencilBitwise:
         advect_semi_lagrangian(vel, vel, 0.07, flags)
         advect_semi_lagrangian(dens, vel, 0.07, flags)
         assert calls == ["_coords"] * built
+
+
+# -- the padded point kernel against the flat stencil it replaced ----------------
+
+class _FlatStencil(NamedTuple):
+    """The flat point stencil as written before the padded kernel: flat
+    indices into the sample array itself, and per axis an int32 step array
+    that is 0 where a point is clamped to the upper end."""
+
+    base: np.ndarray
+    steps: tuple
+    fracs: tuple
+
+    def corners(self):
+        idx, wts = [self.base], [1.0]
+        for step, f in zip(self.steps, self.fracs):
+            pair = (1 - f, f)
+            idx = [i for j in idx for i in (j, j + step)]
+            wts = [w * v for w in wts for v in pair]
+        return list(zip(idx, wts))
+
+    def gather(self, arr):
+        flat = arr.ravel()
+        if len(self.steps) == 3:
+            out = 0.0
+            for idx, w in self.corners():
+                out = out + flat[idx] * w
+            return out
+        (sx, sy), (fx, fy), b = self.steps, self.fracs, self.base
+        bx = b + sx
+        c00, c01, c10, c11 = flat[b], flat[b + sy], flat[bx], flat[bx + sy]
+        gx = 1 - fx
+        return (c00 * gx + c10 * fx) * (1 - fy) + (c01 * gx + c11 * fx) * fy
+
+
+def _flat_coords(shape, offsets, h, points):
+    """The flat stencil of physical points, floored and then cast."""
+    strides = (shape[1] * shape[2], shape[2], 1)
+    terms, steps, fracs = [], [], []
+    for n, off, p, stride in zip(shape, offsets, points, strides):
+        if n > 1:
+            g = np.clip(np.asarray(p, dtype=np.float64) / h - off, 0.0, n - 1.0)
+            i0 = np.floor(g).astype(np.intp)
+            terms.append(i0 * stride)
+            steps.append(np.where(i0 < n - 1, np.int32(stride), np.int32(0)))
+            fracs.append(g - i0)
+    return _FlatStencil(sum(terms), tuple(steps), tuple(fracs))
+
+
+def _flat_face_read(arr, axis, dims, points):
+    return _flat_coords(arr.shape, fields._face_offsets(axis), dims.h, points).gather(arr)
+
+
+def _flat_particles_to_grid(dims, points, pv):
+    """P2G through the flat stencil: one bincount over its corners."""
+    out = []
+    for axis in dims.axes:
+        shape = dims.face_shape(axis)
+        st = _flat_coords(shape, fields._face_offsets(axis), dims.h, points)
+        idx, wts = zip(*st.corners())
+        idx, wts = np.concatenate(idx), np.stack(wts)
+        acc = np.bincount(idx, (wts * pv[:, axis]).ravel(), math.prod(shape)).reshape(shape)
+        wsum = np.bincount(idx, wts.ravel(), math.prod(shape)).reshape(shape)
+        arr = np.zeros(shape)
+        nz = wsum > 0
+        arr[nz] = acc[nz] / wsum[nz]
+        out.append(arr)
+    return out
+
+
+def _flat_gather_scalar_masked(scalar, flags, points):
+    d = scalar.dims
+    vals = scalar.values.ravel()
+    notsolid = (flags.values != CellType.SOLID).astype(np.float64).ravel()
+    num = den = 0.0
+    for idx, w in _flat_coords(d.shape, (0.5, 0.5, 0.5), d.h, points).corners():
+        w = w * notsolid[idx]
+        num = num + vals[idx] * w
+        den = den + w
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
+
+
+@example(shape=(37, 23, 1), h=0.1, obstacle=True, factor=2, seed=0)
+@example(shape=(16, 16, 1), h=1 / 3, obstacle=False, factor=3, seed=0)
+@example(shape=(64, 64, 1), h=1 / 64, obstacle=True, factor=2, seed=0)
+@example(shape=(5, 9, 1), h=0.7, obstacle=False, factor=2, seed=0)
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(shape=st.one_of(st.tuples(st.integers(4, 12), st.integers(4, 12), st.just(1)),
+                       st.tuples(st.integers(4, 6), st.integers(4, 6), st.integers(2, 6))),
+       h=st.floats(0.01, 3.0), obstacle=st.booleans(), factor=st.integers(2, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_point_kernel_matches_the_flat_stencil(shape, h, obstacle, factor, seed):
+    # every read of the padded kernel, byte for byte against the flat
+    # stencil: scattered points inside, beyond and on the box (the particle
+    # gather and P2G's scatter), the grid's own points (advection's first
+    # stage, separable in 2D), an upsample, and the SOLID-masked cell gather
+    d = GridDims(*shape, h)
+    rng = np.random.default_rng(seed)
+    flags = CellFlags.closed_box(d)
+    if obstacle:
+        lo = [rng.integers(1, max(n - 2, 2)) if n > 1 else 0 for n in shape]
+        flags.values[tuple(slice(a, a + 2) for a in lo)] = CellType.SOLID
+    vel = random_velocity(d, rng)
+    pts = _stencil_points(d, rng, n=20).T
+    stencils = fields._face_stencils(d, pts)
+    for (axis, arr), stn in zip(vel.components(), stencils):
+        got = stn.gather(fields._padded(arr))
+        assert got.tobytes() == _flat_face_read(arr, axis, d, pts).tobytes()
+    pv = rng.standard_normal((pts.shape[1], 3))
+    got = particles_to_grid(SimpleNamespace(flags=flags, particles_vel=pv), stencils)
+    for (_, arr), want in zip(got.components(), _flat_particles_to_grid(d, pts, pv)):
+        assert arr.tobytes() == want.tobytes()
+    for start, grid_stencils in d._starts:
+        for (axis, arr), stn in zip(vel.components(), grid_stencils):
+            got = stn.gather(fields._padded(arr))
+            want = _flat_face_read(arr, axis, d, start)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    fine = upsample(vel, factor)
+    for axis, arr in vel.components():
+        want = _flat_face_read(arr, axis, d, face_centers(fine.dims, axis))
+        assert fine.component(axis).tobytes() == want.tobytes()
+    scalar = ScalarField(d, rng.standard_normal(d.shape))
+    for p in (pts, cell_centers(d)):
+        got = _gather_scalar_masked(scalar, flags, *p)
+        assert got.tobytes() == _flat_gather_scalar_masked(scalar, flags, p).tobytes()
 
 
 # -- sample coordinates as cell_centers and face_centers built them before ----

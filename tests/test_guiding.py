@@ -693,3 +693,30 @@ def test_the_exact_prox_takes_b_once(frame20, monkeypatch):
     log = ConvergenceLog()
     guide_step(frame20.u_current, frame20, exact_prox=True, log=log)
     assert len(log) > 1 and sum(calls) == 1
+
+
+def test_direct_takes_two_fields_per_cg_iteration(frame20, monkeypatch):
+    # the normal operator masks into apply_A's scratch and writes its
+    # divergence into one cell array: the loop's two views of d and A d are
+    # the only fields an iteration builds
+    built, iters = [], []
+    attach, pcg = VelocityField._attach, guiding._pcg
+
+    def counted_attach(self, *args):
+        built.append(1)
+        return attach(self, *args)
+
+    def counted_pcg(*args, **kwargs):
+        x, it = pcg(*args, **kwargs)
+        iters.append(it)
+        return x, it
+
+    monkeypatch.setattr(VelocityField, "_attach", counted_attach)
+    monkeypatch.setattr(guiding, "_pcg", counted_pcg)
+    counts = []
+    for tol in (1e-3, 1e-6):
+        built.clear()
+        direct_least_squares(frame20, tol=tol)
+        counts.append(len(built))
+    assert iters[1] > iters[0]
+    assert counts[1] - counts[0] <= 2 * (iters[1] - iters[0])
